@@ -16,8 +16,6 @@ from .kernels import (
     gap_free,
     kernel_mass,
     partial_sum_direct,
-    partial_sum_kernel,
-    partial_sum_kernel_sweep,
     partial_sum_kernel_table,
     psi,
     psi_k,

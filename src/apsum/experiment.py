@@ -19,21 +19,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .kernels import QuadratureConfig
-from .matrices import (
-    MatrixError,
-    SummabilityMatrix,
-    cesaro_matrix,
-    matrix_from_dict,
-    load_matrix,
-    osc_gm2_matrix,
-    riesz_matrix,
-)
+from .matrices import MatrixError, SummabilityMatrix, load_matrix, matrix_from_dict
 from .measures import (
     ModulusMajorant,
     SamplePlan,
@@ -53,6 +44,7 @@ from .spectra import (
     validate_spectrum,
 )
 from .strong_means import (
+    THEOREMS,
     RatioSeries,
     StrongMeanParams,
     ratio_series,
@@ -107,22 +99,23 @@ def builtin_spectra(name: str) -> QuasiPeriodicFunction:
 
 
 def builtin_matrices(name: str, params: dict | None = None) -> SummabilityMatrix:
-    params = params or {}
-    if name == "cesaro":
-        return cesaro_matrix()
-    if name == "riesz":
-        return riesz_matrix(
-            weights=params.get("weights"), exponent=params.get("exponent")
-        )
-    if name == "osc-gm2":
-        return osc_gm2_matrix(c=float(params.get("c", 2.0)))
-    raise ConfigError("matrix", f"unknown builtin {name!r}")
+    if name not in BUILTIN_MATRICES:
+        raise ConfigError("matrix", f"unknown builtin {name!r}")
+    return matrix_from_dict({"type": name, "params": params or {}})
 
 
 def _as_tuple(value, kind=float) -> tuple:
     if isinstance(value, (list, tuple)):
         return tuple(kind(v) for v in value)
     return (kind(value),)
+
+
+def _number(data: dict, field: str, default, kind=float):
+    """``kind`` of the field's value (or the default), else ConfigError."""
+    try:
+        return kind(data.get(field, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(field, f"must be a number, got {data[field]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,6 @@ class ExperimentConfig:
     n_range: tuple[int, int] = (1, 64)
     x: tuple[float, ...] = (0.0,)
     x_samples: int = 16
-    quadrature: QuadratureConfig = QuadratureConfig()
     grid: WindowGrid = WindowGrid()
     thm5_literal_exponent: bool = False
     max_ratio: float = 50.0
@@ -163,7 +155,7 @@ class ExperimentConfig:
         if "spectrum" not in data:
             raise ConfigError("spectrum", "required")
         theorem = data.get("theorem", "prop4")
-        if theorem not in ("prop4", "thm2", "thm5", "thm6"):
+        if theorem not in THEOREMS:
             raise ConfigError("theorem", f"unknown theorem {theorem!r}")
         try:
             q = _as_tuple(data.get("q", 1.0))
@@ -171,18 +163,22 @@ class ExperimentConfig:
             raise ConfigError("q", "must be a number or list of numbers")
         if any(not v > 0.0 for v in q):
             raise ConfigError("q", "every q must be > 0")
-        c = float(data.get("c", 2.0))
+        c = _number(data, "c", 2.0)
         if not c > 1.0:
             raise ConfigError("c", "must be > 1")
-        p = float(data.get("p", 2.0))
+        p = _number(data, "p", 2.0)
         if not p > 1.0:
             raise ConfigError("p", "must be > 1 (or inf)")
         n_range = data.get("n_range", [1, 64])
-        if (
-            not isinstance(n_range, (list, tuple))
-            or len(n_range) != 2
-            or any(int(v) != v for v in n_range)
-        ):
+        try:
+            ok = (
+                isinstance(n_range, (list, tuple))
+                and len(n_range) == 2
+                and all(int(v) == v for v in n_range)
+            )
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise ConfigError("n_range", "must be an integer pair [lo, hi]")
         n_range = (int(n_range[0]), int(n_range[1]))
         if n_range[0] < 0:
@@ -191,10 +187,6 @@ class ExperimentConfig:
             x = _as_tuple(data.get("x", 0.0))
         except (TypeError, ValueError):
             raise ConfigError("x", "must be a number or list of numbers")
-        try:
-            quad = QuadratureConfig(**data.get("quadrature", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("quadrature", str(exc))
         try:
             grid = WindowGrid(**data.get("grid", {}))
         except (TypeError, ValueError) as exc:
@@ -207,17 +199,18 @@ class ExperimentConfig:
             p=p,
             q=q,
             c=c,
-            alpha=(None if data.get("alpha") is None else float(data["alpha"])),
+            alpha=(
+                None if data.get("alpha") is None else _number(data, "alpha", None)
+            ),
             n_range=n_range,
             x=x,
-            x_samples=int(data.get("x_samples", 16)),
-            quadrature=quad,
+            x_samples=_number(data, "x_samples", 16, int),
             grid=grid,
             thm5_literal_exponent=bool(data.get("thm5_literal_exponent", False)),
-            max_ratio=float(data.get("max_ratio", 50.0)),
-            blowup_head=int(data.get("blowup_head", 8)),
-            blowup_factor=float(data.get("blowup_factor", 2.0)),
-            side_tol=float(data.get("side_tol", 0.05)),
+            max_ratio=_number(data, "max_ratio", 50.0),
+            blowup_head=_number(data, "blowup_head", 8, int),
+            blowup_factor=_number(data, "blowup_factor", 2.0),
+            side_tol=_number(data, "side_tol", 0.05),
             output=data.get("output"),
         )
         cfg.resolve_function(base_dir, allow_invalid)  # cross-field checks
@@ -236,8 +229,6 @@ class ExperimentConfig:
         return cls.from_dict(data, base_dir=path.parent, allow_invalid=allow_invalid)
 
     def to_dict(self) -> dict:
-        quad = self.quadrature
-        grid = self.grid
         return {
             "spectrum": self.spectrum,
             "theorem": self.theorem,
@@ -250,21 +241,7 @@ class ExperimentConfig:
             "n_range": list(self.n_range),
             "x": list(self.x),
             "x_samples": self.x_samples,
-            "quadrature": {
-                "truncation_T": quad.truncation_T,
-                "panels_per_oscillation": quad.panels_per_oscillation,
-                "rel_tol": quad.rel_tol,
-                "abs_tol": quad.abs_tol,
-                "gl_nodes": quad.gl_nodes,
-            },
-            "grid": {
-                "u_samples": grid.u_samples,
-                "window_length": grid.window_length,
-                "panels_per_window": grid.panels_per_window,
-                "gl_nodes": grid.gl_nodes,
-                "u_span": grid.u_span,
-                "refine": grid.refine,
-            },
+            "grid": asdict(self.grid),
             "thm5_literal_exponent": self.thm5_literal_exponent,
             "max_ratio": self.max_ratio,
             "blowup_head": self.blowup_head,

@@ -12,7 +12,7 @@ ladder l = alpha*k/2, e = alpha*(k+1)/2, the kernel takes the closed form
     Psi_k(t) = 4 sin(alpha t/4) sin(alpha(2k+1) t/4) / (alpha pi t^2)
              = 2 [cos(alpha k t/2) - cos(alpha (k+1) t/2)] / (alpha pi t^2).
 
-``partial_sum_direct`` truncates the spectrum; ``partial_sum_kernel``
+``partial_sum_direct`` truncates the spectrum; ``partial_sum_kernel_table``
 evaluates the kernel integral numerically (plus the exact oscillatory tail
 beyond the truncation point) and is cross-validated against the direct
 route.  When a frequency falls inside the open band, the cutoff sum is
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import sici
 
-from .spectra import FREQ_RTOL, QuasiPeriodicFunction, SpectrumError
+from .spectra import FREQ_RTOL, QuasiPeriodicFunction, SpectrumError, _gl_panels
 
 __all__ = [
     "QuadratureConfig",
@@ -38,8 +37,6 @@ __all__ = [
     "psi_k",
     "partial_sum_direct",
     "gap_free",
-    "partial_sum_kernel",
-    "partial_sum_kernel_sweep",
     "partial_sum_kernel_table",
     "kernel_mass",
     "tail_bound",
@@ -125,14 +122,7 @@ def psi_k(alpha: float, k: int, t):
 
 def partial_sum_direct(f: QuasiPeriodicFunction, gamma: float, x: float) -> float:
     """Sum of spectral terms with frequency <= gamma (boundary inclusive)."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    cut = gamma + FREQ_RTOL * max(1.0, gamma)
-    total = 0.0
-    for g, e in zip(f.term_values(x), f.spectrum.entries):
-        if e.freq <= cut:
-            total += g
-    return total
+    return float(f.partial_sums(x, gamma))
 
 
 def _band_edges(alpha: float, k: int) -> tuple[float, float]:
@@ -169,12 +159,6 @@ def _offending_index(f: QuasiPeriodicFunction, k: int) -> int:
             "condition admits at most one"
         )
     return hits[0]
-
-
-@lru_cache(maxsize=32)
-def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    xi, wt = np.polynomial.legendre.leggauss(nodes)
-    return xi, wt
 
 
 def _cos_tail(mu: np.ndarray, T: float) -> np.ndarray:
@@ -263,10 +247,7 @@ def partial_sum_kernel_table(
     width = (2.0 * math.pi / numax) / cfg.panels_per_oscillation
     n_panels = max(1, int(math.ceil(T / width)))
     h = T / n_panels
-    xi, wt = _gl_rule(cfg.gl_nodes)
-    centers = (np.arange(n_panels) + 0.5) * h
-    t = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
-    w = np.tile(0.5 * h * wt, n_panels)
+    t, w = _gl_panels(0.0, T, n_panels, cfg.gl_nodes)
 
     # Band-independent factor of the integrand:
     #   (f(x+t)+f(x-t)) Psi_b(t) = base(t) * sin(alpha(2b+1)t/4)
@@ -311,26 +292,6 @@ def partial_sum_kernel_table(
     return out
 
 
-def partial_sum_kernel_sweep(
-    f: QuasiPeriodicFunction,
-    ks,
-    x: float,
-    cfg: QuadratureConfig | None = None,
-) -> np.ndarray:
-    """Kernel-route cutoff sums S_{alpha k/2} f(x) for every k in ``ks``."""
-    return partial_sum_kernel_table(f, ks, [x], cfg)[0]
-
-
-def partial_sum_kernel(
-    f: QuasiPeriodicFunction,
-    k: int,
-    x: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """Kernel-route value of the cutoff sum S_{alpha k/2} f(x); k >= 1."""
-    return float(partial_sum_kernel_table(f, [k], [x], cfg)[0, 0])
-
-
 def kernel_mass(alpha: float, k: int, cfg: QuadratureConfig | None = None) -> float:
     """Numerical int_0^inf Psi_k(t) dt: quadrature to T plus the exact tail.
 
@@ -341,11 +302,7 @@ def kernel_mass(alpha: float, k: int, cfg: QuadratureConfig | None = None) -> fl
     w1, w2 = _band_edges(alpha, k)
     width = (2.0 * math.pi / (w1 + w2)) / cfg.panels_per_oscillation
     n_panels = max(1, int(math.ceil(T / width)))
-    h = T / n_panels
-    xi, wt = _gl_rule(cfg.gl_nodes)
-    centers = (np.arange(n_panels) + 0.5) * h
-    t = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
-    w = np.tile(0.5 * h * wt, n_panels)
+    t, w = _gl_panels(0.0, T, n_panels, cfg.gl_nodes)
     quad = float(np.dot(w, psi_k(alpha, k, t)))
     c = _cos_tail(np.array([w1, w2]), T)
     tail = (2.0 / (alpha * math.pi)) * (c[0] - c[1])

@@ -63,17 +63,15 @@ class SummabilityMatrix:
         self,
         name: str,
         row_fn: Callable[[int], np.ndarray],
-        support_fn: Callable[[int], int],
         params: dict | None = None,
     ):
         self.name = name
         self.params = dict(params or {})
         self._row_fn = row_fn
-        self._support_fn = support_fn
         self._cache: dict[int, np.ndarray] = {}
 
     def row(self, n: int) -> np.ndarray:
-        """Weights (a[n, 0], ..., a[n, support_bound(n)]), validated."""
+        """Weights (a[n, 0], a[n, 1], ...) of row n, validated and cached."""
         if n < 0:
             raise MatrixError(f"row index must be >= 0, got {n}")
         cached = self._cache.get(n)
@@ -90,9 +88,6 @@ class SummabilityMatrix:
         r.setflags(write=False)
         self._cache[n] = r
         return r
-
-    def support_bound(self, n: int) -> int:
-        return int(self._support_fn(n))
 
     def describe(self) -> dict:
         return {"name": self.name, **({"params": self.params} if self.params else {})}
@@ -267,7 +262,7 @@ def class_membership(
 
 
 def cesaro_matrix() -> SummabilityMatrix:
-    return SummabilityMatrix("cesaro", cesaro_row, lambda n: n)
+    return SummabilityMatrix("cesaro", cesaro_row)
 
 
 def riesz_matrix(
@@ -301,7 +296,7 @@ def riesz_matrix(
             return head / head.sum()
 
         params = {"exponent": ex}
-    return SummabilityMatrix("riesz", row_fn, lambda n: n, params)
+    return SummabilityMatrix("riesz", row_fn, params)
 
 
 def _dyadic_holes(limit: int) -> np.ndarray:
@@ -339,7 +334,7 @@ def osc_gm2_matrix(
     Raises MatrixError if any check row exceeds the claimed gm2 constant or
     if the family fails to break monotonicity where it should.
     """
-    m = SummabilityMatrix("osc-gm2", osc_gm2_row, lambda n: n, {"c": c})
+    m = SummabilityMatrix("osc-gm2", osc_gm2_row, {"c": c})
     for n in check_rows:
         k = gm2_constant(m.row(n), c)
         if not k <= gm2_threshold:
@@ -361,9 +356,7 @@ def explicit_matrix(rows: Sequence[Sequence[float]]) -> SummabilityMatrix:
             raise MatrixError(f"explicit matrix has {len(stored)} rows, asked for {n}")
         return stored[n]
 
-    return SummabilityMatrix(
-        "explicit", row_fn, lambda n: len(stored[n]) - 1, {"rows": len(stored)}
-    )
+    return SummabilityMatrix("explicit", row_fn, {"rows": len(stored)})
 
 
 def matrix_from_dict(data: dict) -> SummabilityMatrix:

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .spectra import FREQ_RTOL, QuasiPeriodicFunction
+from .spectra import QuasiPeriodicFunction, _gl_panels
 
 __all__ = [
     "ModulusMajorant",
@@ -218,22 +217,6 @@ def resolve_span(f: QuasiPeriodicFunction, grid: WindowGrid) -> float:
     return min(2.0 * math.pi / g, cap)
 
 
-@lru_cache(maxsize=32)
-def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    xi, wt = np.polynomial.legendre.leggauss(nodes)
-    return xi, wt
-
-
-def _window_offsets(grid: WindowGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature offsets and weights for one window [0, window_length]."""
-    xi, wt = _gl_rule(grid.gl_nodes)
-    h = grid.window_length / grid.panels_per_window
-    centers = (np.arange(grid.panels_per_window) + 0.5) * h
-    offs = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
-    wts = np.tile(0.5 * h * wt, grid.panels_per_window)
-    return offs, wts
-
-
 def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = None) -> float:
     """Windowed p-norm, a from-below approximation (sup over sampled u).
 
@@ -263,7 +246,9 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
             peak = max(peak, float(-res.fun))
         return peak
 
-    offs, wts = _window_offsets(grid)
+    offs, wts = _gl_panels(
+        0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes
+    )
     u = np.linspace(0.0, span, grid.u_samples, endpoint=False)
     vals = np.abs(f(u[:, None] + offs[None, :])) ** p
     means = vals @ wts / grid.window_length
@@ -307,15 +292,6 @@ def modulus_omega(
     return max(stepanov_norm(f.translate_difference(t), p, grid) for t in ts)
 
 
-def _panel_quad(lo: float, hi: float, n_panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    xi, wt = _gl_rule(nodes)
-    h = (hi - lo) / n_panels
-    centers = lo + (np.arange(n_panels) + 0.5) * h
-    t = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
-    w = np.tile(0.5 * h * wt, n_panels)
-    return t, w
-
-
 def _phi_panels(f: QuasiPeriodicFunction, delta: float, n_panels: int | None) -> int:
     if n_panels is not None:
         return n_panels
@@ -349,7 +325,7 @@ def pointwise_modulus(
         return max(peak, float(-res.fun))
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1 (or inf), got {p}")
-    t, w = _panel_quad(0.0, delta, _phi_panels(f, delta, n_panels), 8)
+    t, w = _gl_panels(0.0, delta, _phi_panels(f, delta, n_panels), 8)
     vals = np.abs(f.second_difference(x, t)) ** p
     return (float(np.dot(w, vals)) / delta) ** (1.0 / p)
 
@@ -360,17 +336,14 @@ def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> 
         raise ValueError(f"delta must be > 0, got {delta}")
     if nu < 0.0:
         raise ValueError(f"nu must be >= 0, got {nu}")
-    t, w = _panel_quad(nu, nu + delta, _phi_panels(f, delta, None), 8)
+    t, w = _gl_panels(nu, nu + delta, _phi_panels(f, delta, None), 8)
     return float(np.dot(w, f.second_difference(x, t))) / delta
 
 
 def best_approx_tail(f: QuasiPeriodicFunction, sigma: float) -> float:
     """Amplitude mass above the cutoff: an upper surrogate for the distance
     to band-limited approximants; exactly 0 once sigma clears the spectrum."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    cut = sigma + FREQ_RTOL * max(1.0, sigma)
-    return sum(e.pair_weight for e in f.spectrum.entries if e.freq > cut)
+    return float(f.spectrum.tail_mass(sigma))
 
 
 @dataclass(frozen=True)
@@ -422,7 +395,7 @@ def shifted_difference_mean(
     The minus shift is gamma < 0; phi_x is even, so negative arguments fold
     back automatically.
     """
-    t, w = _panel_quad(0.0, delta, _phi_panels(f, delta, n_panels), 8)
+    t, w = _gl_panels(0.0, delta, _phi_panels(f, delta, n_panels), 8)
     vals = np.abs(f.second_difference(x, t) - f.second_difference(x, t + gamma)) ** p
     return (float(np.dot(w, vals)) / delta) ** (1.0 / p)
 

@@ -11,8 +11,9 @@ form, so a single entry stands for the conjugate pair at ``+-l_nu`` and
 real evaluation is exact.  Consecutive frequencies must be separated by
 at least the declared gap ``alpha``.
 
-Evaluation, symmetric second differences, and finite-span mean Fourier
-coefficients are all pure functions of immutable inputs.
+Evaluation, cutoff sums and tails, symmetric second differences, and
+finite-span mean Fourier coefficients are all pure functions of immutable
+inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,6 +117,24 @@ class Spectrum:
         """Sum of pair weights; a pointwise bound on |f|."""
         return sum(e.pair_weight for e in self.entries)
 
+    def cutoff_count(self, gammas) -> np.ndarray:
+        """Number of entries with frequency <= gamma, elementwise in ``gammas``.
+
+        The comparison carries the slack ``FREQ_RTOL * max(1, gamma)``, so a
+        frequency sitting on a cutoff up to rounding counts as inside it.
+        """
+        gammas = np.asarray(gammas, dtype=float)
+        if not np.all(gammas >= 0.0):
+            raise ValueError(f"cutoffs must be >= 0, got {gammas!r}")
+        cut = gammas + FREQ_RTOL * np.maximum(1.0, gammas)
+        return np.searchsorted(self.frequencies(), cut, side="right")
+
+    def tail_mass(self, sigmas) -> np.ndarray:
+        """Pair-weight mass of the entries above each cutoff in ``sigmas``."""
+        weights = np.array([e.pair_weight for e in self.entries], dtype=float)
+        suffix = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+        return suffix[self.cutoff_count(sigmas)]
+
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -140,7 +160,6 @@ class QuasiPeriodicFunction:
     """Exactly evaluable real function defined by a finite spectrum."""
 
     spectrum: Spectrum
-    real_valued: bool = True
 
     def __call__(self, x):
         """Evaluate f at scalar or array ``x``; exact finite sum."""
@@ -164,6 +183,12 @@ class QuasiPeriodicFunction:
                     e.freq * x
                 )
         return vals
+
+    def partial_sums(self, x: float, gammas) -> np.ndarray:
+        """Cutoff sums S_gamma f(x), the terms with frequency <= gamma,
+        elementwise in ``gammas``: one term evaluation and a prefix sum."""
+        prefix = np.concatenate(([0.0], np.cumsum(self.term_values(x))))
+        return prefix[self.spectrum.cutoff_count(gammas)]
 
     def second_difference(self, x: float, t):
         """f(x+t) + f(x-t) - 2 f(x), evaluated term by term.
@@ -199,9 +224,7 @@ class QuasiPeriodicFunction:
                 entries.append(e)
             else:
                 entries.append(SpectrumEntry(e.freq, e.amp * np.exp(1j * e.freq * a)))
-        return QuasiPeriodicFunction(
-            Spectrum(self.spectrum.alpha, tuple(entries)), self.real_valued
-        )
+        return QuasiPeriodicFunction(Spectrum(self.spectrum.alpha, tuple(entries)))
 
     def translate_difference(self, a: float) -> "QuasiPeriodicFunction":
         """The difference x -> f(x + a) - f(x); the constant term drops."""
@@ -212,17 +235,13 @@ class QuasiPeriodicFunction:
             entries.append(
                 SpectrumEntry(e.freq, e.amp * (np.exp(1j * e.freq * a) - 1.0))
             )
-        return QuasiPeriodicFunction(
-            Spectrum(self.spectrum.alpha, tuple(entries)), self.real_valued
-        )
+        return QuasiPeriodicFunction(Spectrum(self.spectrum.alpha, tuple(entries)))
 
     def scaled(self, s: float) -> "QuasiPeriodicFunction":
         entries = tuple(
             SpectrumEntry(e.freq, e.amp * s) for e in self.spectrum.entries
         )
-        return QuasiPeriodicFunction(
-            Spectrum(self.spectrum.alpha, entries), self.real_valued
-        )
+        return QuasiPeriodicFunction(Spectrum(self.spectrum.alpha, entries))
 
     def sup_bound(self) -> float:
         return self.spectrum.amplitude_mass()
@@ -268,6 +287,23 @@ def validate_spectrum(obj) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+@lru_cache(maxsize=32)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _gl_panels(
+    lo: float, hi: float, n_panels: int, nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [lo, hi] with ``n_panels`` equal
+    panels of ``nodes`` nodes each; nodes and weights are panel-major."""
+    xi, wt = _leggauss(nodes)
+    h = (hi - lo) / n_panels
+    centers = lo + (np.arange(n_panels) + 0.5) * h
+    t = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
+    return t, np.tile(0.5 * h * wt, n_panels)
+
+
 def fourier_coefficient(
     f: QuasiPeriodicFunction,
     freq: float,
@@ -288,11 +324,7 @@ def fourier_coefficient(
     if panels_per_unit is not None:
         width = min(width, 1.0 / panels_per_unit)
     n_panels = max(1, int(math.ceil(span / width)))
-    h = span / n_panels
-    xi, wt = np.polynomial.legendre.leggauss(gl_nodes)
-    centers = (np.arange(n_panels) + 0.5) * h
-    t = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
-    w = np.tile(0.5 * h * wt, n_panels)
+    t, w = _gl_panels(0.0, span, n_panels, gl_nodes)
     vals = f(t) * np.exp(-1j * freq * t)
     return complex(np.dot(w, vals) / span)
 

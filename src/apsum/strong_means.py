@@ -23,15 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .kernels import (
-    QuadratureConfig,
-    QuadratureToleranceError,
-    partial_sum_direct,
-    partial_sum_kernel,
-)
 from .matrices import SummabilityMatrix, side_condition
 from .measures import (
     ModulusMajorant,
@@ -42,6 +37,7 @@ from .measures import (
 from .spectra import QuasiPeriodicFunction
 
 __all__ = [
+    "THEOREMS",
     "StrongMeanParams",
     "power_mean",
     "strong_mean",
@@ -74,7 +70,8 @@ class StrongMeanParams:
         if not self.c > 1.0:
             raise ValueError(f"c must be > 1, got {self.c}")
 
-    def gamma(self, k: int) -> float:
+    def gamma(self, k):
+        """Cutoff alpha k / 2, elementwise for an array of k."""
         return 0.5 * self.alpha * k
 
     def delta(self, n: int) -> float:
@@ -105,52 +102,19 @@ def power_mean(weights: np.ndarray, values: np.ndarray, q: float) -> float:
     return top * float(np.dot(w, (v / top) ** q)) ** (1.0 / q)
 
 
-def _deviations(
-    f: QuasiPeriodicFunction,
-    ks: np.ndarray,
-    x: float,
-    params: StrongMeanParams,
-    engine: str,
-    cfg: QuadratureConfig | None,
-) -> np.ndarray:
-    fx = f(x)
-    if engine == "direct":
-        return np.array(
-            [abs(partial_sum_direct(f, params.gamma(int(k)), x) - fx) for k in ks]
-        )
-    if engine == "kernel":
-        # the k = 0 cutoff has no kernel form and is served directly
-        return np.array(
-            [
-                abs(
-                    (
-                        partial_sum_kernel(f, int(k), x, cfg)
-                        if k >= 1
-                        else partial_sum_direct(f, 0.0, x)
-                    )
-                    - fx
-                )
-                for k in ks
-            ]
-        )
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def strong_mean(
     f: QuasiPeriodicFunction,
     x: float,
     matrix: SummabilityMatrix,
     n: int,
     params: StrongMeanParams,
-    engine: str = "direct",
-    cfg: QuadratureConfig | None = None,
 ) -> float:
     """Weighted power mean of cutoff deviations with row n of the matrix."""
     row = matrix.row(n)
     ks = np.flatnonzero(row)
     if ks.size == 0:
         return 0.0
-    devs = _deviations(f, ks, x, params, engine, cfg)
+    devs = np.abs(f.partial_sums(x, params.gamma(ks)) - f(x))
     return power_mean(row[ks], devs, params.q)
 
 
@@ -161,7 +125,7 @@ def dyadic_strong_mean(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     ks = np.arange(n, 2 * n + 1)
-    devs = _deviations(f, ks, x, params, "direct", None)
+    devs = np.abs(f.partial_sums(x, params.gamma(ks)) - f(x))
     return power_mean(np.full(ks.size, 1.0 / (n + 1)), devs, params.q)
 
 
@@ -182,12 +146,7 @@ def _bracket_mean(
     ks = np.flatnonzero(row)
     if ks.size == 0:
         return 0.0
-    brackets = np.array(
-        [
-            float(w(math.pi / (k + 1))) + best_approx_tail(f, params.alpha * k / divisor)
-            for k in ks
-        ]
-    )
+    brackets = w(math.pi / (ks + 1)) + f.spectrum.tail_mass(params.alpha * ks / divisor)
     return power_mean(row[ks], brackets, params.q)
 
 
@@ -226,16 +185,11 @@ def omega_rows_rhs(
     return power_mean(row[ks], oms, q)
 
 
-_OMEGA_CACHE: dict[tuple, float] = {}
-
-
+# A thm2 run looks up one key per k of its widest row (25 for n up to 24);
+# the bound keeps the cache from growing across runs in one process.
+@lru_cache(maxsize=1024)
 def _omega_cached(f: QuasiPeriodicFunction, k: int, p: float, grid: WindowGrid) -> float:
-    key = (f, k, p, grid)
-    val = _OMEGA_CACHE.get(key)
-    if val is None:
-        val = modulus_omega(f, math.pi / (k + 1), p, grid)
-        _OMEGA_CACHE[key] = val
-    return val
+    return modulus_omega(f, math.pi / (k + 1), p, grid)
 
 
 @dataclass(frozen=True)
@@ -294,17 +248,12 @@ def ratio_series(
     p: float | None = None,
     grid: WindowGrid | None = None,
     side_tol: float = 0.05,
-    engine: str = "direct",
-    cfg: QuadratureConfig | None = None,
 ) -> RatioSeries:
     """Per-n lhs/rhs/ratio sweep for one bound shape.
 
     prop4: dyadic mean at x against w + tail.
     thm5/thm6: matrix strong mean at x against the bracket means.
     thm2: sup of the strong mean over ``x_grid`` against the omega mean.
-
-    A per-n quadrature tolerance failure (kernel engine) is recorded as a
-    nan record flagged "quadrature-failure" without aborting the sweep.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
@@ -330,27 +279,18 @@ def ratio_series(
     records = []
     for n in n_values:
         flags: list[str] = []
-        try:
-            if theorem == "prop4":
-                lhs = dyadic_strong_mean(f, x, n, params)
-                rhs = prop_dyadic_rhs(w, f, n, params)
-            elif theorem == "thm5":
-                lhs = strong_mean(f, x, matrix, n, params, engine, cfg)
-                rhs = gm2_rows_rhs(matrix.row(n), w, f, params)
-            elif theorem == "thm6":
-                lhs = strong_mean(f, x, matrix, n, params, engine, cfg)
-                rhs = ms_rows_rhs(matrix.row(n), w, f, params)
-            else:
-                lhs = max(
-                    strong_mean(f, xx, matrix, n, params, engine, cfg)
-                    for xx in x_grid
-                )
-                rhs = omega_rows_rhs(matrix.row(n), f, params.q, p, grid)
-        except QuadratureToleranceError:
-            records.append(
-                RatioRecord(n, math.nan, math.nan, math.nan, ("quadrature-failure",))
-            )
-            continue
+        if theorem == "prop4":
+            lhs = dyadic_strong_mean(f, x, n, params)
+            rhs = prop_dyadic_rhs(w, f, n, params)
+        elif theorem == "thm5":
+            lhs = strong_mean(f, x, matrix, n, params)
+            rhs = gm2_rows_rhs(matrix.row(n), w, f, params)
+        elif theorem == "thm6":
+            lhs = strong_mean(f, x, matrix, n, params)
+            rhs = ms_rows_rhs(matrix.row(n), w, f, params)
+        else:
+            lhs = max(strong_mean(f, xx, matrix, n, params) for xx in x_grid)
+            rhs = omega_rows_rhs(matrix.row(n), f, params.q, p, grid)
         if rhs > 0.0:
             ratio = lhs / rhs
         elif lhs == 0.0:

@@ -40,6 +40,14 @@ def test_validate_names_bad_field(tmp_path, capsys):
     assert out["field"] == "alpha"
 
 
+def test_verify_non_numeric_field_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"spectrum": {"builtin": "smooth"}, "c": "x"}))
+    assert main(["verify", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["field"] == "c"
+
+
 def test_validate_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -98,6 +98,27 @@ class TestConfigValidation:
             make_config(c=1.0)
         assert err.value.field == "c"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c", "x"),
+            ("p", "x"),
+            ("alpha", "x"),
+            ("n_range", ["a", 2]),
+            ("n_range", [1, None]),
+            ("x_samples", "abc"),
+            ("x_samples", float("inf")),
+            ("max_ratio", "big"),
+            ("blowup_head", "x"),
+            ("blowup_factor", [2.0]),
+            ("side_tol", "x"),
+        ],
+    )
+    def test_non_numeric_names_field(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            make_config(**{field: value})
+        assert err.value.field == field
+
     def test_matrix_required_for_matrix_theorems(self):
         with pytest.raises(ConfigError) as err:
             make_config(theorem="thm6")

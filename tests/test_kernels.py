@@ -10,8 +10,7 @@ from apsum.kernels import (
     gap_free,
     kernel_mass,
     partial_sum_direct,
-    partial_sum_kernel,
-    partial_sum_kernel_sweep,
+    partial_sum_kernel_table,
     psi,
     psi_k,
     tail_bound,
@@ -126,19 +125,19 @@ class TestGapFree:
 
 class TestKernelRoute:
     def test_constant_forces_normalization(self):
-        got = partial_sum_kernel(CONST, 1, 17.2)
+        got = partial_sum_kernel_table(CONST, [1], [17.2])[0, 0]
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_cos_matches_direct(self):
         cfg = QuadratureConfig()
-        got = partial_sum_kernel(COS, 4, 0.7, cfg)
+        got = partial_sum_kernel_table(COS, [4], [0.7], cfg)[0, 0]
         want = partial_sum_direct(COS, 2.0, 0.7)
         assert got == pytest.approx(want, abs=max(cfg.abs_tol, cfg.rel_tol * abs(want)))
 
     def test_band_shift_matches_direct(self):
         # k = 8 band holds sqrt(2)*pi, so the route goes through band 9
         ks = list(range(1, 65))
-        got = partial_sum_kernel_sweep(IRRATIONAL, ks, 0.3)
+        got = partial_sum_kernel_table(IRRATIONAL, ks, [0.3])[0]
         want = np.array(
             [partial_sum_direct(IRRATIONAL, 0.5 * k, 0.3) for k in ks]
         )
@@ -146,18 +145,18 @@ class TestKernelRoute:
 
     def test_smooth_sweep(self):
         ks = [1, 2, 3, 19, 20, 21, 40]
-        got = partial_sum_kernel_sweep(SMOOTH, ks, 0.7)
+        got = partial_sum_kernel_table(SMOOTH, ks, [0.7])[0]
         want = np.array([partial_sum_direct(SMOOTH, 0.5 * k, 0.7) for k in ks])
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
-            partial_sum_kernel(SMOOTH, 0, 0.0)
+            partial_sum_kernel_table(SMOOTH, [0], [0.0])
 
     def test_tolerance_error_carries_estimate(self):
         cfg = QuadratureConfig(abs_tol=1e-18, rel_tol=1e-18)
         with pytest.raises(QuadratureToleranceError) as err:
-            partial_sum_kernel(SMOOTH, 3, 0.1, cfg)
+            partial_sum_kernel_table(SMOOTH, [3], [0.1], cfg)
         assert err.value.error_estimate > 1e-18
         assert math.isfinite(err.value.value)
 

@@ -171,9 +171,7 @@ class TestClassMembership:
 
     def test_fixed_first_weight_flagged(self):
         m = SummabilityMatrix(
-            "sticky",
-            lambda n: np.concatenate([[1.0], np.zeros(n)]),
-            lambda n: n,
+            "sticky", lambda n: np.concatenate([[1.0], np.zeros(n)])
         )
         rep = class_membership(m, "ms", 1.0, range(0, 16))
         assert rep.member  # still monotone rows
@@ -194,12 +192,12 @@ class TestClassMembership:
 
 class TestMatrices:
     def test_row_sum_enforced(self):
-        m = SummabilityMatrix("broken", lambda n: np.ones(n + 1), lambda n: n)
+        m = SummabilityMatrix("broken", lambda n: np.ones(n + 1))
         with pytest.raises(MatrixError):
             m.row(3)
 
     def test_negative_rejected(self):
-        m = SummabilityMatrix("neg", lambda n: np.array([1.5, -0.5]), lambda n: 1)
+        m = SummabilityMatrix("neg", lambda n: np.array([1.5, -0.5]))
         with pytest.raises(MatrixError):
             m.row(0)
 

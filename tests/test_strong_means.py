@@ -25,6 +25,20 @@ SMOOTH = QuasiPeriodicFunction(
 CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
 
 
+def plain_cutoff_sum(f, x, gamma):
+    """Independent enumeration oracle for S_gamma f(x): plain python."""
+    s = 0.0
+    for e in f.spectrum.entries:
+        if e.freq <= gamma * (1 + 1e-12):
+            s += e.cos_coef * math.cos(e.freq * x) + e.sin_coef * math.sin(e.freq * x)
+    return s
+
+
+def plain_tail(f, sigma):
+    """Independent enumeration oracle for the pair-weight mass above sigma."""
+    return sum(e.pair_weight for e in f.spectrum.entries if e.freq > sigma * (1 + 1e-12))
+
+
 def plain_strong_mean(f, x, weights, q, alpha):
     """Independent enumeration oracle: plain python, explicit tail sums."""
     fx = f(x)
@@ -32,18 +46,24 @@ def plain_strong_mean(f, x, weights, q, alpha):
     for k, a in enumerate(weights):
         if a == 0.0:
             continue
-        gamma = alpha * k / 2.0
-        s = 0.0
-        for e in f.spectrum.entries:
-            if e.freq <= gamma * (1 + 1e-12):
-                s += e.cos_coef * math.cos(e.freq * x) + e.sin_coef * math.sin(
-                    e.freq * x
-                )
-        total += a * abs(s - fx) ** q
+        total += a * abs(plain_cutoff_sum(f, x, alpha * k / 2.0) - fx) ** q
+    return total ** (1.0 / q)
+
+
+def plain_bracket_mean(f, w, weights, q, alpha, divisor):
+    """Scalar loop over k of [w(pi/(k+1)) + tail(alpha k / divisor)]^q."""
+    total = 0.0
+    for k, a in enumerate(weights):
+        if a == 0.0:
+            continue
+        total += a * (w(math.pi / (k + 1)) + plain_tail(f, alpha * k / divisor)) ** q
     return total ** (1.0 / q)
 
 
 def random_case(seed):
+    """Random gap-alpha function, one weight row, a point x, and cutoffs at
+    0, on every frequency (exact and one ulp below), at the midpoints
+    between frequencies, and above the top frequency."""
     rng = np.random.default_rng(seed)
     n_terms = int(rng.integers(1, 5))
     alpha = float(rng.uniform(0.4, 1.5))
@@ -55,7 +75,16 @@ def random_case(seed):
     width = int(rng.integers(1, 9))
     row = rng.dirichlet(np.ones(width))
     x = float(rng.uniform(-3, 3))
-    return f, row, x, alpha
+    cutoffs = np.concatenate(
+        [
+            [0.0],
+            lams,
+            np.nextafter(lams, 0.0),
+            0.5 * (lams[1:] + lams[:-1]),
+            lams[-1] + rng.uniform(0.0, 3.0, 2),
+        ]
+    )
+    return f, row, x, alpha, cutoffs
 
 
 class TestPowerMean:
@@ -82,7 +111,7 @@ class TestPowerMean:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 100_000), s=st.floats(-4.0, 4.0))
     def test_amplitude_homogeneity(self, seed, s):
-        f, row, x, alpha = random_case(seed)
+        f, row, x, alpha, _ = random_case(seed)
         params = StrongMeanParams(q=1.7, alpha=alpha)
         m = strong_mean(f, x, explicit_matrix([row]), 0, params)
         ms = strong_mean(f.scaled(s), x, explicit_matrix([row]), 0, params)
@@ -116,22 +145,59 @@ class TestStrongMean:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_random_against_enumeration(self, seed):
-        f, row, x, alpha = random_case(seed)
+        f, row, x, alpha, _ = random_case(seed)
         params = StrongMeanParams(q=1.3, alpha=alpha)
         got = strong_mean(f, x, explicit_matrix([row]), 0, params)
         want = plain_strong_mean(f, x, row, 1.3, alpha)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
-    def test_kernel_engine_agrees(self):
-        row = np.zeros(7)
-        row[2] = 0.5
-        row[6] = 0.5
-        params = StrongMeanParams(q=2.0, alpha=1.0)
-        direct = strong_mean(SMOOTH, 0.7, explicit_matrix([row]), 0, params)
-        kernel = strong_mean(
-            SMOOTH, 0.7, explicit_matrix([row]), 0, params, engine="kernel"
+
+class TestCutoffLadder:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_ladder_against_enumeration(self, seed):
+        f, _, x, _, cutoffs = random_case(seed)
+        atol = 1e-12 * f.spectrum.amplitude_mass()
+        np.testing.assert_allclose(
+            f.partial_sums(x, cutoffs),
+            [plain_cutoff_sum(f, x, g) for g in cutoffs],
+            rtol=0.0,
+            atol=atol,
         )
-        assert kernel == pytest.approx(direct, abs=1e-9)
+        np.testing.assert_allclose(
+            f.spectrum.tail_mass(cutoffs),
+            [plain_tail(f, s) for s in cutoffs],
+            rtol=0.0,
+            atol=atol,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(0, 12),
+        q=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_means_against_scalar_loops(self, seed, n, q):
+        f, _, x, alpha, _ = random_case(seed)
+        atol = 1e-12 * f.spectrum.amplitude_mass()
+        params = StrongMeanParams(q=q, alpha=alpha, c=2.0)
+        dyadic = np.zeros(2 * n + 1)
+        dyadic[n:] = 1.0 / (n + 1)
+        assert dyadic_strong_mean(f, x, n, params) == pytest.approx(
+            plain_strong_mean(f, x, dyadic, q, alpha), rel=1e-12, abs=atol
+        )
+        w = PowerModulus(1.0, 0.5)
+        row = cesaro_matrix().row(n)
+        for rhs_fn, divisor in ((ms_rows_rhs, 2.0), (gm2_rows_rhs, 8.0)):
+            assert rhs_fn(row, w, f, params) == pytest.approx(
+                plain_bracket_mean(f, w, row, q, alpha, divisor), rel=1e-12, abs=atol
+            )
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValueError):
+            SMOOTH.partial_sums(0.0, [1.0, -0.5])
+        with pytest.raises(ValueError):
+            SMOOTH.spectrum.tail_mass(-1.0)
 
 
 class TestDyadic:
@@ -282,9 +348,7 @@ class TestRatioSeries:
 
     def test_side_condition_reported(self):
         m = SummabilityMatrix(
-            "sticky",
-            lambda n: np.concatenate([[1.0], np.zeros(n)]),
-            lambda n: n,
+            "sticky", lambda n: np.concatenate([[1.0], np.zeros(n)])
         )
         params = StrongMeanParams(q=1.0, alpha=1.0)
         rs = ratio_series(
@@ -309,26 +373,31 @@ class TestRatioSeries:
         assert rs.max_ratio <= 50.0
         assert rs.head_tail_bounded(4, 2.0)
 
-    def test_quadrature_failure_flagged_without_aborting(self):
-        from apsum.kernels import QuadratureConfig
+    def test_omega_cache_reused_and_bounded(self):
+        from apsum.strong_means import _omega_cached
 
-        params = StrongMeanParams(q=1.0, alpha=1.0)
-        w = PowerModulus(1.0, 1.0)
-        cfg = QuadratureConfig(abs_tol=1e-18, rel_tol=1e-18)
-        rs = ratio_series(
+        _omega_cached.cache_clear()
+        params = StrongMeanParams(q=2.0, alpha=1.0)
+        xg = (0.0, 1.0)
+        ratio_series(
             SMOOTH,
-            "thm6",
-            range(1, 5),
+            "thm2",
+            range(1, 7),
             params,
             matrix=cesaro_matrix(),
-            w=w,
-            x=0.4,
-            engine="kernel",
-            cfg=cfg,
+            x_grid=xg,
+            p=2.0,
+            grid=WindowGrid(u_samples=32, refine=False),
         )
-        assert len(rs.records) == 4
-        assert all("quadrature-failure" in r.flags for r in rs.records)
-        assert rs.max_ratio == 0.0 and rs.argmax_n is None
+        info = _omega_cached.cache_info()
+        # rows 1..6 look up k = 0..n each: 27 lookups over 7 distinct k
+        assert (info.misses, info.hits) == (7, 20)
+
+        grid = WindowGrid(u_samples=1, panels_per_window=1, gl_nodes=2, refine=False)
+        for k in range(info.maxsize + 8):
+            _omega_cached(CONST, k, 2.0, grid)
+        assert _omega_cached.cache_info().currsize == info.maxsize
+        _omega_cached.cache_clear()
 
     def test_requires_inputs(self):
         params = StrongMeanParams(q=1.0, alpha=1.0)
