@@ -14,7 +14,6 @@ from pathlib import Path
 from .experiment import (
     ConfigError,
     ExperimentConfig,
-    records_csv,
     report_to_dict,
     run,
     strong_mean_table,

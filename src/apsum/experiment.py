@@ -31,7 +31,6 @@ from .measures import (
     WindowGrid,
     fit_class_majorant,
     majorant_from_dict,
-    majorant_to_dict,
     resolve_span,
 )
 from .spectra import (
@@ -40,7 +39,6 @@ from .spectra import (
     SpectrumError,
     load_spectrum,
     spectrum_from_dict,
-    spectrum_to_dict,
     validate_spectrum,
 )
 from .strong_means import (

@@ -5,8 +5,8 @@ The windowed p-norm of a bounded quasi-periodic function is
     N_p(f) = sup_u ( (1/pi) int_u^{u+pi} |f|^p )^{1/p}    (1 < p < inf)
     N_inf(f) = sup_u |f(u)|,
 
-approximated from below by sampling u (plus a local refinement step).
-On top of it sit the translate modulus
+a sup over sampled u (plus a local refinement step), so an approximation
+from below.  On top of it sit the translate modulus
 
     omega(delta) = sup_{|t| <= delta} N_p(f(.+t) - f),
 
@@ -33,6 +33,13 @@ values, and ``omega_class_check`` estimates the smallest constants making
 
 hold on a sample grid.  With both constants scaled to <= 1, the window
 average obeys |Phi_x(d1, d2)| <= w(d1) + w(d2) (``check_eq7``).
+
+At p = 2 every window mean above (the u-windows of N_2, m_x and the
+shifted-difference means) is an exact quadratic form in the amplitudes,
+built from the means of products of cos(l tau) and sin(l tau) over the
+window; only the sup over u stays a from-below sample.  Other finite p
+use composite Gauss-Legendre quadrature, and Phi_x has a closed form for
+any p.
 """
 
 from __future__ import annotations
@@ -178,7 +185,8 @@ class WindowGrid:
 
     ``u_span = None`` spans one common period of the spectrum when the
     frequencies lock onto a rational grid, else 64 periods of the slowest
-    positive frequency (a pragmatic almost-period).
+    positive frequency (a pragmatic almost-period).  The quadrature fields
+    ``panels_per_window`` and ``gl_nodes`` serve p other than 2 and inf.
     """
 
     u_samples: int = 512
@@ -217,12 +225,72 @@ def resolve_span(f: QuasiPeriodicFunction, grid: WindowGrid) -> float:
     return min(2.0 * math.pi / g, cap)
 
 
+def _one_minus_sinc(z: np.ndarray) -> np.ndarray:
+    """1 - sin(z)/z elementwise; its Taylor series below |z| = 1, where the
+    direct form would cancel (the series is cut after z^18, below 1e-17
+    relative there)."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1.0
+    big = z[~small]
+    out[~small] = 1.0 - np.sin(big) / big
+    z2 = z[small] ** 2
+    acc = np.ones_like(z2)
+    for k in range(9, 1, -1):
+        acc = 1.0 - z2 / (2 * k * (2 * k + 1)) * acc
+    out[small] = z2 / 6.0 * acc
+    return out
+
+
+def _sin_mean(z: np.ndarray) -> np.ndarray:
+    """(1 - cos z)/z = 2 sin^2(z/2)/z elementwise, 0 at z = 0."""
+    h = np.sin(0.5 * z)
+    safe = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 0.0, 2.0 * h * h / safe)
+
+
+def _gram_args(lams: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """l_nu L and l_mu L, shaped (..., N, 1) and (..., 1, N) for each L."""
+    scaled = np.multiply.outer(np.asarray(lengths, dtype=float), lams)
+    return scaled[..., :, None], scaled[..., None, :]
+
+
+def _trig_gram(lams: np.ndarray, lengths) -> np.ndarray:
+    """Means (1/L) int_0^L b_i(tau) b_j(tau) dtau of the basis
+    b = (cos(l_1 tau), ..., cos(l_N tau), sin(l_1 tau), ..., sin(l_N tau)),
+    shape (..., 2N, 2N) with one leading entry per window length L."""
+    a, b = _gram_args(lams, lengths)
+    dm, dp = _one_minus_sinc(a - b), _one_minus_sinc(a + b)
+    cc = 1.0 - 0.5 * (dm + dp)
+    cs = 0.5 * (_sin_mean(a + b) + _sin_mean(b - a))
+    ss = 0.5 * (dp - dm)
+    top = np.concatenate([cc, cs], axis=-1)
+    bottom = np.concatenate([np.swapaxes(cs, -1, -2), ss], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+def _phi_gram(lams: np.ndarray, lengths) -> np.ndarray:
+    """Means over [0, L] of (cos(l_nu t) - 1)(cos(l_mu t) - 1), the basis of
+    phi_x, shape (..., N, N).  Written with 1 - sinc, not with the O(1)
+    means of cos, so small arguments z = l L lose only about eps * z^2 in
+    absolute terms against entries of size z^4 / 20."""
+    a, b = _gram_args(lams, lengths)
+    return (
+        _one_minus_sinc(a)
+        + _one_minus_sinc(b)
+        - 0.5 * (_one_minus_sinc(a - b) + _one_minus_sinc(a + b))
+    )
+
+
 def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = None) -> float:
     """Windowed p-norm, a from-below approximation (sup over sampled u).
 
     Rejects p <= 1; p = inf takes the grid sup of |f| instead of window
-    integrals.  With ``grid.refine`` a bracketed scalar maximization
-    sharpens the best sample.
+    integrals.  At p = 2 each window mean is exact: writing
+    f(u + tau) = sum_nu C_nu(u) cos(l_nu tau) + S_nu(u) sin(l_nu tau), it is
+    a quadratic form of (C, S) in the window Gram matrix.  Other p use
+    ``grid.panels_per_window`` Gauss-Legendre panels of ``grid.gl_nodes``
+    nodes.  With ``grid.refine`` a bracketed scalar maximization sharpens
+    the best sample.
     """
     if not p > 1.0:
         raise ValueError(f"p must be > 1 (or inf), got {p}")
@@ -246,28 +314,40 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
             peak = max(peak, float(-res.fun))
         return peak
 
-    offs, wts = _gl_panels(
-        0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes
-    )
+    if p == 2.0:
+        lams = f.spectrum.frequencies()
+        cos_c = np.array([e.cos_coef for e in f.spectrum.entries], dtype=float)
+        sin_c = np.array([e.sin_coef for e in f.spectrum.entries], dtype=float)
+        gram = _trig_gram(lams, grid.window_length)
+
+        def window_means(u):
+            lu = np.multiply.outer(u, lams)
+            c, s = np.cos(lu), np.sin(lu)
+            k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
+            return np.einsum("...i,ij,...j->...", k, gram, k)
+
+    else:
+        offs, wts = _gl_panels(
+            0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes
+        )
+
+        def window_means(u):
+            return np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
+
     u = np.linspace(0.0, span, grid.u_samples, endpoint=False)
-    vals = np.abs(f(u[:, None] + offs[None, :])) ** p
-    means = vals @ wts / grid.window_length
-
-    def window_mean(s: float) -> float:
-        return float(np.dot(np.abs(f(s + offs)) ** p, wts)) / grid.window_length
-
+    means = window_means(u)
     best = int(np.argmax(means))
     top = float(means[best])
     if grid.refine:
         h = span / grid.u_samples
         res = minimize_scalar(
-            lambda s: -window_mean(s),
+            lambda s: -float(window_means(s)),
             bounds=(u[best] - h, u[best] + h),
             method="bounded",
             options={"xatol": 1e-9},
         )
         top = max(top, float(-res.fun))
-    return top ** (1.0 / p)
+    return max(top, 0.0) ** (1.0 / p)
 
 
 def modulus_omega(
@@ -300,6 +380,57 @@ def _phi_panels(f: QuasiPeriodicFunction, delta: float, n_panels: int | None) ->
     return max(64, need)
 
 
+def _moduli(
+    f: QuasiPeriodicFunction,
+    x: float,
+    deltas,
+    shifts,
+    p: float,
+    n_panels: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise moduli m_x(delta), shape (D,), and shifted-difference means
+    for every shift s, shape (D, M), at each delta.
+
+    At p = 2 both are exact quadratic forms in a = 2 g(x), g = term values:
+    phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
+    phi_x(t) - phi_x(t + s) = sum_nu a_nu [(1 - cos(l_nu s)) cos(l_nu t)
+    + sin(l_nu s) sin(l_nu t)], with one Gram matrix per delta and one
+    einsum over all shifts.  Other p evaluate phi_x once on the quadrature
+    nodes of each delta and reuse it for every shift.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    shifts = np.asarray(shifts, dtype=float)
+    if not np.all(deltas > 0.0):
+        raise ValueError(f"delta must be > 0, got {deltas!r}")
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1 (or inf), got {p}")
+    if p == 2.0:
+        lams = f.spectrum.frequencies()
+        amps = 2.0 * f.term_values(x)
+        ls = np.multiply.outer(shifts, lams)
+        h = np.sin(0.5 * ls)
+        k = np.concatenate([2.0 * h * h * amps, np.sin(ls) * amps], axis=-1)
+        point = np.einsum("i,dij,j->d", amps, _phi_gram(lams, deltas), amps)
+        shifted = np.einsum("mi,dij,mj->dm", k, _trig_gram(lams, deltas), k)
+        return np.sqrt(np.maximum(point, 0.0)), np.sqrt(np.maximum(shifted, 0.0))
+    sup = math.isinf(p)
+    point = np.empty(deltas.size)
+    shifted = np.empty((deltas.size, shifts.size))
+    for j, d in enumerate(deltas.tolist()):
+        if sup:
+            point[j] = pointwise_modulus(f, x, d, p)
+            if not shifts.size:
+                continue
+        t, w = _gl_panels(0.0, d, _phi_panels(f, d, n_panels), 8)
+        phi = f.second_difference(x, t)
+        if not sup:
+            point[j] = (float(np.dot(w, np.abs(phi) ** p)) / d) ** (1.0 / p)
+        for m, s in enumerate(shifts.tolist()):
+            vals = np.abs(phi - f.second_difference(x, t + s)) ** p
+            shifted[j, m] = (float(np.dot(w, vals)) / d) ** (1.0 / p)
+    return point, shifted
+
+
 def pointwise_modulus(
     f: QuasiPeriodicFunction,
     x: float,
@@ -307,7 +438,8 @@ def pointwise_modulus(
     p: float,
     n_panels: int | None = None,
 ) -> float:
-    """((1/delta) int_0^delta |phi_x|^p dt)^(1/p) for p >= 1; grid sup at p=inf."""
+    """((1/delta) int_0^delta |phi_x|^p dt)^(1/p) for p >= 1, exact at p = 2;
+    grid sup at p=inf."""
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if math.isinf(p):
@@ -323,21 +455,24 @@ def pointwise_modulus(
             options={"xatol": 1e-10},
         )
         return max(peak, float(-res.fun))
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1 (or inf), got {p}")
-    t, w = _gl_panels(0.0, delta, _phi_panels(f, delta, n_panels), 8)
-    vals = np.abs(f.second_difference(x, t)) ** p
-    return (float(np.dot(w, vals)) / delta) ** (1.0 / p)
+    return float(_moduli(f, x, [delta], (), p, n_panels)[0][0])
 
 
 def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> float:
-    """(1/delta) int_nu^{nu+delta} phi_x(u) du; smooth integrand, high accuracy."""
+    """(1/delta) int_nu^{nu+delta} phi_x(u) du in closed form,
+
+        sum_nu 2 g_nu(x) [cos(l_nu (nu + delta/2)) sinc(l_nu delta/2) - 1],
+
+    with each bracket written as -2 sin^2(A/2) sinc(h) - (1 - sinc(h)) so
+    that small arguments do not cancel."""
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if nu < 0.0:
         raise ValueError(f"nu must be >= 0, got {nu}")
-    t, w = _gl_panels(nu, nu + delta, _phi_panels(f, delta, None), 8)
-    return float(np.dot(w, f.second_difference(x, t))) / delta
+    lams = f.spectrum.frequencies()
+    s = np.sin(0.5 * lams * (nu + 0.5 * delta))
+    d = _one_minus_sinc(0.5 * delta * lams)
+    return float(np.dot(2.0 * f.term_values(x), -2.0 * s * s * (1.0 - d) - d))
 
 
 def best_approx_tail(f: QuasiPeriodicFunction, sigma: float) -> float:
@@ -351,7 +486,7 @@ class SamplePlan:
     """Shift/width samples for the class-constant estimation.
 
     ``n_panels = None`` sizes quadrature panels to the fastest spectral
-    oscillation.
+    oscillation; the p = 2 moduli are closed forms and use no panels.
     """
 
     gammas: tuple[float, ...]
@@ -390,14 +525,51 @@ def shifted_difference_mean(
     p: float,
     n_panels: int | None = None,
 ) -> float:
-    """((1/delta) int_0^delta |phi_x(t) - phi_x(t + gamma)|^p dt)^(1/p).
+    """((1/delta) int_0^delta |phi_x(t) - phi_x(t + gamma)|^p dt)^(1/p),
+    exact at p = 2.
 
     The minus shift is gamma < 0; phi_x is even, so negative arguments fold
     back automatically.
     """
-    t, w = _gl_panels(0.0, delta, _phi_panels(f, delta, n_panels), 8)
-    vals = np.abs(f.second_difference(x, t) - f.second_difference(x, t + gamma)) ** p
-    return (float(np.dot(w, vals)) / delta) ** (1.0 / p)
+    return float(_moduli(f, x, [delta], [gamma], p, n_panels)[1][0, 0])
+
+
+def _class_lhs(
+    f: QuasiPeriodicFunction, x: float, p: float, plan: SamplePlan
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lhs of both class constants: shifted-difference means shaped
+    (gammas, deltas, signs) and pointwise moduli shaped (deltas,)."""
+    signs = (1.0, -1.0) if plan.both_signs else (1.0,)
+    shifts = [s * g for g in plan.gammas for s in signs]
+    point, shifted = _moduli(f, x, plan.deltas, shifts, p, plan.n_panels)
+    shifted = shifted.reshape(len(plan.deltas), len(plan.gammas), len(signs))
+    return shifted.transpose(1, 0, 2), point
+
+
+def _worst(lhs: np.ndarray, wv: np.ndarray, keys) -> tuple[float, float]:
+    """Largest lhs / w over the samples with lhs > 1e-14 (inf where w does
+    not exceed 0) and the key of its first occurrence along axis 0;
+    (0, 0) when no sample counts."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lhs > 1e-14, np.where(wv > 0.0, lhs / wv, math.inf), 0.0)
+    if not ratio.size or not ratio.max() > 0.0:
+        return 0.0, 0.0
+    best = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return float(ratio[best]), float(keys[best[0]])
+
+
+def _class_report(
+    shifted: np.ndarray,
+    point: np.ndarray,
+    plan: SamplePlan,
+    w: ModulusMajorant,
+    threshold: float,
+) -> OmegaClassReport:
+    wg = np.array([float(w(g)) for g in plan.gammas])
+    wd = np.array([float(w(d)) for d in plan.deltas])
+    c1, worst_g = _worst(shifted, wg[:, None, None], plan.gammas)
+    c2, worst_d = _worst(point, wd, plan.deltas)
+    return OmegaClassReport(c1, c2, threshold, worst_g, worst_d)
 
 
 def omega_class_check(
@@ -413,30 +585,7 @@ def omega_class_check(
     sample grid.  phi_x is even, so the minus shift is scanned as t - gamma
     with t - gamma < 0 folded back by evenness."""
     plan = plan or SamplePlan.default()
-    c1 = 0.0
-    worst_g = 0.0
-    signs = (1.0, -1.0) if plan.both_signs else (1.0,)
-    for g in plan.gammas:
-        wg = float(w(g))
-        for d in plan.deltas:
-            for s in signs:
-                lhs = shifted_difference_mean(f, x, d, s * g, p, plan.n_panels)
-                if lhs <= 1e-14:
-                    continue
-                ratio = lhs / wg if wg > 0.0 else math.inf
-                if ratio > c1:
-                    c1, worst_g = ratio, g
-    c2 = 0.0
-    worst_d = 0.0
-    for d in plan.deltas:
-        wd = float(w(d))
-        lhs = pointwise_modulus(f, x, d, p, plan.n_panels)
-        if lhs <= 1e-14:
-            continue
-        ratio = lhs / wd if wd > 0.0 else math.inf
-        if ratio > c2:
-            c2, worst_d = ratio, d
-    return OmegaClassReport(c1, c2, threshold, worst_g, worst_d)
+    return _class_report(*_class_lhs(f, x, p, plan), plan, w, threshold)
 
 
 def check_eq7(
@@ -483,9 +632,9 @@ def fit_majorant(
     modulus; constant beyond the peak."""
     if deltas is None:
         deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
-    samples = [(0.0, 0.0)] + [
-        (float(d), pointwise_modulus(f, x, float(d), p, n_panels)) for d in deltas
-    ]
+    deltas = [float(d) for d in deltas]
+    moduli, _ = _moduli(f, x, deltas, (), p, n_panels)
+    samples = [(0.0, 0.0)] + list(zip(deltas, moduli.tolist()))
     return TableModulus(tuple(_concave_envelope(samples)))
 
 
@@ -499,15 +648,16 @@ def fit_class_majorant(
     """Fit a majorant and rescale it so the class constants drop to <= 1.
 
     Returns the rescaled majorant together with the post-rescale report.
+    The lhs table is computed once; both reports divide it by a majorant.
     """
     plan = plan or SamplePlan.default()
     base = fit_majorant(f, x, p, deltas, plan.n_panels)
-    rep = omega_class_check(f, x, base, p, plan)
+    lhs = _class_lhs(f, x, p, plan)
+    rep = _class_report(*lhs, plan, base, 1.0)
     scale = max(rep.constant, 1.0) * (1.0 + 1e-9)
     if not math.isfinite(scale):
         raise ValueError(
             "fitted majorant vanishes where the moduli do not; cannot rescale"
         )
     w = base.scaled(scale)
-    final = omega_class_check(f, x, w, p, plan)
-    return w, final
+    return w, _class_report(*lhs, plan, w, 1.0)

@@ -57,15 +57,11 @@ def spectra():
 @pytest.fixture(scope="module")
 def fitted_majorants(spectra):
     """Rescaled class majorants per (spectrum, x); elapsed seconds recorded."""
-    plans = {
-        "smooth": SamplePlan.default(),
-        "lacunary": SamplePlan.default(count=8),
-    }
     fits = {}
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             t0 = time.perf_counter()
-            w, report = fit_class_majorant(f, x, 2.0, plans[name])
+            w, report = fit_class_majorant(f, x, 2.0, SamplePlan.default())
             fits[(name, x)] = (w, report, time.perf_counter() - t0)
     return fits
 

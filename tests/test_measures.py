@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apsum.measures import (
+    OmegaClassReport,
     PowerModulus,
     SamplePlan,
     TableModulus,
@@ -24,7 +25,8 @@ from apsum.measures import (
     shifted_difference_mean,
     stepanov_norm,
 )
-from apsum.spectra import Spectrum, QuasiPeriodicFunction
+from apsum import measures
+from apsum.spectra import Spectrum, QuasiPeriodicFunction, _gl_panels
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
@@ -267,3 +269,130 @@ class TestFitMajorant:
         for a in ds:
             for b in ds:
                 assert w(a + b) <= w(a) + w(b) + 1e-12
+
+
+@st.composite
+def separated_spectra(draw):
+    """1-8 terms with gaps >= alpha, sometimes with a constant term."""
+    n = draw(st.integers(1, 8))
+    alpha = draw(st.floats(0.2, 2.0))
+    gaps = draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
+    coef = st.floats(-1.0, 1.0)
+    terms = [
+        (lam, draw(coef), draw(coef)) for lam in (alpha * np.cumsum(gaps)).tolist()
+    ]
+    if draw(st.booleans()):
+        terms.insert(0, (0.0, draw(coef), 0.0))
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
+
+
+log_deltas = st.floats(math.log(1e-6), math.log(2.0 * math.pi)).map(math.exp)
+shifts = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+points = st.floats(0.0, 2.0 * math.pi)
+
+
+def fine_mean(values, lo, hi):
+    """(1/(hi - lo)) int_lo^hi values(t) dt on 4096 Gauss-Legendre panels."""
+    t, w = _gl_panels(lo, hi, 4096, 8)
+    return float(np.dot(w, values(t))) / (hi - lo)
+
+
+def close_squares(got, want, mass):
+    return abs(got**2 - want) <= 1e-12 * want + 1e-14 * mass**2
+
+
+class TestClosedFormsAgainstQuadrature:
+    """The p = 2 quadratic forms against fine quadrature of the integrands."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=separated_spectra(), x=points, delta=log_deltas, gamma=shifts)
+    def test_pointwise_and_shifted_means(self, f, x, delta, gamma):
+        mass = f.spectrum.amplitude_mass()
+        phi = lambda t: f.second_difference(x, t)
+        want = fine_mean(lambda t: phi(t) ** 2, 0.0, delta)
+        assert close_squares(pointwise_modulus(f, x, delta, 2.0), want, mass)
+        want = fine_mean(lambda t: (phi(t) - phi(t + gamma)) ** 2, 0.0, delta)
+        got = shifted_difference_mean(f, x, delta, gamma, 2.0)
+        assert close_squares(got, want, mass)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=separated_spectra(),
+        u=st.floats(-50.0, 50.0),
+        length=st.floats(0.1, 2.0 * math.pi),
+    )
+    def test_stepanov_window_mean(self, f, u, length):
+        # one unrefined sample at u = 0 of the translate f(. + u) is the
+        # window mean of f^2 over [u, u + length]
+        grid = WindowGrid(u_samples=1, window_length=length, refine=False)
+        got = stepanov_norm(f.shift(u), 2.0, grid) ** 2
+        want = fine_mean(lambda t: f(t) ** 2, u, u + length)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * f.sup_bound() ** 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=separated_spectra(),
+        x=points,
+        delta=st.floats(1e-3, 2.0 * math.pi),
+        nu=points,
+    )
+    def test_phi_average(self, f, x, delta, nu):
+        want = fine_mean(lambda t: f.second_difference(x, t), nu, nu + delta)
+        got = phi_average(f, x, delta, nu)
+        assert abs(got - want) <= 1e-12 * f.spectrum.amplitude_mass()
+
+    @pytest.mark.parametrize("z", [0.0, 1e-8, 1e-3, 0.3, 0.999, 1.0, 1.7, 40.0])
+    def test_one_minus_sinc(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        want = float(1 - mpmath.sin(z) / z) if z else 0.0
+        got = float(measures._one_minus_sinc(np.array([z, -z]))[0])
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def loop_class_check(f, x, w, p, plan):
+    """omega_class_check as one public call per sample, the reference for
+    the batched lhs table."""
+    c1 = c2 = worst_g = worst_d = 0.0
+    signs = (1.0, -1.0) if plan.both_signs else (1.0,)
+    for g in plan.gammas:
+        for d in plan.deltas:
+            for s in signs:
+                lhs = shifted_difference_mean(f, x, d, s * g, p, plan.n_panels)
+                ratio = lhs / w(g) if w(g) > 0.0 else math.inf
+                if lhs > 1e-14 and ratio > c1:
+                    c1, worst_g = ratio, g
+    for d in plan.deltas:
+        lhs = pointwise_modulus(f, x, d, p, plan.n_panels)
+        ratio = lhs / w(d) if w(d) > 0.0 else math.inf
+        if lhs > 1e-14 and ratio > c2:
+            c2, worst_d = ratio, d
+    return OmegaClassReport(c1, c2, 1.0, worst_g, worst_d)
+
+
+def same_report(got, want, rel):
+    assert got.c1 == pytest.approx(want.c1, rel=rel, abs=0.0)
+    assert got.c2 == pytest.approx(want.c2, rel=rel, abs=0.0)
+    assert (got.worst_gamma, got.worst_delta) == (want.worst_gamma, want.worst_delta)
+
+
+class TestClassTable:
+    @settings(max_examples=40, deadline=None)
+    @given(f=separated_spectra(), x=points, count=st.integers(1, 8))
+    def test_fit_report_matches_fresh_check(self, f, x, count):
+        plan = SamplePlan.default(count=count)
+        w, rep = fit_class_majorant(f, x, 2.0, plan)
+        same_report(rep, omega_class_check(f, x, w, 2.0, plan), 1e-12)
+        assert rep.constant <= 1.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("both_signs", [True, False])
+    @pytest.mark.parametrize("coef", [1.0, 0.0])  # 0: every ratio ties at inf
+    def test_batched_table_matches_per_sample_calls(self, p, both_signs, coef):
+        f = random_function(7)
+        plan = SamplePlan((0.4, 1.1, 2.5), (0.3, 0.9), both_signs=both_signs)
+        w = PowerModulus(coef, 0.5)
+        got = omega_class_check(f, 0.6, w, p, plan)
+        # quadrature (p != 2) runs the same arithmetic in both; the p = 2
+        # einsum may sum in another order
+        same_report(got, loop_class_check(f, 0.6, w, p, plan), 0.0 if p != 2.0 else 1e-12)

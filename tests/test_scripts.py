@@ -1,0 +1,36 @@
+"""Smoke tests for the command-line scripts, loaded by path."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fit_majorant_report(capsys):
+    script = load_script("fit_majorant_report")
+    assert script.main(["--spectrum", "lacunary", "--x", "0.7", "--grid", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    fit = json.loads(lines[0])
+    assert fit["x"] == 0.7
+    assert fit["constants"]["c1"] <= 1.0 and fit["constants"]["c2"] <= 1.0
+    assert fit["window_average_violations"] == 0
+    assert fit["majorant"]["type"] == "table"
+
+
+def test_run_verification(tmp_path, capsys):
+    script = load_script("run_verification")
+    argv = ["--spectrum", "lacunary", "--theorem", "thm6", "--n-max", "32"]
+    assert script.main(argv + ["--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "lacunary_thm6" / "report.json").read_text())
+    assert report["summary"]["regression_ok"] is True
+    assert report["summary"]["records"] == 2 * 2 * 32
+    assert "regression_ok=True" in capsys.readouterr().out
