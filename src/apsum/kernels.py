@@ -125,40 +125,36 @@ def partial_sum_direct(f: QuasiPeriodicFunction, gamma: float, x: float) -> floa
     return float(f.partial_sums(x, gamma))
 
 
-def _band_edges(alpha: float, k: int) -> tuple[float, float]:
+def _band_edges(alpha: float, k):
     return 0.5 * alpha * k, 0.5 * alpha * (k + 1)
 
 
-def _in_open_band(freq: float, lo: float, hi: float, alpha: float) -> bool:
+def _band_hits(f: QuasiPeriodicFunction, ks) -> np.ndarray:
+    """Mask of the frequencies inside each open band (alpha k/2, alpha (k+1)/2),
+    shape (len(ks), entries): one comparison against the frequency array."""
+    alpha = f.spectrum.alpha
+    lo, hi = _band_edges(alpha, np.asarray(ks, dtype=float)[:, None])
     tol = alpha * FREQ_RTOL
-    return (freq > lo + tol) and (freq < hi - tol)
+    freqs = f.spectrum.frequencies()
+    return (freqs > lo + tol) & (freqs < hi - tol)
 
 
 def gap_free(f: QuasiPeriodicFunction, k: int) -> bool:
     """True iff the open band (alpha k/2, alpha (k+1)/2) holds no frequency."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    alpha = f.spectrum.alpha
-    lo, hi = _band_edges(alpha, k)
-    return not any(
-        _in_open_band(e.freq, lo, hi, alpha) for e in f.spectrum.entries
-    )
+    return not _band_hits(f, [k]).any()
 
 
 def _offending_index(f: QuasiPeriodicFunction, k: int) -> int:
-    alpha = f.spectrum.alpha
-    lo, hi = _band_edges(alpha, k)
-    hits = [
-        i
-        for i, e in enumerate(f.spectrum.entries)
-        if _in_open_band(e.freq, lo, hi, alpha)
-    ]
-    if len(hits) != 1:
+    hits = np.flatnonzero(_band_hits(f, [k])[0])
+    if hits.size != 1:
+        lo, hi = _band_edges(f.spectrum.alpha, k)
         raise SpectrumError(
-            f"band ({lo:.6g}, {hi:.6g}) holds {len(hits)} frequencies; the gap "
+            f"band ({lo:.6g}, {hi:.6g}) holds {hits.size} frequencies; the gap "
             "condition admits at most one"
         )
-    return hits[0]
+    return int(hits[0])
 
 
 def _cos_tail(mu: np.ndarray, T: float) -> np.ndarray:
@@ -187,25 +183,58 @@ def _gl_error_constant(m: int) -> float:
 _QUAD_SAFETY = 16.0
 
 
+# Nodes per chunk of the kernel-table pass (whole panels only), and the
+# most band-recurrence steps taken from one exact sine.
+_CHUNK_NODES = 4096
+_RESEED = 32
+
+
 def _exact_band_tail(
-    f: QuasiPeriodicFunction, terms: np.ndarray, band: int, T: float
-) -> float:
-    """Exact int_T^inf (f(x+t)+f(x-t)) Psi_band dt via the beat decomposition.
+    f: QuasiPeriodicFunction, terms: np.ndarray, bands, T: float
+) -> np.ndarray:
+    """Exact int_T^inf (f(x+t)+f(x-t)) Psi_b dt via the beat decomposition,
+    for each row of term values in ``terms`` and each band b in ``bands``;
+    shape (len(terms), len(bands)).
 
     Each spectral frequency l beats against the band edges into four
     cosines cos(mu t) with mu in {|l-w1|, l+w1, |l-w2|, l+w2}, and
-    int_T^inf cos(mu t)/t^2 dt is closed-form.
+    int_T^inf cos(mu t)/t^2 dt is closed-form; mu does not depend on x, so
+    one call covers every (band, frequency) pair.
     """
     alpha = f.spectrum.alpha
-    w1, w2 = _band_edges(alpha, band)
-    tail = 0.0
-    for g, e in zip(terms, f.spectrum.entries):
-        if g == 0.0:
-            continue
-        lam = e.freq
-        c = _cos_tail(np.array([abs(lam - w1), lam + w1, abs(lam - w2), lam + w2]), T)
-        tail += (2.0 * g / (alpha * math.pi)) * (c[0] + c[1] - c[2] - c[3])
-    return tail
+    w1, w2 = _band_edges(alpha, np.asarray(bands, dtype=float)[:, None])
+    lam = f.spectrum.frequencies()
+    c = _cos_tail(np.stack([abs(lam - w1), lam + w1, abs(lam - w2), lam + w2]), T)
+    beats = c[0] + c[1] - c[2] - c[3]  # (bands, entries)
+    return (2.0 / (alpha * math.pi)) * (terms @ beats.T)
+
+
+def _band_sines(theta: np.ndarray, bands) -> np.ndarray:
+    """sin((2b+1) theta) for each b of the increasing ``bands``, shape
+    (len(bands), len(theta)).
+
+    Bands step up with s_{b+1} = 2 cos(2 theta) s_b - s_{b-1}.  Every
+    _RESEED bands, and after a longer gap, the recurrence restarts from
+    the exact sine and cosine of one phase (both seeds carry the same
+    phase rounding), so the drift stays at a few hundred ulps at most.
+    """
+    out = np.empty((len(bands), theta.size))
+    c2 = 2.0 * np.cos(2.0 * theta)
+    s2 = np.sin(2.0 * theta)
+    seed = b_cur = -_RESEED
+    prev = cur = None
+    for j, b in enumerate(bands):
+        if b - seed >= _RESEED:
+            seed = b
+            phase = (2 * b + 1) * theta
+            cur = np.sin(phase)
+            prev = 0.5 * c2 * cur - np.cos(phase) * s2  # sin(phase - 2 theta)
+        else:
+            for _ in range(b - b_cur):
+                prev, cur = cur, c2 * cur - prev
+        b_cur = b
+        out[j] = cur
+    return out
 
 
 def partial_sum_kernel_table(
@@ -216,8 +245,10 @@ def partial_sum_kernel_table(
 ) -> np.ndarray:
     """Kernel-route cutoff sums S_{alpha k/2} f(x), shape (len(xs), len(ks)).
 
-    One node grid (sized for the largest band) and one band oscillation
-    array per band are shared across all evaluation points.  Raises
+    One node grid, sized for the largest band, serves every band and every
+    evaluation point.  It is walked once in chunks of whole panels; each
+    chunk adds one matrix product of the weighted band-independent factor
+    (all x) against the band oscillations (all bands).  Raises
     QuadratureToleranceError when the error budget of any entry exceeds
     max(abs_tol, rel_tol * |value|).
     """
@@ -228,17 +259,19 @@ def partial_sum_kernel_table(
         raise ValueError("kernel route requires k >= 1; use partial_sum_direct for k = 0")
     alpha = f.spectrum.alpha
 
+    hits = _band_hits(f, ks).any(axis=1)
+    above = _band_hits(f, [k + 1 for k in ks]).any(axis=1)
     plans: list[tuple[int, int, int | None]] = []
-    for k in ks:
-        if gap_free(f, k):
+    for k, hit, dirty in zip(ks, hits, above):
+        if not hit:
             plans.append((k, k, None))
-        else:
-            idx = _offending_index(f, k)
-            if not gap_free(f, k + 1):
-                raise SpectrumError(
-                    f"band above k={k} is not clean; spectrum violates its gap"
-                )
-            plans.append((k, k + 1, idx))
+            continue
+        idx = _offending_index(f, k)
+        if dirty:
+            raise SpectrumError(
+                f"band above k={k} is not clean; spectrum violates its gap"
+            )
+        plans.append((k, k + 1, idx))
     bands = sorted({b for _, b, _ in plans})
 
     T = cfg.resolve_truncation(alpha)
@@ -253,42 +286,40 @@ def partial_sum_kernel_table(
     #   (f(x+t)+f(x-t)) Psi_b(t) = base(t) * sin(alpha(2b+1)t/4)
     # with base = fsym * (4/(alpha pi)) sin(alpha t/4) / t^2.  Nodes are
     # interior, so t > 0 throughout.  Quadrature weights are folded into
-    # base so each (band, x) pair costs a single dot product.
-    envelope = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / (t * t)
-    terms_by_x = [f.term_values(x) for x in xs]
-    wbase = []
-    panel_env = []
-    for x in xs:
-        base = f.symmetric_translate(x, t) * envelope
-        panel_env.append(
-            float(np.abs(base).reshape(n_panels, cfg.gl_nodes).max(axis=1).sum())
+    # base, so a chunk costs one product (xs, nodes) @ (nodes, bands).
+    freqs = f.spectrum.frequencies()
+    terms = np.array([f.term_values(x) for x in xs]).reshape(len(xs), freqs.size)
+    quad = np.zeros((len(xs), len(bands)))
+    panel_env = np.zeros(len(xs))
+    step = max(1, _CHUNK_NODES // cfg.gl_nodes) * cfg.gl_nodes
+    for lo in range(0, t.size, step):
+        tc = t[lo : lo + step]
+        theta = 0.25 * alpha * tc
+        envelope = (4.0 / (alpha * math.pi)) * np.sin(theta) / (tc * tc)
+        base = ((2.0 * terms) @ np.cos(np.outer(freqs, tc))) * envelope
+        panel_env += (
+            np.abs(base)
+            .reshape(len(xs), tc.size // cfg.gl_nodes, cfg.gl_nodes)
+            .max(axis=2)
+            .sum(axis=1)
         )
-        wbase.append(w * base)
+        quad += (base * w[lo : lo + step]) @ _band_sines(theta, bands).T
 
-    gl_const = _gl_error_constant(cfg.gl_nodes)
-    band_values = np.empty((len(xs), len(bands)))
-    for j, b in enumerate(bands):
-        osc = np.sin(0.25 * alpha * (2 * b + 1) * t)
-        nu_b = f.spectrum.max_frequency() + 0.5 * alpha * (b + 1)
-        resolution = (0.5 * h * nu_b) ** (2 * cfg.gl_nodes)
-        for i, x in enumerate(xs):
-            quad = float(np.dot(wbase[i], osc))
-            value = quad + _exact_band_tail(f, terms_by_x[i], b, T)
-            err_quad = gl_const * h * resolution * panel_env[i] * _QUAD_SAFETY
-            err = err_quad + 1e-13 * (1.0 + float(np.abs(terms_by_x[i]).sum()))
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            if err > tol:
-                raise QuadratureToleranceError(value, err, tol)
-            band_values[i, j] = value
+    values = quad + _exact_band_tail(f, terms, bands, T)
+    nu = f.spectrum.max_frequency() + 0.5 * alpha * (np.array(bands) + 1.0)
+    resolution = (0.5 * h * nu) ** (2 * cfg.gl_nodes)
+    err_quad = _gl_error_constant(cfg.gl_nodes) * h * resolution * panel_env[:, None]
+    err = err_quad * _QUAD_SAFETY + 1e-13 * (1.0 + np.abs(terms).sum(axis=1))[:, None]
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))
+    # first failure in band-major order
+    failed = np.argwhere((err > tol).T)
+    if failed.size:
+        j, i = failed[0]
+        raise QuadratureToleranceError(float(values[i, j]), float(err[i, j]), float(tol[i, j]))
 
-    col = {b: j for j, b in enumerate(bands)}
-    out = np.empty((len(xs), len(ks)))
-    for i in range(len(xs)):
-        for m, (k, b, idx) in enumerate(plans):
-            v = band_values[i, col[b]]
-            if idx is not None:
-                v -= terms_by_x[i][idx]
-            out[i, m] = v
+    out = values[:, np.searchsorted(bands, [b for _, b, _ in plans])]
+    shifted = [m for m, (_, _, idx) in enumerate(plans) if idx is not None]
+    out[:, shifted] -= terms[:, [plans[m][2] for m in shifted]]
     return out
 
 

@@ -118,13 +118,11 @@ def ms_constant(row) -> float:
     if is_ms(row):
         return 1.0
     a = _padded(row)
-    worst = 1.0
-    for k in range(len(a) - 1):
-        if a[k] > 0.0:
-            worst = max(worst, a[k + 1] / a[k])
-        elif a[k + 1] > 0.0:
-            return math.inf
-    return worst
+    head, nxt = a[:-1], a[1:]
+    pos = head > 0.0
+    if np.any(~pos & (nxt > 0.0)):
+        return math.inf
+    return float(np.max(nxt[pos] / head[pos], initial=1.0))
 
 
 def rbvs_constant(row) -> float:
@@ -134,38 +132,41 @@ def rbvs_constant(row) -> float:
         raise MatrixError("row is identically zero")
     diffs = np.abs(np.diff(a))
     rest = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
-    worst = 0.0
-    for m in range(len(a)):
-        if a[m] > 0.0:
-            worst = max(worst, rest[m] / a[m])
-        elif rest[m] > 0.0:
-            return math.inf
-    return worst
+    pos = a > 0.0
+    if np.any(~pos & (rest > 0.0)):
+        return math.inf
+    return float(np.max(rest[pos] / a[pos], initial=0.0))
 
 
-def _block_variation(a: np.ndarray, m: int) -> float:
-    """sum_{k=m}^{2m-1} |a_k - a_{k+1}| with zero extension beyond the row."""
-    total = 0.0
-    for k in range(m, 2 * m):
-        ak = a[k] if k < len(a) else 0.0
-        ak1 = a[k + 1] if k + 1 < len(a) else 0.0
-        total += abs(ak - ak1)
-    return total
+def _window_sums(d: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """sum(d[lo:hi]) for each window [lo, hi), 0 for an empty one.
+
+    Each window is summed on its own (one reduceat call), never as a
+    difference of prefix sums, which cancels on rows that decay
+    geometrically.  Requires stops <= d.size.
+    """
+    ends = np.append(d, 0.0)  # a stop at d.size is a valid reduceat index
+    sums = np.add.reduceat(ends, np.stack([starts, stops], axis=1).ravel())[::2]
+    return np.where(starts < stops, sums, 0.0)
+
+
+def _block_variations(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m = 1..len(a) and sum_{k=m}^{2m-1} |a_k - a_{k+1}| for each m, with
+    the row extended by zeros."""
+    m = np.arange(1, a.size + 1)
+    d = np.abs(np.diff(np.concatenate([a, np.zeros(a.size + 1)])))
+    return m, _window_sums(d, m, 2 * m)
 
 
 def gm_constant(row) -> float:
     """Smallest K with sum_{k=m}^{2m-1} |a_k - a_{k+1}| <= K a_m for m >= 1."""
     a = _padded(row)
-    worst = 0.0
-    for m in range(1, len(a) + 1):
-        var = _block_variation(a, m)
-        if var == 0.0:
-            continue
-        am = a[m] if m < len(a) else 0.0
-        if am == 0.0:
-            return math.inf
-        worst = max(worst, var / am)
-    return worst
+    m, var = _block_variations(a)
+    live = var != 0.0
+    am = np.append(a, 0.0)[m]
+    if np.any(live & (am == 0.0)):
+        return math.inf
+    return float(np.max(var[live] / am[live], initial=0.0))
 
 
 def gm2_constant(row, c: float) -> float:
@@ -178,19 +179,16 @@ def gm2_constant(row, c: float) -> float:
     if not c > 1.0:
         raise MatrixError(f"c must be > 1, got {c}")
     a = _padded(row)
-    worst = 0.0
-    for m in range(1, len(a) + 1):
-        var = _block_variation(a, m)
-        if var == 0.0:
-            continue
-        lo = max(1, math.floor(m / c))
-        hi = math.floor(c * m)
-        ks = np.arange(lo, min(hi, len(a) - 1) + 1)
-        denom = float(np.sum(a[ks] / ks)) if ks.size else 0.0
-        if denom == 0.0:
-            return math.inf
-        worst = max(worst, var / denom)
-    return worst
+    m, var = _block_variations(a)
+    live = var != 0.0
+    k = np.arange(a.size)
+    mass = np.where(k >= 1, a / np.maximum(k, 1), 0.0)
+    lo = np.maximum(1, np.floor(m / c)).astype(int)
+    hi = np.minimum(np.floor(c * m), a.size - 1).astype(int)
+    denom = _window_sums(mass, lo, hi + 1)
+    if np.any(live & (denom == 0.0)):
+        return math.inf
+    return float(np.max(var[live] / denom[live], initial=0.0))
 
 
 @dataclass(frozen=True)

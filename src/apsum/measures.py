@@ -380,6 +380,23 @@ def _phi_panels(f: QuasiPeriodicFunction, delta: float, n_panels: int | None) ->
     return max(64, need)
 
 
+def _refined_sup(g, delta: float) -> float:
+    """sup of |g| over [0, delta]: the largest of 512 grid values, raised by
+    a bounded scalar search within one grid step of it."""
+    t = np.linspace(0.0, delta, 512)
+    vals = np.abs(g(t))
+    best = int(np.argmax(vals))
+    peak = float(vals[best])
+    h = delta / 511
+    res = minimize_scalar(
+        lambda s: -abs(g(s)),
+        bounds=(max(0.0, t[best] - h), min(delta, t[best] + h)),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return max(peak, float(-res.fun))
+
+
 def _moduli(
     f: QuasiPeriodicFunction,
     x: float,
@@ -395,8 +412,9 @@ def _moduli(
     phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
     phi_x(t) - phi_x(t + s) = sum_nu a_nu [(1 - cos(l_nu s)) cos(l_nu t)
     + sin(l_nu s) sin(l_nu t)], with one Gram matrix per delta and one
-    einsum over all shifts.  Other p evaluate phi_x once on the quadrature
-    nodes of each delta and reuse it for every shift.
+    einsum over all shifts.  Other finite p evaluate phi_x once on the
+    quadrature nodes of each delta and reuse it for every shift; p = inf
+    takes the refined grid sup of each integrand over [0, delta].
     """
     deltas = np.asarray(deltas, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
@@ -413,18 +431,19 @@ def _moduli(
         point = np.einsum("i,dij,j->d", amps, _phi_gram(lams, deltas), amps)
         shifted = np.einsum("mi,dij,mj->dm", k, _trig_gram(lams, deltas), k)
         return np.sqrt(np.maximum(point, 0.0)), np.sqrt(np.maximum(shifted, 0.0))
-    sup = math.isinf(p)
     point = np.empty(deltas.size)
     shifted = np.empty((deltas.size, shifts.size))
     for j, d in enumerate(deltas.tolist()):
-        if sup:
-            point[j] = pointwise_modulus(f, x, d, p)
-            if not shifts.size:
-                continue
+        if math.isinf(p):
+            point[j] = _refined_sup(lambda t: f.second_difference(x, t), d)
+            for m, s in enumerate(shifts.tolist()):
+                shifted[j, m] = _refined_sup(
+                    lambda t: f.second_difference(x, t) - f.second_difference(x, t + s), d
+                )
+            continue
         t, w = _gl_panels(0.0, d, _phi_panels(f, d, n_panels), 8)
         phi = f.second_difference(x, t)
-        if not sup:
-            point[j] = (float(np.dot(w, np.abs(phi) ** p)) / d) ** (1.0 / p)
+        point[j] = (float(np.dot(w, np.abs(phi) ** p)) / d) ** (1.0 / p)
         for m, s in enumerate(shifts.tolist()):
             vals = np.abs(phi - f.second_difference(x, t + s)) ** p
             shifted[j, m] = (float(np.dot(w, vals)) / d) ** (1.0 / p)
@@ -439,22 +458,9 @@ def pointwise_modulus(
     n_panels: int | None = None,
 ) -> float:
     """((1/delta) int_0^delta |phi_x|^p dt)^(1/p) for p >= 1, exact at p = 2;
-    grid sup at p=inf."""
+    refined grid sup at p=inf."""
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if math.isinf(p):
-        t = np.linspace(0.0, delta, 512)
-        vals = np.abs(f.second_difference(x, t))
-        best = int(np.argmax(vals))
-        peak = float(vals[best])
-        h = delta / 511
-        res = minimize_scalar(
-            lambda s: -abs(f.second_difference(x, s)),
-            bounds=(max(0.0, t[best] - h), min(delta, t[best] + h)),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        return max(peak, float(-res.fun))
     return float(_moduli(f, x, [delta], (), p, n_panels)[0][0])
 
 
@@ -526,7 +532,8 @@ def shifted_difference_mean(
     n_panels: int | None = None,
 ) -> float:
     """((1/delta) int_0^delta |phi_x(t) - phi_x(t + gamma)|^p dt)^(1/p),
-    exact at p = 2.
+    exact at p = 2; at p = inf the refined grid sup of the difference over
+    [0, delta].
 
     The minus shift is gamma < 0; phi_x is even, so negative arguments fold
     back automatically.

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from apsum.kernels import (
     psi_k,
     tail_bound,
 )
-from apsum.spectra import Spectrum, QuasiPeriodicFunction
+from apsum import kernels
+from apsum.spectra import Spectrum, QuasiPeriodicFunction, _gl_panels
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 SMOOTH = QuasiPeriodicFunction(
@@ -123,6 +125,49 @@ class TestGapFree:
             assert gap_free(CONST, k)
 
 
+def reference_table(f, ks, xs):
+    """The kernel table as one np.sin band array and one dot product per
+    (band, x), with the beat tail summed term by term: the slow route the
+    chunked band recurrence must reproduce."""
+    cfg = QuadratureConfig()
+    alpha = f.spectrum.alpha
+    freqs = f.spectrum.frequencies()
+    plans = []
+    for k in ks:
+        hit = np.flatnonzero((freqs > 0.5 * alpha * k) & (freqs < 0.5 * alpha * (k + 1)))
+        plans.append((k, None) if hit.size == 0 else (k + 1, int(hit[0])))
+    bands = sorted({b for b, _ in plans})
+    T = cfg.resolve_truncation(alpha)
+    numax = freqs[-1] + 0.5 * alpha * (bands[-1] + 1)
+    n_panels = max(1, math.ceil(T / ((2.0 * math.pi / numax) / cfg.panels_per_oscillation)))
+    t, w = _gl_panels(0.0, T, n_panels, cfg.gl_nodes)
+    envelope = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / (t * t)
+    terms = [f.term_values(x) for x in xs]
+    wbase = [w * f.symmetric_translate(x, t) * envelope for x in xs]
+    value = {}
+    for b in bands:
+        osc = np.sin(0.25 * alpha * (2 * b + 1) * t)
+        w1, w2 = 0.5 * alpha * b, 0.5 * alpha * (b + 1)
+        for i, g in enumerate(terms):
+            tail = 0.0
+            for gv, lam in zip(g, freqs):
+                c = kernels._cos_tail(
+                    np.array([abs(lam - w1), lam + w1, abs(lam - w2), lam + w2]), T
+                )
+                tail += (2.0 * gv / (alpha * math.pi)) * (c[0] + c[1] - c[2] - c[3])
+            value[i, b] = float(np.dot(wbase[i], osc)) + tail
+    out = np.empty((len(xs), len(ks)))
+    for i, g in enumerate(terms):
+        for m, (b, idx) in enumerate(plans):
+            out[i, m] = value[i, b] - (g[idx] if idx is not None else 0.0)
+    return out
+
+
+LACUNARY = QuasiPeriodicFunction(
+    Spectrum.from_cos_sin(1.0, [(2.0**j, 0.5**j, 0.3 * 0.5**j) for j in range(6)])
+)
+
+
 class TestKernelRoute:
     def test_constant_forces_normalization(self):
         got = partial_sum_kernel_table(CONST, [1], [17.2])[0, 0]
@@ -159,6 +204,53 @@ class TestKernelRoute:
             partial_sum_kernel_table(SMOOTH, [3], [0.1], cfg)
         assert err.value.error_estimate > 1e-18
         assert math.isfinite(err.value.value)
+        # the budget as a whole-grid pass forms it: GL term over the panel
+        # maxima of the integrand plus the rounding floor
+        m = cfg.gl_nodes
+        T = cfg.resolve_truncation(1.0)
+        numax = 10.0 + 0.5 * 4
+        n_panels = math.ceil(T / ((2.0 * math.pi / numax) / cfg.panels_per_oscillation))
+        h = T / n_panels
+        t, _ = _gl_panels(0.0, T, n_panels, m)
+        base = SMOOTH.symmetric_translate(0.1, t) * (4.0 / math.pi) * np.sin(0.25 * t) / t**2
+        env = np.abs(base).reshape(n_panels, m).max(axis=1).sum()
+        budget = kernels._gl_error_constant(m) * h * (0.5 * h * numax) ** (2 * m) * env * 16.0
+        budget += 1e-13 * (1.0 + np.abs(SMOOTH.term_values(0.1)).sum())
+        assert err.value.error_estimate == pytest.approx(budget, rel=1e-12)
+        assert err.value.value == pytest.approx(
+            reference_table(SMOOTH, [3], [0.1])[0, 0], abs=1e-12
+        )
+
+
+class TestKernelTableOracle:
+    @pytest.mark.parametrize(
+        "f, ks",
+        [
+            (IRRATIONAL, list(range(1, 65))),  # band shift at k = 8
+            (SMOOTH, [1, 2, 3, 19, 20, 21, 40]),
+            (LACUNARY, [1, 2, 4, 8, 16, 32, 64, 65, 66]),
+            (COS, list(range(1, 101))),  # four re-seed runs of 32 bands
+        ],
+        ids=["irrational", "smooth", "lacunary", "cos-100"],
+    )
+    def test_matches_per_band_loop(self, f, ks):
+        xs = [0.0, 0.7, 2.9]
+        got = partial_sum_kernel_table(f, ks, xs)
+        want = reference_table(f, ks, xs)
+        bound = 1e-12 * (1.0 + f.spectrum.amplitude_mass())
+        assert np.abs(got - want).max() <= bound
+
+    def test_band_sines_stay_near_exact(self):
+        # 300 bands with a gap at 9: without the exact re-seeds the
+        # recurrence drifts to about 1e-12 here
+        theta = np.linspace(1e-3, 6.0, 4096)
+        bands = list(range(1, 9)) + list(range(10, 301))
+        got = kernels._band_sines(theta, bands)
+        with mpmath.workdps(30):
+            for i in range(0, theta.size, 41):
+                th = mpmath.mpf(float(theta[i]))
+                want = [float(mpmath.sin((2 * b + 1) * th)) for b in bands]
+                assert np.abs(got[:, i] - want).max() <= 4e-13
 
 
 class TestKernelMass:

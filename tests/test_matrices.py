@@ -57,6 +57,38 @@ def brute_gm(row):
     return worst
 
 
+def brute_ms(row):
+    a = list(map(float, row)) + [0.0]
+    if all(a[k] >= a[k + 1] for k in range(len(a) - 1)):
+        return 1.0
+    worst = 1.0
+    for k in range(len(a) - 1):
+        if a[k] > 0:
+            worst = max(worst, a[k + 1] / a[k])
+        elif a[k + 1] > 0:
+            return math.inf
+    return worst
+
+
+def brute_gm2(row, c):
+    a = list(map(float, row)) + [0.0]
+
+    def at(i):
+        return a[i] if i < len(a) else 0.0
+
+    worst = 0.0
+    for m in range(1, len(a) + 1):
+        var = sum(abs(at(k) - at(k + 1)) for k in range(m, 2 * m))
+        if var == 0:
+            continue
+        lo = max(1, math.floor(m / c))
+        denom = sum(at(k) / k for k in range(lo, math.floor(c * m) + 1))
+        if denom == 0:
+            return math.inf
+        worst = max(worst, var / denom)
+    return worst
+
+
 def random_rows(rng, count, kind="mixed"):
     rows = []
     for _ in range(count):
@@ -267,3 +299,44 @@ def test_inclusion_chain(seed):
         assert gm_constant(row) <= r + 1e-12
     if math.isfinite(gm_constant(row)):
         assert math.isfinite(gm2_constant(row, 2.0))
+
+
+@st.composite
+def class_rows(draw):
+    """Rows with zero holes, trailing zeros and length 1, or 2^-k rows of
+    length 40-120, whose block sums a prefix-sum difference would cancel."""
+    if draw(st.booleans()):
+        row = 2.0 ** -np.arange(draw(st.integers(40, 120)))
+    else:
+        n = draw(st.integers(1, 40))
+        row = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        row[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    row = np.concatenate([row, np.zeros(draw(st.integers(0, 5)))])
+    if row.sum() == 0.0:
+        row[0] = 1.0
+    return row / row.sum()
+
+
+def same_constant(got, want):
+    if math.isinf(got) or math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=class_rows(), c=st.sampled_from([1.5, 2.0, 2.5, 3.0]))
+def test_constants_match_brute_scans(row, c):
+    same_constant(ms_constant(row), brute_ms(row))
+    same_constant(rbvs_constant(row), brute_rbvs(row))
+    same_constant(gm_constant(row), brute_gm(row))
+    same_constant(gm2_constant(row, c), brute_gm2(row, c))
+
+
+@pytest.mark.parametrize("n", [40, 80, 120])
+def test_geometric_rows_keep_exact_gm(n):
+    # each block telescopes to a_m - a_2m, and past the middle of the row
+    # to a_m itself, so the gm constant of 2^-k is 1 up to a few ulps
+    row = 2.0 ** -np.arange(n)
+    row /= row.sum()
+    assert gm_constant(row) == pytest.approx(1.0, rel=1e-14, abs=0.0)

@@ -251,6 +251,29 @@ class TestShiftedDifferenceMean:
                 )
                 assert top <= 4.0 * om
 
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    @pytest.mark.parametrize("gamma", [0.2, 2.0])
+    def test_sup_variant_against_dense_max(self, delta, gamma):
+        x = 0.7
+
+        def diff(t):
+            return np.abs(
+                SMOOTH.second_difference(x, t) - SMOOTH.second_difference(x, t + gamma)
+            )
+
+        got = shifted_difference_mean(SMOOTH, x, delta, gamma, math.inf)
+        t = np.linspace(0.0, delta, 20_000)
+        vals = diff(t)
+        dense = float(vals.max())
+        # a dense grid approaches the sup from below
+        assert got >= dense * (1.0 - 1e-9)
+        # and a 2001-point grid within one step of its peak pins the sup
+        step = t[1] - t[0]
+        peak = float(t[np.argmax(vals)])
+        fine = np.linspace(max(0.0, peak - step), min(delta, peak + step), 2001)
+        assert got <= float(diff(fine).max()) * (1.0 + 1e-12)
+        assert got != 1.0
+
 
 class TestFitMajorant:
     def test_envelope_dominates_samples(self):
