@@ -227,26 +227,7 @@ class ExperimentConfig:
         return cls.from_dict(data, base_dir=path.parent, allow_invalid=allow_invalid)
 
     def to_dict(self) -> dict:
-        return {
-            "spectrum": self.spectrum,
-            "theorem": self.theorem,
-            "matrix": self.matrix,
-            "majorant": self.majorant,
-            "p": self.p,
-            "q": list(self.q),
-            "c": self.c,
-            "alpha": self.alpha,
-            "n_range": list(self.n_range),
-            "x": list(self.x),
-            "x_samples": self.x_samples,
-            "grid": asdict(self.grid),
-            "thm5_literal_exponent": self.thm5_literal_exponent,
-            "max_ratio": self.max_ratio,
-            "blowup_head": self.blowup_head,
-            "blowup_factor": self.blowup_factor,
-            "side_tol": self.side_tol,
-            "output": self.output,
-        }
+        return asdict(self)
 
     def resolve_function(
         self, base_dir: Path | None = None, allow_invalid: bool = False

@@ -350,26 +350,28 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     return max(top, 0.0) ** (1.0 / p)
 
 
-def modulus_omega(
-    f: QuasiPeriodicFunction,
-    delta: float,
-    p: float,
-    grid: WindowGrid | None = None,
-) -> float:
-    """Translate modulus sup_{|t| <= delta} N_p(f(.+t) - f), from below.
-
-    Shifts are sampled on the canonical lattice plus the endpoint; the two
-    shift signs give equal norms, so only t > 0 is scanned.
+def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | None = None):
+    """Translate modulus sup_{|t| <= delta} N_p(f(.+t) - f), from below; a
+    float for scalar ``delta``, else an array of its shape.  The shifts are
+    the canonical lattice plus the endpoint, each normed once, and a delta
+    reads the running max of the lattice below it.  The two shift signs give
+    equal norms, so only t > 0 is scanned.
     """
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if delta == 0.0:
-        return 0.0
-    steps = int(delta / T_LATTICE)
-    ts = [i * T_LATTICE for i in range(1, steps + 1)]
-    if not ts or ts[-1] < delta:
-        ts.append(delta)
-    return max(stepanov_norm(f.translate_difference(t), p, grid) for t in ts)
+    deltas = np.asarray(delta, dtype=float)
+    flat = deltas.ravel()
+    if not np.all((flat >= 0.0) & (flat < math.inf)):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+
+    def norm(t):
+        return stepanov_norm(f.translate_difference(t), p, grid)
+
+    steps = (flat / T_LATTICE).astype(int)
+    lattice = [norm(i * T_LATTICE) for i in range(1, int(steps.max(initial=0)) + 1)]
+    out = np.maximum.accumulate([0.0] + lattice)[steps]
+    off = (flat > 0.0) & (steps * T_LATTICE < flat)
+    ends, which = np.unique(flat[off], return_inverse=True)
+    out[off] = np.maximum(out[off], np.array([norm(float(t)) for t in ends])[which])
+    return float(out[0]) if deltas.ndim == 0 else out.reshape(deltas.shape)
 
 
 def _phi_panels(f: QuasiPeriodicFunction, delta: float, n_panels: int | None) -> int:

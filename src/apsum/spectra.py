@@ -107,12 +107,6 @@ class Spectrum:
     def max_frequency(self) -> float:
         return self.entries[-1].freq if self.entries else 0.0
 
-    def min_positive_frequency(self) -> float:
-        for e in self.entries:
-            if e.freq > 0.0:
-                return e.freq
-        return 0.0
-
     def amplitude_mass(self) -> float:
         """Sum of pair weights; a pointwise bound on |f|."""
         return sum(e.pair_weight for e in self.entries)

@@ -15,15 +15,14 @@ expressions mirror three estimate shapes:
               2^(1+floor(c)) with a switch for the literal 2^(1+c)
     omega:    ( sum_k a[n,k] omega(pi/(k+1))^q )^(1/q)
 
-``ratio_series`` sweeps n and reports lhs, rhs, and lhs/rhs records with
-0/0 reported as ratio 0 (flagged) and finite/0 as the inf sentinel.
+``ratio_series`` reads every row from one per-k table per side and reports
+lhs, rhs, lhs/rhs with 0/0 as ratio 0 (flagged) and finite/0 as inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .matrices import SummabilityMatrix, side_condition
 from .measures import (
     ModulusMajorant,
     WindowGrid,
-    best_approx_tail,
     modulus_omega,
 )
 from .spectra import QuasiPeriodicFunction
@@ -74,9 +72,6 @@ class StrongMeanParams:
         """Cutoff alpha k / 2, elementwise for an array of k."""
         return 0.5 * self.alpha * k
 
-    def delta(self, n: int) -> float:
-        return math.pi / (n + 1)
-
     def tail_divisor(self) -> float:
         if self.literal_c_exponent:
             return 2.0 ** (1.0 + self.c)
@@ -102,6 +97,36 @@ def power_mean(weights: np.ndarray, values: np.ndarray, q: float) -> float:
     return top * float(np.dot(w, (v / top) ** q)) ** (1.0 / q)
 
 
+def _deviations(f: QuasiPeriodicFunction, x: float, size: int, params) -> np.ndarray:
+    """|S_{alpha k/2} f(x) - f(x)| for k < size: one ladder call."""
+    return np.abs(f.partial_sums(x, params.gamma(np.arange(size))) - f(x))
+
+
+def _brackets(w, f: QuasiPeriodicFunction, params, divisor: float, size: int) -> np.ndarray:
+    """w(pi/(k+1)) + tail(alpha k / divisor) for k < size."""
+    ks = np.arange(size)
+    return w(math.pi / (ks + 1)) + f.spectrum.tail_mass(params.alpha * ks / divisor)
+
+
+def _omegas(f: QuasiPeriodicFunction, rows, p: float, grid) -> np.ndarray:
+    """omega(pi/(k+1)) at each k some row weighs, else 0: one modulus_omega call."""
+    used = np.zeros(max((row.size for row in rows), default=0), dtype=bool)
+    for row in rows:
+        used[: row.size] |= row > 0.0
+    table = np.zeros(used.size)
+    table[used] = modulus_omega(f, math.pi / (np.flatnonzero(used) + 1), p, grid)
+    return table
+
+
+def _dyadic_row(n: int) -> np.ndarray:
+    """Uniform weights 1/(n+1) on the block k in [n, 2n]."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    row = np.zeros(2 * n + 1)
+    row[n:] = 1.0 / (n + 1)
+    return row
+
+
 def strong_mean(
     f: QuasiPeriodicFunction,
     x: float,
@@ -111,43 +136,22 @@ def strong_mean(
 ) -> float:
     """Weighted power mean of cutoff deviations with row n of the matrix."""
     row = matrix.row(n)
-    ks = np.flatnonzero(row)
-    if ks.size == 0:
-        return 0.0
-    devs = np.abs(f.partial_sums(x, params.gamma(ks)) - f(x))
-    return power_mean(row[ks], devs, params.q)
+    return power_mean(row, _deviations(f, x, row.size, params), params.q)
 
 
 def dyadic_strong_mean(
     f: QuasiPeriodicFunction, x: float, n: int, params: StrongMeanParams
 ) -> float:
     """Uniform strong mean over the dyadic block k in [n, 2n]."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    ks = np.arange(n, 2 * n + 1)
-    devs = np.abs(f.partial_sums(x, params.gamma(ks)) - f(x))
-    return power_mean(np.full(ks.size, 1.0 / (n + 1)), devs, params.q)
+    row = _dyadic_row(n)
+    return power_mean(row, _deviations(f, x, row.size, params), params.q)
 
 
 def prop_dyadic_rhs(
     w: ModulusMajorant, f: QuasiPeriodicFunction, n: int, params: StrongMeanParams
 ) -> float:
     """w(pi/(n+1)) + spectral tail above alpha n / 2."""
-    return float(w(params.delta(n))) + best_approx_tail(f, params.gamma(n))
-
-
-def _bracket_mean(
-    row: np.ndarray,
-    w: ModulusMajorant,
-    f: QuasiPeriodicFunction,
-    params: StrongMeanParams,
-    divisor: float,
-) -> float:
-    ks = np.flatnonzero(row)
-    if ks.size == 0:
-        return 0.0
-    brackets = w(math.pi / (ks + 1)) + f.spectrum.tail_mass(params.alpha * ks / divisor)
-    return power_mean(row[ks], brackets, params.q)
+    return float(_brackets(w, f, params, 2.0, n + 1)[n])
 
 
 def ms_rows_rhs(
@@ -157,7 +161,7 @@ def ms_rows_rhs(
     params: StrongMeanParams,
 ) -> float:
     """Bracket mean with tails at alpha k / 2 (monotone-row bound shape)."""
-    return _bracket_mean(row, w, f, params, 2.0)
+    return power_mean(row, _brackets(w, f, params, 2.0, row.size), params.q)
 
 
 def gm2_rows_rhs(
@@ -167,7 +171,7 @@ def gm2_rows_rhs(
     params: StrongMeanParams,
 ) -> float:
     """Bracket mean with tails at alpha k / 2^(1+c) (averaged-mass bound)."""
-    return _bracket_mean(row, w, f, params, params.tail_divisor())
+    return power_mean(row, _brackets(w, f, params, params.tail_divisor(), row.size), params.q)
 
 
 def omega_rows_rhs(
@@ -178,18 +182,7 @@ def omega_rows_rhs(
     grid: WindowGrid | None = None,
 ) -> float:
     """Weighted power mean of translate moduli omega(pi/(k+1))."""
-    ks = np.flatnonzero(row)
-    if ks.size == 0:
-        return 0.0
-    oms = np.array([_omega_cached(f, int(k), p, grid or WindowGrid()) for k in ks])
-    return power_mean(row[ks], oms, q)
-
-
-# A thm2 run looks up one key per k of its widest row (25 for n up to 24);
-# the bound keeps the cache from growing across runs in one process.
-@lru_cache(maxsize=1024)
-def _omega_cached(f: QuasiPeriodicFunction, k: int, p: float, grid: WindowGrid) -> float:
-    return modulus_omega(f, math.pi / (k + 1), p, grid)
+    return power_mean(row, _omegas(f, [row], p, grid), q)
 
 
 @dataclass(frozen=True)
@@ -215,13 +208,6 @@ class RatioSeries:
         if any(math.isinf(r) for r in ratios):
             return math.inf
         return max(ratios) if ratios else 0.0
-
-    @property
-    def argmax_n(self) -> int | None:
-        valid = [r for r in self.records if not math.isnan(r.ratio)]
-        if not valid:
-            return None
-        return max(valid, key=lambda r: r.ratio).n
 
     def head_tail_bounded(self, head_end: int, factor: float) -> bool:
         """No blow-up: max ratio past ``head_end`` stays within ``factor``
@@ -276,21 +262,22 @@ def ratio_series(
     if needs_matrix and n_values:
         side_ok, _ = side_condition(matrix, n_values, side_tol)
 
+    rows = [_dyadic_row(n) if theorem == "prop4" else matrix.row(n) for n in n_values]
+    size = max((row.size for row in rows), default=0)
+    if theorem == "thm2":
+        xs, bound = x_grid, _omegas(f, rows, p, grid)
+    else:
+        divisor = params.tail_divisor() if theorem == "thm5" else 2.0
+        xs, bound = (x,), _brackets(w, f, params, divisor, size)
+    devs = [_deviations(f, xx, size, params) for xx in xs]
     records = []
-    for n in n_values:
+    for n, row in zip(n_values, rows):
         flags: list[str] = []
+        lhs = max(power_mean(row, dev[: row.size], params.q) for dev in devs)
         if theorem == "prop4":
-            lhs = dyadic_strong_mean(f, x, n, params)
-            rhs = prop_dyadic_rhs(w, f, n, params)
-        elif theorem == "thm5":
-            lhs = strong_mean(f, x, matrix, n, params)
-            rhs = gm2_rows_rhs(matrix.row(n), w, f, params)
-        elif theorem == "thm6":
-            lhs = strong_mean(f, x, matrix, n, params)
-            rhs = ms_rows_rhs(matrix.row(n), w, f, params)
+            rhs = float(bound[n])
         else:
-            lhs = max(strong_mean(f, xx, matrix, n, params) for xx in x_grid)
-            rhs = omega_rows_rhs(matrix.row(n), f, params.q, p, grid)
+            rhs = power_mean(row, bound[: row.size], params.q)
         if rhs > 0.0:
             ratio = lhs / rhs
         elif lhs == 0.0:

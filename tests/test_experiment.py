@@ -1,6 +1,6 @@
 import json
 import math
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from apsum.experiment import (
     write_report,
 )
 from apsum.matrices import MatrixError, gm2_constant, is_ms
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 BASE = {
@@ -193,21 +195,25 @@ class TestRun:
         assert all(r.ratio == 0.0 for r in report.records)
         assert report.summary["flag_counts"]["zero-over-zero"] == 6
 
-    def test_determinism_and_threads(self):
+    def test_determinism_and_threads(self, tmp_path, monkeypatch):
         cfg = make_config(q=[1.0, 2.0], x=[0.0, 0.7], n_range=[1, 10])
         a = records_csv(run(cfg))
         b = records_csv(run(cfg))
         assert a == b
-        old = os.environ.get("APSUM_THREADS")
-        try:
-            os.environ["APSUM_THREADS"] = "4"
-            c = records_csv(run(cfg))
-        finally:
-            if old is None:
-                os.environ.pop("APSUM_THREADS", None)
-            else:
-                os.environ["APSUM_THREADS"] = old
-        assert a == c
+        monkeypatch.setenv("APSUM_THREADS", "4")
+        assert records_csv(run(cfg)) == a
+        # every shipped config passes and writes the same report.json bytes
+        # at one and at two threads
+        for path in sorted(CONFIGS.glob("*.json")):
+            cfg = ExperimentConfig.from_file(path)
+            reports = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("APSUM_THREADS", threads)
+                report = run(cfg, path.parent)
+                assert report.summary["regression_ok"], path.name
+                paths = write_report(report, tmp_path / f"{path.stem}-{threads}")
+                reports.append(paths[0].read_bytes())  # report.json
+            assert reports[0] == reports[1], path.name
 
     def test_config_echo_round_trips(self):
         cfg = make_config(q=[1.0], n_range=[1, 6])

@@ -123,9 +123,54 @@ class TestStepanovNorm:
             )
 
 
+def per_delta_omega(f, delta, p, grid=None):
+    """The per-delta lattice loop: max of the windowed norms over the
+    lattice shifts up to delta plus delta itself when off the lattice."""
+    if delta == 0.0:
+        return 0.0
+    steps = int(delta / T_LATTICE)
+    ts = [i * T_LATTICE for i in range(1, steps + 1)]
+    if not ts or ts[-1] < delta:
+        ts.append(delta)
+    return max(stepanov_norm(f.translate_difference(t), p, grid) for t in ts)
+
+
 class TestModulusOmega:
     def test_zero_delta(self):
         assert modulus_omega(SMOOTH, 0.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("p", [2.0, 1.5, math.inf])
+    def test_ladder_matches_per_delta_loop(self, p):
+        f = random_function(33)
+        grid = WindowGrid(u_samples=24, refine=False)
+        # lattice-aligned, below one lattice step, off-lattice, 0, repeated
+        deltas = [math.pi / 2, 0.05, 1.0, 0.0, math.pi / 4, 1.0, 2.5, 0.3, 3 * T_LATTICE]
+        want = [per_delta_omega(f, d, p, grid) for d in deltas]
+        got = modulus_omega(f, deltas, p, grid)
+        assert got.tolist() == want
+        scalar = modulus_omega(f, deltas[0], p, grid)
+        assert type(scalar) is float and scalar == want[0]
+        grid2d = modulus_omega(f, np.reshape(deltas[:8], (2, 4)), p, grid)
+        assert grid2d.shape == (2, 4) and grid2d.ravel().tolist() == want[:8]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        steps=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        offs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    )
+    def test_ladder_random_deltas(self, seed, steps, offs):
+        f = random_function(seed)
+        grid = WindowGrid(u_samples=8, refine=False)
+        deltas = [i * T_LATTICE for i in steps] + [o * 40 * T_LATTICE for o in offs]
+        deltas += deltas[:2]
+        want = [per_delta_omega(f, d, 2.0, grid) for d in deltas]
+        assert modulus_omega(f, deltas, 2.0, grid).tolist() == want
+
+    @pytest.mark.parametrize("delta", [-0.1, math.inf, math.nan, [0.2, -1.0]])
+    def test_bad_delta(self, delta):
+        with pytest.raises(ValueError):
+            modulus_omega(SMOOTH, delta, 2.0)
 
     @pytest.mark.parametrize("delta", [0.1, 1.0, 3.0])
     def test_cos_sup_closed_form(self, delta):

@@ -25,12 +25,3 @@ def test_fit_majorant_report(capsys):
     assert fit["window_average_violations"] == 0
     assert fit["majorant"]["type"] == "table"
 
-
-def test_run_verification(tmp_path, capsys):
-    script = load_script("run_verification")
-    argv = ["--spectrum", "lacunary", "--theorem", "thm6", "--n-max", "32"]
-    assert script.main(argv + ["--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "lacunary_thm6" / "report.json").read_text())
-    assert report["summary"]["regression_ok"] is True
-    assert report["summary"]["records"] == 2 * 2 * 32
-    assert "regression_ok=True" in capsys.readouterr().out

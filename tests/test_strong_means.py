@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apsum import measures, strong_means
 from apsum.matrices import SummabilityMatrix, cesaro_matrix, explicit_matrix
-from apsum.measures import PowerModulus, WindowGrid, best_approx_tail
+from apsum.measures import (
+    T_LATTICE,
+    PowerModulus,
+    WindowGrid,
+    best_approx_tail,
+    modulus_omega,
+)
 from apsum.spectra import Spectrum, QuasiPeriodicFunction
 from apsum.strong_means import (
     StrongMeanParams,
@@ -58,6 +65,19 @@ def plain_bracket_mean(f, w, weights, q, alpha, divisor):
             continue
         total += a * (w(math.pi / (k + 1)) + plain_tail(f, alpha * k / divisor)) ** q
     return total ** (1.0 / q)
+
+
+def ragged_rows(rng, count):
+    """Explicit stochastic rows with zero holes; row n has 1 to n + 4
+    entries, so some rows are longer than n + 1."""
+    rows = []
+    for n in range(count):
+        size = int(rng.integers(1, n + 5))
+        row = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) < 0.6)
+        if not row.any():
+            row[int(rng.integers(size))] = 1.0
+        rows.append(row / row.sum())
+    return rows
 
 
 def random_case(seed):
@@ -373,31 +393,98 @@ class TestRatioSeries:
         assert rs.max_ratio <= 50.0
         assert rs.head_tail_bounded(4, 2.0)
 
-    def test_omega_cache_reused_and_bounded(self):
-        from apsum.strong_means import _omega_cached
+    def test_thm2_norms_each_shift_once(self, monkeypatch):
+        shifts, norm_calls, omega_calls = [], [], []
+        translate = QuasiPeriodicFunction.translate_difference
+        norm = measures.stepanov_norm
+        omega = strong_means.modulus_omega
 
-        _omega_cached.cache_clear()
-        params = StrongMeanParams(q=2.0, alpha=1.0)
-        xg = (0.0, 1.0)
+        def counted_translate(self, a):
+            shifts.append(a)
+            return translate(self, a)
+
+        def counted_omega(*args, **kwargs):
+            omega_calls.append(args[1])
+            return omega(*args, **kwargs)
+
+        def counted_norm(*args):
+            norm_calls.append(args[0])
+            return norm(*args)
+
+        monkeypatch.setattr(QuasiPeriodicFunction, "translate_difference", counted_translate)
+        monkeypatch.setattr(measures, "stepanov_norm", counted_norm)
+        monkeypatch.setattr(strong_means, "modulus_omega", counted_omega)
         ratio_series(
             SMOOTH,
             "thm2",
             range(1, 7),
-            params,
+            StrongMeanParams(q=2.0, alpha=1.0),
             matrix=cesaro_matrix(),
-            x_grid=xg,
+            x_grid=(0.0, 1.0),
             p=2.0,
             grid=WindowGrid(u_samples=32, refine=False),
         )
-        info = _omega_cached.cache_info()
-        # rows 1..6 look up k = 0..n each: 27 lookups over 7 distinct k
-        assert (info.misses, info.hits) == (7, 20)
+        # rows 1..6 weigh k = 0..6: the per-delta shift sets of pi/(k+1)
+        want = set()
+        for k in range(7):
+            delta = math.pi / (k + 1)
+            ts = [i * T_LATTICE for i in range(1, int(delta / T_LATTICE) + 1)]
+            want.update(ts if ts and ts[-1] >= delta else ts + [delta])
+        assert len(omega_calls) == 1
+        assert len(norm_calls) == len(shifts) == len(want)
+        assert sorted(shifts) == sorted(want)
 
-        grid = WindowGrid(u_samples=1, panels_per_window=1, gl_nodes=2, refine=False)
-        for k in range(info.maxsize + 8):
-            _omega_cached(CONST, k, 2.0, grid)
-        assert _omega_cached.cache_info().currsize == info.maxsize
-        _omega_cached.cache_clear()
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 100_000), q=st.sampled_from([0.5, 1.3, 2.0]))
+    def test_sweep_matches_scalar_views(self, seed, q):
+        f, _, x, alpha, _ = random_case(seed)
+        rows = ragged_rows(np.random.default_rng(seed + 1), 8)
+        m = explicit_matrix(rows)
+        params = StrongMeanParams(q=q, alpha=alpha, c=2.0)
+        w = PowerModulus(1.3, 0.7)
+        xg = (x, x + 0.5)
+        grid = WindowGrid(u_samples=4, refine=False)
+        oms = [modulus_omega(f, math.pi / (k + 1), 2.0, grid) for k in range(11)]
+        atol = 1e-12 * f.spectrum.amplitude_mass()
+        views = {
+            "prop4": lambda n: (
+                dyadic_strong_mean(f, x, n, params),
+                prop_dyadic_rhs(w, f, n, params),
+            ),
+            "thm5": lambda n: (
+                strong_mean(f, x, m, n, params),
+                gm2_rows_rhs(m.row(n), w, f, params),
+            ),
+            "thm6": lambda n: (
+                strong_mean(f, x, m, n, params),
+                ms_rows_rhs(m.row(n), w, f, params),
+            ),
+            "thm2": lambda n: (
+                max(strong_mean(f, xx, m, n, params) for xx in xg),
+                omega_rows_rhs(m.row(n), f, q, 2.0, grid),
+            ),
+        }
+        for theorem, view in views.items():
+            rs = ratio_series(
+                f, theorem, range(8), params, m, w, x=x, x_grid=xg, p=2.0, grid=grid
+            )
+            for rec in rs.records:
+                n = rec.n
+                assert (rec.lhs, rec.rhs) == view(n)
+                if theorem == "prop4":
+                    row = np.zeros(2 * n + 1)
+                    row[n:] = 1.0 / (n + 1)
+                    lhs = plain_strong_mean(f, x, row, q, alpha)
+                    rhs = w(math.pi / (n + 1)) + plain_tail(f, alpha * n / 2.0)
+                elif theorem == "thm2":
+                    lhs = max(plain_strong_mean(f, xx, rows[n], q, alpha) for xx in xg)
+                    rhs = power_mean(rows[n], np.array(oms[: rows[n].size]), q)
+                else:
+                    lhs = plain_strong_mean(f, x, rows[n], q, alpha)
+                    divisor = 8.0 if theorem == "thm5" else 2.0
+                    rhs = plain_bracket_mean(f, w, rows[n], q, alpha, divisor)
+                assert rec.lhs == pytest.approx(lhs, rel=1e-12, abs=atol)
+                assert rec.rhs == pytest.approx(rhs, rel=1e-12, abs=atol)
 
     def test_requires_inputs(self):
         params = StrongMeanParams(q=1.0, alpha=1.0)
