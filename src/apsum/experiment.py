@@ -2,13 +2,11 @@
 
 A run is fully described by one JSON document (spectrum and matrix
 sources, majorant, exponents, sweep range, grids, thresholds).  The
-runner resolves the inputs, sweeps the requested bound shape over n for
-every (x, q) combination, and assembles a deterministic report: records
-sorted by (x, q, n), a summary with the worst ratio and regression
+runner resolves the inputs, makes one sweep of the requested bound shape
+over n for every (x, q) combination, and assembles a deterministic report:
+records sorted by (x, q, n), a summary with the worst ratio and regression
 verdicts, and the normalized config echoed back so the exact run can be
 reproduced from its own report.
-
-APSUM_THREADS caps the worker pool; results are identical for any count.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -41,13 +38,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import (
-    THEOREMS,
-    RatioSeries,
-    StrongMeanParams,
-    ratio_series,
-    strong_mean,
-)
+from .strong_means import THEOREMS, StrongMeanParams, ratio_sweep, strong_mean_rows
 
 __all__ = [
     "ConfigError",
@@ -59,7 +50,6 @@ __all__ = [
     "records_csv",
     "report_to_dict",
     "write_report",
-    "max_workers",
 ]
 
 BUILTIN_SPECTRA = ("smooth", "lacunary", "irrational", "constant")
@@ -114,6 +104,19 @@ def _number(data: dict, field: str, default, kind=float):
         return kind(data.get(field, default))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(field, f"must be a number, got {data[field]!r}") from None
+
+
+def _fit_plan(src: dict) -> SamplePlan:
+    """Sample plan of a {"type": "fit"} majorant: an integer count >= 1 and
+    a finite top > 0, else ConfigError."""
+    count, top = src.get("count", 20), src.get("top", 2.0 * math.pi)
+    try:
+        ok = int(count) == count and count >= 1 and 0.0 < float(top) < math.inf
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError("majorant", f"fit needs count >= 1 and 0 < top < inf, got {src!r}")
+    return SamplePlan.default(top=float(top), count=int(count))
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,9 @@ class ExperimentConfig:
             x = _as_tuple(data.get("x", 0.0))
         except (TypeError, ValueError):
             raise ConfigError("x", "must be a number or list of numbers")
+        literal = data.get("thm5_literal_exponent", False)
+        if not isinstance(literal, bool):
+            raise ConfigError("thm5_literal_exponent", f"must be true or false, got {literal!r}")
         try:
             grid = WindowGrid(**data.get("grid", {}))
         except (TypeError, ValueError) as exc:
@@ -204,7 +210,7 @@ class ExperimentConfig:
             x=x,
             x_samples=_number(data, "x_samples", 16, int),
             grid=grid,
-            thm5_literal_exponent=bool(data.get("thm5_literal_exponent", False)),
+            thm5_literal_exponent=literal,
             max_ratio=_number(data, "max_ratio", 50.0),
             blowup_head=_number(data, "blowup_head", 8, int),
             blowup_factor=_number(data, "blowup_factor", 2.0),
@@ -214,6 +220,8 @@ class ExperimentConfig:
         cfg.resolve_function(base_dir, allow_invalid)  # cross-field checks
         if cfg.theorem in ("thm2", "thm5", "thm6") and cfg.matrix is None:
             raise ConfigError("matrix", f"required for theorem {cfg.theorem}")
+        if cfg.theorem != "thm2":
+            cfg._majorant_source()
         return cfg
 
     @classmethod
@@ -287,25 +295,27 @@ class ExperimentConfig:
         except MatrixError as exc:
             raise ConfigError("matrix", str(exc))
 
+    def _majorant_source(self) -> SamplePlan | ModulusMajorant:
+        """The sample plan of a "fit" majorant, else the majorant itself."""
+        src = self.majorant if self.majorant is not None else {"type": "fit"}
+        if not isinstance(src, dict):
+            raise ConfigError("majorant", "must be an object")
+        if src.get("type") == "fit":
+            return _fit_plan(src)
+        try:
+            return majorant_from_dict(src)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("majorant", str(exc))
+
     def resolve_majorant(
         self, f: QuasiPeriodicFunction, x: float
     ) -> ModulusMajorant | None:
         if self.theorem == "thm2":
             return None
-        src = self.majorant if self.majorant is not None else {"type": "fit"}
-        if not isinstance(src, dict):
-            raise ConfigError("majorant", "must be an object")
-        if src.get("type") == "fit":
-            plan = SamplePlan.default(
-                top=float(src.get("top", 2.0 * math.pi)),
-                count=int(src.get("count", 20)),
-            )
-            w, _ = fit_class_majorant(f, x, self.p, plan)
-            return w
-        try:
-            return majorant_from_dict(src)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("majorant", str(exc))
+        source = self._majorant_source()
+        if isinstance(source, SamplePlan):
+            return fit_class_majorant(f, x, self.p, source)[0]
+        return source
 
 
 @dataclass(frozen=True)
@@ -326,110 +336,48 @@ class ExperimentReport:
     summary: dict
 
 
-def max_workers() -> int:
-    raw = os.environ.get("APSUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _combo_series(
-    cfg: ExperimentConfig,
-    f: QuasiPeriodicFunction,
-    matrix: SummabilityMatrix | None,
-    w: ModulusMajorant | None,
-    x: float | None,
-    q: float,
-    n_values,
-    x_grid,
-) -> RatioSeries:
-    params = StrongMeanParams(
-        q=q,
-        alpha=f.spectrum.alpha,
-        c=cfg.c,
-        literal_c_exponent=cfg.thm5_literal_exponent,
-    )
-    return ratio_series(
-        f,
-        cfg.theorem,
-        n_values,
-        params,
-        matrix=matrix,
-        w=w,
-        x=x,
-        x_grid=x_grid,
-        p=cfg.p,
-        grid=cfg.grid,
-        side_tol=cfg.side_tol,
-    )
-
-
 def run(cfg: ExperimentConfig, base_dir: Path | None = None) -> ExperimentReport:
-    """Execute the configured sweep; deterministic for any worker count."""
+    """Execute the configured sweep: one ``ratio_sweep`` call for every
+    (x, q) of the config."""
     f = cfg.resolve_function(base_dir)
     matrix = cfg.resolve_matrix(base_dir)
     lo, hi = cfg.n_range
-    n_values = list(range(lo, hi + 1))
 
     if cfg.theorem == "thm2":
         span = resolve_span(f, cfg.grid)
         x_grid = tuple(np.linspace(0.0, span, max(1, cfg.x_samples), endpoint=False))
-        combos = [(None, q) for q in cfg.q]
+        points = [(None, None)]
     else:
         x_grid = None
-        combos = [(x, q) for x in cfg.x for q in cfg.q]
+        majorants = {x: cfg.resolve_majorant(f, x) for x in set(cfg.x)}
+        points = [(x, majorants[x]) for x in cfg.x]
+    alpha, literal = f.spectrum.alpha, cfg.thm5_literal_exponent
+    params = [StrongMeanParams(q, alpha, cfg.c, literal) for q in cfg.q]
+    series = ratio_sweep(
+        f, cfg.theorem, range(lo, hi + 1), params, points,
+        matrix=matrix, x_grid=x_grid, p=cfg.p, grid=cfg.grid, side_tol=cfg.side_tol,
+    )
 
-    majorants = {
-        x: cfg.resolve_majorant(f, x) for x in {x for x, _ in combos if x is not None}
-    }
-
-    def compute(combo):
-        x, q = combo
-        return _combo_series(
-            cfg, f, matrix, majorants.get(x), x, q, n_values, x_grid
-        )
-
-    workers = max_workers()
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            series = list(pool.map(compute, combos))
-    else:
-        series = [compute(c) for c in combos]
-
-    records: list[ReportRow] = []
-    worst = (-math.inf, None)
-    regression_ok = True
-    side_flags = []
-    flag_counts: dict[str, int] = {}
-    for (x, q), rs in zip(combos, series):
-        for rec in rs.records:
-            records.append(ReportRow(x, q, rec.n, rec.lhs, rec.rhs, rec.ratio, rec.flags))
-            for fl in rec.flags:
-                flag_counts[fl] = flag_counts.get(fl, 0) + 1
-            if rec.ratio > worst[0]:
-                worst = (rec.ratio, (x, q, rec.n))
-        if rs.records:
-            ok = (
-                rs.max_ratio <= cfg.max_ratio
-                and rs.head_tail_bounded(cfg.blowup_head, cfg.blowup_factor)
-            )
-            regression_ok = regression_ok and ok
-        if rs.side_condition_ok is not None:
-            side_flags.append(rs.side_condition_ok)
-
+    records = [
+        ReportRow(rs.x, rs.q, rec.n, rec.lhs, rec.rhs, rec.ratio, rec.flags)
+        for rs in series
+        for rec in rs.records
+    ]
+    worst = max(records, key=lambda r: r.ratio, default=None)  # first of the largest
+    side = [rs.side_condition_ok for rs in series if rs.side_condition_ok is not None]
     summary = {
         "theorem": cfg.theorem,
         "records": len(records),
-        "max_ratio": worst[0] if records else 0.0,
-        "argmax": (
-            None
-            if worst[1] is None
-            else {"x": worst[1][0], "q": worst[1][1], "n": worst[1][2]}
+        "max_ratio": worst.ratio if records else 0.0,
+        "argmax": None if worst is None else {"x": worst.x, "q": worst.q, "n": worst.n},
+        "regression_ok": all(
+            rs.max_ratio <= cfg.max_ratio
+            and rs.head_tail_bounded(cfg.blowup_head, cfg.blowup_factor)
+            for rs in series
+            if rs.records
         ),
-        "regression_ok": regression_ok,
-        "side_condition_ok": (all(side_flags) if side_flags else None),
-        "flag_counts": flag_counts,
+        "side_condition_ok": all(side) if side else None,
+        "flag_counts": dict(Counter(fl for r in records for fl in r.flags)),
     }
     return ExperimentReport(config=cfg.to_dict(), records=tuple(records), summary=summary)
 
@@ -441,14 +389,14 @@ def strong_mean_table(cfg: ExperimentConfig, base_dir: Path | None = None) -> st
     if matrix is None:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range
+    rows = [matrix.row(n) for n in range(lo, hi + 1)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "q", "n", "strong_mean"])
     for x in cfg.x:
-        for q in cfg.q:
-            params = StrongMeanParams(q=q, alpha=f.spectrum.alpha, c=cfg.c)
-            for n in range(lo, hi + 1):
-                value = strong_mean(f, x, matrix, n, params)
+        means = strong_mean_rows(f, x, rows, cfg.q, f.spectrum.alpha)
+        for q, values in zip(cfg.q, means):
+            for n, value in enumerate(values, lo):
                 writer.writerow([repr(x), repr(q), n, repr(value)])
     return buf.getvalue()
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
-from .spectra import FREQ_RTOL, QuasiPeriodicFunction, SpectrumError, _gl_panels
+from .spectra import FREQ_RTOL, QuasiPeriodicFunction, Spectrum, SpectrumError, _gl_panels
 
 __all__ = [
     "QuadratureConfig",
@@ -323,18 +323,16 @@ def partial_sum_kernel_table(
     return out
 
 
-def kernel_mass(alpha: float, k: int, cfg: QuadratureConfig | None = None) -> float:
-    """Numerical int_0^inf Psi_k(t) dt: quadrature to T plus the exact tail.
+def kernel_mass(alpha: float, k, cfg: QuadratureConfig | None = None):
+    """Numerical int_0^inf Psi_k(t) dt for a scalar k (a float) or an array
+    of k (an array, from one table call).
 
-    The exact value is 1/2 for every alpha > 0, k >= 1.
+    For f = 1/2 the kernel integral at any x is the mass itself, so this is
+    the kernel table of the constant spectrum with gap alpha at x = 0.  The
+    exact value is 1/2 for every alpha > 0, k >= 1.
     """
-    cfg = cfg or QuadratureConfig()
-    T = cfg.resolve_truncation(alpha)
-    w1, w2 = _band_edges(alpha, k)
-    width = (2.0 * math.pi / (w1 + w2)) / cfg.panels_per_oscillation
-    n_panels = max(1, int(math.ceil(T / width)))
-    t, w = _gl_panels(0.0, T, n_panels, cfg.gl_nodes)
-    quad = float(np.dot(w, psi_k(alpha, k, t)))
-    c = _cos_tail(np.array([w1, w2]), T)
-    tail = (2.0 / (alpha * math.pi)) * (c[0] - c[1])
-    return quad + tail
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    half = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, [(0.0, 0.5, 0.0)]))
+    masses = partial_sum_kernel_table(half, np.ravel(k), [0.0], cfg)[0]
+    return float(masses[0]) if np.ndim(k) == 0 else masses.reshape(np.shape(k))

@@ -127,25 +127,28 @@ class TableModulus(ModulusMajorant):
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        ds = [d for d, _ in self.knots]
-        ws = [w for _, w in self.knots]
-        if not ds or ds[0] != 0.0 or ws[0] != 0.0:
+        ds = np.array([d for d, _ in self.knots], dtype=float)
+        ws = np.array([w for _, w in self.knots], dtype=float)
+        object.__setattr__(self, "_ds", ds)
+        object.__setattr__(self, "_ws", ws)
+        if not ds.size or ds[0] != 0.0 or ws[0] != 0.0:
             raise ValueError("knots must start at (0, 0)")
-        if any(b <= a for a, b in zip(ds, ds[1:])):
+        if np.any(np.diff(ds) <= 0.0):
             raise ValueError("knot abscissae must increase strictly")
-        if any(w < 0.0 for w in ws) or any(b < a for a, b in zip(ws, ws[1:])):
+        if np.any(ws < 0.0) or np.any(np.diff(ws) < 0.0):
             raise ValueError("knot values must be nonnegative and nondecreasing")
-        for i, di in enumerate(ds[1:], 1):
-            for dj in ds[1:i + 1]:
-                if self._eval(di + dj) > self._eval(di) + self._eval(dj) + 1e-12:
-                    raise ValueError(
-                        f"not subadditive at knots ({di:.6g}, {dj:.6g})"
-                    )
+        # every pair (d_i, d_j), j <= i, of positive knots; argwhere keeps the
+        # row-major order, so the first offending pair is the first in i, j
+        d = ds[1:]
+        at = self._eval(d)
+        over = self._eval(d[:, None] + d[None, :]) > at[:, None] + at[None, :] + 1e-12
+        bad = np.argwhere(np.tril(over))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"not subadditive at knots ({d[i]:.6g}, {d[j]:.6g})")
 
     def _eval(self, delta):
-        ds = np.array([d for d, _ in self.knots])
-        ws = np.array([w for _, w in self.knots])
-        return np.interp(delta, ds, ws)
+        return np.interp(delta, self._ds, self._ws)
 
     def __call__(self, delta):
         out = self._eval(np.asarray(delta, dtype=float))

@@ -15,8 +15,10 @@ expressions mirror three estimate shapes:
               2^(1+floor(c)) with a switch for the literal 2^(1+c)
     omega:    ( sum_k a[n,k] omega(pi/(k+1))^q )^(1/q)
 
-``ratio_series`` reads every row from one per-k table per side and reports
-lhs, rhs, lhs/rhs with 0/0 as ratio 0 (flagged) and finite/0 as inf.
+``ratio_sweep`` serves every x and q of a run from one set of per-k
+tables (only the row means see q) and reports lhs, rhs, lhs/rhs with 0/0
+as ratio 0 (flagged) and finite/0 as inf; ``ratio_series`` is its view
+for one (x, q).
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ __all__ = [
     "omega_rows_rhs",
     "RatioRecord",
     "RatioSeries",
+    "ratio_sweep",
     "ratio_series",
+    "strong_mean_rows",
 ]
 
 
@@ -67,10 +71,6 @@ class StrongMeanParams:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if not self.c > 1.0:
             raise ValueError(f"c must be > 1, got {self.c}")
-
-    def gamma(self, k):
-        """Cutoff alpha k / 2, elementwise for an array of k."""
-        return 0.5 * self.alpha * k
 
     def tail_divisor(self) -> float:
         if self.literal_c_exponent:
@@ -97,9 +97,22 @@ def power_mean(weights: np.ndarray, values: np.ndarray, q: float) -> float:
     return top * float(np.dot(w, (v / top) ** q)) ** (1.0 / q)
 
 
-def _deviations(f: QuasiPeriodicFunction, x: float, size: int, params) -> np.ndarray:
-    """|S_{alpha k/2} f(x) - f(x)| for k < size: one ladder call."""
-    return np.abs(f.partial_sums(x, params.gamma(np.arange(size))) - f(x))
+def _deviations(f: QuasiPeriodicFunction, x: float, size: int, alpha: float) -> np.ndarray:
+    """|S_{alpha k/2} f(x) - f(x)| for k < size: one ladder call.  Entry k
+    does not depend on ``size``."""
+    return np.abs(f.partial_sums(x, 0.5 * alpha * np.arange(size)) - f(x))
+
+
+def _row_means(rows, table: np.ndarray, q: float) -> list[float]:
+    """power_mean of each row against the head of one per-k table."""
+    return [power_mean(row, table[: row.size], q) for row in rows]
+
+
+def strong_mean_rows(f: QuasiPeriodicFunction, x: float, rows, qs, alpha: float):
+    """H_n(x) for each q (outer list) and each row (inner list), all read
+    from one deviation table."""
+    dev = _deviations(f, x, max((row.size for row in rows), default=0), alpha)
+    return [_row_means(rows, dev, q) for q in qs]
 
 
 def _brackets(w, f: QuasiPeriodicFunction, params, divisor: float, size: int) -> np.ndarray:
@@ -135,16 +148,14 @@ def strong_mean(
     params: StrongMeanParams,
 ) -> float:
     """Weighted power mean of cutoff deviations with row n of the matrix."""
-    row = matrix.row(n)
-    return power_mean(row, _deviations(f, x, row.size, params), params.q)
+    return strong_mean_rows(f, x, [matrix.row(n)], [params.q], params.alpha)[0][0]
 
 
 def dyadic_strong_mean(
     f: QuasiPeriodicFunction, x: float, n: int, params: StrongMeanParams
 ) -> float:
     """Uniform strong mean over the dyadic block k in [n, 2n]."""
-    row = _dyadic_row(n)
-    return power_mean(row, _deviations(f, x, row.size, params), params.q)
+    return strong_mean_rows(f, x, [_dyadic_row(n)], [params.q], params.alpha)[0][0]
 
 
 def prop_dyadic_rhs(
@@ -222,6 +233,88 @@ class RatioSeries:
 THEOREMS = ("prop4", "thm2", "thm5", "thm6")
 
 
+def _record(n: int, lhs: float, rhs: float) -> RatioRecord:
+    """lhs/rhs with 0/0 as ratio 0 and finite/0 as inf, each flagged."""
+    if rhs > 0.0:
+        return RatioRecord(n, lhs, rhs, lhs / rhs, ())
+    if lhs == 0.0:
+        return RatioRecord(n, lhs, rhs, 0.0, ("zero-over-zero",))
+    return RatioRecord(n, lhs, rhs, math.inf, ("infinite-ratio",))
+
+
+def ratio_sweep(
+    f: QuasiPeriodicFunction,
+    theorem: str,
+    n_values,
+    params,
+    points,
+    matrix: SummabilityMatrix | None = None,
+    x_grid=None,
+    p: float | None = None,
+    grid: WindowGrid | None = None,
+    side_tol: float = 0.05,
+) -> list[RatioSeries]:
+    """Per-n lhs/rhs/ratio sweeps for one bound shape, one per (x, q).
+
+    ``params`` holds one StrongMeanParams per q, all with the same alpha, c
+    and exponent switch; ``points`` holds one (x, w) pair per evaluation
+    point.  The rows, the side condition and the omega table are built once,
+    the deviation and bracket tables once per point, and only the row means
+    see q.  Series come x-major, in the order of ``points`` and ``params``.
+
+    prop4: dyadic mean at x against w + tail.
+    thm5/thm6: matrix strong mean at x against the bracket means.
+    thm2: sup of the strong mean over ``x_grid`` (one deviation table per
+    grid point) against the omega mean; x only labels the series.
+    """
+    if theorem not in THEOREMS:
+        raise ValueError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
+    n_values = [int(n) for n in n_values]
+    needs_matrix = theorem in ("thm2", "thm5", "thm6")
+    if needs_matrix and matrix is None:
+        raise ValueError(f"{theorem} needs a summability matrix")
+    if theorem in ("prop4", "thm5", "thm6"):
+        if any(w is None for _, w in points):
+            raise ValueError(f"{theorem} needs a majorant")
+        if any(x is None for x, _ in points):
+            raise ValueError(f"{theorem} is pointwise; pass x")
+    if theorem == "thm2":
+        if x_grid is None or len(x_grid) == 0:
+            raise ValueError("thm2 needs a nonempty x_grid")
+        if p is None:
+            raise ValueError("thm2 needs the window exponent p")
+    if len({(s.alpha, s.c, s.literal_c_exponent) for s in params}) > 1:
+        raise ValueError("params must share alpha, c and literal_c_exponent")
+    if not params or not points:
+        return []
+
+    side_ok: bool | None = None
+    if needs_matrix and n_values:
+        side_ok, _ = side_condition(matrix, n_values, side_tol)
+
+    base, qs = params[0], [s.q for s in params]
+    rows = [_dyadic_row(n) if theorem == "prop4" else matrix.row(n) for n in n_values]
+    size = max((row.size for row in rows), default=0)
+    divisor = base.tail_divisor() if theorem == "thm5" else 2.0
+    if theorem == "thm2":
+        grid_means = [strong_mean_rows(f, xx, rows, qs, base.alpha) for xx in x_grid]
+        lhs = [[max(col) for col in zip(*per_q)] for per_q in zip(*grid_means)]
+        bound = _omegas(f, rows, p, grid)
+    series = []
+    for x, w in points:
+        if theorem != "thm2":
+            lhs = strong_mean_rows(f, x, rows, qs, base.alpha)
+            bound = _brackets(w, f, base, divisor, size)
+        for q, lhs_q in zip(qs, lhs):
+            if theorem == "prop4":
+                rhs = [float(bound[n]) for n in n_values]
+            else:
+                rhs = _row_means(rows, bound, q)
+            records = tuple(map(_record, n_values, lhs_q, rhs))
+            series.append(RatioSeries(theorem, x, q, records, side_ok))
+    return series
+
+
 def ratio_series(
     f: QuasiPeriodicFunction,
     theorem: str,
@@ -235,56 +328,7 @@ def ratio_series(
     grid: WindowGrid | None = None,
     side_tol: float = 0.05,
 ) -> RatioSeries:
-    """Per-n lhs/rhs/ratio sweep for one bound shape.
-
-    prop4: dyadic mean at x against w + tail.
-    thm5/thm6: matrix strong mean at x against the bracket means.
-    thm2: sup of the strong mean over ``x_grid`` against the omega mean.
-    """
-    if theorem not in THEOREMS:
-        raise ValueError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
-    n_values = [int(n) for n in n_values]
-    needs_matrix = theorem in ("thm2", "thm5", "thm6")
-    if needs_matrix and matrix is None:
-        raise ValueError(f"{theorem} needs a summability matrix")
-    if theorem in ("prop4", "thm5", "thm6"):
-        if w is None:
-            raise ValueError(f"{theorem} needs a majorant")
-        if x is None:
-            raise ValueError(f"{theorem} is pointwise; pass x")
-    if theorem == "thm2":
-        if x_grid is None or len(x_grid) == 0:
-            raise ValueError("thm2 needs a nonempty x_grid")
-        if p is None:
-            raise ValueError("thm2 needs the window exponent p")
-
-    side_ok: bool | None = None
-    if needs_matrix and n_values:
-        side_ok, _ = side_condition(matrix, n_values, side_tol)
-
-    rows = [_dyadic_row(n) if theorem == "prop4" else matrix.row(n) for n in n_values]
-    size = max((row.size for row in rows), default=0)
-    if theorem == "thm2":
-        xs, bound = x_grid, _omegas(f, rows, p, grid)
-    else:
-        divisor = params.tail_divisor() if theorem == "thm5" else 2.0
-        xs, bound = (x,), _brackets(w, f, params, divisor, size)
-    devs = [_deviations(f, xx, size, params) for xx in xs]
-    records = []
-    for n, row in zip(n_values, rows):
-        flags: list[str] = []
-        lhs = max(power_mean(row, dev[: row.size], params.q) for dev in devs)
-        if theorem == "prop4":
-            rhs = float(bound[n])
-        else:
-            rhs = power_mean(row, bound[: row.size], params.q)
-        if rhs > 0.0:
-            ratio = lhs / rhs
-        elif lhs == 0.0:
-            ratio = 0.0
-            flags.append("zero-over-zero")
-        else:
-            ratio = math.inf
-            flags.append("infinite-ratio")
-        records.append(RatioRecord(n, lhs, rhs, ratio, tuple(flags)))
-    return RatioSeries(theorem, x, params.q, tuple(records), side_ok)
+    """The sweep of one (x, q): a view of ``ratio_sweep``."""
+    return ratio_sweep(
+        f, theorem, n_values, [params], [(x, w)], matrix, x_grid, p, grid, side_tol
+    )[0]

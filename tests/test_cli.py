@@ -48,6 +48,17 @@ def test_verify_non_numeric_field_exit_2(tmp_path, capsys):
     assert out["field"] == "c"
 
 
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
+def test_bad_fit_majorant_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"spectrum": {"builtin": "smooth"}, "majorant": {"type": "fit", "count": 2.7}})
+    )
+    assert main([command, str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["field"] == "majorant"
+
+
 def test_validate_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -16,7 +16,9 @@ from apsum.experiment import (
     strong_mean_table,
     write_report,
 )
+from apsum import strong_means
 from apsum.matrices import MatrixError, gm2_constant, is_ms
+from apsum.strong_means import StrongMeanParams, strong_mean
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,6 +36,20 @@ def make_config(**overrides):
     data = dict(BASE)
     data.update(overrides)
     return ExperimentConfig.from_dict(data)
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named strong_means functions; return the live call counts."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(strong_means, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(strong_means, name, counted)
+    return calls
 
 
 class TestBuiltinSpectra:
@@ -121,6 +137,42 @@ class TestConfigValidation:
             make_config(**{field: value})
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            {"count": "x"},
+            {"count": 2.7},
+            {"count": 0},
+            {"count": -3},
+            {"count": None},
+            {"count": float("inf")},
+            {"top": -1},
+            {"top": 0.0},
+            {"top": "x"},
+            {"top": float("nan")},
+            {"top": float("inf")},
+            {"top": [1.0]},
+        ],
+    )
+    def test_bad_fit_majorant_names_field(self, fit):
+        with pytest.raises(ConfigError) as err:
+            make_config(majorant={"type": "fit", **fit})
+        assert err.value.field == "majorant"
+
+    def test_fit_majorant_fields_used(self):
+        cfg = make_config(majorant={"type": "fit", "count": 3.0, "top": 2})
+        small = make_config(majorant={"type": "fit", "count": 3, "top": 2.0})
+        assert run(cfg).records == run(small).records
+        assert run(cfg).records != run(make_config()).records
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+    def test_literal_exponent_must_be_bool(self, value):
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem="thm5", matrix={"builtin": "cesaro"}, thm5_literal_exponent=value)
+        assert err.value.field == "thm5_literal_exponent"
+        cfg = make_config(theorem="thm5", matrix={"builtin": "cesaro"}, thm5_literal_exponent=True)
+        assert cfg.thm5_literal_exponent is True
+
     def test_matrix_required_for_matrix_theorems(self):
         with pytest.raises(ConfigError) as err:
             make_config(theorem="thm6")
@@ -200,10 +252,11 @@ class TestRun:
         a = records_csv(run(cfg))
         b = records_csv(run(cfg))
         assert a == b
+        # APSUM_THREADS is not read: setting it changes nothing
         monkeypatch.setenv("APSUM_THREADS", "4")
         assert records_csv(run(cfg)) == a
         # every shipped config passes and writes the same report.json bytes
-        # at one and at two threads
+        # with APSUM_THREADS at 1 and at 2
         for path in sorted(CONFIGS.glob("*.json")):
             cfg = ExperimentConfig.from_file(path)
             reports = []
@@ -214,6 +267,32 @@ class TestRun:
                 paths = write_report(report, tmp_path / f"{path.stem}-{threads}")
                 reports.append(paths[0].read_bytes())  # report.json
             assert reports[0] == reports[1], path.name
+
+    def test_one_sweep_per_run_pointwise(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_deviations", "side_condition", "modulus_omega")
+        cfg = make_config(
+            theorem="thm6",
+            matrix={"builtin": "cesaro"},
+            q=[0.5, 1.0, 2.0],
+            x=[0.0, 0.7],
+            n_range=[1, 32],
+        )
+        report = run(cfg)
+        assert len(report.records) == 2 * 3 * 32
+        assert calls == {"_deviations": 2, "side_condition": 1, "modulus_omega": 0}
+
+    def test_one_sweep_per_run_thm2(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_deviations", "side_condition", "modulus_omega")
+        cfg = make_config(
+            theorem="thm2",
+            matrix={"builtin": "cesaro"},
+            q=[1.0, 2.0],
+            x_samples=16,
+            n_range=[1, 8],
+        )
+        report = run(cfg)
+        assert [(r.x, r.q) for r in report.records[::8]] == [(None, 1.0), (None, 2.0)]
+        assert calls == {"_deviations": 16, "side_condition": 1, "modulus_omega": 1}
 
     def test_config_echo_round_trips(self):
         cfg = make_config(q=[1.0], n_range=[1, 6])
@@ -245,6 +324,49 @@ class TestOutputs:
         assert data["summary"]["records"] == 8
         again = ExperimentConfig.from_dict(data["config"])
         assert again.n_range == (1, 4)
+
+    @staticmethod
+    def per_row_table(cfg, base_dir=None):
+        """The per-(x, q, n) loop over the public strong_mean."""
+        f = cfg.resolve_function(base_dir)
+        matrix = cfg.resolve_matrix(base_dir)
+        lines = ["x,q,n,strong_mean"]
+        for x in cfg.x:
+            for q in cfg.q:
+                params = StrongMeanParams(q=q, alpha=f.spectrum.alpha, c=cfg.c)
+                for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
+                    lines.append(f"{x!r},{q!r},{n},{strong_mean(f, x, matrix, n, params)!r}")
+        return "\n".join(lines) + "\n"
+
+    def test_strong_mean_table_matches_per_row_loop(self):
+        cfgs = [
+            (ExperimentConfig.from_file(path), path.parent)
+            for path in sorted(CONFIGS.glob("*.json"))
+            if "matrix" in json.loads(path.read_text())
+        ]
+        cfgs.append(
+            (
+                make_config(
+                    theorem="thm6",
+                    matrix={"type": "explicit", "rows": [[1.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]},
+                    q=[0.5, 3.0],
+                    x=[0.0, -1.25, 2.5],
+                    n_range=[0, 2],
+                ),
+                None,
+            )
+        )
+        assert len(cfgs) == 4
+        for cfg, base in cfgs:
+            assert strong_mean_table(cfg, base) == self.per_row_table(cfg, base)
+
+    def test_strong_mean_table_one_ladder_per_x(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_deviations")
+        cfg = make_config(
+            theorem="thm6", matrix={"builtin": "cesaro"}, q=[0.5, 1.0, 2.0], x=[0.0, 0.7]
+        )
+        assert len(strong_mean_table(cfg).splitlines()) == 1 + 2 * 3 * 16
+        assert calls == {"_deviations": 2}
 
     def test_strong_mean_table(self):
         cfg = make_config(

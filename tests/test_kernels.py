@@ -253,11 +253,42 @@ class TestKernelTableOracle:
                 assert np.abs(got[:, i] - want).max() <= 4e-13
 
 
+def reference_mass(alpha, k, cfg=None):
+    """Per-k quadrature oracle: Psi_k on a grid sized for band k alone, plus
+    the exact tail past the truncation point."""
+    cfg = cfg or QuadratureConfig()
+    T = cfg.resolve_truncation(alpha)
+    w1, w2 = 0.5 * alpha * k, 0.5 * alpha * (k + 1)
+    width = (2.0 * math.pi / (w1 + w2)) / cfg.panels_per_oscillation
+    t, w = _gl_panels(0.0, T, max(1, int(math.ceil(T / width))), cfg.gl_nodes)
+    c = kernels._cos_tail(np.array([w1, w2]), T)
+    return float(np.dot(w, psi_k(alpha, k, t))) + (2.0 / (alpha * math.pi)) * (c[0] - c[1])
+
+
 class TestKernelMass:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 9, 33])
     def test_half(self, alpha, k):
-        assert kernel_mass(alpha, k) == pytest.approx(0.5, abs=1e-6)
+        got = kernel_mass(alpha, k)
+        assert isinstance(got, float)
+        assert got == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_table_matches_per_k_quadrature(self, alpha):
+        ks = np.arange(1, 65)
+        got = kernel_mass(alpha, ks)
+        assert got.shape == ks.shape
+        want = [reference_mass(alpha, int(k)) for k in ks]
+        assert np.abs(got - want).max() <= 1e-13
+        grid = kernel_mass(alpha, ks[:6].reshape(2, 3))
+        assert grid.shape == (2, 3)
+        assert grid.ravel().tolist() == kernel_mass(alpha, ks[:6]).tolist()
+
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError):
+            kernel_mass(0.0, 3)
+        with pytest.raises(ValueError):
+            kernel_mass(1.0, 0)
 
     def test_tail_bound_scale(self):
         # dropped-tail bound for the default truncation stays conservative

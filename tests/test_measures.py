@@ -73,6 +73,32 @@ class TestMajorants:
         with pytest.raises(ValueError):
             TableModulus(((0.0, 0.0), (1.0, 0.1), (2.0, 1.0)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=12),
+        rises=st.lists(st.floats(0.0, 1.5), min_size=12, max_size=12),
+    )
+    def test_table_check_matches_pair_loop(self, steps, rises):
+        ds = np.cumsum([0.0] + steps).tolist()
+        ws = np.cumsum([0.0] + rises[: len(steps)]).tolist()
+        knots = tuple(zip(ds, ws))
+
+        def w(d):
+            return np.interp(d, ds, ws)
+
+        # the pair loop the vectorised check replaced: first offending pair
+        want = None
+        for i, di in enumerate(ds[1:], 1):
+            for dj in ds[1 : i + 1]:
+                if want is None and w(di + dj) > w(di) + w(dj) + 1e-12:
+                    want = f"not subadditive at knots ({di:.6g}, {dj:.6g})"
+        if want is None:
+            assert TableModulus(knots).knots == knots
+        else:
+            with pytest.raises(ValueError) as err:
+                TableModulus(knots)
+            assert str(err.value) == want
+
     def test_table_must_start_at_origin(self):
         with pytest.raises(ValueError):
             TableModulus(((0.5, 0.1), (1.0, 0.2)))

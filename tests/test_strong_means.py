@@ -23,6 +23,7 @@ from apsum.strong_means import (
     power_mean,
     prop_dyadic_rhs,
     ratio_series,
+    ratio_sweep,
     strong_mean,
 )
 
@@ -485,6 +486,32 @@ class TestRatioSeries:
                     rhs = plain_bracket_mean(f, w, rows[n], q, alpha, divisor)
                 assert rec.lhs == pytest.approx(lhs, rel=1e-12, abs=atol)
                 assert rec.rhs == pytest.approx(rhs, rel=1e-12, abs=atol)
+
+    def test_sweep_equals_series_per_combo(self):
+        m = cesaro_matrix()
+        xs, qs = (0.0, 0.7, 0.0), (0.5, 1.0, 2.0)
+        ws = {0.0: PowerModulus(1.0), 0.7: PowerModulus(0.5, 0.5)}
+        grid = WindowGrid(u_samples=16, refine=False)
+        xg = (0.0, 1.0, 2.5)
+        for theorem in ("prop4", "thm2", "thm5", "thm6"):
+            params = [StrongMeanParams(q=q, alpha=1.0, c=2.5) for q in qs]
+            points = [(x, ws[x]) for x in xs]
+            got = ratio_sweep(
+                SMOOTH, theorem, range(0, 9), params, points, m, xg, 2.0, grid
+            )
+            want = [
+                ratio_series(
+                    SMOOTH, theorem, range(0, 9), s, m, ws[x], x, xg, 2.0, grid
+                )
+                for x in xs
+                for s in params
+            ]
+            assert got == want
+        assert ratio_sweep(SMOOTH, "thm6", range(4), [], [(0.0, ws[0.0])], m) == []
+        assert ratio_sweep(SMOOTH, "thm6", range(4), params, [], m) == []
+        mixed = [StrongMeanParams(q=1.0, alpha=1.0), StrongMeanParams(q=2.0, alpha=2.0)]
+        with pytest.raises(ValueError):
+            ratio_sweep(SMOOTH, "thm6", range(4), mixed, [(0.0, ws[0.0])], m)
 
     def test_requires_inputs(self):
         params = StrongMeanParams(q=1.0, alpha=1.0)
