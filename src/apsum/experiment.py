@@ -92,10 +92,17 @@ def builtin_matrices(name: str, params: dict | None = None) -> SummabilityMatrix
     return matrix_from_dict({"type": name, "params": params or {}})
 
 
-def _as_tuple(value, kind=float) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(kind(v) for v in value)
-    return (kind(value),)
+def _numbers(data: dict, field: str, default) -> tuple[float, ...]:
+    """The field's number or list of numbers as a nonempty tuple, else
+    ConfigError: an empty list would check nothing."""
+    value = data.get(field, default)
+    try:
+        out = tuple(map(float, value)) if isinstance(value, (list, tuple)) else (float(value),)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(field, "must be a number or list of numbers") from None
+    if not out:
+        raise ConfigError(field, "must not be empty")
+    return out
 
 
 def _number(data: dict, field: str, default, kind=float):
@@ -158,10 +165,7 @@ class ExperimentConfig:
         theorem = data.get("theorem", "prop4")
         if theorem not in THEOREMS:
             raise ConfigError("theorem", f"unknown theorem {theorem!r}")
-        try:
-            q = _as_tuple(data.get("q", 1.0))
-        except (TypeError, ValueError):
-            raise ConfigError("q", "must be a number or list of numbers")
+        q = _numbers(data, "q", 1.0)
         if any(not v > 0.0 for v in q):
             raise ConfigError("q", "every q must be > 0")
         c = _number(data, "c", 2.0)
@@ -184,10 +188,10 @@ class ExperimentConfig:
         n_range = (int(n_range[0]), int(n_range[1]))
         if n_range[0] < 0:
             raise ConfigError("n_range", "lo must be >= 0")
-        try:
-            x = _as_tuple(data.get("x", 0.0))
-        except (TypeError, ValueError):
-            raise ConfigError("x", "must be a number or list of numbers")
+        x = _numbers(data, "x", 0.0)
+        x_samples = _number(data, "x_samples", 16, int)
+        if x_samples < 1:
+            raise ConfigError("x_samples", f"must be >= 1, got {x_samples}")
         literal = data.get("thm5_literal_exponent", False)
         if not isinstance(literal, bool):
             raise ConfigError("thm5_literal_exponent", f"must be true or false, got {literal!r}")
@@ -208,7 +212,7 @@ class ExperimentConfig:
             ),
             n_range=n_range,
             x=x,
-            x_samples=_number(data, "x_samples", 16, int),
+            x_samples=x_samples,
             grid=grid,
             thm5_literal_exponent=literal,
             max_ratio=_number(data, "max_ratio", 50.0),
@@ -345,7 +349,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None) -> ExperimentReport
 
     if cfg.theorem == "thm2":
         span = resolve_span(f, cfg.grid)
-        x_grid = tuple(np.linspace(0.0, span, max(1, cfg.x_samples), endpoint=False))
+        x_grid = tuple(np.linspace(0.0, span, cfg.x_samples, endpoint=False))
         points = [(None, None)]
     else:
         x_grid = None

@@ -111,13 +111,7 @@ def psi_k(alpha: float, k: int, t):
         raise ValueError(
             f"k must be >= 1, got {k}; the k = 0 cutoff is served by the direct path"
         )
-    a = 0.25 * alpha
-    b = 0.25 * alpha * (2 * k + 1)
-    t = np.asarray(t, dtype=float)
-    out = (alpha * (2 * k + 1) / (4.0 * math.pi)) * np.sinc(a * t / math.pi) * np.sinc(
-        b * t / math.pi
-    )
-    return float(out) if out.ndim == 0 else out
+    return psi(*_band_edges(alpha, k), t)
 
 
 def partial_sum_direct(f: QuasiPeriodicFunction, gamma: float, x: float) -> float:

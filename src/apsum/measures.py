@@ -5,8 +5,10 @@ The windowed p-norm of a bounded quasi-periodic function is
     N_p(f) = sup_u ( (1/pi) int_u^{u+pi} |f|^p )^{1/p}    (1 < p < inf)
     N_inf(f) = sup_u |f(u)|,
 
-a sup over sampled u (plus a local refinement step), so an approximation
-from below.  On top of it sit the translate modulus
+a sup over sampled u, so an approximation from below.  Every refined sup
+here (N_p and the p = inf moduli) comes from one routine: the largest grid
+sample, raised by one bounded scalar search within a grid step of it.  On
+top of N_p sits the translate modulus, whose shifts share one window setup
 
     omega(delta) = sup_{|t| <= delta} N_p(f(.+t) - f),
 
@@ -284,6 +286,69 @@ def _phi_gram(lams: np.ndarray, lengths) -> np.ndarray:
     )
 
 
+def _sampled_sup(g, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True) -> float:
+    """Sampled sup of g: the largest of the grid values g(t), raised by one
+    bounded scalar search of g within one grid step h of it, clipped to
+    [lo, hi]; without ``refine`` the largest grid value alone."""
+    vals = g(t)
+    best = int(np.argmax(vals))
+    peak = float(vals[best])
+    if not refine:
+        return peak
+    res = minimize_scalar(
+        lambda s: -float(g(s)),
+        bounds=(max(lo, t[best] - h), min(hi, t[best] + h)),
+        method="bounded",
+        options={"xatol": xatol},
+    )
+    return max(peak, float(-res.fun))
+
+
+def _window_norm(lams: np.ndarray, p: float, grid: WindowGrid, span: float):
+    """The windowed p-norm as a function of f, for every f with frequencies
+    ``lams``.  The window setup is built once: the u grid over ``span`` plus
+    the window Gram (p = 2), the Gauss-Legendre window rule (other finite p)
+    or nothing more than a dense u grid (p = inf)."""
+    if not p > 1.0:
+        raise ValueError(f"p must be > 1 (or inf), got {p}")
+    inf = math.isinf(p)
+    if inf:
+
+        def means_of(f):
+            return lambda u: np.abs(f(u))
+
+    elif p == 2.0:
+        gram = _trig_gram(lams, grid.window_length)
+
+        def means_of(f):
+            cos_c = np.array([e.cos_coef for e in f.spectrum.entries], dtype=float)
+            sin_c = np.array([e.sin_coef for e in f.spectrum.entries], dtype=float)
+
+            def means(u):
+                lu = np.multiply.outer(u, lams)
+                c, s = np.cos(lu), np.sin(lu)
+                k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
+                return np.einsum("...i,ij,...j->...", k, gram, k)
+
+            return means
+
+    else:
+        offs, wts = _gl_panels(0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes)
+
+        def means_of(f):
+            return lambda u: np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
+
+    n = max(8 * grid.u_samples, 2048) if inf else grid.u_samples
+    u = np.linspace(0.0, span, n, endpoint=False)
+    xatol = 1e-10 if inf else 1e-9
+
+    def norm(f):
+        top = _sampled_sup(means_of(f), u, span / n, xatol=xatol, refine=grid.refine)
+        return top if inf else max(top, 0.0) ** (1.0 / p)
+
+    return norm
+
+
 def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = None) -> float:
     """Windowed p-norm, a from-below approximation (sup over sampled u).
 
@@ -295,78 +360,28 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     nodes.  With ``grid.refine`` a bracketed scalar maximization sharpens
     the best sample.
     """
-    if not p > 1.0:
-        raise ValueError(f"p must be > 1 (or inf), got {p}")
     grid = grid or WindowGrid()
-    span = resolve_span(f, grid)
-
-    if math.isinf(p):
-        n = max(8 * grid.u_samples, 2048)
-        u = np.linspace(0.0, span, n, endpoint=False)
-        vals = np.abs(f(u))
-        best = int(np.argmax(vals))
-        peak = float(vals[best])
-        if grid.refine:
-            h = span / n
-            res = minimize_scalar(
-                lambda s: -abs(f(s)),
-                bounds=(u[best] - h, u[best] + h),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            peak = max(peak, float(-res.fun))
-        return peak
-
-    if p == 2.0:
-        lams = f.spectrum.frequencies()
-        cos_c = np.array([e.cos_coef for e in f.spectrum.entries], dtype=float)
-        sin_c = np.array([e.sin_coef for e in f.spectrum.entries], dtype=float)
-        gram = _trig_gram(lams, grid.window_length)
-
-        def window_means(u):
-            lu = np.multiply.outer(u, lams)
-            c, s = np.cos(lu), np.sin(lu)
-            k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
-            return np.einsum("...i,ij,...j->...", k, gram, k)
-
-    else:
-        offs, wts = _gl_panels(
-            0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes
-        )
-
-        def window_means(u):
-            return np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
-
-    u = np.linspace(0.0, span, grid.u_samples, endpoint=False)
-    means = window_means(u)
-    best = int(np.argmax(means))
-    top = float(means[best])
-    if grid.refine:
-        h = span / grid.u_samples
-        res = minimize_scalar(
-            lambda s: -float(window_means(s)),
-            bounds=(u[best] - h, u[best] + h),
-            method="bounded",
-            options={"xatol": 1e-9},
-        )
-        top = max(top, float(-res.fun))
-    return max(top, 0.0) ** (1.0 / p)
+    return _window_norm(f.spectrum.frequencies(), p, grid, resolve_span(f, grid))(f)
 
 
 def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | None = None):
     """Translate modulus sup_{|t| <= delta} N_p(f(.+t) - f), from below; a
     float for scalar ``delta``, else an array of its shape.  The shifts are
-    the canonical lattice plus the endpoint, each normed once, and a delta
-    reads the running max of the lattice below it.  The two shift signs give
-    equal norms, so only t > 0 is scanned.
+    the canonical lattice plus the endpoint, each normed once with one
+    window setup (every difference has the nonzero frequencies of f).  A
+    delta reads the running max of the lattice below it.  The two shift
+    signs give equal norms, so only t > 0 is scanned.
     """
     deltas = np.asarray(delta, dtype=float)
     flat = deltas.ravel()
     if not np.all((flat >= 0.0) & (flat < math.inf)):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    grid = grid or WindowGrid()
+    lams = f.spectrum.frequencies()
+    window_norm = _window_norm(lams[lams != 0.0], p, grid, resolve_span(f, grid))
 
     def norm(t):
-        return stepanov_norm(f.translate_difference(t), p, grid)
+        return window_norm(f.translate_difference(t))
 
     steps = (flat / T_LATTICE).astype(int)
     lattice = [norm(i * T_LATTICE) for i in range(1, int(steps.max(initial=0)) + 1)]
@@ -383,23 +398,6 @@ def _phi_panels(f: QuasiPeriodicFunction, delta: float, n_panels: int | None) ->
     top = f.spectrum.max_frequency()
     need = 8 if top == 0.0 else int(math.ceil(delta * top / (2.0 * math.pi) * 8))
     return max(64, need)
-
-
-def _refined_sup(g, delta: float) -> float:
-    """sup of |g| over [0, delta]: the largest of 512 grid values, raised by
-    a bounded scalar search within one grid step of it."""
-    t = np.linspace(0.0, delta, 512)
-    vals = np.abs(g(t))
-    best = int(np.argmax(vals))
-    peak = float(vals[best])
-    h = delta / 511
-    res = minimize_scalar(
-        lambda s: -abs(g(s)),
-        bounds=(max(0.0, t[best] - h), min(delta, t[best] + h)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return max(peak, float(-res.fun))
 
 
 def _moduli(
@@ -440,11 +438,11 @@ def _moduli(
     shifted = np.empty((deltas.size, shifts.size))
     for j, d in enumerate(deltas.tolist()):
         if math.isinf(p):
-            point[j] = _refined_sup(lambda t: f.second_difference(x, t), d)
-            for m, s in enumerate(shifts.tolist()):
-                shifted[j, m] = _refined_sup(
-                    lambda t: f.second_difference(x, t) - f.second_difference(x, t + s), d
-                )
+            ts = np.linspace(0.0, d, 512)
+            gs = [lambda t: f.second_difference(x, t)]
+            gs += [lambda t, s=s: gs[0](t) - gs[0](t + s) for s in shifts.tolist()]
+            sups = [_sampled_sup(lambda t, g=g: np.abs(g(t)), ts, d / 511, 0.0, d) for g in gs]
+            point[j], shifted[j] = sups[0], sups[1:]
             continue
         t, w = _gl_panels(0.0, d, _phi_panels(f, d, n_panels), 8)
         phi = f.second_difference(x, t)

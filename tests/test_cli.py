@@ -59,6 +59,16 @@ def test_bad_fit_majorant_exit_2(tmp_path, capsys, command):
     assert out["field"] == "majorant"
 
 
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
+@pytest.mark.parametrize("field, value", [("q", []), ("x", []), ("x_samples", 0)])
+def test_config_that_checks_nothing_exit_2(tmp_path, capsys, command, field, value):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"spectrum": {"builtin": "smooth"}, field: value}))
+    assert main([command, str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["field"] == field
+
+
 def test_validate_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

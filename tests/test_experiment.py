@@ -16,7 +16,7 @@ from apsum.experiment import (
     strong_mean_table,
     write_report,
 )
-from apsum import strong_means
+from apsum import measures, strong_means
 from apsum.matrices import MatrixError, gm2_constant, is_ms
 from apsum.strong_means import StrongMeanParams, strong_mean
 
@@ -173,6 +173,18 @@ class TestConfigValidation:
         cfg = make_config(theorem="thm5", matrix={"builtin": "cesaro"}, thm5_literal_exponent=True)
         assert cfg.thm5_literal_exponent is True
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("q", []), ("x", []), ("x_samples", 0), ("x_samples", -3)],
+    )
+    def test_config_that_checks_nothing_names_field(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            make_config(**{field: value})
+        assert err.value.field == field
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem="thm2", matrix={"builtin": "cesaro"}, **{field: value})
+        assert err.value.field == field
+
     def test_matrix_required_for_matrix_theorems(self):
         with pytest.raises(ConfigError) as err:
             make_config(theorem="thm6")
@@ -293,6 +305,18 @@ class TestRun:
         report = run(cfg)
         assert [(r.x, r.q) for r in report.records[::8]] == [(None, 1.0), (None, 2.0)]
         assert calls == {"_deviations": 16, "side_condition": 1, "modulus_omega": 1}
+
+    def test_thm2_config_builds_one_window_setup(self, monkeypatch):
+        grams = []
+        gram = measures._trig_gram
+
+        def counted(*args):
+            grams.append(args[1])
+            return gram(*args)
+
+        monkeypatch.setattr(measures, "_trig_gram", counted)
+        run(ExperimentConfig.from_file(CONFIGS / "thm2_cesaro_smooth.json"))
+        assert len(grams) == 1
 
     def test_config_echo_round_trips(self):
         cfg = make_config(q=[1.0], n_range=[1, 6])

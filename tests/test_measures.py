@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from apsum.measures import (
     OmegaClassReport,
@@ -209,6 +210,151 @@ class TestModulusOmega:
         vals = [modulus_omega(f, d, 2.0) for d in deltas]
         for a, b in zip(vals, vals[1:]):
             assert a <= b + 1e-12
+
+
+def refine_block_norm(f, p, grid):
+    """The windowed norm with its own grid, window rule and refine block per
+    p, as before the shared sampled-sup routine: the oracle for it."""
+    span = resolve_span(f, grid)
+    if math.isinf(p):
+        n = max(8 * grid.u_samples, 2048)
+        u = np.linspace(0.0, span, n, endpoint=False)
+        vals = np.abs(f(u))
+        best = int(np.argmax(vals))
+        peak = float(vals[best])
+        if grid.refine:
+            h = span / n
+            res = minimize_scalar(
+                lambda s: -abs(f(s)),
+                bounds=(u[best] - h, u[best] + h),
+                method="bounded",
+                options={"xatol": 1e-10},
+            )
+            peak = max(peak, float(-res.fun))
+        return peak
+    if p == 2.0:
+        lams = f.spectrum.frequencies()
+        cos_c = np.array([e.cos_coef for e in f.spectrum.entries], dtype=float)
+        sin_c = np.array([e.sin_coef for e in f.spectrum.entries], dtype=float)
+        gram = measures._trig_gram(lams, grid.window_length)
+
+        def window_means(u):
+            lu = np.multiply.outer(u, lams)
+            c, s = np.cos(lu), np.sin(lu)
+            k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
+            return np.einsum("...i,ij,...j->...", k, gram, k)
+
+    else:
+        offs, wts = _gl_panels(0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes)
+
+        def window_means(u):
+            return np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
+
+    u = np.linspace(0.0, span, grid.u_samples, endpoint=False)
+    means = window_means(u)
+    best = int(np.argmax(means))
+    top = float(means[best])
+    if grid.refine:
+        h = span / grid.u_samples
+        res = minimize_scalar(
+            lambda s: -float(window_means(s)),
+            bounds=(u[best] - h, u[best] + h),
+            method="bounded",
+            options={"xatol": 1e-9},
+        )
+        top = max(top, float(-res.fun))
+    return max(top, 0.0) ** (1.0 / p)
+
+
+def refine_block_sup(g, delta):
+    """sup of |g| over [0, delta] with the former moduli refine block: the
+    largest of 512 grid values, raised by a bounded search one step around."""
+    t = np.linspace(0.0, delta, 512)
+    vals = np.abs(g(t))
+    best = int(np.argmax(vals))
+    peak = float(vals[best])
+    h = delta / 511
+    res = minimize_scalar(
+        lambda s: -abs(g(s)),
+        bounds=(max(0.0, t[best] - h), min(delta, t[best] + h)),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return max(peak, float(-res.fun))
+
+
+def with_constant(f, const):
+    terms = [(e.freq, e.cos_coef, e.sin_coef) for e in f.spectrum.entries]
+    return QuasiPeriodicFunction(
+        Spectrum.from_cos_sin(f.spectrum.alpha, [(0.0, const, 0.0)] + terms)
+    )
+
+
+class TestSampledSup:
+    """Every refined sup goes through one routine; it must reproduce the
+    per-site refine blocks it replaced bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+    def test_default_grid_matches_refine_blocks(self, p):
+        for f in (SMOOTH, CONST, SMOOTH.translate_difference(0.4)):
+            assert stepanov_norm(f, p) == refine_block_norm(f, p, WindowGrid())
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        p=st.sampled_from([1.5, 2.0, math.inf]),
+        t=st.floats(0.01, 3.0),
+        const=st.floats(-1.0, 1.0),
+    )
+    def test_stepanov_norm_matches_refine_blocks(self, seed, p, t, const):
+        f = random_function(seed)
+        grid = WindowGrid(u_samples=40)
+        for g in (f, with_constant(f, const), f.translate_difference(t)):
+            assert stepanov_norm(g, p, grid) == refine_block_norm(g, p, grid)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+    @pytest.mark.parametrize("const", [None, 0.8])
+    def test_refined_omega_matches_per_shift_blocks(self, p, const):
+        f = random_function(71)
+        if const is not None:
+            # the constant term drops out of every translate difference
+            f = with_constant(f, const)
+        grid = WindowGrid(u_samples=24)
+        deltas = [0.05, 0.3, 4 * T_LATTICE, 1.0]
+        want = []
+        for d in deltas:
+            ts = [i * T_LATTICE for i in range(1, int(d / T_LATTICE) + 1)]
+            ts += [] if ts and ts[-1] >= d else [d]
+            want.append(max(refine_block_norm(f.translate_difference(t), p, grid) for t in ts))
+        assert modulus_omega(f, deltas, p, grid).tolist() == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        x=st.floats(0.0, 2.0 * math.pi),
+        delta=st.floats(0.05, 3.0),
+        gamma=st.floats(-2.0, 2.0),
+    )
+    def test_inf_moduli_match_refine_block(self, seed, x, delta, gamma):
+        f = random_function(seed)
+
+        def phi(t):
+            return f.second_difference(x, t)
+
+        assert pointwise_modulus(f, x, delta, math.inf) == refine_block_sup(phi, delta)
+        assert shifted_difference_mean(f, x, delta, gamma, math.inf) == refine_block_sup(
+            lambda t: phi(t) - phi(t + gamma), delta
+        )
+
+    def test_inf_shifted_sup_clipped_at_zero(self):
+        # |phi_0(t) - phi_0(t - 1)| for cos falls from t = 0 on, and grows
+        # for t < 0: the search must stay inside [0, delta]
+        def diff(t):
+            return COS.second_difference(0.0, t) - COS.second_difference(0.0, t - 1.0)
+
+        got = shifted_difference_mean(COS, 0.0, 1.0, -1.0, math.inf)
+        assert got == refine_block_sup(diff, 1.0)
+        assert got == pytest.approx(2.0 - 2.0 * math.cos(1.0), abs=1e-12)
 
 
 class TestPointwiseModulus:

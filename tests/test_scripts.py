@@ -25,3 +25,14 @@ def test_fit_majorant_report(capsys):
     assert fit["window_average_violations"] == 0
     assert fit["majorant"]["type"] == "table"
 
+
+
+def test_report_digests_repeat(capsys):
+    script = load_script("report_digests")
+    assert script.main([]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert script.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == first
+    names = {line.split()[1] for line in first}
+    assert {"report.json", "strong-mean.csv"} <= names
+    assert all(len(line.split()[2]) == 64 for line in first)

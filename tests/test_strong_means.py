@@ -395,9 +395,9 @@ class TestRatioSeries:
         assert rs.head_tail_bounded(4, 2.0)
 
     def test_thm2_norms_each_shift_once(self, monkeypatch):
-        shifts, norm_calls, omega_calls = [], [], []
+        shifts, setups, omega_calls = [], [], []
         translate = QuasiPeriodicFunction.translate_difference
-        norm = measures.stepanov_norm
+        gram = measures._trig_gram
         omega = strong_means.modulus_omega
 
         def counted_translate(self, a):
@@ -408,12 +408,12 @@ class TestRatioSeries:
             omega_calls.append(args[1])
             return omega(*args, **kwargs)
 
-        def counted_norm(*args):
-            norm_calls.append(args[0])
-            return norm(*args)
+        def counted_gram(*args):
+            setups.append(args[1])
+            return gram(*args)
 
         monkeypatch.setattr(QuasiPeriodicFunction, "translate_difference", counted_translate)
-        monkeypatch.setattr(measures, "stepanov_norm", counted_norm)
+        monkeypatch.setattr(measures, "_trig_gram", counted_gram)
         monkeypatch.setattr(strong_means, "modulus_omega", counted_omega)
         ratio_series(
             SMOOTH,
@@ -432,7 +432,9 @@ class TestRatioSeries:
             ts = [i * T_LATTICE for i in range(1, int(delta / T_LATTICE) + 1)]
             want.update(ts if ts and ts[-1] >= delta else ts + [delta])
         assert len(omega_calls) == 1
-        assert len(norm_calls) == len(shifts) == len(want)
+        # one window setup (one window Gram) serves every shift
+        assert len(setups) == 1
+        assert len(shifts) == len(want)
         assert sorted(shifts) == sorted(want)
 
     @settings(max_examples=30, deadline=None)
