@@ -11,7 +11,6 @@ every output byte-identical:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -39,18 +38,16 @@ def digests(config: Path) -> list[str]:
         outputs = sorted(out.iterdir())
         if ExperimentConfig.from_file(config).matrix is not None:
             table = Path(tmp) / "strong-mean.csv"
-            apsum(["strong-mean", str(config), "--out", str(table)])
+            if apsum(["strong-mean", str(config), "--out", str(table)]) != 0:
+                raise SystemExit(f"{config}: apsum strong-mean failed")
             outputs.append(table)
         for path in outputs:
             lines.append(f"{config.name} {path.name} {_sha256(path)}")
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--configs", type=Path, default=CONFIGS, help="directory of *.json configs")
-    args = parser.parse_args(argv)
-    for config in sorted(args.configs.glob("*.json")):
+def main() -> int:
+    for config in sorted(CONFIGS.glob("*.json")):
         print("\n".join(digests(config)))
     return 0
 

@@ -439,10 +439,14 @@ def _moduli(
     for j, d in enumerate(deltas.tolist()):
         if math.isinf(p):
             ts = np.linspace(0.0, d, 512)
-            gs = [lambda t: f.second_difference(x, t)]
-            gs += [lambda t, s=s: gs[0](t) - gs[0](t + s) for s in shifts.tolist()]
-            sups = [_sampled_sup(lambda t, g=g: np.abs(g(t)), ts, d / 511, 0.0, d) for g in gs]
-            point[j], shifted[j] = sups[0], sups[1:]
+
+            def sup(g):
+                return _sampled_sup(lambda t: np.abs(g(t)), ts, d / 511, 0.0, d)
+
+            phi = f.second_difference
+            point[j] = sup(lambda t: phi(x, t))
+            for m, s in enumerate(shifts.tolist()):
+                shifted[j, m] = sup(lambda t: phi(x, t) - phi(x, t + s))
             continue
         t, w = _gl_panels(0.0, d, _phi_panels(f, d, n_panels), 8)
         phi = f.second_difference(x, t)
@@ -462,8 +466,6 @@ def pointwise_modulus(
 ) -> float:
     """((1/delta) int_0^delta |phi_x|^p dt)^(1/p) for p >= 1, exact at p = 2;
     refined grid sup at p=inf."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
     return float(_moduli(f, x, [delta], (), p, n_panels)[0][0])
 
 

@@ -26,12 +26,11 @@ def test_fit_majorant_report(capsys):
     assert fit["majorant"]["type"] == "table"
 
 
-
 def test_report_digests_repeat(capsys):
     script = load_script("report_digests")
-    assert script.main([]) == 0
+    assert script.main() == 0
     first = capsys.readouterr().out.splitlines()
-    assert script.main([]) == 0
+    assert script.main() == 0
     assert capsys.readouterr().out.splitlines() == first
     names = {line.split()[1] for line in first}
     assert {"report.json", "strong-mean.csv"} <= names
