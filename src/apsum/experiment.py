@@ -106,11 +106,17 @@ def _numbers(data: dict, field: str, default) -> tuple[float, ...]:
 
 
 def _number(data: dict, field: str, default, kind=float):
-    """``kind`` of the field's value (or the default), else ConfigError."""
+    """``kind`` of the field's value (or the default), else ConfigError; an
+    int field takes integral values only (16.0 is 16, 2.7 is an error)."""
+    value = data.get(field, default)
     try:
-        return kind(data.get(field, default))
+        out = kind(value)
+        integral = kind is not int or out == float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field, f"must be a number, got {data[field]!r}") from None
+        raise ConfigError(field, f"must be a number, got {value!r}") from None
+    if not integral:
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    return out
 
 
 def _fit_plan(src: dict) -> SamplePlan:

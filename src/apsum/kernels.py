@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .spectra import FREQ_RTOL, QuasiPeriodicFunction, Spectrum, SpectrumError, _gl_panels
 
@@ -153,6 +152,9 @@ def _offending_index(f: QuasiPeriodicFunction, k: int) -> int:
 
 def _cos_tail(mu: np.ndarray, T: float) -> np.ndarray:
     """Exact int_T^inf cos(mu t) / t^2 dt, elementwise in mu >= 0."""
+    # imported here, so that only the kernel route loads scipy.special
+    from scipy.special import sici
+
     mu = np.asarray(mu, dtype=float)
     si, _ = sici(mu * T)
     return np.cos(mu * T) / T - mu * (0.5 * math.pi - si)

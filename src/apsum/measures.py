@@ -7,8 +7,12 @@ The windowed p-norm of a bounded quasi-periodic function is
 
 a sup over sampled u, so an approximation from below.  Every refined sup
 here (N_p and the p = inf moduli) comes from one routine: the largest grid
-sample, raised by one bounded scalar search within a grid step of it.  On
-top of N_p sits the translate modulus, whose shifts share one window setup
+sample, raised by a bounded search within a grid step of it.  The search
+is Brent's bounded minimiser as scipy.optimize implements it, ported to
+numpy and run over lanes: many sups (the shifts of a translate modulus,
+the integrands of one pointwise delta) share one lockstep search, and each
+lane returns the float scipy would.  On top of N_p sits the translate
+modulus, whose shifts share one window setup
 
     omega(delta) = sup_{|t| <= delta} N_p(f(.+t) - f),
 
@@ -39,7 +43,9 @@ average obeys |Phi_x(d1, d2)| <= w(d1) + w(d2) (``check_eq7``).
 At p = 2 every window mean above (the u-windows of N_2, m_x and the
 shifted-difference means) is an exact quadratic form in the amplitudes,
 built from the means of products of cos(l tau) and sin(l tau) over the
-window; only the sup over u stays a from-below sample.  Other finite p
+window; only the sup over u stays a from-below sample.  Amplitudes whose
+squares would underflow or overflow enter these forms scaled by a power
+of two (exact), and the result is scaled back.  Other finite p
 use composite Gauss-Legendre quadrature, and Phi_x has a closed form for
 any p.
 """
@@ -50,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .spectra import QuasiPeriodicFunction, _gl_panels
 
@@ -286,67 +291,174 @@ def _phi_gram(lams: np.ndarray, lengths) -> np.ndarray:
     )
 
 
-def _sampled_sup(g, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True) -> float:
-    """Sampled sup of g: the largest of the grid values g(t), raised by one
-    bounded scalar search of g within one grid step h of it, clipped to
-    [lo, hi]; without ``refine`` the largest grid value alone."""
-    vals = g(t)
-    best = int(np.argmax(vals))
-    peak = float(vals[best])
+def _unit_exponents(rows: np.ndarray) -> np.ndarray:
+    """Per row (leading index) of ``rows``: 0, or the binary exponent e of
+    its largest |value| when that lies outside [2**-255, 2**255].  The
+    p = 2 quadratic forms square their inputs; a row scaled by 2**-e (exact)
+    has squares that neither underflow nor overflow, and a row that needs no
+    scaling is left as it is."""
+    top = np.max(np.abs(rows), axis=tuple(range(1, rows.ndim)), initial=0.0)
+    e = np.frexp(top)[1]
+    return np.where(np.abs(e) > 255, e, 0)
+
+
+# Constants of scipy.optimize's bounded Brent search, kept as it has them
+# so that every lane of ``_bounded_min`` returns scipy's floats.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_min(func, a, b, xatol, maxfun=500):
+    """Local minimisers and minima of func on the lane bounds [a, b], each
+    shaped (L,): Brent's bounded search (golden-section and parabolic
+    steps, the stopping test and ``maxfun`` of
+    ``scipy.optimize.minimize_scalar(method="bounded")``) run in lockstep,
+    one lane per search.  func(x, lanes) maps the points x of the lanes
+    with indices ``lanes`` to their values, both shaped (k,).  A lane is
+    frozen, and no longer evaluated, once its own stopping test holds, so
+    each lane returns the x and fun scipy returns for it."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = func(xf, np.arange(xf.size))
+    rat = e = np.zeros_like(xf)
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    # every lane computes both steps; the one it does not take may divide
+    # by zero
+    with np.errstate(all="ignore"):
+        for _ in range(maxfun - 1):
+            run = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+            if not run.any():
+                break
+            # parabola through the three best points, where it is acceptable
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            para = (
+                (np.abs(e) > tol1)
+                & (np.abs(p) < np.abs(0.5 * q * e))
+                & (p > q * (a - xf))
+                & (p < q * (b - xf))
+            )
+            step = (p + 0.0) / q
+            x = xf + step
+            edge = ((x - a) < tol2) | ((b - x) < tol2)
+            step = np.where(edge, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
+            # else a golden-section step into the larger side
+            gold = np.where(xf >= xm, a - xf, b - xf)
+            e = np.where(run, np.where(para, rat, gold), e)
+            rat = np.where(run, np.where(para, step, _GOLDEN * gold), rat)
+            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+            fu = np.full_like(fx, np.nan)
+            fu[run] = func(x[run], np.flatnonzero(run))
+            better = run & (fu <= fx)
+            worse = run & ~(fu <= fx)
+            # the old best point if x beat it, else x, bounds x's side
+            moved = np.where(better, xf, x)
+            left = np.where(better, x >= xf, x < xf)
+            a = np.where(run & left, moved, a)
+            b = np.where(run & ~left, moved, b)
+            second = worse & ((fu <= fnfc) | (nfc == xf))
+            third = worse & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            down = better | second
+            fulc = np.where(down, nfc, np.where(third, x, fulc))
+            ffulc = np.where(down, fnfc, np.where(third, fu, ffulc))
+            nfc = np.where(better, xf, np.where(second, x, nfc))
+            fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+            xf = np.where(better, x, xf)
+            fx = np.where(better, fu, fx)
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+    return xf, fx
+
+
+def _sampled_sup(g, lanes, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
+    """Sampled sup of each of the ``lanes`` lanes of g, shape (L,).  g(t, i)
+    maps points shaped (k, n), or (1, n) for points the lanes share, of the
+    lanes with indices i (k,) to values shaped (k, n).  A lane's sup is the
+    largest of its grid values g(t), raised by a bounded search within one
+    grid step h of its argument, clipped to [lo, hi]; without ``refine``
+    the largest grid value alone."""
+    vals = g(t[None, :], np.arange(lanes))
+    best = np.argmax(vals, axis=-1)
+    peak = np.take_along_axis(vals, best[:, None], axis=-1)[:, 0]
     if not refine:
         return peak
-    res = minimize_scalar(
-        lambda s: -float(g(s)),
-        bounds=(max(lo, t[best] - h), min(hi, t[best] + h)),
-        method="bounded",
-        options={"xatol": xatol},
+    _, fun = _bounded_min(
+        lambda s, i: -g(s[:, None], i)[:, 0],
+        np.maximum(lo, t[best] - h),
+        np.minimum(hi, t[best] + h),
+        xatol,
     )
-    return max(peak, float(-res.fun))
+    return np.where(-fun > peak, -fun, peak)
 
 
 def _window_norm(lams: np.ndarray, p: float, grid: WindowGrid, span: float):
-    """The windowed p-norm as a function of f, for every f with frequencies
-    ``lams``.  The window setup is built once: the u grid over ``span`` plus
-    the window Gram (p = 2), the Gauss-Legendre window rule (other finite p)
-    or nothing more than a dense u grid (p = inf)."""
+    """The windowed p-norms of functions whose spectra list the frequencies
+    ``lams``: a map from a sequence of L such functions to their norms,
+    shaped (L,).  The window setup is built once: the u grid over ``span``
+    plus the window Gram (p = 2), the Gauss-Legendre window rule (other
+    finite p) or nothing more than a dense u grid (p = inf).  The functions
+    are the lanes of one sampled-sup search: rows of one coefficient array
+    at p = 2, one call of each function per evaluation at other p."""
     if not p > 1.0:
         raise ValueError(f"p must be > 1 (or inf), got {p}")
     inf = math.isinf(p)
-    if inf:
-
-        def means_of(f):
-            return lambda u: np.abs(f(u))
-
-    elif p == 2.0:
+    if p == 2.0:
         gram = _trig_gram(lams, grid.window_length)
 
-        def means_of(f):
-            cos_c = np.array([e.cos_coef for e in f.spectrum.entries], dtype=float)
-            sin_c = np.array([e.sin_coef for e in f.spectrum.entries], dtype=float)
+        def means_of(fs):
+            coefs = [[(e.cos_coef, e.sin_coef) for e in f.spectrum.entries] for f in fs]
+            coefs = np.reshape(coefs, (len(fs), 1, lams.size, 2))
+            scale = _unit_exponents(coefs)
+            coefs = np.ldexp(coefs, -scale[:, None, None, None])
+            cos_c, sin_c = coefs[..., 0], coefs[..., 1]
 
-            def means(u):
+            def means(u, lanes):
                 lu = np.multiply.outer(u, lams)
                 c, s = np.cos(lu), np.sin(lu)
-                k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
+                cc, sc = cos_c[lanes], sin_c[lanes]
+                k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=-1)
                 return np.einsum("...i,ij,...j->...", k, gram, k)
 
-            return means
+            return means, scale
 
     else:
-        offs, wts = _gl_panels(0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes)
+        if not inf:
+            offs, wts = _gl_panels(0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes)
 
-        def means_of(f):
-            return lambda u: np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
+        def mean(f, u):
+            if inf:
+                return np.abs(f(u))
+            return np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
+
+        def means_of(fs):
+            def means(u, lanes):
+                u = np.broadcast_to(u, lanes.shape + u.shape[1:])
+                return np.array([mean(fs[i], v) for i, v in zip(lanes.tolist(), u)]).reshape(u.shape)
+
+            return means, 0
 
     n = max(8 * grid.u_samples, 2048) if inf else grid.u_samples
     u = np.linspace(0.0, span, n, endpoint=False)
     xatol = 1e-10 if inf else 1e-9
 
-    def norm(f):
-        top = _sampled_sup(means_of(f), u, span / n, xatol=xatol, refine=grid.refine)
-        return top if inf else max(top, 0.0) ** (1.0 / p)
+    def norms(fs):
+        means, scale = means_of(fs)
+        top = _sampled_sup(means, len(fs), u, span / n, xatol=xatol, refine=grid.refine)
+        if inf:
+            return top
+        # the C library's pow per lane: numpy's vectorised power can differ
+        # from it in the last bit
+        roots = np.array([max(v, 0.0) ** (1.0 / p) for v in top.tolist()])
+        return np.ldexp(roots, scale)
 
-    return norm
+    return norms
 
 
 def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = None) -> float:
@@ -361,7 +473,8 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     the best sample.
     """
     grid = grid or WindowGrid()
-    return _window_norm(f.spectrum.frequencies(), p, grid, resolve_span(f, grid))(f)
+    norms = _window_norm(f.spectrum.frequencies(), p, grid, resolve_span(f, grid))
+    return float(norms([f])[0])
 
 
 def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | None = None):
@@ -378,17 +491,15 @@ def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | 
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
     grid = grid or WindowGrid()
     lams = f.spectrum.frequencies()
-    window_norm = _window_norm(lams[lams != 0.0], p, grid, resolve_span(f, grid))
-
-    def norm(t):
-        return window_norm(f.translate_difference(t))
-
+    norms = _window_norm(lams[lams != 0.0], p, grid, resolve_span(f, grid))
     steps = (flat / T_LATTICE).astype(int)
-    lattice = [norm(i * T_LATTICE) for i in range(1, int(steps.max(initial=0)) + 1)]
-    out = np.maximum.accumulate([0.0] + lattice)[steps]
+    top = int(steps.max(initial=0))
     off = (flat > 0.0) & (steps * T_LATTICE < flat)
     ends, which = np.unique(flat[off], return_inverse=True)
-    out[off] = np.maximum(out[off], np.array([norm(float(t)) for t in ends])[which])
+    shifts = [i * T_LATTICE for i in range(1, top + 1)] + ends.tolist()
+    vals = norms([f.translate_difference(t) for t in shifts])
+    out = np.maximum.accumulate(np.concatenate([[0.0], vals[:top]]))[steps]
+    out[off] = np.maximum(out[off], vals[top:][which])
     return float(out[0]) if deltas.ndim == 0 else out.reshape(deltas.shape)
 
 
@@ -415,9 +526,12 @@ def _moduli(
     phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
     phi_x(t) - phi_x(t + s) = sum_nu a_nu [(1 - cos(l_nu s)) cos(l_nu t)
     + sin(l_nu s) sin(l_nu t)], with one Gram matrix per delta and one
-    einsum over all shifts.  Other finite p evaluate phi_x once on the
-    quadrature nodes of each delta and reuse it for every shift; p = inf
-    takes the refined grid sup of each integrand over [0, delta].
+    einsum over all shifts; a and each shift's coefficient row are scaled
+    by powers of two where their squares would underflow or overflow.
+    Other finite p evaluate phi_x once on the quadrature nodes of each
+    delta and reuse it for every shift; p = inf takes the refined grid sup
+    of each integrand over [0, delta], all 1 + M integrands as lanes of
+    one search.
     """
     deltas = np.asarray(deltas, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
@@ -428,25 +542,34 @@ def _moduli(
     if p == 2.0:
         lams = f.spectrum.frequencies()
         amps = 2.0 * f.term_values(x)
+        scale = _unit_exponents(amps[None])
+        amps = np.ldexp(amps, -scale)
         ls = np.multiply.outer(shifts, lams)
         h = np.sin(0.5 * ls)
         k = np.concatenate([2.0 * h * h * amps, np.sin(ls) * amps], axis=-1)
+        k_scale = _unit_exponents(k)
+        k = np.ldexp(k, -k_scale[:, None])
         point = np.einsum("i,dij,j->d", amps, _phi_gram(lams, deltas), amps)
         shifted = np.einsum("mi,dij,mj->dm", k, _trig_gram(lams, deltas), k)
-        return np.sqrt(np.maximum(point, 0.0)), np.sqrt(np.maximum(shifted, 0.0))
+        return (
+            np.ldexp(np.sqrt(np.maximum(point, 0.0)), scale),
+            np.ldexp(np.sqrt(np.maximum(shifted, 0.0)), scale + k_scale),
+        )
     point = np.empty(deltas.size)
     shifted = np.empty((deltas.size, shifts.size))
     for j, d in enumerate(deltas.tolist()):
         if math.isinf(p):
+            # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|
+            def lanes(t, i):
+                t = np.broadcast_to(t, (i.size, t.shape[1]))
+                vals = f.second_difference(x, t)
+                dif = i > 0
+                vals[dif] -= f.second_difference(x, t[dif] + shifts[i[dif] - 1, None])
+                return np.abs(vals)
+
             ts = np.linspace(0.0, d, 512)
-
-            def sup(g):
-                return _sampled_sup(lambda t: np.abs(g(t)), ts, d / 511, 0.0, d)
-
-            phi = f.second_difference
-            point[j] = sup(lambda t: phi(x, t))
-            for m, s in enumerate(shifts.tolist()):
-                shifted[j, m] = sup(lambda t: phi(x, t) - phi(x, t + s))
+            sups = _sampled_sup(lanes, 1 + shifts.size, ts, d / 511, 0.0, d)
+            point[j], shifted[j] = sups[0], sups[1:]
             continue
         t, w = _gl_panels(0.0, d, _phi_panels(f, d, n_panels), 8)
         phi = f.second_difference(x, t)

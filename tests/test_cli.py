@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from apsum.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -67,6 +73,23 @@ def test_config_that_checks_nothing_exit_2(tmp_path, capsys, command, field, val
     assert main([command, str(path)]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["field"] == field
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
+@pytest.mark.parametrize("field, value", [("x_samples", 2.7), ("blowup_head", 3.9)])
+def test_non_integer_count_exit_2(tmp_path, capsys, command, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"spectrum": {"builtin": "smooth"}, field: value}))
+    assert main([command, str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["field"] == field
+
+
+def test_count_beyond_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"spectrum": {"builtin": "smooth"}, "x_samples": 1' + "0" * 400 + "}")
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["field"] == "x_samples"
 
 
 def test_validate_bad_json(tmp_path, capsys):
@@ -164,3 +187,57 @@ def test_report_writes_files(smooth_config, tmp_path, capsys):
     assert any(p.endswith(".csv") for p in written)
     report = json.loads((out_dir / "report.json").read_text())
     assert report["summary"]["regression_ok"] is True
+
+
+# Runs in a fresh interpreter: every CLI call of the configs, then the
+# scipy modules loaded, then one kernel-route call and the modules again.
+SCIPY_FREE = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+import apsum
+from apsum.cli import main
+from apsum.experiment import ExperimentConfig
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+loaded, codes = scipy_modules(), {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    for cfg in sorted(Path(sys.argv[1]).glob("*.json")):
+        out = Path(tmp) / cfg.stem
+        codes[cfg.name] = [main(["report", str(cfg), "--out", str(out)])]
+        if ExperimentConfig.from_file(cfg).matrix is not None:
+            table = str(out) + "-strong-mean.csv"
+            codes[cfg.name].append(main(["strong-mean", str(cfg), "--out", table]))
+run = scipy_modules()
+mass = apsum.kernel_mass(1.0, 3)
+print(json.dumps(
+    {"import": loaded, "codes": codes, "run": run, "kernel": scipy_modules(), "mass": mass}
+))
+"""
+
+
+def test_run_path_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, str(ROOT / "configs")],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["import"] == []
+    codes = out["codes"]
+    assert len(codes) == len(list((ROOT / "configs").glob("*.json"))) >= 4
+    # report exits 0 (or 3 on a failed regression), strong-mean 0 where
+    # the config has a matrix
+    assert all(c[0] in (0, 3) and c[1:] in ([], [0]) for c in codes.values())
+    assert sum(len(c) for c in codes.values()) > len(codes)
+    assert out["run"] == []
+    assert "scipy.special" in out["kernel"]
+    assert out["mass"] == pytest.approx(0.5, abs=1e-6)

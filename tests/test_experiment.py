@@ -185,6 +185,26 @@ class TestConfigValidation:
             make_config(theorem="thm2", matrix={"builtin": "cesaro"}, **{field: value})
         assert err.value.field == field
 
+    @pytest.mark.parametrize("field", ["x_samples", "blowup_head"])
+    @pytest.mark.parametrize("value", [2.7, 3.9, 16.5, -0.5])
+    def test_non_integer_count_names_field(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            make_config(**{field: value})
+        assert err.value.field == field
+        assert "integer" in str(err.value)
+
+    @pytest.mark.parametrize("field", ["x_samples", "blowup_head"])
+    def test_count_beyond_float_range_names_field(self, field):
+        # int() takes it, float() overflows
+        with pytest.raises(ConfigError) as err:
+            make_config(**{field: 10**400})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field", ["x_samples", "blowup_head"])
+    def test_integral_float_count_accepted(self, field):
+        cfg = make_config(**{field: 16.0})
+        assert getattr(cfg, field) == 16 and type(getattr(cfg, field)) is int
+
     def test_matrix_required_for_matrix_theorems(self):
         with pytest.raises(ConfigError) as err:
             make_config(theorem="thm6")
@@ -317,6 +337,19 @@ class TestRun:
         monkeypatch.setattr(measures, "_trig_gram", counted)
         run(ExperimentConfig.from_file(CONFIGS / "thm2_cesaro_smooth.json"))
         assert len(grams) == 1
+
+    def test_thm2_config_runs_one_search(self, monkeypatch):
+        # every translate-modulus shift is a lane of one bounded search
+        lanes = []
+        search = measures._bounded_min
+
+        def counted(func, a, b, *args):
+            lanes.append(len(a))
+            return search(func, a, b, *args)
+
+        monkeypatch.setattr(measures, "_bounded_min", counted)
+        run(ExperimentConfig.from_file(CONFIGS / "thm2_cesaro_smooth.json"))
+        assert lanes == [52]
 
     def test_config_echo_round_trips(self):
         cfg = make_config(q=[1.0], n_range=[1, 6])

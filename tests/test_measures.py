@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from apsum.measures import (
@@ -27,7 +27,7 @@ from apsum.measures import (
     stepanov_norm,
 )
 from apsum import measures
-from apsum.spectra import Spectrum, QuasiPeriodicFunction, _gl_panels
+from apsum.spectra import QuasiPeriodicFunction, Spectrum, SpectrumEntry, _gl_panels
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
@@ -357,6 +357,96 @@ class TestSampledSup:
         assert got == pytest.approx(2.0 - 2.0 * math.cos(1.0), abs=1e-12)
 
 
+def trig_lanes(coefs, lams, calls=None):
+    """One trig polynomial per lane: (s, lanes) -> sum_k a cos(l s) + b sin(l s)
+    of each listed lane, summed term by term, so a lane's value does not
+    depend on the others.  ``calls`` collects the lanes of every call."""
+
+    def values(s, lanes):
+        if calls is not None:
+            calls.append(lanes.tolist())
+        c, l = coefs[lanes], lams[lanes]
+        out = np.zeros_like(s)
+        for k in range(l.shape[1]):
+            out += c[:, k, 0] * np.cos(l[:, k] * s) + c[:, k, 1] * np.sin(l[:, k] * s)
+        return out
+
+    return values
+
+
+def scipy_lane(coefs, lams, lane, a, b, xatol, maxiter=500):
+    """minimize_scalar's bounded search on one lane, the oracle for the port."""
+    values = trig_lanes(coefs[lane : lane + 1], lams[lane : lane + 1])
+    return minimize_scalar(
+        lambda s: float(values(np.array([s]), np.array([0]))[0]),
+        bounds=(a, b),
+        method="bounded",
+        options={"xatol": xatol, "maxiter": maxiter},
+    )
+
+
+class TestBoundedMin:
+    """The lane-batched bounded search against scipy.optimize, lane by lane."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        lanes=st.integers(1, 12),
+        terms=st.integers(1, 5),
+        xatol=st.sampled_from([1e-10, 1e-9, 1e-5, 1e-2]),
+        clip=st.floats(0.0, 1.0),
+    )
+    def test_lanes_match_minimize_scalar(self, seed, lanes, terms, xatol, clip):
+        rng = np.random.default_rng(seed)
+        coefs = rng.uniform(-1.0, 1.0, (lanes, terms, 2))
+        lams = rng.uniform(0.0, 20.0, (lanes, terms))
+        # brackets of one grid step around a sample, clipped to [lo, hi]
+        # as in _sampled_sup: some lanes lose one side, some keep both
+        centre = rng.uniform(-1.0, 1.0, lanes)
+        h = rng.uniform(1e-3, 2.0, lanes)
+        lo, hi = -1.0 + clip, 1.0 - clip / 2
+        a = np.maximum(lo, np.minimum(centre, hi) - h)
+        b = np.minimum(hi, np.maximum(centre, lo) + h)
+        x, fun = measures._bounded_min(trig_lanes(coefs, lams), a, b, xatol)
+        assert x.shape == fun.shape == (lanes,)
+        for lane in range(lanes):
+            res = scipy_lane(coefs, lams, lane, a[lane], b[lane], xatol)
+            assert (x[lane], fun[lane]) == (res.x, res.fun)
+
+    @pytest.mark.parametrize("maxfun", [500, 6, 2])
+    def test_lanes_stop_on_their_own(self, maxfun):
+        # wide and narrow brackets, slow and fast polynomials: the lanes
+        # need different numbers of steps, and maxfun cuts the slow ones;
+        # a lane is evaluated as often as scipy evaluates its function
+        rng = np.random.default_rng(3)
+        coefs = rng.uniform(-1.0, 1.0, (6, 3, 2))
+        lams = rng.uniform(0.0, 30.0, (6, 3))
+        a = np.array([-3.0, -0.01, 0.0, 1.0, -1e-6, 2.0])
+        b = np.array([3.0, 0.01, 0.5, 1.0, 1e-6, 4.0])
+        calls = []
+        x, fun = measures._bounded_min(trig_lanes(coefs, lams, calls), a, b, 1e-9, maxfun)
+        runs = [scipy_lane(coefs, lams, i, a[i], b[i], 1e-9, maxfun) for i in range(6)]
+        assert x.tolist() == [r.x for r in runs]
+        assert fun.tolist() == [r.fun for r in runs]
+        assert [sum(i in c for c in calls) for i in range(6)] == [r.nfev for r in runs]
+        if maxfun == 500:
+            assert len({r.nfev for r in runs}) >= 4
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
+    def test_lanes_equal_one_function_norms(self, p):
+        # one search over 40 lanes returns each function's own norm, as the
+        # scalar refine block computes it
+        f = random_function(5)
+        grid = WindowGrid(u_samples=24)
+        fs = [f.translate_difference(t) for t in np.linspace(0.05, 3.0, 40)]
+        norms = measures._window_norm(f.spectrum.frequencies(), p, grid, resolve_span(f, grid))
+        assert norms(fs).tolist() == [refine_block_norm(g, p, grid) for g in fs]
+
+    def test_no_lanes(self):
+        x, fun = measures._bounded_min(trig_lanes(np.zeros((0, 1, 2)), np.zeros((0, 1))), [], [], 1e-9)
+        assert x.shape == fun.shape == (0,)
+
+
 class TestPointwiseModulus:
     def test_constant_zero(self):
         assert pointwise_modulus(CONST, 0.3, 1.0, 2.0) == 0.0
@@ -512,12 +602,11 @@ class TestFitMajorant:
 
 
 @st.composite
-def separated_spectra(draw):
+def separated_spectra(draw, coef=st.floats(-1.0, 1.0)):
     """1-8 terms with gaps >= alpha, sometimes with a constant term."""
     n = draw(st.integers(1, 8))
     alpha = draw(st.floats(0.2, 2.0))
     gaps = draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
-    coef = st.floats(-1.0, 1.0)
     terms = [
         (lam, draw(coef), draw(coef)) for lam in (alpha * np.cumsum(gaps)).tolist()
     ]
@@ -529,6 +618,22 @@ def separated_spectra(draw):
 log_deltas = st.floats(math.log(1e-6), math.log(2.0 * math.pi)).map(math.exp)
 shifts = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 points = st.floats(0.0, 2.0 * math.pi)
+
+
+# Subnormal coefficients are left out: a*cos(l x) already rounds on the
+# subnormal grid, so no closed form can be relatively exact there (the
+# subnormal case of phi_average has its exact mpmath oracle below).
+normal_spectra = separated_spectra(st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+def unit_scaled(f):
+    """f scaled by 2**-e to amplitude mass in [0.5, 1), and e.  The
+    quadrature oracle runs on the scaled function: at tiny amplitudes its
+    own squares and weighted sums would round on the subnormal grid.
+    Power-of-two scaling is exact, so at ordinary amplitudes the comparison
+    is the unscaled one."""
+    e = math.frexp(f.spectrum.amplitude_mass())[1]
+    return f.scaled(2.0**-e), e
 
 
 def fine_mean(values, lo, hi):
@@ -545,19 +650,21 @@ class TestClosedFormsAgainstQuadrature:
     """The p = 2 quadratic forms against fine quadrature of the integrands."""
 
     @settings(max_examples=150, deadline=None)
-    @given(f=separated_spectra(), x=points, delta=log_deltas, gamma=shifts)
+    @given(f=normal_spectra, x=points, delta=log_deltas, gamma=shifts)
     def test_pointwise_and_shifted_means(self, f, x, delta, gamma):
-        mass = f.spectrum.amplitude_mass()
-        phi = lambda t: f.second_difference(x, t)
+        g, e = unit_scaled(f)
+        mass = g.spectrum.amplitude_mass()
+        phi = lambda t: g.second_difference(x, t)
         want = fine_mean(lambda t: phi(t) ** 2, 0.0, delta)
-        assert close_squares(pointwise_modulus(f, x, delta, 2.0), want, mass)
+        got = math.ldexp(pointwise_modulus(f, x, delta, 2.0), -e)
+        assert close_squares(got, want, mass)
         want = fine_mean(lambda t: (phi(t) - phi(t + gamma)) ** 2, 0.0, delta)
-        got = shifted_difference_mean(f, x, delta, gamma, 2.0)
+        got = math.ldexp(shifted_difference_mean(f, x, delta, gamma, 2.0), -e)
         assert close_squares(got, want, mass)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        f=separated_spectra(),
+        f=normal_spectra,
         u=st.floats(-50.0, 50.0),
         length=st.floats(0.1, 2.0 * math.pi),
     )
@@ -565,21 +672,98 @@ class TestClosedFormsAgainstQuadrature:
         # one unrefined sample at u = 0 of the translate f(. + u) is the
         # window mean of f^2 over [u, u + length]
         grid = WindowGrid(u_samples=1, window_length=length, refine=False)
-        got = stepanov_norm(f.shift(u), 2.0, grid) ** 2
-        want = fine_mean(lambda t: f(t) ** 2, u, u + length)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * f.sup_bound() ** 2)
+        g, e = unit_scaled(f)
+        got = math.ldexp(stepanov_norm(f.shift(u), 2.0, grid), -e) ** 2
+        want = fine_mean(lambda t: g(t) ** 2, u, u + length)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * g.sup_bound() ** 2)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        f=separated_spectra(),
+        f=normal_spectra,
         x=points,
         delta=st.floats(1e-3, 2.0 * math.pi),
         nu=points,
     )
     def test_phi_average(self, f, x, delta, nu):
-        want = fine_mean(lambda t: f.second_difference(x, t), nu, nu + delta)
-        got = phi_average(f, x, delta, nu)
+        g, e = unit_scaled(f)
+        want = fine_mean(lambda t: g.second_difference(x, t), nu, nu + delta)
+        got = math.ldexp(phi_average(f, x, delta, nu), -e)
+        assert abs(got - want) <= 1e-12 * g.spectrum.amplitude_mass()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=normal_spectra,
+        x=points,
+        delta=st.floats(1e-3, 2.0 * math.pi),
+        nu=points,
+    )
+    @example(
+        # a subnormal amplitude, where fine quadrature is 2e-320 off
+        f=QuasiPeriodicFunction(Spectrum(1.0, (SpectrumEntry(1.0, -(2.0**-1024) * 1j),))),
+        x=1.0,
+        delta=1.0 / 64.0,
+        nu=0.0,
+    )
+    def test_phi_average_against_mpmath(self, f, x, delta, nu):
+        # (1/delta) int_nu^{nu+delta} phi_x = sum 2 g(x) [(sin(l (nu + delta))
+        # - sin(l nu)) / (l delta) - 1], 0 for l = 0
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        x, delta, nu = mpmath.mpf(x), mpmath.mpf(delta), mpmath.mpf(nu)
+        want = mpmath.mpf(0)
+        for e in f.spectrum.entries:
+            if e.freq == 0.0:
+                continue
+            lam = mpmath.mpf(e.freq)
+            g = e.cos_coef * mpmath.cos(lam * x) + e.sin_coef * mpmath.sin(lam * x)
+            mean = (mpmath.sin(lam * (nu + delta)) - mpmath.sin(lam * nu)) / (lam * delta)
+            want += 2 * g * (mean - 1)
+        got = phi_average(f, float(x), float(delta), float(nu))
         assert abs(got - want) <= 1e-12 * f.spectrum.amplitude_mass()
+
+    @pytest.mark.parametrize("a", [3.95e-160, 1e-170, 2.0**-1000, 1.0, 1e200])
+    def test_p2_forms_at_extreme_amplitudes(self, a):
+        # f = a (cos t + sin(3 t) / 2): the squares in the p = 2 forms would
+        # underflow (or overflow) at these amplitudes.  The reference is
+        # a times the unit-amplitude value: mpmath quadrature for m_x and
+        # the shifted mean, sqrt(5/8) for every window of length pi
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, a, 0.0), (3.0, 0.0, 0.5 * a)]))
+        x, delta, gamma = 0.4, 0.8, 0.3
+        unit = lambda t: mpmath.cos(t) + mpmath.sin(3 * t) / 2
+        phi = lambda t: unit(x + t) + unit(x - t) - 2 * unit(x)
+        mean = lambda g: float(mpmath.sqrt(mpmath.quad(lambda t: g(t) ** 2, [0, delta]) / delta))
+        rel = lambda want: pytest.approx(want, rel=1e-12, abs=0.0)
+        assert pointwise_modulus(f, x, delta, 2.0) == rel(a * mean(phi))
+        got = shifted_difference_mean(f, x, delta, gamma, 2.0)
+        assert got == rel(a * mean(lambda t: phi(t) - phi(t + gamma)))
+        assert stepanov_norm(f, 2.0) == rel(a * math.sqrt(5.0 / 8.0))
+        omega = modulus_omega(f, gamma, 2.0)
+        assert omega == rel(a * modulus_omega(f.scaled(1.0 / a), gamma, 2.0))
+
+    def test_p2_omega_tiny_shift_among_others(self):
+        # f(. + t) - f = t f' to first order, and every pi-window of
+        # f'^2 = (-sin t + 1.5 cos 3t)^2 has mean 1.625; the tiny shift is
+        # scaled on its own, not by the largest lane of the search
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (3.0, 0.0, 0.5)]))
+        tiny = 1e-300
+        got = modulus_omega(f, [tiny, 0.3], 2.0)
+        assert got[0] == modulus_omega(f, tiny, 2.0)
+        assert got[0] == pytest.approx(tiny * math.sqrt(1.625), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [1e-170, 2.0**-900])
+    def test_p2_shifted_mean_at_tiny_shift(self, gamma):
+        # phi_x(t) - phi_x(t + gamma) = -gamma phi_x'(t) to first order
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (3.0, 0.0, 0.5)]))
+        x, delta = 0.4, 0.8
+        slope = lambda t: -mpmath.sin(t) + 1.5 * mpmath.cos(3 * t)
+        dphi = lambda t: slope(x + t) - slope(x - t)
+        want = gamma * float(mpmath.sqrt(mpmath.quad(lambda t: dphi(t) ** 2, [0, delta]) / delta))
+        got = shifted_difference_mean(f, x, delta, gamma, 2.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("z", [0.0, 1e-8, 1e-3, 0.3, 0.999, 1.0, 1.7, 40.0])
     def test_one_minus_sinc(self, z):
