@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import FREQ_RTOL, QuasiPeriodicFunction, Spectrum, SpectrumError, _gl_panels
+from .spectra import FREQ_RTOL, GL_NODES, QuasiPeriodicFunction, Spectrum, SpectrumError, _gl_panels
 
 __all__ = [
     "QuadratureConfig",
@@ -42,38 +42,24 @@ __all__ = [
 ]
 
 
+# The kernel integral is taken over [0, T], T = TRUNCATION_PERIODS periods
+# 2*pi/alpha of the gap frequency, on equal panels of GL_NODES nodes each,
+# PANELS_PER_OSCILLATION of them to a period of the fastest oscillation.
+TRUNCATION_PERIODS = 200
+PANELS_PER_OSCILLATION = 4
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Discretization of the kernel integral over [0, truncation].
+    """Error budget of the kernel integral: an entry fails when its error
+    estimate exceeds max(abs_tol, rel_tol * |value|)."""
 
-    ``truncation_T = None`` resolves to 200 periods 2*pi/alpha of the gap
-    frequency.  Panel width is the fastest oscillation present divided by
-    ``panels_per_oscillation``; each panel carries ``gl_nodes`` Gauss-
-    Legendre nodes.
-    """
-
-    truncation_T: float | None = None
-    panels_per_oscillation: int = 4
     rel_tol: float = 1e-6
     abs_tol: float = 1e-6
-    gl_nodes: int = 8
 
     def __post_init__(self):
-        if self.truncation_T is not None and not (
-            math.isfinite(self.truncation_T) and self.truncation_T > 0.0
-        ):
-            raise ValueError("truncation_T must be finite and positive")
-        if self.panels_per_oscillation < 4:
-            raise ValueError("panels_per_oscillation must be >= 4")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.gl_nodes < 2:
-            raise ValueError("gl_nodes must be >= 2")
-
-    def resolve_truncation(self, alpha: float) -> float:
-        if self.truncation_T is not None:
-            return self.truncation_T
-        return 200.0 * (2.0 * math.pi / alpha)
 
 
 class QuadratureToleranceError(RuntimeError):
@@ -270,13 +256,13 @@ def partial_sum_kernel_table(
         plans.append((k, k + 1, idx))
     bands = sorted({b for _, b, _ in plans})
 
-    T = cfg.resolve_truncation(alpha)
+    T = TRUNCATION_PERIODS * (2.0 * math.pi / alpha)
     band_max = bands[-1]
     numax = f.spectrum.max_frequency() + 0.5 * alpha * (band_max + 1)
-    width = (2.0 * math.pi / numax) / cfg.panels_per_oscillation
+    width = (2.0 * math.pi / numax) / PANELS_PER_OSCILLATION
     n_panels = max(1, int(math.ceil(T / width)))
     h = T / n_panels
-    t, w = _gl_panels(0.0, T, n_panels, cfg.gl_nodes)
+    t, w = _gl_panels(0.0, T, n_panels)
 
     # Band-independent factor of the integrand:
     #   (f(x+t)+f(x-t)) Psi_b(t) = base(t) * sin(alpha(2b+1)t/4)
@@ -287,7 +273,7 @@ def partial_sum_kernel_table(
     terms = np.array([f.term_values(x) for x in xs]).reshape(len(xs), freqs.size)
     quad = np.zeros((len(xs), len(bands)))
     panel_env = np.zeros(len(xs))
-    step = max(1, _CHUNK_NODES // cfg.gl_nodes) * cfg.gl_nodes
+    step = max(1, _CHUNK_NODES // GL_NODES) * GL_NODES
     for lo in range(0, t.size, step):
         tc = t[lo : lo + step]
         theta = 0.25 * alpha * tc
@@ -295,7 +281,7 @@ def partial_sum_kernel_table(
         base = ((2.0 * terms) @ np.cos(np.outer(freqs, tc))) * envelope
         panel_env += (
             np.abs(base)
-            .reshape(len(xs), tc.size // cfg.gl_nodes, cfg.gl_nodes)
+            .reshape(len(xs), tc.size // GL_NODES, GL_NODES)
             .max(axis=2)
             .sum(axis=1)
         )
@@ -303,8 +289,8 @@ def partial_sum_kernel_table(
 
     values = quad + _exact_band_tail(f, terms, bands, T)
     nu = f.spectrum.max_frequency() + 0.5 * alpha * (np.array(bands) + 1.0)
-    resolution = (0.5 * h * nu) ** (2 * cfg.gl_nodes)
-    err_quad = _gl_error_constant(cfg.gl_nodes) * h * resolution * panel_env[:, None]
+    resolution = (0.5 * h * nu) ** (2 * GL_NODES)
+    err_quad = _gl_error_constant(GL_NODES) * h * resolution * panel_env[:, None]
     err = err_quad * _QUAD_SAFETY + 1e-13 * (1.0 + np.abs(terms).sum(axis=1))[:, None]
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))
     # first failure in band-major order

@@ -189,28 +189,47 @@ def majorant_to_dict(w: ModulusMajorant) -> dict:
     raise ValueError(f"unsupported majorant {type(w).__name__}")
 
 
+# Panels of the Gauss-Legendre window rule at p other than 2 and inf.
+WINDOW_PANELS = 16
+
+
+def _finite_positive(value) -> bool:
+    """A number (not a bool or string) in (0, inf)."""
+    try:
+        return not isinstance(value, (bool, str)) and 0.0 < float(value) < math.inf
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class WindowGrid:
-    """Sampling plan for the windowed norms.
+    """Sampling plan for the windowed norms: ``u_samples`` (an integer
+    >= 1; 64.0 is 64) window starts over ``u_span``, refined around the
+    best when ``refine`` (a bool), each window ``window_length`` long; both
+    lengths finite and > 0, else ValueError.
 
     ``u_span = None`` spans one common period of the spectrum when the
     frequencies lock onto a rational grid, else 64 periods of the slowest
-    positive frequency (a pragmatic almost-period).  The quadrature fields
-    ``panels_per_window`` and ``gl_nodes`` serve p other than 2 and inf.
+    positive frequency (a pragmatic almost-period).  Window means are exact
+    at p = 2; other finite p use the fixed ``WINDOW_PANELS`` x 8-node rule.
     """
 
     u_samples: int = 512
     window_length: float = math.pi
-    panels_per_window: int = 16
-    gl_nodes: int = 8
     u_span: float | None = None
     refine: bool = True
 
     def __post_init__(self):
-        if self.u_samples < 1 or self.panels_per_window < 1 or self.gl_nodes < 2:
-            raise ValueError("grid counts must be positive")
-        if self.window_length <= 0.0:
-            raise ValueError("window_length must be positive")
+        n = self.u_samples
+        if not (_finite_positive(n) and float(n).is_integer()):
+            raise ValueError(f"u_samples must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "u_samples", int(n))
+        if not _finite_positive(self.window_length):
+            raise ValueError(f"window_length must be finite and > 0, got {self.window_length!r}")
+        if self.u_span is not None and not _finite_positive(self.u_span):
+            raise ValueError(f"u_span must be null or finite and > 0, got {self.u_span!r}")
+        if not isinstance(self.refine, bool):
+            raise ValueError(f"refine must be true or false, got {self.refine!r}")
 
 
 def _float_gcd(a: float, b: float, tol: float) -> float:
@@ -398,67 +417,72 @@ def _sampled_sup(g, lanes, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=
     return np.where(-fun > peak, -fun, peak)
 
 
-def _window_norm(lams: np.ndarray, p: float, grid: WindowGrid, span: float):
-    """The windowed p-norms of functions whose spectra list the frequencies
-    ``lams``: a map from a sequence of L such functions to their norms,
-    shaped (L,).  The window setup is built once: the u grid over ``span``
-    plus the window Gram (p = 2), the Gauss-Legendre window rule (other
-    finite p) or nothing more than a dense u grid (p = inf).  The functions
-    are the lanes of one sampled-sup search: rows of one coefficient array
-    at p = 2, one call of each function per evaluation at other p."""
+def _trig_values(coefs: np.ndarray, lams: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c_j cos(l_j x) + s_j sin(l_j x) for cos/sin rows ``coefs``
+    (..., N, 2) that broadcast against x.  Terms are added one by one in
+    spectrum order, as ``QuasiPeriodicFunction.__call__`` adds them, so
+    each value is the float that call returns."""
+    out = np.zeros(np.broadcast_shapes(coefs.shape[:-2], x.shape))
+    for j, lam in enumerate(lams.tolist()):
+        lx = lam * x
+        out += coefs[..., j, 0] * np.cos(lx) + coefs[..., j, 1] * np.sin(lx)
+    return out
+
+
+def _window_norm(
+    lams: np.ndarray, coefs: np.ndarray, p: float, grid: WindowGrid, span: float
+) -> np.ndarray:
+    """Windowed p-norms, shape (L,), of the L functions with frequencies
+    ``lams`` and cos/sin coefficient rows ``coefs`` shaped (L, N, 2).
+
+    One window setup serves every row: the u grid over ``span`` plus the
+    window Gram (p = 2), the Gauss-Legendre window rule (other finite p)
+    or nothing more than a dense u grid (p = inf).  The rows are the lanes
+    of one sampled-sup search; at finite p other than 2 each lane is
+    evaluated on its own, which keeps the node arrays one lane in size."""
     if not p > 1.0:
         raise ValueError(f"p must be > 1 (or inf), got {p}")
     inf = math.isinf(p)
+    scale = 0
     if p == 2.0:
         gram = _trig_gram(lams, grid.window_length)
+        scale = _unit_exponents(coefs)
+        coefs = np.ldexp(coefs, -scale[:, None, None])
 
-        def means_of(fs):
-            coefs = [[(e.cos_coef, e.sin_coef) for e in f.spectrum.entries] for f in fs]
-            coefs = np.reshape(coefs, (len(fs), 1, lams.size, 2))
-            scale = _unit_exponents(coefs)
-            coefs = np.ldexp(coefs, -scale[:, None, None, None])
-            cos_c, sin_c = coefs[..., 0], coefs[..., 1]
+        def means(u, lanes):
+            lu = np.multiply.outer(u, lams)
+            c, s = np.cos(lu), np.sin(lu)
+            cc, sc = coefs[lanes, None, :, 0], coefs[lanes, None, :, 1]
+            k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=-1)
+            return np.einsum("...i,ij,...j->...", k, gram, k)
 
-            def means(u, lanes):
-                lu = np.multiply.outer(u, lams)
-                c, s = np.cos(lu), np.sin(lu)
-                cc, sc = cos_c[lanes], sin_c[lanes]
-                k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=-1)
-                return np.einsum("...i,ij,...j->...", k, gram, k)
+    elif inf:
 
-            return means, scale
+        def means(u, lanes):
+            return np.abs(_trig_values(coefs[lanes, None], lams, u))
 
     else:
-        if not inf:
-            offs, wts = _gl_panels(0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes)
+        offs, wts = _gl_panels(0.0, grid.window_length, WINDOW_PANELS)
 
-        def mean(f, u):
-            if inf:
-                return np.abs(f(u))
-            return np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
-
-        def means_of(fs):
-            def means(u, lanes):
-                u = np.broadcast_to(u, lanes.shape + u.shape[1:])
-                return np.array([mean(fs[i], v) for i, v in zip(lanes.tolist(), u)]).reshape(u.shape)
-
-            return means, 0
+        def means(u, lanes):
+            u = np.broadcast_to(u, lanes.shape + u.shape[1:])
+            return np.array([
+                np.abs(_trig_values(coefs[i], lams, np.add.outer(v, offs))) ** p
+                @ wts / grid.window_length
+                for i, v in zip(lanes.tolist(), u)
+            ]).reshape(u.shape)
 
     n = max(8 * grid.u_samples, 2048) if inf else grid.u_samples
     u = np.linspace(0.0, span, n, endpoint=False)
-    xatol = 1e-10 if inf else 1e-9
-
-    def norms(fs):
-        means, scale = means_of(fs)
-        top = _sampled_sup(means, len(fs), u, span / n, xatol=xatol, refine=grid.refine)
-        if inf:
-            return top
-        # the C library's pow per lane: numpy's vectorised power can differ
-        # from it in the last bit
-        roots = np.array([max(v, 0.0) ** (1.0 / p) for v in top.tolist()])
-        return np.ldexp(roots, scale)
-
-    return norms
+    top = _sampled_sup(
+        means, coefs.shape[0], u, span / n, xatol=1e-10 if inf else 1e-9, refine=grid.refine
+    )
+    if inf:
+        return top
+    # the C library's pow per lane: numpy's vectorised power can differ
+    # from it in the last bit
+    roots = np.array([max(v, 0.0) ** (1.0 / p) for v in top.tolist()])
+    return np.ldexp(roots, scale)
 
 
 def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = None) -> float:
@@ -468,21 +492,22 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     integrals.  At p = 2 each window mean is exact: writing
     f(u + tau) = sum_nu C_nu(u) cos(l_nu tau) + S_nu(u) sin(l_nu tau), it is
     a quadratic form of (C, S) in the window Gram matrix.  Other p use
-    ``grid.panels_per_window`` Gauss-Legendre panels of ``grid.gl_nodes``
-    nodes.  With ``grid.refine`` a bracketed scalar maximization sharpens
-    the best sample.
+    ``WINDOW_PANELS`` Gauss-Legendre panels of ``GL_NODES`` nodes.  With
+    ``grid.refine`` a bracketed scalar maximization sharpens the best
+    sample.
     """
     grid = grid or WindowGrid()
-    norms = _window_norm(f.spectrum.frequencies(), p, grid, resolve_span(f, grid))
-    return float(norms([f])[0])
+    entries = f.spectrum.entries
+    coefs = np.reshape([(e.cos_coef, e.sin_coef) for e in entries], (1, len(entries), 2))
+    return float(_window_norm(f.spectrum.frequencies(), coefs, p, grid, resolve_span(f, grid))[0])
 
 
 def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | None = None):
     """Translate modulus sup_{|t| <= delta} N_p(f(.+t) - f), from below; a
     float for scalar ``delta``, else an array of its shape.  The shifts are
-    the canonical lattice plus the endpoint, each normed once with one
-    window setup (every difference has the nonzero frequencies of f).  A
-    delta reads the running max of the lattice below it.  The two shift
+    the canonical lattice plus the endpoint, each normed once in one
+    window-norm call (every difference has the nonzero frequencies of f).
+    A delta reads the running max of the lattice below it.  The two shift
     signs give equal norms, so only t > 0 is scanned.
     """
     deltas = np.asarray(delta, dtype=float)
@@ -490,35 +515,34 @@ def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | 
     if not np.all((flat >= 0.0) & (flat < math.inf)):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
     grid = grid or WindowGrid()
-    lams = f.spectrum.frequencies()
-    norms = _window_norm(lams[lams != 0.0], p, grid, resolve_span(f, grid))
     steps = (flat / T_LATTICE).astype(int)
     top = int(steps.max(initial=0))
     off = (flat > 0.0) & (steps * T_LATTICE < flat)
     ends, which = np.unique(flat[off], return_inverse=True)
-    shifts = [i * T_LATTICE for i in range(1, top + 1)] + ends.tolist()
-    vals = norms([f.translate_difference(t) for t in shifts])
+    shifts = np.array([i * T_LATTICE for i in range(1, top + 1)] + ends.tolist())
+    # the rows of f.translate_difference(t): amplitudes a times
+    # r = exp(i l t) - 1, the product written out, as numpy's complex
+    # array multiply can round the last bit differently
+    moving = [e for e in f.spectrum.entries if e.freq != 0.0]
+    lams = np.array([e.freq for e in moving])
+    a = np.array([e.amp for e in moving], dtype=complex)
+    r = np.exp(1j * np.multiply.outer(shifts, lams)) - 1.0
+    re, im = a.real * r.real - a.imag * r.imag, a.real * r.imag + a.imag * r.real
+    coefs = 2.0 * np.stack([re, -im], axis=-1)
+    vals = _window_norm(lams, coefs, p, grid, resolve_span(f, grid))
     out = np.maximum.accumulate(np.concatenate([[0.0], vals[:top]]))[steps]
     out[off] = np.maximum(out[off], vals[top:][which])
     return float(out[0]) if deltas.ndim == 0 else out.reshape(deltas.shape)
 
 
-def _phi_panels(f: QuasiPeriodicFunction, delta: float, n_panels: int | None) -> int:
-    if n_panels is not None:
-        return n_panels
+def _phi_panels(f: QuasiPeriodicFunction, delta: float) -> int:
+    """Panels over [0, delta]: 8 a period of the top frequency, at least 64."""
     top = f.spectrum.max_frequency()
     need = 8 if top == 0.0 else int(math.ceil(delta * top / (2.0 * math.pi) * 8))
     return max(64, need)
 
 
-def _moduli(
-    f: QuasiPeriodicFunction,
-    x: float,
-    deltas,
-    shifts,
-    p: float,
-    n_panels: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise moduli m_x(delta), shape (D,), and shifted-difference means
     for every shift s, shape (D, M), at each delta.
 
@@ -571,7 +595,7 @@ def _moduli(
             sups = _sampled_sup(lanes, 1 + shifts.size, ts, d / 511, 0.0, d)
             point[j], shifted[j] = sups[0], sups[1:]
             continue
-        t, w = _gl_panels(0.0, d, _phi_panels(f, d, n_panels), 8)
+        t, w = _gl_panels(0.0, d, _phi_panels(f, d))
         phi = f.second_difference(x, t)
         point[j] = (float(np.dot(w, np.abs(phi) ** p)) / d) ** (1.0 / p)
         for m, s in enumerate(shifts.tolist()):
@@ -580,16 +604,10 @@ def _moduli(
     return point, shifted
 
 
-def pointwise_modulus(
-    f: QuasiPeriodicFunction,
-    x: float,
-    delta: float,
-    p: float,
-    n_panels: int | None = None,
-) -> float:
+def pointwise_modulus(f: QuasiPeriodicFunction, x: float, delta: float, p: float) -> float:
     """((1/delta) int_0^delta |phi_x|^p dt)^(1/p) for p >= 1, exact at p = 2;
     refined grid sup at p=inf."""
-    return float(_moduli(f, x, [delta], (), p, n_panels)[0][0])
+    return float(_moduli(f, x, [delta], (), p)[0][0])
 
 
 def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> float:
@@ -617,15 +635,13 @@ def best_approx_tail(f: QuasiPeriodicFunction, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Shift/width samples for the class-constant estimation.
-
-    ``n_panels = None`` sizes quadrature panels to the fastest spectral
-    oscillation; the p = 2 moduli are closed forms and use no panels.
-    """
+    """Shift/width samples for the class-constant estimation: shifts
+    +-gamma (only +gamma without ``both_signs``) and widths delta.  The
+    p = 2 moduli are closed forms; other finite p integrate over [0, delta]
+    on panels sized to the fastest spectral oscillation."""
 
     gammas: tuple[float, ...]
     deltas: tuple[float, ...]
-    n_panels: int | None = None
     both_signs: bool = True
 
     @classmethod
@@ -657,7 +673,6 @@ def shifted_difference_mean(
     delta: float,
     gamma: float,
     p: float,
-    n_panels: int | None = None,
 ) -> float:
     """((1/delta) int_0^delta |phi_x(t) - phi_x(t + gamma)|^p dt)^(1/p),
     exact at p = 2; at p = inf the refined grid sup of the difference over
@@ -666,7 +681,7 @@ def shifted_difference_mean(
     The minus shift is gamma < 0; phi_x is even, so negative arguments fold
     back automatically.
     """
-    return float(_moduli(f, x, [delta], [gamma], p, n_panels)[1][0, 0])
+    return float(_moduli(f, x, [delta], [gamma], p)[1][0, 0])
 
 
 def _class_lhs(
@@ -676,7 +691,7 @@ def _class_lhs(
     (gammas, deltas, signs) and pointwise moduli shaped (deltas,)."""
     signs = (1.0, -1.0) if plan.both_signs else (1.0,)
     shifts = [s * g for g in plan.gammas for s in signs]
-    point, shifted = _moduli(f, x, plan.deltas, shifts, p, plan.n_panels)
+    point, shifted = _moduli(f, x, plan.deltas, shifts, p)
     shifted = shifted.reshape(len(plan.deltas), len(plan.gammas), len(signs))
     return shifted.transpose(1, 0, 2), point
 
@@ -761,14 +776,13 @@ def fit_majorant(
     x: float,
     p: float,
     deltas=None,
-    n_panels: int | None = None,
 ) -> TableModulus:
     """Concave nondecreasing table majorant dominating the sampled pointwise
     modulus; constant beyond the peak."""
     if deltas is None:
         deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
     deltas = [float(d) for d in deltas]
-    moduli, _ = _moduli(f, x, deltas, (), p, n_panels)
+    moduli, _ = _moduli(f, x, deltas, (), p)
     samples = [(0.0, 0.0)] + list(zip(deltas, moduli.tolist()))
     return TableModulus(tuple(_concave_envelope(samples)))
 
@@ -786,7 +800,7 @@ def fit_class_majorant(
     The lhs table is computed once; both reports divide it by a majorant.
     """
     plan = plan or SamplePlan.default()
-    base = fit_majorant(f, x, p, deltas, plan.n_panels)
+    base = fit_majorant(f, x, p, deltas)
     lhs = _class_lhs(f, x, p, plan)
     rep = _class_report(*lhs, plan, base, 1.0)
     scale = max(rep.constant, 1.0) * (1.0 + 1e-9)

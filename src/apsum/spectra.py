@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -281,44 +280,37 @@ def validate_spectrum(obj) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-@lru_cache(maxsize=32)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
+# The one Gauss-Legendre rule of every composite quadrature in the package:
+# numpy's leggauss(8) nodes and weights, written out (the positive half,
+# then mirrored) so that no run loads numpy.polynomial (1.7 MB resident).
+GL_NODES = 8
+_GL_XI = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WT = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+_GL_XI, _GL_WT = np.concatenate([-_GL_XI[::-1], _GL_XI]), np.concatenate([_GL_WT[::-1], _GL_WT])
 
 
-def _gl_panels(
-    lo: float, hi: float, n_panels: int, nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _gl_panels(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [lo, hi] with ``n_panels`` equal
-    panels of ``nodes`` nodes each; nodes and weights are panel-major."""
-    xi, wt = _leggauss(nodes)
+    panels of ``GL_NODES`` nodes each; nodes and weights are panel-major."""
     h = (hi - lo) / n_panels
     centers = lo + (np.arange(n_panels) + 0.5) * h
-    t = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
-    return t, np.tile(0.5 * h * wt, n_panels)
+    t = (centers[:, None] + 0.5 * h * _GL_XI[None, :]).ravel()
+    return t, np.tile(0.5 * h * _GL_WT, n_panels)
 
 
-def fourier_coefficient(
-    f: QuasiPeriodicFunction,
-    freq: float,
-    span: float,
-    panels_per_unit: int | None = None,
-    gl_nodes: int = 8,
-) -> complex:
+def fourier_coefficient(f: QuasiPeriodicFunction, freq: float, span: float) -> complex:
     """Finite-span mean coefficient (1/L) int_0^L f(t) exp(-i freq t) dt.
 
     Converges to the amplitude at ``freq`` with O(1/L) error for separated
-    spectra.  Composite Gauss-Legendre panels sized to the fastest
-    oscillation present.
+    spectra.  Composite Gauss-Legendre panels, each at most half a period
+    of the fastest oscillation present and at most 1 wide.
     """
     if not (math.isfinite(freq) and math.isfinite(span)) or span <= 0.0:
         raise ValueError(f"freq={freq!r}, span={span!r} must be finite with span > 0")
     top = max(abs(freq), f.spectrum.max_frequency(), 1e-9)
     width = min(math.pi / top, 1.0)
-    if panels_per_unit is not None:
-        width = min(width, 1.0 / panels_per_unit)
     n_panels = max(1, int(math.ceil(span / width)))
-    t, w = _gl_panels(0.0, span, n_panels, gl_nodes)
+    t, w = _gl_panels(0.0, span, n_panels)
     vals = f(t) * np.exp(-1j * freq * t)
     return complex(np.dot(w, vals) / span)
 

@@ -221,13 +221,20 @@ class RatioSeries:
         return max(ratios) if ratios else 0.0
 
     def head_tail_bounded(self, head_end: int, factor: float) -> bool:
-        """No blow-up: max ratio past ``head_end`` stays within ``factor``
-        times the max ratio up to ``head_end`` (boundary in both parts)."""
-        head = [r.ratio for r in self.records if r.n <= head_end and not math.isnan(r.ratio)]
-        tail = [r.ratio for r in self.records if r.n >= head_end and not math.isnan(r.ratio)]
-        if not head or not tail:
+        """No blow-up: the max ratio past ``head_end`` stays within
+        ``factor`` times the max ratio up to ``head_end`` (boundary in both
+        parts), or the ratios stopped rising: their max over n in (N/2, N]
+        is at most their max over (N/4, N/2], N the largest n.  With either
+        block empty the head/tail test decides alone."""
+        ratios = [(r.n, r.ratio) for r in self.records if not math.isnan(r.ratio)]
+        head = [v for n, v in ratios if n <= head_end]
+        tail = [v for n, v in ratios if n >= head_end]
+        if not head or not tail or max(tail) <= factor * max(head) + 1e-12:
             return True
-        return max(tail) <= factor * max(head) + 1e-12
+        top = max(r.n for r in self.records)
+        last = [v for n, v in ratios if top / 2 < n <= top]
+        before = [v for n, v in ratios if top / 4 < n <= top / 2]
+        return bool(last and before) and max(last) <= max(before)
 
 
 THEOREMS = ("prop4", "thm2", "thm5", "thm6")

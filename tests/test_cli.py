@@ -85,6 +85,46 @@ def test_non_integer_count_exit_2(tmp_path, capsys, command, field, value):
     assert out["field"] == field
 
 
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        '{"u_samples": 2.5}',
+        '{"u_span": 0}',
+        '{"u_span": -1}',
+        '{"window_length": 1e400}',
+        '{"refine": "no"}',
+        '{"gl_nodes": 8}',
+        '{"panels_per_window": 16}',
+    ],
+)
+def test_bad_grid_exit_2(tmp_path, capsys, command, grid):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm2", '
+        '"matrix": {"builtin": "cesaro"}, "grid": ' + grid + "}"
+    )
+    assert main([command, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["field"] == "grid"
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
+@pytest.mark.parametrize("key, value", [("gl_nodes", 8), ("panels_per_window", 16)])
+def test_old_report_echo_exit_2(tmp_path, capsys, smooth_config, command, key, value):
+    # a report's config echo runs as a config; one written while the window
+    # rule could still be set names a grid field that no longer exists
+    assert main(["report", str(smooth_config), "--out", str(tmp_path / "out")]) == 0
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert main([command, str(path)]) == 0
+    echo["grid"][key] = value
+    path.write_text(json.dumps(echo))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["field"] == "grid"
+
+
 def test_count_beyond_float_range_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"spectrum": {"builtin": "smooth"}, "x_samples": 1' + "0" * 400 + "}")

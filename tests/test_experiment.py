@@ -233,6 +233,86 @@ class TestConfigValidation:
         assert err.value.field == "spectrum"
 
 
+def shipped(name, **overrides):
+    """The config of configs/<name>.json with the given fields replaced."""
+    data = json.loads((CONFIGS / f"{name}.json").read_text())
+    return ExperimentConfig.from_dict(dict(data, **overrides))
+
+
+class TestGridFields:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"u_samples": 2.5},
+            {"u_samples": 0},
+            {"u_samples": True},
+            {"u_samples": "64"},
+            {"u_samples": math.inf},
+            {"window_length": 0.0},
+            {"window_length": -1.0},
+            {"window_length": math.inf},
+            {"window_length": math.nan},
+            {"window_length": "2"},
+            {"u_span": 0},
+            {"u_span": -1.0},
+            {"u_span": math.inf},
+            {"refine": "no"},
+            {"refine": 1},
+            {"refine": None},
+            # removed quadrature fields: the window rule is fixed
+            {"gl_nodes": 8},
+            {"panels_per_window": 16},
+            [],
+            None,
+        ],
+    )
+    def test_bad_grid_names_field(self, grid):
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem="thm2", matrix={"builtin": "cesaro"}, grid=grid)
+        assert err.value.field == "grid"
+
+    def test_integral_float_u_samples_accepted(self):
+        cfg = make_config(grid={"u_samples": 64.0, "u_span": None})
+        assert cfg.grid.u_samples == 64 and type(cfg.grid.u_samples) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("u_samples", 256), ("window_length", 2.0), ("u_span", 3.0), ("refine", False)],
+    )
+    def test_every_grid_field_moves_the_rhs(self, field, value):
+        base = run(shipped("thm2_cesaro_smooth")).records
+        moved = run(shipped("thm2_cesaro_smooth", grid={field: value})).records
+        assert [r.n for r in moved] == [r.n for r in base]
+        assert [r.rhs for r in moved] != [r.rhs for r in base]
+
+
+class TestBlowUpVerdict:
+    def test_no_false_alarm_near_zeros_of_f(self):
+        # the grid holds x = 1.518 and 4.765, where f(x) = -0.034: the q = 1
+        # ratio rises from 0.024 at n = 1 to 0.127 at n = 19 and falls back
+        # to 0.062 by n = 128, so it is bounded and does not grow
+        xs = np.linspace(0.0, 2.0 * math.pi, 121).tolist()
+        assert run(shipped("thm5_oscgm2_smooth", x=xs)).summary["regression_ok"]
+
+    @pytest.mark.parametrize(
+        "name, power",
+        [
+            ("thm5_oscgm2_smooth", 0.5),
+            ("thm5_oscgm2_smooth", 1.0),
+            ("thm6_cesaro_lacunary", 0.5),
+            ("thm6_cesaro_lacunary", 1.0),
+            ("thm2_cesaro_smooth", 1.0),
+        ],
+    )
+    def test_growing_ratio_fails(self, monkeypatch, name, power):
+        # an rhs divided by (n+1)^power makes the ratios grow with n
+        record = strong_means._record
+        monkeypatch.setattr(
+            strong_means, "_record", lambda n, lhs, rhs: record(n, lhs, rhs / (n + 1) ** power)
+        )
+        assert not run(shipped(name)).summary["regression_ok"]
+
+
 class TestRun:
     def test_empty_n_range(self):
         cfg = make_config(n_range=[3, 2])

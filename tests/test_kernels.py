@@ -17,7 +17,7 @@ from apsum.kernels import (
     tail_bound,
 )
 from apsum import kernels
-from apsum.spectra import Spectrum, QuasiPeriodicFunction, _gl_panels
+from apsum.spectra import GL_NODES, Spectrum, QuasiPeriodicFunction, _gl_panels
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 SMOOTH = QuasiPeriodicFunction(
@@ -125,11 +125,15 @@ class TestGapFree:
             assert gap_free(CONST, k)
 
 
+def truncation(alpha):
+    """The end T of the kernel integral's node grid."""
+    return kernels.TRUNCATION_PERIODS * (2.0 * math.pi / alpha)
+
+
 def reference_table(f, ks, xs):
     """The kernel table as one np.sin band array and one dot product per
     (band, x), with the beat tail summed term by term: the slow route the
     chunked band recurrence must reproduce."""
-    cfg = QuadratureConfig()
     alpha = f.spectrum.alpha
     freqs = f.spectrum.frequencies()
     plans = []
@@ -137,10 +141,10 @@ def reference_table(f, ks, xs):
         hit = np.flatnonzero((freqs > 0.5 * alpha * k) & (freqs < 0.5 * alpha * (k + 1)))
         plans.append((k, None) if hit.size == 0 else (k + 1, int(hit[0])))
     bands = sorted({b for b, _ in plans})
-    T = cfg.resolve_truncation(alpha)
+    T = truncation(alpha)
     numax = freqs[-1] + 0.5 * alpha * (bands[-1] + 1)
-    n_panels = max(1, math.ceil(T / ((2.0 * math.pi / numax) / cfg.panels_per_oscillation)))
-    t, w = _gl_panels(0.0, T, n_panels, cfg.gl_nodes)
+    n_panels = max(1, math.ceil(T / ((2.0 * math.pi / numax) / kernels.PANELS_PER_OSCILLATION)))
+    t, w = _gl_panels(0.0, T, n_panels)
     envelope = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / (t * t)
     terms = [f.term_values(x) for x in xs]
     wbase = [w * f.symmetric_translate(x, t) * envelope for x in xs]
@@ -206,12 +210,12 @@ class TestKernelRoute:
         assert math.isfinite(err.value.value)
         # the budget as a whole-grid pass forms it: GL term over the panel
         # maxima of the integrand plus the rounding floor
-        m = cfg.gl_nodes
-        T = cfg.resolve_truncation(1.0)
+        m = GL_NODES
+        T = truncation(1.0)
         numax = 10.0 + 0.5 * 4
-        n_panels = math.ceil(T / ((2.0 * math.pi / numax) / cfg.panels_per_oscillation))
+        n_panels = math.ceil(T / ((2.0 * math.pi / numax) / kernels.PANELS_PER_OSCILLATION))
         h = T / n_panels
-        t, _ = _gl_panels(0.0, T, n_panels, m)
+        t, _ = _gl_panels(0.0, T, n_panels)
         base = SMOOTH.symmetric_translate(0.1, t) * (4.0 / math.pi) * np.sin(0.25 * t) / t**2
         env = np.abs(base).reshape(n_panels, m).max(axis=1).sum()
         budget = kernels._gl_error_constant(m) * h * (0.5 * h * numax) ** (2 * m) * env * 16.0
@@ -253,14 +257,13 @@ class TestKernelTableOracle:
                 assert np.abs(got[:, i] - want).max() <= 4e-13
 
 
-def reference_mass(alpha, k, cfg=None):
+def reference_mass(alpha, k):
     """Per-k quadrature oracle: Psi_k on a grid sized for band k alone, plus
     the exact tail past the truncation point."""
-    cfg = cfg or QuadratureConfig()
-    T = cfg.resolve_truncation(alpha)
+    T = truncation(alpha)
     w1, w2 = 0.5 * alpha * k, 0.5 * alpha * (k + 1)
-    width = (2.0 * math.pi / (w1 + w2)) / cfg.panels_per_oscillation
-    t, w = _gl_panels(0.0, T, max(1, int(math.ceil(T / width))), cfg.gl_nodes)
+    width = (2.0 * math.pi / (w1 + w2)) / kernels.PANELS_PER_OSCILLATION
+    t, w = _gl_panels(0.0, T, max(1, int(math.ceil(T / width))))
     c = kernels._cos_tail(np.array([w1, w2]), T)
     return float(np.dot(w, psi_k(alpha, k, t))) + (2.0 / (alpha * math.pi)) * (c[0] - c[1])
 
@@ -292,7 +295,7 @@ class TestKernelMass:
 
     def test_tail_bound_scale(self):
         # dropped-tail bound for the default truncation stays conservative
-        T = QuadratureConfig().resolve_truncation(1.0)
+        T = truncation(1.0)
         assert tail_bound(SMOOTH, T) == pytest.approx(
             8.0 * 1.1 / (math.pi * T), rel=1e-12
         )

@@ -245,7 +245,7 @@ def refine_block_norm(f, p, grid):
             return np.einsum("...i,ij,...j->...", k, gram, k)
 
     else:
-        offs, wts = _gl_panels(0.0, grid.window_length, grid.panels_per_window, grid.gl_nodes)
+        offs, wts = _gl_panels(0.0, grid.window_length, measures.WINDOW_PANELS)
 
         def window_means(u):
             return np.abs(f(np.add.outer(u, offs))) ** p @ wts / grid.window_length
@@ -439,8 +439,10 @@ class TestBoundedMin:
         f = random_function(5)
         grid = WindowGrid(u_samples=24)
         fs = [f.translate_difference(t) for t in np.linspace(0.05, 3.0, 40)]
-        norms = measures._window_norm(f.spectrum.frequencies(), p, grid, resolve_span(f, grid))
-        assert norms(fs).tolist() == [refine_block_norm(g, p, grid) for g in fs]
+        coefs = np.array([[(e.cos_coef, e.sin_coef) for e in g.spectrum.entries] for g in fs])
+        span = resolve_span(f, grid)
+        norms = measures._window_norm(f.spectrum.frequencies(), coefs, p, grid, span)
+        assert norms.tolist() == [refine_block_norm(g, p, grid) for g in fs]
 
     def test_no_lanes(self):
         x, fun = measures._bounded_min(trig_lanes(np.zeros((0, 1, 2)), np.zeros((0, 1))), [], [], 1e-9)
@@ -638,7 +640,7 @@ def unit_scaled(f):
 
 def fine_mean(values, lo, hi):
     """(1/(hi - lo)) int_lo^hi values(t) dt on 4096 Gauss-Legendre panels."""
-    t, w = _gl_panels(lo, hi, 4096, 8)
+    t, w = _gl_panels(lo, hi, 4096)
     return float(np.dot(w, values(t))) / (hi - lo)
 
 
@@ -782,12 +784,12 @@ def loop_class_check(f, x, w, p, plan):
     for g in plan.gammas:
         for d in plan.deltas:
             for s in signs:
-                lhs = shifted_difference_mean(f, x, d, s * g, p, plan.n_panels)
+                lhs = shifted_difference_mean(f, x, d, s * g, p)
                 ratio = lhs / w(g) if w(g) > 0.0 else math.inf
                 if lhs > 1e-14 and ratio > c1:
                     c1, worst_g = ratio, g
     for d in plan.deltas:
-        lhs = pointwise_modulus(f, x, d, p, plan.n_panels)
+        lhs = pointwise_modulus(f, x, d, p)
         ratio = lhs / w(d) if w(d) > 0.0 else math.inf
         if lhs > 1e-14 and ratio > c2:
             c2, worst_d = ratio, d

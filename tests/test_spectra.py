@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apsum import spectra
 from apsum.spectra import (
     Spectrum,
     SpectrumError,
@@ -92,6 +93,12 @@ class TestSecondDifference:
 
 
 class TestFourierCoefficient:
+    def test_gl_rule_is_numpys(self):
+        # the written-out rule is numpy's Gauss-Legendre rule, float for float
+        xi, wt = np.polynomial.legendre.leggauss(spectra.GL_NODES)
+        assert spectra._GL_XI.tolist() == xi.tolist()
+        assert spectra._GL_WT.tolist() == wt.tolist()
+
     def test_constant_exact(self):
         got = fourier_coefficient(CONST3, 0.0, 37.0)
         assert got == pytest.approx(3.0, abs=1e-12)

@@ -15,6 +15,8 @@ from apsum.measures import (
 )
 from apsum.spectra import Spectrum, QuasiPeriodicFunction
 from apsum.strong_means import (
+    RatioRecord,
+    RatioSeries,
     StrongMeanParams,
     dyadic_strong_mean,
     gm2_rows_rhs,
@@ -394,15 +396,29 @@ class TestRatioSeries:
         assert rs.max_ratio <= 50.0
         assert rs.head_tail_bounded(4, 2.0)
 
+    def test_head_tail_flags_only_rising_ratios(self):
+        def series(ratios):
+            records = tuple(RatioRecord(n, r, 1.0, r, ()) for n, r in enumerate(ratios, 1))
+            return RatioSeries("prop4", 0.0, 1.0, records, None)
+
+        # N = 16: the blocks are n in (4, 8] and (8, 16]; every tail below
+        # passes twice the head max 1 (n <= 4)
+        assert series([1.0] * 4 + [3.0] * 4 + [2.0] * 8).head_tail_bounded(4, 2.0)
+        assert series([1.0] * 4 + [3.0] * 4 + [3.0] * 8).head_tail_bounded(4, 2.0)
+        assert not series([1.0] * 4 + [2.5] * 4 + [3.0] * 8).head_tail_bounded(4, 2.0)
+        # a block without ratios leaves the head/tail test to decide alone
+        assert not series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8).head_tail_bounded(4, 2.0)
+        assert series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8).head_tail_bounded(4, 3.0)
+
     def test_thm2_norms_each_shift_once(self, monkeypatch):
-        shifts, setups, omega_calls = [], [], []
-        translate = QuasiPeriodicFunction.translate_difference
+        rows, setups, omega_calls = [], [], []
+        window_norm = measures._window_norm
         gram = measures._trig_gram
         omega = strong_means.modulus_omega
 
-        def counted_translate(self, a):
-            shifts.append(a)
-            return translate(self, a)
+        def counted_window_norm(lams, coefs, *args):
+            rows.append(coefs)
+            return window_norm(lams, coefs, *args)
 
         def counted_omega(*args, **kwargs):
             omega_calls.append(args[1])
@@ -412,7 +428,7 @@ class TestRatioSeries:
             setups.append(args[1])
             return gram(*args)
 
-        monkeypatch.setattr(QuasiPeriodicFunction, "translate_difference", counted_translate)
+        monkeypatch.setattr(measures, "_window_norm", counted_window_norm)
         monkeypatch.setattr(measures, "_trig_gram", counted_gram)
         monkeypatch.setattr(strong_means, "modulus_omega", counted_omega)
         ratio_series(
@@ -432,10 +448,16 @@ class TestRatioSeries:
             ts = [i * T_LATTICE for i in range(1, int(delta / T_LATTICE) + 1)]
             want.update(ts if ts and ts[-1] >= delta else ts + [delta])
         assert len(omega_calls) == 1
-        # one window setup (one window Gram) serves every shift
-        assert len(setups) == 1
-        assert len(shifts) == len(want)
-        assert sorted(shifts) == sorted(want)
+        # one window-norm call, with one window setup (one window Gram),
+        # norms one coefficient row per shift: the row of f(. + t) - f
+        assert len(rows) == 1 and len(setups) == 1
+        assert rows[0].shape[0] == len(want)
+
+        def row(g):
+            return tuple((e.cos_coef, e.sin_coef) for e in g.spectrum.entries)
+
+        got = sorted(tuple(map(tuple, r.tolist())) for r in rows[0])
+        assert got == sorted(row(SMOOTH.translate_difference(t)) for t in want)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100_000), q=st.sampled_from([0.5, 1.3, 2.0]))
