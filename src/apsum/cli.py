@@ -1,7 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 validation failure (bad config, bad input file),
-3 bound-regression failure.
+3 bound-regression failure.  Every command reports a validation failure
+the same way: one JSON object {"ok": false, "field": ..., "error": ...}
+on stdout, ``field`` naming the offending config entry (null when the
+error has no config field).
 """
 
 from __future__ import annotations
@@ -30,60 +33,36 @@ EXIT_TOLERANCE = 3
 VALIDATION_ERRORS = (ConfigError, SpectrumError, MatrixError, FileNotFoundError)
 
 
-def _load_config(path: str) -> tuple[ExperimentConfig, Path]:
-    cfg = ExperimentConfig.from_file(path)
-    return cfg, Path(path).parent
-
-
 def cmd_validate(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_file(args.config, allow_invalid=args.allow_invalid)
-        base = Path(args.config).parent
-        f = cfg.resolve_function(base, allow_invalid=args.allow_invalid)
-        cfg.resolve_matrix(base)
-    except VALIDATION_ERRORS as exc:
-        field = getattr(exc, "field", None)
-        print(json.dumps({"ok": False, "field": field, "error": str(exc)}))
-        return EXIT_VALIDATION
+    cfg = ExperimentConfig.from_file(args.config, allow_invalid=args.allow_invalid)
     issues = [
         {"code": i.code, "index": i.index, "detail": i.detail}
-        for i in validate_spectrum(f).issues
+        for i in validate_spectrum(cfg.resolve_function()).issues
     ]
     print(json.dumps({"ok": True, "theorem": cfg.theorem, "spectrum_issues": issues}))
     return EXIT_OK
 
 
 def cmd_classes(args) -> int:
-    try:
-        matrix = load_matrix(args.matrix_file)
-        lo, hi = args.n_range
-        names = [args.cls] if args.cls else ["ms", "rbvs", "gm", "gm2"]
-        out = {}
-        for name in names:
-            rep = class_membership(
-                matrix, name, args.threshold, range(lo, hi + 1), c=args.c
-            )
-            out[name] = {
-                "member": rep.member,
-                "sup_constant": rep.sup_constant,
-                "threshold": rep.threshold,
-                "side_condition_ok": rep.side_condition_ok,
-                **({"c": rep.c} if rep.c is not None else {}),
-            }
-    except VALIDATION_ERRORS as exc:
-        print(json.dumps({"ok": False, "error": str(exc)}))
-        return EXIT_VALIDATION
+    matrix = load_matrix(args.matrix_file)
+    lo, hi = args.n_range
+    names = [args.cls] if args.cls else ["ms", "rbvs", "gm", "gm2"]
+    out = {}
+    for name in names:
+        rep = class_membership(matrix, name, args.threshold, range(lo, hi + 1), c=args.c)
+        out[name] = {
+            "member": rep.member,
+            "sup_constant": rep.sup_constant,
+            "threshold": rep.threshold,
+            "side_condition_ok": rep.side_condition_ok,
+            **({"c": rep.c} if rep.c is not None else {}),
+        }
     print(json.dumps({"matrix": matrix.describe(), "classes": out}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_strong_mean(args) -> int:
-    try:
-        cfg, base = _load_config(args.config)
-        table = strong_mean_table(cfg, base)
-    except VALIDATION_ERRORS as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
+    table = strong_mean_table(ExperimentConfig.from_file(args.config))
     if args.out:
         Path(args.out).write_text(table)
     else:
@@ -92,40 +71,25 @@ def cmd_strong_mean(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg, base = _load_config(args.config)
-        if args.theorem:
-            data = dict(cfg.to_dict())
-            data["theorem"] = args.theorem
-            cfg = ExperimentConfig.from_dict(data, base)
-        report = run(cfg, base)
-    except VALIDATION_ERRORS as exc:
-        field = getattr(exc, "field", None)
-        print(json.dumps({"ok": False, "field": field, "error": str(exc)}))
-        return EXIT_VALIDATION
+    cfg = ExperimentConfig.from_file(args.config)
+    if args.theorem:
+        data = dict(cfg.to_dict(), theorem=args.theorem)
+        cfg = ExperimentConfig.from_dict(data, Path(args.config).parent)
+    report = run(cfg)
     print(json.dumps(report.summary, sort_keys=True))
-    if not report.summary["regression_ok"]:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return EXIT_OK if report.summary["regression_ok"] else EXIT_TOLERANCE
 
 
 def cmd_report(args) -> int:
-    try:
-        cfg, base = _load_config(args.config)
-        report = run(cfg, base)
-    except VALIDATION_ERRORS as exc:
-        field = getattr(exc, "field", None)
-        print(json.dumps({"ok": False, "field": field, "error": str(exc)}))
-        return EXIT_VALIDATION
+    cfg = ExperimentConfig.from_file(args.config)
+    report = run(cfg)
     out = args.out or cfg.output
     if out is None:
         print(json.dumps(report_to_dict(report), sort_keys=True))
     else:
         paths = write_report(report, out)
         print(json.dumps({"written": [str(p) for p in paths]}, sort_keys=True))
-    if not report.summary["regression_ok"]:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return EXIT_OK if report.summary["regression_ok"] else EXIT_TOLERANCE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VALIDATION_ERRORS as exc:
+        field = getattr(exc, "field", None)
+        print(json.dumps({"ok": False, "field": field, "error": str(exc)}))
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -105,9 +105,10 @@ def _numbers(data: dict, field: str, default) -> tuple[float, ...]:
     return out
 
 
-def _number(data: dict, field: str, default, kind=float):
+def _number(data: dict, field: str, default, kind=float, ok=None, rule=""):
     """``kind`` of the field's value (or the default), else ConfigError; an
-    int field takes integral values only (16.0 is 16, 2.7 is an error)."""
+    int field takes integral values only (16.0 is 16, 2.7 is an error), and
+    a value failing ``ok`` is an error that states ``rule``."""
     value = data.get(field, default)
     try:
         out = kind(value)
@@ -116,6 +117,8 @@ def _number(data: dict, field: str, default, kind=float):
         raise ConfigError(field, f"must be a number, got {value!r}") from None
     if not integral:
         raise ConfigError(field, f"must be an integer, got {value!r}")
+    if ok is not None and not ok(out):
+        raise ConfigError(field, f"must be {rule}, got {value!r}")
     return out
 
 
@@ -132,8 +135,29 @@ def _fit_plan(src: dict) -> SamplePlan:
     return SamplePlan.default(top=float(top), count=int(count))
 
 
+def _majorant_source(src: dict | None) -> SamplePlan | ModulusMajorant:
+    """The sample plan of a "fit" majorant (the default), else the majorant."""
+    src = src if src is not None else {"type": "fit"}
+    if not isinstance(src, dict):
+        raise ConfigError("majorant", "must be an object")
+    if src.get("type") == "fit":
+        return _fit_plan(src)
+    try:
+        return majorant_from_dict(src)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("majorant", str(exc))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's config.  ``from_dict`` checks the fields, then resolves
+    the inputs once: the function (relative files are read from
+    ``base_dir``), the matrix with every row of ``n_range`` built, and the
+    majorant source.  They live on the instance outside the fields, so
+    ``to_dict`` echoes the config only.  ``allow_invalid`` lets in a
+    spectrum that fails validation; ``run`` and ``strong_mean_table``
+    still refuse it."""
+
     spectrum: dict
     theorem: str = "prop4"
     matrix: dict | None = None
@@ -155,10 +179,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(
-        cls,
-        data: dict,
-        base_dir: Path | None = None,
-        allow_invalid: bool = False,
+        cls, data: dict, base_dir: Path | None = None, allow_invalid: bool = False
     ) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
@@ -174,12 +195,8 @@ class ExperimentConfig:
         q = _numbers(data, "q", 1.0)
         if any(not v > 0.0 for v in q):
             raise ConfigError("q", "every q must be > 0")
-        c = _number(data, "c", 2.0)
-        if not c > 1.0:
-            raise ConfigError("c", "must be > 1")
-        p = _number(data, "p", 2.0)
-        if not p > 1.0:
-            raise ConfigError("p", "must be > 1 (or inf)")
+        c = _number(data, "c", 2.0, ok=lambda v: 1.0 < v < math.inf, rule="finite and > 1")
+        p = _number(data, "p", 2.0, ok=lambda v: v > 1.0, rule="> 1 (or inf)")
         n_range = data.get("n_range", [1, 64])
         try:
             ok = (
@@ -195,9 +212,7 @@ class ExperimentConfig:
         if n_range[0] < 0:
             raise ConfigError("n_range", "lo must be >= 0")
         x = _numbers(data, "x", 0.0)
-        x_samples = _number(data, "x_samples", 16, int)
-        if x_samples < 1:
-            raise ConfigError("x_samples", f"must be >= 1, got {x_samples}")
+        x_samples = _number(data, "x_samples", 16, int, lambda v: v >= 1, ">= 1")
         literal = data.get("thm5_literal_exponent", False)
         if not isinstance(literal, bool):
             raise ConfigError("thm5_literal_exponent", f"must be true or false, got {literal!r}")
@@ -205,6 +220,8 @@ class ExperimentConfig:
             grid = WindowGrid(**data.get("grid", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError("grid", str(exc))
+        if theorem != "thm2" and grid != WindowGrid():
+            raise ConfigError("grid", f"only thm2 takes windowed norms; {theorem} reads no grid")
         cfg = cls(
             spectrum=data["spectrum"],
             theorem=theorem,
@@ -213,25 +230,29 @@ class ExperimentConfig:
             p=p,
             q=q,
             c=c,
-            alpha=(
-                None if data.get("alpha") is None else _number(data, "alpha", None)
-            ),
+            alpha=None if data.get("alpha") is None else _number(data, "alpha", None),
             n_range=n_range,
             x=x,
             x_samples=x_samples,
             grid=grid,
             thm5_literal_exponent=literal,
-            max_ratio=_number(data, "max_ratio", 50.0),
+            max_ratio=_number(data, "max_ratio", 50.0, ok=lambda v: v > 0.0, rule="> 0"),
             blowup_head=_number(data, "blowup_head", 8, int),
-            blowup_factor=_number(data, "blowup_factor", 2.0),
-            side_tol=_number(data, "side_tol", 0.05),
+            blowup_factor=_number(data, "blowup_factor", 2.0, ok=lambda v: v > 0.0, rule="> 0"),
+            side_tol=_number(data, "side_tol", 0.05, ok=lambda v: v >= 0.0, rule=">= 0"),
             output=data.get("output"),
         )
-        cfg.resolve_function(base_dir, allow_invalid)  # cross-field checks
+        base_dir = Path(base_dir or ".")
+        f, refusal = cfg._load_function(base_dir, allow_invalid)
         if cfg.theorem in ("thm2", "thm5", "thm6") and cfg.matrix is None:
             raise ConfigError("matrix", f"required for theorem {cfg.theorem}")
-        if cfg.theorem != "thm2":
-            cfg._majorant_source()
+        # frozen fields; the resolved inputs live beside them
+        cfg.__dict__.update(
+            _function=f,
+            _refusal=refusal,
+            _matrix=cfg._load_matrix(base_dir),
+            _majorant=None if cfg.theorem == "thm2" else _majorant_source(cfg.majorant),
+        )
         return cfg
 
     @classmethod
@@ -247,85 +268,80 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def resolve_function(
-        self, base_dir: Path | None = None, allow_invalid: bool = False
-    ) -> QuasiPeriodicFunction:
+    def _load_function(
+        self, base_dir: Path, allow_invalid: bool
+    ) -> tuple[QuasiPeriodicFunction, str | None]:
+        """The function, and why a run refuses it when only
+        ``allow_invalid`` let its spectrum in (else None)."""
         src = self.spectrum
         if not isinstance(src, dict):
             raise ConfigError("spectrum", "must be an object")
         if "builtin" in src:
             f = builtin_spectra(src["builtin"])
-        elif "file" in src:
-            path = Path(src["file"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            skip = allow_invalid or bool(src.get("allow_invalid"))
-            try:
-                f = load_spectrum(path, allow_invalid=skip)
-            except FileNotFoundError as exc:
-                raise ConfigError("spectrum", f"file not found: {exc}")
-            except SpectrumError as exc:
-                raise ConfigError("spectrum", str(exc))
         else:
             try:
-                spec = spectrum_from_dict(src)
-            except SpectrumError as exc:
+                if "file" in src:
+                    f = load_spectrum(base_dir / src["file"], allow_invalid=True)
+                else:
+                    f = QuasiPeriodicFunction(spectrum_from_dict(src))
+            except FileNotFoundError as exc:
+                raise ConfigError("spectrum", f"file not found: {exc}")
+            except (TypeError, ValueError) as exc:  # SpectrumError, bad JSON
                 raise ConfigError("spectrum", str(exc))
-            report = validate_spectrum(spec)
-            if not report.ok and not allow_invalid:
-                raise ConfigError("spectrum", f"invalid inline spectrum: {report.codes()}")
-            f = QuasiPeriodicFunction(spec)
-        if self.alpha is not None and not math.isclose(
-            self.alpha, f.spectrum.alpha, rel_tol=1e-12, abs_tol=0.0
-        ):
-            raise ConfigError(
-                "alpha",
-                f"config alpha {self.alpha} does not match spectrum alpha "
-                f"{f.spectrum.alpha}",
-            )
-        return f
+        if self.alpha is not None and not math.isclose(self.alpha, f.spectrum.alpha, rel_tol=1e-12):
+            msg = f"config alpha {self.alpha} does not match spectrum alpha {f.spectrum.alpha}"
+            raise ConfigError("alpha", msg)
+        report = validate_spectrum(f)
+        if report.ok or ("file" in src and src.get("allow_invalid")):
+            return f, None
+        refusal = "invalid spectrum: " + "; ".join(
+            f"{i.code}[{i.index}]: {i.detail}" for i in report.issues
+        )
+        if not allow_invalid:
+            raise ConfigError("spectrum", refusal)
+        return f, refusal
 
-    def resolve_matrix(self, base_dir: Path | None = None) -> SummabilityMatrix | None:
-        if self.matrix is None:
-            return None
+    def _load_matrix(self, base_dir: Path) -> SummabilityMatrix | None:
+        """The matrix with every row of ``n_range`` built (and cached)."""
         src = self.matrix
+        if src is None:
+            return None
         if not isinstance(src, dict):
             raise ConfigError("matrix", "must be an object")
         try:
             if "builtin" in src:
-                return builtin_matrices(src["builtin"], src.get("params"))
-            if "file" in src:
-                path = Path(src["file"])
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                return load_matrix(path)
-            return matrix_from_dict(src)
+                matrix = builtin_matrices(src["builtin"], src.get("params"))
+            elif "file" in src:
+                matrix = load_matrix(base_dir / src["file"])
+            else:
+                matrix = matrix_from_dict(src)
+            for n in range(self.n_range[0], self.n_range[1] + 1):
+                matrix.row(n)
+        except ConfigError:
+            raise
         except FileNotFoundError as exc:
             raise ConfigError("matrix", f"file not found: {exc}")
-        except MatrixError as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # MatrixError, bad JSON
             raise ConfigError("matrix", str(exc))
+        return matrix
 
-    def _majorant_source(self) -> SamplePlan | ModulusMajorant:
-        """The sample plan of a "fit" majorant, else the majorant itself."""
-        src = self.majorant if self.majorant is not None else {"type": "fit"}
-        if not isinstance(src, dict):
-            raise ConfigError("majorant", "must be an object")
-        if src.get("type") == "fit":
-            return _fit_plan(src)
-        try:
-            return majorant_from_dict(src)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("majorant", str(exc))
+    def resolve_function(self) -> QuasiPeriodicFunction:
+        return self._function
 
-    def resolve_majorant(
-        self, f: QuasiPeriodicFunction, x: float
-    ) -> ModulusMajorant | None:
-        if self.theorem == "thm2":
-            return None
-        source = self._majorant_source()
-        if isinstance(source, SamplePlan):
-            return fit_class_majorant(f, x, self.p, source)[0]
-        return source
+    def resolve_matrix(self) -> SummabilityMatrix | None:
+        return self._matrix
+
+    def resolve_majorant(self, x: float) -> ModulusMajorant | None:
+        """None for thm2; the fitted majorant at x, or the configured one."""
+        if isinstance(self._majorant, SamplePlan):
+            return fit_class_majorant(self._function, x, self.p, self._majorant)[0]
+        return self._majorant
+
+    def _run_inputs(self) -> tuple[QuasiPeriodicFunction, SummabilityMatrix | None]:
+        """Function and matrix of a run, unless only allow_invalid let the spectrum in."""
+        if self._refusal is not None:
+            raise ConfigError("spectrum", self._refusal)
+        return self._function, self._matrix
 
 
 @dataclass(frozen=True)
@@ -346,11 +362,10 @@ class ExperimentReport:
     summary: dict
 
 
-def run(cfg: ExperimentConfig, base_dir: Path | None = None) -> ExperimentReport:
+def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the configured sweep: one ``ratio_sweep`` call for every
     (x, q) of the config."""
-    f = cfg.resolve_function(base_dir)
-    matrix = cfg.resolve_matrix(base_dir)
+    f, matrix = cfg._run_inputs()
     lo, hi = cfg.n_range
 
     if cfg.theorem == "thm2":
@@ -359,7 +374,7 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None) -> ExperimentReport
         points = [(None, None)]
     else:
         x_grid = None
-        majorants = {x: cfg.resolve_majorant(f, x) for x in set(cfg.x)}
+        majorants = {x: cfg.resolve_majorant(x) for x in set(cfg.x)}
         points = [(x, majorants[x]) for x in cfg.x]
     alpha, literal = f.spectrum.alpha, cfg.thm5_literal_exponent
     params = [StrongMeanParams(q, alpha, cfg.c, literal) for q in cfg.q]
@@ -392,10 +407,9 @@ def run(cfg: ExperimentConfig, base_dir: Path | None = None) -> ExperimentReport
     return ExperimentReport(config=cfg.to_dict(), records=tuple(records), summary=summary)
 
 
-def strong_mean_table(cfg: ExperimentConfig, base_dir: Path | None = None) -> str:
+def strong_mean_table(cfg: ExperimentConfig) -> str:
     """CSV table of per-n strong means (no bound side): x,q,n,value."""
-    f = cfg.resolve_function(base_dir)
-    matrix = cfg.resolve_matrix(base_dir)
+    f, matrix = cfg._run_inputs()
     if matrix is None:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range

@@ -636,13 +636,12 @@ def best_approx_tail(f: QuasiPeriodicFunction, sigma: float) -> float:
 @dataclass(frozen=True)
 class SamplePlan:
     """Shift/width samples for the class-constant estimation: shifts
-    +-gamma (only +gamma without ``both_signs``) and widths delta.  The
-    p = 2 moduli are closed forms; other finite p integrate over [0, delta]
-    on panels sized to the fastest spectral oscillation."""
+    +-gamma and widths delta.  The p = 2 moduli are closed forms; other
+    finite p integrate over [0, delta] on panels sized to the fastest
+    spectral oscillation."""
 
     gammas: tuple[float, ...]
     deltas: tuple[float, ...]
-    both_signs: bool = True
 
     @classmethod
     def default(cls, top: float = 2.0 * math.pi, count: int = 20) -> "SamplePlan":
@@ -689,10 +688,9 @@ def _class_lhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lhs of both class constants: shifted-difference means shaped
     (gammas, deltas, signs) and pointwise moduli shaped (deltas,)."""
-    signs = (1.0, -1.0) if plan.both_signs else (1.0,)
-    shifts = [s * g for g in plan.gammas for s in signs]
+    shifts = [s * g for g in plan.gammas for s in (1.0, -1.0)]
     point, shifted = _moduli(f, x, plan.deltas, shifts, p)
-    shifted = shifted.reshape(len(plan.deltas), len(plan.gammas), len(signs))
+    shifted = shifted.reshape(len(plan.deltas), len(plan.gammas), 2)
     return shifted.transpose(1, 0, 2), point
 
 
@@ -792,7 +790,6 @@ def fit_class_majorant(
     x: float,
     p: float,
     plan: SamplePlan | None = None,
-    deltas=None,
 ) -> tuple[ModulusMajorant, OmegaClassReport]:
     """Fit a majorant and rescale it so the class constants drop to <= 1.
 
@@ -800,7 +797,7 @@ def fit_class_majorant(
     The lhs table is computed once; both reports divide it by a majorant.
     """
     plan = plan or SamplePlan.default()
-    base = fit_majorant(f, x, p, deltas)
+    base = fit_majorant(f, x, p)
     lhs = _class_lhs(f, x, p, plan)
     rep = _class_report(*lhs, plan, base, 1.0)
     scale = max(rep.constant, 1.0) * (1.0 + 1e-9)

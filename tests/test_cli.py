@@ -229,6 +229,134 @@ def test_report_writes_files(smooth_config, tmp_path, capsys):
     assert report["summary"]["regression_ok"] is True
 
 
+def one_error_object(capsys) -> dict:
+    """The exit-2 output: one JSON object on stdout, nothing on stderr."""
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert set(out) == {"ok", "field", "error"} and out["ok"] is False
+    assert captured.err == ""
+    return out
+
+
+COMMANDS = ["validate", "verify", "report", "strong-mean"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c", "1e400"),
+        ("max_ratio", "NaN"),
+        ("max_ratio", "-1"),
+        ("blowup_factor", "NaN"),
+        ("blowup_factor", "-1"),
+        ("side_tol", "NaN"),
+    ],
+)
+def test_bad_verdict_value_exit_2(tmp_path, capsys, command, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm5", "matrix": {"builtin": "osc-gm2"}, '
+        f'"n_range": [1, 8], "{field}": {value}}}'
+    )
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == field
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_matrix_without_sweep_row_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    riesz = {"type": "riesz", "params": {"weights": [1.0, 1.0]}}
+    cfg = {"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": riesz, "n_range": [1, 4]}
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path)]) == 2
+    out = one_error_object(capsys)
+    assert out["field"] == "matrix" and "row 2" in out["error"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("theorem", ["prop4", "thm5", "thm6"])
+def test_grid_outside_thm2_exit_2(tmp_path, capsys, command, theorem):
+    path = tmp_path / "bad.json"
+    cfg = {
+        "spectrum": {"builtin": "smooth"},
+        "theorem": theorem,
+        "matrix": {"builtin": "cesaro"},
+        "n_range": [1, 4],
+        "grid": {"u_samples": 64},
+    }
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == "grid"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_opens_the_spectrum_once(tmp_path, capsys, monkeypatch, command):
+    from apsum import experiment
+
+    (tmp_path / "spec.json").write_text(
+        json.dumps({"alpha": 1.0, "entries": [{"lambda": 1.0, "cos": 1.0}]})
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps(
+            {
+                "spectrum": {"file": "spec.json"},
+                "theorem": "thm6",
+                "matrix": {"builtin": "cesaro"},
+                "n_range": [1, 4],
+            }
+        )
+    )
+    loads = []
+    load = experiment.load_spectrum
+    monkeypatch.setattr(
+        experiment, "load_spectrum", lambda *a, **k: loads.append(a) or load(*a, **k)
+    )
+    extra = ["--out", str(tmp_path / "out")] if command == "report" else []
+    assert main([command, str(path), *extra]) == 0
+    assert len(loads) == 1
+
+
+def test_strong_mean_out_missing_dir_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps(
+            {"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": {"builtin": "cesaro"}}
+        )
+    )
+    out = tmp_path / "missing" / "means.csv"
+    assert main(["strong-mean", str(path), "--out", str(out)]) == 2
+    assert one_error_object(capsys)["field"] is None
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["validate", "{bad}"], "alpha"),
+        (["verify", "{bad}"], "alpha"),
+        (["verify", "{ok}", "--theorem", "thm6"], "matrix"),
+        (["report", "{bad}"], "alpha"),
+        (["strong-mean", "{bad}"], "alpha"),
+        (["strong-mean", "{ok}"], "matrix"),
+        (["classes", "{mat}"], None),
+        (["report", "{missing}"], None),
+    ],
+)
+def test_every_exit_2_is_one_json_object(tmp_path, capsys, argv, field):
+    files = {
+        "bad": {"spectrum": {"builtin": "smooth"}, "alpha": 3.0},
+        "ok": {"spectrum": {"builtin": "smooth"}},
+        "mat": {"type": "diagonal"},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    paths = {name: str(tmp_path / f"{name}.json") for name in [*files, "missing"]}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert one_error_object(capsys)["field"] == field
+
+
 # Runs in a fresh interpreter: every CLI call of the configs, then the
 # scipy modules loaded, then one kernel-route call and the modules again.
 SCIPY_FREE = """

@@ -16,7 +16,7 @@ from apsum.experiment import (
     strong_mean_table,
     write_report,
 )
-from apsum import measures, strong_means
+from apsum import experiment, measures, strong_means
 from apsum.matrices import MatrixError, gm2_constant, is_ms
 from apsum.strong_means import StrongMeanParams, strong_mean
 
@@ -232,6 +232,51 @@ class TestConfigValidation:
             )
         assert err.value.field == "spectrum"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c", math.inf),
+            ("c", math.nan),
+            ("max_ratio", math.nan),
+            ("max_ratio", -1.0),
+            ("max_ratio", 0.0),
+            ("blowup_factor", math.nan),
+            ("blowup_factor", -1.0),
+            ("side_tol", math.nan),
+            ("side_tol", -0.01),
+        ],
+    )
+    def test_bad_verdict_value_names_field(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem="thm5", matrix={"builtin": "osc-gm2"}, **{field: value})
+        assert err.value.field == field
+
+    def test_verdict_bounds_accepted(self):
+        cfg = make_config(max_ratio=math.inf, blowup_factor=1e-3, side_tol=0.0)
+        assert (cfg.max_ratio, cfg.blowup_factor, cfg.side_tol) == (math.inf, 1e-3, 0.0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"type": "riesz", "params": {"weights": [1.0, 1.0]}},  # no row 2
+            {"type": "explicit", "rows": [[1.0], [0.5, 0.5]]},
+            {"type": "explicit", "rows": [[1.0], [0.5, 0.5], [0.9, 0.0]]},
+            {"type": "osc-gm2", "params": {"c": "x"}},
+            {"type": "explicit"},
+        ],
+    )
+    def test_matrix_without_sweep_rows_names_field(self, matrix):
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem="thm6", matrix=matrix, n_range=[1, 4])
+        assert err.value.field == "matrix"
+
+    def test_matrix_rows_built_over_the_sweep_only(self):
+        riesz = {"type": "riesz", "params": {"weights": [1.0, 1.0]}}
+        assert make_config(theorem="thm6", matrix=riesz, n_range=[0, 1]).n_range == (0, 1)
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem="thm6", matrix=riesz, n_range=[0, 2])
+        assert err.value.field == "matrix" and "row 2" in str(err.value)
+
 
 def shipped(name, **overrides):
     """The config of configs/<name>.json with the given fields replaced."""
@@ -271,8 +316,31 @@ class TestGridFields:
             make_config(theorem="thm2", matrix={"builtin": "cesaro"}, grid=grid)
         assert err.value.field == "grid"
 
+    @pytest.mark.parametrize("theorem", ["prop4", "thm5", "thm6"])
+    @pytest.mark.parametrize(
+        "grid", [{"u_samples": 64}, {"window_length": 1.0}, {"u_span": 3.0}, {"refine": False}]
+    )
+    def test_grid_outside_thm2_names_field(self, theorem, grid):
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem=theorem, matrix={"builtin": "cesaro"}, grid=grid)
+        assert err.value.field == "grid"
+
+    @pytest.mark.parametrize("theorem", ["prop4", "thm5", "thm6"])
+    def test_default_grid_accepted_outside_thm2(self, theorem):
+        # every report echo carries the default grid
+        echo = run(make_config(theorem=theorem, matrix={"builtin": "cesaro"}, n_range=[1, 2]))
+        assert echo.config["grid"] == {
+            "u_samples": 512, "window_length": math.pi, "u_span": None, "refine": True
+        }
+        assert ExperimentConfig.from_dict(echo.config).grid == measures.WindowGrid()
+        assert make_config(theorem=theorem, matrix={"builtin": "cesaro"}, grid={}).grid == (
+            measures.WindowGrid()
+        )
+
     def test_integral_float_u_samples_accepted(self):
-        cfg = make_config(grid={"u_samples": 64.0, "u_span": None})
+        cfg = make_config(
+            theorem="thm2", matrix={"builtin": "cesaro"}, grid={"u_samples": 64.0, "u_span": None}
+        )
         assert cfg.grid.u_samples == 64 and type(cfg.grid.u_samples) is int
 
     @pytest.mark.parametrize(
@@ -284,6 +352,69 @@ class TestGridFields:
         moved = run(shipped("thm2_cesaro_smooth", grid={field: value})).records
         assert [r.n for r in moved] == [r.n for r in base]
         assert [r.rhs for r in moved] != [r.rhs for r in base]
+
+
+SPECTRUM = {"alpha": 1.0, "entries": [{"lambda": 1.0, "cos": 1.0}, {"lambda": 3.0, "sin": 0.5}]}
+GAPPED = {"alpha": 1.0, "entries": [{"lambda": 1.0, "cos": 1.0}, {"lambda": 1.5, "cos": 1.0}]}
+
+
+class TestResolveOnce:
+    def test_relative_files_from_another_cwd(self, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "spec.json").write_text(json.dumps(SPECTRUM))
+        (conf / "mat.json").write_text(json.dumps({"type": "cesaro"}))
+        data = dict(
+            BASE, theorem="thm6", spectrum={"file": "spec.json"}, matrix={"file": "mat.json"}
+        )
+        (conf / "cfg.json").write_text(json.dumps(data))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        cfg = ExperimentConfig.from_file(conf / "cfg.json")
+        inline = make_config(theorem="thm6", spectrum=SPECTRUM, matrix={"type": "cesaro"})
+        report = run(cfg)
+        assert report.records == run(inline).records
+        assert report.config == dict(inline.to_dict(), spectrum=data["spectrum"], matrix=data["matrix"])
+        assert strong_mean_table(cfg) == strong_mean_table(inline)
+
+    def test_inputs_resolved_once(self, monkeypatch, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(SPECTRUM))
+        loads = []
+        load = experiment.load_spectrum
+        monkeypatch.setattr(
+            experiment, "load_spectrum", lambda *a, **k: loads.append(a) or load(*a, **k)
+        )
+        data = dict(BASE, theorem="thm6", spectrum={"file": "spec.json"}, matrix={"builtin": "cesaro"})
+        cfg = ExperimentConfig.from_dict(data, base_dir=tmp_path)
+        f, matrix = cfg.resolve_function(), cfg.resolve_matrix()
+        run(cfg)
+        strong_mean_table(cfg)
+        assert len(loads) == 1
+        assert cfg.resolve_function() is f and cfg.resolve_matrix() is matrix
+        assert all(matrix.row(n) is matrix.row(n) for n in range(1, 17))  # built at load
+
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    def test_run_refuses_spectrum_let_in_by_allow_invalid(self, tmp_path, source):
+        (tmp_path / "spec.json").write_text(json.dumps(GAPPED))
+        spectrum = {"file": "spec.json"} if source == "file" else GAPPED
+        data = dict(BASE, theorem="thm6", spectrum=spectrum, matrix={"builtin": "cesaro"})
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(data, base_dir=tmp_path)
+        assert err.value.field == "spectrum"
+        cfg = ExperimentConfig.from_dict(data, base_dir=tmp_path, allow_invalid=True)
+        assert cfg.resolve_function().spectrum.frequencies().tolist() == [1.0, 1.5]
+        for call in (run, strong_mean_table):
+            with pytest.raises(ConfigError) as err:
+                call(cfg)
+            assert err.value.field == "spectrum" and "gap" in str(err.value)
+
+    def test_file_flag_waives_validation(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(GAPPED))
+        cfg = ExperimentConfig.from_dict(
+            dict(BASE, spectrum={"file": "spec.json", "allow_invalid": True}), base_dir=tmp_path
+        )
+        assert run(cfg).summary["records"] == 16
 
 
 class TestBlowUpVerdict:
@@ -374,7 +505,7 @@ class TestRun:
             reports = []
             for threads in ("1", "2"):
                 monkeypatch.setenv("APSUM_THREADS", threads)
-                report = run(cfg, path.parent)
+                report = run(cfg)
                 assert report.summary["regression_ok"], path.name
                 paths = write_report(report, tmp_path / f"{path.stem}-{threads}")
                 reports.append(paths[0].read_bytes())  # report.json
@@ -463,10 +594,10 @@ class TestOutputs:
         assert again.n_range == (1, 4)
 
     @staticmethod
-    def per_row_table(cfg, base_dir=None):
+    def per_row_table(cfg):
         """The per-(x, q, n) loop over the public strong_mean."""
-        f = cfg.resolve_function(base_dir)
-        matrix = cfg.resolve_matrix(base_dir)
+        f = cfg.resolve_function()
+        matrix = cfg.resolve_matrix()
         lines = ["x,q,n,strong_mean"]
         for x in cfg.x:
             for q in cfg.q:
@@ -477,25 +608,22 @@ class TestOutputs:
 
     def test_strong_mean_table_matches_per_row_loop(self):
         cfgs = [
-            (ExperimentConfig.from_file(path), path.parent)
+            ExperimentConfig.from_file(path)
             for path in sorted(CONFIGS.glob("*.json"))
             if "matrix" in json.loads(path.read_text())
         ]
         cfgs.append(
-            (
-                make_config(
-                    theorem="thm6",
-                    matrix={"type": "explicit", "rows": [[1.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]},
-                    q=[0.5, 3.0],
-                    x=[0.0, -1.25, 2.5],
-                    n_range=[0, 2],
-                ),
-                None,
+            make_config(
+                theorem="thm6",
+                matrix={"type": "explicit", "rows": [[1.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]},
+                q=[0.5, 3.0],
+                x=[0.0, -1.25, 2.5],
+                n_range=[0, 2],
             )
         )
         assert len(cfgs) == 4
-        for cfg, base in cfgs:
-            assert strong_mean_table(cfg, base) == self.per_row_table(cfg, base)
+        for cfg in cfgs:
+            assert strong_mean_table(cfg) == self.per_row_table(cfg)
 
     def test_strong_mean_table_one_ladder_per_x(self, monkeypatch):
         calls = count_calls(monkeypatch, "_deviations")
