@@ -44,8 +44,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    matrix = load_matrix(args.matrix_file)
     lo, hi = args.n_range
+    if not 0 <= lo <= hi:
+        raise ConfigError("n_range", f"need 0 <= LO <= HI, got LO={lo}, HI={hi}")
+    matrix = load_matrix(args.matrix_file)
     names = [args.cls] if args.cls else ["ms", "rbvs", "gm", "gm2"]
     out = {}
     for name in names:

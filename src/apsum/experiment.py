@@ -237,7 +237,7 @@ class ExperimentConfig:
             grid=grid,
             thm5_literal_exponent=literal,
             max_ratio=_number(data, "max_ratio", 50.0, ok=lambda v: v > 0.0, rule="> 0"),
-            blowup_head=_number(data, "blowup_head", 8, int),
+            blowup_head=_number(data, "blowup_head", 8, int, ok=lambda v: v >= 0, rule=">= 0"),
             blowup_factor=_number(data, "blowup_factor", 2.0, ok=lambda v: v > 0.0, rule="> 0"),
             side_tol=_number(data, "side_tol", 0.05, ok=lambda v: v >= 0.0, rule=">= 0"),
             output=data.get("output"),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import FREQ_RTOL, GL_NODES, QuasiPeriodicFunction, Spectrum, SpectrumError, _gl_panels
+from .spectra import _GL_WT, _GL_XI, FREQ_RTOL, GL_NODES, QuasiPeriodicFunction, Spectrum, SpectrumError
 
 __all__ = [
     "QuadratureConfig",
@@ -165,12 +165,6 @@ def _gl_error_constant(m: int) -> float:
 _QUAD_SAFETY = 16.0
 
 
-# Nodes per chunk of the kernel-table pass (whole panels only), and the
-# most band-recurrence steps taken from one exact sine.
-_CHUNK_NODES = 4096
-_RESEED = 32
-
-
 def _exact_band_tail(
     f: QuasiPeriodicFunction, terms: np.ndarray, bands, T: float
 ) -> np.ndarray:
@@ -191,34 +185,6 @@ def _exact_band_tail(
     return (2.0 / (alpha * math.pi)) * (terms @ beats.T)
 
 
-def _band_sines(theta: np.ndarray, bands) -> np.ndarray:
-    """sin((2b+1) theta) for each b of the increasing ``bands``, shape
-    (len(bands), len(theta)).
-
-    Bands step up with s_{b+1} = 2 cos(2 theta) s_b - s_{b-1}.  Every
-    _RESEED bands, and after a longer gap, the recurrence restarts from
-    the exact sine and cosine of one phase (both seeds carry the same
-    phase rounding), so the drift stays at a few hundred ulps at most.
-    """
-    out = np.empty((len(bands), theta.size))
-    c2 = 2.0 * np.cos(2.0 * theta)
-    s2 = np.sin(2.0 * theta)
-    seed = b_cur = -_RESEED
-    prev = cur = None
-    for j, b in enumerate(bands):
-        if b - seed >= _RESEED:
-            seed = b
-            phase = (2 * b + 1) * theta
-            cur = np.sin(phase)
-            prev = 0.5 * c2 * cur - np.cos(phase) * s2  # sin(phase - 2 theta)
-        else:
-            for _ in range(b - b_cur):
-                prev, cur = cur, c2 * cur - prev
-        b_cur = b
-        out[j] = cur
-    return out
-
-
 def partial_sum_kernel_table(
     f: QuasiPeriodicFunction,
     ks,
@@ -228,9 +194,12 @@ def partial_sum_kernel_table(
     """Kernel-route cutoff sums S_{alpha k/2} f(x), shape (len(xs), len(ks)).
 
     One node grid, sized for the largest band, serves every band and every
-    evaluation point.  It is walked once in chunks of whole panels; each
-    chunk adds one matrix product of the weighted band-independent factor
-    (all x) against the band oscillations (all bands).  Raises
+    evaluation point.  Its panel count is rounded up to a multiple of
+    TRUNCATION_PERIODS / 4, so that the band oscillation sin(alpha(2b+1)t/4)
+    advances by the same root of unity from panel to panel and repeats
+    every L panels.  For each Gauss node offset the weighted integrand (all
+    x) is summed over the blocks of L panels, and one FFT of length L then
+    gives every band at once, read at bin (2b+1) mod L.  Raises
     QuadratureToleranceError when the error budget of any entry exceeds
     max(abs_tol, rel_tol * |value|).
     """
@@ -260,32 +229,36 @@ def partial_sum_kernel_table(
     band_max = bands[-1]
     numax = f.spectrum.max_frequency() + 0.5 * alpha * (band_max + 1)
     width = (2.0 * math.pi / numax) / PANELS_PER_OSCILLATION
-    n_panels = max(1, int(math.ceil(T / width)))
+    # With n_panels = fold * L and T = TRUNCATION_PERIODS * 2 pi / alpha, a
+    # panel advances the band phase alpha (2b+1) t / 4 by 2 pi (2b+1) / L.
+    assert TRUNCATION_PERIODS % 4 == 0
+    fold = TRUNCATION_PERIODS // 4
+    L = math.ceil(math.ceil(T / width) / fold)
+    n_panels = fold * L
     h = T / n_panels
-    t, w = _gl_panels(0.0, T, n_panels)
 
     # Band-independent factor of the integrand:
     #   (f(x+t)+f(x-t)) Psi_b(t) = base(t) * sin(alpha(2b+1)t/4)
     # with base = fsym * (4/(alpha pi)) sin(alpha t/4) / t^2.  Nodes are
-    # interior, so t > 0 throughout.  Quadrature weights are folded into
-    # base, so a chunk costs one product (xs, nodes) @ (nodes, bands).
+    # interior, so t > 0 throughout.  The node at offset j of panel p is
+    # t = (p + c_j) h, so the band sum over p is the imaginary part of
+    # exp(i (2b+1) alpha c_j h / 4) times the conjugate of the FFT bin
+    # (2b+1) mod L of the weighted base summed over the fold blocks.
     freqs = f.spectrum.frequencies()
     terms = np.array([f.term_values(x) for x in xs]).reshape(len(xs), freqs.size)
+    odd = 2 * np.array(bands) + 1
     quad = np.zeros((len(xs), len(bands)))
-    panel_env = np.zeros(len(xs))
-    step = max(1, _CHUNK_NODES // GL_NODES) * GL_NODES
-    for lo in range(0, t.size, step):
-        tc = t[lo : lo + step]
-        theta = 0.25 * alpha * tc
-        envelope = (4.0 / (alpha * math.pi)) * np.sin(theta) / (tc * tc)
-        base = ((2.0 * terms) @ np.cos(np.outer(freqs, tc))) * envelope
-        panel_env += (
-            np.abs(base)
-            .reshape(len(xs), tc.size // GL_NODES, GL_NODES)
-            .max(axis=2)
-            .sum(axis=1)
-        )
-        quad += (base * w[lo : lo + step]) @ _band_sines(theta, bands).T
+    env = np.zeros((len(xs), n_panels))
+    for xi, wt in zip(_GL_XI, _GL_WT):
+        c = 0.5 + 0.5 * xi
+        t = (np.arange(n_panels) + c) * h
+        envelope = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / (t * t)
+        base = ((2.0 * terms) @ np.cos(np.outer(freqs, t))) * envelope
+        env = np.maximum(env, np.abs(base))
+        folded = (0.5 * h * wt) * base.reshape(len(xs), fold, L).sum(axis=1)
+        bins = np.conj(np.fft.fft(folded, axis=1)[:, odd % L])
+        quad += (bins * np.exp(1j * odd * (0.25 * alpha * c * h))).imag
+    panel_env = env.sum(axis=1)
 
     values = quad + _exact_band_tail(f, terms, bands, T)
     nu = f.spectrum.max_frequency() + 0.5 * alpha * (np.array(bands) + 1.0)

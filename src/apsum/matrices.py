@@ -378,4 +378,8 @@ def matrix_from_dict(data: dict) -> SummabilityMatrix:
 
 def load_matrix(path) -> SummabilityMatrix:
     with open(path) as fh:
-        return matrix_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MatrixError(f"matrix file is not valid JSON: {exc}") from None
+    return matrix_from_dict(data)

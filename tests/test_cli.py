@@ -66,7 +66,9 @@ def test_bad_fit_majorant_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["validate", "verify", "report"])
-@pytest.mark.parametrize("field, value", [("q", []), ("x", []), ("x_samples", 0)])
+@pytest.mark.parametrize(
+    "field, value", [("q", []), ("x", []), ("x_samples", 0), ("blowup_head", -3)]
+)
 def test_config_that_checks_nothing_exit_2(tmp_path, capsys, command, field, value):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"spectrum": {"builtin": "smooth"}, field: value}))
@@ -174,6 +176,22 @@ def test_classes_bad_file(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"type": "diagonal"}))
     assert main(["classes", str(path)]) == 2
+
+
+def test_classes_bad_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    path.write_text("{bad")
+    assert main(["classes", str(path)]) == 2
+    out = one_error_object(capsys)
+    assert out["field"] is None
+    assert "not valid JSON" in out["error"]
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 2), (-3, 2)])
+def test_classes_empty_n_range_exit_2(cesaro_file, capsys, lo, hi):
+    # rows lo..hi would check no row (or a row that does not exist)
+    assert main(["classes", str(cesaro_file), "--n-range", str(lo), str(hi)]) == 2
+    assert one_error_object(capsys)["field"] == "n_range"
 
 
 def test_strong_mean_needs_matrix(smooth_config, capsys):
@@ -358,7 +376,8 @@ def test_every_exit_2_is_one_json_object(tmp_path, capsys, argv, field):
 
 
 # Runs in a fresh interpreter: every CLI call of the configs, then the
-# scipy modules loaded, then one kernel-route call and the modules again.
+# scipy and numpy.fft modules loaded, then one kernel-route call and the
+# modules again.
 SCIPY_FREE = """
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
@@ -368,11 +387,11 @@ from apsum.cli import main
 from apsum.experiment import ExperimentConfig
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def lazy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.fft"))
 
 
-loaded, codes = scipy_modules(), {}
+loaded, codes = lazy_modules(), {}
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
     for cfg in sorted(Path(sys.argv[1]).glob("*.json")):
         out = Path(tmp) / cfg.stem
@@ -380,10 +399,10 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         if ExperimentConfig.from_file(cfg).matrix is not None:
             table = str(out) + "-strong-mean.csv"
             codes[cfg.name].append(main(["strong-mean", str(cfg), "--out", table]))
-run = scipy_modules()
+run = lazy_modules()
 mass = apsum.kernel_mass(1.0, 3)
 print(json.dumps(
-    {"import": loaded, "codes": codes, "run": run, "kernel": scipy_modules(), "mass": mass}
+    {"import": loaded, "codes": codes, "run": run, "kernel": lazy_modules(), "mass": mass}
 ))
 """
 
@@ -407,5 +426,5 @@ def test_run_path_loads_no_scipy():
     assert all(c[0] in (0, 3) and c[1:] in ([], [0]) for c in codes.values())
     assert sum(len(c) for c in codes.values()) > len(codes)
     assert out["run"] == []
-    assert "scipy.special" in out["kernel"]
+    assert {"scipy.special", "numpy.fft"} <= set(out["kernel"])
     assert out["mass"] == pytest.approx(0.5, abs=1e-6)

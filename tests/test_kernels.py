@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,10 +129,19 @@ def truncation(alpha):
     return kernels.TRUNCATION_PERIODS * (2.0 * math.pi / alpha)
 
 
+def table_panels(alpha, numax):
+    """The kernel table's panel count: PANELS_PER_OSCILLATION panels to a
+    period of the fastest oscillation numax, rounded up to a multiple of
+    TRUNCATION_PERIODS // 4."""
+    fold = kernels.TRUNCATION_PERIODS // 4
+    width = (2.0 * math.pi / numax) / kernels.PANELS_PER_OSCILLATION
+    return fold * math.ceil(math.ceil(truncation(alpha) / width) / fold)
+
+
 def reference_table(f, ks, xs):
     """The kernel table as one np.sin band array and one dot product per
     (band, x), with the beat tail summed term by term: the slow route the
-    chunked band recurrence must reproduce."""
+    folded FFT must reproduce."""
     alpha = f.spectrum.alpha
     freqs = f.spectrum.frequencies()
     plans = []
@@ -143,8 +151,7 @@ def reference_table(f, ks, xs):
     bands = sorted({b for b, _ in plans})
     T = truncation(alpha)
     numax = freqs[-1] + 0.5 * alpha * (bands[-1] + 1)
-    n_panels = max(1, math.ceil(T / ((2.0 * math.pi / numax) / kernels.PANELS_PER_OSCILLATION)))
-    t, w = _gl_panels(0.0, T, n_panels)
+    t, w = _gl_panels(0.0, T, table_panels(alpha, numax))
     envelope = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / (t * t)
     terms = [f.term_values(x) for x in xs]
     wbase = [w * f.symmetric_translate(x, t) * envelope for x in xs]
@@ -170,6 +177,13 @@ def reference_table(f, ks, xs):
 LACUNARY = QuasiPeriodicFunction(
     Spectrum.from_cos_sin(1.0, [(2.0**j, 0.5**j, 0.3 * 0.5**j) for j in range(6)])
 )
+
+
+def irrational_at(alpha):
+    """IRRATIONAL's shape at gap alpha, with a DC term: sqrt(2) pi alpha
+    sits inside the open band at k = 8, so the band shift runs."""
+    terms = [(0.0, 0.3, 0.0), (alpha, 1.0, 0.2), (alpha * math.sqrt(2) * math.pi, 0.5, -0.4)]
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
 
 
 class TestKernelRoute:
@@ -203,27 +217,30 @@ class TestKernelRoute:
             partial_sum_kernel_table(SMOOTH, [0], [0.0])
 
     def test_tolerance_error_carries_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-18, rel_tol=1e-18)
-        with pytest.raises(QuadratureToleranceError) as err:
-            partial_sum_kernel_table(SMOOTH, [3], [0.1], cfg)
-        assert err.value.error_estimate > 1e-18
-        assert math.isfinite(err.value.value)
-        # the budget as a whole-grid pass forms it: GL term over the panel
-        # maxima of the integrand plus the rounding floor
-        m = GL_NODES
-        T = truncation(1.0)
-        numax = 10.0 + 0.5 * 4
-        n_panels = math.ceil(T / ((2.0 * math.pi / numax) / kernels.PANELS_PER_OSCILLATION))
-        h = T / n_panels
-        t, _ = _gl_panels(0.0, T, n_panels)
-        base = SMOOTH.symmetric_translate(0.1, t) * (4.0 / math.pi) * np.sin(0.25 * t) / t**2
-        env = np.abs(base).reshape(n_panels, m).max(axis=1).sum()
-        budget = kernels._gl_error_constant(m) * h * (0.5 * h * numax) ** (2 * m) * env * 16.0
-        budget += 1e-13 * (1.0 + np.abs(SMOOTH.term_values(0.1)).sum())
-        assert err.value.error_estimate == pytest.approx(budget, rel=1e-12)
-        assert err.value.value == pytest.approx(
-            reference_table(SMOOTH, [3], [0.1])[0, 0], abs=1e-12
-        )
+        # SMOOTH's grid is a multiple of the fold already; IRRATIONAL's
+        # top frequency makes the table round its panel count up
+        for f, x in [(SMOOTH, 0.1), (IRRATIONAL, 0.4)]:
+            cfg = QuadratureConfig(abs_tol=1e-18, rel_tol=1e-18)
+            with pytest.raises(QuadratureToleranceError) as err:
+                partial_sum_kernel_table(f, [3], [x], cfg)
+            assert err.value.error_estimate > 1e-18
+            assert math.isfinite(err.value.value)
+            # the budget as a whole-grid pass forms it: GL term over the
+            # panel maxima of the integrand plus the rounding floor
+            m = GL_NODES
+            T = truncation(1.0)
+            numax = f.spectrum.max_frequency() + 0.5 * 4
+            n_panels = table_panels(1.0, numax)
+            h = T / n_panels
+            t, _ = _gl_panels(0.0, T, n_panels)
+            base = f.symmetric_translate(x, t) * (4.0 / math.pi) * np.sin(0.25 * t) / t**2
+            env = np.abs(base).reshape(n_panels, m).max(axis=1).sum()
+            budget = kernels._gl_error_constant(m) * h * (0.5 * h * numax) ** (2 * m) * env * 16.0
+            budget += 1e-13 * (1.0 + np.abs(f.term_values(x)).sum())
+            assert err.value.error_estimate == pytest.approx(budget, rel=1e-12)
+            assert err.value.value == pytest.approx(
+                reference_table(f, [3], [x])[0, 0], abs=1e-12
+            )
 
 
 class TestKernelTableOracle:
@@ -233,9 +250,11 @@ class TestKernelTableOracle:
             (IRRATIONAL, list(range(1, 65))),  # band shift at k = 8
             (SMOOTH, [1, 2, 3, 19, 20, 21, 40]),
             (LACUNARY, [1, 2, 4, 8, 16, 32, 64, 65, 66]),
-            (COS, list(range(1, 101))),  # four re-seed runs of 32 bands
+            (COS, list(range(1, 101))),
+            (irrational_at(0.5), list(range(1, 41))),
+            (irrational_at(3.0), list(range(1, 41))),
         ],
-        ids=["irrational", "smooth", "lacunary", "cos-100"],
+        ids=["irrational", "smooth", "lacunary", "cos-100", "alpha-0.5", "alpha-3.0"],
     )
     def test_matches_per_band_loop(self, f, ks):
         xs = [0.0, 0.7, 2.9]
@@ -244,17 +263,47 @@ class TestKernelTableOracle:
         bound = 1e-12 * (1.0 + f.spectrum.amplitude_mass())
         assert np.abs(got - want).max() <= bound
 
-    def test_band_sines_stay_near_exact(self):
-        # 300 bands with a gap at 9: without the exact re-seeds the
-        # recurrence drifts to about 1e-12 here
-        theta = np.linspace(1e-3, 6.0, 4096)
-        bands = list(range(1, 9)) + list(range(10, 301))
-        got = kernels._band_sines(theta, bands)
-        with mpmath.workdps(30):
-            for i in range(0, theta.size, 41):
-                th = mpmath.mpf(float(theta[i]))
-                want = [float(mpmath.sin((2 * b + 1) * th)) for b in bands]
-                assert np.abs(got[:, i] - want).max() <= 4e-13
+    def test_bins_wrap_past_fold_length(self, monkeypatch):
+        # half a panel to an oscillation makes the fold length L about
+        # 2 numax / alpha = 103 here, so bands from 51 up read bin
+        # (2b+1) - L; a loose budget lets the coarse grid through, and the
+        # reference sums over the same nodes
+        monkeypatch.setattr(kernels, "PANELS_PER_OSCILLATION", 0.5)
+        ks = list(range(1, 101))
+        fold_length = table_panels(1.0, 1.0 + 0.5 * 101) // (kernels.TRUNCATION_PERIODS // 4)
+        assert 2 * ks[-1] + 1 > fold_length
+        loose = QuadratureConfig(rel_tol=1.0, abs_tol=1e6)
+        xs = [0.0, 0.7]
+        got = partial_sum_kernel_table(COS, ks, xs, loose)
+        want = reference_table(COS, ks, xs)
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + COS.spectrum.amplitude_mass())
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        alpha=st.floats(0.3, 3.0),
+        # frequencies alpha (m/2 + d): m steps by at least 3 half-gaps and
+        # d is 0 (a band edge) or well inside a band, so every gap is over
+        # alpha and no frequency sits within rounding of an edge
+        steps=st.lists(st.integers(3, 8), min_size=1, max_size=5),
+        offsets=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]), min_size=5, max_size=5),
+        coefs=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+        ks=st.sets(st.integers(1, 30), min_size=1, max_size=8),
+        dc=st.booleans(),
+    )
+    def test_random_spectra_match_reference(self, alpha, steps, offsets, coefs, ks, dc):
+        m = np.cumsum(steps)
+        terms = [
+            (alpha * (0.5 * mi + d), c, s)
+            for mi, d, c, s in zip(m, offsets, coefs[::2], coefs[1::2])
+        ]
+        if dc:
+            terms.insert(0, (0.0, coefs[-1], 0.0))
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
+        ks = sorted(ks)
+        xs = [0.0, 1.3]
+        got = partial_sum_kernel_table(f, ks, xs)
+        want = reference_table(f, ks, xs)
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + f.spectrum.amplitude_mass())
 
 
 def reference_mass(alpha, k):
