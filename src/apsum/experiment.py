@@ -38,7 +38,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import THEOREMS, StrongMeanParams, ratio_sweep, strong_mean_rows
+from .strong_means import THEOREMS, StrongMeanParams, ratio_sweep, strong_mean_rows, weight_table
 
 __all__ = [
     "ConfigError",
@@ -209,8 +209,8 @@ class ExperimentConfig:
         if not ok:
             raise ConfigError("n_range", "must be an integer pair [lo, hi]")
         n_range = (int(n_range[0]), int(n_range[1]))
-        if n_range[0] < 0:
-            raise ConfigError("n_range", "lo must be >= 0")
+        if not 0 <= n_range[0] <= n_range[1]:
+            raise ConfigError("n_range", f"need 0 <= lo <= hi, got {list(n_range)}")
         x = _numbers(data, "x", 0.0)
         x_samples = _number(data, "x_samples", 16, int, lambda v: v >= 1, ">= 1")
         literal = data.get("thm5_literal_exponent", False)
@@ -388,18 +388,17 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         for rs in series
         for rec in rs.records
     ]
-    worst = max(records, key=lambda r: r.ratio, default=None)  # first of the largest
+    worst = max(records, key=lambda r: r.ratio)  # first of the largest
     side = [rs.side_condition_ok for rs in series if rs.side_condition_ok is not None]
     summary = {
         "theorem": cfg.theorem,
         "records": len(records),
-        "max_ratio": worst.ratio if records else 0.0,
-        "argmax": None if worst is None else {"x": worst.x, "q": worst.q, "n": worst.n},
+        "max_ratio": worst.ratio,
+        "argmax": {"x": worst.x, "q": worst.q, "n": worst.n},
         "regression_ok": all(
             rs.max_ratio <= cfg.max_ratio
             and rs.head_tail_bounded(cfg.blowup_head, cfg.blowup_factor)
             for rs in series
-            if rs.records
         ),
         "side_condition_ok": all(side) if side else None,
         "flag_counts": dict(Counter(fl for r in records for fl in r.flags)),
@@ -413,14 +412,14 @@ def strong_mean_table(cfg: ExperimentConfig) -> str:
     if matrix is None:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range
-    rows = [matrix.row(n) for n in range(lo, hi + 1)]
+    table = weight_table([matrix.row(n) for n in range(lo, hi + 1)])
+    means = strong_mean_rows(f, cfg.x, table, cfg.q, f.spectrum.alpha).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "q", "n", "strong_mean"])
-    for x in cfg.x:
-        means = strong_mean_rows(f, x, rows, cfg.q, f.spectrum.alpha)
+    for i, x in enumerate(cfg.x):
         for q, values in zip(cfg.q, means):
-            for n, value in enumerate(values, lo):
+            for n, value in enumerate(values[i], lo):
                 writer.writerow([repr(x), repr(q), n, repr(value)])
     return buf.getvalue()
 

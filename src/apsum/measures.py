@@ -574,7 +574,9 @@ def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tup
         k_scale = _unit_exponents(k)
         k = np.ldexp(k, -k_scale[:, None])
         point = np.einsum("i,dij,j->d", amps, _phi_gram(lams, deltas), amps)
-        shifted = np.einsum("mi,dij,mj->dm", k, _trig_gram(lams, deltas), k)
+        shifted = np.zeros((deltas.size, 0))
+        if shifts.size:  # the fit and pointwise_modulus take no shifts
+            shifted = np.einsum("mi,dij,mj->dm", k, _trig_gram(lams, deltas), k)
         return (
             np.ldexp(np.sqrt(np.maximum(point, 0.0)), scale),
             np.ldexp(np.sqrt(np.maximum(shifted, 0.0)), scale + k_scale),

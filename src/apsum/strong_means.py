@@ -15,10 +15,10 @@ expressions mirror three estimate shapes:
               2^(1+floor(c)) with a switch for the literal 2^(1+c)
     omega:    ( sum_k a[n,k] omega(pi/(k+1))^q )^(1/q)
 
-``ratio_sweep`` serves every x and q of a run from one set of per-k
-tables (only the row means see q) and reports lhs, rhs, lhs/rhs with 0/0
-as ratio 0 (flagged) and finite/0 as inf; ``ratio_series`` is its view
-for one (x, q).
+``ratio_sweep`` pads the rows of a run into one (rows, K) weight table,
+takes each side's means of every row, x and q with one ``power_mean`` per q,
+and reports lhs, rhs, lhs/rhs with 0/0 as ratio 0 (flagged) and finite/0
+as inf; ``ratio_series`` and the scalar means are its one-row views.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "ratio_sweep",
     "ratio_series",
     "strong_mean_rows",
+    "weight_table",
 ]
 
 
@@ -78,23 +79,28 @@ class StrongMeanParams:
         return 2.0 ** (1 + math.floor(self.c))
 
 
-def power_mean(weights: np.ndarray, values: np.ndarray, q: float) -> float:
-    """( sum w_i v_i^q )^(1/q) for nonnegative v and weights summing to 1.
+def power_mean(weights, values, q: float):
+    """( sum w_k v_k^q )^(1/q) over the last axis for nonnegative v and
+    weights summing to 1: a float for one row, an array for a table.
 
-    Scaling by the largest value keeps small q stable and makes amplitude
-    homogeneity exact to rounding.
-    """
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    mask = w > 0.0
-    if not np.any(mask):
-        return 0.0
-    w = w[mask]
-    v = np.abs(v[mask])
-    top = float(v.max())
-    if top == 0.0:
-        return 0.0
-    return top * float(np.dot(w, (v / top) ** q)) ** (1.0 / q)
+    Scaling by the largest weighed value keeps small q stable and makes
+    amplitude homogeneity exact to rounding.  Rows sum left to right, so
+    zeros padded after a row leave its mean unchanged to the bit."""
+    w, v = np.broadcast_arrays(np.asarray(weights, dtype=float), np.abs(values))
+    live = w > 0.0
+    top = np.max(v, axis=-1, initial=0.0, where=live, keepdims=True)
+    terms = w * np.divide(v, top, out=np.zeros(v.shape), where=live & (top > 0.0)) ** q
+    total = np.cumsum(terms, axis=-1)[..., -1] if v.shape[-1] else np.zeros(v.shape[:-1])
+    means = top[..., 0] * total ** (1.0 / q)
+    return float(means) if means.ndim == 0 else means
+
+
+def weight_table(rows) -> np.ndarray:
+    """The rows zero-padded on the right to one (rows, K) table."""
+    table = np.zeros((len(rows), max((row.size for row in rows), default=0)))
+    for i, row in enumerate(rows):
+        table[i, : row.size] = row
+    return table
 
 
 def _deviations(f: QuasiPeriodicFunction, x: float, size: int, alpha: float) -> np.ndarray:
@@ -103,16 +109,11 @@ def _deviations(f: QuasiPeriodicFunction, x: float, size: int, alpha: float) -> 
     return np.abs(f.partial_sums(x, 0.5 * alpha * np.arange(size)) - f(x))
 
 
-def _row_means(rows, table: np.ndarray, q: float) -> list[float]:
-    """power_mean of each row against the head of one per-k table."""
-    return [power_mean(row, table[: row.size], q) for row in rows]
-
-
-def strong_mean_rows(f: QuasiPeriodicFunction, x: float, rows, qs, alpha: float):
-    """H_n(x) for each q (outer list) and each row (inner list), all read
-    from one deviation table."""
-    dev = _deviations(f, x, max((row.size for row in rows), default=0), alpha)
-    return [_row_means(rows, dev, q) for q in qs]
+def strong_mean_rows(f: QuasiPeriodicFunction, xs, table: np.ndarray, qs, alpha: float):
+    """H_n(x) of each row of a weight table as one (q, x, row) array: one
+    deviation table per x and one power_mean call per q."""
+    devs = np.array([_deviations(f, x, table.shape[1], alpha) for x in xs])[:, None, :]
+    return np.array([power_mean(table, devs, q) for q in qs])
 
 
 def _brackets(w, f: QuasiPeriodicFunction, params, divisor: float, size: int) -> np.ndarray:
@@ -121,14 +122,13 @@ def _brackets(w, f: QuasiPeriodicFunction, params, divisor: float, size: int) ->
     return w(math.pi / (ks + 1)) + f.spectrum.tail_mass(params.alpha * ks / divisor)
 
 
-def _omegas(f: QuasiPeriodicFunction, rows, p: float, grid) -> np.ndarray:
-    """omega(pi/(k+1)) at each k some row weighs, else 0: one modulus_omega call."""
-    used = np.zeros(max((row.size for row in rows), default=0), dtype=bool)
-    for row in rows:
-        used[: row.size] |= row > 0.0
-    table = np.zeros(used.size)
-    table[used] = modulus_omega(f, math.pi / (np.flatnonzero(used) + 1), p, grid)
-    return table
+def _omegas(f: QuasiPeriodicFunction, table: np.ndarray, p: float, grid) -> np.ndarray:
+    """omega(pi/(k+1)) at each k some row of the table weighs, else 0: one
+    modulus_omega call."""
+    used = np.any(table > 0.0, axis=0)
+    omegas = np.zeros(used.size)
+    omegas[used] = modulus_omega(f, math.pi / (np.flatnonzero(used) + 1), p, grid)
+    return omegas
 
 
 def _dyadic_row(n: int) -> np.ndarray:
@@ -148,14 +148,14 @@ def strong_mean(
     params: StrongMeanParams,
 ) -> float:
     """Weighted power mean of cutoff deviations with row n of the matrix."""
-    return strong_mean_rows(f, x, [matrix.row(n)], [params.q], params.alpha)[0][0]
+    return strong_mean_rows(f, [x], matrix.row(n)[None], [params.q], params.alpha).item()
 
 
 def dyadic_strong_mean(
     f: QuasiPeriodicFunction, x: float, n: int, params: StrongMeanParams
 ) -> float:
     """Uniform strong mean over the dyadic block k in [n, 2n]."""
-    return strong_mean_rows(f, x, [_dyadic_row(n)], [params.q], params.alpha)[0][0]
+    return strong_mean_rows(f, [x], _dyadic_row(n)[None], [params.q], params.alpha).item()
 
 
 def prop_dyadic_rhs(
@@ -193,7 +193,7 @@ def omega_rows_rhs(
     grid: WindowGrid | None = None,
 ) -> float:
     """Weighted power mean of translate moduli omega(pi/(k+1))."""
-    return power_mean(row, _omegas(f, [row], p, grid), q)
+    return power_mean(row, _omegas(f, row[None], p, grid), q)
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,7 @@ class RatioSeries:
 
     @property
     def max_ratio(self) -> float:
-        ratios = [r.ratio for r in self.records if not math.isnan(r.ratio)]
-        if any(math.isinf(r) for r in ratios):
-            return math.inf
-        return max(ratios) if ratios else 0.0
+        return max((r.ratio for r in self.records if not math.isnan(r.ratio)), default=0.0)
 
     def head_tail_bounded(self, head_end: int, factor: float) -> bool:
         """No blow-up: the max ratio past ``head_end`` stays within
@@ -265,9 +262,10 @@ def ratio_sweep(
 
     ``params`` holds one StrongMeanParams per q, all with the same alpha, c
     and exponent switch; ``points`` holds one (x, w) pair per evaluation
-    point.  The rows, the side condition and the omega table are built once,
-    the deviation and bracket tables once per point, and only the row means
-    see q.  Series come x-major, in the order of ``points`` and ``params``.
+    point.  The weight table, the side condition and the omega table are
+    built once, the deviation and bracket tables once per point, and each
+    side takes one ``power_mean`` call per q.  Series come x-major, in the
+    order of ``points`` and ``params``.
 
     prop4: dyadic mean at x against w + tail.
     thm5/thm6: matrix strong mean at x against the bracket means.
@@ -300,26 +298,26 @@ def ratio_sweep(
         side_ok, _ = side_condition(matrix, n_values, side_tol)
 
     base, qs = params[0], [s.q for s in params]
-    rows = [_dyadic_row(n) if theorem == "prop4" else matrix.row(n) for n in n_values]
-    size = max((row.size for row in rows), default=0)
-    divisor = base.tail_divisor() if theorem == "thm5" else 2.0
+    row = _dyadic_row if theorem == "prop4" else matrix.row
+    table = weight_table([row(n) for n in n_values])
     if theorem == "thm2":
-        grid_means = [strong_mean_rows(f, xx, rows, qs, base.alpha) for xx in x_grid]
-        lhs = [[max(col) for col in zip(*per_q)] for per_q in zip(*grid_means)]
-        bound = _omegas(f, rows, p, grid)
-    series = []
-    for x, w in points:
-        if theorem != "thm2":
-            lhs = strong_mean_rows(f, x, rows, qs, base.alpha)
-            bound = _brackets(w, f, base, divisor, size)
-        for q, lhs_q in zip(qs, lhs):
-            if theorem == "prop4":
-                rhs = [float(bound[n]) for n in n_values]
-            else:
-                rhs = _row_means(rows, bound, q)
-            records = tuple(map(_record, n_values, lhs_q, rhs))
-            series.append(RatioSeries(theorem, x, q, records, side_ok))
-    return series
+        lhs = strong_mean_rows(f, x_grid, table, qs, base.alpha).max(axis=1, keepdims=True)
+        bounds = _omegas(f, table, p, grid)[None]
+    else:
+        lhs = strong_mean_rows(f, [x for x, _ in points], table, qs, base.alpha)
+        divisor = base.tail_divisor() if theorem == "thm5" else 2.0
+        bounds = np.array([_brackets(w, f, base, divisor, table.shape[1]) for _, w in points])
+    if theorem == "prop4":
+        rhs = bounds[:, n_values]
+    else:
+        rhs = np.array([power_mean(table, bounds[:, None, :], q) for q in qs])
+    shape = (len(qs), len(points), len(n_values))
+    lhs, rhs = np.broadcast_to(lhs, shape).tolist(), np.broadcast_to(rhs, shape).tolist()
+    return [
+        RatioSeries(theorem, x, q, tuple(map(_record, n_values, lhs[j][i], rhs[j][i])), side_ok)
+        for i, (x, _) in enumerate(points)
+        for j, q in enumerate(qs)
+    ]
 
 
 def ratio_series(

@@ -67,7 +67,8 @@ def test_bad_fit_majorant_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["validate", "verify", "report"])
 @pytest.mark.parametrize(
-    "field, value", [("q", []), ("x", []), ("x_samples", 0), ("blowup_head", -3)]
+    "field, value",
+    [("q", []), ("x", []), ("x_samples", 0), ("blowup_head", -3), ("n_range", [5, 2])],
 )
 def test_config_that_checks_nothing_exit_2(tmp_path, capsys, command, field, value):
     path = tmp_path / "empty.json"

@@ -446,12 +446,10 @@ class TestBlowUpVerdict:
 
 class TestRun:
     def test_empty_n_range(self):
-        cfg = make_config(n_range=[3, 2])
-        report = run(cfg)
-        assert report.records == ()
-        assert report.summary["records"] == 0
-        assert report.summary["argmax"] is None
-        assert report.summary["side_condition_ok"] is None
+        # lo > hi would sweep no n and report a pass that checked nothing
+        with pytest.raises(ConfigError) as err:
+            make_config(n_range=[3, 2])
+        assert err.value.field == "n_range"
 
     def test_prop4_bounded(self):
         report = run(make_config())
@@ -536,6 +534,24 @@ class TestRun:
         report = run(cfg)
         assert [(r.x, r.q) for r in report.records[::8]] == [(None, 1.0), (None, 2.0)]
         assert calls == {"_deviations": 16, "side_condition": 1, "modulus_omega": 1}
+
+    @pytest.mark.parametrize("theorem", ["prop4", "thm2", "thm5", "thm6"])
+    def test_one_power_mean_per_q_and_side(self, monkeypatch, theorem):
+        calls = count_calls(monkeypatch, "power_mean", "strong_mean_rows")
+        cfg = make_config(
+            theorem=theorem,
+            matrix={"builtin": "cesaro"},
+            q=[0.5, 1.0, 2.0],
+            x=[0.0, 0.7],
+            x_samples=4,
+            n_range=[1, 16],
+        )
+        run(cfg)
+        # every lhs comes from one strong_mean_rows call (one power_mean per
+        # q); each rhs bracket or omega mean from one more power_mean per q,
+        # and prop4's rhs reads its bracket table with no mean at all
+        sides = 1 if theorem == "prop4" else 2
+        assert calls == {"power_mean": 3 * sides, "strong_mean_rows": 1}
 
     def test_thm2_config_builds_one_window_setup(self, monkeypatch):
         grams = []

@@ -602,6 +602,26 @@ class TestFitMajorant:
             for b in ds:
                 assert w(a + b) <= w(a) + w(b) + 1e-12
 
+    def test_fit_builds_no_shift_gram(self, monkeypatch):
+        # the fit and pointwise_modulus take no shifts, so they build no
+        # shifted-difference Gram; the point moduli, and so the fitted
+        # knots, are those of a call that builds one
+        deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
+        cases = [(SMOOTH, 0.7), (random_function(3), 1.1), (random_function(8), -2.0)]
+        want = []
+        for f, x in cases:
+            point, _ = measures._moduli(f, x, deltas, [0.5], 2.0)
+            samples = [(0.0, 0.0), *zip(deltas, point.tolist())]
+            want.append((tuple(measures._concave_envelope(samples)), point[3]))
+        grams = []
+        gram = measures._trig_gram
+        monkeypatch.setattr(measures, "_trig_gram", lambda *a: grams.append(a) or gram(*a))
+        got = [
+            (fit_majorant(f, x, 2.0).knots, pointwise_modulus(f, x, deltas[3], 2.0))
+            for f, x in cases
+        ]
+        assert grams == [] and got == want
+
 
 @st.composite
 def separated_spectra(draw, coef=st.floats(-1.0, 1.0)):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from apsum.measures import (
 )
 from apsum.spectra import Spectrum, QuasiPeriodicFunction
 from apsum.strong_means import (
+    THEOREMS,
     RatioRecord,
     RatioSeries,
     StrongMeanParams,
@@ -27,6 +29,7 @@ from apsum.strong_means import (
     ratio_series,
     ratio_sweep,
     strong_mean,
+    weight_table,
 )
 
 SMOOTH = QuasiPeriodicFunction(
@@ -110,12 +113,59 @@ def random_case(seed):
     return f, row, x, alpha, cutoffs
 
 
+@st.composite
+def ragged_weights_and_values(draw):
+    """Ragged weight rows of 1 to 10 entries with interior and trailing
+    zeros (a row may be all zero), and one value row per weight row as wide
+    as the longest, zeros included."""
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    rows = draw(st.lists(st.lists(entry, min_size=1, max_size=10), min_size=1, max_size=6))
+    width = max(map(len, rows))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    values = draw(
+        st.lists(
+            st.lists(value, min_size=width, max_size=width),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    return [np.array(r) / (sum(r) or 1.0) for r in rows], np.array(values)
+
+
+def mp_power_mean(weights, values, q):
+    """( sum w v^q )^(1/q) over the weighted entries, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(
+            mpmath.mpf(w) * mpmath.mpf(v) ** q for w, v in zip(weights, values) if w > 0
+        )
+        return float(total ** (1 / mpmath.mpf(q)))
+
+
 class TestPowerMean:
     def test_single_mass(self):
         assert power_mean(np.array([1.0]), np.array([0.7]), 0.5) == pytest.approx(0.7)
 
     def test_zero_values(self):
         assert power_mean(np.array([0.5, 0.5]), np.array([0.0, 0.0]), 2.0) == 0.0
+
+    def test_width_zero_table(self):
+        means = power_mean(np.zeros((3, 0)), np.zeros((2, 1, 0)), 1.5)
+        assert means.shape == (2, 3) and not means.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=ragged_weights_and_values(), q=st.floats(0.05, 8.0))
+    def test_table_rows_equal_one_row_calls(self, case, q):
+        rows, values = case
+        means = power_mean(weight_table(rows), values, q)
+        assert means.shape == (len(rows),)
+        for row, v, mean in zip(rows, values, means):
+            one = power_mean(row, v[: row.size], q)
+            assert isinstance(one, float) and one == mean
+            live = v[: row.size][row > 0.0]
+            if not live.any():
+                assert one == 0.0
+            else:
+                assert one == pytest.approx(mp_power_mean(row, v, q), rel=1e-13, abs=0.0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -536,6 +586,18 @@ class TestRatioSeries:
         mixed = [StrongMeanParams(q=1.0, alpha=1.0), StrongMeanParams(q=2.0, alpha=2.0)]
         with pytest.raises(ValueError):
             ratio_sweep(SMOOTH, "thm6", range(4), mixed, [(0.0, ws[0.0])], m)
+
+    def test_empty_n_values_give_empty_series(self):
+        grid = WindowGrid(u_samples=8, refine=False)
+        params = [StrongMeanParams(q=q, alpha=1.0) for q in (1.0, 2.0)]
+        points = [(0.0, PowerModulus(1.0)), (0.7, PowerModulus(1.0))]
+        for theorem in THEOREMS:
+            series = ratio_sweep(
+                SMOOTH, theorem, [], params, points, cesaro_matrix(), (0.0, 1.0), 2.0, grid
+            )
+            combos = [(x, q) for x, _ in points for q in (1.0, 2.0)]
+            assert [(rs.x, rs.q) for rs in series] == combos
+            assert all(rs.records == () and rs.side_condition_ok is None for rs in series)
 
     def test_requires_inputs(self):
         params = StrongMeanParams(q=1.0, alpha=1.0)
