@@ -22,7 +22,7 @@ from .experiment import (
     strong_mean_table,
     write_report,
 )
-from .matrices import MatrixError, class_membership, load_matrix
+from .matrices import CLASS_NAMES, MatrixError, class_membership, load_matrix
 from .spectra import SpectrumError, validate_spectrum
 from .strong_means import THEOREMS
 
@@ -48,7 +48,7 @@ def cmd_classes(args) -> int:
     if not 0 <= lo <= hi:
         raise ConfigError("n_range", f"need 0 <= LO <= HI, got LO={lo}, HI={hi}")
     matrix = load_matrix(args.matrix_file)
-    names = [args.cls] if args.cls else ["ms", "rbvs", "gm", "gm2"]
+    names = [args.cls] if args.cls else CLASS_NAMES
     out = {}
     for name in names:
         rep = class_membership(matrix, name, args.threshold, range(lo, hi + 1), c=args.c)
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="sequence-class constants of a matrix file")
     p.add_argument("matrix_file")
-    p.add_argument("--class", dest="cls", choices=["ms", "rbvs", "gm", "gm2"])
+    p.add_argument("--class", dest="cls", choices=CLASS_NAMES)
     p.add_argument("--c", type=float, default=2.0)
     p.add_argument("--threshold", type=float, default=8.0)
     p.add_argument("--n-range", nargs=2, type=int, default=[0, 64], metavar=("LO", "HI"))

@@ -208,8 +208,8 @@ class ExperimentConfig:
             ok = False
         if not ok:
             raise ConfigError("n_range", "must be an integer pair [lo, hi]")
-        n_range = (int(n_range[0]), int(n_range[1]))
-        if not 0 <= n_range[0] <= n_range[1]:
+        n_range = lo, hi = int(n_range[0]), int(n_range[1])
+        if not 0 <= lo <= hi:
             raise ConfigError("n_range", f"need 0 <= lo <= hi, got {list(n_range)}")
         x = _numbers(data, "x", 0.0)
         x_samples = _number(data, "x_samples", 16, int, lambda v: v >= 1, ">= 1")
@@ -237,7 +237,9 @@ class ExperimentConfig:
             grid=grid,
             thm5_literal_exponent=literal,
             max_ratio=_number(data, "max_ratio", 50.0, ok=lambda v: v > 0.0, rule="> 0"),
-            blowup_head=_number(data, "blowup_head", 8, int, ok=lambda v: v >= 0, rule=">= 0"),
+            # outside n_range the blow-up head or tail is empty and the test off
+            blowup_head=_number(data, "blowup_head", 8, int, lambda v: lo <= v <= hi,
+                                f"in n_range [{lo}, {hi}] (the default is 8)"),
             blowup_factor=_number(data, "blowup_factor", 2.0, ok=lambda v: v > 0.0, rule="> 0"),
             side_tol=_number(data, "side_tol", 0.05, ok=lambda v: v >= 0.0, rule=">= 0"),
             output=data.get("output"),

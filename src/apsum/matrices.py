@@ -13,11 +13,12 @@ may oscillate:
             sum_{k=m}^{2m-1} |a_k - a_{k+1}|
                 <= K sum_{k=floor(m/c) v 1}^{floor(c m)} a_k / k,   c > 1.
 
-The *_constant functions return the smallest admissible K for one row
-(scanning every m across the support plus one block beyond), with
+A class constant is the smallest admissible K over every m, with
 ``math.inf`` as the sentinel for a vacuous denominator against positive
-variation.  Nonincreasing rows telescope: their RBVS constant is exactly 1
-and their GM constant is at most 1.
+variation.  Every row of a sweep gets it from one zero-padded row table;
+the *_constant functions are one-row calls.  Nonincreasing rows
+telescope: their RBVS constant is exactly 1 and their GM constant is at
+most 1.
 """
 
 from __future__ import annotations
@@ -100,95 +101,100 @@ def cesaro_row(n: int) -> np.ndarray:
     return np.full(n + 1, 1.0 / (n + 1))
 
 
-def _padded(row) -> np.ndarray:
-    """Row as float array with one trailing zero (the dropped tail)."""
-    r = np.asarray(row, dtype=float)
-    return np.concatenate([r, [0.0]])
+CLASS_NAMES = ("ms", "rbvs", "gm", "gm2")
+
+
+def _row_table(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows zero-padded to one (rows, S) table, S the longest row plus
+    its trailing zero (the dropped tail), and the row lengths."""
+    sizes = np.array([len(row) for row in rows], dtype=int)
+    table = np.zeros((sizes.size, sizes.max(initial=0) + 1))
+    table[np.arange(table.shape[1]) < sizes[:, None]] = np.concatenate(rows)
+    return table, sizes
+
+
+def _window_sums(table: np.ndarray, mask: np.ndarray, lo, hi) -> np.ndarray:
+    """sum(table[r, lo:hi]) at each masked entry of a (rows, M) grid, else 0;
+    lo < hi <= table width where masked.  One reduceat over the flattened
+    table (plus one zero, so a stop may end the last row) sums each window
+    on its own, the same way whatever follows it, and never as a prefix-sum
+    difference, which cancels on rows that decay geometrically."""
+    base = np.nonzero(mask)[0] * table.shape[1]
+    bounds = np.stack([base + np.broadcast_to(b, mask.shape)[mask] for b in (lo, hi)], axis=1)
+    out = np.zeros(mask.shape)
+    out[mask] = np.add.reduceat(np.append(table, 0.0), bounds.ravel())[::2]
+    return out
+
+
+def _sup_ratio(num: np.ndarray, den: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Per row, the sup of num/den over the entries with num != 0 (``floor``
+    if it is larger), or inf where such an entry has den == 0."""
+    live = num != 0.0
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=live & (den != 0.0))
+    return np.where(np.any(live & (den == 0.0), axis=1), math.inf, ratio.max(axis=1, initial=floor))
+
+
+def _check_class(class_name: str, c: float) -> None:
+    if class_name not in CLASS_NAMES:
+        raise MatrixError(f"unknown class {class_name!r}")
+    if class_name == "gm2" and not c > 1.0:
+        raise MatrixError(f"c must be > 1, got {c}")
+
+
+def _constants(class_name: str, rows, c: float = 2.0) -> np.ndarray:
+    """The class constant of every nonnegative row, all from one zero-padded
+    row table.  A row reads only its own entries and the zeros after them,
+    so each constant equals the one-row call bit for bit."""
+    a, sizes = _row_table(rows)
+    if class_name == "ms":
+        return _sup_ratio(a[:, 1:], a[:, :-1], floor=1.0)
+    if class_name == "rbvs":
+        if not np.all(np.any(a > 0.0, axis=1)):
+            raise MatrixError("row is identically zero")
+        rest = np.cumsum(np.abs(np.diff(a, append=0.0))[:, ::-1], axis=1)[:, ::-1]
+        return _sup_ratio(rest, a)
+    # Block variations over [m, 2m), the rows extended by zeros; from
+    # m = len(row) on a block reads only zeros, so it is not summed.
+    m = np.arange(1, a.shape[1])
+    d = np.abs(np.diff(np.concatenate([a, np.zeros_like(a)], axis=1)))
+    var = _window_sums(d, m < sizes[:, None], m, 2 * m)
+    if class_name == "gm":
+        return _sup_ratio(var, a[:, 1:])
+    # Masses a_k / k over [floor(m/c) v 1, floor(c m)], k in column k - 1:
+    # k = 0 never enters, and the top is clamped to the row's own trailing
+    # zero, not the table width, lest extra zeros regroup a window's sum.
+    lo = np.maximum(1, np.floor(m / c)).astype(int)
+    hi = np.minimum(np.floor(c * m), sizes[:, None]).astype(int)
+    return _sup_ratio(var, _window_sums(a[:, 1:] / m, var != 0.0, lo - 1, hi))
 
 
 def is_ms(row) -> bool:
     """True iff the row is nonincreasing (zero tail included)."""
-    a = _padded(row)
-    return bool(np.all(a[:-1] >= a[1:]))
+    a, _ = _row_table([row])
+    return bool(np.all(a[:, :-1] >= a[:, 1:]))
 
 
 def ms_constant(row) -> float:
     """Monotonicity defect: 1 for nonincreasing rows, otherwise the sup of
     consecutive growth ratios a_{k+1}/a_k (inf for growth out of a zero)."""
-    if is_ms(row):
-        return 1.0
-    a = _padded(row)
-    head, nxt = a[:-1], a[1:]
-    pos = head > 0.0
-    if np.any(~pos & (nxt > 0.0)):
-        return math.inf
-    return float(np.max(nxt[pos] / head[pos], initial=1.0))
+    return float(_constants("ms", [row])[0])
 
 
 def rbvs_constant(row) -> float:
     """Smallest K with sum_{k>=m} |a_k - a_{k+1}| <= K a_m for all m."""
-    a = _padded(row)
-    if not np.any(a > 0.0):
-        raise MatrixError("row is identically zero")
-    diffs = np.abs(np.diff(a))
-    rest = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
-    pos = a > 0.0
-    if np.any(~pos & (rest > 0.0)):
-        return math.inf
-    return float(np.max(rest[pos] / a[pos], initial=0.0))
-
-
-def _window_sums(d: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """sum(d[lo:hi]) for each window [lo, hi), 0 for an empty one.
-
-    Each window is summed on its own (one reduceat call), never as a
-    difference of prefix sums, which cancels on rows that decay
-    geometrically.  Requires stops <= d.size.
-    """
-    ends = np.append(d, 0.0)  # a stop at d.size is a valid reduceat index
-    sums = np.add.reduceat(ends, np.stack([starts, stops], axis=1).ravel())[::2]
-    return np.where(starts < stops, sums, 0.0)
-
-
-def _block_variations(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m = 1..len(a) and sum_{k=m}^{2m-1} |a_k - a_{k+1}| for each m, with
-    the row extended by zeros."""
-    m = np.arange(1, a.size + 1)
-    d = np.abs(np.diff(np.concatenate([a, np.zeros(a.size + 1)])))
-    return m, _window_sums(d, m, 2 * m)
+    return float(_constants("rbvs", [row])[0])
 
 
 def gm_constant(row) -> float:
     """Smallest K with sum_{k=m}^{2m-1} |a_k - a_{k+1}| <= K a_m for m >= 1."""
-    a = _padded(row)
-    m, var = _block_variations(a)
-    live = var != 0.0
-    am = np.append(a, 0.0)[m]
-    if np.any(live & (am == 0.0)):
-        return math.inf
-    return float(np.max(var[live] / am[live], initial=0.0))
+    return float(_constants("gm", [row])[0])
 
 
 def gm2_constant(row, c: float) -> float:
     """Smallest K bounding block variation by the averaged mass over
-    [floor(m/c) v 1, floor(c m)]; requires c > 1.
-
-    The lower index is clamped to 1 so the k = 0 weight never enters the
-    divided-by-k sum.
-    """
-    if not c > 1.0:
-        raise MatrixError(f"c must be > 1, got {c}")
-    a = _padded(row)
-    m, var = _block_variations(a)
-    live = var != 0.0
-    k = np.arange(a.size)
-    mass = np.where(k >= 1, a / np.maximum(k, 1), 0.0)
-    lo = np.maximum(1, np.floor(m / c)).astype(int)
-    hi = np.minimum(np.floor(c * m), a.size - 1).astype(int)
-    denom = _window_sums(mass, lo, hi + 1)
-    if np.any(live & (denom == 0.0)):
-        return math.inf
-    return float(np.max(var[live] / denom[live], initial=0.0))
+    [floor(m/c) v 1, floor(c m)]; requires c > 1."""
+    _check_class("gm2", c)
+    return float(_constants("gm2", [row], c)[0])
 
 
 @dataclass(frozen=True)
@@ -227,21 +233,12 @@ def class_membership(
     c: float = 2.0,
     side_tol: float = 0.05,
 ) -> ClassReport:
-    """Per-row class constants and the sup-over-rows membership verdict."""
+    """Class constants of the rows of ``n_range``, all from one row table, and
+    the sup-over-rows verdict; a bad class or c raises before any row is read."""
+    _check_class(class_name, c)
     n_values = tuple(int(n) for n in n_range)
-    constants: list[float] = []
-    for n in n_values:
-        r = matrix.row(n)
-        if class_name == "ms":
-            constants.append(ms_constant(r))
-        elif class_name == "rbvs":
-            constants.append(rbvs_constant(r))
-        elif class_name == "gm":
-            constants.append(gm_constant(r))
-        elif class_name == "gm2":
-            constants.append(gm2_constant(r, c))
-        else:
-            raise MatrixError(f"unknown class {class_name!r}")
+    rows = [matrix.row(n) for n in n_values]
+    constants = tuple(_constants(class_name, rows, c).tolist()) if rows else ()
     sup_c = max(constants) if constants else 0.0
     side_ok, firsts = (
         side_condition(matrix, n_values, side_tol) if n_values else (None, ())
@@ -249,7 +246,7 @@ def class_membership(
     return ClassReport(
         class_name=class_name,
         n_values=n_values,
-        constants=tuple(constants),
+        constants=constants,
         sup_constant=sup_c,
         threshold=threshold,
         member=bool(sup_c <= threshold),
@@ -333,8 +330,8 @@ def osc_gm2_matrix(
     if the family fails to break monotonicity where it should.
     """
     m = SummabilityMatrix("osc-gm2", osc_gm2_row, {"c": c})
-    for n in check_rows:
-        k = gm2_constant(m.row(n), c)
+    report = class_membership(m, "gm2", gm2_threshold, check_rows, c)
+    for n, k in zip(report.n_values, report.constants):
         if not k <= gm2_threshold:
             raise MatrixError(
                 f"osc-gm2 row {n} has gm2 constant {k:.3g} > {gm2_threshold}"

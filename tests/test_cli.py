@@ -68,7 +68,14 @@ def test_bad_fit_majorant_exit_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["validate", "verify", "report"])
 @pytest.mark.parametrize(
     "field, value",
-    [("q", []), ("x", []), ("x_samples", 0), ("blowup_head", -3), ("n_range", [5, 2])],
+    [
+        ("q", []),
+        ("x", []),
+        ("x_samples", 0),
+        ("blowup_head", -3),
+        ("n_range", [5, 2]),
+        ("blowup_head", 100),
+    ],
 )
 def test_config_that_checks_nothing_exit_2(tmp_path, capsys, command, field, value):
     path = tmp_path / "empty.json"
@@ -76,6 +83,16 @@ def test_config_that_checks_nothing_exit_2(tmp_path, capsys, command, field, val
     assert main([command, str(path)]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["field"] == field
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
+def test_default_blowup_head_below_n_range_exit_2(tmp_path, capsys, command):
+    # with no n <= 8 in the sweep the blow-up head is empty
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({"spectrum": {"builtin": "smooth"}, "n_range": [10, 64]}))
+    assert main([command, str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["field"] == "blowup_head" and "default is 8" in out["error"]
 
 
 @pytest.mark.parametrize("command", ["validate", "verify", "report"])
@@ -152,7 +169,7 @@ def test_validate_allow_invalid_reports_issues(tmp_path, capsys):
         )
     )
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"spectrum": {"file": "spec.json"}, "n_range": [1, 4]}))
+    cfg.write_text(json.dumps({"spectrum": {"file": "spec.json"}, "n_range": [1, 4], "blowup_head": 4}))
     assert main(["validate", str(cfg)]) == 2
     capsys.readouterr()
     assert main(["validate", str(cfg), "--allow-invalid"]) == 0
@@ -207,6 +224,7 @@ def test_strong_mean_table(tmp_path, capsys):
         "q": [2.0],
         "x": [0.7],
         "n_range": [0, 4],
+        "blowup_head": 4,
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -286,7 +304,13 @@ def test_bad_verdict_value_exit_2(tmp_path, capsys, command, field, value):
 def test_matrix_without_sweep_row_exit_2(tmp_path, capsys, command):
     path = tmp_path / "bad.json"
     riesz = {"type": "riesz", "params": {"weights": [1.0, 1.0]}}
-    cfg = {"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": riesz, "n_range": [1, 4]}
+    cfg = {
+        "spectrum": {"builtin": "smooth"},
+        "theorem": "thm6",
+        "matrix": riesz,
+        "n_range": [1, 4],
+        "blowup_head": 4,
+    }
     path.write_text(json.dumps(cfg))
     assert main([command, str(path)]) == 2
     out = one_error_object(capsys)
@@ -302,6 +326,7 @@ def test_grid_outside_thm2_exit_2(tmp_path, capsys, command, theorem):
         "theorem": theorem,
         "matrix": {"builtin": "cesaro"},
         "n_range": [1, 4],
+        "blowup_head": 4,
         "grid": {"u_samples": 64},
     }
     path.write_text(json.dumps(cfg))
@@ -324,6 +349,7 @@ def test_each_command_opens_the_spectrum_once(tmp_path, capsys, monkeypatch, com
                 "theorem": "thm6",
                 "matrix": {"builtin": "cesaro"},
                 "n_range": [1, 4],
+                "blowup_head": 4,
             }
         )
     )

@@ -267,14 +267,14 @@ class TestConfigValidation:
     )
     def test_matrix_without_sweep_rows_names_field(self, matrix):
         with pytest.raises(ConfigError) as err:
-            make_config(theorem="thm6", matrix=matrix, n_range=[1, 4])
+            make_config(theorem="thm6", matrix=matrix, n_range=[1, 4], blowup_head=4)
         assert err.value.field == "matrix"
 
     def test_matrix_rows_built_over_the_sweep_only(self):
         riesz = {"type": "riesz", "params": {"weights": [1.0, 1.0]}}
-        assert make_config(theorem="thm6", matrix=riesz, n_range=[0, 1]).n_range == (0, 1)
+        assert make_config(theorem="thm6", matrix=riesz, n_range=[0, 1], blowup_head=1).n_range == (0, 1)
         with pytest.raises(ConfigError) as err:
-            make_config(theorem="thm6", matrix=riesz, n_range=[0, 2])
+            make_config(theorem="thm6", matrix=riesz, n_range=[0, 2], blowup_head=2)
         assert err.value.field == "matrix" and "row 2" in str(err.value)
 
 
@@ -328,7 +328,7 @@ class TestGridFields:
     @pytest.mark.parametrize("theorem", ["prop4", "thm5", "thm6"])
     def test_default_grid_accepted_outside_thm2(self, theorem):
         # every report echo carries the default grid
-        echo = run(make_config(theorem=theorem, matrix={"builtin": "cesaro"}, n_range=[1, 2]))
+        echo = run(make_config(theorem=theorem, matrix={"builtin": "cesaro"}, n_range=[1, 2], blowup_head=2))
         assert echo.config["grid"] == {
             "u_samples": 512, "window_length": math.pi, "u_span": None, "refine": True
         }
@@ -483,6 +483,7 @@ class TestRun:
                 spectrum={"builtin": "constant"},
                 majorant={"type": "power", "C": 0.0},
                 n_range=[1, 6],
+                blowup_head=6,
             )
         )
         assert all(r.ratio == 0.0 for r in report.records)
@@ -579,7 +580,7 @@ class TestRun:
         assert lanes == [52]
 
     def test_config_echo_round_trips(self):
-        cfg = make_config(q=[1.0], n_range=[1, 6])
+        cfg = make_config(q=[1.0], n_range=[1, 6], blowup_head=6)
         report = run(cfg)
         again = ExperimentConfig.from_dict(report.config)
         report2 = run(again)
@@ -589,7 +590,7 @@ class TestRun:
 
 class TestOutputs:
     def test_csv_shape(self):
-        report = run(make_config(n_range=[1, 4]))
+        report = run(make_config(n_range=[1, 4], blowup_head=4))
         text = records_csv(report, x=0.0, q=1.0)
         lines = text.strip().splitlines()
         assert lines[0] == "n,lhs,rhs,ratio,flags"
@@ -599,7 +600,7 @@ class TestOutputs:
         float(first[1]), float(first[2]), float(first[3])
 
     def test_write_report(self, tmp_path):
-        report = run(make_config(q=[1.0, 2.0], n_range=[1, 4]))
+        report = run(make_config(q=[1.0, 2.0], n_range=[1, 4], blowup_head=4))
         paths = write_report(report, tmp_path / "out")
         names = sorted(p.name for p in paths)
         assert "report.json" in names
@@ -635,6 +636,7 @@ class TestOutputs:
                 q=[0.5, 3.0],
                 x=[0.0, -1.25, 2.5],
                 n_range=[0, 2],
+                blowup_head=2,
             )
         )
         assert len(cfgs) == 4
@@ -651,7 +653,7 @@ class TestOutputs:
 
     def test_strong_mean_table(self):
         cfg = make_config(
-            theorem="thm6", matrix={"builtin": "cesaro"}, n_range=[0, 5]
+            theorem="thm6", matrix={"builtin": "cesaro"}, n_range=[0, 5], blowup_head=5
         )
         table = strong_mean_table(cfg)
         lines = table.strip().splitlines()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apsum import matrices
 from apsum.matrices import (
     ClassReport,
     MatrixError,
@@ -340,3 +341,67 @@ def test_geometric_rows_keep_exact_gm(n):
     row = 2.0 ** -np.arange(n)
     row /= row.sum()
     assert gm_constant(row) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+SCALAR = {
+    "ms": lambda row, c: ms_constant(row),
+    "rbvs": lambda row, c: rbvs_constant(row),
+    "gm": lambda row, c: gm_constant(row),
+    "gm2": gm2_constant,
+}
+BRUTE = {
+    "ms": lambda row, c: brute_ms(row),
+    "rbvs": lambda row, c: brute_rbvs(row),
+    "gm": lambda row, c: brute_gm(row),
+    "gm2": brute_gm2,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(class_rows(), min_size=1, max_size=8), c=st.sampled_from([1.5, 2.0, 2.5, 3.0]))
+def test_row_table_matches_one_row_calls(rows, c):
+    # rows of different lengths share one padded table; each constant must
+    # still be the one-row value bit for bit, inf sentinels included
+    m = explicit_matrix(rows)
+    for name in SCALAR:
+        got = class_membership(m, name, 1.0, range(len(rows)), c=c).constants
+        assert got == tuple(SCALAR[name](row, c) for row in rows)
+        for k, row in zip(got, rows):
+            same_constant(k, BRUTE[name](row, c))
+
+
+@pytest.mark.parametrize(
+    "matrix, c",
+    [(cesaro_matrix(), 2.0), (riesz_matrix(exponent=1.0), 2.0), (osc_gm2_matrix(c=2.0), 2.0)],
+    ids=["cesaro", "riesz", "osc-gm2"],
+)
+def test_class_membership_equals_per_row_loop(matrix, c):
+    rows = range(0, 129)
+    for name in SCALAR:
+        got = class_membership(matrix, name, 1.0, rows, c=c).constants
+        assert got == tuple(SCALAR[name](matrix.row(n), c) for n in rows)
+
+
+def test_class_membership_makes_no_per_row_calls(monkeypatch):
+    m = osc_gm2_matrix()
+    calls = []
+    for name in ("is_ms", "ms_constant", "rbvs_constant", "gm_constant", "gm2_constant"):
+        original = getattr(matrices, name)
+        monkeypatch.setattr(
+            matrices, name, lambda *a, _o=original, _n=name, **k: calls.append(_n) or _o(*a, **k)
+        )
+    for name in SCALAR:
+        assert len(class_membership(m, name, 1.0, range(0, 65)).constants) == 65
+    assert calls == []
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5, float("nan")])
+def test_class_membership_checks_c_before_reading_rows(c):
+    def no_rows(n):
+        raise AssertionError("row read before the class check")
+
+    m = SummabilityMatrix("unread", no_rows)
+    with pytest.raises(MatrixError, match="c must be > 1"):
+        class_membership(m, "gm2", 1.0, range(4), c=c)
+    with pytest.raises(MatrixError, match="unknown class"):
+        class_membership(m, "bogus", 1.0, range(4))
