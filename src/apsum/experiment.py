@@ -212,6 +212,11 @@ class ExperimentConfig:
         if not 0 <= lo <= hi:
             raise ConfigError("n_range", f"need 0 <= lo <= hi, got {list(n_range)}")
         x = _numbers(data, "x", 0.0)
+        if not all(map(math.isfinite, x)):
+            raise ConfigError("x", f"every x must be finite, got {list(x)}")
+        output = data.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError("output", f"must be null or a path string, got {output!r}")
         x_samples = _number(data, "x_samples", 16, int, lambda v: v >= 1, ">= 1")
         literal = data.get("thm5_literal_exponent", False)
         if not isinstance(literal, bool):
@@ -242,7 +247,7 @@ class ExperimentConfig:
                                 f"in n_range [{lo}, {hi}] (the default is 8)"),
             blowup_factor=_number(data, "blowup_factor", 2.0, ok=lambda v: v > 0.0, rule="> 0"),
             side_tol=_number(data, "side_tol", 0.05, ok=lambda v: v >= 0.0, rule=">= 0"),
-            output=data.get("output"),
+            output=output,
         )
         base_dir = Path(base_dir or ".")
         f, refusal = cfg._load_function(base_dir, allow_invalid)

@@ -84,7 +84,7 @@ class SummabilityMatrix:
         if np.any(r < 0.0):
             raise MatrixError(f"row {n} has negative weights")
         s = float(r.sum())
-        if abs(s - 1.0) > ROW_SUM_TOL:
+        if not abs(s - 1.0) <= ROW_SUM_TOL:  # a NaN or infinite weight fails too
             raise MatrixError(f"row {n} sums to {s!r}, expected 1")
         r.setflags(write=False)
         self._cache[n] = r
@@ -355,21 +355,27 @@ def explicit_matrix(rows: Sequence[Sequence[float]]) -> SummabilityMatrix:
 
 
 def matrix_from_dict(data: dict) -> SummabilityMatrix:
+    """The matrix a JSON object describes; MatrixError for a malformed one."""
+    if not isinstance(data, dict) or "type" not in data:
+        raise MatrixError(f"matrix data must be an object with a 'type', got {data!r}")
+    kind, params = data["type"], data.get("params", {})
+    if not isinstance(params, dict):
+        raise MatrixError(f"matrix params must be an object, got {params!r}")
     try:
-        kind = data["type"]
-    except (KeyError, TypeError) as exc:
-        raise MatrixError(f"matrix data missing 'type': {exc}") from exc
-    params = data.get("params", {})
-    if kind == "explicit":
-        return explicit_matrix(data["rows"])
-    if kind == "cesaro":
-        return cesaro_matrix()
-    if kind == "riesz":
-        return riesz_matrix(
-            weights=params.get("weights"), exponent=params.get("exponent")
-        )
-    if kind == "osc-gm2":
-        return osc_gm2_matrix(c=float(params.get("c", 2.0)))
+        if kind == "explicit":
+            return explicit_matrix(data["rows"])
+        if kind == "cesaro":
+            return cesaro_matrix()
+        if kind == "riesz":
+            return riesz_matrix(weights=params.get("weights"), exponent=params.get("exponent"))
+        if kind == "osc-gm2":
+            return osc_gm2_matrix(c=float(params.get("c", 2.0)))
+    except MatrixError:
+        raise
+    except KeyError as exc:
+        raise MatrixError(f"{kind} matrix data missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MatrixError(f"malformed {kind} matrix data: {exc}") from None
     raise MatrixError(f"unknown matrix type {kind!r}")
 
 

@@ -7,12 +7,11 @@ The windowed p-norm of a bounded quasi-periodic function is
 
 a sup over sampled u, so an approximation from below.  Every refined sup
 here (N_p and the p = inf moduli) comes from one routine: the largest grid
-sample, raised by a bounded search within a grid step of it.  The search
-is Brent's bounded minimiser as scipy.optimize implements it, ported to
-numpy and run over lanes: many sups (the shifts of a translate modulus,
-the integrands of one pointwise delta) share one lockstep search, and each
-lane returns the float scipy would.  On top of N_p sits the translate
-modulus, whose shifts share one window setup
+sample, raised by a golden-section search within a grid step of it.  Many
+sups (the shifts of a translate modulus, the integrands of one pointwise
+delta) are lanes of one lockstep search with one step count, so each lane
+returns what it would alone.  On top of N_p sits the translate modulus,
+whose shifts share one window setup
 
     omega(delta) = sup_{|t| <= delta} N_p(f(.+t) - f),
 
@@ -321,100 +320,49 @@ def _unit_exponents(rows: np.ndarray) -> np.ndarray:
     return np.where(np.abs(e) > 255, e, 0)
 
 
-# Constants of scipy.optimize's bounded Brent search, kept as it has them
-# so that every lane of ``_bounded_min`` returns scipy's floats.
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
+# 1/phi = (sqrt 5 - 1)/2: the share of its bracket a golden-section step keeps.
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def _bounded_min(func, a, b, xatol, maxfun=500):
-    """Local minimisers and minima of func on the lane bounds [a, b], each
-    shaped (L,): Brent's bounded search (golden-section and parabolic
-    steps, the stopping test and ``maxfun`` of
-    ``scipy.optimize.minimize_scalar(method="bounded")``) run in lockstep,
-    one lane per search.  func(x, lanes) maps the points x of the lanes
-    with indices ``lanes`` to their values, both shaped (k,).  A lane is
-    frozen, and no longer evaluated, once its own stopping test holds, so
-    each lane returns the x and fun scipy returns for it."""
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    fx = fnfc = ffulc = func(xf, np.arange(xf.size))
-    rat = e = np.zeros_like(xf)
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    # every lane computes both steps; the one it does not take may divide
-    # by zero
-    with np.errstate(all="ignore"):
-        for _ in range(maxfun - 1):
-            run = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-            if not run.any():
-                break
-            # parabola through the three best points, where it is acceptable
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            para = (
-                (np.abs(e) > tol1)
-                & (np.abs(p) < np.abs(0.5 * q * e))
-                & (p > q * (a - xf))
-                & (p < q * (b - xf))
-            )
-            step = (p + 0.0) / q
-            x = xf + step
-            edge = ((x - a) < tol2) | ((b - x) < tol2)
-            step = np.where(edge, tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
-            # else a golden-section step into the larger side
-            gold = np.where(xf >= xm, a - xf, b - xf)
-            e = np.where(run, np.where(para, rat, gold), e)
-            rat = np.where(run, np.where(para, step, _GOLDEN * gold), rat)
-            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-            fu = np.full_like(fx, np.nan)
-            fu[run] = func(x[run], np.flatnonzero(run))
-            better = run & (fu <= fx)
-            worse = run & ~(fu <= fx)
-            # the old best point if x beat it, else x, bounds x's side
-            moved = np.where(better, xf, x)
-            left = np.where(better, x >= xf, x < xf)
-            a = np.where(run & left, moved, a)
-            b = np.where(run & ~left, moved, b)
-            second = worse & ((fu <= fnfc) | (nfc == xf))
-            third = worse & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-            down = better | second
-            fulc = np.where(down, nfc, np.where(third, x, fulc))
-            ffulc = np.where(down, fnfc, np.where(third, fu, ffulc))
-            nfc = np.where(better, xf, np.where(second, x, nfc))
-            fnfc = np.where(better, fx, np.where(second, fu, fnfc))
-            xf = np.where(better, x, xf)
-            fx = np.where(better, fu, fx)
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-            tol2 = 2.0 * tol1
-    return xf, fx
+def _golden_max(func, a, b, steps):
+    """Largest value found by ``steps`` golden-section steps on each lane
+    bracket [a, b], shaped (L,), run in lockstep.  func maps points shaped
+    (L,), one per lane, to values shaped (L,).  Every lane takes the same
+    steps within its own bracket, so it returns what its one-lane call does."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = func(c), func(d)
+    for _ in range(steps):
+        left = fc >= fd  # a maximum lies in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = func(x)
+        c, fc = np.where(left, x, kept), np.where(left, fx, fkept)
+        d, fd = np.where(left, kept, x), np.where(left, fkept, fx)
+    return np.maximum(fc, fd)
 
 
-def _sampled_sup(g, lanes, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
-    """Sampled sup of each of the ``lanes`` lanes of g, shape (L,).  g(t, i)
-    maps points shaped (k, n), or (1, n) for points the lanes share, of the
-    lanes with indices i (k,) to values shaped (k, n).  A lane's sup is the
-    largest of its grid values g(t), raised by a bounded search within one
-    grid step h of its argument, clipped to [lo, hi]; without ``refine``
-    the largest grid value alone."""
-    vals = g(t[None, :], np.arange(lanes))
+def _sampled_sup(g, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
+    """Sampled sup of each lane of g, shape (L,).  g maps points shaped
+    (L, n), or (1, n) for points the lanes share, to values shaped (L, n).
+    A lane's sup is the largest of its grid values g(t), raised by a
+    golden-section search within one grid step h of its argument, clipped
+    to [lo, hi]; without ``refine`` the largest grid value alone.  The step
+    count shrinks a bracket of width 2h to ``xatol``; a clipped bracket is
+    only narrower."""
+    vals = g(t[None, :])
     best = np.argmax(vals, axis=-1)
     peak = np.take_along_axis(vals, best[:, None], axis=-1)[:, 0]
     if not refine:
         return peak
-    _, fun = _bounded_min(
-        lambda s, i: -g(s[:, None], i)[:, 0],
+    steps = max(0, math.ceil(math.log(xatol / (2.0 * h)) / math.log(_INV_PHI)))
+    top = _golden_max(
+        lambda s: g(s[:, None])[:, 0],
         np.maximum(lo, t[best] - h),
         np.minimum(hi, t[best] + h),
-        xatol,
+        steps,
     )
-    return np.where(-fun > peak, -fun, peak)
+    return np.where(top > peak, top, peak)
 
 
 def _trig_values(coefs: np.ndarray, lams: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -449,40 +397,34 @@ def _window_norm(
         scale = _unit_exponents(coefs)
         coefs = np.ldexp(coefs, -scale[:, None, None])
 
-        def means(u, lanes):
+        def means(u):
             lu = np.multiply.outer(u, lams)
             c, s = np.cos(lu), np.sin(lu)
-            cc, sc = coefs[lanes, None, :, 0], coefs[lanes, None, :, 1]
+            cc, sc = coefs[:, None, :, 0], coefs[:, None, :, 1]
             k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=-1)
-            return np.einsum("...i,ij,...j->...", k, gram, k)
+            return ((k @ gram) * k).sum(axis=-1)
 
     elif inf:
 
-        def means(u, lanes):
-            return np.abs(_trig_values(coefs[lanes, None], lams, u))
+        def means(u):
+            return np.abs(_trig_values(coefs[:, None], lams, u))
 
     else:
         offs, wts = _gl_panels(0.0, grid.window_length, WINDOW_PANELS)
 
-        def means(u, lanes):
-            u = np.broadcast_to(u, lanes.shape + u.shape[1:])
+        def means(u):
+            u = np.broadcast_to(u, (len(coefs),) + u.shape[1:])
             return np.array([
-                np.abs(_trig_values(coefs[i], lams, np.add.outer(v, offs))) ** p
-                @ wts / grid.window_length
-                for i, v in zip(lanes.tolist(), u)
-            ]).reshape(u.shape)
+                np.abs(_trig_values(c, lams, np.add.outer(v, offs))) ** p @ wts
+                for c, v in zip(coefs, u)
+            ]).reshape(u.shape) / grid.window_length
 
     n = max(8 * grid.u_samples, 2048) if inf else grid.u_samples
     u = np.linspace(0.0, span, n, endpoint=False)
-    top = _sampled_sup(
-        means, coefs.shape[0], u, span / n, xatol=1e-10 if inf else 1e-9, refine=grid.refine
-    )
+    top = _sampled_sup(means, u, span / n, xatol=1e-10 if inf else 1e-9, refine=grid.refine)
     if inf:
         return top
-    # the C library's pow per lane: numpy's vectorised power can differ
-    # from it in the last bit
-    roots = np.array([max(v, 0.0) ** (1.0 / p) for v in top.tolist()])
-    return np.ldexp(roots, scale)
+    return np.ldexp(np.maximum(top, 0.0) ** (1.0 / p), scale)
 
 
 def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = None) -> float:
@@ -550,8 +492,8 @@ def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tup
     phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
     phi_x(t) - phi_x(t + s) = sum_nu a_nu [(1 - cos(l_nu s)) cos(l_nu t)
     + sin(l_nu s) sin(l_nu t)], with one Gram matrix per delta and one
-    einsum over all shifts; a and each shift's coefficient row are scaled
-    by powers of two where their squares would underflow or overflow.
+    matrix product over all shifts; a and each shift's coefficient row are
+    scaled by powers of two where their squares would underflow or overflow.
     Other finite p evaluate phi_x once on the quadrature nodes of each
     delta and reuse it for every shift; p = inf takes the refined grid sup
     of each integrand over [0, delta], all 1 + M integrands as lanes of
@@ -573,10 +515,10 @@ def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tup
         k = np.concatenate([2.0 * h * h * amps, np.sin(ls) * amps], axis=-1)
         k_scale = _unit_exponents(k)
         k = np.ldexp(k, -k_scale[:, None])
-        point = np.einsum("i,dij,j->d", amps, _phi_gram(lams, deltas), amps)
+        point = ((amps @ _phi_gram(lams, deltas)) * amps).sum(axis=-1)
         shifted = np.zeros((deltas.size, 0))
         if shifts.size:  # the fit and pointwise_modulus take no shifts
-            shifted = np.einsum("mi,dij,mj->dm", k, _trig_gram(lams, deltas), k)
+            shifted = ((k @ _trig_gram(lams, deltas)) * k).sum(axis=-1)
         return (
             np.ldexp(np.sqrt(np.maximum(point, 0.0)), scale),
             np.ldexp(np.sqrt(np.maximum(shifted, 0.0)), scale + k_scale),
@@ -586,15 +528,14 @@ def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tup
     for j, d in enumerate(deltas.tolist()):
         if math.isinf(p):
             # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|
-            def lanes(t, i):
-                t = np.broadcast_to(t, (i.size, t.shape[1]))
+            def lanes(t):
+                t = np.broadcast_to(t, (1 + shifts.size, t.shape[1]))
                 vals = f.second_difference(x, t)
-                dif = i > 0
-                vals[dif] -= f.second_difference(x, t[dif] + shifts[i[dif] - 1, None])
+                vals[1:] -= f.second_difference(x, t[1:] + shifts[:, None])
                 return np.abs(vals)
 
             ts = np.linspace(0.0, d, 512)
-            sups = _sampled_sup(lanes, 1 + shifts.size, ts, d / 511, 0.0, d)
+            sups = _sampled_sup(lanes, ts, d / 511, 0.0, d)
             point[j], shifted[j] = sups[0], sups[1:]
             continue
         t, w = _gl_panels(0.0, d, _phi_panels(f, d))

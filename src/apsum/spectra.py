@@ -251,6 +251,9 @@ def validate_spectrum(obj) -> ValidationReport:
         if not math.isfinite(e.freq) or e.freq < 0.0:
             issues.append(ValidationIssue("frequency", i, f"frequency {e.freq!r} invalid"))
             continue
+        if not (math.isfinite(e.cos_coef) and math.isfinite(e.sin_coef)):
+            detail = f"coefficients cos={e.cos_coef!r}, sin={e.sin_coef!r} must be finite"
+            issues.append(ValidationIssue("amplitude", i, detail))
         if e.freq == 0.0:
             if i != 0:
                 issues.append(

@@ -86,6 +86,19 @@ def test_config_that_checks_nothing_exit_2(tmp_path, capsys, command, field, val
 
 
 @pytest.mark.parametrize("command", ["validate", "verify", "report"])
+@pytest.mark.parametrize(
+    "field, value", [("x", "[Infinity]"), ("x", "[NaN]"), ("output", "123"), ("output", '["a"]')]
+)
+def test_non_finite_x_or_non_string_output_exit_2(tmp_path, capsys, command, field, value):
+    # an infinite x raised a math domain error, a NaN x printed NaN as a
+    # max_ratio, and a non-string output failed in report's path join
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"spectrum": {{"builtin": "smooth"}}, "{field}": {value}}}')
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == field
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
 def test_default_blowup_head_below_n_range_exit_2(tmp_path, capsys, command):
     # with no n <= 8 in the sweep the blow-up head is empty
     path = tmp_path / "late.json"
@@ -205,6 +218,24 @@ def test_classes_bad_json_exit_2(tmp_path, capsys):
     assert "not valid JSON" in out["error"]
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        {"type": "riesz", "params": []},
+        {"type": "explicit", "rows": 5},
+        {"type": "riesz", "params": {"exponent": "x"}},
+        {"type": "explicit"},
+        {"type": "explicit", "rows": [[1.0], ["NaN", 1.0]]},
+    ],
+)
+def test_classes_malformed_matrix_exit_2(tmp_path, capsys, matrix):
+    # each ended in a traceback, and the NaN row passed every class check
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(matrix).replace('"NaN"', "NaN"))
+    assert main(["classes", str(path), "--n-range", "0", "1"]) == 2
+    assert one_error_object(capsys)["field"] is None
+
+
 @pytest.mark.parametrize("lo, hi", [(5, 2), (-3, 2)])
 def test_classes_empty_n_range_exit_2(cesaro_file, capsys, lo, hi):
     # rows lo..hi would check no row (or a row that does not exist)
@@ -298,6 +329,38 @@ def test_bad_verdict_value_exit_2(tmp_path, capsys, command, field, value):
     )
     assert main([command, str(path)]) == 2
     assert one_error_object(capsys)["field"] == field
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", ["builtin", "type"])
+def test_malformed_matrix_params_exit_2(tmp_path, capsys, command, key):
+    path = tmp_path / "bad.json"
+    cfg = {
+        "spectrum": {"builtin": "smooth"},
+        "theorem": "thm6",
+        "matrix": {key: "riesz", "params": "abc"},
+    }
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path)]) == 2
+    out = one_error_object(capsys)
+    assert out["field"] == "matrix" and "params must be an object" in out["error"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_finite_amplitude_exit_2(tmp_path, capsys, command):
+    # a NaN coefficient ran and printed an infinite max_ratio
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"spectrum": {"alpha": 1.0, "entries": [{"lambda": 1.0, "cos": NaN}]}, '
+        '"theorem": "thm6", "matrix": {"builtin": "cesaro"}}'
+    )
+    assert main([command, str(path)]) == 2
+    out = one_error_object(capsys)
+    assert out["field"] == "spectrum" and "amplitude[0]" in out["error"]
+    if command == "validate":
+        assert main([command, str(path), "--allow-invalid"]) == 0
+        issues = json.loads(capsys.readouterr().out)["spectrum_issues"]
+        assert [i["code"] for i in issues] == ["amplitude"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

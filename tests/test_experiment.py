@@ -567,15 +567,15 @@ class TestRun:
         assert len(grams) == 1
 
     def test_thm2_config_runs_one_search(self, monkeypatch):
-        # every translate-modulus shift is a lane of one bounded search
+        # every translate-modulus shift is a lane of one golden-section search
         lanes = []
-        search = measures._bounded_min
+        search = measures._golden_max
 
         def counted(func, a, b, *args):
             lanes.append(len(a))
             return search(func, a, b, *args)
 
-        monkeypatch.setattr(measures, "_bounded_min", counted)
+        monkeypatch.setattr(measures, "_golden_max", counted)
         run(ExperimentConfig.from_file(CONFIGS / "thm2_cesaro_smooth.json"))
         assert lanes == [52]
 

@@ -278,6 +278,29 @@ class TestMatrices:
         with pytest.raises(MatrixError):
             matrix_from_dict({"type": "diagonal"})
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"type": "riesz", "params": []}, "params must be an object"),
+            ({"type": "riesz", "params": "abc"}, "params must be an object"),
+            ({"type": "explicit", "rows": 5}, "malformed explicit"),
+            ({"type": "riesz", "params": {"exponent": "x"}}, "malformed riesz"),
+            ({"type": "osc-gm2", "params": {"c": "x"}}, "malformed osc-gm2"),
+            ({"type": "explicit"}, "missing 'rows'"),
+            ([{"type": "cesaro"}], "must be an object"),
+        ],
+    )
+    def test_from_dict_malformed(self, data, match):
+        with pytest.raises(MatrixError, match=match):
+            matrix_from_dict(data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        m = matrix_from_dict({"type": "explicit", "rows": [[1.0], [bad, 1.0]]})
+        assert m.row(0).tolist() == [1.0]
+        with pytest.raises(MatrixError, match=f"row 1 sums to {bad!r}"):
+            m.row(1)
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))

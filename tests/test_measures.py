@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from apsum.measures import (
     stepanov_norm,
 )
 from apsum import measures
+from apsum.experiment import builtin_spectra
 from apsum.spectra import QuasiPeriodicFunction, Spectrum, SpectrumEntry, _gl_panels
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
@@ -45,6 +47,15 @@ def random_function(seed, max_terms=4):
         (float(l), float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for l in lams
     ]
     return QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
+
+
+def periodic_function(seed, max_terms=4):
+    """Integer frequencies up to 8: 2 pi is a period, so every bracket of
+    one grid step around a grid peak holds its local maximum inside."""
+    rng = np.random.default_rng(seed)
+    lams = np.sort(rng.choice(np.arange(1, 9), int(rng.integers(1, max_terms + 1)), replace=False))
+    terms = [(float(l), float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for l in lams]
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, terms))
 
 
 class TestMajorants:
@@ -242,7 +253,7 @@ def refine_block_norm(f, p, grid):
             lu = np.multiply.outer(u, lams)
             c, s = np.cos(lu), np.sin(lu)
             k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
-            return np.einsum("...i,ij,...j->...", k, gram, k)
+            return ((k @ gram) * k).sum(axis=-1)
 
     else:
         offs, wts = _gl_panels(0.0, grid.window_length, measures.WINDOW_PANELS)
@@ -263,16 +274,20 @@ def refine_block_norm(f, p, grid):
             options={"xatol": 1e-9},
         )
         top = max(top, float(-res.fun))
-    return max(top, 0.0) ** (1.0 / p)
+    # numpy's power, as the code under test takes its roots: the C
+    # library's pow can differ from it in the last bit
+    return float((np.maximum([top], 0.0) ** (1.0 / p))[0])
 
 
-def refine_block_sup(g, delta):
+def refine_block_sup(g, delta, refine=True):
     """sup of |g| over [0, delta] with the former moduli refine block: the
     largest of 512 grid values, raised by a bounded search one step around."""
     t = np.linspace(0.0, delta, 512)
     vals = np.abs(g(t))
     best = int(np.argmax(vals))
     peak = float(vals[best])
+    if not refine:
+        return peak
     h = delta / 511
     res = minimize_scalar(
         lambda s: -abs(g(s)),
@@ -290,14 +305,80 @@ def with_constant(f, const):
     )
 
 
+def oracle_norms(fs, p, grid):
+    """The oracle's refined sup of the largest norm of the functions fs,
+    and its unrefined grid peak."""
+    return tuple(
+        max(refine_block_norm(g, p, gr) for g in fs) for gr in (grid, replace(grid, refine=False))
+    )
+
+
+# The fixed window rule's error ripples in u, so at finite p other than 2
+# the window mean has micro-maxima, and two searches of one bracket can stop
+# at different ones: over 3000 periodic_function draws on 40-sample grids
+# at p = 1.5 the golden-section and Brent sups differed by up to 3.6e-4
+# relative.  At p = 2 and inf the means are smooth.
+RIPPLE_RTOL = 5e-4
+
+
+def near_oracle(got, oracle, peak, p):
+    """A refined sup is no lower than the oracle's unrefined grid peak and
+    agrees with scipy's bounded search: to 1e-13 relative at p = 2 and inf,
+    to ``RIPPLE_RTOL`` at other finite p."""
+    rtol = 1e-13 if p in (2.0, math.inf) else RIPPLE_RTOL
+    return got >= peak and abs(got - oracle) <= rtol * max(1.0, abs(oracle))
+
+
+def resolved_sup(fs, p, grid):
+    """The largest sup of the window means of the functions fs over every
+    start a search on grid can reach, [-h, span + h] for its step h: the
+    oracle's refined sup on a grid whose steps are short beside the
+    oscillations of a random_function's window means (at most 64 periods
+    of the slowest frequency over 2^16 to 2^19 samples; 2^13 at finite
+    p other than 2, whose means are slow to evaluate)."""
+    top = 0.0
+    for g in fs:
+        span = resolve_span(g, grid)
+        h = span / (max(8 * grid.u_samples, 2048) if math.isinf(p) else grid.u_samples)
+        samples = 1 << (16 if p in (2.0, math.inf) else 13)
+        fine = replace(grid, u_samples=samples, u_span=span + 2 * h)
+        top = max(top, refine_block_norm(g.shift(-h), p, fine))
+    return top
+
+
+def within_sup(got, fs, p, grid):
+    """On a coarse grid one step can hold several local maxima of a window
+    mean, and the code's search and the oracle's may stop at different
+    ones.  Both must still lie between the oracle's grid peak and the sup
+    over the starts they can reach, so they differ by at most that spread.
+    The sup is ``resolved_sup``, trusted to 1e-4 relative (its own sampling
+    error) plus, at finite p other than 2, ``RIPPLE_RTOL`` (its search may
+    stop at a lower micro-maximum)."""
+    oracle, peak = oracle_norms(fs, p, grid)
+    slack = 1e-4 if p in (2.0, math.inf) else 1e-4 + RIPPLE_RTOL
+    top = resolved_sup(fs, p, grid) * (1.0 + slack)
+    return peak <= min(got, oracle) and max(got, oracle) <= top
+
+
+def agrees(got, fs, p, grid, periodic):
+    """near_oracle for a periodic_function, whose brackets hold one maximum,
+    else within_sup."""
+    if periodic:
+        return near_oracle(got, *oracle_norms(fs, p, grid), p)
+    return within_sup(got, fs, p, grid)
+
+
 class TestSampledSup:
-    """Every refined sup goes through one routine; it must reproduce the
-    per-site refine blocks it replaced bit for bit."""
+    """Every refined sup goes through one routine; it must agree with the
+    per-site scipy refine blocks it replaced where a bracket holds one
+    maximum (periodic_function on a grid over its period), and stay between
+    the grid peak and the sup where it may hold several (random_function on
+    a grid over 64 periods)."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
     def test_default_grid_matches_refine_blocks(self, p):
         for f in (SMOOTH, CONST, SMOOTH.translate_difference(0.4)):
-            assert stepanov_norm(f, p) == refine_block_norm(f, p, WindowGrid())
+            assert near_oracle(stepanov_norm(f, p), *oracle_norms([f], p, WindowGrid()), p)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -307,26 +388,37 @@ class TestSampledSup:
         const=st.floats(-1.0, 1.0),
     )
     def test_stepanov_norm_matches_refine_blocks(self, seed, p, t, const):
-        f = random_function(seed)
         grid = WindowGrid(u_samples=40)
-        for g in (f, with_constant(f, const), f.translate_difference(t)):
-            assert stepanov_norm(g, p, grid) == refine_block_norm(g, p, grid)
+        for periodic in (True, False):
+            f = (periodic_function if periodic else random_function)(seed)
+            for g in (f, with_constant(f, const), f.translate_difference(t)):
+                assert agrees(stepanov_norm(g, p, grid), [g], p, grid, periodic)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
     @pytest.mark.parametrize("const", [None, 0.8])
     def test_refined_omega_matches_per_shift_blocks(self, p, const):
-        f = random_function(71)
-        if const is not None:
-            # the constant term drops out of every translate difference
-            f = with_constant(f, const)
         grid = WindowGrid(u_samples=24)
         deltas = [0.05, 0.3, 4 * T_LATTICE, 1.0]
-        want = []
-        for d in deltas:
-            ts = [i * T_LATTICE for i in range(1, int(d / T_LATTICE) + 1)]
-            ts += [] if ts and ts[-1] >= d else [d]
-            want.append(max(refine_block_norm(f.translate_difference(t), p, grid) for t in ts))
-        assert modulus_omega(f, deltas, p, grid).tolist() == want
+        for periodic in (True, False):
+            f = (periodic_function if periodic else random_function)(71)
+            if const is not None:
+                # the constant term drops out of every translate difference
+                f = with_constant(f, const)
+            got = modulus_omega(f, deltas, p, grid).tolist()
+            for d, value in zip(deltas, got):
+                ts = [i * T_LATTICE for i in range(1, int(d / T_LATTICE) + 1)]
+                ts += [] if ts and ts[-1] >= d else [d]
+                diffs = [f.translate_difference(t) for t in ts]
+                assert agrees(value, diffs, p, grid, periodic)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+    def test_irrational_default_grid_within_sup(self, p):
+        # no common period: the default grid spans 64 periods of the slowest
+        # frequency, and at these shifts a step holds several maxima of the
+        # window mean, where the two searches stop at different ones
+        f = builtin_spectra("irrational")
+        for g in (f, f.translate_difference(0.3), f.translate_difference(0.6)):
+            assert within_sup(stepanov_norm(g, p), [g], p, WindowGrid())
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -341,10 +433,15 @@ class TestSampledSup:
         def phi(t):
             return f.second_difference(x, t)
 
-        assert pointwise_modulus(f, x, delta, math.inf) == refine_block_sup(phi, delta)
-        assert shifted_difference_mean(f, x, delta, gamma, math.inf) == refine_block_sup(
-            lambda t: phi(t) - phi(t + gamma), delta
-        )
+        def diff(t):
+            return phi(t) - phi(t + gamma)
+
+        for g, got in (
+            (phi, pointwise_modulus(f, x, delta, math.inf)),
+            (diff, shifted_difference_mean(f, x, delta, gamma, math.inf)),
+        ):
+            oracle, peak = refine_block_sup(g, delta), refine_block_sup(g, delta, False)
+            assert near_oracle(got, oracle, peak, math.inf)
 
     def test_inf_shifted_sup_clipped_at_zero(self):
         # |phi_0(t) - phi_0(t - 1)| for cos falls from t = 0 on, and grows
@@ -357,96 +454,98 @@ class TestSampledSup:
         assert got == pytest.approx(2.0 - 2.0 * math.cos(1.0), abs=1e-12)
 
 
-def trig_lanes(coefs, lams, calls=None):
-    """One trig polynomial per lane: (s, lanes) -> sum_k a cos(l s) + b sin(l s)
-    of each listed lane, summed term by term, so a lane's value does not
-    depend on the others.  ``calls`` collects the lanes of every call."""
+def trig_lanes(coefs, lams):
+    """One trig polynomial per lane: points s shaped (L, n), or (1, n) for
+    points the lanes share, -> sum_k a cos(l s) + b sin(l s) of each lane,
+    summed term by term, so a lane's value does not depend on the others."""
 
-    def values(s, lanes):
-        if calls is not None:
-            calls.append(lanes.tolist())
-        c, l = coefs[lanes], lams[lanes]
-        out = np.zeros_like(s)
-        for k in range(l.shape[1]):
-            out += c[:, k, 0] * np.cos(l[:, k] * s) + c[:, k, 1] * np.sin(l[:, k] * s)
+    def values(s):
+        out = np.zeros(np.broadcast_shapes(s.shape, (len(lams), 1)))
+        for k in range(lams.shape[1]):
+            a, b, l = coefs[:, k, 0, None], coefs[:, k, 1, None], lams[:, k, None]
+            out += a * np.cos(l * s) + b * np.sin(l * s)
         return out
 
     return values
 
 
-def scipy_lane(coefs, lams, lane, a, b, xatol, maxiter=500):
-    """minimize_scalar's bounded search on one lane, the oracle for the port."""
-    values = trig_lanes(coefs[lane : lane + 1], lams[lane : lane + 1])
-    return minimize_scalar(
-        lambda s: float(values(np.array([s]), np.array([0]))[0]),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": xatol, "maxiter": maxiter},
-    )
-
-
 class TestBoundedMin:
-    """The lane-batched bounded search against scipy.optimize, lane by lane."""
+    """The bracketed search of ``_sampled_sup`` (a lockstep golden-section
+    search): lanes equal their one-lane calls, and each agrees with scipy's
+    bounded search where its bracket holds one maximum."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 100_000),
         lanes=st.integers(1, 12),
         terms=st.integers(1, 5),
-        xatol=st.sampled_from([1e-10, 1e-9, 1e-5, 1e-2]),
-        clip=st.floats(0.0, 1.0),
     )
-    def test_lanes_match_minimize_scalar(self, seed, lanes, terms, xatol, clip):
+    def test_lanes_match_minimize_scalar(self, seed, lanes, terms):
+        # the sampled sup of each lane against its grid peak raised by
+        # scipy's search of one grid step around it, both to xatol 1e-12;
+        # with integer frequencies the grid spans a period, so each bracket
+        # holds its lane's local maximum inside
         rng = np.random.default_rng(seed)
         coefs = rng.uniform(-1.0, 1.0, (lanes, terms, 2))
-        lams = rng.uniform(0.0, 20.0, (lanes, terms))
-        # brackets of one grid step around a sample, clipped to [lo, hi]
-        # as in _sampled_sup: some lanes lose one side, some keep both
-        centre = rng.uniform(-1.0, 1.0, lanes)
-        h = rng.uniform(1e-3, 2.0, lanes)
-        lo, hi = -1.0 + clip, 1.0 - clip / 2
-        a = np.maximum(lo, np.minimum(centre, hi) - h)
-        b = np.minimum(hi, np.maximum(centre, lo) + h)
-        x, fun = measures._bounded_min(trig_lanes(coefs, lams), a, b, xatol)
-        assert x.shape == fun.shape == (lanes,)
-        for lane in range(lanes):
-            res = scipy_lane(coefs, lams, lane, a[lane], b[lane], xatol)
-            assert (x[lane], fun[lane]) == (res.x, res.fun)
-
-    @pytest.mark.parametrize("maxfun", [500, 6, 2])
-    def test_lanes_stop_on_their_own(self, maxfun):
-        # wide and narrow brackets, slow and fast polynomials: the lanes
-        # need different numbers of steps, and maxfun cuts the slow ones;
-        # a lane is evaluated as often as scipy evaluates its function
-        rng = np.random.default_rng(3)
-        coefs = rng.uniform(-1.0, 1.0, (6, 3, 2))
-        lams = rng.uniform(0.0, 30.0, (6, 3))
-        a = np.array([-3.0, -0.01, 0.0, 1.0, -1e-6, 2.0])
-        b = np.array([3.0, 0.01, 0.5, 1.0, 1e-6, 4.0])
-        calls = []
-        x, fun = measures._bounded_min(trig_lanes(coefs, lams, calls), a, b, 1e-9, maxfun)
-        runs = [scipy_lane(coefs, lams, i, a[i], b[i], 1e-9, maxfun) for i in range(6)]
-        assert x.tolist() == [r.x for r in runs]
-        assert fun.tolist() == [r.fun for r in runs]
-        assert [sum(i in c for c in calls) for i in range(6)] == [r.nfev for r in runs]
-        if maxfun == 500:
-            assert len({r.nfev for r in runs}) >= 4
+        lams = rng.integers(0, 9, (lanes, terms)).astype(float)
+        values = trig_lanes(coefs, lams)
+        # the period is centred on 0, where scipy's stopping test, which
+        # scales with |x|, is tightest
+        t = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        h = t[1] - t[0]
+        got = measures._sampled_sup(values, t, h, xatol=1e-12)
+        assert got.shape == (lanes,)
+        for lane, row in enumerate(values(t[None, :])):
+            one = trig_lanes(coefs[lane : lane + 1], lams[lane : lane + 1])
+            best = t[np.argmax(row)]
+            res = minimize_scalar(
+                lambda s: -float(one(np.array([[s]]))[0, 0]),
+                bounds=(best - h, best + h),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            want = max(row.max(), -res.fun)
+            assert abs(got[lane] - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
     def test_lanes_equal_one_function_norms(self, p):
-        # one search over 40 lanes returns each function's own norm, as the
-        # scalar refine block computes it
+        # one search over 40 lanes returns each function's own norm, as a
+        # one-lane call computes it
         f = random_function(5)
         grid = WindowGrid(u_samples=24)
         fs = [f.translate_difference(t) for t in np.linspace(0.05, 3.0, 40)]
         coefs = np.array([[(e.cos_coef, e.sin_coef) for e in g.spectrum.entries] for g in fs])
         span = resolve_span(f, grid)
-        norms = measures._window_norm(f.spectrum.frequencies(), coefs, p, grid, span)
-        assert norms.tolist() == [refine_block_norm(g, p, grid) for g in fs]
+        lams = f.spectrum.frequencies()
+        norms = measures._window_norm(lams, coefs, p, grid, span)
+        one = [measures._window_norm(lams, coefs[i : i + 1], p, grid, span)[0] for i in range(40)]
+        assert norms.tolist() == one
+        for value, g in zip(norms.tolist(), fs):
+            assert value >= refine_block_norm(g, p, replace(grid, refine=False))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        x=st.floats(0.0, 2.0 * math.pi),
+        deltas=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
+        shifts=st.lists(st.floats(-2.0, 2.0), max_size=5),
+    )
+    def test_inf_moduli_lanes_equal_one_lane_calls(self, seed, x, deltas, shifts):
+        # lane 0 (phi_x) and each shift lane of one p = inf search equal the
+        # calls that search them alone
+        f = random_function(seed)
+        point, shifted = measures._moduli(f, x, deltas, shifts, math.inf)
+        assert point.tolist() == [pointwise_modulus(f, x, d, math.inf) for d in deltas]
+        assert shifted.tolist() == [
+            [shifted_difference_mean(f, x, d, s, math.inf) for s in shifts] for d in deltas
+        ]
 
     def test_no_lanes(self):
-        x, fun = measures._bounded_min(trig_lanes(np.zeros((0, 1, 2)), np.zeros((0, 1))), [], [], 1e-9)
-        assert x.shape == fun.shape == (0,)
+        # modulus_omega at delta = 0 norms no shift: an empty search
+        lams = SMOOTH.spectrum.frequencies()
+        for p in (1.5, 2.0, math.inf):
+            norms = measures._window_norm(lams, np.zeros((0, 2, 2)), p, WindowGrid(), 2.0 * math.pi)
+            assert norms.shape == (0,)
 
 
 class TestPointwiseModulus:

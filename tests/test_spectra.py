@@ -177,6 +177,18 @@ class TestValidation:
         spec = Spectrum.from_cos_sin(1.0, [(1.0, 0.0, 0.0)])
         assert "zero-amplitude" in validate_spectrum(spec).codes()
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(1.0, math.nan, 0.0)],
+            [(0.0, math.inf, 0.0)],
+            [(1.0, 1.0, 0.0), (2.0, 0.0, -math.inf)],
+        ],
+    )
+    def test_non_finite_coefficient_flagged(self, terms):
+        report = validate_spectrum(Spectrum.from_cos_sin(1.0, terms))
+        assert [(i.code, i.index) for i in report.issues] == [("amplitude", len(terms) - 1)]
+
 
 class TestSerialization:
     def test_round_trip(self):
