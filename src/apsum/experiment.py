@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import MatrixError, SummabilityMatrix, load_matrix, matrix_from_dict
+from .matrices import MatrixError, SummabilityMatrix, load_matrix, matrix_from_dict, row_table
 from .measures import (
     ModulusMajorant,
     SamplePlan,
@@ -38,7 +38,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import THEOREMS, StrongMeanParams, ratio_sweep, strong_mean_rows, weight_table
+from .strong_means import THEOREMS, StrongMeanParams, ratio_sweep, strong_mean_rows
 
 __all__ = [
     "ConfigError",
@@ -419,7 +419,7 @@ def strong_mean_table(cfg: ExperimentConfig) -> str:
     if matrix is None:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range
-    table = weight_table([matrix.row(n) for n in range(lo, hi + 1)])
+    table, _ = row_table([matrix.row(n) for n in range(lo, hi + 1)])
     means = strong_mean_rows(f, cfg.x, table, cfg.q, f.spectrum.alpha).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

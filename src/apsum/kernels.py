@@ -114,7 +114,7 @@ def _band_hits(f: QuasiPeriodicFunction, ks) -> np.ndarray:
     alpha = f.spectrum.alpha
     lo, hi = _band_edges(alpha, np.asarray(ks, dtype=float)[:, None])
     tol = alpha * FREQ_RTOL
-    freqs = f.spectrum.frequencies()
+    freqs = f.spectrum.freqs
     return (freqs > lo + tol) & (freqs < hi - tol)
 
 
@@ -123,17 +123,6 @@ def gap_free(f: QuasiPeriodicFunction, k: int) -> bool:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return not _band_hits(f, [k]).any()
-
-
-def _offending_index(f: QuasiPeriodicFunction, k: int) -> int:
-    hits = np.flatnonzero(_band_hits(f, [k])[0])
-    if hits.size != 1:
-        lo, hi = _band_edges(f.spectrum.alpha, k)
-        raise SpectrumError(
-            f"band ({lo:.6g}, {hi:.6g}) holds {hits.size} frequencies; the gap "
-            "condition admits at most one"
-        )
-    return int(hits[0])
 
 
 def _cos_tail(mu: np.ndarray, T: float) -> np.ndarray:
@@ -179,7 +168,7 @@ def _exact_band_tail(
     """
     alpha = f.spectrum.alpha
     w1, w2 = _band_edges(alpha, np.asarray(bands, dtype=float)[:, None])
-    lam = f.spectrum.frequencies()
+    lam = f.spectrum.freqs
     c = _cos_tail(np.stack([abs(lam - w1), lam + w1, abs(lam - w2), lam + w2]), T)
     beats = c[0] + c[1] - c[2] - c[3]  # (bands, entries)
     return (2.0 / (alpha * math.pi)) * (terms @ beats.T)
@@ -210,20 +199,22 @@ def partial_sum_kernel_table(
         raise ValueError("kernel route requires k >= 1; use partial_sum_direct for k = 0")
     alpha = f.spectrum.alpha
 
-    hits = _band_hits(f, ks).any(axis=1)
+    # a k whose open band holds a frequency reads band k + 1 instead, less
+    # that one offending term; the gap condition admits no second one and
+    # needs band k + 1 clean
+    hits = _band_hits(f, ks)
     above = _band_hits(f, [k + 1 for k in ks]).any(axis=1)
-    plans: list[tuple[int, int, int | None]] = []
-    for k, hit, dirty in zip(ks, hits, above):
-        if not hit:
-            plans.append((k, k, None))
-            continue
-        idx = _offending_index(f, k)
-        if dirty:
+    for k, count, dirty in zip(ks, hits.sum(axis=1).tolist(), above):
+        if count > 1:
+            lo, hi = _band_edges(alpha, k)
             raise SpectrumError(
-                f"band above k={k} is not clean; spectrum violates its gap"
+                f"band ({lo:.6g}, {hi:.6g}) holds {count} frequencies; the gap "
+                "condition admits at most one"
             )
-        plans.append((k, k + 1, idx))
-    bands = sorted({b for _, b, _ in plans})
+        if count and dirty:
+            raise SpectrumError(f"band above k={k} is not clean; spectrum violates its gap")
+    plan = np.add(ks, hits.any(axis=1))
+    bands = np.unique(plan).tolist()
 
     T = TRUNCATION_PERIODS * (2.0 * math.pi / alpha)
     band_max = bands[-1]
@@ -244,8 +235,8 @@ def partial_sum_kernel_table(
     # t = (p + c_j) h, so the band sum over p is the imaginary part of
     # exp(i (2b+1) alpha c_j h / 4) times the conjugate of the FFT bin
     # (2b+1) mod L of the weighted base summed over the fold blocks.
-    freqs = f.spectrum.frequencies()
-    terms = np.array([f.term_values(x) for x in xs]).reshape(len(xs), freqs.size)
+    freqs = f.spectrum.freqs
+    terms = f.term_values(xs)
     odd = 2 * np.array(bands) + 1
     quad = np.zeros((len(xs), len(bands)))
     env = np.zeros((len(xs), n_panels))
@@ -272,10 +263,8 @@ def partial_sum_kernel_table(
         j, i = failed[0]
         raise QuadratureToleranceError(float(values[i, j]), float(err[i, j]), float(tol[i, j]))
 
-    out = values[:, np.searchsorted(bands, [b for _, b, _ in plans])]
-    shifted = [m for m, (_, _, idx) in enumerate(plans) if idx is not None]
-    out[:, shifted] -= terms[:, [plans[m][2] for m in shifted]]
-    return out
+    # hits has at most one True per k, so the product is that term (or 0)
+    return values[:, np.searchsorted(bands, plan)] - terms @ hits.T
 
 
 def kernel_mass(alpha: float, k, cfg: QuadratureConfig | None = None):

@@ -42,6 +42,7 @@ __all__ = [
     "ClassReport",
     "class_membership",
     "side_condition",
+    "row_table",
     "cesaro_matrix",
     "riesz_matrix",
     "osc_gm2_matrix",
@@ -104,12 +105,13 @@ def cesaro_row(n: int) -> np.ndarray:
 CLASS_NAMES = ("ms", "rbvs", "gm", "gm2")
 
 
-def _row_table(rows) -> tuple[np.ndarray, np.ndarray]:
+def row_table(rows) -> tuple[np.ndarray, np.ndarray]:
     """The rows zero-padded to one (rows, S) table, S the longest row plus
-    its trailing zero (the dropped tail), and the row lengths."""
+    its trailing zero (the dropped tail), and the row lengths.  The padding
+    moves no power mean or class constant; no rows give a (0, 1) table."""
     sizes = np.array([len(row) for row in rows], dtype=int)
     table = np.zeros((sizes.size, sizes.max(initial=0) + 1))
-    table[np.arange(table.shape[1]) < sizes[:, None]] = np.concatenate(rows)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = np.concatenate([[], *rows])
     return table, sizes
 
 
@@ -137,15 +139,15 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray, floor: float = 0.0) -> np.ndarr
 def _check_class(class_name: str, c: float) -> None:
     if class_name not in CLASS_NAMES:
         raise MatrixError(f"unknown class {class_name!r}")
-    if class_name == "gm2" and not c > 1.0:
-        raise MatrixError(f"c must be > 1, got {c}")
+    if class_name == "gm2" and not 1.0 < c < math.inf:
+        raise MatrixError(f"c must be > 1 and finite, got {c}")
 
 
 def _constants(class_name: str, rows, c: float = 2.0) -> np.ndarray:
     """The class constant of every nonnegative row, all from one zero-padded
     row table.  A row reads only its own entries and the zeros after them,
     so each constant equals the one-row call bit for bit."""
-    a, sizes = _row_table(rows)
+    a, sizes = row_table(rows)
     if class_name == "ms":
         return _sup_ratio(a[:, 1:], a[:, :-1], floor=1.0)
     if class_name == "rbvs":
@@ -170,7 +172,7 @@ def _constants(class_name: str, rows, c: float = 2.0) -> np.ndarray:
 
 def is_ms(row) -> bool:
     """True iff the row is nonincreasing (zero tail included)."""
-    a, _ = _row_table([row])
+    a, _ = row_table([row])
     return bool(np.all(a[:, :-1] >= a[:, 1:]))
 
 
@@ -236,6 +238,8 @@ def class_membership(
     """Class constants of the rows of ``n_range``, all from one row table, and
     the sup-over-rows verdict; a bad class or c raises before any row is read."""
     _check_class(class_name, c)
+    if math.isnan(threshold):
+        raise MatrixError("threshold must be a number, got nan")
     n_values = tuple(int(n) for n in n_range)
     rows = [matrix.row(n) for n in n_values]
     constants = tuple(_constants(class_name, rows, c).tolist()) if rows else ()

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import QuasiPeriodicFunction, _gl_panels
+from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _trig_sum
 
 __all__ = [
     "ModulusMajorant",
@@ -106,8 +106,8 @@ class PowerModulus(ModulusMajorant):
     cap: float = math.inf
 
     def __post_init__(self):
-        if self.coef < 0.0:
-            raise ValueError("coef must be >= 0")
+        if not 0.0 <= self.coef < math.inf:
+            raise ValueError(f"coef must be finite and >= 0, got {self.coef!r}")
         if not (0.0 < self.exponent <= 1.0):
             raise ValueError("exponent must lie in (0, 1]")
         if not self.cap > 0.0:
@@ -137,6 +137,8 @@ class TableModulus(ModulusMajorant):
         ws = np.array([w for _, w in self.knots], dtype=float)
         object.__setattr__(self, "_ds", ds)
         object.__setattr__(self, "_ws", ws)
+        if not (np.all(np.isfinite(ds)) and np.all(np.isfinite(ws))):
+            raise ValueError(f"knots must be finite, got {self.knots!r}")
         if not ds.size or ds[0] != 0.0 or ws[0] != 0.0:
             raise ValueError("knots must start at (0, 0)")
         if np.any(np.diff(ds) <= 0.0):
@@ -240,7 +242,7 @@ def _float_gcd(a: float, b: float, tol: float) -> float:
 def resolve_span(f: QuasiPeriodicFunction, grid: WindowGrid) -> float:
     if grid.u_span is not None:
         return grid.u_span
-    pos = [e.freq for e in f.spectrum.entries if e.freq > 0.0]
+    pos = [lam for lam in f.spectrum.freqs.tolist() if lam > 0.0]
     if not pos:
         return math.pi
     cap = 64.0 * 2.0 * math.pi / min(pos)
@@ -365,18 +367,6 @@ def _sampled_sup(g, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
     return np.where(top > peak, top, peak)
 
 
-def _trig_values(coefs: np.ndarray, lams: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j c_j cos(l_j x) + s_j sin(l_j x) for cos/sin rows ``coefs``
-    (..., N, 2) that broadcast against x.  Terms are added one by one in
-    spectrum order, as ``QuasiPeriodicFunction.__call__`` adds them, so
-    each value is the float that call returns."""
-    out = np.zeros(np.broadcast_shapes(coefs.shape[:-2], x.shape))
-    for j, lam in enumerate(lams.tolist()):
-        lx = lam * x
-        out += coefs[..., j, 0] * np.cos(lx) + coefs[..., j, 1] * np.sin(lx)
-    return out
-
-
 def _window_norm(
     lams: np.ndarray, coefs: np.ndarray, p: float, grid: WindowGrid, span: float
 ) -> np.ndarray:
@@ -407,7 +397,7 @@ def _window_norm(
     elif inf:
 
         def means(u):
-            return np.abs(_trig_values(coefs[:, None], lams, u))
+            return np.abs(_trig_sum(lams, coefs[:, None], u))
 
     else:
         offs, wts = _gl_panels(0.0, grid.window_length, WINDOW_PANELS)
@@ -415,7 +405,7 @@ def _window_norm(
         def means(u):
             u = np.broadcast_to(u, (len(coefs),) + u.shape[1:])
             return np.array([
-                np.abs(_trig_values(c, lams, np.add.outer(v, offs))) ** p @ wts
+                np.abs(_trig_sum(lams, c, np.add.outer(v, offs))) ** p @ wts
                 for c, v in zip(coefs, u)
             ]).reshape(u.shape) / grid.window_length
 
@@ -439,9 +429,8 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     sample.
     """
     grid = grid or WindowGrid()
-    entries = f.spectrum.entries
-    coefs = np.reshape([(e.cos_coef, e.sin_coef) for e in entries], (1, len(entries), 2))
-    return float(_window_norm(f.spectrum.frequencies(), coefs, p, grid, resolve_span(f, grid))[0])
+    spec = f.spectrum
+    return float(_window_norm(spec.freqs, spec.coefs[None], p, grid, resolve_span(f, grid))[0])
 
 
 def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | None = None):
@@ -462,15 +451,7 @@ def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | 
     off = (flat > 0.0) & (steps * T_LATTICE < flat)
     ends, which = np.unique(flat[off], return_inverse=True)
     shifts = np.array([i * T_LATTICE for i in range(1, top + 1)] + ends.tolist())
-    # the rows of f.translate_difference(t): amplitudes a times
-    # r = exp(i l t) - 1, the product written out, as numpy's complex
-    # array multiply can round the last bit differently
-    moving = [e for e in f.spectrum.entries if e.freq != 0.0]
-    lams = np.array([e.freq for e in moving])
-    a = np.array([e.amp for e in moving], dtype=complex)
-    r = np.exp(1j * np.multiply.outer(shifts, lams)) - 1.0
-    re, im = a.real * r.real - a.imag * r.imag, a.real * r.imag + a.imag * r.real
-    coefs = 2.0 * np.stack([re, -im], axis=-1)
+    lams, coefs = _difference_rows(f.spectrum, shifts)
     vals = _window_norm(lams, coefs, p, grid, resolve_span(f, grid))
     out = np.maximum.accumulate(np.concatenate([[0.0], vals[:top]]))[steps]
     out[off] = np.maximum(out[off], vals[top:][which])
@@ -506,7 +487,7 @@ def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tup
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1 (or inf), got {p}")
     if p == 2.0:
-        lams = f.spectrum.frequencies()
+        lams = f.spectrum.freqs
         amps = 2.0 * f.term_values(x)
         scale = _unit_exponents(amps[None])
         amps = np.ldexp(amps, -scale)
@@ -564,7 +545,7 @@ def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> 
         raise ValueError(f"delta must be > 0, got {delta}")
     if nu < 0.0:
         raise ValueError(f"nu must be >= 0, got {nu}")
-    lams = f.spectrum.frequencies()
+    lams = f.spectrum.freqs
     s = np.sin(0.5 * lams * (nu + 0.5 * delta))
     d = _one_minus_sinc(0.5 * delta * lams)
     return float(np.dot(2.0 * f.term_values(x), -2.0 * s * s * (1.0 - d) - d))

@@ -77,10 +77,23 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Finite frequency content of one test function plus its gap ``alpha``."""
+    """Finite frequency content of one test function plus its gap ``alpha``.
+    ``entries`` is the public form; the read-only arrays built from it once
+    are ``freqs`` (N,), cos/sin rows ``coefs`` (N, 2) and ``tails`` (N + 1,),
+    tails[i] the pair-weight mass of the entries from i on."""
 
     alpha: float
     entries: tuple[SpectrumEntry, ...]
+
+    def __post_init__(self):
+        weights = np.array([e.pair_weight for e in self.entries], dtype=float)
+        for name, arr in (
+            ("freqs", np.array([e.freq for e in self.entries], dtype=float)),
+            ("coefs", np.array([(e.cos_coef, e.sin_coef) for e in self.entries], float).reshape(-1, 2)),
+            ("tails", np.append(np.cumsum(weights[::-1])[::-1], 0.0)),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_cos_sin(
@@ -101,7 +114,7 @@ class Spectrum:
         return cls(float(alpha), tuple(entries))
 
     def frequencies(self) -> np.ndarray:
-        return np.array([e.freq for e in self.entries], dtype=float)
+        return self.freqs
 
     def max_frequency(self) -> float:
         return self.entries[-1].freq if self.entries else 0.0
@@ -117,16 +130,37 @@ class Spectrum:
         frequency sitting on a cutoff up to rounding counts as inside it.
         """
         gammas = np.asarray(gammas, dtype=float)
-        if not np.all(gammas >= 0.0):
+        if not (gammas >= 0.0).all():
             raise ValueError(f"cutoffs must be >= 0, got {gammas!r}")
         cut = gammas + FREQ_RTOL * np.maximum(1.0, gammas)
-        return np.searchsorted(self.frequencies(), cut, side="right")
+        return self.freqs.searchsorted(cut, side="right")
 
     def tail_mass(self, sigmas) -> np.ndarray:
         """Pair-weight mass of the entries above each cutoff in ``sigmas``."""
-        weights = np.array([e.pair_weight for e in self.entries], dtype=float)
-        suffix = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
-        return suffix[self.cutoff_count(sigmas)]
+        return self.tails[self.cutoff_count(sigmas)]
+
+
+def _trig_sum(freqs: np.ndarray, coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c_j cos(l_j x) + s_j sin(l_j x) for cos/sin rows ``coefs``
+    (..., N, 2) that broadcast against x, the terms added one at a time in
+    spectrum order: a dense grid of x costs memory of its own size only."""
+    out = np.zeros(np.broadcast_shapes(coefs.shape[:-2], x.shape))
+    for j, lam in enumerate(freqs.tolist()):
+        lx = lam * x
+        out += coefs[..., j, 0] * np.cos(lx) + coefs[..., j, 1] * np.sin(lx)
+    return out
+
+
+def _difference_rows(spectrum: Spectrum, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero frequencies (M,) and the cos/sin rows, shifts.shape +
+    (M, 2), of x -> f(x + t) - f(x) at each shift t: twice each amplitude
+    a times exp(i l t) - 1, the complex product written out."""
+    moving = spectrum.freqs != 0.0
+    lams, (c, s) = spectrum.freqs[moving], spectrum.coefs[moving].T
+    a_re, a_im = 0.5 * c, -0.5 * s
+    r = np.exp(1j * np.multiply.outer(shifts, lams)) - 1.0
+    re, im = a_re * r.real - a_im * r.imag, a_re * r.imag + a_im * r.real
+    return lams, 2.0 * np.stack([re, -im], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -156,32 +190,25 @@ class QuasiPeriodicFunction:
 
     def __call__(self, x):
         """Evaluate f at scalar or array ``x``; exact finite sum."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for e in self.spectrum.entries:
-            if e.freq == 0.0:
-                out += e.cos_coef
-            else:
-                out += e.cos_coef * np.cos(e.freq * x) + e.sin_coef * np.sin(e.freq * x)
+        spec = self.spectrum
+        out = _trig_sum(spec.freqs, spec.coefs, np.asarray(x, dtype=float))
         return float(out) if out.ndim == 0 else out
 
-    def term_values(self, x: float) -> np.ndarray:
-        """Per-entry additive contribution to f(x), in spectrum order."""
-        vals = np.empty(len(self.spectrum.entries))
-        for i, e in enumerate(self.spectrum.entries):
-            if e.freq == 0.0:
-                vals[i] = e.cos_coef
-            else:
-                vals[i] = e.cos_coef * math.cos(e.freq * x) + e.sin_coef * math.sin(
-                    e.freq * x
-                )
-        return vals
+    def term_values(self, x) -> np.ndarray:
+        """Per-entry additive contribution to f(x), shape x.shape + (N,) in
+        spectrum order; each value is the term ``__call__`` adds."""
+        lx = np.multiply.outer(x, self.spectrum.freqs)
+        coefs = self.spectrum.coefs
+        return coefs[:, 0] * np.cos(lx) + coefs[:, 1] * np.sin(lx)
 
-    def partial_sums(self, x: float, gammas) -> np.ndarray:
+    def partial_sums(self, x, gammas) -> np.ndarray:
         """Cutoff sums S_gamma f(x), the terms with frequency <= gamma,
-        elementwise in ``gammas``: one term evaluation and a prefix sum."""
-        prefix = np.concatenate(([0.0], np.cumsum(self.term_values(x))))
-        return prefix[self.spectrum.cutoff_count(gammas)]
+        shape x.shape + gammas.shape: one term evaluation and a prefix sum.
+        Past the top frequency the sum is f(x) to the bit."""
+        terms = self.term_values(x)
+        prefix = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+        np.cumsum(terms, axis=-1, out=prefix[..., 1:])
+        return prefix[..., self.spectrum.cutoff_count(gammas)]
 
     def second_difference(self, x: float, t):
         """f(x+t) + f(x-t) - 2 f(x), evaluated term by term.
@@ -191,22 +218,17 @@ class QuasiPeriodicFunction:
         """
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for g, e in zip(self.term_values(x), self.spectrum.entries):
-            if e.freq == 0.0:
-                continue
-            s = np.sin(0.5 * e.freq * t)
-            out += -4.0 * g * (s * s)
+        for lam, g in zip(self.spectrum.freqs.tolist(), self.term_values(x).tolist()):
+            if lam != 0.0:
+                s = np.sin(0.5 * lam * t)
+                out += -4.0 * g * (s * s)
         return float(out) if out.ndim == 0 else out
 
     def symmetric_translate(self, x: float, t):
         """f(x+t) + f(x-t) as sum_nu 2 g_nu(x) cos(l_nu t)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for g, e in zip(self.term_values(x), self.spectrum.entries):
-            if e.freq == 0.0:
-                out += 2.0 * g
-            else:
-                out += 2.0 * g * np.cos(e.freq * t)
+        g = 2.0 * self.term_values(x)
+        rows = np.stack([g, np.zeros_like(g)], axis=-1)
+        out = _trig_sum(self.spectrum.freqs, rows, np.asarray(t, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def shift(self, a: float) -> "QuasiPeriodicFunction":
@@ -221,14 +243,9 @@ class QuasiPeriodicFunction:
 
     def translate_difference(self, a: float) -> "QuasiPeriodicFunction":
         """The difference x -> f(x + a) - f(x); the constant term drops."""
-        entries = []
-        for e in self.spectrum.entries:
-            if e.freq == 0.0:
-                continue
-            entries.append(
-                SpectrumEntry(e.freq, e.amp * (np.exp(1j * e.freq * a) - 1.0))
-            )
-        return QuasiPeriodicFunction(Spectrum(self.spectrum.alpha, tuple(entries)))
+        lams, rows = _difference_rows(self.spectrum, a)
+        terms = zip(lams.tolist(), *rows.T.tolist())
+        return QuasiPeriodicFunction(Spectrum.from_cos_sin(self.spectrum.alpha, terms))
 
     def scaled(self, s: float) -> "QuasiPeriodicFunction":
         entries = tuple(

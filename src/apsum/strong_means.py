@@ -15,7 +15,7 @@ expressions mirror three estimate shapes:
               2^(1+floor(c)) with a switch for the literal 2^(1+c)
     omega:    ( sum_k a[n,k] omega(pi/(k+1))^q )^(1/q)
 
-``ratio_sweep`` pads the rows of a run into one (rows, K) weight table,
+``ratio_sweep`` pads the rows of a run into one weight table (``row_table``),
 takes each side's means of every row, x and q with one ``power_mean`` per q,
 and reports lhs, rhs, lhs/rhs with 0/0 as ratio 0 (flagged) and finite/0
 as inf; ``ratio_series`` and the scalar means are its one-row views.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SummabilityMatrix, side_condition
+from .matrices import SummabilityMatrix, row_table, side_condition
 from .measures import (
     ModulusMajorant,
     WindowGrid,
@@ -51,7 +51,6 @@ __all__ = [
     "ratio_sweep",
     "ratio_series",
     "strong_mean_rows",
-    "weight_table",
 ]
 
 
@@ -95,24 +94,13 @@ def power_mean(weights, values, q: float):
     return float(means) if means.ndim == 0 else means
 
 
-def weight_table(rows) -> np.ndarray:
-    """The rows zero-padded on the right to one (rows, K) table."""
-    table = np.zeros((len(rows), max((row.size for row in rows), default=0)))
-    for i, row in enumerate(rows):
-        table[i, : row.size] = row
-    return table
-
-
-def _deviations(f: QuasiPeriodicFunction, x: float, size: int, alpha: float) -> np.ndarray:
-    """|S_{alpha k/2} f(x) - f(x)| for k < size: one ladder call.  Entry k
-    does not depend on ``size``."""
-    return np.abs(f.partial_sums(x, 0.5 * alpha * np.arange(size)) - f(x))
-
-
 def strong_mean_rows(f: QuasiPeriodicFunction, xs, table: np.ndarray, qs, alpha: float):
-    """H_n(x) of each row of a weight table as one (q, x, row) array: one
-    deviation table per x and one power_mean call per q."""
-    devs = np.array([_deviations(f, x, table.shape[1], alpha) for x in xs])[:, None, :]
+    """H_n(x) of each row of a weight table as one (q, x, row) array: the
+    deviations |S_{alpha k/2} f(x) - f(x)| of every x and k from one ladder
+    call, and one power_mean call per q."""
+    xs = np.asarray(xs, dtype=float)
+    ladder = f.partial_sums(xs, 0.5 * alpha * np.arange(table.shape[1]))
+    devs = np.abs(ladder - f(xs)[:, None])[:, None, :]
     return np.array([power_mean(table, devs, q) for q in qs])
 
 
@@ -262,15 +250,15 @@ def ratio_sweep(
 
     ``params`` holds one StrongMeanParams per q, all with the same alpha, c
     and exponent switch; ``points`` holds one (x, w) pair per evaluation
-    point.  The weight table, the side condition and the omega table are
-    built once, the deviation and bracket tables once per point, and each
-    side takes one ``power_mean`` call per q.  Series come x-major, in the
+    point.  The weight table, the side condition, the omega table and the
+    deviations of every point (one ladder call) are built once, the bracket
+    table once per point, and each side takes one ``power_mean`` call per q.  Series come x-major, in the
     order of ``points`` and ``params``.
 
     prop4: dyadic mean at x against w + tail.
     thm5/thm6: matrix strong mean at x against the bracket means.
-    thm2: sup of the strong mean over ``x_grid`` (one deviation table per
-    grid point) against the omega mean; x only labels the series.
+    thm2: sup of the strong mean over ``x_grid`` (every grid point in the
+    one ladder call) against the omega mean; x only labels the series.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
@@ -299,7 +287,7 @@ def ratio_sweep(
 
     base, qs = params[0], [s.q for s in params]
     row = _dyadic_row if theorem == "prop4" else matrix.row
-    table = weight_table([row(n) for n in n_values])
+    table, _ = row_table([row(n) for n in n_values])
     if theorem == "thm2":
         lhs = strong_mean_rows(f, x_grid, table, qs, base.alpha).max(axis=1, keepdims=True)
         bounds = _omegas(f, table, p, grid)[None]

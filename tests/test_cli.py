@@ -332,6 +332,62 @@ def test_bad_verdict_value_exit_2(tmp_path, capsys, command, field, value):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "majorant",
+    [
+        '{"type": "power", "C": 1e400}',
+        '{"type": "power", "C": NaN}',
+        '{"type": "table", "knots": [[0, 0], [1, 1e400]]}',
+        '{"type": "table", "knots": [[0, 0], [1, NaN]]}',
+        '{"type": "table", "knots": [[0, 0], [1, 1], [1e400, 1]]}',
+    ],
+)
+def test_non_finite_majorant_exit_2(tmp_path, capsys, command, majorant):
+    # an infinite majorant made every ratio 0 and passed verify; a NaN one
+    # flagged every record infinite-ratio and exited 3
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm5", "matrix": {"builtin": "osc-gm2"}, '
+        f'"n_range": [1, 8], "majorant": {majorant}}}'
+    )
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == "majorant"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_infinite_osc_gm2_c_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm5", '
+        '"matrix": {"builtin": "osc-gm2", "params": {"c": 1e400}}, "n_range": [1, 8]}'
+    )
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == "matrix"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--class", "gm2", "--c", "inf"],
+        ["--c", "inf"],
+        ["--threshold", "nan"],
+        ["--class", "ms", "--threshold", "nan"],
+    ],
+)
+def test_classes_bad_c_or_threshold_exit_2(cesaro_file, capsys, argv):
+    # each ran and exited 0; a NaN threshold printed "threshold": NaN
+    assert main(["classes", str(cesaro_file), *argv]) == 2
+    assert one_error_object(capsys)["field"] is None
+
+
+def test_classes_infinite_osc_gm2_c_exit_2(tmp_path, capsys):
+    path = tmp_path / "mat.json"
+    path.write_text('{"type": "osc-gm2", "params": {"c": 1e400}}')
+    assert main(["classes", str(path)]) == 2
+    assert one_error_object(capsys)["field"] is None
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("key", ["builtin", "type"])
 def test_malformed_matrix_params_exit_2(tmp_path, capsys, command, key):
     path = tmp_path / "bad.json"

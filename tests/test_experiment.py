@@ -18,6 +18,7 @@ from apsum.experiment import (
 )
 from apsum import experiment, measures, strong_means
 from apsum.matrices import MatrixError, gm2_constant, is_ms
+from apsum.spectra import QuasiPeriodicFunction
 from apsum.strong_means import StrongMeanParams, strong_mean
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -38,17 +39,18 @@ def make_config(**overrides):
     return ExperimentConfig.from_dict(data)
 
 
-def count_calls(monkeypatch, *names):
-    """Wrap the named strong_means functions; return the live call counts."""
+def count_calls(monkeypatch, *names, owner=strong_means):
+    """Wrap the named functions of ``owner`` (the strong_means module, or a
+    class for its methods); return the live call counts."""
     calls = {name: 0 for name in names}
     for name in names:
-        original = getattr(strong_means, name)
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(strong_means, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -511,7 +513,8 @@ class TestRun:
             assert reports[0] == reports[1], path.name
 
     def test_one_sweep_per_run_pointwise(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_deviations", "side_condition", "modulus_omega")
+        calls = count_calls(monkeypatch, "side_condition", "modulus_omega")
+        ladders = count_calls(monkeypatch, "partial_sums", owner=QuasiPeriodicFunction)
         cfg = make_config(
             theorem="thm6",
             matrix={"builtin": "cesaro"},
@@ -521,10 +524,12 @@ class TestRun:
         )
         report = run(cfg)
         assert len(report.records) == 2 * 3 * 32
-        assert calls == {"_deviations": 2, "side_condition": 1, "modulus_omega": 0}
+        assert calls == {"side_condition": 1, "modulus_omega": 0}
+        assert ladders == {"partial_sums": 1}  # one cutoff ladder serves both x
 
     def test_one_sweep_per_run_thm2(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_deviations", "side_condition", "modulus_omega")
+        calls = count_calls(monkeypatch, "side_condition", "modulus_omega")
+        ladders = count_calls(monkeypatch, "partial_sums", owner=QuasiPeriodicFunction)
         cfg = make_config(
             theorem="thm2",
             matrix={"builtin": "cesaro"},
@@ -534,7 +539,8 @@ class TestRun:
         )
         report = run(cfg)
         assert [(r.x, r.q) for r in report.records[::8]] == [(None, 1.0), (None, 2.0)]
-        assert calls == {"_deviations": 16, "side_condition": 1, "modulus_omega": 1}
+        assert calls == {"side_condition": 1, "modulus_omega": 1}
+        assert ladders == {"partial_sums": 1}  # one cutoff ladder serves all 16 x
 
     @pytest.mark.parametrize("theorem", ["prop4", "thm2", "thm5", "thm6"])
     def test_one_power_mean_per_q_and_side(self, monkeypatch, theorem):
@@ -643,13 +649,13 @@ class TestOutputs:
         for cfg in cfgs:
             assert strong_mean_table(cfg) == self.per_row_table(cfg)
 
-    def test_strong_mean_table_one_ladder_per_x(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_deviations")
+    def test_strong_mean_table_one_ladder(self, monkeypatch):
+        calls = count_calls(monkeypatch, "partial_sums", owner=QuasiPeriodicFunction)
         cfg = make_config(
             theorem="thm6", matrix={"builtin": "cesaro"}, q=[0.5, 1.0, 2.0], x=[0.0, 0.7]
         )
         assert len(strong_mean_table(cfg).splitlines()) == 1 + 2 * 3 * 16
-        assert calls == {"_deviations": 2}
+        assert calls == {"partial_sums": 1}
 
     def test_strong_mean_table(self):
         cfg = make_config(

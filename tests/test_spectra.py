@@ -61,6 +61,60 @@ class TestEval:
         np.testing.assert_allclose(f(x), expected, rtol=1e-15)
 
 
+def plain_terms(f, x):
+    """Independent per-entry oracle for the term values at a scalar x."""
+    return [
+        e.cos_coef if e.freq == 0.0
+        else e.cos_coef * math.cos(e.freq * x) + e.sin_coef * math.sin(e.freq * x)
+        for e in f.spectrum.entries
+    ]
+
+
+class TestArrayForm:
+    def test_arrays_are_read_only(self):
+        spec = SMOOTH.spectrum
+        assert spec.freqs.tolist() == [1.0, 10.0]
+        assert spec.coefs.tolist() == [[1.0, 0.0], [0.1, 0.0]]
+        assert spec.tails.tolist() == [1.1, 0.1, 0.0]
+        for arr in (spec.freqs, spec.coefs, spec.tails):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 100_000), shape=st.sampled_from([(), (1,), (6,), (2, 3)]))
+    def test_array_x_equals_scalar_calls(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        f = random_function(rng)
+        top = f.spectrum.max_frequency()
+        xs = rng.uniform(-50.0, 50.0, shape)
+        gammas = rng.uniform(0.0, 1.5 * top, 5)
+        terms, sums, vals = f.term_values(xs), f.partial_sums(xs, gammas), np.asarray(f(xs))
+        assert terms.shape == xs.shape + (len(f.spectrum.entries),)
+        assert sums.shape == xs.shape + gammas.shape
+        for idx in np.ndindex(shape):
+            x = float(xs[idx])
+            assert terms[idx].tolist() == f.term_values(x).tolist() == plain_terms(f, x)
+            assert sums[idx].tolist() == f.partial_sums(x, gammas).tolist()
+            assert vals[idx] == f(x)
+            # the ladder past the top frequency is f(x) to the bit, so the
+            # deviations there are exactly 0
+            assert f.partial_sums(x, 2.0 * top + 1.0) == f(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 100_000), t=st.floats(-20.0, 20.0))
+    def test_translate_difference_has_the_shared_rows(self, seed, t):
+        rng = np.random.default_rng(seed)
+        f = random_function(rng)
+        ts = np.append(rng.uniform(-20.0, 20.0, 4), t)
+        lams, rows = spectra._difference_rows(f.spectrum, ts)
+        for shift, want in zip(ts.tolist(), rows.tolist()):
+            g = f.translate_difference(shift)
+            assert g.spectrum.freqs.tolist() == lams.tolist()
+            assert [[e.cos_coef, e.sin_coef] for e in g.spectrum.entries] == want
+        xs = rng.uniform(-5.0, 5.0, 7)
+        np.testing.assert_allclose(g(xs), f(xs + t) - f(xs), rtol=0.0, atol=1e-12)
+
+
 class TestSecondDifference:
     def test_constant_cancels(self):
         assert CONST3.second_difference(0.7, 2.3) == 0.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apsum import measures, strong_means
-from apsum.matrices import SummabilityMatrix, cesaro_matrix, explicit_matrix
+from apsum.matrices import SummabilityMatrix, cesaro_matrix, explicit_matrix, row_table
 from apsum.measures import (
     T_LATTICE,
     PowerModulus,
@@ -29,7 +29,6 @@ from apsum.strong_means import (
     ratio_series,
     ratio_sweep,
     strong_mean,
-    weight_table,
 )
 
 SMOOTH = QuasiPeriodicFunction(
@@ -156,7 +155,9 @@ class TestPowerMean:
     @given(case=ragged_weights_and_values(), q=st.floats(0.05, 8.0))
     def test_table_rows_equal_one_row_calls(self, case, q):
         rows, values = case
-        means = power_mean(weight_table(rows), values, q)
+        # the table's trailing zero-weight column reads a value of its own
+        table, _ = row_table(rows)
+        means = power_mean(table, np.pad(values, ((0, 0), (0, 1)), constant_values=7.0), q)
         assert means.shape == (len(rows),)
         for row, v, mean in zip(rows, values, means):
             one = power_mean(row, v[: row.size], q)
