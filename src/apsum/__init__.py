@@ -7,7 +7,6 @@ from .spectra import (
     QuasiPeriodicFunction,
     fourier_coefficient,
     load_spectrum,
-    save_spectrum,
     validate_spectrum,
 )
 from .kernels import (
@@ -27,15 +26,11 @@ from .matrices import (
     SummabilityMatrix,
     cesaro_matrix,
     cesaro_row,
+    class_constants,
     class_membership,
     explicit_matrix,
-    gm2_constant,
-    gm_constant,
-    is_ms,
     load_matrix,
-    ms_constant,
     osc_gm2_matrix,
-    rbvs_constant,
     riesz_matrix,
 )
 from .measures import (
@@ -49,25 +44,19 @@ from .measures import (
     check_eq7,
     fit_class_majorant,
     fit_majorant,
+    moduli,
     modulus_omega,
     omega_class_check,
     phi_average,
-    pointwise_modulus,
-    shifted_difference_mean,
     stepanov_norm,
 )
 from .strong_means import (
     RatioRecord,
     RatioSeries,
     StrongMeanParams,
-    dyadic_strong_mean,
-    gm2_rows_rhs,
-    ms_rows_rhs,
-    omega_rows_rhs,
     power_mean,
-    prop_dyadic_rhs,
-    ratio_series,
-    strong_mean,
+    ratio_sweep,
+    strong_mean_rows,
 )
 from .experiment import (
     ConfigError,

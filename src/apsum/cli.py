@@ -1,16 +1,19 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 validation failure (bad config, bad input file),
-3 bound-regression failure.  Every command reports a validation failure
+3 bound-regression failure, which includes a run whose every record is
+0/0 and so checked nothing.  Every command reports a validation failure
 the same way: one JSON object {"ok": false, "field": ..., "error": ...}
 on stdout, ``field`` naming the offending config entry (null when the
-error has no config field).
+error has no config field).  ``classes`` writes an infinite class
+constant, the sentinel for growth out of a zero weight, as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +50,8 @@ def cmd_classes(args) -> int:
     lo, hi = args.n_range
     if not 0 <= lo <= hi:
         raise ConfigError("n_range", f"need 0 <= LO <= HI, got LO={lo}, HI={hi}")
+    if not math.isfinite(args.threshold):
+        raise ConfigError("threshold", f"must be finite, got {args.threshold}")
     matrix = load_matrix(args.matrix_file)
     names = [args.cls] if args.cls else CLASS_NAMES
     out = {}
@@ -54,12 +59,12 @@ def cmd_classes(args) -> int:
         rep = class_membership(matrix, name, args.threshold, range(lo, hi + 1), c=args.c)
         out[name] = {
             "member": rep.member,
-            "sup_constant": rep.sup_constant,
+            "sup_constant": rep.sup_constant if math.isfinite(rep.sup_constant) else None,
             "threshold": rep.threshold,
             "side_condition_ok": rep.side_condition_ok,
             **({"c": rep.c} if rep.c is not None else {}),
         }
-    print(json.dumps({"matrix": matrix.describe(), "classes": out}, sort_keys=True))
+    print(json.dumps({"matrix": matrix.describe(), "classes": out}, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

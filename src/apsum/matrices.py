@@ -15,10 +15,10 @@ may oscillate:
 
 A class constant is the smallest admissible K over every m, with
 ``math.inf`` as the sentinel for a vacuous denominator against positive
-variation.  Every row of a sweep gets it from one zero-padded row table;
-the *_constant functions are one-row calls.  Nonincreasing rows
-telescope: their RBVS constant is exactly 1 and their GM constant is at
-most 1.
+variation.  ``class_constants`` gives every row of a sweep its constant
+from one zero-padded row table, and ``class_membership`` reads the
+sup-over-rows verdict from them.  Nonincreasing rows telescope: their MS
+and RBVS constants are exactly 1 and their GM constant is at most 1.
 """
 
 from __future__ import annotations
@@ -34,11 +34,7 @@ __all__ = [
     "MatrixError",
     "SummabilityMatrix",
     "cesaro_row",
-    "is_ms",
-    "ms_constant",
-    "rbvs_constant",
-    "gm_constant",
-    "gm2_constant",
+    "class_constants",
     "ClassReport",
     "class_membership",
     "side_condition",
@@ -143,10 +139,13 @@ def _check_class(class_name: str, c: float) -> None:
         raise MatrixError(f"c must be > 1 and finite, got {c}")
 
 
-def _constants(class_name: str, rows, c: float = 2.0) -> np.ndarray:
+def class_constants(class_name: str, rows, c: float = 2.0) -> np.ndarray:
     """The class constant of every nonnegative row, all from one zero-padded
-    row table.  A row reads only its own entries and the zeros after them,
-    so each constant equals the one-row call bit for bit."""
+    row table; MatrixError for an unknown class, a gm2 ``c`` outside
+    (1, inf) or an rbvs row that is identically zero.  A row reads only its
+    own entries and the zeros after them, so each constant equals the
+    one-row call bit for bit."""
+    _check_class(class_name, c)
     a, sizes = row_table(rows)
     if class_name == "ms":
         return _sup_ratio(a[:, 1:], a[:, :-1], floor=1.0)
@@ -168,35 +167,6 @@ def _constants(class_name: str, rows, c: float = 2.0) -> np.ndarray:
     lo = np.maximum(1, np.floor(m / c)).astype(int)
     hi = np.minimum(np.floor(c * m), sizes[:, None]).astype(int)
     return _sup_ratio(var, _window_sums(a[:, 1:] / m, var != 0.0, lo - 1, hi))
-
-
-def is_ms(row) -> bool:
-    """True iff the row is nonincreasing (zero tail included)."""
-    a, _ = row_table([row])
-    return bool(np.all(a[:, :-1] >= a[:, 1:]))
-
-
-def ms_constant(row) -> float:
-    """Monotonicity defect: 1 for nonincreasing rows, otherwise the sup of
-    consecutive growth ratios a_{k+1}/a_k (inf for growth out of a zero)."""
-    return float(_constants("ms", [row])[0])
-
-
-def rbvs_constant(row) -> float:
-    """Smallest K with sum_{k>=m} |a_k - a_{k+1}| <= K a_m for all m."""
-    return float(_constants("rbvs", [row])[0])
-
-
-def gm_constant(row) -> float:
-    """Smallest K with sum_{k=m}^{2m-1} |a_k - a_{k+1}| <= K a_m for m >= 1."""
-    return float(_constants("gm", [row])[0])
-
-
-def gm2_constant(row, c: float) -> float:
-    """Smallest K bounding block variation by the averaged mass over
-    [floor(m/c) v 1, floor(c m)]; requires c > 1."""
-    _check_class("gm2", c)
-    return float(_constants("gm2", [row], c)[0])
 
 
 @dataclass(frozen=True)
@@ -242,7 +212,7 @@ def class_membership(
         raise MatrixError("threshold must be a number, got nan")
     n_values = tuple(int(n) for n in n_range)
     rows = [matrix.row(n) for n in n_values]
-    constants = tuple(_constants(class_name, rows, c).tolist()) if rows else ()
+    constants = tuple(class_constants(class_name, rows, c).tolist()) if rows else ()
     sup_c = max(constants) if constants else 0.0
     side_ok, firsts = (
         side_condition(matrix, n_values, side_tol) if n_values else (None, ())
@@ -340,7 +310,7 @@ def osc_gm2_matrix(
             raise MatrixError(
                 f"osc-gm2 row {n} has gm2 constant {k:.3g} > {gm2_threshold}"
             )
-    if is_ms(m.row(max(4, check_rows[0]))):
+    if np.all(np.diff(m.row(max(4, check_rows[0]))) <= 0.0):
         raise MatrixError("osc-gm2 family unexpectedly monotone")
     return m
 

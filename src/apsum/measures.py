@@ -36,8 +36,9 @@ values, and ``omega_class_check`` estimates the smallest constants making
     ((1/delta) int_0^delta |phi_x(t) - phi_x(t +- gamma)|^p dt)^{1/p} <= C1 w(gamma)
     m_x(delta) <= C2 w(delta)
 
-hold on a sample grid.  With both constants scaled to <= 1, the window
-average obeys |Phi_x(d1, d2)| <= w(d1) + w(d2) (``check_eq7``).
+hold on a sample grid; ``moduli`` gives both lhs at every delta and
+shift of the grid in one call.  With both constants scaled to <= 1, the
+window average obeys |Phi_x(d1, d2)| <= w(d1) + w(d2) (``check_eq7``).
 
 At p = 2 every window mean above (the u-windows of N_2, m_x and the
 shifted-difference means) is an exact quadratic form in the amplitudes,
@@ -67,10 +68,9 @@ __all__ = [
     "WindowGrid",
     "SamplePlan",
     "resolve_span",
-    "shifted_difference_mean",
     "stepanov_norm",
     "modulus_omega",
-    "pointwise_modulus",
+    "moduli",
     "phi_average",
     "best_approx_tail",
     "OmegaClassReport",
@@ -465,9 +465,14 @@ def _phi_panels(f: QuasiPeriodicFunction, delta: float) -> int:
     return max(64, need)
 
 
-def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tuple[np.ndarray, np.ndarray]:
+def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise moduli m_x(delta), shape (D,), and shifted-difference means
-    for every shift s, shape (D, M), at each delta.
+
+        ((1/delta) int_0^delta |phi_x(t) - phi_x(t + s)|^p dt)^(1/p)
+
+    for every shift s, shape (D, M), at each delta > 0, for p >= 1; at
+    p = inf both are sups over [0, delta].  A minus shift is s < 0, folded
+    back by the evenness of phi_x.
 
     At p = 2 both are exact quadratic forms in a = 2 g(x), g = term values:
     phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
@@ -498,7 +503,7 @@ def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tup
         k = np.ldexp(k, -k_scale[:, None])
         point = ((amps @ _phi_gram(lams, deltas)) * amps).sum(axis=-1)
         shifted = np.zeros((deltas.size, 0))
-        if shifts.size:  # the fit and pointwise_modulus take no shifts
+        if shifts.size:  # the fit takes no shifts
             shifted = ((k @ _trig_gram(lams, deltas)) * k).sum(axis=-1)
         return (
             np.ldexp(np.sqrt(np.maximum(point, 0.0)), scale),
@@ -526,12 +531,6 @@ def _moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tup
             vals = np.abs(phi - f.second_difference(x, t + s)) ** p
             shifted[j, m] = (float(np.dot(w, vals)) / d) ** (1.0 / p)
     return point, shifted
-
-
-def pointwise_modulus(f: QuasiPeriodicFunction, x: float, delta: float, p: float) -> float:
-    """((1/delta) int_0^delta |phi_x|^p dt)^(1/p) for p >= 1, exact at p = 2;
-    refined grid sup at p=inf."""
-    return float(_moduli(f, x, [delta], (), p)[0][0])
 
 
 def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> float:
@@ -590,30 +589,13 @@ class OmegaClassReport:
         return self.constant <= self.threshold
 
 
-def shifted_difference_mean(
-    f: QuasiPeriodicFunction,
-    x: float,
-    delta: float,
-    gamma: float,
-    p: float,
-) -> float:
-    """((1/delta) int_0^delta |phi_x(t) - phi_x(t + gamma)|^p dt)^(1/p),
-    exact at p = 2; at p = inf the refined grid sup of the difference over
-    [0, delta].
-
-    The minus shift is gamma < 0; phi_x is even, so negative arguments fold
-    back automatically.
-    """
-    return float(_moduli(f, x, [delta], [gamma], p)[1][0, 0])
-
-
 def _class_lhs(
     f: QuasiPeriodicFunction, x: float, p: float, plan: SamplePlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lhs of both class constants: shifted-difference means shaped
     (gammas, deltas, signs) and pointwise moduli shaped (deltas,)."""
     shifts = [s * g for g in plan.gammas for s in (1.0, -1.0)]
-    point, shifted = _moduli(f, x, plan.deltas, shifts, p)
+    point, shifted = moduli(f, x, plan.deltas, shifts, p)
     shifted = shifted.reshape(len(plan.deltas), len(plan.gammas), 2)
     return shifted.transpose(1, 0, 2), point
 
@@ -704,8 +686,8 @@ def fit_majorant(
     if deltas is None:
         deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
     deltas = [float(d) for d in deltas]
-    moduli, _ = _moduli(f, x, deltas, (), p)
-    samples = [(0.0, 0.0)] + list(zip(deltas, moduli.tolist()))
+    point, _ = moduli(f, x, deltas, (), p)
+    samples = [(0.0, 0.0)] + list(zip(deltas, point.tolist()))
     return TableModulus(tuple(_concave_envelope(samples)))
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "spectrum_from_dict",
     "spectrum_to_dict",
     "load_spectrum",
-    "save_spectrum",
 ]
 
 # Relative slack for frequency comparisons against band edges and cutoffs.
@@ -112,9 +111,6 @@ class Spectrum:
             entries.append(SpectrumEntry(freq, amp))
         entries.sort(key=lambda e: e.freq)
         return cls(float(alpha), tuple(entries))
-
-    def frequencies(self) -> np.ndarray:
-        return self.freqs
 
     def max_frequency(self) -> float:
         return self.entries[-1].freq if self.entries else 0.0
@@ -231,27 +227,11 @@ class QuasiPeriodicFunction:
         out = _trig_sum(self.spectrum.freqs, rows, np.asarray(t, dtype=float))
         return float(out) if out.ndim == 0 else out
 
-    def shift(self, a: float) -> "QuasiPeriodicFunction":
-        """The translate x -> f(x + a); amplitudes rotate, moduli unchanged."""
-        entries = []
-        for e in self.spectrum.entries:
-            if e.freq == 0.0:
-                entries.append(e)
-            else:
-                entries.append(SpectrumEntry(e.freq, e.amp * np.exp(1j * e.freq * a)))
-        return QuasiPeriodicFunction(Spectrum(self.spectrum.alpha, tuple(entries)))
-
     def translate_difference(self, a: float) -> "QuasiPeriodicFunction":
         """The difference x -> f(x + a) - f(x); the constant term drops."""
         lams, rows = _difference_rows(self.spectrum, a)
         terms = zip(lams.tolist(), *rows.T.tolist())
         return QuasiPeriodicFunction(Spectrum.from_cos_sin(self.spectrum.alpha, terms))
-
-    def scaled(self, s: float) -> "QuasiPeriodicFunction":
-        entries = tuple(
-            SpectrumEntry(e.freq, e.amp * s) for e in self.spectrum.entries
-        )
-        return QuasiPeriodicFunction(Spectrum(self.spectrum.alpha, entries))
 
     def sup_bound(self) -> float:
         return self.spectrum.amplitude_mass()
@@ -367,9 +347,3 @@ def load_spectrum(path, allow_invalid: bool = False) -> QuasiPeriodicFunction:
         lines = "; ".join(f"{i.code}[{i.index}]: {i.detail}" for i in report.issues)
         raise SpectrumError(f"invalid spectrum in {path}: {lines}")
     return QuasiPeriodicFunction(spec)
-
-
-def save_spectrum(spec: Spectrum, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spectrum_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")

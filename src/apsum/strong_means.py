@@ -18,7 +18,7 @@ expressions mirror three estimate shapes:
 ``ratio_sweep`` pads the rows of a run into one weight table (``row_table``),
 takes each side's means of every row, x and q with one ``power_mean`` per q,
 and reports lhs, rhs, lhs/rhs with 0/0 as ratio 0 (flagged) and finite/0
-as inf; ``ratio_series`` and the scalar means are its one-row views.
+as inf.  ``strong_mean_rows`` alone gives the lhs means of a weight table.
 """
 
 from __future__ import annotations
@@ -29,27 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import SummabilityMatrix, row_table, side_condition
-from .measures import (
-    ModulusMajorant,
-    WindowGrid,
-    modulus_omega,
-)
+from .measures import WindowGrid, modulus_omega
 from .spectra import QuasiPeriodicFunction
 
 __all__ = [
     "THEOREMS",
     "StrongMeanParams",
     "power_mean",
-    "strong_mean",
-    "dyadic_strong_mean",
-    "prop_dyadic_rhs",
-    "ms_rows_rhs",
-    "gm2_rows_rhs",
-    "omega_rows_rhs",
     "RatioRecord",
     "RatioSeries",
     "ratio_sweep",
-    "ratio_series",
     "strong_mean_rows",
 ]
 
@@ -126,62 +115,6 @@ def _dyadic_row(n: int) -> np.ndarray:
     row = np.zeros(2 * n + 1)
     row[n:] = 1.0 / (n + 1)
     return row
-
-
-def strong_mean(
-    f: QuasiPeriodicFunction,
-    x: float,
-    matrix: SummabilityMatrix,
-    n: int,
-    params: StrongMeanParams,
-) -> float:
-    """Weighted power mean of cutoff deviations with row n of the matrix."""
-    return strong_mean_rows(f, [x], matrix.row(n)[None], [params.q], params.alpha).item()
-
-
-def dyadic_strong_mean(
-    f: QuasiPeriodicFunction, x: float, n: int, params: StrongMeanParams
-) -> float:
-    """Uniform strong mean over the dyadic block k in [n, 2n]."""
-    return strong_mean_rows(f, [x], _dyadic_row(n)[None], [params.q], params.alpha).item()
-
-
-def prop_dyadic_rhs(
-    w: ModulusMajorant, f: QuasiPeriodicFunction, n: int, params: StrongMeanParams
-) -> float:
-    """w(pi/(n+1)) + spectral tail above alpha n / 2."""
-    return float(_brackets(w, f, params, 2.0, n + 1)[n])
-
-
-def ms_rows_rhs(
-    row: np.ndarray,
-    w: ModulusMajorant,
-    f: QuasiPeriodicFunction,
-    params: StrongMeanParams,
-) -> float:
-    """Bracket mean with tails at alpha k / 2 (monotone-row bound shape)."""
-    return power_mean(row, _brackets(w, f, params, 2.0, row.size), params.q)
-
-
-def gm2_rows_rhs(
-    row: np.ndarray,
-    w: ModulusMajorant,
-    f: QuasiPeriodicFunction,
-    params: StrongMeanParams,
-) -> float:
-    """Bracket mean with tails at alpha k / 2^(1+c) (averaged-mass bound)."""
-    return power_mean(row, _brackets(w, f, params, params.tail_divisor(), row.size), params.q)
-
-
-def omega_rows_rhs(
-    row: np.ndarray,
-    f: QuasiPeriodicFunction,
-    q: float,
-    p: float,
-    grid: WindowGrid | None = None,
-) -> float:
-    """Weighted power mean of translate moduli omega(pi/(k+1))."""
-    return power_mean(row, _omegas(f, row[None], p, grid), q)
 
 
 @dataclass(frozen=True)
@@ -307,21 +240,3 @@ def ratio_sweep(
         for j, q in enumerate(qs)
     ]
 
-
-def ratio_series(
-    f: QuasiPeriodicFunction,
-    theorem: str,
-    n_values,
-    params: StrongMeanParams,
-    matrix: SummabilityMatrix | None = None,
-    w: ModulusMajorant | None = None,
-    x: float | None = None,
-    x_grid=None,
-    p: float | None = None,
-    grid: WindowGrid | None = None,
-    side_tol: float = 0.05,
-) -> RatioSeries:
-    """The sweep of one (x, q): a view of ``ratio_sweep``."""
-    return ratio_sweep(
-        f, theorem, n_values, [params], [(x, w)], matrix, x_grid, p, grid, side_tol
-    )[0]

@@ -1,3 +1,5 @@
+from apsum.spectra import QuasiPeriodicFunction, Spectrum
+
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
 
@@ -14,3 +16,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, ok, detail in ACCEPTANCE_RESULTS:
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"{status}  {name}: {detail}")
+
+
+def scaled(f, s: float):
+    """The function s f, built from s times the cos/sin rows of f."""
+    spec = f.spectrum
+    terms = zip(spec.freqs.tolist(), *(s * spec.coefs).T.tolist())
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(spec.alpha, terms))

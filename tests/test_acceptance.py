@@ -14,32 +14,21 @@ import pytest
 
 from apsum.experiment import builtin_matrices, builtin_spectra
 from apsum.kernels import kernel_mass, partial_sum_direct, partial_sum_kernel_table
-from apsum.matrices import (
-    class_membership,
-    gm2_constant,
-    gm_constant,
-    is_ms,
-    rbvs_constant,
-)
+from apsum.matrices import class_constants, class_membership
 from apsum.measures import (
     SamplePlan,
     WindowGrid,
     check_eq7,
     fit_class_majorant,
+    moduli,
     modulus_omega,
-    pointwise_modulus,
     resolve_span,
     stepanov_norm,
 )
 from apsum.spectra import Spectrum, QuasiPeriodicFunction
-from apsum.strong_means import (
-    StrongMeanParams,
-    power_mean,
-    ratio_series,
-    strong_mean,
-)
+from apsum.strong_means import StrongMeanParams, ratio_sweep, strong_mean_rows
 
-from conftest import record_criterion
+from conftest import record_criterion, scaled
 
 SEED = 20260810
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
@@ -139,9 +128,8 @@ def test_criterion_4_dyadic_ratio_boundedness(spectra, fitted_majorants):
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            for q in (0.5, 1.0, 2.0):
-                params = StrongMeanParams(q=q, alpha=f.spectrum.alpha)
-                rs = ratio_series(f, "prop4", N_SWEEP, params, w=w, x=x)
+            params = [StrongMeanParams(q=q, alpha=f.spectrum.alpha) for q in (0.5, 1.0, 2.0)]
+            for rs in ratio_sweep(f, "prop4", N_SWEEP, params, [(x, w)]):
                 worst = max(worst, rs.max_ratio)
                 blowup_ok = blowup_ok and _blowup_ok(rs)
     elapsed = time.perf_counter() - t0 + fit_time
@@ -163,11 +151,8 @@ def test_criterion_5_cesaro_ratio_boundedness(spectra, fitted_majorants):
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            for q in (1.0, 2.0):
-                params = StrongMeanParams(q=q, alpha=f.spectrum.alpha)
-                rs = ratio_series(
-                    f, "thm6", N_SWEEP, params, matrix=ces, w=w, x=x
-                )
+            params = [StrongMeanParams(q=q, alpha=f.spectrum.alpha) for q in (1.0, 2.0)]
+            for rs in ratio_sweep(f, "thm6", N_SWEEP, params, [(x, w)], matrix=ces):
                 worst = max(worst, rs.max_ratio)
                 blowup_ok = blowup_ok and _blowup_ok(rs)
                 side_ok = side_ok and bool(rs.side_condition_ok)
@@ -188,11 +173,8 @@ def test_criterion_6_gm2_ratio_boundedness(spectra, fitted_majorants):
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            for q in (1.0, 2.0):
-                params = StrongMeanParams(q=q, alpha=f.spectrum.alpha, c=2.0)
-                rs = ratio_series(
-                    f, "thm5", N_SWEEP, params, matrix=matrix, w=w, x=x
-                )
+            params = [StrongMeanParams(q=q, alpha=f.spectrum.alpha, c=2.0) for q in (1.0, 2.0)]
+            for rs in ratio_sweep(f, "thm5", N_SWEEP, params, [(x, w)], matrix=matrix):
                 worst = max(worst, rs.max_ratio)
                 blowup_ok = blowup_ok and _blowup_ok(rs)
     ok = (
@@ -219,8 +201,8 @@ def test_criterion_7_class_algebra_exactness():
         n = int(rng.integers(1, 24))
         row = np.sort(rng.uniform(0.01, 1.0, n))[::-1]
         row = row / row.sum()
-        worst_rbvs = max(worst_rbvs, abs(rbvs_constant(row) - 1.0))
-        worst_gm = max(worst_gm, max(0.0, gm_constant(row) - 1.0))
+        worst_rbvs = max(worst_rbvs, abs(class_constants("rbvs", [row])[0] - 1.0))
+        worst_gm = max(worst_gm, max(0.0, class_constants("gm", [row])[0] - 1.0))
     chain_ok = True
     for _ in range(100):
         n = int(rng.integers(2, 24))
@@ -231,10 +213,10 @@ def test_criterion_7_class_algebra_exactness():
             row[0] = 1.0
             s = 1.0
         row = row / s
-        if is_ms(row):
-            chain_ok = chain_ok and rbvs_constant(row) <= 1.0 + 1e-12
-        if math.isfinite(gm_constant(row)):
-            chain_ok = chain_ok and math.isfinite(gm2_constant(row, 2.0))
+        if np.all(np.diff(row) <= 0.0):  # nonincreasing: an ms row
+            chain_ok = chain_ok and class_constants("rbvs", [row])[0] <= 1.0 + 1e-12
+        if math.isfinite(class_constants("gm", [row])[0]):
+            chain_ok = chain_ok and math.isfinite(class_constants("gm2", [row], 2.0)[0])
     ok = worst_rbvs <= 1e-12 and worst_gm <= 1e-12 and chain_ok
     record_criterion(
         "7 class algebra exactness (100 + 100 rows)",
@@ -250,8 +232,6 @@ def test_criterion_8_power_mean_properties():
     qs = (0.5, 1.0, 2.0, 4.0)
     worst_mono = 0.0
     worst_homo = 0.0
-    from apsum.matrices import explicit_matrix
-
     for _ in range(50):
         n_terms = int(rng.integers(1, 5))
         alpha = float(rng.uniform(0.4, 1.5))
@@ -261,22 +241,16 @@ def test_criterion_8_power_mean_properties():
             for l in lams
         ]
         f = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
-        row = rng.dirichlet(np.ones(int(rng.integers(1, 9))))
-        matrix = explicit_matrix([row])
+        table = rng.dirichlet(np.ones(int(rng.integers(1, 9))))[None]
         x = float(rng.uniform(-3, 3))
-        means = [
-            strong_mean(f, x, matrix, 0, StrongMeanParams(q=q, alpha=alpha))
-            for q in qs
-        ]
+        means = strong_mean_rows(f, [x], table, qs, alpha).ravel().tolist()
         for a, b in zip(means, means[1:]):
             worst_mono = max(worst_mono, (a - b) / max(b, 1e-300) if b else a)
         s = float(rng.uniform(-3, 3))
         base = means[2]
-        scaled = strong_mean(
-            f.scaled(s), x, matrix, 0, StrongMeanParams(q=2.0, alpha=alpha)
-        )
+        mean_s = strong_mean_rows(scaled(f, s), [x], table, [2.0], alpha).item()
         denom = max(abs(s) * base, 1e-300)
-        worst_homo = max(worst_homo, abs(scaled - abs(s) * base) / denom)
+        worst_homo = max(worst_homo, abs(mean_s - abs(s) * base) / denom)
     ok = worst_mono <= 1e-12 and worst_homo <= 1e-12
     record_criterion(
         "8 power-mean monotonicity and homogeneity (50 instances)",
@@ -298,14 +272,9 @@ def test_criterion_9_closed_form_anchors():
                 1e-3,
             )
         )
-    for d in (0.5, 1.0, 2.0):
-        errs.append(
-            (
-                f"pointwise({d})",
-                abs(pointwise_modulus(COS, 0.0, d, 1.0) - (2.0 - 2.0 * math.sin(d) / d)),
-                1e-6,
-            )
-        )
+    pointwise = moduli(COS, 0.0, [0.5, 1.0, 2.0], (), 1.0)[0].tolist()
+    for d, m in zip((0.5, 1.0, 2.0), pointwise):
+        errs.append((f"pointwise({d})", abs(m - (2.0 - 2.0 * math.sin(d) / d)), 1e-6))
     ok = all(e <= tol for _, e, tol in errs)
     worst = max(e / tol for _, e, tol in errs)
     record_criterion(
@@ -322,11 +291,10 @@ def test_criterion_10_pointwise_versus_translate_modulus(spectra):
     grid = WindowGrid()
     span = resolve_span(f, grid)
     xs = np.linspace(0.0, span, 64, endpoint=False)
-    margins = []
-    for d in (0.25, 0.5, 1.0):
-        lhs = max(pointwise_modulus(f, float(x), d, p) for x in xs)
-        rhs = modulus_omega(f, d, p, grid)
-        margins.append(lhs - ((1.0 + 1e-3) * rhs + 1e-6))
+    deltas = (0.25, 0.5, 1.0)
+    lhs = np.max([moduli(f, float(x), deltas, (), p)[0] for x in xs], axis=0)
+    rhs = modulus_omega(f, deltas, p, grid)
+    margins = (lhs - ((1.0 + 1e-3) * rhs + 1e-6)).tolist()
     ok = all(m <= 0.0 for m in margins)
     record_criterion(
         "10 pointwise modulus under translate modulus",

@@ -372,12 +372,16 @@ def test_infinite_osc_gm2_c_exit_2(tmp_path, capsys, command):
         ["--c", "inf"],
         ["--threshold", "nan"],
         ["--class", "ms", "--threshold", "nan"],
+        ["--threshold", "inf"],
+        ["--threshold=-inf"],
     ],
 )
 def test_classes_bad_c_or_threshold_exit_2(cesaro_file, capsys, argv):
-    # each ran and exited 0; a NaN threshold printed "threshold": NaN
+    # each ran and exited 0; a NaN threshold printed "threshold": NaN, and
+    # an infinite one "threshold": Infinity, making every class a member
     assert main(["classes", str(cesaro_file), *argv]) == 2
-    assert one_error_object(capsys)["field"] is None
+    field = "threshold" if any(a.startswith("--threshold") for a in argv) else None
+    assert one_error_object(capsys)["field"] == field
 
 
 def test_classes_infinite_osc_gm2_c_exit_2(tmp_path, capsys):
@@ -574,3 +578,68 @@ def test_run_path_loads_no_scipy():
     assert out["run"] == []
     assert {"scipy.special", "numpy.fft"} <= set(out["kernel"])
     assert out["mass"] == pytest.approx(0.5, abs=1e-6)
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def strict_lines(capsys) -> list:
+    return [strict_json(line) for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_commands_write_strict_json(config, tmp_path, capsys):
+    # every stdout line and every .json file the commands write on a shipped
+    # config (and classes on its matrix) parses as strict JSON
+    out = tmp_path / "out"
+    assert main(["validate", str(config)]) == 0
+    assert main(["verify", str(config)]) == 0
+    assert main(["report", str(config)]) == 0
+    assert main(["report", str(config), "--out", str(out)]) == 0
+    matrix = json.loads(config.read_text()).get("matrix")
+    if matrix is not None:
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps({"type": matrix["builtin"], "params": matrix.get("params", {})}))
+        assert main(["classes", str(path), "--n-range", "0", "32"]) == 0
+    assert len(strict_lines(capsys)) == 4 + (matrix is not None)
+    for path in out.glob("*.json"):
+        strict_json(path.read_text())
+
+
+def test_classes_infinite_constant_is_null(tmp_path, capsys):
+    # row 0 grows out of a zero weight: its ms and rbvs constants are the
+    # inf sentinel, which printed as "sup_constant": Infinity
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"type": "explicit", "rows": [[0, 1], [0.5, 0.5]]}))
+    assert main(["classes", str(path), "--n-range", "0", "1"]) == 0
+    (out,) = strict_lines(capsys)
+    for name in ("ms", "rbvs"):
+        assert out["classes"][name]["sup_constant"] is None
+        assert out["classes"][name]["member"] is False
+    assert out["classes"]["gm"]["sup_constant"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_run_that_checks_nothing_exit_3(tmp_path, capsys, command):
+    # the constant function against a zero majorant: every record is 0/0,
+    # which passed with regression_ok true and exit 0
+    cfg = {
+        "spectrum": {"builtin": "constant"},
+        "theorem": "thm6",
+        "matrix": {"builtin": "cesaro"},
+        "majorant": {"type": "power", "C": 0.0},
+        "n_range": [1, 8],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path)]) == 3
+    (out,) = strict_lines(capsys)
+    summary = out if command == "verify" else out["summary"]
+    assert summary["regression_ok"] is False
+    assert summary["flag_counts"] == {"zero-over-zero": 8}

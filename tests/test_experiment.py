@@ -17,9 +17,9 @@ from apsum.experiment import (
     write_report,
 )
 from apsum import experiment, measures, strong_means
-from apsum.matrices import MatrixError, gm2_constant, is_ms
+from apsum.matrices import MatrixError, class_constants
 from apsum.spectra import QuasiPeriodicFunction
-from apsum.strong_means import StrongMeanParams, strong_mean
+from apsum.strong_means import strong_mean_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,7 +69,7 @@ class TestBuiltinSpectra:
 
     def test_irrational_respects_gap(self):
         f = builtin_spectra("irrational")
-        freqs = f.spectrum.frequencies()
+        freqs = f.spectrum.freqs
         assert np.all(np.diff(freqs) >= f.spectrum.alpha)
 
     def test_unknown_name(self):
@@ -84,8 +84,8 @@ class TestBuiltinMatrices:
 
     def test_osc_gm2_verified(self):
         m = builtin_matrices("osc-gm2")
-        assert not is_ms(m.row(8))
-        assert gm2_constant(m.row(32), 2.0) < 8.0
+        ms, gm2 = class_constants("ms", [m.row(8)]), class_constants("gm2", [m.row(32)])
+        assert ms[0] > 1.0 and gm2[0] < 8.0
         assert m.row(10).sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_unknown_name(self):
@@ -405,7 +405,7 @@ class TestResolveOnce:
             ExperimentConfig.from_dict(data, base_dir=tmp_path)
         assert err.value.field == "spectrum"
         cfg = ExperimentConfig.from_dict(data, base_dir=tmp_path, allow_invalid=True)
-        assert cfg.resolve_function().spectrum.frequencies().tolist() == [1.0, 1.5]
+        assert cfg.resolve_function().spectrum.freqs.tolist() == [1.0, 1.5]
         for call in (run, strong_mean_table):
             with pytest.raises(ConfigError) as err:
                 call(cfg)
@@ -490,6 +490,8 @@ class TestRun:
         )
         assert all(r.ratio == 0.0 for r in report.records)
         assert report.summary["flag_counts"]["zero-over-zero"] == 6
+        # every record is 0/0: the run checked nothing, so it does not pass
+        assert report.summary["regression_ok"] is False
 
     def test_determinism_and_threads(self, tmp_path, monkeypatch):
         cfg = make_config(q=[1.0, 2.0], x=[0.0, 0.7], n_range=[1, 10])
@@ -618,15 +620,16 @@ class TestOutputs:
 
     @staticmethod
     def per_row_table(cfg):
-        """The per-(x, q, n) loop over the public strong_mean."""
+        """The per-(x, q, n) loop of one-row, one-x, one-q strong_mean_rows calls."""
         f = cfg.resolve_function()
         matrix = cfg.resolve_matrix()
         lines = ["x,q,n,strong_mean"]
         for x in cfg.x:
             for q in cfg.q:
-                params = StrongMeanParams(q=q, alpha=f.spectrum.alpha, c=cfg.c)
                 for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-                    lines.append(f"{x!r},{q!r},{n},{strong_mean(f, x, matrix, n, params)!r}")
+                    row = matrix.row(n)[None]
+                    mean = strong_mean_rows(f, [x], row, [q], f.spectrum.alpha).item()
+                    lines.append(f"{x!r},{q!r},{n},{mean!r}")
         return "\n".join(lines) + "\n"
 
     def test_strong_mean_table_matches_per_row_loop(self):

@@ -143,7 +143,7 @@ def reference_table(f, ks, xs):
     (band, x), with the beat tail summed term by term: the slow route the
     folded FFT must reproduce."""
     alpha = f.spectrum.alpha
-    freqs = f.spectrum.frequencies()
+    freqs = f.spectrum.freqs
     plans = []
     for k in ks:
         hit = np.flatnonzero((freqs > 0.5 * alpha * k) & (freqs < 0.5 * alpha * (k + 1)))

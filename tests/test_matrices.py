@@ -7,22 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from apsum import matrices
 from apsum.matrices import (
+    CLASS_NAMES,
     ClassReport,
     MatrixError,
     SummabilityMatrix,
     cesaro_matrix,
     cesaro_row,
+    class_constants,
     class_membership,
     explicit_matrix,
-    gm2_constant,
-    gm_constant,
-    is_ms,
     load_matrix,
     matrix_from_dict,
-    ms_constant,
     osc_gm2_matrix,
     osc_gm2_row,
-    rbvs_constant,
     riesz_matrix,
     side_condition,
 )
@@ -90,6 +87,11 @@ def brute_gm2(row, c):
     return worst
 
 
+def constant(class_name, row, c=2.0):
+    """The class constant of one row: a one-row class_constants call."""
+    return float(class_constants(class_name, [row], c)[0])
+
+
 def random_rows(rng, count, kind="mixed"):
     rows = []
     for _ in range(count):
@@ -119,80 +121,81 @@ class TestCesaroRow:
 
 
 class TestMS:
+    """A row is ms (nonincreasing) iff its ms constant is 1."""
+
     def test_cesaro_is_ms(self):
-        assert is_ms(cesaro_row(4))
+        assert constant("ms", cesaro_row(4)) == 1.0
 
     def test_increase_fails(self):
-        assert not is_ms([0.2, 0.5, 0.3])
+        assert constant("ms", [0.2, 0.5, 0.3]) > 1.0
 
     def test_zero_tail_ok(self):
-        assert is_ms([0.5, 0.3, 0.2, 0.0, 0.0])
+        assert constant("ms", [0.5, 0.3, 0.2, 0.0, 0.0]) == 1.0
 
     def test_constant_convention(self):
-        assert ms_constant(cesaro_row(0)) == 1.0
-        assert ms_constant(cesaro_row(7)) == 1.0
-        assert ms_constant([0.2, 0.5, 0.3]) == pytest.approx(2.5)
-        assert ms_constant([0.5, 0.0, 0.5]) == math.inf
+        rows = [cesaro_row(0), cesaro_row(7), [0.2, 0.5, 0.3], [0.5, 0.0, 0.5]]
+        got = class_constants("ms", rows).tolist()
+        assert got == [1.0, 1.0, pytest.approx(2.5), math.inf]
 
 
 class TestRBVS:
     def test_nonincreasing_telescopes_to_one(self):
-        assert rbvs_constant([0.4, 0.3, 0.2, 0.1]) == pytest.approx(1.0, abs=1e-15)
+        assert constant("rbvs", [0.4, 0.3, 0.2, 0.1]) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_interior_sentinel(self):
-        assert rbvs_constant([0.5, 0.0, 0.5]) == math.inf
+        assert constant("rbvs", [0.5, 0.0, 0.5]) == math.inf
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for row in random_rows(rng, 40):
-            assert rbvs_constant(row) == pytest.approx(brute_rbvs(row), rel=1e-12)
+            assert constant("rbvs", row) == pytest.approx(brute_rbvs(row), rel=1e-12)
 
     def test_rejects_zero_row(self):
         with pytest.raises(MatrixError):
-            rbvs_constant([0.0, 0.0])
+            constant("rbvs", [0.0, 0.0])
 
 
 class TestGM:
     def test_nonincreasing_at_most_one(self):
-        assert gm_constant([0.4, 0.3, 0.2, 0.1]) <= 1.0 + 1e-15
+        assert constant("gm", [0.4, 0.3, 0.2, 0.1]) <= 1.0 + 1e-15
 
     def test_bounded_by_rbvs(self):
         rng = np.random.default_rng(11)
         for row in random_rows(rng, 40):
-            r = rbvs_constant(row)
+            r = constant("rbvs", row)
             if math.isfinite(r):
-                assert gm_constant(row) <= r + 1e-12
+                assert constant("gm", row) <= r + 1e-12
 
     def test_alternating_sentinel(self):
         row = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
         row /= row.sum()
-        assert gm_constant(row) == math.inf
+        assert constant("gm", row) == math.inf
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
         for row in random_rows(rng, 40):
-            assert gm_constant(row) == pytest.approx(brute_gm(row), rel=1e-12)
+            assert constant("gm", row) == pytest.approx(brute_gm(row), rel=1e-12)
 
 
 class TestGM2:
     def test_cesaro_finite(self):
-        k = gm2_constant(cesaro_row(8), 2.0)
+        k = constant("gm2", cesaro_row(8), 2.0)
         assert math.isfinite(k) and k <= 2.0
 
     def test_rejects_c_at_most_one(self):
         with pytest.raises(MatrixError):
-            gm2_constant(cesaro_row(3), 1.0)
+            constant("gm2", cesaro_row(3), 1.0)
 
     def test_finite_gm_implies_finite_gm2(self):
         rng = np.random.default_rng(17)
         for row in random_rows(rng, 100):
-            if math.isfinite(gm_constant(row)):
-                assert math.isfinite(gm2_constant(row, 2.0))
+            if math.isfinite(constant("gm", row)):
+                assert math.isfinite(constant("gm2", row, 2.0))
 
     def test_zero_past_support_contributes_nothing(self):
         row = np.array([0.6, 0.4])
         # blocks beyond the support have zero variation, so the scan ends
-        assert math.isfinite(gm2_constant(row, 2.0))
+        assert math.isfinite(constant("gm2", row, 2.0))
 
 
 class TestClassMembership:
@@ -221,6 +224,8 @@ class TestClassMembership:
     def test_unknown_class(self):
         with pytest.raises(MatrixError):
             class_membership(cesaro_matrix(), "bogus", 1.0, [1])
+        with pytest.raises(MatrixError):
+            class_constants("bogus", [cesaro_row(1)])
 
 
 class TestMatrices:
@@ -253,7 +258,7 @@ class TestMatrices:
         assert row[0] > 0.0
         assert row[1] == 0.0 and row[3] == 0.0 and row[7] == 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
-        assert not is_ms(row)
+        assert constant("ms", row) > 1.0
 
     def test_osc_gm2_constructor_check_fails_bad_threshold(self):
         with pytest.raises(MatrixError):
@@ -307,8 +312,8 @@ class TestMatrices:
 def test_nonincreasing_rows_telescope(seed):
     rng = np.random.default_rng(seed)
     (row,) = random_rows(rng, 1, kind="nonincreasing")
-    assert rbvs_constant(row) == pytest.approx(1.0, abs=1e-12)
-    assert gm_constant(row) <= 1.0 + 1e-12
+    assert constant("rbvs", row) == pytest.approx(1.0, abs=1e-12)
+    assert constant("gm", row) <= 1.0 + 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,13 +321,13 @@ def test_nonincreasing_rows_telescope(seed):
 def test_inclusion_chain(seed):
     rng = np.random.default_rng(seed)
     (row,) = random_rows(rng, 1)
-    if is_ms(row):
-        assert rbvs_constant(row) <= 1.0 + 1e-12
-    r = rbvs_constant(row)
+    if constant("ms", row) == 1.0:
+        assert constant("rbvs", row) <= 1.0 + 1e-12
+    r = constant("rbvs", row)
     if math.isfinite(r):
-        assert gm_constant(row) <= r + 1e-12
-    if math.isfinite(gm_constant(row)):
-        assert math.isfinite(gm2_constant(row, 2.0))
+        assert constant("gm", row) <= r + 1e-12
+    if math.isfinite(constant("gm", row)):
+        assert math.isfinite(constant("gm2", row, 2.0))
 
 
 @st.composite
@@ -351,10 +356,10 @@ def same_constant(got, want):
 @settings(max_examples=300, deadline=None)
 @given(row=class_rows(), c=st.sampled_from([1.5, 2.0, 2.5, 3.0]))
 def test_constants_match_brute_scans(row, c):
-    same_constant(ms_constant(row), brute_ms(row))
-    same_constant(rbvs_constant(row), brute_rbvs(row))
-    same_constant(gm_constant(row), brute_gm(row))
-    same_constant(gm2_constant(row, c), brute_gm2(row, c))
+    same_constant(constant("ms", row), brute_ms(row))
+    same_constant(constant("rbvs", row), brute_rbvs(row))
+    same_constant(constant("gm", row), brute_gm(row))
+    same_constant(constant("gm2", row, c), brute_gm2(row, c))
 
 
 @pytest.mark.parametrize("n", [40, 80, 120])
@@ -363,15 +368,9 @@ def test_geometric_rows_keep_exact_gm(n):
     # to a_m itself, so the gm constant of 2^-k is 1 up to a few ulps
     row = 2.0 ** -np.arange(n)
     row /= row.sum()
-    assert gm_constant(row) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    assert constant("gm", row) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
-SCALAR = {
-    "ms": lambda row, c: ms_constant(row),
-    "rbvs": lambda row, c: rbvs_constant(row),
-    "gm": lambda row, c: gm_constant(row),
-    "gm2": gm2_constant,
-}
 BRUTE = {
     "ms": lambda row, c: brute_ms(row),
     "rbvs": lambda row, c: brute_rbvs(row),
@@ -386,9 +385,9 @@ def test_row_table_matches_one_row_calls(rows, c):
     # rows of different lengths share one padded table; each constant must
     # still be the one-row value bit for bit, inf sentinels included
     m = explicit_matrix(rows)
-    for name in SCALAR:
+    for name in CLASS_NAMES:
         got = class_membership(m, name, 1.0, range(len(rows)), c=c).constants
-        assert got == tuple(SCALAR[name](row, c) for row in rows)
+        assert got == tuple(constant(name, row, c) for row in rows)
         for k, row in zip(got, rows):
             same_constant(k, BRUTE[name](row, c))
 
@@ -400,22 +399,25 @@ def test_row_table_matches_one_row_calls(rows, c):
 )
 def test_class_membership_equals_per_row_loop(matrix, c):
     rows = range(0, 129)
-    for name in SCALAR:
+    for name in CLASS_NAMES:
         got = class_membership(matrix, name, 1.0, rows, c=c).constants
-        assert got == tuple(SCALAR[name](matrix.row(n), c) for n in rows)
+        assert got == tuple(constant(name, matrix.row(n), c) for n in rows)
 
 
 def test_class_membership_makes_no_per_row_calls(monkeypatch):
+    # one class_constants call takes every row of a class check
     m = osc_gm2_matrix()
     calls = []
-    for name in ("is_ms", "ms_constant", "rbvs_constant", "gm_constant", "gm2_constant"):
-        original = getattr(matrices, name)
-        monkeypatch.setattr(
-            matrices, name, lambda *a, _o=original, _n=name, **k: calls.append(_n) or _o(*a, **k)
-        )
-    for name in SCALAR:
+    original = matrices.class_constants
+
+    def counted(name, rows, c):
+        calls.append(len(rows))
+        return original(name, rows, c)
+
+    monkeypatch.setattr(matrices, "class_constants", counted)
+    for name in CLASS_NAMES:
         assert len(class_membership(m, name, 1.0, range(0, 65)).constants) == 65
-    assert calls == []
+    assert calls == [65] * len(CLASS_NAMES)
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5, float("nan")])

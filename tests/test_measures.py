@@ -21,15 +21,16 @@ from apsum.measures import (
     majorant_to_dict,
     modulus_omega,
     omega_class_check,
+    moduli,
     phi_average,
-    pointwise_modulus,
     resolve_span,
-    shifted_difference_mean,
     stepanov_norm,
 )
 from apsum import measures
 from apsum.experiment import builtin_spectra
 from apsum.spectra import QuasiPeriodicFunction, Spectrum, SpectrumEntry, _gl_panels
+
+from conftest import scaled
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
@@ -47,6 +48,15 @@ def random_function(seed, max_terms=4):
         (float(l), float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for l in lams
     ]
     return QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
+
+
+def translate(f, a):
+    """The translate x -> f(x + a): each cos/sin pair rotated by l a."""
+    spec = f.spectrum
+    c, s = spec.coefs.T
+    cos, sin = np.cos(spec.freqs * a), np.sin(spec.freqs * a)
+    terms = zip(spec.freqs.tolist(), (c * cos + s * sin).tolist(), (s * cos - c * sin).tolist())
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(spec.alpha, terms))
 
 
 def periodic_function(seed, max_terms=4):
@@ -156,7 +166,7 @@ class TestStepanovNorm:
         f = random_function(9)
         base = stepanov_norm(f, 2.0)
         for shift in rng.uniform(-3.0, 3.0, 4):
-            assert stepanov_norm(f.shift(float(shift)), 2.0) == pytest.approx(
+            assert stepanov_norm(translate(f, float(shift)), 2.0) == pytest.approx(
                 base, abs=1e-3
             )
 
@@ -244,7 +254,7 @@ def refine_block_norm(f, p, grid):
             peak = max(peak, float(-res.fun))
         return peak
     if p == 2.0:
-        lams = f.spectrum.frequencies()
+        lams = f.spectrum.freqs
         cos_c = np.array([e.cos_coef for e in f.spectrum.entries], dtype=float)
         sin_c = np.array([e.sin_coef for e in f.spectrum.entries], dtype=float)
         gram = measures._trig_gram(lams, grid.window_length)
@@ -342,7 +352,7 @@ def resolved_sup(fs, p, grid):
         h = span / (max(8 * grid.u_samples, 2048) if math.isinf(p) else grid.u_samples)
         samples = 1 << (16 if p in (2.0, math.inf) else 13)
         fine = replace(grid, u_samples=samples, u_span=span + 2 * h)
-        top = max(top, refine_block_norm(g.shift(-h), p, fine))
+        top = max(top, refine_block_norm(translate(g, -h), p, fine))
     return top
 
 
@@ -436,10 +446,8 @@ class TestSampledSup:
         def diff(t):
             return phi(t) - phi(t + gamma)
 
-        for g, got in (
-            (phi, pointwise_modulus(f, x, delta, math.inf)),
-            (diff, shifted_difference_mean(f, x, delta, gamma, math.inf)),
-        ):
+        point, shifted = moduli(f, x, [delta], [gamma], math.inf)
+        for g, got in ((phi, point[0]), (diff, shifted[0, 0])):
             oracle, peak = refine_block_sup(g, delta), refine_block_sup(g, delta, False)
             assert near_oracle(got, oracle, peak, math.inf)
 
@@ -449,7 +457,7 @@ class TestSampledSup:
         def diff(t):
             return COS.second_difference(0.0, t) - COS.second_difference(0.0, t - 1.0)
 
-        got = shifted_difference_mean(COS, 0.0, 1.0, -1.0, math.inf)
+        got = moduli(COS, 0.0, [1.0], [-1.0], math.inf)[1][0, 0]
         assert got == refine_block_sup(diff, 1.0)
         assert got == pytest.approx(2.0 - 2.0 * math.cos(1.0), abs=1e-12)
 
@@ -516,7 +524,7 @@ class TestBoundedMin:
         fs = [f.translate_difference(t) for t in np.linspace(0.05, 3.0, 40)]
         coefs = np.array([[(e.cos_coef, e.sin_coef) for e in g.spectrum.entries] for g in fs])
         span = resolve_span(f, grid)
-        lams = f.spectrum.frequencies()
+        lams = f.spectrum.freqs
         norms = measures._window_norm(lams, coefs, p, grid, span)
         one = [measures._window_norm(lams, coefs[i : i + 1], p, grid, span)[0] for i in range(40)]
         assert norms.tolist() == one
@@ -534,15 +542,15 @@ class TestBoundedMin:
         # lane 0 (phi_x) and each shift lane of one p = inf search equal the
         # calls that search them alone
         f = random_function(seed)
-        point, shifted = measures._moduli(f, x, deltas, shifts, math.inf)
-        assert point.tolist() == [pointwise_modulus(f, x, d, math.inf) for d in deltas]
+        point, shifted = moduli(f, x, deltas, shifts, math.inf)
+        assert point.tolist() == [moduli(f, x, [d], (), math.inf)[0][0] for d in deltas]
         assert shifted.tolist() == [
-            [shifted_difference_mean(f, x, d, s, math.inf) for s in shifts] for d in deltas
+            [moduli(f, x, [d], [s], math.inf)[1][0, 0] for s in shifts] for d in deltas
         ]
 
     def test_no_lanes(self):
         # modulus_omega at delta = 0 norms no shift: an empty search
-        lams = SMOOTH.spectrum.frequencies()
+        lams = SMOOTH.spectrum.freqs
         for p in (1.5, 2.0, math.inf):
             norms = measures._window_norm(lams, np.zeros((0, 2, 2)), p, WindowGrid(), 2.0 * math.pi)
             assert norms.shape == (0,)
@@ -550,20 +558,20 @@ class TestBoundedMin:
 
 class TestPointwiseModulus:
     def test_constant_zero(self):
-        assert pointwise_modulus(CONST, 0.3, 1.0, 2.0) == 0.0
+        assert moduli(CONST, 0.3, [1.0], (), 2.0)[0].tolist() == [0.0]
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     def test_cos_closed_form(self, delta):
-        got = pointwise_modulus(COS, 0.0, delta, 1.0)
+        (got,) = moduli(COS, 0.0, [delta], (), 1.0)[0]
         assert got == pytest.approx(2.0 - 2.0 * math.sin(delta) / delta, abs=1e-6)
 
     def test_vanishes_as_delta_shrinks(self):
-        vals = [pointwise_modulus(SMOOTH, 0.7, d, 2.0) for d in (1e-2, 1e-4, 1e-6)]
+        vals = moduli(SMOOTH, 0.7, [1e-2, 1e-4, 1e-6], (), 2.0)[0]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-10
 
     def test_sup_variant(self):
-        got = pointwise_modulus(COS, 0.0, math.pi, math.inf)
+        (got,) = moduli(COS, 0.0, [math.pi], (), math.inf)[0]
         assert got == pytest.approx(4.0, abs=1e-8)
 
 
@@ -639,7 +647,7 @@ class TestEq7:
 
 class TestShiftedDifferenceMean:
     def test_constant_zero(self):
-        assert shifted_difference_mean(CONST, 0.0, 1.0, 0.5, 2.0) == 0.0
+        assert moduli(CONST, 0.0, [1.0], [0.5], 2.0)[1].tolist() == [[0.0]]
 
     def test_sup_over_x_bounded_by_translate_modulus(self):
         # the shifted second difference splits into two translate
@@ -649,15 +657,13 @@ class TestShiftedDifferenceMean:
         grid = WindowGrid()
         span = resolve_span(SMOOTH, grid)
         xs = np.linspace(0.0, span, 48, endpoint=False)
-        for gamma in (0.25, 0.5, 1.0):
-            om = modulus_omega(SMOOTH, gamma, p, grid)
-            for delta in (0.3, 0.7, 1.5):
-                top = max(
-                    shifted_difference_mean(SMOOTH, float(x), delta, s * gamma, p)
-                    for x in xs
-                    for s in (1.0, -1.0)
-                )
-                assert top <= 4.0 * om
+        gammas = (0.25, 0.5, 1.0)
+        shifts = [s * g for g in gammas for s in (1.0, -1.0)]
+        # the largest mean over x, delta and sign, per gamma
+        top = np.max(
+            [moduli(SMOOTH, float(x), (0.3, 0.7, 1.5), shifts, p)[1] for x in xs], axis=(0, 1)
+        ).reshape(len(gammas), 2).max(axis=1)
+        assert np.all(top <= 4.0 * modulus_omega(SMOOTH, gammas, p, grid))
 
     @pytest.mark.parametrize("delta", [0.3, 1.0])
     @pytest.mark.parametrize("gamma", [0.2, 2.0])
@@ -669,7 +675,7 @@ class TestShiftedDifferenceMean:
                 SMOOTH.second_difference(x, t) - SMOOTH.second_difference(x, t + gamma)
             )
 
-        got = shifted_difference_mean(SMOOTH, x, delta, gamma, math.inf)
+        got = moduli(SMOOTH, x, [delta], [gamma], math.inf)[1][0, 0]
         t = np.linspace(0.0, delta, 20_000)
         vals = diff(t)
         dense = float(vals.max())
@@ -687,8 +693,8 @@ class TestFitMajorant:
     def test_envelope_dominates_samples(self):
         deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
         w = fit_majorant(SMOOTH, 0.7, 2.0, deltas)
-        for d in deltas:
-            assert w(d) >= pointwise_modulus(SMOOTH, 0.7, d, 2.0) - 1e-12
+        for d, m in zip(deltas, moduli(SMOOTH, 0.7, deltas, (), 2.0)[0].tolist()):
+            assert w(d) >= m - 1e-12
 
     def test_constant_function_fits_zero(self):
         w = fit_majorant(CONST, 0.0, 2.0)
@@ -702,21 +708,21 @@ class TestFitMajorant:
                 assert w(a + b) <= w(a) + w(b) + 1e-12
 
     def test_fit_builds_no_shift_gram(self, monkeypatch):
-        # the fit and pointwise_modulus take no shifts, so they build no
+        # the fit and a moduli call without shifts build no
         # shifted-difference Gram; the point moduli, and so the fitted
         # knots, are those of a call that builds one
         deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
         cases = [(SMOOTH, 0.7), (random_function(3), 1.1), (random_function(8), -2.0)]
         want = []
         for f, x in cases:
-            point, _ = measures._moduli(f, x, deltas, [0.5], 2.0)
+            point, _ = moduli(f, x, deltas, [0.5], 2.0)
             samples = [(0.0, 0.0), *zip(deltas, point.tolist())]
             want.append((tuple(measures._concave_envelope(samples)), point[3]))
         grams = []
         gram = measures._trig_gram
         monkeypatch.setattr(measures, "_trig_gram", lambda *a: grams.append(a) or gram(*a))
         got = [
-            (fit_majorant(f, x, 2.0).knots, pointwise_modulus(f, x, deltas[3], 2.0))
+            (fit_majorant(f, x, 2.0).knots, moduli(f, x, [deltas[3]], (), 2.0)[0][0])
             for f, x in cases
         ]
         assert grams == [] and got == want
@@ -754,7 +760,7 @@ def unit_scaled(f):
     Power-of-two scaling is exact, so at ordinary amplitudes the comparison
     is the unscaled one."""
     e = math.frexp(f.spectrum.amplitude_mass())[1]
-    return f.scaled(2.0**-e), e
+    return scaled(f, 2.0**-e), e
 
 
 def fine_mean(values, lo, hi):
@@ -776,12 +782,11 @@ class TestClosedFormsAgainstQuadrature:
         g, e = unit_scaled(f)
         mass = g.spectrum.amplitude_mass()
         phi = lambda t: g.second_difference(x, t)
+        point, shifted = moduli(f, x, [delta], [gamma], 2.0)
         want = fine_mean(lambda t: phi(t) ** 2, 0.0, delta)
-        got = math.ldexp(pointwise_modulus(f, x, delta, 2.0), -e)
-        assert close_squares(got, want, mass)
+        assert close_squares(math.ldexp(point[0], -e), want, mass)
         want = fine_mean(lambda t: (phi(t) - phi(t + gamma)) ** 2, 0.0, delta)
-        got = math.ldexp(shifted_difference_mean(f, x, delta, gamma, 2.0), -e)
-        assert close_squares(got, want, mass)
+        assert close_squares(math.ldexp(shifted[0, 0], -e), want, mass)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -794,7 +799,7 @@ class TestClosedFormsAgainstQuadrature:
         # window mean of f^2 over [u, u + length]
         grid = WindowGrid(u_samples=1, window_length=length, refine=False)
         g, e = unit_scaled(f)
-        got = math.ldexp(stepanov_norm(f.shift(u), 2.0, grid), -e) ** 2
+        got = math.ldexp(stepanov_norm(translate(f, u), 2.0, grid), -e) ** 2
         want = fine_mean(lambda t: g(t) ** 2, u, u + length)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * g.sup_bound() ** 2)
 
@@ -856,12 +861,12 @@ class TestClosedFormsAgainstQuadrature:
         phi = lambda t: unit(x + t) + unit(x - t) - 2 * unit(x)
         mean = lambda g: float(mpmath.sqrt(mpmath.quad(lambda t: g(t) ** 2, [0, delta]) / delta))
         rel = lambda want: pytest.approx(want, rel=1e-12, abs=0.0)
-        assert pointwise_modulus(f, x, delta, 2.0) == rel(a * mean(phi))
-        got = shifted_difference_mean(f, x, delta, gamma, 2.0)
-        assert got == rel(a * mean(lambda t: phi(t) - phi(t + gamma)))
+        point, shifted = moduli(f, x, [delta], [gamma], 2.0)
+        assert point[0] == rel(a * mean(phi))
+        assert shifted[0, 0] == rel(a * mean(lambda t: phi(t) - phi(t + gamma)))
         assert stepanov_norm(f, 2.0) == rel(a * math.sqrt(5.0 / 8.0))
         omega = modulus_omega(f, gamma, 2.0)
-        assert omega == rel(a * modulus_omega(f.scaled(1.0 / a), gamma, 2.0))
+        assert omega == rel(a * modulus_omega(scaled(f, 1.0 / a), gamma, 2.0))
 
     def test_p2_omega_tiny_shift_among_others(self):
         # f(. + t) - f = t f' to first order, and every pi-window of
@@ -883,7 +888,7 @@ class TestClosedFormsAgainstQuadrature:
         slope = lambda t: -mpmath.sin(t) + 1.5 * mpmath.cos(3 * t)
         dphi = lambda t: slope(x + t) - slope(x - t)
         want = gamma * float(mpmath.sqrt(mpmath.quad(lambda t: dphi(t) ** 2, [0, delta]) / delta))
-        got = shifted_difference_mean(f, x, delta, gamma, 2.0)
+        got = moduli(f, x, [delta], [gamma], 2.0)[1][0, 0]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("z", [0.0, 1e-8, 1e-3, 0.3, 0.999, 1.0, 1.7, 40.0])
@@ -896,18 +901,18 @@ class TestClosedFormsAgainstQuadrature:
 
 
 def loop_class_check(f, x, w, p, plan):
-    """omega_class_check as one public call per sample, the reference for
+    """omega_class_check as one moduli call per sample, the reference for
     the batched lhs table."""
     c1 = c2 = worst_g = worst_d = 0.0
     for g in plan.gammas:
         for d in plan.deltas:
             for s in (1.0, -1.0):
-                lhs = shifted_difference_mean(f, x, d, s * g, p)
+                lhs = moduli(f, x, [d], [s * g], p)[1][0, 0]
                 ratio = lhs / w(g) if w(g) > 0.0 else math.inf
                 if lhs > 1e-14 and ratio > c1:
                     c1, worst_g = ratio, g
     for d in plan.deltas:
-        lhs = pointwise_modulus(f, x, d, p)
+        lhs = moduli(f, x, [d], (), p)[0][0]
         ratio = lhs / w(d) if w(d) > 0.0 else math.inf
         if lhs > 1e-14 and ratio > c2:
             c2, worst_d = ratio, d

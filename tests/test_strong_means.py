@@ -20,16 +20,12 @@ from apsum.strong_means import (
     RatioRecord,
     RatioSeries,
     StrongMeanParams,
-    dyadic_strong_mean,
-    gm2_rows_rhs,
-    ms_rows_rhs,
-    omega_rows_rhs,
     power_mean,
-    prop_dyadic_rhs,
-    ratio_series,
     ratio_sweep,
-    strong_mean,
+    strong_mean_rows,
 )
+
+from conftest import scaled
 
 SMOOTH = QuasiPeriodicFunction(
     Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (10.0, 0.1, 0.0)])
@@ -60,6 +56,11 @@ def plain_strong_mean(f, x, weights, q, alpha):
             continue
         total += a * abs(plain_cutoff_sum(f, x, alpha * k / 2.0) - fx) ** q
     return total ** (1.0 / q)
+
+
+def row_mean(f, x, row, q, alpha):
+    """H of one weight row at one x: a one-row table of strong_mean_rows."""
+    return strong_mean_rows(f, [x], np.asarray(row)[None], [q], alpha).item()
 
 
 def plain_bracket_mean(f, w, weights, q, alpha, divisor):
@@ -186,9 +187,8 @@ class TestPowerMean:
     @given(seed=st.integers(0, 100_000), s=st.floats(-4.0, 4.0))
     def test_amplitude_homogeneity(self, seed, s):
         f, row, x, alpha, _ = random_case(seed)
-        params = StrongMeanParams(q=1.7, alpha=alpha)
-        m = strong_mean(f, x, explicit_matrix([row]), 0, params)
-        ms = strong_mean(f.scaled(s), x, explicit_matrix([row]), 0, params)
+        m = row_mean(f, x, row, 1.7, alpha)
+        ms = row_mean(scaled(f, s), x, row, 1.7, alpha)
         assert ms == pytest.approx(abs(s) * m, rel=1e-12, abs=1e-12)
 
 
@@ -196,8 +196,7 @@ class TestStrongMean:
     def test_single_mass_row(self):
         row = np.zeros(6)
         row[5] = 1.0
-        params = StrongMeanParams(q=2.0, alpha=1.0)
-        got = strong_mean(SMOOTH, 0.4, explicit_matrix([row]), 0, params)
+        got = row_mean(SMOOTH, 0.4, row, 2.0, 1.0)
         want = abs(
             plain_strong_mean(SMOOTH, 0.4, row, 2.0, 1.0)
         )
@@ -207,12 +206,10 @@ class TestStrongMean:
         row = np.zeros(25)
         row[20] = 0.5
         row[24] = 0.5
-        params = StrongMeanParams(q=1.0, alpha=1.0)
-        assert strong_mean(SMOOTH, 0.7, explicit_matrix([row]), 0, params) == 0.0
+        assert row_mean(SMOOTH, 0.7, row, 1.0, 1.0) == 0.0
 
     def test_cesaro_enumeration_oracle(self):
-        params = StrongMeanParams(q=2.0, alpha=1.0)
-        got = strong_mean(SMOOTH, 0.0, cesaro_matrix(), 4, params)
+        got = row_mean(SMOOTH, 0.0, cesaro_matrix().row(4), 2.0, 1.0)
         want = plain_strong_mean(SMOOTH, 0.0, [0.2] * 5, 2.0, 1.0)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -220,8 +217,7 @@ class TestStrongMean:
     @given(seed=st.integers(0, 100_000))
     def test_random_against_enumeration(self, seed):
         f, row, x, alpha, _ = random_case(seed)
-        params = StrongMeanParams(q=1.3, alpha=alpha)
-        got = strong_mean(f, x, explicit_matrix([row]), 0, params)
+        got = row_mean(f, x, row, 1.3, alpha)
         want = plain_strong_mean(f, x, row, 1.3, alpha)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
@@ -257,13 +253,15 @@ class TestCutoffLadder:
         params = StrongMeanParams(q=q, alpha=alpha, c=2.0)
         dyadic = np.zeros(2 * n + 1)
         dyadic[n:] = 1.0 / (n + 1)
-        assert dyadic_strong_mean(f, x, n, params) == pytest.approx(
+        w = PowerModulus(1.0, 0.5)
+        (rec,) = ratio_sweep(f, "prop4", [n], [params], [(x, w)])[0].records
+        assert rec.lhs == pytest.approx(
             plain_strong_mean(f, x, dyadic, q, alpha), rel=1e-12, abs=atol
         )
-        w = PowerModulus(1.0, 0.5)
         row = cesaro_matrix().row(n)
-        for rhs_fn, divisor in ((ms_rows_rhs, 2.0), (gm2_rows_rhs, 8.0)):
-            assert rhs_fn(row, w, f, params) == pytest.approx(
+        for theorem, divisor in (("thm6", 2.0), ("thm5", 8.0)):
+            (rec,) = ratio_sweep(f, theorem, [n], [params], [(x, w)], cesaro_matrix())[0].records
+            assert rec.rhs == pytest.approx(
                 plain_bracket_mean(f, w, row, q, alpha, divisor), rel=1e-12, abs=atol
             )
 
@@ -275,46 +273,52 @@ class TestCutoffLadder:
 
 
 class TestDyadic:
+    """The prop4 lhs: the uniform strong mean over the dyadic block [n, 2n]."""
+
+    @staticmethod
+    def lhs(x, n_values, q):
+        params = [StrongMeanParams(q=q, alpha=1.0)]
+        (rs,) = ratio_sweep(SMOOTH, "prop4", n_values, params, [(x, PowerModulus(1.0))])
+        return [rec.lhs for rec in rs.records]
+
     def test_n0_single_term(self):
-        params = StrongMeanParams(q=1.0, alpha=1.0)
-        got = dyadic_strong_mean(SMOOTH, 0.3, 0, params)
+        (got,) = self.lhs(0.3, [0], 1.0)
         assert got == pytest.approx(abs(0.0 - SMOOTH(0.3)), rel=1e-14)
 
     def test_spectrum_cleared(self):
-        params = StrongMeanParams(q=2.0, alpha=1.0)
-        assert dyadic_strong_mean(SMOOTH, 0.9, 20, params) == 0.0
+        assert self.lhs(0.9, [20], 2.0) == [0.0]
 
     def test_matches_explicit_uniform_row(self):
-        for n in (1, 3, 7):
-            for q in (0.5, 1.0, 2.0):
-                params = StrongMeanParams(q=q, alpha=1.0)
+        for q in (0.5, 1.0, 2.0):
+            for n, a in zip((1, 3, 7), self.lhs(0.7, (1, 3, 7), q)):
                 row = np.zeros(2 * n + 1)
                 row[n : 2 * n + 1] = 1.0 / (n + 1)
-                a = dyadic_strong_mean(SMOOTH, 0.7, n, params)
-                b = strong_mean(SMOOTH, 0.7, explicit_matrix([row]), 0, params)
-                assert a == pytest.approx(b, rel=1e-12)
+                assert a == pytest.approx(row_mean(SMOOTH, 0.7, row, q, 1.0), rel=1e-12)
 
     def test_small_spectrum_enumeration(self):
-        params = StrongMeanParams(q=1.0, alpha=1.0)
         n = 3
         row = np.zeros(2 * n + 1)
         row[n:] = 1.0 / (n + 1)
-        got = dyadic_strong_mean(SMOOTH, 0.2, n, params)
+        (got,) = self.lhs(0.2, [n], 1.0)
         want = plain_strong_mean(SMOOTH, 0.2, row, 1.0, 1.0)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+def rhs_values(f, theorem, n_values, params, matrix=None, w=None):
+    """The rhs of each n in the sweep of one q; thm2 reads no x or w."""
+    x, x_grid = (None, (0.0,)) if theorem == "thm2" else (0.0, None)
+    (rs,) = ratio_sweep(f, theorem, n_values, [params], [(x, w)], matrix, x_grid, p=2.0)
+    return [rec.rhs for rec in rs.records]
 
 
 class TestBoundExpressions:
     def test_dyadic_rhs_components(self):
         w = PowerModulus(2.0, 1.0)
         params = StrongMeanParams(q=1.0, alpha=1.0)
-        n = 30  # spectrum cleared, tail zero
-        assert prop_dyadic_rhs(w, SMOOTH, n, params) == pytest.approx(
-            w(math.pi / 31)
-        )
-        assert prop_dyadic_rhs(w, SMOOTH, 0, params) == pytest.approx(
-            w(math.pi) + 1.1
-        )
+        # n = 30 clears the spectrum: the tail is zero
+        cleared, first = rhs_values(SMOOTH, "prop4", [30, 0], params, w=w)
+        assert cleared == pytest.approx(w(math.pi / 31))
+        assert first == pytest.approx(w(math.pi) + 1.1)
 
     def test_bracket_single_mass(self):
         w = PowerModulus(1.0, 1.0)
@@ -322,28 +326,28 @@ class TestBoundExpressions:
         row = np.zeros(4)
         row[3] = 1.0
         want = w(math.pi / 4) + best_approx_tail(SMOOTH, 1.5)
-        assert ms_rows_rhs(row, w, SMOOTH, params) == pytest.approx(want, rel=1e-14)
+        (got,) = rhs_values(SMOOTH, "thm6", [0], params, explicit_matrix([row]), w)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_constant_function_drops_tails(self):
         w = PowerModulus(1.0, 1.0)
         params = StrongMeanParams(q=2.0, alpha=1.0)
-        row = cesaro_matrix().row(4)
         want = sum(0.2 * w(math.pi / (k + 1)) ** 2 for k in range(5)) ** 0.5
-        assert ms_rows_rhs(row, w, CONST, params) == pytest.approx(want, rel=1e-14)
+        (got,) = rhs_values(CONST, "thm6", [4], params, cesaro_matrix(), w)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_gm2_divisor_floor_vs_literal(self):
         # k in [8, 11] puts the first frequency between alpha*k/2^(1+floor(c))
         # and alpha*k/2^(1+c), so the two conventions give different tails
         w = PowerModulus(1.0, 1.0)
-        row = cesaro_matrix().row(10)
         floor_params = StrongMeanParams(q=1.0, alpha=1.0, c=2.5)
         literal_params = StrongMeanParams(
             q=1.0, alpha=1.0, c=2.5, literal_c_exponent=True
         )
         assert floor_params.tail_divisor() == 8.0
         assert literal_params.tail_divisor() == pytest.approx(2.0**3.5)
-        a = gm2_rows_rhs(row, w, SMOOTH, floor_params)
-        b = gm2_rows_rhs(row, w, SMOOTH, literal_params)
+        a = rhs_values(SMOOTH, "thm5", [10], floor_params, cesaro_matrix(), w)
+        b = rhs_values(SMOOTH, "thm5", [10], literal_params, cesaro_matrix(), w)
         assert a != b  # the two conventions genuinely differ mid-spectrum
 
     def test_cesaro_bracket_enumeration(self):
@@ -351,23 +355,20 @@ class TestBoundExpressions:
         w = PowerModulus(1.0, 1.0)
         params = StrongMeanParams(q=2.0, alpha=1.0, c=2.0)
         n = 10
-        row = cesaro_matrix().row(n)
-        for rhs_fn, divisor in ((ms_rows_rhs, 2.0), (gm2_rows_rhs, 8.0)):
+        for theorem, divisor in (("thm6", 2.0), ("thm5", 8.0)):
             total = 0.0
             for k in range(n + 1):
                 bracket = w(math.pi / (k + 1)) + best_approx_tail(
                     SMOOTH, 1.0 * k / divisor
                 )
                 total += (1.0 / (n + 1)) * bracket**2
-            assert rhs_fn(row, w, SMOOTH, params) == pytest.approx(
-                math.sqrt(total), rel=1e-13
-            )
+            (got,) = rhs_values(SMOOTH, theorem, [n], params, cesaro_matrix(), w)
+            assert got == pytest.approx(math.sqrt(total), rel=1e-13)
 
     def test_rhs_nonincreasing_in_n_for_cesaro(self):
         w = PowerModulus(1.0, 1.0, cap=2.0)
         params = StrongMeanParams(q=1.0, alpha=1.0)
-        ces = cesaro_matrix()
-        vals = [ms_rows_rhs(ces.row(n), w, SMOOTH, params) for n in range(1, 40)]
+        vals = rhs_values(SMOOTH, "thm6", range(1, 40), params, cesaro_matrix(), w)
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
 
@@ -378,19 +379,17 @@ class TestBoundExpressions:
         for name in ("smooth", "lacunary"):
             f = builtin_spectra(name)
             params = StrongMeanParams(q=1.0, alpha=f.spectrum.alpha)
-            vals = [prop_dyadic_rhs(w, f, n, params) for n in range(0, 64)]
+            vals = rhs_values(f, "prop4", range(0, 64), params, w=w)
             for a, b in zip(vals, vals[1:]):
                 assert b <= a + 1e-12
 
     def test_omega_rhs_constant_function(self):
-        row = cesaro_matrix().row(3)
-        assert omega_rows_rhs(row, CONST, 1.0, 2.0) == 0.0
+        params = StrongMeanParams(q=1.0, alpha=1.0)
+        assert rhs_values(CONST, "thm2", [3], params, cesaro_matrix()) == [0.0]
 
     def test_omega_rhs_cesaro_enumeration(self):
-        from apsum.measures import modulus_omega
-
-        row = cesaro_matrix().row(4)
-        got = omega_rows_rhs(row, SMOOTH, 2.0, 2.0)
+        params = StrongMeanParams(q=2.0, alpha=1.0)
+        (got,) = rhs_values(SMOOTH, "thm2", [4], params, cesaro_matrix())
         oms = [modulus_omega(SMOOTH, math.pi / (k + 1), 2.0) for k in range(5)]
         want = math.sqrt(sum(0.2 * om**2 for om in oms))
         assert got == pytest.approx(want, rel=1e-12)
@@ -400,7 +399,7 @@ class TestRatioSeries:
     def test_constant_function_all_zero_flagged(self):
         params = StrongMeanParams(q=1.0, alpha=1.0)
         w = PowerModulus(0.0)
-        rs = ratio_series(CONST, "prop4", range(1, 6), params, w=w, x=0.3)
+        (rs,) = ratio_sweep(CONST, "prop4", range(1, 6), [params], [(0.3, w)])
         assert all(r.ratio == 0.0 for r in rs.records)
         assert all("zero-over-zero" in r.flags for r in rs.records)
         assert rs.max_ratio == 0.0
@@ -410,7 +409,7 @@ class TestRatioSeries:
         m = explicit_matrix(rows)
         w = PowerModulus(1.0, 1.0)
         params = StrongMeanParams(q=2.0, alpha=1.0)
-        rs = ratio_series(SMOOTH, "thm6", range(0, 6), params, matrix=m, w=w, x=0.4)
+        (rs,) = ratio_sweep(SMOOTH, "thm6", range(0, 6), [params], [(0.4, w)], m)
         for rec in rs.records:
             k = min(rec.n, 5)
             dev = abs(
@@ -425,24 +424,15 @@ class TestRatioSeries:
             "sticky", lambda n: np.concatenate([[1.0], np.zeros(n)])
         )
         params = StrongMeanParams(q=1.0, alpha=1.0)
-        rs = ratio_series(
-            SMOOTH, "thm6", range(1, 9), params, matrix=m, w=PowerModulus(1.0), x=0.0
-        )
+        (rs,) = ratio_sweep(SMOOTH, "thm6", range(1, 9), [params], [(0.0, PowerModulus(1.0))], m)
         assert rs.side_condition_ok is False
 
     def test_thm2_small_sweep_bounded(self):
         params = StrongMeanParams(q=2.0, alpha=1.0)
         grid = WindowGrid(u_samples=128)
         xg = tuple(np.linspace(0.0, 2 * math.pi, 8, endpoint=False))
-        rs = ratio_series(
-            SMOOTH,
-            "thm2",
-            range(1, 13),
-            params,
-            matrix=cesaro_matrix(),
-            x_grid=xg,
-            p=2.0,
-            grid=grid,
+        (rs,) = ratio_sweep(
+            SMOOTH, "thm2", range(1, 13), [params], [(None, None)], cesaro_matrix(), xg, 2.0, grid
         )
         assert rs.max_ratio <= 50.0
         assert rs.head_tail_bounded(4, 2.0)
@@ -482,15 +472,16 @@ class TestRatioSeries:
         monkeypatch.setattr(measures, "_window_norm", counted_window_norm)
         monkeypatch.setattr(measures, "_trig_gram", counted_gram)
         monkeypatch.setattr(strong_means, "modulus_omega", counted_omega)
-        ratio_series(
+        ratio_sweep(
             SMOOTH,
             "thm2",
             range(1, 7),
-            StrongMeanParams(q=2.0, alpha=1.0),
-            matrix=cesaro_matrix(),
-            x_grid=(0.0, 1.0),
-            p=2.0,
-            grid=WindowGrid(u_samples=32, refine=False),
+            [StrongMeanParams(q=2.0, alpha=1.0)],
+            [(None, None)],
+            cesaro_matrix(),
+            (0.0, 1.0),
+            2.0,
+            WindowGrid(u_samples=32, refine=False),
         )
         # rows 1..6 weigh k = 0..6: the per-delta shift sets of pi/(k+1)
         want = set()
@@ -512,7 +503,7 @@ class TestRatioSeries:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100_000), q=st.sampled_from([0.5, 1.3, 2.0]))
-    def test_sweep_matches_scalar_views(self, seed, q):
+    def test_sweep_matches_scalar_oracles(self, seed, q):
         f, _, x, alpha, _ = random_case(seed)
         rows = ragged_rows(np.random.default_rng(seed + 1), 8)
         m = explicit_matrix(rows)
@@ -522,31 +513,10 @@ class TestRatioSeries:
         grid = WindowGrid(u_samples=4, refine=False)
         oms = [modulus_omega(f, math.pi / (k + 1), 2.0, grid) for k in range(11)]
         atol = 1e-12 * f.spectrum.amplitude_mass()
-        views = {
-            "prop4": lambda n: (
-                dyadic_strong_mean(f, x, n, params),
-                prop_dyadic_rhs(w, f, n, params),
-            ),
-            "thm5": lambda n: (
-                strong_mean(f, x, m, n, params),
-                gm2_rows_rhs(m.row(n), w, f, params),
-            ),
-            "thm6": lambda n: (
-                strong_mean(f, x, m, n, params),
-                ms_rows_rhs(m.row(n), w, f, params),
-            ),
-            "thm2": lambda n: (
-                max(strong_mean(f, xx, m, n, params) for xx in xg),
-                omega_rows_rhs(m.row(n), f, q, 2.0, grid),
-            ),
-        }
-        for theorem, view in views.items():
-            rs = ratio_series(
-                f, theorem, range(8), params, m, w, x=x, x_grid=xg, p=2.0, grid=grid
-            )
+        for theorem in THEOREMS:
+            (rs,) = ratio_sweep(f, theorem, range(8), [params], [(x, w)], m, xg, 2.0, grid)
             for rec in rs.records:
                 n = rec.n
-                assert (rec.lhs, rec.rhs) == view(n)
                 if theorem == "prop4":
                     row = np.zeros(2 * n + 1)
                     row[n:] = 1.0 / (n + 1)
@@ -575,10 +545,8 @@ class TestRatioSeries:
                 SMOOTH, theorem, range(0, 9), params, points, m, xg, 2.0, grid
             )
             want = [
-                ratio_series(
-                    SMOOTH, theorem, range(0, 9), s, m, ws[x], x, xg, 2.0, grid
-                )
-                for x in xs
+                ratio_sweep(SMOOTH, theorem, range(0, 9), [s], [point], m, xg, 2.0, grid)[0]
+                for point in points
                 for s in params
             ]
             assert got == want
@@ -601,10 +569,10 @@ class TestRatioSeries:
             assert all(rs.records == () and rs.side_condition_ok is None for rs in series)
 
     def test_requires_inputs(self):
-        params = StrongMeanParams(q=1.0, alpha=1.0)
+        params = [StrongMeanParams(q=1.0, alpha=1.0)]
         with pytest.raises(ValueError):
-            ratio_series(SMOOTH, "thm6", [1], params, w=PowerModulus(1.0), x=0.0)
+            ratio_sweep(SMOOTH, "thm6", [1], params, [(0.0, PowerModulus(1.0))])
         with pytest.raises(ValueError):
-            ratio_series(SMOOTH, "prop4", [1], params, x=0.0)
+            ratio_sweep(SMOOTH, "prop4", [1], params, [(0.0, None)])
         with pytest.raises(ValueError):
-            ratio_series(SMOOTH, "nope", [1], params, w=PowerModulus(1.0), x=0.0)
+            ratio_sweep(SMOOTH, "nope", [1], params, [(0.0, PowerModulus(1.0))])
