@@ -52,8 +52,6 @@ from .measures import (
 )
 from .strong_means import (
     RatioRecord,
-    RatioSeries,
-    StrongMeanParams,
     power_mean,
     ratio_sweep,
     strong_mean_rows,

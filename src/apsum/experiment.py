@@ -2,17 +2,18 @@
 
 A run is fully described by one JSON document (spectrum and matrix
 sources, majorant, exponents, sweep range, grids, thresholds).  The
-runner resolves the inputs, makes one sweep of the requested bound shape
-over n for every (x, q) combination, and assembles a deterministic report:
-records sorted by (x, q, n), a summary with the worst ratio and regression
-verdicts, and the normalized config echoed back so the exact run can be
-reproduced from its own report.
+runner resolves the inputs, makes one ``ratio_sweep`` of the requested
+bound shape over n for every (x, q), and assembles a deterministic report:
+the sweep's records, ordered by (x, q, n), a summary with the worst ratio
+and every verdict on the run, and the normalized config echoed back so the
+exact run can be reproduced from its own report.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import MatrixError, SummabilityMatrix, load_matrix, matrix_from_dict, row_table
+from .matrices import MatrixError, SummabilityMatrix, load_matrix, matrix_from_dict, row_table, side_condition
 from .measures import (
     ModulusMajorant,
     SamplePlan,
@@ -38,7 +39,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import THEOREMS, StrongMeanParams, ratio_sweep, strong_mean_rows
+from .strong_means import THEOREMS, RatioRecord, ratio_sweep, strong_mean_rows
 
 __all__ = [
     "ConfigError",
@@ -47,6 +48,7 @@ __all__ = [
     "builtin_spectra",
     "builtin_matrices",
     "run",
+    "head_tail_bounded",
     "records_csv",
     "report_to_dict",
     "write_report",
@@ -227,6 +229,11 @@ class ExperimentConfig:
             raise ConfigError("grid", str(exc))
         if theorem != "thm2" and grid != WindowGrid():
             raise ConfigError("grid", f"only thm2 takes windowed norms; {theorem} reads no grid")
+        if theorem != "thm5" and (c != 2.0 or literal):
+            field = "c" if c != 2.0 else "thm5_literal_exponent"
+            raise ConfigError(field, f"only thm5 cuts its tails by c; {theorem} reads no {field}")
+        if theorem == "thm2" and data.get("majorant") is not None:
+            raise ConfigError("majorant", "thm2 bounds by translate moduli; it reads no majorant")
         cfg = cls(
             spectrum=data["spectrum"],
             theorem=theorem,
@@ -352,28 +359,35 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    x: float | None
-    q: float
-    n: int
-    lhs: float
-    rhs: float
-    ratio: float
-    flags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
     config: dict
-    records: tuple[ReportRow, ...]
+    records: list[RatioRecord]
     summary: dict
 
 
+def head_tail_bounded(records, head_end: int, factor: float) -> bool:
+    """No blow-up in the records of one (x, q): the max ratio past
+    ``head_end`` stays within ``factor`` times the max ratio up to
+    ``head_end`` (boundary in both parts), or the ratios stopped rising:
+    their max over n in (N/2, N] is at most their max over (N/4, N/2], N the
+    largest n.  With either block empty the head/tail test decides alone."""
+    ratios = [(r.n, r.ratio) for r in records if not math.isnan(r.ratio)]
+    head = [v for n, v in ratios if n <= head_end]
+    tail = [v for n, v in ratios if n >= head_end]
+    if not head or not tail or max(tail) <= factor * max(head) + 1e-12:
+        return True
+    top = max(r.n for r in records)
+    last = [v for n, v in ratios if top / 2 < n <= top]
+    before = [v for n, v in ratios if top / 4 < n <= top / 2]
+    return bool(last and before) and max(last) <= max(before)
+
+
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute the configured sweep: one ``ratio_sweep`` call for every
-    (x, q) of the config."""
+    """Run one ``ratio_sweep`` for every (x, q) of the config and judge it:
+    the ratio cap on every record, the blow-up test on each (x, q), and the
+    side condition on the matrix rows (None for prop4, which reads none)."""
     f, matrix = cfg._run_inputs()
-    lo, hi = cfg.n_range
+    ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
 
     if cfg.theorem == "thm2":
         span = resolve_span(f, cfg.grid)
@@ -383,35 +397,28 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         x_grid = None
         majorants = {x: cfg.resolve_majorant(x) for x in set(cfg.x)}
         points = [(x, majorants[x]) for x in cfg.x]
-    alpha, literal = f.spectrum.alpha, cfg.thm5_literal_exponent
-    params = [StrongMeanParams(q, alpha, cfg.c, literal) for q in cfg.q]
-    series = ratio_sweep(
-        f, cfg.theorem, range(lo, hi + 1), params, points,
-        matrix=matrix, x_grid=x_grid, p=cfg.p, grid=cfg.grid, side_tol=cfg.side_tol,
+    records = ratio_sweep(
+        f, cfg.theorem, ns, cfg.q, points, matrix=matrix, x_grid=x_grid, p=cfg.p,
+        grid=cfg.grid, c=cfg.c, thm5_literal_exponent=cfg.thm5_literal_exponent,
     )
-
-    records = [
-        ReportRow(rs.x, rs.q, rec.n, rec.lhs, rec.rhs, rec.ratio, rec.flags)
-        for rs in series
-        for rec in rs.records
-    ]
+    side_ok = None if cfg.theorem == "prop4" else side_condition(matrix, ns, cfg.side_tol)[0]
     worst = max(records, key=lambda r: r.ratio)  # first of the largest
-    side = [rs.side_condition_ok for rs in series if rs.side_condition_ok is not None]
     summary = {
         "theorem": cfg.theorem,
         "records": len(records),
         "max_ratio": worst.ratio,
         "argmax": {"x": worst.x, "q": worst.q, "n": worst.n},
         # a run whose every record is 0/0 checked nothing, so it fails
-        "regression_ok": any("zero-over-zero" not in r.flags for r in records) and all(
-            rs.max_ratio <= cfg.max_ratio
-            and rs.head_tail_bounded(cfg.blowup_head, cfg.blowup_factor)
-            for rs in series
+        "regression_ok": any("zero-over-zero" not in r.flags for r in records)
+        and not any(r.ratio > cfg.max_ratio for r in records)  # a NaN ratio passes the cap
+        and all(
+            head_tail_bounded(list(series), cfg.blowup_head, cfg.blowup_factor)
+            for _, series in itertools.groupby(records, key=lambda r: (r.x, r.q))
         ),
-        "side_condition_ok": all(side) if side else None,
+        "side_condition_ok": side_ok,
         "flag_counts": dict(Counter(fl for r in records for fl in r.flags)),
     }
-    return ExperimentReport(config=cfg.to_dict(), records=tuple(records), summary=summary)
+    return ExperimentReport(config=cfg.to_dict(), records=records, summary=summary)
 
 
 def strong_mean_table(cfg: ExperimentConfig) -> str:
@@ -421,7 +428,7 @@ def strong_mean_table(cfg: ExperimentConfig) -> str:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range
     table, _ = row_table([matrix.row(n) for n in range(lo, hi + 1)])
-    means = strong_mean_rows(f, cfg.x, table, cfg.q, f.spectrum.alpha).tolist()
+    means = strong_mean_rows(f, cfg.x, table, cfg.q).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "q", "n", "strong_mean"])

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _trig_sum
+from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _trig_sum, power_mean
 
 __all__ = [
     "ModulusMajorant",
@@ -322,6 +322,20 @@ def _unit_exponents(rows: np.ndarray) -> np.ndarray:
     return np.where(np.abs(e) > 255, e, 0)
 
 
+def _lp_means(vals: np.ndarray, wts: np.ndarray, length: float, p: float) -> np.ndarray:
+    """( sum_k wts_k |vals_k|^p / length )^(1/p) over the last axis, for a
+    finite p other than 2 and a rule whose weights sum to ``length``: the
+    plain mean, rooted, except in rows where it overflows or underflow eats
+    into it (a large p), which take ``power_mean``'s max scaling."""
+    with np.errstate(over="ignore", under="ignore"):
+        plain = np.abs(vals) ** p @ wts / length
+    out = plain ** (1.0 / p)
+    off = ~((plain > 2.0**-960) & (plain < math.inf))
+    if off.any():
+        out[off] = power_mean(wts / length, vals[off], p)
+    return out
+
+
 # 1/phi = (sqrt 5 - 1)/2: the share of its bracket a golden-section step keeps.
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
@@ -377,11 +391,11 @@ def _window_norm(
     window Gram (p = 2), the Gauss-Legendre window rule (other finite p)
     or nothing more than a dense u grid (p = inf).  The rows are the lanes
     of one sampled-sup search; at finite p other than 2 each lane is
-    evaluated on its own, which keeps the node arrays one lane in size."""
+    evaluated on its own, which keeps the node arrays one lane in size, and
+    the search runs on the rooted means of ``_lp_means``."""
     if not p > 1.0:
         raise ValueError(f"p must be > 1 (or inf), got {p}")
     inf = math.isinf(p)
-    scale = 0
     if p == 2.0:
         gram = _trig_gram(lams, grid.window_length)
         scale = _unit_exponents(coefs)
@@ -405,16 +419,16 @@ def _window_norm(
         def means(u):
             u = np.broadcast_to(u, (len(coefs),) + u.shape[1:])
             return np.array([
-                np.abs(_trig_sum(lams, c, np.add.outer(v, offs))) ** p @ wts
+                _lp_means(_trig_sum(lams, c, np.add.outer(v, offs)), wts, grid.window_length, p)
                 for c, v in zip(coefs, u)
-            ]).reshape(u.shape) / grid.window_length
+            ]).reshape(u.shape)
 
     n = max(8 * grid.u_samples, 2048) if inf else grid.u_samples
     u = np.linspace(0.0, span, n, endpoint=False)
     top = _sampled_sup(means, u, span / n, xatol=1e-10 if inf else 1e-9, refine=grid.refine)
-    if inf:
+    if p != 2.0:
         return top
-    return np.ldexp(np.maximum(top, 0.0) ** (1.0 / p), scale)
+    return np.ldexp(np.maximum(top, 0.0) ** 0.5, scale)
 
 
 def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = None) -> float:
@@ -480,10 +494,10 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
     + sin(l_nu s) sin(l_nu t)], with one Gram matrix per delta and one
     matrix product over all shifts; a and each shift's coefficient row are
     scaled by powers of two where their squares would underflow or overflow.
-    Other finite p evaluate phi_x once on the quadrature nodes of each
-    delta and reuse it for every shift; p = inf takes the refined grid sup
-    of each integrand over [0, delta], all 1 + M integrands as lanes of
-    one search.
+    At finite p each of the 1 + M integrands of a delta is a ``power_mean``
+    over the quadrature nodes (scaled by its max, so a large p does not
+    overflow); at p = inf all of them are the lanes of one refined grid
+    sup over [0, delta].
     """
     deltas = np.asarray(deltas, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
@@ -509,27 +523,27 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
             np.ldexp(np.sqrt(np.maximum(point, 0.0)), scale),
             np.ldexp(np.sqrt(np.maximum(shifted, 0.0)), scale + k_scale),
         )
+    # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|
+    def lanes(t):
+        t = np.broadcast_to(t, (1 + shifts.size, t.shape[1]))
+        vals = f.second_difference(x, t)
+        vals[1:] -= f.second_difference(x, t[1:] + shifts[:, None])
+        return np.abs(vals)
+
     point = np.empty(deltas.size)
     shifted = np.empty((deltas.size, shifts.size))
     for j, d in enumerate(deltas.tolist()):
         if math.isinf(p):
-            # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|
-            def lanes(t):
-                t = np.broadcast_to(t, (1 + shifts.size, t.shape[1]))
-                vals = f.second_difference(x, t)
-                vals[1:] -= f.second_difference(x, t[1:] + shifts[:, None])
-                return np.abs(vals)
-
             ts = np.linspace(0.0, d, 512)
-            sups = _sampled_sup(lanes, ts, d / 511, 0.0, d)
-            point[j], shifted[j] = sups[0], sups[1:]
-            continue
-        t, w = _gl_panels(0.0, d, _phi_panels(f, d))
-        phi = f.second_difference(x, t)
-        point[j] = (float(np.dot(w, np.abs(phi) ** p)) / d) ** (1.0 / p)
-        for m, s in enumerate(shifts.tolist()):
-            vals = np.abs(phi - f.second_difference(x, t + s)) ** p
-            shifted[j, m] = (float(np.dot(w, vals)) / d) ** (1.0 / p)
+            means = _sampled_sup(lanes, ts, d / 511, 0.0, d)
+        else:
+            # phi_x once, then one lane at a time, so that no (1 + M, nodes)
+            # table and its temporaries are held at once
+            t, w = _gl_panels(0.0, d, _phi_panels(f, d))
+            phi = f.second_difference(x, t)
+            lane_means = (power_mean(w / d, phi - f.second_difference(x, t + s), p) for s in shifts)
+            means = [power_mean(w / d, phi, p), *lane_means]
+        point[j], shifted[j] = means[0], means[1:]
     return point, shifted
 
 

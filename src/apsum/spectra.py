@@ -13,7 +13,7 @@ at least the declared gap ``alpha``.
 
 Evaluation, cutoff sums and tails, symmetric second differences, and
 finite-span mean Fourier coefficients are all pure functions of immutable
-inputs.
+inputs, as is ``power_mean``, which the strong means and the measures share.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "ValidationReport",
     "validate_spectrum",
     "fourier_coefficient",
+    "power_mean",
     "spectrum_from_dict",
     "spectrum_to_dict",
     "load_spectrum",
@@ -296,6 +297,23 @@ def _gl_panels(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndar
     centers = lo + (np.arange(n_panels) + 0.5) * h
     t = (centers[:, None] + 0.5 * h * _GL_XI[None, :]).ravel()
     return t, np.tile(0.5 * h * _GL_WT, n_panels)
+
+
+def power_mean(weights, values, q: float):
+    """( sum w_k v_k^q )^(1/q) over the last axis for nonnegative v and
+    weights summing to 1: a float for one row, an array for a table.
+
+    Scaling by the largest weighed value keeps small q stable, keeps large
+    q from overflowing and makes amplitude homogeneity exact to rounding.
+    Rows sum left to right, so zeros padded after a row leave its mean
+    unchanged to the bit."""
+    w, v = np.broadcast_arrays(np.asarray(weights, dtype=float), np.abs(values))
+    live = w > 0.0
+    top = np.max(v, axis=-1, initial=0.0, where=live, keepdims=True)
+    terms = w * np.divide(v, top, out=np.zeros(v.shape), where=live & (top > 0.0)) ** q
+    total = np.cumsum(terms, axis=-1)[..., -1] if v.shape[-1] else np.zeros(v.shape[:-1])
+    means = top[..., 0] * total ** (1.0 / q)
+    return float(means) if means.ndim == 0 else means
 
 
 def fourier_coefficient(f: QuasiPeriodicFunction, freq: float, span: float) -> complex:

@@ -6,6 +6,7 @@ lhs/rhs sequences stay bounded and do not blow up across the sweep, at
 the stated tolerances and within the stated runtime budgets.
 """
 
+import itertools
 import math
 import time
 
@@ -14,7 +15,7 @@ import pytest
 
 from apsum.experiment import builtin_matrices, builtin_spectra
 from apsum.kernels import kernel_mass, partial_sum_direct, partial_sum_kernel_table
-from apsum.matrices import class_constants, class_membership
+from apsum.matrices import class_constants, class_membership, side_condition
 from apsum.measures import (
     SamplePlan,
     WindowGrid,
@@ -26,7 +27,7 @@ from apsum.measures import (
     stepanov_norm,
 )
 from apsum.spectra import Spectrum, QuasiPeriodicFunction
-from apsum.strong_means import StrongMeanParams, ratio_sweep, strong_mean_rows
+from apsum.strong_means import ratio_sweep, strong_mean_rows
 
 from conftest import record_criterion, scaled
 
@@ -55,9 +56,18 @@ def fitted_majorants(spectra):
     return fits
 
 
+def _series(records):
+    """The (x, q) series of a sweep's records, in sweep order."""
+    return [list(group) for _, group in itertools.groupby(records, lambda r: (r.x, r.q))]
+
+
+def _max_ratio(series) -> float:
+    return max((r.ratio for r in series if not math.isnan(r.ratio)), default=0.0)
+
+
 def _blowup_ok(series) -> bool:
-    head = max(r.ratio for r in series.records if r.n <= HEAD_END)
-    tail = max(r.ratio for r in series.records if r.n >= HEAD_END)
+    head = max(r.ratio for r in series if r.n <= HEAD_END)
+    tail = max(r.ratio for r in series if r.n >= HEAD_END)
     return tail <= BLOWUP_FACTOR * head + 1e-12
 
 
@@ -128,9 +138,8 @@ def test_criterion_4_dyadic_ratio_boundedness(spectra, fitted_majorants):
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            params = [StrongMeanParams(q=q, alpha=f.spectrum.alpha) for q in (0.5, 1.0, 2.0)]
-            for rs in ratio_sweep(f, "prop4", N_SWEEP, params, [(x, w)]):
-                worst = max(worst, rs.max_ratio)
+            for rs in _series(ratio_sweep(f, "prop4", N_SWEEP, (0.5, 1.0, 2.0), [(x, w)])):
+                worst = max(worst, _max_ratio(rs))
                 blowup_ok = blowup_ok and _blowup_ok(rs)
     elapsed = time.perf_counter() - t0 + fit_time
     ok = worst <= RATIO_CAP and blowup_ok and elapsed <= 120.0
@@ -147,15 +156,13 @@ def test_criterion_5_cesaro_ratio_boundedness(spectra, fitted_majorants):
     ces = builtin_matrices("cesaro")
     worst = 0.0
     blowup_ok = True
-    side_ok = True
+    side_ok = bool(side_condition(ces, N_SWEEP)[0])
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            params = [StrongMeanParams(q=q, alpha=f.spectrum.alpha) for q in (1.0, 2.0)]
-            for rs in ratio_sweep(f, "thm6", N_SWEEP, params, [(x, w)], matrix=ces):
-                worst = max(worst, rs.max_ratio)
+            for rs in _series(ratio_sweep(f, "thm6", N_SWEEP, (1.0, 2.0), [(x, w)], matrix=ces)):
+                worst = max(worst, _max_ratio(rs))
                 blowup_ok = blowup_ok and _blowup_ok(rs)
-                side_ok = side_ok and bool(rs.side_condition_ok)
     ok = worst <= RATIO_CAP and blowup_ok and side_ok
     record_criterion(
         "5 monotone-row (Cesaro) ratio boundedness",
@@ -173,9 +180,9 @@ def test_criterion_6_gm2_ratio_boundedness(spectra, fitted_majorants):
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            params = [StrongMeanParams(q=q, alpha=f.spectrum.alpha, c=2.0) for q in (1.0, 2.0)]
-            for rs in ratio_sweep(f, "thm5", N_SWEEP, params, [(x, w)], matrix=matrix):
-                worst = max(worst, rs.max_ratio)
+            sweep = ratio_sweep(f, "thm5", N_SWEEP, (1.0, 2.0), [(x, w)], matrix=matrix, c=2.0)
+            for rs in _series(sweep):
+                worst = max(worst, _max_ratio(rs))
                 blowup_ok = blowup_ok and _blowup_ok(rs)
     ok = (
         membership.member
@@ -243,12 +250,12 @@ def test_criterion_8_power_mean_properties():
         f = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
         table = rng.dirichlet(np.ones(int(rng.integers(1, 9))))[None]
         x = float(rng.uniform(-3, 3))
-        means = strong_mean_rows(f, [x], table, qs, alpha).ravel().tolist()
+        means = strong_mean_rows(f, [x], table, qs).ravel().tolist()
         for a, b in zip(means, means[1:]):
             worst_mono = max(worst_mono, (a - b) / max(b, 1e-300) if b else a)
         s = float(rng.uniform(-3, 3))
         base = means[2]
-        mean_s = strong_mean_rows(scaled(f, s), [x], table, [2.0], alpha).item()
+        mean_s = strong_mean_rows(scaled(f, s), [x], table, [2.0]).item()
         denom = max(abs(s) * base, 1e-300)
         worst_homo = max(worst_homo, abs(mean_s - abs(s) * base) / denom)
     ok = worst_mono <= 1e-12 and worst_homo <= 1e-12

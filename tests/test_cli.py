@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -643,3 +644,69 @@ def test_run_that_checks_nothing_exit_3(tmp_path, capsys, command):
     summary = out if command == "verify" else out["summary"]
     assert summary["regression_ok"] is False
     assert summary["flag_counts"] == {"zero-over-zero": 8}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "theorem, field, value",
+    [
+        ("prop4", "c", "2.5"),
+        ("thm6", "c", "3"),
+        ("thm2", "thm5_literal_exponent", "true"),
+        ("thm2", "majorant", '{"type": "bogus"}'),
+        ("thm2", "majorant", '{"type": "fit"}'),
+    ],
+)
+def test_field_the_theorem_never_reads_exit_2(tmp_path, capsys, command, theorem, field, value):
+    # each ran and exited 0 (a bogus thm2 majorant too) although no bound read it
+    path = tmp_path / "bad.json"
+    path.write_text(
+        f'{{"spectrum": {{"builtin": "smooth"}}, "theorem": "{theorem}", '
+        f'"matrix": {{"builtin": "cesaro"}}, "n_range": [1, 8], "{field}": {value}}}'
+    )
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == field
+
+
+def test_verify_theorem_override_of_report_echo(tmp_path, capsys):
+    # a thm5 report's echo carries the default c, literal switch and
+    # majorant, so verify --theorem runs it as any theorem
+    cfg = {"spectrum": {"builtin": "smooth"}, "theorem": "thm5", "matrix": {"builtin": "cesaro"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, n_range=[1, 8])))
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    echo = tmp_path / "out" / "report.json"
+    path.write_text(json.dumps(json.loads(echo.read_text())["config"]))
+    for theorem in ("prop4", "thm2", "thm5", "thm6"):
+        assert main(["verify", str(path), "--theorem", theorem]) == 0
+        assert strict_lines(capsys)[0]["theorem"] == theorem
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("c", ["1023", "1e308"])
+@pytest.mark.parametrize("literal", ["false", "true"])
+def test_thm5_huge_c_runs(tmp_path, capsys, command, c, literal):
+    # 2.0 ** (1 + floor(c)) raised OverflowError and the command exited 1
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm5", "matrix": {"builtin": "cesaro"}, '
+        f'"n_range": [1, 8], "c": {c}, "thm5_literal_exponent": {literal}}}'
+    )
+    assert main([command, str(path)]) == 0
+    (out,) = strict_lines(capsys)
+    assert (out if command == "verify" else out["summary"])["regression_ok"] is True
+
+
+@pytest.mark.parametrize("theorem, p", [("thm2", "1000"), ("thm6", "600")])
+def test_large_finite_p_runs(tmp_path, capsys, theorem, p):
+    # thm2 at p = 1000 printed "max_ratio": Infinity and exited 3; thm6 with
+    # a fitted majorant at p = 600 exited 1 with "knots must be finite"
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        f'{{"spectrum": {{"builtin": "smooth"}}, "theorem": "{theorem}", '
+        f'"matrix": {{"builtin": "cesaro"}}, "n_range": [1, 8], "p": {p}}}'
+    )
+    assert main(["verify", str(path)]) == 0
+    (summary,) = strict_lines(capsys)
+    assert summary["flag_counts"] == {} and math.isfinite(summary["max_ratio"])

@@ -40,8 +40,8 @@ def make_config(**overrides):
 
 
 def count_calls(monkeypatch, *names, owner=strong_means):
-    """Wrap the named functions of ``owner`` (the strong_means module, or a
-    class for its methods); return the live call counts."""
+    """Wrap the named functions of ``owner`` (a module, strong_means by
+    default, or a class for its methods); return the live call counts."""
     calls = {name: 0 for name in names}
     for name in names:
         original = getattr(owner, name)
@@ -206,6 +206,25 @@ class TestConfigValidation:
     def test_integral_float_count_accepted(self, field):
         cfg = make_config(**{field: 16.0})
         assert getattr(cfg, field) == 16 and type(getattr(cfg, field)) is int
+
+    @pytest.mark.parametrize("theorem", ["prop4", "thm2", "thm6"])
+    @pytest.mark.parametrize("field, value", [("c", 2.5), ("c", 3.0), ("thm5_literal_exponent", True)])
+    def test_thm5_field_outside_thm5_names_field(self, theorem, field, value):
+        # only thm5 cuts its tails by c; elsewhere the value changed nothing
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem=theorem, matrix={"builtin": "cesaro"}, **{field: value})
+        assert err.value.field == field
+        assert make_config(theorem="thm5", matrix={"builtin": "cesaro"}, **{field: value})
+
+    @pytest.mark.parametrize(
+        "majorant", [{"type": "bogus"}, {"type": "fit"}, {"type": "power", "C": 1.0}, "x"]
+    )
+    def test_majorant_on_thm2_names_field(self, majorant):
+        # thm2 bounds by translate moduli: a majorant, even a bogus one, was
+        # never read and the run exited 0
+        with pytest.raises(ConfigError) as err:
+            make_config(theorem="thm2", matrix={"builtin": "cesaro"}, majorant=majorant)
+        assert err.value.field == "majorant"
 
     def test_matrix_required_for_matrix_theorems(self):
         with pytest.raises(ConfigError) as err:
@@ -441,7 +460,9 @@ class TestBlowUpVerdict:
         # an rhs divided by (n+1)^power makes the ratios grow with n
         record = strong_means._record
         monkeypatch.setattr(
-            strong_means, "_record", lambda n, lhs, rhs: record(n, lhs, rhs / (n + 1) ** power)
+            strong_means,
+            "_record",
+            lambda x, q, n, lhs, rhs: record(x, q, n, lhs, rhs / (n + 1) ** power),
         )
         assert not run(shipped(name)).summary["regression_ok"]
 
@@ -469,6 +490,15 @@ class TestRun:
             assert ns == sorted(ns)
         worst = max(report.records, key=lambda r: r.ratio)
         assert report.summary["max_ratio"] == worst.ratio
+
+    def test_large_finite_p_thm2(self):
+        # |g|^p overflowed at p = 1000: every omega was inf, every rhs NaN,
+        # every record flagged infinite-ratio and the run failed
+        ps = (400.0, 1000.0, math.inf)
+        summary = {p: run(shipped("thm2_cesaro_smooth", p=p)).summary for p in ps}
+        assert summary[1000.0]["flag_counts"] == {} and summary[1000.0]["regression_ok"]
+        ratios = [summary[p]["max_ratio"] for p in (math.inf, 1000.0, 400.0)]
+        assert ratios == sorted(ratios) and math.isfinite(ratios[1])
 
     def test_thm6_with_matrix(self):
         # sweep long enough for the first-column weights to drop under the
@@ -515,7 +545,8 @@ class TestRun:
             assert reports[0] == reports[1], path.name
 
     def test_one_sweep_per_run_pointwise(self, monkeypatch):
-        calls = count_calls(monkeypatch, "side_condition", "modulus_omega")
+        omegas = count_calls(monkeypatch, "modulus_omega")
+        sides = count_calls(monkeypatch, "side_condition", owner=experiment)
         ladders = count_calls(monkeypatch, "partial_sums", owner=QuasiPeriodicFunction)
         cfg = make_config(
             theorem="thm6",
@@ -526,11 +557,12 @@ class TestRun:
         )
         report = run(cfg)
         assert len(report.records) == 2 * 3 * 32
-        assert calls == {"side_condition": 1, "modulus_omega": 0}
+        assert {**sides, **omegas} == {"side_condition": 1, "modulus_omega": 0}
         assert ladders == {"partial_sums": 1}  # one cutoff ladder serves both x
 
     def test_one_sweep_per_run_thm2(self, monkeypatch):
-        calls = count_calls(monkeypatch, "side_condition", "modulus_omega")
+        omegas = count_calls(monkeypatch, "modulus_omega")
+        sides = count_calls(monkeypatch, "side_condition", owner=experiment)
         ladders = count_calls(monkeypatch, "partial_sums", owner=QuasiPeriodicFunction)
         cfg = make_config(
             theorem="thm2",
@@ -541,7 +573,7 @@ class TestRun:
         )
         report = run(cfg)
         assert [(r.x, r.q) for r in report.records[::8]] == [(None, 1.0), (None, 2.0)]
-        assert calls == {"side_condition": 1, "modulus_omega": 1}
+        assert {**sides, **omegas} == {"side_condition": 1, "modulus_omega": 1}
         assert ladders == {"partial_sums": 1}  # one cutoff ladder serves all 16 x
 
     @pytest.mark.parametrize("theorem", ["prop4", "thm2", "thm5", "thm6"])
@@ -628,7 +660,7 @@ class TestOutputs:
             for q in cfg.q:
                 for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
                     row = matrix.row(n)[None]
-                    mean = strong_mean_rows(f, [x], row, [q], f.spectrum.alpha).item()
+                    mean = strong_mean_rows(f, [x], row, [q]).item()
                     lines.append(f"{x!r},{q!r},{n},{mean!r}")
         return "\n".join(lines) + "\n"
 

@@ -944,3 +944,29 @@ class TestClassTable:
         # quadrature (p != 2) runs the same arithmetic in both; the p = 2
         # einsum may sum in another order
         same_report(got, loop_class_check(f, 0.6, w, p, plan), 0.0 if p != 2.0 else 1e-12)
+
+
+class TestLargeP:
+    """|g|^p overflowed past p of a few hundred: the window norms turned
+    inf and the moduli raised "knots must be finite" in the fit."""
+
+    PS = (400.0, 1000.0, 5000.0)
+
+    def test_window_norms_finite_and_rising_to_the_sup(self):
+        norms = [stepanov_norm(SMOOTH, p) for p in self.PS]
+        omegas = [modulus_omega(SMOOTH, [0.3, 1.0], p) for p in self.PS]
+        assert all(0.0 < a < b for a, b in zip(norms, norms[1:]))
+        assert norms[-1] <= stepanov_norm(SMOOTH, math.inf) * (1.0 + 1e-9)
+        assert all(np.all((0.0 < a) & (a < b)) for a, b in zip(omegas, omegas[1:]))
+        assert np.all(omegas[-1] <= modulus_omega(SMOOTH, [0.3, 1.0], math.inf) * (1.0 + 1e-9))
+
+    def test_moduli_finite_and_rising_to_the_sup(self):
+        deltas, shifts = (0.3, 1.0), (0.4, -1.1)
+        rows = [np.concatenate([*moduli(SMOOTH, 0.6, deltas, shifts, p)], axis=None)
+                for p in (*self.PS, math.inf)]
+        assert all(np.all((0.0 < a) & (a < b * (1.0 + 1e-9))) for a, b in zip(rows, rows[1:]))
+
+    def test_fit_at_large_p(self):
+        w, report = fit_class_majorant(SMOOTH, 0.6, 600.0, SamplePlan.default(count=6))
+        assert all(math.isfinite(v) for _, v in w.knots) and w(1.0) > 0.0
+        assert report.constant <= 1.0

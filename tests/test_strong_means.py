@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apsum import measures, strong_means
-from apsum.matrices import SummabilityMatrix, cesaro_matrix, explicit_matrix, row_table
+from apsum.experiment import ExperimentConfig, head_tail_bounded, run
+from apsum.matrices import cesaro_matrix, explicit_matrix, row_table
 from apsum.measures import (
     T_LATTICE,
     PowerModulus,
@@ -18,8 +19,6 @@ from apsum.spectra import Spectrum, QuasiPeriodicFunction
 from apsum.strong_means import (
     THEOREMS,
     RatioRecord,
-    RatioSeries,
-    StrongMeanParams,
     power_mean,
     ratio_sweep,
     strong_mean_rows,
@@ -58,9 +57,9 @@ def plain_strong_mean(f, x, weights, q, alpha):
     return total ** (1.0 / q)
 
 
-def row_mean(f, x, row, q, alpha):
+def row_mean(f, x, row, q):
     """H of one weight row at one x: a one-row table of strong_mean_rows."""
-    return strong_mean_rows(f, [x], np.asarray(row)[None], [q], alpha).item()
+    return strong_mean_rows(f, [x], np.asarray(row)[None], [q]).item()
 
 
 def plain_bracket_mean(f, w, weights, q, alpha, divisor):
@@ -187,8 +186,8 @@ class TestPowerMean:
     @given(seed=st.integers(0, 100_000), s=st.floats(-4.0, 4.0))
     def test_amplitude_homogeneity(self, seed, s):
         f, row, x, alpha, _ = random_case(seed)
-        m = row_mean(f, x, row, 1.7, alpha)
-        ms = row_mean(scaled(f, s), x, row, 1.7, alpha)
+        m = row_mean(f, x, row, 1.7)
+        ms = row_mean(scaled(f, s), x, row, 1.7)
         assert ms == pytest.approx(abs(s) * m, rel=1e-12, abs=1e-12)
 
 
@@ -196,7 +195,7 @@ class TestStrongMean:
     def test_single_mass_row(self):
         row = np.zeros(6)
         row[5] = 1.0
-        got = row_mean(SMOOTH, 0.4, row, 2.0, 1.0)
+        got = row_mean(SMOOTH, 0.4, row, 2.0)
         want = abs(
             plain_strong_mean(SMOOTH, 0.4, row, 2.0, 1.0)
         )
@@ -206,10 +205,10 @@ class TestStrongMean:
         row = np.zeros(25)
         row[20] = 0.5
         row[24] = 0.5
-        assert row_mean(SMOOTH, 0.7, row, 1.0, 1.0) == 0.0
+        assert row_mean(SMOOTH, 0.7, row, 1.0) == 0.0
 
     def test_cesaro_enumeration_oracle(self):
-        got = row_mean(SMOOTH, 0.0, cesaro_matrix().row(4), 2.0, 1.0)
+        got = row_mean(SMOOTH, 0.0, cesaro_matrix().row(4), 2.0)
         want = plain_strong_mean(SMOOTH, 0.0, [0.2] * 5, 2.0, 1.0)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -217,7 +216,7 @@ class TestStrongMean:
     @given(seed=st.integers(0, 100_000))
     def test_random_against_enumeration(self, seed):
         f, row, x, alpha, _ = random_case(seed)
-        got = row_mean(f, x, row, 1.3, alpha)
+        got = row_mean(f, x, row, 1.3)
         want = plain_strong_mean(f, x, row, 1.3, alpha)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
@@ -250,17 +249,16 @@ class TestCutoffLadder:
     def test_means_against_scalar_loops(self, seed, n, q):
         f, _, x, alpha, _ = random_case(seed)
         atol = 1e-12 * f.spectrum.amplitude_mass()
-        params = StrongMeanParams(q=q, alpha=alpha, c=2.0)
         dyadic = np.zeros(2 * n + 1)
         dyadic[n:] = 1.0 / (n + 1)
         w = PowerModulus(1.0, 0.5)
-        (rec,) = ratio_sweep(f, "prop4", [n], [params], [(x, w)])[0].records
+        (rec,) = ratio_sweep(f, "prop4", [n], [q], [(x, w)])
         assert rec.lhs == pytest.approx(
             plain_strong_mean(f, x, dyadic, q, alpha), rel=1e-12, abs=atol
         )
         row = cesaro_matrix().row(n)
         for theorem, divisor in (("thm6", 2.0), ("thm5", 8.0)):
-            (rec,) = ratio_sweep(f, theorem, [n], [params], [(x, w)], cesaro_matrix())[0].records
+            (rec,) = ratio_sweep(f, theorem, [n], [q], [(x, w)], cesaro_matrix())
             assert rec.rhs == pytest.approx(
                 plain_bracket_mean(f, w, row, q, alpha, divisor), rel=1e-12, abs=atol
             )
@@ -277,9 +275,8 @@ class TestDyadic:
 
     @staticmethod
     def lhs(x, n_values, q):
-        params = [StrongMeanParams(q=q, alpha=1.0)]
-        (rs,) = ratio_sweep(SMOOTH, "prop4", n_values, params, [(x, PowerModulus(1.0))])
-        return [rec.lhs for rec in rs.records]
+        records = ratio_sweep(SMOOTH, "prop4", n_values, [q], [(x, PowerModulus(1.0))])
+        return [rec.lhs for rec in records]
 
     def test_n0_single_term(self):
         (got,) = self.lhs(0.3, [0], 1.0)
@@ -293,7 +290,7 @@ class TestDyadic:
             for n, a in zip((1, 3, 7), self.lhs(0.7, (1, 3, 7), q)):
                 row = np.zeros(2 * n + 1)
                 row[n : 2 * n + 1] = 1.0 / (n + 1)
-                assert a == pytest.approx(row_mean(SMOOTH, 0.7, row, q, 1.0), rel=1e-12)
+                assert a == pytest.approx(row_mean(SMOOTH, 0.7, row, q), rel=1e-12)
 
     def test_small_spectrum_enumeration(self):
         n = 3
@@ -304,56 +301,64 @@ class TestDyadic:
         assert got == pytest.approx(want, rel=1e-13)
 
 
-def rhs_values(f, theorem, n_values, params, matrix=None, w=None):
+def rhs_values(f, theorem, n_values, q, matrix=None, w=None, **kwargs):
     """The rhs of each n in the sweep of one q; thm2 reads no x or w."""
     x, x_grid = (None, (0.0,)) if theorem == "thm2" else (0.0, None)
-    (rs,) = ratio_sweep(f, theorem, n_values, [params], [(x, w)], matrix, x_grid, p=2.0)
-    return [rec.rhs for rec in rs.records]
+    records = ratio_sweep(f, theorem, n_values, [q], [(x, w)], matrix, x_grid, p=2.0, **kwargs)
+    return [rec.rhs for rec in records]
 
 
 class TestBoundExpressions:
     def test_dyadic_rhs_components(self):
         w = PowerModulus(2.0, 1.0)
-        params = StrongMeanParams(q=1.0, alpha=1.0)
         # n = 30 clears the spectrum: the tail is zero
-        cleared, first = rhs_values(SMOOTH, "prop4", [30, 0], params, w=w)
+        cleared, first = rhs_values(SMOOTH, "prop4", [30, 0], 1.0, w=w)
         assert cleared == pytest.approx(w(math.pi / 31))
         assert first == pytest.approx(w(math.pi) + 1.1)
 
     def test_bracket_single_mass(self):
         w = PowerModulus(1.0, 1.0)
-        params = StrongMeanParams(q=2.0, alpha=1.0)
         row = np.zeros(4)
         row[3] = 1.0
         want = w(math.pi / 4) + best_approx_tail(SMOOTH, 1.5)
-        (got,) = rhs_values(SMOOTH, "thm6", [0], params, explicit_matrix([row]), w)
+        (got,) = rhs_values(SMOOTH, "thm6", [0], 2.0, explicit_matrix([row]), w)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_constant_function_drops_tails(self):
         w = PowerModulus(1.0, 1.0)
-        params = StrongMeanParams(q=2.0, alpha=1.0)
         want = sum(0.2 * w(math.pi / (k + 1)) ** 2 for k in range(5)) ** 0.5
-        (got,) = rhs_values(CONST, "thm6", [4], params, cesaro_matrix(), w)
+        (got,) = rhs_values(CONST, "thm6", [4], 2.0, cesaro_matrix(), w)
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_gm2_divisor_floor_vs_literal(self):
         # k in [8, 11] puts the first frequency between alpha*k/2^(1+floor(c))
         # and alpha*k/2^(1+c), so the two conventions give different tails
         w = PowerModulus(1.0, 1.0)
-        floor_params = StrongMeanParams(q=1.0, alpha=1.0, c=2.5)
-        literal_params = StrongMeanParams(
-            q=1.0, alpha=1.0, c=2.5, literal_c_exponent=True
+        row = cesaro_matrix().row(10)
+        a = rhs_values(SMOOTH, "thm5", [10], 1.0, cesaro_matrix(), w, c=2.5)
+        b = rhs_values(
+            SMOOTH, "thm5", [10], 1.0, cesaro_matrix(), w, c=2.5, thm5_literal_exponent=True
         )
-        assert floor_params.tail_divisor() == 8.0
-        assert literal_params.tail_divisor() == pytest.approx(2.0**3.5)
-        a = rhs_values(SMOOTH, "thm5", [10], floor_params, cesaro_matrix(), w)
-        b = rhs_values(SMOOTH, "thm5", [10], literal_params, cesaro_matrix(), w)
+        # tails at alpha k / 8 and at alpha k / 2^3.5
+        assert a == [pytest.approx(plain_bracket_mean(SMOOTH, w, row, 1.0, 1.0, 8.0), rel=1e-14)]
+        assert b == [pytest.approx(plain_bracket_mean(SMOOTH, w, row, 1.0, 1.0, 2.0**3.5))]
         assert a != b  # the two conventions genuinely differ mid-spectrum
+
+    @pytest.mark.parametrize("c", [1023.0, 1e308])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_gm2_huge_c_cuts_at_zero(self, c, literal):
+        # 2^(1+c) overflowed; 2^-(1+c) is 0 (or below every alpha k / freq)
+        w = PowerModulus(1.0, 1.0)
+        row = cesaro_matrix().row(10)
+        got = rhs_values(
+            SMOOTH, "thm5", [10], 1.0, cesaro_matrix(), w, c=c, thm5_literal_exponent=literal
+        )
+        want = plain_bracket_mean(SMOOTH, w, row, 1.0, 1.0, math.inf)
+        assert got == [pytest.approx(want, rel=1e-14)]
 
     def test_cesaro_bracket_enumeration(self):
         # independent plain-python enumeration of the bracket power mean
         w = PowerModulus(1.0, 1.0)
-        params = StrongMeanParams(q=2.0, alpha=1.0, c=2.0)
         n = 10
         for theorem, divisor in (("thm6", 2.0), ("thm5", 8.0)):
             total = 0.0
@@ -362,13 +367,12 @@ class TestBoundExpressions:
                     SMOOTH, 1.0 * k / divisor
                 )
                 total += (1.0 / (n + 1)) * bracket**2
-            (got,) = rhs_values(SMOOTH, theorem, [n], params, cesaro_matrix(), w)
+            (got,) = rhs_values(SMOOTH, theorem, [n], 2.0, cesaro_matrix(), w)
             assert got == pytest.approx(math.sqrt(total), rel=1e-13)
 
     def test_rhs_nonincreasing_in_n_for_cesaro(self):
         w = PowerModulus(1.0, 1.0, cap=2.0)
-        params = StrongMeanParams(q=1.0, alpha=1.0)
-        vals = rhs_values(SMOOTH, "thm6", range(1, 40), params, cesaro_matrix(), w)
+        vals = rhs_values(SMOOTH, "thm6", range(1, 40), 1.0, cesaro_matrix(), w)
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
 
@@ -377,40 +381,35 @@ class TestBoundExpressions:
 
         w = PowerModulus(1.0, 1.0, cap=2.0)
         for name in ("smooth", "lacunary"):
-            f = builtin_spectra(name)
-            params = StrongMeanParams(q=1.0, alpha=f.spectrum.alpha)
-            vals = rhs_values(f, "prop4", range(0, 64), params, w=w)
+            vals = rhs_values(builtin_spectra(name), "prop4", range(0, 64), 1.0, w=w)
             for a, b in zip(vals, vals[1:]):
                 assert b <= a + 1e-12
 
     def test_omega_rhs_constant_function(self):
-        params = StrongMeanParams(q=1.0, alpha=1.0)
-        assert rhs_values(CONST, "thm2", [3], params, cesaro_matrix()) == [0.0]
+        assert rhs_values(CONST, "thm2", [3], 1.0, cesaro_matrix()) == [0.0]
 
     def test_omega_rhs_cesaro_enumeration(self):
-        params = StrongMeanParams(q=2.0, alpha=1.0)
-        (got,) = rhs_values(SMOOTH, "thm2", [4], params, cesaro_matrix())
+        (got,) = rhs_values(SMOOTH, "thm2", [4], 2.0, cesaro_matrix())
         oms = [modulus_omega(SMOOTH, math.pi / (k + 1), 2.0) for k in range(5)]
         want = math.sqrt(sum(0.2 * om**2 for om in oms))
         assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestRatioSeries:
+    """The (x, q) series of ratio_sweep's records and the verdicts run() takes on them."""
+
     def test_constant_function_all_zero_flagged(self):
-        params = StrongMeanParams(q=1.0, alpha=1.0)
         w = PowerModulus(0.0)
-        (rs,) = ratio_sweep(CONST, "prop4", range(1, 6), [params], [(0.3, w)])
-        assert all(r.ratio == 0.0 for r in rs.records)
-        assert all("zero-over-zero" in r.flags for r in rs.records)
-        assert rs.max_ratio == 0.0
+        records = ratio_sweep(CONST, "prop4", range(1, 6), [1.0], [(0.3, w)])
+        assert all(r.ratio == 0.0 for r in records)
+        assert all("zero-over-zero" in r.flags for r in records)
+        assert max(r.ratio for r in records) == 0.0
 
     def test_single_mass_rows_match_pointwise_deviation(self):
         rows = [np.eye(6)[min(n, 5)] for n in range(6)]
         m = explicit_matrix(rows)
         w = PowerModulus(1.0, 1.0)
-        params = StrongMeanParams(q=2.0, alpha=1.0)
-        (rs,) = ratio_sweep(SMOOTH, "thm6", range(0, 6), [params], [(0.4, w)], m)
-        for rec in rs.records:
+        for rec in ratio_sweep(SMOOTH, "thm6", range(0, 6), [2.0], [(0.4, w)], m):
             k = min(rec.n, 5)
             dev = abs(
                 plain_strong_mean(SMOOTH, 0.4, np.eye(6)[k], 2.0, 1.0)
@@ -420,36 +419,41 @@ class TestRatioSeries:
             assert rec.rhs == pytest.approx(bracket, rel=1e-12)
 
     def test_side_condition_reported(self):
-        m = SummabilityMatrix(
-            "sticky", lambda n: np.concatenate([[1.0], np.zeros(n)])
-        )
-        params = StrongMeanParams(q=1.0, alpha=1.0)
-        (rs,) = ratio_sweep(SMOOTH, "thm6", range(1, 9), [params], [(0.0, PowerModulus(1.0))], m)
-        assert rs.side_condition_ok is False
+        # row n is [1, 0, ..., 0]: a[n, 0] never heads to zero
+        sticky = {"type": "explicit", "rows": [[1.0] + [0.0] * n for n in range(9)]}
+        data = {
+            "spectrum": {"builtin": "smooth"},
+            "theorem": "thm6",
+            "matrix": sticky,
+            "majorant": {"type": "power", "C": 1.0},
+            "n_range": [1, 8],
+        }
+        assert run(ExperimentConfig.from_dict(data)).summary["side_condition_ok"] is False
+        # prop4 reads no matrix, even one the config carries for strong-mean
+        prop4 = ExperimentConfig.from_dict(dict(data, theorem="prop4"))
+        assert run(prop4).summary["side_condition_ok"] is None
 
     def test_thm2_small_sweep_bounded(self):
-        params = StrongMeanParams(q=2.0, alpha=1.0)
         grid = WindowGrid(u_samples=128)
         xg = tuple(np.linspace(0.0, 2 * math.pi, 8, endpoint=False))
-        (rs,) = ratio_sweep(
-            SMOOTH, "thm2", range(1, 13), [params], [(None, None)], cesaro_matrix(), xg, 2.0, grid
+        records = ratio_sweep(
+            SMOOTH, "thm2", range(1, 13), [2.0], [(None, None)], cesaro_matrix(), xg, 2.0, grid
         )
-        assert rs.max_ratio <= 50.0
-        assert rs.head_tail_bounded(4, 2.0)
+        assert max(r.ratio for r in records) <= 50.0
+        assert head_tail_bounded(records, 4, 2.0)
 
     def test_head_tail_flags_only_rising_ratios(self):
         def series(ratios):
-            records = tuple(RatioRecord(n, r, 1.0, r, ()) for n, r in enumerate(ratios, 1))
-            return RatioSeries("prop4", 0.0, 1.0, records, None)
+            return [RatioRecord(0.0, 1.0, n, r, 1.0, r, ()) for n, r in enumerate(ratios, 1)]
 
         # N = 16: the blocks are n in (4, 8] and (8, 16]; every tail below
         # passes twice the head max 1 (n <= 4)
-        assert series([1.0] * 4 + [3.0] * 4 + [2.0] * 8).head_tail_bounded(4, 2.0)
-        assert series([1.0] * 4 + [3.0] * 4 + [3.0] * 8).head_tail_bounded(4, 2.0)
-        assert not series([1.0] * 4 + [2.5] * 4 + [3.0] * 8).head_tail_bounded(4, 2.0)
+        assert head_tail_bounded(series([1.0] * 4 + [3.0] * 4 + [2.0] * 8), 4, 2.0)
+        assert head_tail_bounded(series([1.0] * 4 + [3.0] * 4 + [3.0] * 8), 4, 2.0)
+        assert not head_tail_bounded(series([1.0] * 4 + [2.5] * 4 + [3.0] * 8), 4, 2.0)
         # a block without ratios leaves the head/tail test to decide alone
-        assert not series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8).head_tail_bounded(4, 2.0)
-        assert series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8).head_tail_bounded(4, 3.0)
+        assert not head_tail_bounded(series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8), 4, 2.0)
+        assert head_tail_bounded(series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8), 4, 3.0)
 
     def test_thm2_norms_each_shift_once(self, monkeypatch):
         rows, setups, omega_calls = [], [], []
@@ -476,7 +480,7 @@ class TestRatioSeries:
             SMOOTH,
             "thm2",
             range(1, 7),
-            [StrongMeanParams(q=2.0, alpha=1.0)],
+            [2.0],
             [(None, None)],
             cesaro_matrix(),
             (0.0, 1.0),
@@ -507,15 +511,13 @@ class TestRatioSeries:
         f, _, x, alpha, _ = random_case(seed)
         rows = ragged_rows(np.random.default_rng(seed + 1), 8)
         m = explicit_matrix(rows)
-        params = StrongMeanParams(q=q, alpha=alpha, c=2.0)
         w = PowerModulus(1.3, 0.7)
         xg = (x, x + 0.5)
         grid = WindowGrid(u_samples=4, refine=False)
         oms = [modulus_omega(f, math.pi / (k + 1), 2.0, grid) for k in range(11)]
         atol = 1e-12 * f.spectrum.amplitude_mass()
         for theorem in THEOREMS:
-            (rs,) = ratio_sweep(f, theorem, range(8), [params], [(x, w)], m, xg, 2.0, grid)
-            for rec in rs.records:
+            for rec in ratio_sweep(f, theorem, range(8), [q], [(x, w)], m, xg, 2.0, grid):
                 n = rec.n
                 if theorem == "prop4":
                     row = np.zeros(2 * n + 1)
@@ -539,40 +541,41 @@ class TestRatioSeries:
         grid = WindowGrid(u_samples=16, refine=False)
         xg = (0.0, 1.0, 2.5)
         for theorem in ("prop4", "thm2", "thm5", "thm6"):
-            params = [StrongMeanParams(q=q, alpha=1.0, c=2.5) for q in qs]
             points = [(x, ws[x]) for x in xs]
             got = ratio_sweep(
-                SMOOTH, theorem, range(0, 9), params, points, m, xg, 2.0, grid
+                SMOOTH, theorem, range(0, 9), qs, points, m, xg, 2.0, grid, c=2.5
             )
             want = [
-                ratio_sweep(SMOOTH, theorem, range(0, 9), [s], [point], m, xg, 2.0, grid)[0]
+                rec
                 for point in points
-                for s in params
+                for q in qs
+                for rec in ratio_sweep(
+                    SMOOTH, theorem, range(0, 9), [q], [point], m, xg, 2.0, grid, c=2.5
+                )
             ]
             assert got == want
+            assert [(r.x, r.q, r.n) for r in got] == [
+                (x, q, n) for x in xs for q in qs for n in range(0, 9)
+            ]
         assert ratio_sweep(SMOOTH, "thm6", range(4), [], [(0.0, ws[0.0])], m) == []
-        assert ratio_sweep(SMOOTH, "thm6", range(4), params, [], m) == []
-        mixed = [StrongMeanParams(q=1.0, alpha=1.0), StrongMeanParams(q=2.0, alpha=2.0)]
-        with pytest.raises(ValueError):
-            ratio_sweep(SMOOTH, "thm6", range(4), mixed, [(0.0, ws[0.0])], m)
+        assert ratio_sweep(SMOOTH, "thm6", range(4), qs, [], m) == []
 
     def test_empty_n_values_give_empty_series(self):
         grid = WindowGrid(u_samples=8, refine=False)
-        params = [StrongMeanParams(q=q, alpha=1.0) for q in (1.0, 2.0)]
         points = [(0.0, PowerModulus(1.0)), (0.7, PowerModulus(1.0))]
         for theorem in THEOREMS:
-            series = ratio_sweep(
-                SMOOTH, theorem, [], params, points, cesaro_matrix(), (0.0, 1.0), 2.0, grid
+            records = ratio_sweep(
+                SMOOTH, theorem, [], (1.0, 2.0), points, cesaro_matrix(), (0.0, 1.0), 2.0, grid
             )
-            combos = [(x, q) for x, _ in points for q in (1.0, 2.0)]
-            assert [(rs.x, rs.q) for rs in series] == combos
-            assert all(rs.records == () and rs.side_condition_ok is None for rs in series)
+            assert records == []
 
     def test_requires_inputs(self):
-        params = [StrongMeanParams(q=1.0, alpha=1.0)]
         with pytest.raises(ValueError):
-            ratio_sweep(SMOOTH, "thm6", [1], params, [(0.0, PowerModulus(1.0))])
+            ratio_sweep(SMOOTH, "thm6", [1], [1.0], [(0.0, PowerModulus(1.0))])
         with pytest.raises(ValueError):
-            ratio_sweep(SMOOTH, "prop4", [1], params, [(0.0, None)])
+            ratio_sweep(SMOOTH, "prop4", [1], [1.0], [(0.0, None)])
         with pytest.raises(ValueError):
-            ratio_sweep(SMOOTH, "nope", [1], params, [(0.0, PowerModulus(1.0))])
+            ratio_sweep(SMOOTH, "nope", [1], [1.0], [(0.0, PowerModulus(1.0))])
+        for qs, c in (([1.0, 0.0], 2.0), ([-1.0], 2.0), ([1.0], 1.0), ([1.0], math.nan)):
+            with pytest.raises(ValueError):
+                ratio_sweep(SMOOTH, "prop4", [1], qs, [(0.0, PowerModulus(1.0))], c=c)
