@@ -83,7 +83,7 @@ def cmd_verify(args) -> int:
         data = dict(cfg.to_dict(), theorem=args.theorem)
         cfg = ExperimentConfig.from_dict(data, Path(args.config).parent)
     report = run(cfg)
-    print(json.dumps(report.summary, sort_keys=True))
+    print(json.dumps(report_to_dict(report)["summary"], sort_keys=True, allow_nan=False))
     return EXIT_OK if report.summary["regression_ok"] else EXIT_TOLERANCE
 
 
@@ -92,7 +92,7 @@ def cmd_report(args) -> int:
     report = run(cfg)
     out = args.out or cfg.output
     if out is None:
-        print(json.dumps(report_to_dict(report), sort_keys=True))
+        print(json.dumps(report_to_dict(report), sort_keys=True, allow_nan=False))
     else:
         paths = write_report(report, out)
         print(json.dumps({"written": [str(p) for p in paths]}, sort_keys=True))

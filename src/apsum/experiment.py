@@ -234,6 +234,16 @@ class ExperimentConfig:
             raise ConfigError(field, f"only thm5 cuts its tails by c; {theorem} reads no {field}")
         if theorem == "thm2" and data.get("majorant") is not None:
             raise ConfigError("majorant", "thm2 bounds by translate moduli; it reads no majorant")
+        # every theorem but thm2 bounds by a majorant: a fitted one (the
+        # default) reads p, a given one does not
+        majorant = None if theorem == "thm2" else _majorant_source(data.get("majorant"))
+        if theorem != "thm2" and x_samples != 16:
+            raise ConfigError("x_samples", f"only thm2 samples x; {theorem} reads no x_samples")
+        if p != 2.0 and not (theorem == "thm2" or isinstance(majorant, SamplePlan)):
+            raise ConfigError("p", f"only thm2 and a fit majorant read p; this {theorem} majorant is given")
+        side_tol = _number(data, "side_tol", 0.05, ok=lambda v: v >= 0.0, rule=">= 0")
+        if theorem == "prop4" and side_tol != 0.05:
+            raise ConfigError("side_tol", "prop4 has no side condition; it reads no side_tol")
         cfg = cls(
             spectrum=data["spectrum"],
             theorem=theorem,
@@ -253,7 +263,7 @@ class ExperimentConfig:
             blowup_head=_number(data, "blowup_head", 8, int, lambda v: lo <= v <= hi,
                                 f"in n_range [{lo}, {hi}] (the default is 8)"),
             blowup_factor=_number(data, "blowup_factor", 2.0, ok=lambda v: v > 0.0, rule="> 0"),
-            side_tol=_number(data, "side_tol", 0.05, ok=lambda v: v >= 0.0, rule=">= 0"),
+            side_tol=side_tol,
             output=output,
         )
         base_dir = Path(base_dir or ".")
@@ -265,7 +275,7 @@ class ExperimentConfig:
             _function=f,
             _refusal=refusal,
             _matrix=cfg._load_matrix(base_dir),
-            _majorant=None if cfg.theorem == "thm2" else _majorant_source(cfg.majorant),
+            _majorant=majorant,
         )
         return cfg
 
@@ -456,18 +466,38 @@ def records_csv(report: ExperimentReport, x: float | None = None, q: float | Non
     return buf.getvalue()
 
 
+def _finite(value: float) -> float | None:
+    """inf or NaN as null, which strict JSON can hold; the record's flag
+    (``infinite-ratio``) says why."""
+    return value if math.isfinite(value) else None
+
+
+def _echo(value):
+    """A config value as strict JSON can hold it: an infinite number (p, q
+    or a verdict bound) as its repr, the string "inf", which the config
+    reader's float() takes back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _echo(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_echo(v) for v in value]
+    return value
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
+    """The report as strict JSON: no NaN or Infinity anywhere."""
     return {
-        "config": report.config,
-        "summary": report.summary,
+        "config": _echo(report.config),
+        "summary": dict(report.summary, max_ratio=_finite(report.summary["max_ratio"])),
         "records": [
             {
                 "x": r.x,
                 "q": r.q,
                 "n": r.n,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "ratio": r.ratio,
+                "lhs": _finite(r.lhs),
+                "rhs": _finite(r.rhs),
+                "ratio": _finite(r.ratio),
                 "flags": list(r.flags),
             }
             for r in report.records
@@ -487,7 +517,7 @@ def write_report(report: ExperimentReport, out_dir) -> list[Path]:
     paths = []
     jpath = out / "report.json"
     with open(jpath, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     paths.append(jpath)
     combos = sorted({(r.x, r.q) for r in report.records}, key=lambda t: (repr(t[0]), t[1]))

@@ -47,6 +47,9 @@ __all__ = [
 # PANELS_PER_OSCILLATION of them to a period of the fastest oscillation.
 TRUNCATION_PERIODS = 200
 PANELS_PER_OSCILLATION = 4
+# Blocks of L panels (a fold block, 1/50 of the grid) the kernel table
+# evaluates at once: the working set is GL_NODES * len(xs) * L per block.
+_CHUNK_BLOCKS = 5
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,11 @@ def partial_sum_kernel_table(
     evaluation point.  Its panel count is rounded up to a multiple of
     TRUNCATION_PERIODS / 4, so that the band oscillation sin(alpha(2b+1)t/4)
     advances by the same root of unity from panel to panel and repeats
-    every L panels.  For each Gauss node offset the weighted integrand (all
-    x) is summed over the blocks of L panels, and one FFT of length L then
+    every L panels.  The grid is walked in chunks of _CHUNK_BLOCKS blocks of
+    L panels; per block the integrand (all x, all Gauss nodes) is one
+    (entry, L) cos/sin table rotated by the block's start phase, times one
+    periodic (node, L) envelope table over t^2.  Each node's integrand is
+    summed over the blocks, and after the walk one FFT of length L per node
     gives every band at once, read at bin (2b+1) mod L.  Raises
     QuadratureToleranceError when the error budget of any entry exceeds
     max(abs_tol, rel_tol * |value|).
@@ -225,31 +231,44 @@ def partial_sum_kernel_table(
     assert TRUNCATION_PERIODS % 4 == 0
     fold = TRUNCATION_PERIODS // 4
     L = math.ceil(math.ceil(T / width) / fold)
-    n_panels = fold * L
-    h = T / n_panels
+    h = T / (fold * L)
 
     # Band-independent factor of the integrand:
     #   (f(x+t)+f(x-t)) Psi_b(t) = base(t) * sin(alpha(2b+1)t/4)
     # with base = fsym * (4/(alpha pi)) sin(alpha t/4) / t^2.  Nodes are
-    # interior, so t > 0 throughout.  The node at offset j of panel p is
-    # t = (p + c_j) h, so the band sum over p is the imaginary part of
+    # interior, so t > 0 throughout.  The node at offset c_j of panel s + q,
+    # s the start of a block, is t = (s + q + c_j) h, so
+    #   cos(lambda t) = cos(lambda (s + c_j) h) cos(lambda q h)
+    #                 - sin(lambda (s + c_j) h) sin(lambda q h)
+    # and sin(alpha t/4) = sin(alpha (q + c_j) h/4), as alpha L h/4 = 2 pi.
+    # The band sum over panels is then the imaginary part of
     # exp(i (2b+1) alpha c_j h / 4) times the conjugate of the FFT bin
-    # (2b+1) mod L of the weighted base summed over the fold blocks.
+    # (2b+1) mod L of the weighted base summed over the blocks.
     freqs = f.spectrum.freqs
     terms = f.term_values(xs)
+    c = 0.5 + 0.5 * _GL_XI
+    q = np.arange(L)
+    wave = np.outer(freqs, q * h)
+    wave = np.concatenate([np.cos(wave), np.sin(wave)])  # (2 entries, L)
+    envelope = (4.0 / (alpha * math.pi)) * np.sin((0.25 * alpha * h) * np.add.outer(c, q))
+    amplitudes = np.tile(2.0 * terms, 2)  # (x, 2 entries)
+    folded = np.zeros((GL_NODES, len(xs), L))
+    panel_env = np.zeros(len(xs))
+    for first in range(0, fold, _CHUNK_BLOCKS):
+        blocks = np.arange(first, min(first + _CHUNK_BLOCKS, fold))
+        starts = np.add.outer(blocks * L, c) * h  # (block, node)
+        phase = np.multiply.outer(starts, freqs)[:, :, None, :]
+        rotated = np.concatenate([np.cos(phase), -np.sin(phase)], axis=3) * amplitudes
+        base = rotated @ wave  # (block, node, x, L)
+        t = starts[:, :, None] + q * h
+        base *= (envelope / (t * t))[:, :, None, :]
+        panel_env += np.abs(base).max(axis=1).sum(axis=(0, 2))
+        folded += base.sum(axis=0)
+    folded *= (0.5 * h * _GL_WT)[:, None, None]
     odd = 2 * np.array(bands) + 1
-    quad = np.zeros((len(xs), len(bands)))
-    env = np.zeros((len(xs), n_panels))
-    for xi, wt in zip(_GL_XI, _GL_WT):
-        c = 0.5 + 0.5 * xi
-        t = (np.arange(n_panels) + c) * h
-        envelope = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / (t * t)
-        base = ((2.0 * terms) @ np.cos(np.outer(freqs, t))) * envelope
-        env = np.maximum(env, np.abs(base))
-        folded = (0.5 * h * wt) * base.reshape(len(xs), fold, L).sum(axis=1)
-        bins = np.conj(np.fft.fft(folded, axis=1)[:, odd % L])
-        quad += (bins * np.exp(1j * odd * (0.25 * alpha * c * h))).imag
-    panel_env = env.sum(axis=1)
+    bins = np.conj(np.fft.fft(folded, axis=2)[:, :, odd % L])
+    shift = np.exp(1j * np.outer(c, odd) * (0.25 * alpha * h))
+    quad = (bins * shift[:, None, :]).imag.sum(axis=0)
 
     values = quad + _exact_band_tail(f, terms, bands, T)
     nu = f.spectrum.max_frequency() + 0.5 * alpha * (np.array(bands) + 1.0)

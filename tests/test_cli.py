@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from apsum import strong_means
 from apsum.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -655,6 +657,10 @@ def test_run_that_checks_nothing_exit_3(tmp_path, capsys, command):
         ("thm2", "thm5_literal_exponent", "true"),
         ("thm2", "majorant", '{"type": "bogus"}'),
         ("thm2", "majorant", '{"type": "fit"}'),
+        ("prop4", "x_samples", "8"),
+        ("thm5", "x_samples", "32"),
+        ("thm6", "x_samples", "1"),
+        ("prop4", "side_tol", "0.0"),
     ],
 )
 def test_field_the_theorem_never_reads_exit_2(tmp_path, capsys, command, theorem, field, value):
@@ -666,6 +672,27 @@ def test_field_the_theorem_never_reads_exit_2(tmp_path, capsys, command, theorem
     )
     assert main([command, str(path)]) == 2
     assert one_error_object(capsys)["field"] == field
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("theorem", ["prop4", "thm5", "thm6"])
+def test_p_with_a_given_majorant_exit_2(tmp_path, capsys, command, theorem):
+    # a given majorant is not fitted, so nothing reads p: the run matched
+    # the one at the default p
+    cfg = {
+        "spectrum": {"builtin": "smooth"},
+        "theorem": theorem,
+        "matrix": {"builtin": "cesaro"},
+        "majorant": {"type": "power", "C": 1.0},
+        "n_range": [1, 8],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, p=2.0)))
+    assert main(["validate", str(path)]) == 0
+    path.write_text(json.dumps(dict(cfg, p=3.0)))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == "p"
 
 
 def test_verify_theorem_override_of_report_echo(tmp_path, capsys):
@@ -710,3 +737,51 @@ def test_large_finite_p_runs(tmp_path, capsys, theorem, p):
     assert main(["verify", str(path)]) == 0
     (summary,) = strict_lines(capsys)
     assert summary["flag_counts"] == {} and math.isfinite(summary["max_ratio"])
+
+
+@pytest.mark.parametrize("command", ["verify", "report", "report-out"])
+def test_infinite_ratio_is_null(tmp_path, capsys, monkeypatch, command):
+    # with every bracket 0 each finite lhs is over a zero rhs (no valid
+    # config reaches one, as the tail mass bounds each deviation), whose
+    # ratio inf printed as "max_ratio": Infinity
+    monkeypatch.setattr(strong_means, "_brackets", lambda w, f, factor, size: np.zeros(size))
+    cfg = {
+        "spectrum": {"builtin": "smooth"},
+        "theorem": "thm6",
+        "matrix": {"builtin": "cesaro"},
+        "n_range": [1, 8],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["report", str(path), "--out", str(out)] if command == "report-out" else [command, str(path)]
+    assert main(argv) == 3
+    (line,) = strict_lines(capsys)
+    report = strict_json((out / "report.json").read_text()) if command == "report-out" else line
+    summary = report if command == "verify" else report["summary"]
+    assert summary["max_ratio"] is None
+    assert summary["flag_counts"] == {"infinite-ratio": 8}
+    assert summary["regression_ok"] is False
+    if command != "verify":
+        assert {r["ratio"] for r in report["records"]} == {None}
+        assert all(r["flags"] == ["infinite-ratio"] for r in report["records"])
+        assert all(r["lhs"] > 0.0 and r["rhs"] == 0.0 for r in report["records"])
+
+
+def test_infinite_config_number_echoes_as_inf(tmp_path, capsys):
+    # an infinite p or max_ratio is a valid config; its echo in report.json
+    # is the string "inf", which runs again as the same config
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm2", "matrix": {"builtin": "cesaro"}, '
+        '"n_range": [1, 8], "x_samples": 4, "p": Infinity, "max_ratio": Infinity}'
+    )
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    echo = strict_json((tmp_path / "out" / "report.json").read_text())["config"]
+    assert (echo["p"], echo["max_ratio"]) == ("inf", "inf")
+    assert main(["verify", str(path)]) == 0
+    path.write_text(json.dumps(echo))
+    assert main(["verify", str(path)]) == 0
+    first, again = strict_lines(capsys)
+    assert first == again

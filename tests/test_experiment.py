@@ -273,7 +273,11 @@ class TestConfigValidation:
         assert err.value.field == field
 
     def test_verdict_bounds_accepted(self):
-        cfg = make_config(max_ratio=math.inf, blowup_factor=1e-3, side_tol=0.0)
+        # side_tol on thm5, as prop4 reads none
+        cfg = make_config(
+            theorem="thm5", matrix={"builtin": "osc-gm2"},
+            max_ratio=math.inf, blowup_factor=1e-3, side_tol=0.0,
+        )
         assert (cfg.max_ratio, cfg.blowup_factor, cfg.side_tol) == (math.inf, 1e-3, 0.0)
 
     @pytest.mark.parametrize(
@@ -584,8 +588,8 @@ class TestRun:
             matrix={"builtin": "cesaro"},
             q=[0.5, 1.0, 2.0],
             x=[0.0, 0.7],
-            x_samples=4,
             n_range=[1, 16],
+            **({"x_samples": 4} if theorem == "thm2" else {}),
         )
         run(cfg)
         # every lhs comes from one strong_mean_rows call (one power_mean per

@@ -179,6 +179,17 @@ LACUNARY = QuasiPeriodicFunction(
 )
 
 
+# the many-term family: lambda_j = j for j = 1..64, |a_j| = j^-1.5, seeded
+# phases; 64 entries at once through the wave table and the block rotations
+_J = np.arange(1, 65)
+_PHASES = np.random.default_rng(20121).uniform(0.0, 2.0 * math.pi, _J.size)
+MANY_TERM = QuasiPeriodicFunction(
+    Spectrum.from_cos_sin(
+        1.0, zip(_J.tolist(), (_J**-1.5 * np.cos(_PHASES)).tolist(), (-(_J**-1.5) * np.sin(_PHASES)).tolist())
+    )
+)
+
+
 def irrational_at(alpha):
     """IRRATIONAL's shape at gap alpha, with a DC term: sqrt(2) pi alpha
     sits inside the open band at k = 8, so the band shift runs."""
@@ -253,8 +264,9 @@ class TestKernelTableOracle:
             (COS, list(range(1, 101))),
             (irrational_at(0.5), list(range(1, 41))),
             (irrational_at(3.0), list(range(1, 41))),
+            (MANY_TERM, list(range(1, 65))),
         ],
-        ids=["irrational", "smooth", "lacunary", "cos-100", "alpha-0.5", "alpha-3.0"],
+        ids=["irrational", "smooth", "lacunary", "cos-100", "alpha-0.5", "alpha-3.0", "many-term"],
     )
     def test_matches_per_band_loop(self, f, ks):
         xs = [0.0, 0.7, 2.9]
@@ -304,6 +316,20 @@ class TestKernelTableOracle:
         got = partial_sum_kernel_table(f, ks, xs)
         want = reference_table(f, ks, xs)
         assert np.abs(got - want).max() <= 1e-12 * (1.0 + f.spectrum.amplitude_mass())
+
+    def test_chunks_do_not_move_the_table(self, monkeypatch):
+        # one block a chunk, all 50 in one, and 7, which leaves a short last
+        # chunk: only the order of the block sums changes
+        assert kernels.TRUNCATION_PERIODS // 4 == 50
+        ks = list(range(1, 65))
+        xs = [0.0, 0.7, 2.9]
+        tables = []
+        for blocks in (1, 50, 7):
+            monkeypatch.setattr(kernels, "_CHUNK_BLOCKS", blocks)
+            tables.append(partial_sum_kernel_table(IRRATIONAL, ks, xs))
+        bound = 1e-14 * (1.0 + IRRATIONAL.spectrum.amplitude_mass())
+        for table in tables[1:]:
+            assert np.abs(table - tables[0]).max() <= bound
 
 
 def reference_mass(alpha, k):
