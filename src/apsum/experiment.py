@@ -16,13 +16,14 @@ import io
 import itertools
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .matrices import MatrixError, SummabilityMatrix, load_matrix, matrix_from_dict, row_table, side_condition
+from .matrices import SummabilityMatrix, load_matrix, matrix_from_dict, row_table, side_condition
 from .measures import (
     ModulusMajorant,
     SamplePlan,
@@ -34,7 +35,6 @@ from .measures import (
 from .spectra import (
     QuasiPeriodicFunction,
     Spectrum,
-    SpectrumError,
     load_spectrum,
     spectrum_from_dict,
     validate_spectrum,
@@ -82,9 +82,6 @@ def builtin_spectra(name: str) -> QuasiPeriodicFunction:
         spec = Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)])
     else:
         raise ConfigError("spectrum", f"unknown builtin {name!r}")
-    report = validate_spectrum(spec)
-    if not report.ok:
-        raise SpectrumError(f"builtin {name} failed validation: {report.codes()}")
     return QuasiPeriodicFunction(spec)
 
 
@@ -94,60 +91,107 @@ def builtin_matrices(name: str, params: dict | None = None) -> SummabilityMatrix
     return matrix_from_dict({"type": name, "params": params or {}})
 
 
+class _naming:
+    """``with _naming(field):`` the one mapping of a bad input's error to a
+    ConfigError naming ``field`` (a class, cheaper to enter than a generator)."""
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is None or issubclass(kind, ConfigError):
+            return
+        if issubclass(kind, FileNotFoundError):
+            raise ConfigError(self.field, f"file not found: {exc}") from None
+        if issubclass(kind, json.JSONDecodeError):
+            raise ConfigError(self.field, f"not valid JSON: {exc}") from None
+        if issubclass(kind, (KeyError, TypeError, ValueError, OverflowError)):
+            raise ConfigError(self.field, str(exc)) from None
+
+
+# Per source field: the input of a {"builtin": name} source, of a
+# {"file": path} source and of an inline one.  The lambdas look the module
+# names up per call, so a wrapped builtin or loader is the one that runs.
+_SOURCES = {
+    "spectrum": (
+        lambda src: builtin_spectra(src["builtin"]),
+        lambda path: load_spectrum(path, allow_invalid=True),
+        lambda src: QuasiPeriodicFunction(spectrum_from_dict(src)),
+    ),
+    "matrix": (
+        lambda src: builtin_matrices(src["builtin"], src.get("params")),
+        load_matrix,
+        matrix_from_dict,
+    ),
+}
+
+
+def _resolve(field: str, src, base_dir: Path):
+    """The function or matrix a source describes, a relative file read from
+    ``base_dir``; any error in it is a ConfigError naming ``field``."""
+    if not isinstance(src, dict):
+        raise ConfigError(field, "must be an object")
+    builtin, load, inline = _SOURCES[field]
+    with _naming(field):
+        if "builtin" in src:
+            return builtin(src)
+        if "file" in src:
+            return load(base_dir / src["file"])
+        return inline(src)
+
+
+def _real(value, field: str, kind=float):
+    """``kind`` of a config number: a JSON number that is not a bool, or the
+    "inf" or "-inf" that the config echo writes for an infinite one.  An int
+    takes integral values only (16.0 is 16, 2.7 is an error).  Anything else
+    is a ConfigError naming ``field``."""
+    number = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    if not (number or isinstance(value, str) and value in ("inf", "-inf")):
+        raise ConfigError(field, f"must be a number, got {value!r}")
+    with _naming(field):  # an int beyond the float range
+        out = float(value)
+    if kind is int and not out.is_integer():
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    return kind(out)
+
+
 def _numbers(data: dict, field: str, default) -> tuple[float, ...]:
     """The field's number or list of numbers as a nonempty tuple, else
     ConfigError: an empty list would check nothing."""
     value = data.get(field, default)
-    try:
-        out = tuple(map(float, value)) if isinstance(value, (list, tuple)) else (float(value),)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field, "must be a number or list of numbers") from None
+    out = tuple(_real(v, field) for v in (value if isinstance(value, (list, tuple)) else [value]))
     if not out:
         raise ConfigError(field, "must not be empty")
     return out
 
 
 def _number(data: dict, field: str, default, kind=float, ok=None, rule=""):
-    """``kind`` of the field's value (or the default), else ConfigError; an
-    int field takes integral values only (16.0 is 16, 2.7 is an error), and
-    a value failing ``ok`` is an error that states ``rule``."""
+    """The field's number (or the default) as ``kind``; a value failing
+    ``ok`` is a ConfigError that states ``rule``."""
     value = data.get(field, default)
-    try:
-        out = kind(value)
-        integral = kind is not int or out == float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field, f"must be a number, got {value!r}") from None
-    if not integral:
-        raise ConfigError(field, f"must be an integer, got {value!r}")
+    out = _real(value, field, kind)
     if ok is not None and not ok(out):
         raise ConfigError(field, f"must be {rule}, got {value!r}")
     return out
 
 
-def _fit_plan(src: dict) -> SamplePlan:
-    """Sample plan of a {"type": "fit"} majorant: an integer count >= 1 and
-    a finite top > 0, else ConfigError."""
-    count, top = src.get("count", 20), src.get("top", 2.0 * math.pi)
-    try:
-        ok = int(count) == count and count >= 1 and 0.0 < float(top) < math.inf
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError("majorant", f"fit needs count >= 1 and 0 < top < inf, got {src!r}")
-    return SamplePlan.default(top=float(top), count=int(count))
-
-
 def _majorant_source(src: dict | None) -> SamplePlan | ModulusMajorant:
-    """The sample plan of a "fit" majorant (the default), else the majorant."""
+    """The sample plan of a "fit" majorant (the default: an integer count
+    >= 1 and a finite top > 0), else the majorant."""
     src = src if src is not None else {"type": "fit"}
     if not isinstance(src, dict):
         raise ConfigError("majorant", "must be an object")
-    if src.get("type") == "fit":
-        return _fit_plan(src)
-    try:
-        return majorant_from_dict(src)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("majorant", str(exc))
+    if src.get("type") != "fit":
+        with _naming("majorant"):
+            return majorant_from_dict(src)
+    count = _real(src.get("count", 20), "majorant", int)
+    top = _real(src.get("top", 2.0 * math.pi), "majorant")
+    if not (count >= 1 and 0.0 < top < math.inf):
+        raise ConfigError("majorant", f"fit needs count >= 1 and 0 < top < inf, got {src!r}")
+    return SamplePlan.default(top=top, count=count)
 
 
 @dataclass(frozen=True)
@@ -200,17 +244,9 @@ class ExperimentConfig:
         c = _number(data, "c", 2.0, ok=lambda v: 1.0 < v < math.inf, rule="finite and > 1")
         p = _number(data, "p", 2.0, ok=lambda v: v > 1.0, rule="> 1 (or inf)")
         n_range = data.get("n_range", [1, 64])
-        try:
-            ok = (
-                isinstance(n_range, (list, tuple))
-                and len(n_range) == 2
-                and all(int(v) == v for v in n_range)
-            )
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
+        if not (isinstance(n_range, (list, tuple)) and len(n_range) == 2):
             raise ConfigError("n_range", "must be an integer pair [lo, hi]")
-        n_range = lo, hi = int(n_range[0]), int(n_range[1])
+        n_range = lo, hi = tuple(_real(v, "n_range", int) for v in n_range)
         if not 0 <= lo <= hi:
             raise ConfigError("n_range", f"need 0 <= lo <= hi, got {list(n_range)}")
         x = _numbers(data, "x", 0.0)
@@ -223,10 +259,8 @@ class ExperimentConfig:
         literal = data.get("thm5_literal_exponent", False)
         if not isinstance(literal, bool):
             raise ConfigError("thm5_literal_exponent", f"must be true or false, got {literal!r}")
-        try:
+        with _naming("grid"):
             grid = WindowGrid(**data.get("grid", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("grid", str(exc))
         if theorem != "thm2" and grid != WindowGrid():
             raise ConfigError("grid", f"only thm2 takes windowed norms; {theorem} reads no grid")
         if theorem != "thm5" and (c != 2.0 or literal):
@@ -282,11 +316,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, allow_invalid: bool = False) -> "ExperimentConfig":
         path = Path(path)
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<file>", f"not valid JSON: {exc}")
+        with open(path) as fh, _naming("<file>"):  # a missing file names no field
+            data = json.load(fh)
         return cls.from_dict(data, base_dir=path.parent, allow_invalid=allow_invalid)
 
     def to_dict(self) -> dict:
@@ -298,55 +329,26 @@ class ExperimentConfig:
         """The function, and why a run refuses it when only
         ``allow_invalid`` let its spectrum in (else None)."""
         src = self.spectrum
-        if not isinstance(src, dict):
-            raise ConfigError("spectrum", "must be an object")
-        if "builtin" in src:
-            f = builtin_spectra(src["builtin"])
-        else:
-            try:
-                if "file" in src:
-                    f = load_spectrum(base_dir / src["file"], allow_invalid=True)
-                else:
-                    f = QuasiPeriodicFunction(spectrum_from_dict(src))
-            except FileNotFoundError as exc:
-                raise ConfigError("spectrum", f"file not found: {exc}")
-            except (TypeError, ValueError) as exc:  # SpectrumError, bad JSON
-                raise ConfigError("spectrum", str(exc))
+        f = _resolve("spectrum", src, base_dir)
         if self.alpha is not None and not math.isclose(self.alpha, f.spectrum.alpha, rel_tol=1e-12):
             msg = f"config alpha {self.alpha} does not match spectrum alpha {f.spectrum.alpha}"
             raise ConfigError("alpha", msg)
         report = validate_spectrum(f)
         if report.ok or ("file" in src and src.get("allow_invalid")):
             return f, None
-        refusal = "invalid spectrum: " + "; ".join(
-            f"{i.code}[{i.index}]: {i.detail}" for i in report.issues
-        )
+        refusal = f"invalid spectrum: {report}"
         if not allow_invalid:
             raise ConfigError("spectrum", refusal)
         return f, refusal
 
     def _load_matrix(self, base_dir: Path) -> SummabilityMatrix | None:
         """The matrix with every row of ``n_range`` built (and cached)."""
-        src = self.matrix
-        if src is None:
+        if self.matrix is None:
             return None
-        if not isinstance(src, dict):
-            raise ConfigError("matrix", "must be an object")
-        try:
-            if "builtin" in src:
-                matrix = builtin_matrices(src["builtin"], src.get("params"))
-            elif "file" in src:
-                matrix = load_matrix(base_dir / src["file"])
-            else:
-                matrix = matrix_from_dict(src)
+        matrix = _resolve("matrix", self.matrix, base_dir)
+        with _naming("matrix"):
             for n in range(self.n_range[0], self.n_range[1] + 1):
                 matrix.row(n)
-        except ConfigError:
-            raise
-        except FileNotFoundError as exc:
-            raise ConfigError("matrix", f"file not found: {exc}")
-        except (KeyError, TypeError, ValueError) as exc:  # MatrixError, bad JSON
-            raise ConfigError("matrix", str(exc))
         return matrix
 
     def resolve_function(self) -> QuasiPeriodicFunction:
@@ -474,8 +476,8 @@ def _finite(value: float) -> float | None:
 
 def _echo(value):
     """A config value as strict JSON can hold it: an infinite number (p, q
-    or a verdict bound) as its repr, the string "inf", which the config
-    reader's float() takes back."""
+    or a verdict bound) as its repr, the string "inf", which ``_real``
+    takes back."""
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     if isinstance(value, dict):

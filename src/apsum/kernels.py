@@ -140,7 +140,7 @@ def _cos_tail(mu: np.ndarray, T: float) -> np.ndarray:
 
 def tail_bound(f: QuasiPeriodicFunction, T: float) -> float:
     """Conservative bound 8 sup|f| / (alpha pi T) on the dropped kernel tail."""
-    return 8.0 * f.sup_bound() / (f.spectrum.alpha * math.pi * T)
+    return 8.0 * f.spectrum.amplitude_mass() / (f.spectrum.alpha * math.pi * T)
 
 
 # Peano-kernel constant of the m-node Gauss-Legendre error term,

@@ -178,7 +178,6 @@ class ClassReport:
     threshold: float
     member: bool
     side_condition_ok: bool | None
-    first_weights: tuple[float, ...]
     c: float | None = None
 
 
@@ -214,9 +213,7 @@ def class_membership(
     rows = [matrix.row(n) for n in n_values]
     constants = tuple(class_constants(class_name, rows, c).tolist()) if rows else ()
     sup_c = max(constants) if constants else 0.0
-    side_ok, firsts = (
-        side_condition(matrix, n_values, side_tol) if n_values else (None, ())
-    )
+    side_ok = side_condition(matrix, n_values, side_tol)[0] if n_values else None
     return ClassReport(
         class_name=class_name,
         n_values=n_values,
@@ -225,7 +222,6 @@ def class_membership(
         threshold=threshold,
         member=bool(sup_c <= threshold),
         side_condition_ok=side_ok,
-        first_weights=firsts,
         c=c if class_name == "gm2" else None,
     )
 

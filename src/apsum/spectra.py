@@ -4,12 +4,11 @@ A test function is a finite real trigonometric sum
 
     f(x) = a_0 + sum_nu (c_nu cos(l_nu x) + s_nu sin(l_nu x)),
 
-stored as strictly increasing nonnegative frequencies ``l_nu`` with one
-complex amplitude per frequency.  The stored amplitude is the one-sided
-coefficient ``A_nu = (c_nu - i s_nu) / 2`` of the two-sided exponential
-form, so a single entry stands for the conjugate pair at ``+-l_nu`` and
-real evaluation is exact.  Consecutive frequencies must be separated by
-at least the declared gap ``alpha``.
+stored as strictly increasing nonnegative frequencies ``l_nu``, each with
+the cos and sin coefficients ``c_nu``, ``s_nu`` as a spectrum file gives
+them (the constant term ``a_0`` is the cos coefficient at frequency 0).
+Consecutive frequencies must be separated by at least the declared gap
+``alpha``.
 
 Evaluation, cutoff sums and tails, symmetric second differences, and
 finite-span mean Fourier coefficients are all pure functions of immutable
@@ -50,29 +49,17 @@ class SpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """One nonnegative frequency with its one-sided complex amplitude."""
+    """One nonnegative frequency with its cos and sin coefficients."""
 
     freq: float
-    amp: complex
-
-    @property
-    def cos_coef(self) -> float:
-        if self.freq == 0.0:
-            return self.amp.real
-        return 2.0 * self.amp.real
-
-    @property
-    def sin_coef(self) -> float:
-        if self.freq == 0.0:
-            return 0.0
-        return -2.0 * self.amp.imag
+    cos_coef: float
+    sin_coef: float
 
     @property
     def pair_weight(self) -> float:
-        """Total two-sided amplitude mass carried by this entry."""
-        if self.freq == 0.0:
-            return abs(self.amp)
-        return 2.0 * abs(self.amp)
+        """Total two-sided amplitude mass carried by this entry: libm's
+        hypot, which math.hypot does not match in every last bit."""
+        return float(np.hypot(self.cos_coef, self.sin_coef))
 
 
 @dataclass(frozen=True)
@@ -86,10 +73,11 @@ class Spectrum:
     entries: tuple[SpectrumEntry, ...]
 
     def __post_init__(self):
-        weights = np.array([e.pair_weight for e in self.entries], dtype=float)
+        coefs = np.array([(e.cos_coef, e.sin_coef) for e in self.entries], float).reshape(-1, 2)
+        weights = np.hypot(coefs[:, 0], coefs[:, 1])  # each entry's pair_weight
         for name, arr in (
             ("freqs", np.array([e.freq for e in self.entries], dtype=float)),
-            ("coefs", np.array([(e.cos_coef, e.sin_coef) for e in self.entries], float).reshape(-1, 2)),
+            ("coefs", coefs),
             ("tails", np.append(np.cumsum(weights[::-1])[::-1], 0.0)),
         ):
             arr.setflags(write=False)
@@ -100,17 +88,12 @@ class Spectrum:
         cls, alpha: float, terms: Iterable[tuple[float, float, float]]
     ) -> "Spectrum":
         """Build from ``(frequency, cos coefficient, sin coefficient)`` triples."""
-        entries = []
-        for freq, c, s in terms:
-            freq = float(freq)
-            if freq == 0.0:
-                if s != 0.0:
-                    raise SpectrumError("sine coefficient at frequency 0 must be 0")
-                amp = complex(c, 0.0)
-            else:
-                amp = complex(0.5 * c, -0.5 * s)
-            entries.append(SpectrumEntry(freq, amp))
-        entries.sort(key=lambda e: e.freq)
+        entries = sorted(
+            (SpectrumEntry(float(freq), float(c), float(s)) for freq, c, s in terms),
+            key=lambda e: e.freq,
+        )
+        if any(e.freq == 0.0 and e.sin_coef != 0.0 for e in entries):
+            raise SpectrumError("sine coefficient at frequency 0 must be 0")
         return cls(float(alpha), tuple(entries))
 
     def max_frequency(self) -> float:
@@ -150,14 +133,12 @@ def _trig_sum(freqs: np.ndarray, coefs: np.ndarray, x: np.ndarray) -> np.ndarray
 
 def _difference_rows(spectrum: Spectrum, shifts) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero frequencies (M,) and the cos/sin rows, shifts.shape +
-    (M, 2), of x -> f(x + t) - f(x) at each shift t: twice each amplitude
-    a times exp(i l t) - 1, the complex product written out."""
+    (M, 2), of x -> f(x + t) - f(x) at each shift t: each term's (c, s)
+    turned by r = exp(i l t) - 1, (c Re r + s Im r, s Re r - c Im r)."""
     moving = spectrum.freqs != 0.0
     lams, (c, s) = spectrum.freqs[moving], spectrum.coefs[moving].T
-    a_re, a_im = 0.5 * c, -0.5 * s
     r = np.exp(1j * np.multiply.outer(shifts, lams)) - 1.0
-    re, im = a_re * r.real - a_im * r.imag, a_re * r.imag + a_im * r.real
-    return lams, 2.0 * np.stack([re, -im], axis=-1)
+    return lams, np.stack([c * r.real + s * r.imag, s * r.real - c * r.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -177,6 +158,9 @@ class ValidationReport:
 
     def codes(self) -> tuple[str, ...]:
         return tuple(i.code for i in self.issues)
+
+    def __str__(self) -> str:
+        return "; ".join(f"{i.code}[{i.index}]: {i.detail}" for i in self.issues)
 
 
 @dataclass(frozen=True)
@@ -234,9 +218,6 @@ class QuasiPeriodicFunction:
         terms = zip(lams.tolist(), *rows.T.tolist())
         return QuasiPeriodicFunction(Spectrum.from_cos_sin(self.spectrum.alpha, terms))
 
-    def sup_bound(self) -> float:
-        return self.spectrum.amplitude_mass()
-
 
 def validate_spectrum(obj) -> ValidationReport:
     """Report ordering, gap, and amplitude violations; never raises."""
@@ -257,12 +238,12 @@ def validate_spectrum(obj) -> ValidationReport:
                 issues.append(
                     ValidationIssue("ordering", i, "zero frequency allowed only first")
                 )
-            if abs(e.amp.imag) > 0.0:
+            if e.sin_coef != 0.0:
                 issues.append(
                     ValidationIssue("dc-amplitude", i, "constant term must be real")
                 )
         else:
-            if e.pair_weight == 0.0:
+            if e.cos_coef == 0.0 and e.sin_coef == 0.0:
                 issues.append(
                     ValidationIssue("zero-amplitude", i, f"entry at {e.freq} has zero amplitude")
                 )
@@ -362,6 +343,5 @@ def load_spectrum(path, allow_invalid: bool = False) -> QuasiPeriodicFunction:
     spec = spectrum_from_dict(data)
     report = validate_spectrum(spec)
     if not report.ok and not allow_invalid:
-        lines = "; ".join(f"{i.code}[{i.index}]: {i.detail}" for i in report.issues)
-        raise SpectrumError(f"invalid spectrum in {path}: {lines}")
+        raise SpectrumError(f"invalid spectrum in {path}: {report}")
     return QuasiPeriodicFunction(spec)

@@ -785,3 +785,56 @@ def test_infinite_config_number_echoes_as_inf(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     first, again = strict_lines(capsys)
     assert first == again
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "theorem, field, value",
+    [
+        ("thm2", "x_samples", "true"),
+        ("thm6", "max_ratio", "true"),
+        ("thm6", "blowup_head", "true"),
+        ("thm6", "n_range", "[true, 8]"),
+        ("thm2", "p", '"3"'),
+        ("thm6", "q", '"2"'),
+        ("thm6", "x", '["0.5"]'),
+        ("thm6", "alpha", '"1"'),
+        ("thm6", "side_tol", '"0.1"'),
+        ("thm6", "majorant", '{"type": "fit", "count": true}'),
+        ("thm6", "majorant", '{"type": "fit", "top": "3"}'),
+    ],
+)
+def test_bool_or_numeric_string_exit_2(tmp_path, capsys, command, theorem, field, value):
+    # each ran, true as 1 and "3" as 3.0; a config number is a JSON number
+    # (or the "inf" a report echo writes)
+    path = tmp_path / "bad.json"
+    path.write_text(
+        f'{{"spectrum": {{"builtin": "smooth"}}, "theorem": "{theorem}", '
+        f'"matrix": {{"builtin": "cesaro"}}, "n_range": [1, 8], "{field}": {value}}}'
+    )
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == field
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("field", ["spectrum", "matrix"])
+@pytest.mark.parametrize(
+    "source",
+    [{"builtin": "nope"}, {"file": "missing.json"}, {"file": "bad.json"}, "smooth", {"bogus": 1}],
+    ids=["unknown-builtin", "missing-file", "bad-json", "not-an-object", "malformed-inline"],
+)
+def test_bad_source_exit_2(tmp_path, capsys, command, field, source):
+    # the spectrum and the matrix are read by one resolver, so each bad
+    # source exits 2 naming its field
+    (tmp_path / "bad.json").write_text("{bad")
+    cfg = {
+        "spectrum": {"builtin": "smooth"},
+        "theorem": "thm6",
+        "matrix": {"builtin": "cesaro"},
+        "n_range": [1, 8],
+        field: source,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path)]) == 2
+    assert one_error_object(capsys)["field"] == field

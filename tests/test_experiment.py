@@ -18,7 +18,7 @@ from apsum.experiment import (
 )
 from apsum import experiment, measures, strong_means
 from apsum.matrices import MatrixError, class_constants
-from apsum.spectra import QuasiPeriodicFunction
+from apsum.spectra import QuasiPeriodicFunction, validate_spectrum
 from apsum.strong_means import strong_mean_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -75,6 +75,11 @@ class TestBuiltinSpectra:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             builtin_spectra("wiggly")
+
+    @pytest.mark.parametrize("name", experiment.BUILTIN_SPECTRA)
+    def test_passes_validation(self, name):
+        # a config validates the function it loads; no builtin may fail that
+        assert validate_spectrum(builtin_spectra(name)).ok
 
 
 class TestBuiltinMatrices:

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apsum import spectra
 from apsum.spectra import (
@@ -112,6 +112,48 @@ class TestArrayForm:
             assert [[e.cos_coef, e.sin_coef] for e in g.spectrum.entries] == want
         xs = rng.uniform(-5.0, 5.0, 7)
         np.testing.assert_allclose(g(xs), f(xs + t) - f(xs), rtol=0.0, atol=1e-12)
+
+
+def old_amp(freq, c, s):
+    """The one-sided complex amplitude (c - i s) / 2 that each entry stored
+    before it kept the file's cos/sin pair (c itself at frequency 0)."""
+    return complex(c, 0.0) if freq == 0.0 else complex(0.5 * c, -0.5 * s)
+
+
+# coefficients and shifts where halving, doubling and every product in the
+# difference rows stay in the normal float range
+normal_coefs = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+normal_terms = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 1e3)), normal_coefs, normal_coefs),
+    min_size=1,
+    max_size=6,
+).map(lambda ts: [(lam, c, 0.0 if lam == 0.0 else s) for lam, c, s in ts])
+shifts = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-3, 100.0), st.floats(-100.0, -1e-3)), min_size=1, max_size=4
+)
+
+
+class TestComplexAmplitudeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(terms=normal_terms, ts=shifts)
+    @example(terms=[(1.0, 0.3, 0.5)], ts=[1.0])  # where math.hypot is an ulp off
+    def test_cos_sin_entries_match_complex_form(self, terms, ts):
+        # equal floats (a zero's sign aside) to the complex-amplitude formulas
+        spec = Spectrum.from_cos_sin(1.0, terms)
+        amps = [(lam, old_amp(lam, c, s)) for lam, c, s in sorted(terms, key=lambda t: t[0])]
+        weights = [abs(a) if lam == 0.0 else 2.0 * abs(a) for lam, a in amps]
+        assert [e.pair_weight for e in spec.entries] == weights
+        assert spec.coefs.tolist() == [
+            [a.real, 0.0] if lam == 0.0 else [2.0 * a.real, -2.0 * a.imag] for lam, a in amps
+        ]
+        assert spec.tails.tolist() == np.append(np.cumsum(weights[::-1])[::-1], 0.0).tolist()
+        lams = np.array([lam for lam, _ in amps if lam != 0.0], dtype=float)
+        a = np.array([a for lam, a in amps if lam != 0.0], dtype=complex)
+        r = np.exp(1j * np.multiply.outer(np.array(ts), lams)) - 1.0
+        re, im = a.real * r.real - a.imag * r.imag, a.real * r.imag + a.imag * r.real
+        got_lams, got = spectra._difference_rows(spec, np.array(ts))
+        assert got_lams.tolist() == lams.tolist()
+        assert got.tolist() == (2.0 * np.stack([re, -im], axis=-1)).tolist()
 
 
 class TestSecondDifference:
