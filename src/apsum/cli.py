@@ -52,6 +52,8 @@ def cmd_classes(args) -> int:
         raise ConfigError("n_range", f"need 0 <= LO <= HI, got LO={lo}, HI={hi}")
     if not math.isfinite(args.threshold):
         raise ConfigError("threshold", f"must be finite, got {args.threshold}")
+    if args.cls not in (None, "gm2") and args.c != 2.0:
+        raise ConfigError("c", f"only gm2 reads c; {args.cls} reads none")
     matrix = load_matrix(args.matrix_file)
     names = [args.cls] if args.cls else CLASS_NAMES
     out = {}

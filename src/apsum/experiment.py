@@ -1,12 +1,14 @@
 """Experiment configuration, built-in test families, and the runner.
 
 A run is fully described by one JSON document (spectrum and matrix
-sources, majorant, exponents, sweep range, grids, thresholds).  The
-runner resolves the inputs, makes one ``ratio_sweep`` of the requested
-bound shape over n for every (x, q), and assembles a deterministic report:
-the sweep's records, ordered by (x, q, n), a summary with the worst ratio
-and every verdict on the run, and the normalized config echoed back so the
-exact run can be reproduced from its own report.
+sources, majorant, exponents, sweep range, grids, thresholds), read with
+the number rule and key check of ``spectra``, each absent field at its
+declared default.  The runner resolves the inputs, makes one
+``ratio_sweep`` of the requested bound shape over n for every (x, q), and
+assembles a deterministic report: the sweep's records, ordered by
+(x, q, n), a summary with the worst ratio and every verdict on the run,
+and the normalized config echoed back so the exact run can be reproduced
+from its own report.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import io
 import itertools
 import json
 import math
-import numbers
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ from .measures import (
 from .spectra import (
     QuasiPeriodicFunction,
     Spectrum,
+    _keys,
+    _number,
     load_spectrum,
     spectrum_from_dict,
     validate_spectrum,
@@ -54,7 +57,13 @@ __all__ = [
     "write_report",
 ]
 
-BUILTIN_SPECTRA = ("smooth", "lacunary", "irrational", "constant")
+# The built-in test functions (gap alpha = 1): (frequency, cos, sin) terms.
+BUILTIN_SPECTRA = {
+    "smooth": [(1.0, 1.0, 0.0), (10.0, 0.1, 0.0)],
+    "lacunary": [(2.0**j, 2.0**-j, 0.0) for j in range(11)],
+    "irrational": [(1.0, 1.0, 0.0), (math.sqrt(2.0) * math.pi, 0.5, 0.0)],
+    "constant": [(0.0, 1.0, 0.0)],
+}
 BUILTIN_MATRICES = ("cesaro", "riesz", "osc-gm2")
 
 
@@ -68,21 +77,9 @@ class ConfigError(ValueError):
 
 def builtin_spectra(name: str) -> QuasiPeriodicFunction:
     """Built-in test functions; all pass spectrum validation."""
-    if name == "smooth":
-        spec = Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (10.0, 0.1, 0.0)])
-    elif name == "lacunary":
-        spec = Spectrum.from_cos_sin(
-            1.0, [(2.0**j, 2.0**-j, 0.0) for j in range(11)]
-        )
-    elif name == "irrational":
-        spec = Spectrum.from_cos_sin(
-            1.0, [(1.0, 1.0, 0.0), (math.sqrt(2.0) * math.pi, 0.5, 0.0)]
-        )
-    elif name == "constant":
-        spec = Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)])
-    else:
+    if name not in BUILTIN_SPECTRA:
         raise ConfigError("spectrum", f"unknown builtin {name!r}")
-    return QuasiPeriodicFunction(spec)
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, BUILTIN_SPECTRA[name]))
 
 
 def builtin_matrices(name: str, params: dict | None = None) -> SummabilityMatrix:
@@ -137,44 +134,34 @@ def _resolve(field: str, src, base_dir: Path):
     builtin, load, inline = _SOURCES[field]
     with _naming(field):
         if "builtin" in src:
+            _keys(src, ("builtin", "params") if field == "matrix" else ("builtin",), field)
             return builtin(src)
         if "file" in src:
+            _keys(src, ("file", "allow_invalid") if field == "spectrum" else ("file",), field)
             return load(base_dir / src["file"])
         return inline(src)
 
 
-def _real(value, field: str, kind=float):
-    """``kind`` of a config number: a JSON number that is not a bool, or the
-    "inf" or "-inf" that the config echo writes for an infinite one.  An int
-    takes integral values only (16.0 is 16, 2.7 is an error).  Anything else
-    is a ConfigError naming ``field``."""
-    number = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
-    if not (number or isinstance(value, str) and value in ("inf", "-inf")):
-        raise ConfigError(field, f"must be a number, got {value!r}")
-    with _naming(field):  # an int beyond the float range
-        out = float(value)
+def _real(value, field: str, kind=float, ok=None, rule=""):
+    """``kind`` of a config number as ``spectra._number`` reads it; an int
+    takes integral values only (16.0 is 16, 2.7 is an error).  A value
+    failing ``ok`` or anything else is a ConfigError naming ``field``."""
+    with _naming(field):
+        out = _number(value)
     if kind is int and not out.is_integer():
         raise ConfigError(field, f"must be an integer, got {value!r}")
+    if ok is not None and not ok(out):
+        raise ConfigError(field, f"must be {rule}, got {value!r}")
     return kind(out)
 
 
-def _numbers(data: dict, field: str, default) -> tuple[float, ...]:
-    """The field's number or list of numbers as a nonempty tuple, else
-    ConfigError: an empty list would check nothing."""
-    value = data.get(field, default)
-    out = tuple(_real(v, field) for v in (value if isinstance(value, (list, tuple)) else [value]))
+def _numbers(value, field: str, ok, rule: str) -> tuple[float, ...]:
+    """A number or list of numbers as a nonempty tuple, each as ``_real``
+    reads it, else ConfigError: an empty list would check nothing."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    out = tuple(_real(v, field, ok=ok, rule=rule) for v in values)
     if not out:
         raise ConfigError(field, "must not be empty")
-    return out
-
-
-def _number(data: dict, field: str, default, kind=float, ok=None, rule=""):
-    """The field's number (or the default) as ``kind``; a value failing
-    ``ok`` is a ConfigError that states ``rule``."""
-    value = data.get(field, default)
-    out = _real(value, field, kind)
-    if ok is not None and not ok(out):
-        raise ConfigError(field, f"must be {rule}, got {value!r}")
     return out
 
 
@@ -184,9 +171,10 @@ def _majorant_source(src: dict | None) -> SamplePlan | ModulusMajorant:
     src = src if src is not None else {"type": "fit"}
     if not isinstance(src, dict):
         raise ConfigError("majorant", "must be an object")
-    if src.get("type") != "fit":
-        with _naming("majorant"):
+    with _naming("majorant"):
+        if src.get("type") != "fit":
             return majorant_from_dict(src)
+        _keys(src, ("type", "count", "top"), "majorant")
     count = _real(src.get("count", 20), "majorant", int)
     top = _real(src.get("top", 2.0 * math.pi), "majorant")
     if not (count >= 1 and 0.0 < top < math.inf):
@@ -229,77 +217,61 @@ class ExperimentConfig:
     ) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
         for key in data:
-            if key not in known:
+            if key not in _DEFAULTS:
                 raise ConfigError(key, "unknown field")
         if "spectrum" not in data:
             raise ConfigError("spectrum", "required")
-        theorem = data.get("theorem", "prop4")
+        raw = {**_DEFAULTS, **data}
+        theorem = raw["theorem"]
         if theorem not in THEOREMS:
             raise ConfigError("theorem", f"unknown theorem {theorem!r}")
-        q = _numbers(data, "q", 1.0)
-        if any(not v > 0.0 for v in q):
-            raise ConfigError("q", "every q must be > 0")
-        c = _number(data, "c", 2.0, ok=lambda v: 1.0 < v < math.inf, rule="finite and > 1")
-        p = _number(data, "p", 2.0, ok=lambda v: v > 1.0, rule="> 1 (or inf)")
-        n_range = data.get("n_range", [1, 64])
+        q = _numbers(raw["q"], "q", lambda v: v > 0.0, "> 0")
+        n_range = raw["n_range"]
         if not (isinstance(n_range, (list, tuple)) and len(n_range) == 2):
             raise ConfigError("n_range", "must be an integer pair [lo, hi]")
         n_range = lo, hi = tuple(_real(v, "n_range", int) for v in n_range)
         if not 0 <= lo <= hi:
             raise ConfigError("n_range", f"need 0 <= lo <= hi, got {list(n_range)}")
-        x = _numbers(data, "x", 0.0)
-        if not all(map(math.isfinite, x)):
-            raise ConfigError("x", f"every x must be finite, got {list(x)}")
-        output = data.get("output")
+        x = _numbers(raw["x"], "x", math.isfinite, "finite")
+        output = raw["output"]
         if output is not None and not isinstance(output, str):
             raise ConfigError("output", f"must be null or a path string, got {output!r}")
-        x_samples = _number(data, "x_samples", 16, int, lambda v: v >= 1, ">= 1")
-        literal = data.get("thm5_literal_exponent", False)
+        literal = raw["thm5_literal_exponent"]
         if not isinstance(literal, bool):
             raise ConfigError("thm5_literal_exponent", f"must be true or false, got {literal!r}")
         with _naming("grid"):
-            grid = WindowGrid(**data.get("grid", {}))
-        if theorem != "thm2" and grid != WindowGrid():
-            raise ConfigError("grid", f"only thm2 takes windowed norms; {theorem} reads no grid")
-        if theorem != "thm5" and (c != 2.0 or literal):
-            field = "c" if c != 2.0 else "thm5_literal_exponent"
-            raise ConfigError(field, f"only thm5 cuts its tails by c; {theorem} reads no {field}")
-        if theorem == "thm2" and data.get("majorant") is not None:
-            raise ConfigError("majorant", "thm2 bounds by translate moduli; it reads no majorant")
-        # every theorem but thm2 bounds by a majorant: a fitted one (the
-        # default) reads p, a given one does not
-        majorant = None if theorem == "thm2" else _majorant_source(data.get("majorant"))
-        if theorem != "thm2" and x_samples != 16:
-            raise ConfigError("x_samples", f"only thm2 samples x; {theorem} reads no x_samples")
-        if p != 2.0 and not (theorem == "thm2" or isinstance(majorant, SamplePlan)):
-            raise ConfigError("p", f"only thm2 and a fit majorant read p; this {theorem} majorant is given")
-        side_tol = _number(data, "side_tol", 0.05, ok=lambda v: v >= 0.0, rule=">= 0")
-        if theorem == "prop4" and side_tol != 0.05:
-            raise ConfigError("side_tol", "prop4 has no side condition; it reads no side_tol")
+            grid = WindowGrid(**data["grid"]) if "grid" in data else raw["grid"]
         cfg = cls(
-            spectrum=data["spectrum"],
+            spectrum=raw["spectrum"],
             theorem=theorem,
-            matrix=data.get("matrix"),
-            majorant=data.get("majorant"),
-            p=p,
+            matrix=raw["matrix"],
+            majorant=raw["majorant"],
+            p=_real(raw["p"], "p", ok=lambda v: v > 1.0, rule="> 1 (or inf)"),
             q=q,
-            c=c,
-            alpha=None if data.get("alpha") is None else _number(data, "alpha", None),
+            c=_real(raw["c"], "c", ok=lambda v: 1.0 < v < math.inf, rule="finite and > 1"),
+            alpha=None if raw["alpha"] is None else _real(raw["alpha"], "alpha"),
             n_range=n_range,
             x=x,
-            x_samples=x_samples,
+            x_samples=_real(raw["x_samples"], "x_samples", int, lambda v: v >= 1, ">= 1"),
             grid=grid,
             thm5_literal_exponent=literal,
-            max_ratio=_number(data, "max_ratio", 50.0, ok=lambda v: v > 0.0, rule="> 0"),
+            max_ratio=_real(raw["max_ratio"], "max_ratio", ok=lambda v: v > 0.0, rule="> 0"),
             # outside n_range the blow-up head or tail is empty and the test off
-            blowup_head=_number(data, "blowup_head", 8, int, lambda v: lo <= v <= hi,
-                                f"in n_range [{lo}, {hi}] (the default is 8)"),
-            blowup_factor=_number(data, "blowup_factor", 2.0, ok=lambda v: v > 0.0, rule="> 0"),
-            side_tol=side_tol,
+            blowup_head=_real(raw["blowup_head"], "blowup_head", int, lambda v: lo <= v <= hi,
+                               f"in n_range [{lo}, {hi}] (the default is {_DEFAULTS['blowup_head']})"),
+            blowup_factor=_real(raw["blowup_factor"], "blowup_factor", ok=lambda v: v > 0.0, rule="> 0"),
+            side_tol=_real(raw["side_tol"], "side_tol", ok=lambda v: v >= 0.0, rule=">= 0"),
             output=output,
         )
+        for field, readers in _READERS.items():
+            if theorem not in readers and getattr(cfg, field) != _DEFAULTS[field]:
+                raise ConfigError(field, f"{theorem} reads no {field}; only {', '.join(readers)} read it")
+        # every theorem but thm2 bounds by a majorant: a fitted one (the
+        # default) reads p, a given one does not
+        majorant = None if theorem == "thm2" else _majorant_source(cfg.majorant)
+        if cfg.p != _DEFAULTS["p"] and not (theorem == "thm2" or isinstance(majorant, SamplePlan)):
+            raise ConfigError("p", f"only thm2 and a fit majorant read p; this {theorem} majorant is given")
         base_dir = Path(base_dir or ".")
         f, refusal = cfg._load_function(base_dir, allow_invalid)
         if cfg.theorem in ("thm2", "thm5", "thm6") and cfg.matrix is None:
@@ -333,8 +305,11 @@ class ExperimentConfig:
         if self.alpha is not None and not math.isclose(self.alpha, f.spectrum.alpha, rel_tol=1e-12):
             msg = f"config alpha {self.alpha} does not match spectrum alpha {f.spectrum.alpha}"
             raise ConfigError("alpha", msg)
+        waived = src.get("allow_invalid", False)  # only a file source may carry it
+        if not isinstance(waived, bool):
+            raise ConfigError("spectrum", f"allow_invalid must be true or false, got {waived!r}")
         report = validate_spectrum(f)
-        if report.ok or ("file" in src and src.get("allow_invalid")):
+        if report.ok or waived:
             return f, None
         refusal = f"invalid spectrum: {report}"
         if not allow_invalid:
@@ -368,6 +343,21 @@ class ExperimentConfig:
         if self._refusal is not None:
             raise ConfigError("spectrum", self._refusal)
         return self._function, self._matrix
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+# The theorems that read each field some bound shapes never read.  Others
+# take it at its default only, which every report echo carries, so an echo
+# reruns as any theorem.
+_READERS = {
+    "grid": ("thm2",),
+    "x_samples": ("thm2",),
+    "c": ("thm5",),
+    "thm5_literal_exponent": ("thm5",),
+    "majorant": ("prop4", "thm5", "thm6"),
+    "side_tol": ("thm2", "thm5", "thm6"),
+}
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .spectra import _keys, _number
+
 __all__ = [
     "MatrixError",
     "SummabilityMatrix",
@@ -324,29 +326,36 @@ def explicit_matrix(rows: Sequence[Sequence[float]]) -> SummabilityMatrix:
     return SummabilityMatrix("explicit", row_fn, {"rows": len(stored)})
 
 
+# Per matrix type: its builder and the reader of each key of its params.
+_MATRIX_TYPES = {
+    "explicit": (explicit_matrix, {}),
+    "cesaro": (cesaro_matrix, {}),
+    "riesz": (riesz_matrix, {"weights": lambda ps: [_number(p) for p in ps], "exponent": _number}),
+    "osc-gm2": (osc_gm2_matrix, {"c": _number}),
+}
+
+
 def matrix_from_dict(data: dict) -> SummabilityMatrix:
-    """The matrix a JSON object describes; MatrixError for a malformed one."""
+    """The matrix of a JSON object ``type``, ``params`` and, if explicit,
+    ``rows``; MatrixError for any other key or a malformed value."""
     if not isinstance(data, dict) or "type" not in data:
         raise MatrixError(f"matrix data must be an object with a 'type', got {data!r}")
-    kind, params = data["type"], data.get("params", {})
-    if not isinstance(params, dict):
-        raise MatrixError(f"matrix params must be an object, got {params!r}")
+    kind = data["type"]
+    if not (isinstance(kind, str) and kind in _MATRIX_TYPES):
+        raise MatrixError(f"unknown matrix type {kind!r}")
+    build, readers = _MATRIX_TYPES[kind]
     try:
+        _keys(data, ("type", "params", "rows") if kind == "explicit" else ("type", "params"), "matrix")
+        params = _keys(data.get("params", {}), readers, f"{kind} params")
         if kind == "explicit":
-            return explicit_matrix(data["rows"])
-        if kind == "cesaro":
-            return cesaro_matrix()
-        if kind == "riesz":
-            return riesz_matrix(weights=params.get("weights"), exponent=params.get("exponent"))
-        if kind == "osc-gm2":
-            return osc_gm2_matrix(c=float(params.get("c", 2.0)))
+            return build([[_number(v) for v in row] for row in data["rows"]])
+        return build(**{key: readers[key](value) for key, value in params.items()})
     except MatrixError:
         raise
     except KeyError as exc:
         raise MatrixError(f"{kind} matrix data missing {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MatrixError(f"malformed {kind} matrix data: {exc}") from None
-    raise MatrixError(f"unknown matrix type {kind!r}")
 
 
 def load_matrix(path) -> SummabilityMatrix:

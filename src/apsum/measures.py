@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _trig_sum, power_mean
+from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _keys, _number, _trig_sum, power_mean
 
 __all__ = [
     "ModulusMajorant",
@@ -87,18 +87,8 @@ EQ7_SLACK = 1e-9
 T_LATTICE = 2.0 * math.pi / 64.0
 
 
-class ModulusMajorant:
-    """Interface: callable on delta >= 0, scalable, serializable."""
-
-    def __call__(self, delta):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "ModulusMajorant":  # pragma: no cover
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PowerModulus(ModulusMajorant):
+class PowerModulus:
     """w(delta) = coef * min(delta, cap) ** exponent with 0 < exponent <= 1."""
 
     coef: float
@@ -123,7 +113,7 @@ class PowerModulus(ModulusMajorant):
 
 
 @dataclass(frozen=True)
-class TableModulus(ModulusMajorant):
+class TableModulus:
     """Piecewise-linear majorant through (0,0); constant beyond the last knot.
 
     Construction verifies nondecreasing values and subadditivity on every
@@ -166,16 +156,24 @@ class TableModulus(ModulusMajorant):
         return TableModulus(tuple((d, w * factor) for d, w in self.knots))
 
 
+# A majorant: callable on delta >= 0, scalable by ``scaled``, serializable.
+ModulusMajorant = PowerModulus | TableModulus
+
+
 def majorant_from_dict(data: dict) -> ModulusMajorant:
+    """The majorant of a JSON object: power (``C``, ``gamma``, ``cap``) or
+    table (``knots``); TypeError for any other key or a non-number."""
     kind = data.get("type")
     if kind == "power":
+        _keys(data, ("type", "C", "gamma", "cap"), "majorant")
         return PowerModulus(
-            float(data["C"]),
-            float(data.get("gamma", 1.0)),
-            float(data.get("cap", math.inf)),
+            _number(data["C"]),
+            _number(data.get("gamma", 1.0)),
+            _number(data.get("cap", math.inf)),
         )
     if kind == "table":
-        return TableModulus(tuple((float(d), float(w)) for d, w in data["knots"]))
+        _keys(data, ("type", "knots"), "majorant")
+        return TableModulus(tuple((_number(d), _number(w)) for d, w in data["knots"]))
     raise ValueError(f"unknown majorant type {kind!r}")
 
 
@@ -194,20 +192,12 @@ def majorant_to_dict(w: ModulusMajorant) -> dict:
 WINDOW_PANELS = 16
 
 
-def _finite_positive(value) -> bool:
-    """A number (not a bool or string) in (0, inf)."""
-    try:
-        return not isinstance(value, (bool, str)) and 0.0 < float(value) < math.inf
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 @dataclass(frozen=True)
 class WindowGrid:
     """Sampling plan for the windowed norms: ``u_samples`` (an integer
     >= 1; 64.0 is 64) window starts over ``u_span``, refined around the
     best when ``refine`` (a bool), each window ``window_length`` long; both
-    lengths finite and > 0, else ValueError.
+    lengths finite and > 0; TypeError for a non-number, else ValueError.
 
     ``u_span = None`` spans one common period of the spectrum when the
     frequencies lock onto a rational grid, else 64 periods of the slowest
@@ -221,13 +211,13 @@ class WindowGrid:
     refine: bool = True
 
     def __post_init__(self):
-        n = self.u_samples
-        if not (_finite_positive(n) and float(n).is_integer()):
-            raise ValueError(f"u_samples must be an integer >= 1, got {n!r}")
+        n = _number(self.u_samples)
+        if not (1.0 <= n < math.inf and n.is_integer()):
+            raise ValueError(f"u_samples must be an integer >= 1, got {self.u_samples!r}")
         object.__setattr__(self, "u_samples", int(n))
-        if not _finite_positive(self.window_length):
+        if not 0.0 < _number(self.window_length) < math.inf:
             raise ValueError(f"window_length must be finite and > 0, got {self.window_length!r}")
-        if self.u_span is not None and not _finite_positive(self.u_span):
+        if self.u_span is not None and not 0.0 < _number(self.u_span) < math.inf:
             raise ValueError(f"u_span must be null or finite and > 0, got {self.u_span!r}")
         if not isinstance(self.refine, bool):
             raise ValueError(f"refine must be true or false, got {self.refine!r}")

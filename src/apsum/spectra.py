@@ -13,12 +13,15 @@ Consecutive frequencies must be separated by at least the declared gap
 Evaluation, cutoff sums and tails, symmetric second differences, and
 finite-span mean Fourier coefficients are all pure functions of immutable
 inputs, as is ``power_mean``, which the strong means and the measures share.
+``_number`` and ``_keys`` read every number and object of the package's
+JSON inputs: spectrum, matrix, majorant, window grid and config.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,6 +48,26 @@ FREQ_RTOL = 1e-12
 
 class SpectrumError(ValueError):
     """Raised when a spectrum violates its structural constraints."""
+
+
+def _number(value) -> float:
+    """A JSON number that is not a bool, or the "inf" or "-inf" that a
+    config echo writes, as a float; TypeError for anything else."""
+    number = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    if not (number or isinstance(value, str) and value in ("inf", "-inf")):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)  # OverflowError for an int beyond the float range
+
+
+def _keys(obj, allowed, what: str):
+    """``obj`` if it is a JSON object whose every key is in ``allowed``;
+    TypeError naming ``what`` for anything else."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in allowed:
+            raise TypeError(f"unknown {what} key {key!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -315,13 +338,15 @@ def fourier_coefficient(f: QuasiPeriodicFunction, freq: float, span: float) -> c
 
 
 def spectrum_from_dict(data: dict) -> Spectrum:
+    """The spectrum of a JSON object ``alpha``, ``entries``, each entry
+    ``lambda`` with ``cos`` and ``sin`` (0 if absent); else SpectrumError."""
     try:
-        alpha = float(data["alpha"])
-        terms = [
-            (float(e["lambda"]), float(e.get("cos", 0.0)), float(e.get("sin", 0.0)))
-            for e in data["entries"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        alpha = _number(_keys(data, ("alpha", "entries"), "spectrum")["alpha"])
+        terms = []
+        for e in data["entries"]:
+            _keys(e, ("lambda", "cos", "sin"), "spectrum entry")
+            terms.append((_number(e["lambda"]), _number(e.get("cos", 0.0)), _number(e.get("sin", 0.0))))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpectrumError(f"malformed spectrum data: {exc}") from exc
     return Spectrum.from_cos_sin(alpha, terms)
 

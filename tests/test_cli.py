@@ -387,6 +387,15 @@ def test_classes_bad_c_or_threshold_exit_2(cesaro_file, capsys, argv):
     assert one_error_object(capsys)["field"] == field
 
 
+@pytest.mark.parametrize("cls", ["ms", "rbvs", "gm"])
+def test_classes_c_that_no_constant_reads_exit_2(cesaro_file, capsys, cls):
+    # only the gm2 constant reads c: --class ms --c 5 ran and exited 0
+    assert main(["classes", str(cesaro_file), "--class", cls, "--c", "5"]) == 2
+    assert one_error_object(capsys)["field"] == "c"
+    for argv in (["--class", cls, "--c", "2"], ["--class", "gm2", "--c", "5"], ["--c", "5"]):
+        assert main(["classes", str(cesaro_file), *argv]) == 0
+
+
 def test_classes_infinite_osc_gm2_c_exit_2(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text('{"type": "osc-gm2", "params": {"c": 1e400}}')
@@ -661,6 +670,13 @@ def test_run_that_checks_nothing_exit_3(tmp_path, capsys, command):
         ("thm5", "x_samples", "32"),
         ("thm6", "x_samples", "1"),
         ("prop4", "side_tol", "0.0"),
+        ("thm6", "spectrum", '{"alpha": 1, "entries": [{"lambda": 1, "cos": 1, "sine": 3}]}'),
+        ("thm5", "matrix", '{"builtin": "osc-gm2", "params": {"cc": 3}}'),
+        ("thm6", "matrix", '{"builtin": "cesaro", "params": {"c": 3}}'),
+        ("thm6", "matrix", '{"builtin": "cesaro", "file": "x.json"}'),
+        ("thm6", "majorant", '{"type": "power", "C": 1, "gama": 0.5}'),
+        ("thm6", "majorant", '{"type": "fit", "cont": 3}'),
+        ("thm6", "majorant", '{"type": "fit", "C": 3}'),
     ],
 )
 def test_field_the_theorem_never_reads_exit_2(tmp_path, capsys, command, theorem, field, value):
@@ -802,6 +818,15 @@ def test_infinite_config_number_echoes_as_inf(tmp_path, capsys):
         ("thm6", "side_tol", '"0.1"'),
         ("thm6", "majorant", '{"type": "fit", "count": true}'),
         ("thm6", "majorant", '{"type": "fit", "top": "3"}'),
+        ("thm6", "spectrum", '{"alpha": 1, "entries": [{"lambda": true, "cos": 1}]}'),
+        ("thm6", "spectrum", '{"alpha": 1, "entries": [{"lambda": 1, "cos": "1"}]}'),
+        ("thm6", "spectrum", '{"alpha": true, "entries": [{"lambda": 1, "cos": 1}]}'),
+        ("thm5", "matrix", '{"builtin": "osc-gm2", "params": {"c": "3"}}'),
+        ("thm6", "matrix", '{"type": "riesz", "params": {"exponent": true}}'),
+        ("thm6", "matrix", '{"type": "riesz", "params": {"weights": [1, "1", 1, 1, 1, 1, 1, 1, 1]}}'),
+        ("thm6", "matrix", '{"type": "explicit", "rows": [[true], [1], [1], [1], [1], [1], [1], [1], [1]]}'),
+        ("thm6", "majorant", '{"type": "power", "C": "1"}'),
+        ("thm6", "majorant", '{"type": "table", "knots": [[0, 0], [1, true]]}'),
     ],
 )
 def test_bool_or_numeric_string_exit_2(tmp_path, capsys, command, theorem, field, value):
@@ -820,8 +845,16 @@ def test_bool_or_numeric_string_exit_2(tmp_path, capsys, command, theorem, field
 @pytest.mark.parametrize("field", ["spectrum", "matrix"])
 @pytest.mark.parametrize(
     "source",
-    [{"builtin": "nope"}, {"file": "missing.json"}, {"file": "bad.json"}, "smooth", {"bogus": 1}],
-    ids=["unknown-builtin", "missing-file", "bad-json", "not-an-object", "malformed-inline"],
+    [
+        {"builtin": "nope"},
+        {"file": "missing.json"},
+        {"file": "bad.json"},
+        "smooth",
+        {"bogus": 1},
+        # read as a spectrum and as a matrix alike, each reader skipping the other's keys
+        {"type": "cesaro", "alpha": 1.0, "entries": [{"lambda": 1.0, "cos": 1.0}]},
+    ],
+    ids=["unknown-builtin", "missing-file", "bad-json", "not-an-object", "malformed-inline", "foreign-keys"],
 )
 def test_bad_source_exit_2(tmp_path, capsys, command, field, source):
     # the spectrum and the matrix are read by one resolver, so each bad

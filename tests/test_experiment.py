@@ -446,6 +446,17 @@ class TestResolveOnce:
         )
         assert run(cfg).summary["records"] == 16
 
+    @pytest.mark.parametrize("flag", ["false", 1])
+    def test_file_flag_must_be_bool(self, tmp_path, flag):
+        # "false" and 1 are truthy, so either waived validation and the
+        # gapped spectrum ran
+        (tmp_path / "spec.json").write_text(json.dumps(GAPPED))
+        spectrum = {"file": "spec.json", "allow_invalid": flag}
+        data = dict(BASE, theorem="thm6", spectrum=spectrum, matrix={"builtin": "cesaro"})
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(data, base_dir=tmp_path)
+        assert err.value.field == "spectrum" and "allow_invalid" in str(err.value)
+
 
 class TestBlowUpVerdict:
     def test_no_false_alarm_near_zeros_of_f(self):

@@ -293,6 +293,15 @@ class TestMatrices:
             ({"type": "osc-gm2", "params": {"c": "x"}}, "malformed osc-gm2"),
             ({"type": "explicit"}, "missing 'rows'"),
             ([{"type": "cesaro"}], "must be an object"),
+            ({"type": "cesaro", "params": {"c": 3}}, "unknown cesaro params key 'c'"),
+            ({"type": "osc-gm2", "params": {"cc": 3}}, "unknown osc-gm2 params key 'cc'"),
+            ({"type": "cesaro", "file": "x.json"}, "unknown matrix key 'file'"),
+            ({"type": "cesaro", "rows": [[1.0]]}, "unknown matrix key 'rows'"),
+            ({"type": "osc-gm2", "params": {"c": True}}, "malformed osc-gm2"),
+            ({"type": "riesz", "params": {"exponent": "2"}}, "malformed riesz"),
+            ({"type": "riesz", "params": {"weights": [1.0, True]}}, "malformed riesz"),
+            ({"type": "explicit", "rows": [[True]]}, "malformed explicit"),
+            ({"type": "explicit", "rows": [["1"]]}, "malformed explicit"),
         ],
     )
     def test_from_dict_malformed(self, data, match):
