@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from apsum.experiment import builtin_spectra
@@ -29,12 +28,11 @@ def main(argv=None) -> int:
         f = builtin_spectra(args.spectrum)
 
     plan = SamplePlan.default(count=args.grid)
-    pts = [2.0 * math.pi * i / args.grid for i in range(1, args.grid + 1)]
     all_ok = True
     for x in args.x:
         w, report = fit_class_majorant(f, x, args.p, plan)
         violations = sum(
-            (not check_eq7(f, x, w, d1, d2)) for d1 in pts for d2 in pts
+            (not check_eq7(f, x, w, d1, d2)) for d1 in plan.points for d2 in plan.points
         )
         all_ok = all_ok and violations == 0
         print(

@@ -7,6 +7,7 @@ from .spectra import (
     QuasiPeriodicFunction,
     fourier_coefficient,
     load_spectrum,
+    power_mean,
     validate_spectrum,
 )
 from .kernels import (
@@ -52,7 +53,6 @@ from .measures import (
 )
 from .strong_means import (
     RatioRecord,
-    power_mean,
     ratio_sweep,
     strong_mean_rows,
 )

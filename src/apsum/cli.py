@@ -25,7 +25,7 @@ from .experiment import (
     strong_mean_table,
     write_report,
 )
-from .matrices import CLASS_NAMES, MatrixError, class_membership, load_matrix
+from .matrices import CLASS_NAMES, GM2_C, MatrixError, class_membership, load_matrix
 from .spectra import SpectrumError, validate_spectrum
 from .strong_means import THEOREMS
 
@@ -52,7 +52,7 @@ def cmd_classes(args) -> int:
         raise ConfigError("n_range", f"need 0 <= LO <= HI, got LO={lo}, HI={hi}")
     if not math.isfinite(args.threshold):
         raise ConfigError("threshold", f"must be finite, got {args.threshold}")
-    if args.cls not in (None, "gm2") and args.c != 2.0:
+    if args.cls not in (None, "gm2") and args.c != GM2_C:
         raise ConfigError("c", f"only gm2 reads c; {args.cls} reads none")
     matrix = load_matrix(args.matrix_file)
     names = [args.cls] if args.cls else CLASS_NAMES
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="sequence-class constants of a matrix file")
     p.add_argument("matrix_file")
     p.add_argument("--class", dest="cls", choices=CLASS_NAMES)
-    p.add_argument("--c", type=float, default=2.0)
+    p.add_argument("--c", type=float, default=GM2_C)
     p.add_argument("--threshold", type=float, default=8.0)
     p.add_argument("--n-range", nargs=2, type=int, default=[0, 64], metavar=("LO", "HI"))
     p.set_defaults(func=cmd_classes)

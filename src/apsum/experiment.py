@@ -24,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import SummabilityMatrix, load_matrix, matrix_from_dict, row_table, side_condition
+from .matrices import GM2_C, SIDE_TOL, SummabilityMatrix, load_matrix, matrix_from_dict, row_table, side_condition
 from .measures import (
+    PLAN_COUNT,
+    PLAN_TOP,
     ModulusMajorant,
     SamplePlan,
     WindowGrid,
@@ -175,8 +177,8 @@ def _majorant_source(src: dict | None) -> SamplePlan | ModulusMajorant:
         if src.get("type") != "fit":
             return majorant_from_dict(src)
         _keys(src, ("type", "count", "top"), "majorant")
-    count = _real(src.get("count", 20), "majorant", int)
-    top = _real(src.get("top", 2.0 * math.pi), "majorant")
+    count = _real(src.get("count", PLAN_COUNT), "majorant", int)
+    top = _real(src.get("top", PLAN_TOP), "majorant")
     if not (count >= 1 and 0.0 < top < math.inf):
         raise ConfigError("majorant", f"fit needs count >= 1 and 0 < top < inf, got {src!r}")
     return SamplePlan.default(top=top, count=count)
@@ -198,7 +200,7 @@ class ExperimentConfig:
     majorant: dict | None = None
     p: float = 2.0
     q: tuple[float, ...] = (1.0,)
-    c: float = 2.0
+    c: float = GM2_C
     alpha: float | None = None
     n_range: tuple[int, int] = (1, 64)
     x: tuple[float, ...] = (0.0,)
@@ -208,7 +210,7 @@ class ExperimentConfig:
     max_ratio: float = 50.0
     blowup_head: int = 8
     blowup_factor: float = 2.0
-    side_tol: float = 0.05
+    side_tol: float = SIDE_TOL
     output: str | None = None
 
     @classmethod

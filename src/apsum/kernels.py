@@ -286,7 +286,7 @@ def partial_sum_kernel_table(
     return values[:, np.searchsorted(bands, plan)] - terms @ hits.T
 
 
-def kernel_mass(alpha: float, k, cfg: QuadratureConfig | None = None):
+def kernel_mass(alpha: float, k):
     """Numerical int_0^inf Psi_k(t) dt for a scalar k (a float) or an array
     of k (an array, from one table call).
 
@@ -297,5 +297,5 @@ def kernel_mass(alpha: float, k, cfg: QuadratureConfig | None = None):
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     half = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, [(0.0, 0.5, 0.0)]))
-    masses = partial_sum_kernel_table(half, np.ravel(k), [0.0], cfg)[0]
+    masses = partial_sum_kernel_table(half, np.ravel(k), [0.0])[0]
     return float(masses[0]) if np.ndim(k) == 0 else masses.reshape(np.shape(k))

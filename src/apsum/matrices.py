@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
+# The paper's window factor c of GM2, and the largest a[n, 0] the side
+# condition lets through over the last quarter of a sweep.
+GM2_C = 2.0
+SIDE_TOL = 0.05
 
 
 class MatrixError(ValueError):
@@ -141,7 +145,7 @@ def _check_class(class_name: str, c: float) -> None:
         raise MatrixError(f"c must be > 1 and finite, got {c}")
 
 
-def class_constants(class_name: str, rows, c: float = 2.0) -> np.ndarray:
+def class_constants(class_name: str, rows, c: float = GM2_C) -> np.ndarray:
     """The class constant of every nonnegative row, all from one zero-padded
     row table; MatrixError for an unknown class, a gm2 ``c`` outside
     (1, inf) or an rbvs row that is identically zero.  A row reads only its
@@ -184,7 +188,7 @@ class ClassReport:
 
 
 def side_condition(
-    matrix: SummabilityMatrix, n_values: Sequence[int], tol: float = 0.05
+    matrix: SummabilityMatrix, n_values: Sequence[int], tol: float = SIDE_TOL
 ) -> tuple[bool, tuple[float, ...]]:
     """Check that a[n, 0] is heading to zero across the sweep.
 
@@ -203,8 +207,7 @@ def class_membership(
     class_name: str,
     threshold: float,
     n_range: Sequence[int],
-    c: float = 2.0,
-    side_tol: float = 0.05,
+    c: float = GM2_C,
 ) -> ClassReport:
     """Class constants of the rows of ``n_range``, all from one row table, and
     the sup-over-rows verdict; a bad class or c raises before any row is read."""
@@ -215,7 +218,7 @@ def class_membership(
     rows = [matrix.row(n) for n in n_values]
     constants = tuple(class_constants(class_name, rows, c).tolist()) if rows else ()
     sup_c = max(constants) if constants else 0.0
-    side_ok = side_condition(matrix, n_values, side_tol)[0] if n_values else None
+    side_ok = side_condition(matrix, n_values)[0] if n_values else None
     return ClassReport(
         class_name=class_name,
         n_values=n_values,
@@ -291,24 +294,27 @@ def osc_gm2_row(n: int) -> np.ndarray:
     return b / b.sum()
 
 
-def osc_gm2_matrix(
-    c: float = 2.0,
-    gm2_threshold: float = 8.0,
-    check_rows: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 192, 256),
-) -> SummabilityMatrix:
+# The gm2 constant every osc-gm2 check row must stay within, and those rows.
+OSC_GM2_THRESHOLD = 8.0
+OSC_GM2_CHECK_ROWS = (1, 2, 4, 8, 16, 32, 64, 128, 192, 256)
+
+
+def osc_gm2_matrix(c: float = GM2_C) -> SummabilityMatrix:
     """Oscillating non-monotone family, class-checked at construction.
 
     Raises MatrixError if any check row exceeds the claimed gm2 constant or
-    if the family fails to break monotonicity where it should.
+    if the family fails to break monotonicity where it should.  Every c in
+    (1, 2) fails: the gm2 window [1, floor(c)] of row 2, (1/2, 0, 1/2),
+    holds only its zero a_1, so that row's constant is inf.
     """
     m = SummabilityMatrix("osc-gm2", osc_gm2_row, {"c": c})
-    report = class_membership(m, "gm2", gm2_threshold, check_rows, c)
+    report = class_membership(m, "gm2", OSC_GM2_THRESHOLD, OSC_GM2_CHECK_ROWS, c)
     for n, k in zip(report.n_values, report.constants):
-        if not k <= gm2_threshold:
+        if not k <= OSC_GM2_THRESHOLD:
             raise MatrixError(
-                f"osc-gm2 row {n} has gm2 constant {k:.3g} > {gm2_threshold}"
+                f"osc-gm2 row {n} has gm2 constant {k:.3g} > {OSC_GM2_THRESHOLD}"
             )
-    if np.all(np.diff(m.row(max(4, check_rows[0]))) <= 0.0):
+    if np.all(np.diff(m.row(4)) <= 0.0):
         raise MatrixError("osc-gm2 family unexpectedly monotone")
     return m
 

@@ -166,11 +166,9 @@ def majorant_from_dict(data: dict) -> ModulusMajorant:
     kind = data.get("type")
     if kind == "power":
         _keys(data, ("type", "C", "gamma", "cap"), "majorant")
-        return PowerModulus(
-            _number(data["C"]),
-            _number(data.get("gamma", 1.0)),
-            _number(data.get("cap", math.inf)),
-        )
+        optional = {"gamma": "exponent", "cap": "cap"}  # absent: PowerModulus's default
+        given = {optional[key]: _number(value) for key, value in data.items() if key in optional}
+        return PowerModulus(_number(data["C"]), **given)
     if kind == "table":
         _keys(data, ("type", "knots"), "majorant")
         return TableModulus(tuple((_number(d), _number(w)) for d, w in data["knots"]))
@@ -560,27 +558,35 @@ def best_approx_tail(f: QuasiPeriodicFunction, sigma: float) -> float:
     return float(f.spectrum.tail_mass(sigma))
 
 
+# The default sample plan: ``PLAN_COUNT`` equal steps up to ``PLAN_TOP``.
+PLAN_TOP = 2.0 * math.pi
+PLAN_COUNT = 20
+
+
 @dataclass(frozen=True)
 class SamplePlan:
-    """Shift/width samples for the class-constant estimation: shifts
-    +-gamma and widths delta.  The p = 2 moduli are closed forms; other
-    finite p integrate over [0, delta] on panels sized to the fastest
+    """Samples for the class-constant estimation: each point serves as a
+    shift +-gamma and as a width delta.  The p = 2 moduli are closed forms;
+    other finite p integrate over [0, delta] on panels sized to the fastest
     spectral oscillation."""
 
-    gammas: tuple[float, ...]
-    deltas: tuple[float, ...]
+    points: tuple[float, ...]
 
     @classmethod
-    def default(cls, top: float = 2.0 * math.pi, count: int = 20) -> "SamplePlan":
-        pts = tuple(top * i / count for i in range(1, count + 1))
-        return cls(gammas=pts, deltas=pts)
+    def default(cls, top: float = PLAN_TOP, count: int = PLAN_COUNT) -> "SamplePlan":
+        return cls(tuple(top * i / count for i in range(1, count + 1)))
+
+
+# The widths at which ``fit_majorant`` samples the pointwise modulus.
+FIT_DELTAS = SamplePlan.default(count=40).points
 
 
 @dataclass(frozen=True)
 class OmegaClassReport:
+    """Class constants C1 and C2 of a majorant, a member when both are <= 1."""
+
     c1: float
     c2: float
-    threshold: float
     worst_gamma: float
     worst_delta: float
 
@@ -590,17 +596,18 @@ class OmegaClassReport:
 
     @property
     def member(self) -> bool:
-        return self.constant <= self.threshold
+        return self.constant <= 1.0
 
 
 def _class_lhs(
     f: QuasiPeriodicFunction, x: float, p: float, plan: SamplePlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lhs of both class constants: shifted-difference means shaped
-    (gammas, deltas, signs) and pointwise moduli shaped (deltas,)."""
-    shifts = [s * g for g in plan.gammas for s in (1.0, -1.0)]
-    point, shifted = moduli(f, x, plan.deltas, shifts, p)
-    shifted = shifted.reshape(len(plan.deltas), len(plan.gammas), 2)
+    (gammas, deltas, signs) and pointwise moduli shaped (deltas,), the
+    plan's points as both gammas and deltas."""
+    shifts = [s * g for g in plan.points for s in (1.0, -1.0)]
+    point, shifted = moduli(f, x, plan.points, shifts, p)
+    shifted = shifted.reshape(len(plan.points), len(plan.points), 2)
     return shifted.transpose(1, 0, 2), point
 
 
@@ -617,17 +624,12 @@ def _worst(lhs: np.ndarray, wv: np.ndarray, keys) -> tuple[float, float]:
 
 
 def _class_report(
-    shifted: np.ndarray,
-    point: np.ndarray,
-    plan: SamplePlan,
-    w: ModulusMajorant,
-    threshold: float,
+    shifted: np.ndarray, point: np.ndarray, plan: SamplePlan, w: ModulusMajorant
 ) -> OmegaClassReport:
-    wg = np.array([float(w(g)) for g in plan.gammas])
-    wd = np.array([float(w(d)) for d in plan.deltas])
-    c1, worst_g = _worst(shifted, wg[:, None, None], plan.gammas)
-    c2, worst_d = _worst(point, wd, plan.deltas)
-    return OmegaClassReport(c1, c2, threshold, worst_g, worst_d)
+    wv = w(np.array(plan.points))  # one majorant call on every point
+    c1, worst_g = _worst(shifted, wv[:, None, None], plan.points)
+    c2, worst_d = _worst(point, wv, plan.points)
+    return OmegaClassReport(c1, c2, worst_g, worst_d)
 
 
 def omega_class_check(
@@ -636,14 +638,13 @@ def omega_class_check(
     w: ModulusMajorant,
     p: float,
     plan: SamplePlan | None = None,
-    threshold: float = 1.0,
 ) -> OmegaClassReport:
     """Estimate the smallest constants making the majorant dominate both the
     shifted-difference means (C1) and the pointwise modulus (C2) on the
     sample grid.  phi_x is even, so the minus shift is scanned as t - gamma
     with t - gamma < 0 folded back by evenness."""
     plan = plan or SamplePlan.default()
-    return _class_report(*_class_lhs(f, x, p, plan), plan, w, threshold)
+    return _class_report(*_class_lhs(f, x, p, plan), plan, w)
 
 
 def check_eq7(
@@ -679,19 +680,11 @@ def _concave_envelope(points: list[tuple[float, float]]) -> list[tuple[float, fl
     return hull[: peak + 1]
 
 
-def fit_majorant(
-    f: QuasiPeriodicFunction,
-    x: float,
-    p: float,
-    deltas=None,
-) -> TableModulus:
-    """Concave nondecreasing table majorant dominating the sampled pointwise
-    modulus; constant beyond the peak."""
-    if deltas is None:
-        deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
-    deltas = [float(d) for d in deltas]
-    point, _ = moduli(f, x, deltas, (), p)
-    samples = [(0.0, 0.0)] + list(zip(deltas, point.tolist()))
+def fit_majorant(f: QuasiPeriodicFunction, x: float, p: float) -> TableModulus:
+    """Concave nondecreasing table majorant dominating the pointwise modulus
+    sampled at ``FIT_DELTAS``; constant beyond the peak."""
+    point, _ = moduli(f, x, FIT_DELTAS, (), p)
+    samples = [(0.0, 0.0)] + list(zip(FIT_DELTAS, point.tolist()))
     return TableModulus(tuple(_concave_envelope(samples)))
 
 
@@ -709,11 +702,11 @@ def fit_class_majorant(
     plan = plan or SamplePlan.default()
     base = fit_majorant(f, x, p)
     lhs = _class_lhs(f, x, p, plan)
-    rep = _class_report(*lhs, plan, base, 1.0)
+    rep = _class_report(*lhs, plan, base)
     scale = max(rep.constant, 1.0) * (1.0 + 1e-9)
     if not math.isfinite(scale):
         raise ValueError(
             "fitted majorant vanishes where the moduli do not; cannot rescale"
         )
     w = base.scaled(scale)
-    return w, _class_report(*lhs, plan, w, 1.0)
+    return w, _class_report(*lhs, plan, w)

@@ -362,11 +362,13 @@ def spectrum_to_dict(spec: Spectrum) -> dict:
 
 
 def load_spectrum(path, allow_invalid: bool = False) -> QuasiPeriodicFunction:
-    """Load a spectrum file, rejecting structural violations by default."""
+    """Load a spectrum file, rejecting structural violations unless
+    ``allow_invalid``, which skips validation altogether."""
     with open(path) as fh:
         data = json.load(fh)
     spec = spectrum_from_dict(data)
-    report = validate_spectrum(spec)
-    if not report.ok and not allow_invalid:
-        raise SpectrumError(f"invalid spectrum in {path}: {report}")
+    if not allow_invalid:
+        report = validate_spectrum(spec)
+        if not report.ok:
+            raise SpectrumError(f"invalid spectrum in {path}: {report}")
     return QuasiPeriodicFunction(spec)

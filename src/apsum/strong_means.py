@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SummabilityMatrix, row_table
+from .matrices import GM2_C, SummabilityMatrix, row_table
 from .measures import WindowGrid, modulus_omega
 from .spectra import QuasiPeriodicFunction, power_mean
 
-__all__ = ["THEOREMS", "power_mean", "RatioRecord", "ratio_sweep", "strong_mean_rows"]
+__all__ = ["THEOREMS", "RatioRecord", "ratio_sweep", "strong_mean_rows"]
 
 
 def strong_mean_rows(f: QuasiPeriodicFunction, xs, table: np.ndarray, qs):
@@ -105,7 +105,7 @@ def ratio_sweep(
     x_grid=None,
     p: float | None = None,
     grid: WindowGrid | None = None,
-    c: float = 2.0,
+    c: float = GM2_C,
     thm5_literal_exponent: bool = False,
 ) -> list[RatioRecord]:
     """Per-n lhs/rhs/ratio records of one bound shape for every (x, q).

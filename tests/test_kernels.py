@@ -16,7 +16,7 @@ from apsum.kernels import (
     tail_bound,
 )
 from apsum import kernels
-from apsum.spectra import GL_NODES, Spectrum, QuasiPeriodicFunction, _gl_panels
+from apsum.spectra import GL_NODES, Spectrum, SpectrumError, QuasiPeriodicFunction, _gl_panels
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 SMOOTH = QuasiPeriodicFunction(
@@ -226,6 +226,16 @@ class TestKernelRoute:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             partial_sum_kernel_table(SMOOTH, [0], [0.0])
+
+    @pytest.mark.parametrize(
+        "freqs, match",
+        [((1.1, 1.4), "holds 2 frequencies"), ((1.2, 1.7), "band above k=2 is not clean")],
+    )
+    def test_rejects_gap_violations(self, freqs, match):
+        # built directly: validation would reject the gap of 0.3 or 0.5 < alpha
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(lam, 1.0, 0.0) for lam in freqs]))
+        with pytest.raises(SpectrumError, match=match):
+            partial_sum_kernel_table(f, [2], [0.0])
 
     def test_tolerance_error_carries_estimate(self):
         # SMOOTH's grid is a multiple of the fold already; IRRATIONAL's

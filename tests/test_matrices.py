@@ -260,9 +260,11 @@ class TestMatrices:
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
         assert constant("ms", row) > 1.0
 
-    def test_osc_gm2_constructor_check_fails_bad_threshold(self):
-        with pytest.raises(MatrixError):
-            osc_gm2_matrix(gm2_threshold=0.1)
+    @pytest.mark.parametrize("c", [1.01, 1.5, 1.99])
+    def test_osc_gm2_constructor_check_fails_below_c_2(self, c):
+        # the gm2 window [1, floor(c)] of row 2, (1/2, 0, 1/2), holds only its zero
+        with pytest.raises(MatrixError, match="row 2 has gm2 constant inf"):
+            osc_gm2_matrix(c=c)
 
     def test_explicit_and_file_round_trip(self, tmp_path):
         rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5]]

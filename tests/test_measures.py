@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from apsum.measures import (
+    FIT_DELTAS,
     OmegaClassReport,
     PowerModulus,
     SamplePlan,
@@ -152,6 +153,14 @@ class TestStepanovNorm:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             stepanov_norm(COS, 1.0)
+
+    def test_span_cap_when_slow_frequencies_have_no_common_step(self):
+        # both slowest frequencies lie below 1e-9 of the fastest, so their gcd
+        # already counts as none: the span is 64 periods of the slowest, not
+        # the 2 pi that a gcd of 1 with the fastest would give
+        terms = [(lam, 1.0, 0.0) for lam in (1e-12, 2e-12, 1.0)]
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1e-12, terms))
+        assert resolve_span(f, WindowGrid()) == 64.0 * 2.0 * math.pi / 1e-12
 
     def test_monotone_in_p(self):
         for seed in (3, 14, 15):
@@ -691,9 +700,8 @@ class TestShiftedDifferenceMean:
 
 class TestFitMajorant:
     def test_envelope_dominates_samples(self):
-        deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
-        w = fit_majorant(SMOOTH, 0.7, 2.0, deltas)
-        for d, m in zip(deltas, moduli(SMOOTH, 0.7, deltas, (), 2.0)[0].tolist()):
+        w = fit_majorant(SMOOTH, 0.7, 2.0)
+        for d, m in zip(FIT_DELTAS, moduli(SMOOTH, 0.7, FIT_DELTAS, (), 2.0)[0].tolist()):
             assert w(d) >= m - 1e-12
 
     def test_constant_function_fits_zero(self):
@@ -711,18 +719,17 @@ class TestFitMajorant:
         # the fit and a moduli call without shifts build no
         # shifted-difference Gram; the point moduli, and so the fitted
         # knots, are those of a call that builds one
-        deltas = [2.0 * math.pi * i / 40 for i in range(1, 41)]
         cases = [(SMOOTH, 0.7), (random_function(3), 1.1), (random_function(8), -2.0)]
         want = []
         for f, x in cases:
-            point, _ = moduli(f, x, deltas, [0.5], 2.0)
-            samples = [(0.0, 0.0), *zip(deltas, point.tolist())]
+            point, _ = moduli(f, x, FIT_DELTAS, [0.5], 2.0)
+            samples = [(0.0, 0.0), *zip(FIT_DELTAS, point.tolist())]
             want.append((tuple(measures._concave_envelope(samples)), point[3]))
         grams = []
         gram = measures._trig_gram
         monkeypatch.setattr(measures, "_trig_gram", lambda *a: grams.append(a) or gram(*a))
         got = [
-            (fit_majorant(f, x, 2.0).knots, moduli(f, x, [deltas[3]], (), 2.0)[0][0])
+            (fit_majorant(f, x, 2.0).knots, moduli(f, x, [FIT_DELTAS[3]], (), 2.0)[0][0])
             for f, x in cases
         ]
         assert grams == [] and got == want
@@ -904,19 +911,19 @@ def loop_class_check(f, x, w, p, plan):
     """omega_class_check as one moduli call per sample, the reference for
     the batched lhs table."""
     c1 = c2 = worst_g = worst_d = 0.0
-    for g in plan.gammas:
-        for d in plan.deltas:
+    for g in plan.points:
+        for d in plan.points:
             for s in (1.0, -1.0):
                 lhs = moduli(f, x, [d], [s * g], p)[1][0, 0]
                 ratio = lhs / w(g) if w(g) > 0.0 else math.inf
                 if lhs > 1e-14 and ratio > c1:
                     c1, worst_g = ratio, g
-    for d in plan.deltas:
+    for d in plan.points:
         lhs = moduli(f, x, [d], (), p)[0][0]
         ratio = lhs / w(d) if w(d) > 0.0 else math.inf
         if lhs > 1e-14 and ratio > c2:
             c2, worst_d = ratio, d
-    return OmegaClassReport(c1, c2, 1.0, worst_g, worst_d)
+    return OmegaClassReport(c1, c2, worst_g, worst_d)
 
 
 def same_report(got, want, rel):
@@ -938,7 +945,7 @@ class TestClassTable:
     @pytest.mark.parametrize("coef", [1.0, 0.0])  # 0: every ratio ties at inf
     def test_batched_table_matches_per_sample_calls(self, p, coef):
         f = random_function(7)
-        plan = SamplePlan((0.4, 1.1, 2.5), (0.3, 0.9))
+        plan = SamplePlan((0.3, 1.1, 2.5))
         w = PowerModulus(coef, 0.5)
         got = omega_class_check(f, 0.6, w, p, plan)
         # quadrature (p != 2) runs the same arithmetic in both; the p = 2

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from apsum import spectra
 from apsum.spectra import (
     Spectrum,
+    SpectrumEntry,
     SpectrumError,
     QuasiPeriodicFunction,
     fourier_coefficient,
@@ -271,6 +272,23 @@ class TestValidation:
     def test_zero_amplitude_flagged(self):
         spec = Spectrum.from_cos_sin(1.0, [(1.0, 0.0, 0.0)])
         assert "zero-amplitude" in validate_spectrum(spec).codes()
+
+    @pytest.mark.parametrize(
+        "alpha, entries, want",
+        [
+            (0.0, [(1.0, 1.0, 0.0)], [("alpha", -1)]),
+            (math.nan, [(1.0, 1.0, 0.0)], [("alpha", -1)]),
+            (1.0, [(-1.0, 1.0, 0.0)], [("frequency", 0)]),
+            (1.0, [(1.0, 1.0, 0.0), (math.inf, 1.0, 0.0)], [("frequency", 1)]),
+            # the invalid first entry sets no predecessor, so only the zero's place is wrong
+            (1.0, [(-1.0, 1.0, 0.0), (0.0, 1.0, 0.0)], [("frequency", 0), ("ordering", 1)]),
+            (1.0, [(0.0, 1.0, 0.5)], [("dc-amplitude", 0)]),
+        ],
+    )
+    def test_issue_codes(self, alpha, entries, want):
+        # built directly: from_cos_sin sorts the entries and rejects a sine at 0
+        spec = Spectrum(alpha, tuple(SpectrumEntry(*e) for e in entries))
+        assert [(i.code, i.index) for i in validate_spectrum(spec).issues] == want
 
     @pytest.mark.parametrize(
         "terms",

@@ -15,11 +15,10 @@ from apsum.measures import (
     best_approx_tail,
     modulus_omega,
 )
-from apsum.spectra import Spectrum, QuasiPeriodicFunction
+from apsum.spectra import Spectrum, QuasiPeriodicFunction, power_mean
 from apsum.strong_means import (
     THEOREMS,
     RatioRecord,
-    power_mean,
     ratio_sweep,
     strong_mean_rows,
 )
@@ -576,6 +575,11 @@ class TestRatioSeries:
             ratio_sweep(SMOOTH, "prop4", [1], [1.0], [(0.0, None)])
         with pytest.raises(ValueError):
             ratio_sweep(SMOOTH, "nope", [1], [1.0], [(0.0, PowerModulus(1.0))])
+        with pytest.raises(ValueError, match="pointwise"):
+            ratio_sweep(SMOOTH, "prop4", [1], [1.0], [(None, PowerModulus(1.0))])
+        for x_grid, p, match in ((None, 2.0, "x_grid"), ((), 2.0, "x_grid"), ((0.0,), None, "exponent p")):
+            with pytest.raises(ValueError, match=match):
+                ratio_sweep(SMOOTH, "thm2", [1], [1.0], [(None, None)], cesaro_matrix(), x_grid, p)
         for qs, c in (([1.0, 0.0], 2.0), ([-1.0], 2.0), ([1.0], 1.0), ([1.0], math.nan)):
             with pytest.raises(ValueError):
                 ratio_sweep(SMOOTH, "prop4", [1], qs, [(0.0, PowerModulus(1.0))], c=c)
