@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print one sha256 per output of every experiment config: report.json and
 each records CSV of ``apsum report``, and the ``apsum strong-mean`` table
-where the config has a matrix.
+where the config has a matrix.  Then print one sha256 per matrix family
+(Cesaro, riesz at exponents 1 and 0.5 and with weights, osc-gm2 at c = 2
+and 4) over the reprs of its rows 0..256 and of their four class constants.
 
 Run it on two commits and diff the output to check that a change keeps
 every output byte-identical:
@@ -19,9 +21,21 @@ import tempfile
 from pathlib import Path
 
 from apsum.cli import main as apsum
-from apsum.experiment import ExperimentConfig
+from apsum.experiment import ExperimentConfig, builtin_matrices
+from apsum.matrices import class_membership
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# The families no config reaches byte for byte: (label, builtin, params, c).
+MATRICES = (
+    ("cesaro", "cesaro", None, 2.0),
+    ("riesz-exponent-1.0", "riesz", {"exponent": 1.0}, 2.0),
+    ("riesz-exponent-0.5", "riesz", {"exponent": 0.5}, 2.0),
+    ("riesz-weights", "riesz", {"weights": [1.0 / (k + 1) for k in range(257)]}, 2.0),
+    ("osc-gm2-c2.0", "osc-gm2", {"c": 2.0}, 2.0),
+    ("osc-gm2-c4.0", "osc-gm2", {"c": 4.0}, 4.0),
+)
+MATRIX_ROWS = range(257)
 
 
 def _sha256(path: Path) -> str:
@@ -46,9 +60,22 @@ def digests(config: Path) -> list[str]:
     return lines
 
 
+def matrix_digest(label: str, builtin: str, params: dict | None, c: float) -> str:
+    """'matrices <label> <sha256>' over the rows and class constants."""
+    matrix = builtin_matrices(builtin, params)
+    h = hashlib.sha256()
+    for n in MATRIX_ROWS:
+        h.update(repr(matrix.row(n).tolist()).encode())
+    for name in ("ms", "rbvs", "gm", "gm2"):
+        h.update(repr(class_membership(matrix, name, 1.0, MATRIX_ROWS, c=c).constants).encode())
+    return f"matrices {label} {h.hexdigest()}"
+
+
 def main() -> int:
     for config in sorted(CONFIGS.glob("*.json")):
         print("\n".join(digests(config)))
+    for family in MATRICES:
+        print(matrix_digest(*family))
     return 0
 
 

@@ -26,7 +26,6 @@ from .matrices import (
     MatrixError,
     SummabilityMatrix,
     cesaro_matrix,
-    cesaro_row,
     class_constants,
     class_membership,
     explicit_matrix,

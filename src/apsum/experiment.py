@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import GM2_C, SIDE_TOL, SummabilityMatrix, load_matrix, matrix_from_dict, row_table, side_condition
+from .matrices import GM2_C, SIDE_TOL, SummabilityMatrix, load_matrix, matrix_from_dict, side_condition
 from .measures import (
     PLAN_COUNT,
     PLAN_TOP,
@@ -188,10 +188,10 @@ def _majorant_source(src: dict | None) -> SamplePlan | ModulusMajorant:
 class ExperimentConfig:
     """One run's config.  ``from_dict`` checks the fields, then resolves
     the inputs once: the function (relative files are read from
-    ``base_dir``), the matrix with every row of ``n_range`` built, and the
-    majorant source.  They live on the instance outside the fields, so
-    ``to_dict`` echoes the config only.  ``allow_invalid`` lets in a
-    spectrum that fails validation; ``run`` and ``strong_mean_table``
+    ``base_dir``), the matrix with the table of the rows of ``n_range``
+    built, and the majorant source.  They live on the instance outside the
+    fields, so ``to_dict`` echoes the config only.  ``allow_invalid`` lets
+    in a spectrum that fails validation; ``run`` and ``strong_mean_table``
     still refuse it."""
 
     spectrum: dict
@@ -319,13 +319,13 @@ class ExperimentConfig:
         return f, refusal
 
     def _load_matrix(self, base_dir: Path) -> SummabilityMatrix | None:
-        """The matrix with every row of ``n_range`` built (and cached)."""
+        """The matrix with the validated table of the rows of ``n_range``
+        built, which the matrix keeps for ``run`` and ``strong_mean_table``."""
         if self.matrix is None:
             return None
         matrix = _resolve("matrix", self.matrix, base_dir)
         with _naming("matrix"):
-            for n in range(self.n_range[0], self.n_range[1] + 1):
-                matrix.row(n)
+            matrix.table(range(self.n_range[0], self.n_range[1] + 1))
         return matrix
 
     def resolve_function(self) -> QuasiPeriodicFunction:
@@ -431,7 +431,7 @@ def strong_mean_table(cfg: ExperimentConfig) -> str:
     if matrix is None:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range
-    table, _ = row_table([matrix.row(n) for n in range(lo, hi + 1)])
+    table, _ = matrix.table(range(lo, hi + 1))
     means = strong_mean_rows(f, cfg.x, table, cfg.q).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

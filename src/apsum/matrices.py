@@ -15,10 +15,13 @@ may oscillate:
 
 A class constant is the smallest admissible K over every m, with
 ``math.inf`` as the sentinel for a vacuous denominator against positive
-variation.  ``class_constants`` gives every row of a sweep its constant
-from one zero-padded row table, and ``class_membership`` reads the
-sup-over-rows verdict from them.  Nonincreasing rows telescope: their MS
-and RBVS constants are exactly 1 and their GM constant is at most 1.
+variation.  Each family maps an array of n to the zero-padded table of
+those rows in one call; ``SummabilityMatrix.table`` validates it once and
+keeps the last one.  ``class_membership`` gives every row of a sweep its
+constant from that table and reads the sup-over-rows verdict from them;
+``class_constants`` does the same for a list of rows.  Nonincreasing rows
+telescope: their MS and RBVS constants are exactly 1 and their GM constant
+is at most 1.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .spectra import _keys, _number
 __all__ = [
     "MatrixError",
     "SummabilityMatrix",
-    "cesaro_row",
+    "by_rows",
     "class_constants",
     "ClassReport",
     "class_membership",
@@ -61,47 +64,54 @@ class MatrixError(ValueError):
 
 
 class SummabilityMatrix:
-    """Nonnegative row-stochastic weight family with finite rows."""
+    """Nonnegative row-stochastic weight family with finite rows.
 
-    def __init__(
-        self,
-        name: str,
-        row_fn: Callable[[int], np.ndarray],
-        params: dict | None = None,
-    ):
+    ``table_fn`` maps an integer array of n to the zero-padded (len(n), S)
+    table of those rows, S the longest row plus its trailing zero, and the
+    row sizes; ``table`` validates it once.  The matrix keeps its last
+    table, so every reader of one sweep shares one build."""
+
+    def __init__(self, name: str, table_fn: Callable, params: dict | None = None):
         self.name = name
         self.params = dict(params or {})
-        self._row_fn = row_fn
-        self._cache: dict[int, np.ndarray] = {}
+        self._table_fn = table_fn
+        self._last: tuple | None = None
+
+    def table(self, n_values) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only weight table of the rows of ``n_values`` and their
+        sizes, built and validated once and kept until another n range is
+        asked for; MatrixError naming the first bad row."""
+        ns = np.asarray(n_values, dtype=int)
+        key = ns.tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = (key, *self._checked(ns))
+        return self._last[1:]
 
     def row(self, n: int) -> np.ndarray:
-        """Weights (a[n, 0], a[n, 1], ...) of row n, validated and cached."""
-        if n < 0:
-            raise MatrixError(f"row index must be >= 0, got {n}")
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
-        r = np.asarray(self._row_fn(n), dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise MatrixError(f"row {n} must be a nonempty vector")
-        if np.any(r < 0.0):
-            raise MatrixError(f"row {n} has negative weights")
-        s = float(r.sum())
-        if not abs(s - 1.0) <= ROW_SUM_TOL:  # a NaN or infinite weight fails too
-            raise MatrixError(f"row {n} sums to {s!r}, expected 1")
-        r.setflags(write=False)
-        self._cache[n] = r
-        return r
+        """Weights (a[n, 0], a[n, 1], ...) of row n, a read-only view of its
+        own one-row table; the kept sweep table stays."""
+        table, sizes = self._checked(np.array([n], dtype=int))
+        return table[0, : sizes[0]]
+
+    def _checked(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if np.any(ns < 0):
+            raise MatrixError(f"row index must be >= 0, got {ns[ns < 0][0]}")
+        table, sizes = self._table_fn(ns)
+        negative = np.any(table < 0.0, axis=1)
+        # a NaN or infinite weight fails the sum test too
+        bad = negative | ~(np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            n = ns[i]
+            if negative[i]:
+                raise MatrixError(f"row {n} has negative weights")
+            raise MatrixError(f"row {n} sums to {float(table[i, : sizes[i]].sum())!r}, expected 1")
+        table.setflags(write=False)
+        sizes.setflags(write=False)
+        return table, sizes
 
     def describe(self) -> dict:
         return {"name": self.name, **({"params": self.params} if self.params else {})}
-
-
-def cesaro_row(n: int) -> np.ndarray:
-    """Uniform weights 1/(n+1) on k <= n."""
-    if n < 0:
-        raise MatrixError(f"n must be >= 0, got {n}")
-    return np.full(n + 1, 1.0 / (n + 1))
 
 
 CLASS_NAMES = ("ms", "rbvs", "gm", "gm2")
@@ -132,9 +142,11 @@ def _window_sums(table: np.ndarray, mask: np.ndarray, lo, hi) -> np.ndarray:
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Per row, the sup of num/den over the entries with num != 0 (``floor``
-    if it is larger), or inf where such an entry has den == 0."""
+    if it is larger), or inf where such an entry has den == 0; a ratio
+    beyond the float range (a subnormal den) is inf too."""
     live = num != 0.0
-    ratio = np.divide(num, den, out=np.zeros_like(num), where=live & (den != 0.0))
+    with np.errstate(over="ignore"):
+        ratio = np.divide(num, den, out=np.zeros_like(num), where=live & (den != 0.0))
     return np.where(np.any(live & (den == 0.0), axis=1), math.inf, ratio.max(axis=1, initial=floor))
 
 
@@ -152,7 +164,11 @@ def class_constants(class_name: str, rows, c: float = GM2_C) -> np.ndarray:
     own entries and the zeros after them, so each constant equals the
     one-row call bit for bit."""
     _check_class(class_name, c)
-    a, sizes = row_table(rows)
+    return _table_constants(class_name, *row_table(rows), c)
+
+
+def _table_constants(class_name: str, a: np.ndarray, sizes: np.ndarray, c: float) -> np.ndarray:
+    """``class_constants`` of the rows of a checked class and a row table."""
     if class_name == "ms":
         return _sup_ratio(a[:, 1:], a[:, :-1], floor=1.0)
     if class_name == "rbvs":
@@ -190,14 +206,13 @@ class ClassReport:
 def side_condition(
     matrix: SummabilityMatrix, n_values: Sequence[int], tol: float = SIDE_TOL
 ) -> tuple[bool, tuple[float, ...]]:
-    """Check that a[n, 0] is heading to zero across the sweep.
+    """Check that a[n, 0] is heading to zero across the sweep: column 0 of
+    the sweep's row table.
 
     Verdict: every a[n, 0] over the last quarter of the sweep is <= tol.
     A finite sweep can only witness the trend, not the limit.
     """
-    firsts = tuple(float(matrix.row(n)[0]) for n in n_values)
-    if not firsts:
-        return True, firsts
+    firsts = tuple(matrix.table(n_values)[0][:, 0].tolist())
     tail = firsts[3 * len(firsts) // 4 :] or firsts[-1:]
     return all(v <= tol for v in tail), firsts
 
@@ -209,16 +224,18 @@ def class_membership(
     n_range: Sequence[int],
     c: float = GM2_C,
 ) -> ClassReport:
-    """Class constants of the rows of ``n_range``, all from one row table, and
-    the sup-over-rows verdict; a bad class or c raises before any row is read."""
+    """Class constants of the rows of ``n_range`` and the side condition,
+    all from the matrix's one table of those rows, and the sup-over-rows
+    verdict; a bad class or c raises before any row is read."""
     _check_class(class_name, c)
     if math.isnan(threshold):
         raise MatrixError("threshold must be a number, got nan")
     n_values = tuple(int(n) for n in n_range)
-    rows = [matrix.row(n) for n in n_values]
-    constants = tuple(class_constants(class_name, rows, c).tolist()) if rows else ()
+    constants, side_ok = (), None
+    if n_values:
+        constants = tuple(_table_constants(class_name, *matrix.table(n_values), c).tolist())
+        side_ok = side_condition(matrix, n_values)[0]
     sup_c = max(constants) if constants else 0.0
-    side_ok = side_condition(matrix, n_values)[0] if n_values else None
     return ClassReport(
         class_name=class_name,
         n_values=n_values,
@@ -231,8 +248,57 @@ def class_membership(
     )
 
 
+def _support(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns k of the table of rows n, the mask k <= n and the row
+    sizes n + 1; the last column is every row's trailing zero."""
+    sizes = ns + 1
+    k = np.arange(sizes.max(initial=0) + 1)
+    return k, k <= ns[:, None], sizes
+
+
+def _cesaro_table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform weights 1/(n+1) on k <= n."""
+    _, live, sizes = _support(ns)
+    return np.where(live, 1.0 / (ns[:, None] + 1.0), 0.0), sizes
+
+
+def by_rows(row_fn: Callable[[int], Sequence[float]]) -> Callable:
+    """The table function of a family whose rows are given one at a time:
+    ``row_fn(n)`` for every n, padded into one table by ``row_table``."""
+
+    def table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = []
+        for n in ns.tolist():
+            rows.append(np.asarray(row_fn(n), dtype=float))
+            if rows[-1].ndim != 1 or rows[-1].size == 0:
+                raise MatrixError(f"row {n} must be a nonempty vector")
+        return row_table(rows)
+
+    return table
+
+
 def cesaro_matrix() -> SummabilityMatrix:
-    return SummabilityMatrix("cesaro", cesaro_row)
+    return SummabilityMatrix("cesaro", _cesaro_table)
+
+
+def _riesz_power_table(ex: float) -> Callable:
+    """Rows (k+1)^ex / sum_{j <= n} (j+1)^ex: the powers once for the
+    longest row, each row divided by its own prefix's sum.  A row whose
+    powers or sum overflow divides by its largest power first, so its
+    weights are ((k+1)/(n+1))^ex over their sum."""
+
+    def table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k, live, sizes = _support(ns)
+        with np.errstate(over="ignore"):
+            powers = (k[:-1] + 1.0) ** ex
+            sums = np.array([powers[:size].sum() for size in sizes.tolist()])
+        out = np.where(live, np.append(powers, 0.0), 0.0)
+        for i in np.flatnonzero(~np.isfinite(sums)):
+            head = ((k[: sizes[i]] + 1.0) / sizes[i]) ** ex
+            out[i, : sizes[i]], sums[i] = head, head.sum()
+        return out / sums[:, None], sizes
+
+    return table
 
 
 def riesz_matrix(
@@ -240,58 +306,40 @@ def riesz_matrix(
 ) -> SummabilityMatrix:
     """Rows a[n, k] = p_k / (p_0 + ... + p_n) for user weights p.
 
-    Either an explicit weight list or the power rule p_k = (k+1)**exponent.
+    Either an explicit weight list or the power rule p_k = (k+1)**exponent
+    with a finite exponent.
     """
     if (weights is None) == (exponent is None):
         raise MatrixError("riesz needs exactly one of weights= or exponent=")
-    if weights is not None:
-        p = np.asarray(list(weights), dtype=float)
-        if p.size == 0 or np.any(p < 0.0) or p[0] <= 0.0:
-            raise MatrixError("riesz weights must be nonnegative with p_0 > 0")
-
-        def row_fn(n: int) -> np.ndarray:
-            if n >= p.size:
-                raise MatrixError(
-                    f"riesz weight list of length {p.size} cannot build row {n}"
-                )
-            head = p[: n + 1]
-            return head / head.sum()
-
-        params = {"weights": [float(v) for v in p]}
-    else:
+    if exponent is not None:
         ex = float(exponent)
+        if not math.isfinite(ex):
+            raise MatrixError(f"riesz exponent must be finite, got {ex}")
+        return SummabilityMatrix("riesz", _riesz_power_table(ex), {"exponent": ex})
+    p = np.asarray(list(weights), dtype=float)
+    if p.size == 0 or np.any(p < 0.0) or p[0] <= 0.0:
+        raise MatrixError("riesz weights must be nonnegative with p_0 > 0")
 
-        def row_fn(n: int) -> np.ndarray:
-            head = (np.arange(n + 1) + 1.0) ** ex
-            return head / head.sum()
+    def row_fn(n: int) -> np.ndarray:
+        if n >= p.size:
+            raise MatrixError(f"riesz weight list of length {p.size} cannot build row {n}")
+        head = p[: n + 1]
+        return head / head.sum()
 
-        params = {"exponent": ex}
-    return SummabilityMatrix("riesz", row_fn, params)
-
-
-def _dyadic_holes(limit: int) -> np.ndarray:
-    """Indices k >= 1 with k+1 a power of two: 1, 3, 7, 15, ..."""
-    holes = []
-    p = 2
-    while p - 1 <= limit:
-        holes.append(p - 1)
-        p *= 2
-    return np.array(holes, dtype=int)
+    return SummabilityMatrix("riesz", by_rows(row_fn), {"weights": [float(v) for v in p]})
 
 
-def osc_gm2_row(n: int) -> np.ndarray:
-    """Flat weights on k <= n with zeros at dyadic indices, normalized.
+def _osc_gm2_table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat weights on k <= n with zeros at the dyadic indices k >= 1 with
+    k+1 a power of two (1, 3, 7, 15, ...), normalized.
 
     The sudden drops to zero break monotonicity (and the leading-entry
     variation bounds), while the averaged-neighbourhood bound absorbs them
     with a uniformly bounded constant at c = 2.
     """
-    if n < 0:
-        raise MatrixError(f"n must be >= 0, got {n}")
-    b = np.ones(n + 1)
-    holes = _dyadic_holes(n)
-    b[holes[holes <= n]] = 0.0
-    return b / b.sum()
+    k, live, sizes = _support(ns)
+    ones = live & ((k == 0) | ((k & (k + 1)) != 0))
+    return ones / ones.sum(axis=1, keepdims=True), sizes
 
 
 # The gm2 constant every osc-gm2 check row must stay within, and those rows.
@@ -307,14 +355,15 @@ def osc_gm2_matrix(c: float = GM2_C) -> SummabilityMatrix:
     (1, 2) fails: the gm2 window [1, floor(c)] of row 2, (1/2, 0, 1/2),
     holds only its zero a_1, so that row's constant is inf.
     """
-    m = SummabilityMatrix("osc-gm2", osc_gm2_row, {"c": c})
+    m = SummabilityMatrix("osc-gm2", _osc_gm2_table, {"c": c})
     report = class_membership(m, "gm2", OSC_GM2_THRESHOLD, OSC_GM2_CHECK_ROWS, c)
     for n, k in zip(report.n_values, report.constants):
         if not k <= OSC_GM2_THRESHOLD:
             raise MatrixError(
                 f"osc-gm2 row {n} has gm2 constant {k:.3g} > {OSC_GM2_THRESHOLD}"
             )
-    if np.all(np.diff(m.row(4)) <= 0.0):
+    row4 = m.table(OSC_GM2_CHECK_ROWS)[0][OSC_GM2_CHECK_ROWS.index(4), :5]
+    if np.all(np.diff(row4) <= 0.0):
         raise MatrixError("osc-gm2 family unexpectedly monotone")
     return m
 
@@ -329,7 +378,7 @@ def explicit_matrix(rows: Sequence[Sequence[float]]) -> SummabilityMatrix:
             raise MatrixError(f"explicit matrix has {len(stored)} rows, asked for {n}")
         return stored[n]
 
-    return SummabilityMatrix("explicit", row_fn, {"rows": len(stored)})
+    return SummabilityMatrix("explicit", by_rows(row_fn), {"rows": len(stored)})
 
 
 # Per matrix type: its builder and the reader of each key of its params.

@@ -15,11 +15,12 @@ expressions mirror three estimate shapes:
               2^-(1+floor(c)) with a switch for the literal 2^-(1+c)
     omega:    ( sum_k a[n,k] omega(pi/(k+1))^q )^(1/q)
 
-alpha is the gap of ``f.spectrum``.  ``ratio_sweep`` pads the rows of a run
-into one weight table (``row_table``), takes each side's means with one
-``power_mean`` per q, and returns one ``RatioRecord`` per (x, q, n): lhs,
-rhs and lhs/rhs, 0/0 as ratio 0 (flagged) and finite/0 as inf.  The verdicts
-on them are ``experiment.run``'s; ``strong_mean_rows`` gives lhs means alone.
+alpha is the gap of ``f.spectrum``.  ``ratio_sweep`` reads the rows of a run
+from one weight table (the matrix's ``table``, or the dyadic blocks padded
+by ``row_table``), takes each side's means with one ``power_mean`` per q,
+and returns one ``RatioRecord`` per (x, q, n): lhs, rhs and lhs/rhs, 0/0 as
+ratio 0 (flagged) and finite/0 as inf.  The verdicts on them are
+``experiment.run``'s; ``strong_mean_rows`` gives lhs means alone.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def ratio_sweep(
     ``qs`` holds the exponents q > 0; ``points`` holds one (x, w) pair per
     evaluation point; ``c`` > 1 and ``thm5_literal_exponent`` set the thm5
     tail cutoffs.  The weight table, the omega table and the deviations of
-    every point (one ladder call) are built once, the bracket table once
-    per point, and each side takes one ``power_mean`` call per q.  Records
+    every point (one ladder call) are read or built once, the bracket table
+    once per point, and each side takes one ``power_mean`` call per q.  Records
     come ordered by x (in the order of ``points``), then q, then n.
 
     prop4: dyadic mean at x against w + tail.
@@ -144,8 +145,10 @@ def ratio_sweep(
     if not qs or not points:
         return []
 
-    row = _dyadic_row if theorem == "prop4" else matrix.row
-    table, _ = row_table([row(n) for n in n_values])
+    if theorem == "prop4":
+        table, _ = row_table([_dyadic_row(n) for n in n_values])
+    else:
+        table, _ = matrix.table(n_values)
     if theorem == "thm2":
         lhs = strong_mean_rows(f, x_grid, table, qs).max(axis=1, keepdims=True)
         bounds = _omegas(f, table, p, grid)[None]

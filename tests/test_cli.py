@@ -368,6 +368,30 @@ def test_infinite_osc_gm2_c_exit_2(tmp_path, capsys, command):
     assert one_error_object(capsys)["field"] == "matrix"
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_infinite_riesz_exponent_exit_2(tmp_path, capsys, command):
+    # row 1 summed to nan
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm6", '
+        '"matrix": {"builtin": "riesz", "params": {"exponent": "inf"}}, "n_range": [1, 8]}'
+    )
+    assert main([command, str(path)]) == 2
+    out = one_error_object(capsys)
+    assert out["field"] == "matrix" and "exponent" in out["error"]
+
+
+def test_large_riesz_exponent_runs(tmp_path, capsys):
+    # 35^200 overflows; row 34 summed to nan and the config exited 2
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"spectrum": {"builtin": "smooth"}, "theorem": "thm6", '
+        '"matrix": {"builtin": "riesz", "params": {"exponent": 200.0}}, "n_range": [1, 128]}'
+    )
+    assert main(["verify", str(path)]) in (0, 3)
+    assert json.loads(capsys.readouterr().out)["records"] == 128
+
+
 @pytest.mark.parametrize(
     "argv",
     [

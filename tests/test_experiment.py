@@ -16,7 +16,7 @@ from apsum.experiment import (
     strong_mean_table,
     write_report,
 )
-from apsum import experiment, measures, strong_means
+from apsum import experiment, matrices, measures, strong_means
 from apsum.matrices import MatrixError, class_constants
 from apsum.spectra import QuasiPeriodicFunction, validate_spectrum
 from apsum.strong_means import strong_mean_rows
@@ -416,13 +416,19 @@ class TestResolveOnce:
             experiment, "load_spectrum", lambda *a, **k: loads.append(a) or load(*a, **k)
         )
         data = dict(BASE, theorem="thm6", spectrum={"file": "spec.json"}, matrix={"builtin": "cesaro"})
+        builds = []
+        cesaro = matrices._cesaro_table
+        monkeypatch.setattr(
+            matrices, "_cesaro_table", lambda ns: builds.append(ns.tolist()) or cesaro(ns)
+        )
         cfg = ExperimentConfig.from_dict(data, base_dir=tmp_path)
         f, matrix = cfg.resolve_function(), cfg.resolve_matrix()
         run(cfg)
         strong_mean_table(cfg)
         assert len(loads) == 1
         assert cfg.resolve_function() is f and cfg.resolve_matrix() is matrix
-        assert all(matrix.row(n) is matrix.row(n) for n in range(1, 17))  # built at load
+        # one table, built at load, read by run() and strong_mean_table()
+        assert builds == [list(range(1, 17))]
 
     @pytest.mark.parametrize("source", ["file", "inline"])
     def test_run_refuses_spectrum_let_in_by_allow_invalid(self, tmp_path, source):

@@ -1,6 +1,9 @@
 import json
 import math
+import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,18 +14,36 @@ from apsum.matrices import (
     ClassReport,
     MatrixError,
     SummabilityMatrix,
+    by_rows,
     cesaro_matrix,
-    cesaro_row,
     class_constants,
     class_membership,
     explicit_matrix,
     load_matrix,
     matrix_from_dict,
     osc_gm2_matrix,
-    osc_gm2_row,
     riesz_matrix,
     side_condition,
 )
+
+
+# The one-row formulas of the families: the oracle of their tables.
+def cesaro_row(n):
+    return np.full(n + 1, 1.0 / (n + 1))
+
+
+def osc_gm2_row(n):
+    b = np.ones(n + 1)
+    k = 1
+    while k <= n:  # the dyadic holes 1, 3, 7, 15, ...
+        b[k] = 0.0
+        k = 2 * k + 1
+    return b / b.sum()
+
+
+def riesz_row(n, exponent):
+    head = (np.arange(n + 1) + 1.0) ** exponent
+    return head / head.sum()
 
 
 def brute_rbvs(row):
@@ -111,13 +132,13 @@ def random_rows(rng, count, kind="mixed"):
 
 class TestCesaroRow:
     def test_n0(self):
-        np.testing.assert_array_equal(cesaro_row(0), [1.0])
+        np.testing.assert_array_equal(cesaro_matrix().row(0), [1.0])
 
     def test_n2(self):
-        np.testing.assert_allclose(cesaro_row(2), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_allclose(cesaro_matrix().row(2), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
 
     def test_row_sum(self):
-        assert cesaro_row(10).sum() == pytest.approx(1.0, abs=1e-15)
+        assert cesaro_matrix().row(10).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestMS:
@@ -207,7 +228,7 @@ class TestClassMembership:
 
     def test_fixed_first_weight_flagged(self):
         m = SummabilityMatrix(
-            "sticky", lambda n: np.concatenate([[1.0], np.zeros(n)])
+            "sticky", by_rows(lambda n: np.concatenate([[1.0], np.zeros(n)]))
         )
         rep = class_membership(m, "ms", 1.0, range(0, 16))
         assert rep.member  # still monotone rows
@@ -230,12 +251,12 @@ class TestClassMembership:
 
 class TestMatrices:
     def test_row_sum_enforced(self):
-        m = SummabilityMatrix("broken", lambda n: np.ones(n + 1))
+        m = SummabilityMatrix("broken", by_rows(lambda n: np.ones(n + 1)))
         with pytest.raises(MatrixError):
             m.row(3)
 
     def test_negative_rejected(self):
-        m = SummabilityMatrix("neg", lambda n: np.array([1.5, -0.5]))
+        m = SummabilityMatrix("neg", by_rows(lambda n: np.array([1.5, -0.5])))
         with pytest.raises(MatrixError):
             m.row(0)
 
@@ -254,7 +275,7 @@ class TestMatrices:
             riesz_matrix(weights=[1.0], exponent=2.0)
 
     def test_osc_gm2_rows(self):
-        row = osc_gm2_row(8)
+        row = osc_gm2_matrix().row(8)
         assert row[0] > 0.0
         assert row[1] == 0.0 and row[3] == 0.0 and row[7] == 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
@@ -416,19 +437,16 @@ def test_class_membership_equals_per_row_loop(matrix, c):
 
 
 def test_class_membership_makes_no_per_row_calls(monkeypatch):
-    # one class_constants call takes every row of a class check
+    # the four class checks of one n range share one table build, and so
+    # do the constructor's gm2 check and its monotone check
+    builds = []
+    osc = matrices._osc_gm2_table
+    monkeypatch.setattr(matrices, "_osc_gm2_table", lambda ns: builds.append(ns.tolist()) or osc(ns))
     m = osc_gm2_matrix()
-    calls = []
-    original = matrices.class_constants
-
-    def counted(name, rows, c):
-        calls.append(len(rows))
-        return original(name, rows, c)
-
-    monkeypatch.setattr(matrices, "class_constants", counted)
-    for name in CLASS_NAMES:
-        assert len(class_membership(m, name, 1.0, range(0, 65)).constants) == 65
-    assert calls == [65] * len(CLASS_NAMES)
+    for rows in (range(0, 65), range(0, 65), range(3, 9)):
+        for name in CLASS_NAMES:
+            assert len(class_membership(m, name, 1.0, rows).constants) == len(rows)
+    assert builds == [list(matrices.OSC_GM2_CHECK_ROWS), list(range(0, 65)), list(range(3, 9))]
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5, float("nan")])
@@ -436,8 +454,115 @@ def test_class_membership_checks_c_before_reading_rows(c):
     def no_rows(n):
         raise AssertionError("row read before the class check")
 
-    m = SummabilityMatrix("unread", no_rows)
+    m = SummabilityMatrix("unread", by_rows(no_rows))
     with pytest.raises(MatrixError, match="c must be > 1"):
         class_membership(m, "gm2", 1.0, range(4), c=c)
     with pytest.raises(MatrixError, match="unknown class"):
         class_membership(m, "bogus", 1.0, range(4))
+
+
+@st.composite
+def sweeps(draw):
+    """n lists holding 0, a repeat and values in any order."""
+    ns = draw(st.lists(st.integers(0, 300), min_size=1, max_size=10))
+    return draw(st.permutations([*ns, 0, ns[0]]))
+
+
+FAMILIES = {"cesaro": (cesaro_matrix(), cesaro_row), "osc-gm2": (osc_gm2_matrix(), osc_gm2_row)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ns=sweeps(),
+    exponent=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(-6.0, 6.0)),
+)
+def test_family_tables_equal_one_row_formulas(ns, exponent):
+    # every row of a family table is its one-row formula bit for bit, with
+    # zeros after it up to the longest row's trailing zero
+    families = dict(FAMILIES, riesz=(riesz_matrix(exponent=exponent), lambda n: riesz_row(n, exponent)))
+    for name, (matrix, formula) in families.items():
+        table, sizes = matrix.table(ns)
+        assert table.shape == (len(ns), max(ns) + 2) and sizes.tolist() == [n + 1 for n in ns]
+        for row, size, n in zip(table, sizes, ns):
+            assert row[:size].tolist() == formula(n).tolist(), (name, n)
+            assert not row[size:].any()
+        assert matrix.row(ns[0]).tolist() == formula(ns[0]).tolist()
+
+
+def test_table_is_kept_once_and_read_only():
+    m = cesaro_matrix()
+    table, sizes = m.table(range(3, 9))
+    assert not table.flags.writeable and not m.row(5).flags.writeable
+    assert m.row(5).tolist() == cesaro_row(5).tolist()
+    # row() leaves the kept table; any sequence of the same n finds it
+    assert m.table(range(3, 9))[0] is table
+    assert m.table([3, 4, 5, 6, 7, 8])[0] is table
+    m.table(range(4))
+    assert m.table(range(3, 9))[0] is not table
+
+
+def test_table_reads_only_its_rows():
+    read = []
+    m = SummabilityMatrix("logged", by_rows(lambda n: read.append(n) or cesaro_row(n)))
+    m.table([5, 2, 2, 7])
+    assert read == [5, 2, 2, 7]
+    # a bad row outside the sweep is never read
+    m = explicit_matrix([[1.0], [0.5, 0.5], [1.5, -0.5]])
+    assert m.table(range(2))[1].tolist() == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "rows, ns, bad, message",
+    [
+        ([[1.0], [1.5, -0.5], [2.0]], range(3), 1, "row 1 has negative weights"),
+        ([[1.0], [2.0], [1.5, -0.5]], range(3), 1, "row 1 sums to 2.0, expected 1"),
+        ([[1.0], [math.nan, 1.0], [-1.0]], range(3), 1, "row 1 sums to nan, expected 1"),
+        (
+            [[1.0], [0.5, 0.5 + 4e-13], [0.5, 0.5 + 4e-12]],
+            range(3),
+            2,
+            "row 2 sums to 1.000000000004, expected 1",
+        ),
+        ([[1.0], [], [2.0]], range(3), 1, "row 1 must be a nonempty vector"),
+        ([[1.0], [2.0], [-1.0, 2.0]], [2, 1], 2, "row 2 has negative weights"),
+        ([[1.0], [0.5, 0.5]], range(3), 2, "explicit matrix has 2 rows, asked for 2"),
+        ([[1.0]], [0, -2, -1], -2, "row index must be >= 0, got -2"),
+    ],
+)
+def test_table_errors_name_the_first_bad_row(rows, ns, bad, message):
+    m = explicit_matrix(rows)
+    for call in (lambda: m.table(ns), lambda: m.row(bad)):
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_riesz_weights_too_short_names_the_row():
+    with pytest.raises(MatrixError, match="^riesz weight list of length 2 cannot build row 2$"):
+        riesz_matrix(weights=[1.0, 2.0]).table(range(1, 5))
+
+
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+def test_riesz_non_finite_exponent_rejected(exponent):
+    with pytest.raises(MatrixError, match="exponent must be finite"):
+        riesz_matrix(exponent=exponent)
+
+
+def test_riesz_large_exponent_rows_sum_to_one():
+    # 35^200 overflows: rows 34 on divide by their largest power first,
+    # rows 0..33 keep the plain formula
+    table, sizes = riesz_matrix(exponent=200.0).table(range(129))
+    assert np.all(np.abs(table.sum(axis=1) - 1.0) <= 1e-12)
+    assert table[33, :34].tolist() == riesz_row(33, 200.0).tolist()
+    with mpmath.workdps(40):
+        top = mpmath.mpf(129) ** 200 / mpmath.fsum(mpmath.mpf(k) ** 200 for k in range(1, 130))
+    assert table[128, 128] == pytest.approx(float(top), rel=1e-13, abs=0.0)
+
+
+def test_constants_of_subnormal_weights_warn_nothing():
+    # riesz rows at exponent 200 hold subnormal weights, and a ratio over
+    # one overflows: the constant is inf, without a RuntimeWarning
+    m = riesz_matrix(exponent=200.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        constants = [class_membership(m, name, 8.0, range(129)).sup_constant for name in CLASS_NAMES]
+    assert constants[0] == math.inf

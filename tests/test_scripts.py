@@ -34,4 +34,5 @@ def test_report_digests_repeat(capsys):
     assert capsys.readouterr().out.splitlines() == first
     names = {line.split()[1] for line in first}
     assert {"report.json", "strong-mean.csv"} <= names
+    assert sum(line.startswith("matrices ") for line in first) == 6
     assert all(len(line.split()[2]) == 64 for line in first)
