@@ -3,7 +3,9 @@
 each records CSV of ``apsum report``, and the ``apsum strong-mean`` table
 where the config has a matrix.  Then print one sha256 per matrix family
 (Cesaro, riesz at exponents 1 and 0.5 and with weights, osc-gm2 at c = 2
-and 4) over the reprs of its rows 0..256 and of their four class constants.
+and 4) over the reprs of its rows 0..256 and of their four class constants,
+and one sha256 per builtin spectrum (smooth, lacunary, irrational) over the
+repr of its kernel-route cutoff table at k = 1..128 and three x.
 
 Run it on two commits and diff the output to check that a change keeps
 every output byte-identical:
@@ -21,7 +23,8 @@ import tempfile
 from pathlib import Path
 
 from apsum.cli import main as apsum
-from apsum.experiment import ExperimentConfig, builtin_matrices
+from apsum.experiment import ExperimentConfig, builtin_matrices, builtin_spectra
+from apsum.kernels import partial_sum_kernel_table
 from apsum.matrices import class_membership
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -36,6 +39,9 @@ MATRICES = (
     ("osc-gm2-c4.0", "osc-gm2", {"c": 4.0}, 4.0),
 )
 MATRIX_ROWS = range(257)
+KERNEL_SPECTRA = ("smooth", "lacunary", "irrational")
+KERNEL_KS = range(1, 129)
+KERNEL_XS = (0.0, 0.7, 2.9)
 
 
 def _sha256(path: Path) -> str:
@@ -71,11 +77,19 @@ def matrix_digest(label: str, builtin: str, params: dict | None, c: float) -> st
     return f"matrices {label} {h.hexdigest()}"
 
 
+def kernel_digest(builtin: str) -> str:
+    """'kernels <builtin> <sha256>' over the kernel-route cutoff table."""
+    table = partial_sum_kernel_table(builtin_spectra(builtin), KERNEL_KS, KERNEL_XS)
+    return f"kernels {builtin} {hashlib.sha256(repr(table.tolist()).encode()).hexdigest()}"
+
+
 def main() -> int:
     for config in sorted(CONFIGS.glob("*.json")):
         print("\n".join(digests(config)))
     for family in MATRICES:
         print(matrix_digest(*family))
+    for builtin in KERNEL_SPECTRA:
+        print(kernel_digest(builtin))
     return 0
 
 

@@ -11,7 +11,6 @@ from .spectra import (
     validate_spectrum,
 )
 from .kernels import (
-    QuadratureConfig,
     QuadratureToleranceError,
     gap_free,
     kernel_mass,

@@ -480,14 +480,18 @@ def _echo(value):
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    """The report as strict JSON: no NaN or Infinity anywhere."""
+    """The report as strict JSON: no NaN or Infinity anywhere; q = inf is
+    echoed as the config writes it."""
+    summary = report.summary
     return {
         "config": _echo(report.config),
-        "summary": dict(report.summary, max_ratio=_finite(report.summary["max_ratio"])),
+        "summary": dict(
+            summary, max_ratio=_finite(summary["max_ratio"]), argmax=_echo(summary["argmax"])
+        ),
         "records": [
             {
                 "x": r.x,
-                "q": r.q,
+                "q": _echo(r.q),
                 "n": r.n,
                 "lhs": _finite(r.lhs),
                 "rhs": _finite(r.rhs),
@@ -510,9 +514,9 @@ def write_report(report: ExperimentReport, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     jpath = out / "report.json"
-    with open(jpath, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    # serialised first, so that a failure leaves no partial file
+    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
+    jpath.write_text(text + "\n")
     paths.append(jpath)
     combos = sorted({(r.x, r.q) for r in report.records}, key=lambda t: (repr(t[0]), t[1]))
     for x, q in combos:

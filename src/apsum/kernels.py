@@ -23,14 +23,12 @@ index shift; the gap condition guarantees the next band is clean).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import _GL_WT, _GL_XI, FREQ_RTOL, GL_NODES, QuasiPeriodicFunction, Spectrum, SpectrumError
+from .spectra import _GL_WT, _GL_XI, GL_NODES, QuasiPeriodicFunction, Spectrum, SpectrumError, _slack
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureToleranceError",
     "psi",
     "psi_k",
@@ -50,19 +48,10 @@ PANELS_PER_OSCILLATION = 4
 # Blocks of L panels (a fold block, 1/50 of the grid) the kernel table
 # evaluates at once: the working set is GL_NODES * len(xs) * L per block.
 _CHUNK_BLOCKS = 5
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Error budget of the kernel integral: an entry fails when its error
-    estimate exceeds max(abs_tol, rel_tol * |value|)."""
-
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+# The error budget of the kernel integral: an entry fails when its error
+# estimate exceeds max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|).
+QUAD_REL_TOL = 1e-6
+QUAD_ABS_TOL = 1e-6
 
 
 class QuadratureToleranceError(RuntimeError):
@@ -113,12 +102,13 @@ def _band_edges(alpha: float, k):
 
 def _band_hits(f: QuasiPeriodicFunction, ks) -> np.ndarray:
     """Mask of the frequencies inside each open band (alpha k/2, alpha (k+1)/2),
-    shape (len(ks), entries): one comparison against the frequency array."""
-    alpha = f.spectrum.alpha
-    lo, hi = _band_edges(alpha, np.asarray(ks, dtype=float)[:, None])
-    tol = alpha * FREQ_RTOL
-    freqs = f.spectrum.freqs
-    return (freqs > lo + tol) & (freqs < hi - tol)
+    shape (len(ks), entries): those that the cutoff ladder's ``cutoff_count``
+    leaves out at alpha k/2 and that lie below alpha (k+1)/2 by more than
+    the same slack."""
+    spec = f.spectrum
+    lo, hi = _band_edges(spec.alpha, np.asarray(ks, dtype=float)[:, None])
+    above = np.arange(spec.freqs.size) >= spec.cutoff_count(lo)
+    return above & (spec.freqs < hi - _slack(hi))
 
 
 def gap_free(f: QuasiPeriodicFunction, k: int) -> bool:
@@ -177,12 +167,7 @@ def _exact_band_tail(
     return (2.0 / (alpha * math.pi)) * (terms @ beats.T)
 
 
-def partial_sum_kernel_table(
-    f: QuasiPeriodicFunction,
-    ks,
-    xs,
-    cfg: QuadratureConfig | None = None,
-) -> np.ndarray:
+def partial_sum_kernel_table(f: QuasiPeriodicFunction, ks, xs) -> np.ndarray:
     """Kernel-route cutoff sums S_{alpha k/2} f(x), shape (len(xs), len(ks)).
 
     One node grid, sized for the largest band, serves every band and every
@@ -196,13 +181,14 @@ def partial_sum_kernel_table(
     summed over the blocks, and after the walk one FFT of length L per node
     gives every band at once, read at bin (2b+1) mod L.  Raises
     QuadratureToleranceError when the error budget of any entry exceeds
-    max(abs_tol, rel_tol * |value|).
+    max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|).
     """
-    cfg = cfg or QuadratureConfig()
     ks = [int(k) for k in ks]
     xs = [float(x) for x in xs]
     if any(k < 1 for k in ks):
         raise ValueError("kernel route requires k >= 1; use partial_sum_direct for k = 0")
+    if not ks:
+        return np.zeros((len(xs), 0))
     alpha = f.spectrum.alpha
 
     # a k whose open band holds a frequency reads band k + 1 instead, less
@@ -275,7 +261,7 @@ def partial_sum_kernel_table(
     resolution = (0.5 * h * nu) ** (2 * GL_NODES)
     err_quad = _gl_error_constant(GL_NODES) * h * resolution * panel_env[:, None]
     err = err_quad * _QUAD_SAFETY + 1e-13 * (1.0 + np.abs(terms).sum(axis=1))[:, None]
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))
+    tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(values))
     # first failure in band-major order
     failed = np.argwhere((err > tol).T)
     if failed.size:

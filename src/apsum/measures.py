@@ -310,20 +310,6 @@ def _unit_exponents(rows: np.ndarray) -> np.ndarray:
     return np.where(np.abs(e) > 255, e, 0)
 
 
-def _lp_means(vals: np.ndarray, wts: np.ndarray, length: float, p: float) -> np.ndarray:
-    """( sum_k wts_k |vals_k|^p / length )^(1/p) over the last axis, for a
-    finite p other than 2 and a rule whose weights sum to ``length``: the
-    plain mean, rooted, except in rows where it overflows or underflow eats
-    into it (a large p), which take ``power_mean``'s max scaling."""
-    with np.errstate(over="ignore", under="ignore"):
-        plain = np.abs(vals) ** p @ wts / length
-    out = plain ** (1.0 / p)
-    off = ~((plain > 2.0**-960) & (plain < math.inf))
-    if off.any():
-        out[off] = power_mean(wts / length, vals[off], p)
-    return out
-
-
 # 1/phi = (sqrt 5 - 1)/2: the share of its bracket a golden-section step keeps.
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
@@ -380,7 +366,7 @@ def _window_norm(
     or nothing more than a dense u grid (p = inf).  The rows are the lanes
     of one sampled-sup search; at finite p other than 2 each lane is
     evaluated on its own, which keeps the node arrays one lane in size, and
-    the search runs on the rooted means of ``_lp_means``."""
+    the search runs on its rooted ``power_mean`` window means."""
     if not p > 1.0:
         raise ValueError(f"p must be > 1 (or inf), got {p}")
     inf = math.isinf(p)
@@ -403,11 +389,12 @@ def _window_norm(
 
     else:
         offs, wts = _gl_panels(0.0, grid.window_length, WINDOW_PANELS)
+        wts = wts / grid.window_length
 
         def means(u):
             u = np.broadcast_to(u, (len(coefs),) + u.shape[1:])
             return np.array([
-                _lp_means(_trig_sum(lams, c, np.add.outer(v, offs)), wts, grid.window_length, p)
+                power_mean(wts, _trig_sum(lams, c, np.add.outer(v, offs)), p)
                 for c, v in zip(coefs, u)
             ]).reshape(u.shape)
 

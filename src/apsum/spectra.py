@@ -46,6 +46,12 @@ __all__ = [
 FREQ_RTOL = 1e-12
 
 
+def _slack(gammas) -> np.ndarray:
+    """The slack FREQ_RTOL * max(1, gamma) of every frequency comparison
+    against a cutoff gamma: the cutoff ladder's and the kernel bands'."""
+    return FREQ_RTOL * np.maximum(1.0, gammas)
+
+
 class SpectrumError(ValueError):
     """Raised when a spectrum violates its structural constraints."""
 
@@ -129,14 +135,13 @@ class Spectrum:
     def cutoff_count(self, gammas) -> np.ndarray:
         """Number of entries with frequency <= gamma, elementwise in ``gammas``.
 
-        The comparison carries the slack ``FREQ_RTOL * max(1, gamma)``, so a
-        frequency sitting on a cutoff up to rounding counts as inside it.
+        The comparison carries the slack ``_slack(gamma)``, so a frequency
+        sitting on a cutoff up to rounding counts as inside it.
         """
         gammas = np.asarray(gammas, dtype=float)
         if not (gammas >= 0.0).all():
             raise ValueError(f"cutoffs must be >= 0, got {gammas!r}")
-        cut = gammas + FREQ_RTOL * np.maximum(1.0, gammas)
-        return self.freqs.searchsorted(cut, side="right")
+        return self.freqs.searchsorted(gammas + _slack(gammas), side="right")
 
     def tail_mass(self, sigmas) -> np.ndarray:
         """Pair-weight mass of the entries above each cutoff in ``sigmas``."""

@@ -16,8 +16,8 @@ expressions mirror three estimate shapes:
     omega:    ( sum_k a[n,k] omega(pi/(k+1))^q )^(1/q)
 
 alpha is the gap of ``f.spectrum``.  ``ratio_sweep`` reads the rows of a run
-from one weight table (the matrix's ``table``, or the dyadic blocks padded
-by ``row_table``), takes each side's means with one ``power_mean`` per q,
+from one weight table (the matrix's ``table``, or the dyadic blocks from one
+mask), takes each side's means with one ``power_mean`` per q,
 and returns one ``RatioRecord`` per (x, q, n): lhs, rhs and lhs/rhs, 0/0 as
 ratio 0 (flagged) and finite/0 as inf.  The verdicts on them are
 ``experiment.run``'s; ``strong_mean_rows`` gives lhs means alone.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import GM2_C, SummabilityMatrix, row_table
+from .matrices import GM2_C, SummabilityMatrix
 from .measures import WindowGrid, modulus_omega
 from .spectra import QuasiPeriodicFunction, power_mean
 
@@ -62,13 +62,14 @@ def _omegas(f: QuasiPeriodicFunction, table: np.ndarray, p: float, grid) -> np.n
     return omegas
 
 
-def _dyadic_row(n: int) -> np.ndarray:
-    """Uniform weights 1/(n+1) on the block k in [n, 2n]."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    row = np.zeros(2 * n + 1)
-    row[n:] = 1.0 / (n + 1)
-    return row
+def _dyadic_table(n_values) -> np.ndarray:
+    """Uniform weights 1/(n+1) on the block k in [n, 2n], one row per n,
+    zero-padded to the longest row plus its trailing zero."""
+    ns = np.array(n_values, dtype=int)[:, None]
+    if (ns < 0).any():
+        raise ValueError(f"n must be >= 0, got {ns[ns < 0][0]}")
+    k = np.arange(2 * ns.max(initial=0) + 2)
+    return np.where((ns <= k) & (k <= 2 * ns), 1.0 / (ns + 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def ratio_sweep(
         return []
 
     if theorem == "prop4":
-        table, _ = row_table([_dyadic_row(n) for n in n_values])
+        table = _dyadic_table(n_values)
     else:
         table, _ = matrix.table(n_values)
     if theorem == "thm2":

@@ -827,6 +827,26 @@ def test_infinite_config_number_echoes_as_inf(tmp_path, capsys):
     assert first == again
 
 
+def test_infinite_q_echoes_as_inf(tmp_path, capsys):
+    # q = inf (the max) is a valid config number; verify, report and the
+    # written report.json carry it as "inf", and the echo runs again
+    path = tmp_path / "cfg.json"
+    path.write_text('{"spectrum": {"builtin": "smooth"}, "q": ["inf"], "n_range": [8, 16]}')
+    out = tmp_path / "out"
+    codes = [main(["verify", str(path)]), main(["report", str(path)])]
+    codes.append(main(["report", str(path), "--out", str(out)]))
+    assert set(codes) <= {0, 3}
+    summary, report, written = strict_lines(capsys)
+    assert summary["argmax"]["q"] == "inf"
+    assert report["summary"] == summary
+    assert {r["q"] for r in report["records"]} == {"inf"}
+    assert strict_json((out / "report.json").read_text()) == report
+    assert written["written"][0] == str(out / "report.json")
+    path.write_text(json.dumps(report["config"]))
+    assert main(["verify", str(path)]) == codes[0]
+    assert strict_lines(capsys) == [summary]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
     "theorem, field, value",

@@ -676,6 +676,14 @@ class TestOutputs:
         again = ExperimentConfig.from_dict(data["config"])
         assert again.n_range == (1, 4)
 
+    def test_write_report_failure_leaves_no_file(self, tmp_path):
+        # a summary value strict JSON cannot hold fails before report.json opens
+        report = run(make_config(q=[1.0], n_range=[1, 4], blowup_head=4))
+        report.summary["flag_counts"] = {"nan": math.nan}
+        with pytest.raises(ValueError):
+            write_report(report, tmp_path / "out")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @staticmethod
     def per_row_table(cfg):
         """The per-(x, q, n) loop of one-row, one-x, one-q strong_mean_rows calls."""

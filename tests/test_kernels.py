@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apsum.kernels import (
-    QuadratureConfig,
     QuadratureToleranceError,
     gap_free,
     kernel_mass,
@@ -197,16 +196,21 @@ def irrational_at(alpha):
     return QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
 
 
+def with_term_at(lam):
+    """COS plus a second unit cos term at frequency lam."""
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (lam, 1.0, 0.0)]))
+
+
 class TestKernelRoute:
     def test_constant_forces_normalization(self):
         got = partial_sum_kernel_table(CONST, [1], [17.2])[0, 0]
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_cos_matches_direct(self):
-        cfg = QuadratureConfig()
-        got = partial_sum_kernel_table(COS, [4], [0.7], cfg)[0, 0]
+        got = partial_sum_kernel_table(COS, [4], [0.7])[0, 0]
         want = partial_sum_direct(COS, 2.0, 0.7)
-        assert got == pytest.approx(want, abs=max(cfg.abs_tol, cfg.rel_tol * abs(want)))
+        tol = max(kernels.QUAD_ABS_TOL, kernels.QUAD_REL_TOL * abs(want))
+        assert got == pytest.approx(want, abs=tol)
 
     def test_band_shift_matches_direct(self):
         # k = 8 band holds sqrt(2)*pi, so the route goes through band 9
@@ -227,6 +231,32 @@ class TestKernelRoute:
         with pytest.raises(ValueError):
             partial_sum_kernel_table(SMOOTH, [0], [0.0])
 
+    def test_empty_k_list(self):
+        table = partial_sum_kernel_table(SMOOTH, [], [0.0, 0.7, 2.9])
+        assert table.shape == (3, 0)
+
+    def test_frequency_within_cutoff_slack(self):
+        # 100 + 5e-11 lies within the ladder's slack 1e-10 of the cutoff 100,
+        # so the direct sum at k = 200 counts it, and so must the kernel table
+        f = with_term_at(100.0 + 5e-11)
+        assert partial_sum_direct(f, 100.0, 0.0) == 2.0
+        assert partial_sum_kernel_table(f, [200], [0.0])[0, 0] == pytest.approx(2.0, abs=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(5, 200),
+        exponent=st.floats(-16.0, -9.0),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    def test_frequency_near_a_cutoff_matches_direct(self, k, exponent, side):
+        # a unit term at b (1 +- d), b = k / 2 on the ladder of gap 1: the
+        # band mask and the direct ladder draw the cutoff with one slack
+        f = with_term_at(0.5 * k * (1.0 + side * 10.0**exponent))
+        ks, xs = [k - 1, k, k + 1], [0.0, 0.7]
+        got = partial_sum_kernel_table(f, ks, xs)
+        want = [[partial_sum_direct(f, 0.5 * j, x) for j in ks] for x in xs]
+        assert np.abs(got - want).max() <= 1e-6
+
     @pytest.mark.parametrize(
         "freqs, match",
         [((1.1, 1.4), "holds 2 frequencies"), ((1.2, 1.7), "band above k=2 is not clean")],
@@ -237,13 +267,14 @@ class TestKernelRoute:
         with pytest.raises(SpectrumError, match=match):
             partial_sum_kernel_table(f, [2], [0.0])
 
-    def test_tolerance_error_carries_estimate(self):
+    def test_tolerance_error_carries_estimate(self, monkeypatch):
         # SMOOTH's grid is a multiple of the fold already; IRRATIONAL's
         # top frequency makes the table round its panel count up
+        monkeypatch.setattr(kernels, "QUAD_ABS_TOL", 1e-18)
+        monkeypatch.setattr(kernels, "QUAD_REL_TOL", 1e-18)
         for f, x in [(SMOOTH, 0.1), (IRRATIONAL, 0.4)]:
-            cfg = QuadratureConfig(abs_tol=1e-18, rel_tol=1e-18)
             with pytest.raises(QuadratureToleranceError) as err:
-                partial_sum_kernel_table(f, [3], [x], cfg)
+                partial_sum_kernel_table(f, [3], [x])
             assert err.value.error_estimate > 1e-18
             assert math.isfinite(err.value.value)
             # the budget as a whole-grid pass forms it: GL term over the
@@ -291,12 +322,13 @@ class TestKernelTableOracle:
         # (2b+1) - L; a loose budget lets the coarse grid through, and the
         # reference sums over the same nodes
         monkeypatch.setattr(kernels, "PANELS_PER_OSCILLATION", 0.5)
+        monkeypatch.setattr(kernels, "QUAD_REL_TOL", 1.0)
+        monkeypatch.setattr(kernels, "QUAD_ABS_TOL", 1e6)
         ks = list(range(1, 101))
         fold_length = table_panels(1.0, 1.0 + 0.5 * 101) // (kernels.TRUNCATION_PERIODS // 4)
         assert 2 * ks[-1] + 1 > fold_length
-        loose = QuadratureConfig(rel_tol=1.0, abs_tol=1e6)
         xs = [0.0, 0.7]
-        got = partial_sum_kernel_table(COS, ks, xs, loose)
+        got = partial_sum_kernel_table(COS, ks, xs)
         want = reference_table(COS, ks, xs)
         assert np.abs(got - want).max() <= 1e-12 * (1.0 + COS.spectrum.amplitude_mass())
 
@@ -371,6 +403,11 @@ class TestKernelMass:
         grid = kernel_mass(alpha, ks[:6].reshape(2, 3))
         assert grid.shape == (2, 3)
         assert grid.ravel().tolist() == kernel_mass(alpha, ks[:6]).tolist()
+
+    def test_empty_k(self):
+        for ks in ([], np.zeros((2, 0), dtype=int)):
+            got = kernel_mass(1.0, ks)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(ks)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -291,6 +291,17 @@ class TestDyadic:
                 row[n : 2 * n + 1] = 1.0 / (n + 1)
                 assert a == pytest.approx(row_mean(SMOOTH, 0.7, row, q), rel=1e-12)
 
+    def test_table_equals_padded_rows(self):
+        ns = [3, 0, 7, 1]
+        rows = []
+        for n in ns:
+            rows.append(np.zeros(2 * n + 1))
+            rows[-1][n:] = 1.0 / (n + 1)
+        table, _ = row_table(rows)
+        assert strong_means._dyadic_table(ns).tolist() == table.tolist()
+        with pytest.raises(ValueError, match="n must be >= 0, got -2"):
+            strong_means._dyadic_table([1, -2, -3])
+
     def test_small_spectrum_enumeration(self):
         n = 3
         row = np.zeros(2 * n + 1)
