@@ -70,8 +70,9 @@ def matrix_digest(label: str, builtin: str, params: dict | None, c: float) -> st
     """'matrices <label> <sha256>' over the rows and class constants."""
     matrix = builtin_matrices(builtin, params)
     h = hashlib.sha256()
-    for n in MATRIX_ROWS:
-        h.update(repr(matrix.row(n).tolist()).encode())
+    table, sizes = matrix.table(MATRIX_ROWS)
+    for row, size in zip(table, sizes):
+        h.update(repr(row[:size].tolist()).encode())
     for name in ("ms", "rbvs", "gm", "gm2"):
         h.update(repr(class_membership(matrix, name, 1.0, MATRIX_ROWS, c=c).constants).encode())
     return f"matrices {label} {h.hexdigest()}"

@@ -52,6 +52,8 @@ def cmd_classes(args) -> int:
         raise ConfigError("n_range", f"need 0 <= LO <= HI, got LO={lo}, HI={hi}")
     if not math.isfinite(args.threshold):
         raise ConfigError("threshold", f"must be finite, got {args.threshold}")
+    if not 1.0 < args.c < math.inf:
+        raise ConfigError("c", f"must be > 1 and finite, got {args.c}")
     if args.cls not in (None, "gm2") and args.c != GM2_C:
         raise ConfigError("c", f"only gm2 reads c; {args.cls} reads none")
     matrix = load_matrix(args.matrix_file)

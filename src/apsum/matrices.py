@@ -38,7 +38,6 @@ from .spectra import _keys, _number
 __all__ = [
     "MatrixError",
     "SummabilityMatrix",
-    "by_rows",
     "class_constants",
     "ClassReport",
     "class_membership",
@@ -83,17 +82,8 @@ class SummabilityMatrix:
         asked for; MatrixError naming the first bad row."""
         ns = np.asarray(n_values, dtype=int)
         key = ns.tobytes()
-        if self._last is None or self._last[0] != key:
-            self._last = (key, *self._checked(ns))
-        return self._last[1:]
-
-    def row(self, n: int) -> np.ndarray:
-        """Weights (a[n, 0], a[n, 1], ...) of row n, a read-only view of its
-        own one-row table; the kept sweep table stays."""
-        table, sizes = self._checked(np.array([n], dtype=int))
-        return table[0, : sizes[0]]
-
-    def _checked(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._last is not None and self._last[0] == key:
+            return self._last[1:]
         if np.any(ns < 0):
             raise MatrixError(f"row index must be >= 0, got {ns[ns < 0][0]}")
         table, sizes = self._table_fn(ns)
@@ -108,6 +98,7 @@ class SummabilityMatrix:
             raise MatrixError(f"row {n} sums to {float(table[i, : sizes[i]].sum())!r}, expected 1")
         table.setflags(write=False)
         sizes.setflags(write=False)
+        self._last = (key, table, sizes)
         return table, sizes
 
     def describe(self) -> dict:
@@ -186,8 +177,10 @@ def _table_constants(class_name: str, a: np.ndarray, sizes: np.ndarray, c: float
     # Masses a_k / k over [floor(m/c) v 1, floor(c m)], k in column k - 1:
     # k = 0 never enters, and the top is clamped to the row's own trailing
     # zero, not the table width, lest extra zeros regroup a window's sum.
+    # c is clamped to the width first, which moves no top, so a huge c
+    # does not overflow the product.
     lo = np.maximum(1, np.floor(m / c)).astype(int)
-    hi = np.minimum(np.floor(c * m), sizes[:, None]).astype(int)
+    hi = np.minimum(np.floor(min(c, a.shape[1]) * m), sizes[:, None]).astype(int)
     return _sup_ratio(var, _window_sums(a[:, 1:] / m, var != 0.0, lo - 1, hi))
 
 
@@ -262,39 +255,30 @@ def _cesaro_table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(live, 1.0 / (ns[:, None] + 1.0), 0.0), sizes
 
 
-def by_rows(row_fn: Callable[[int], Sequence[float]]) -> Callable:
-    """The table function of a family whose rows are given one at a time:
-    ``row_fn(n)`` for every n, padded into one table by ``row_table``."""
-
-    def table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = []
-        for n in ns.tolist():
-            rows.append(np.asarray(row_fn(n), dtype=float))
-            if rows[-1].ndim != 1 or rows[-1].size == 0:
-                raise MatrixError(f"row {n} must be a nonempty vector")
-        return row_table(rows)
-
-    return table
-
-
 def cesaro_matrix() -> SummabilityMatrix:
     return SummabilityMatrix("cesaro", _cesaro_table)
 
 
-def _riesz_power_table(ex: float) -> Callable:
-    """Rows (k+1)^ex / sum_{j <= n} (j+1)^ex: the powers once for the
-    longest row, each row divided by its own prefix's sum.  A row whose
-    powers or sum overflow divides by its largest power first, so its
-    weights are ((k+1)/(n+1))^ex over their sum."""
+def _riesz_table(bases: np.ndarray | None, r: float) -> Callable:
+    """Rows a[n, k] = p_k / sum_{j <= n} p_j with p_k = b_k^r, b a weight
+    list (r = 1) or, if None, b_k = k + 1: the powers once for the longest
+    row, each row divided by its own prefix's sum.  A row whose powers or
+    sum overflow (only at r > 0) divides by its largest power first, so its
+    weights are (b_k / max b)^r over their sum.  A weight list too short
+    for a row names the first such n asked for."""
 
     def table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k, live, sizes = _support(ns)
+        b = k[:-1] + 1.0 if bases is None else bases[: k.size - 1]
+        if b.size < k.size - 1:
+            n = ns[ns >= b.size][0]
+            raise MatrixError(f"riesz weight list of length {b.size} cannot build row {n}")
         with np.errstate(over="ignore"):
-            powers = (k[:-1] + 1.0) ** ex
+            powers = b**r
             sums = np.array([powers[:size].sum() for size in sizes.tolist()])
         out = np.where(live, np.append(powers, 0.0), 0.0)
         for i in np.flatnonzero(~np.isfinite(sums)):
-            head = ((k[: sizes[i]] + 1.0) / sizes[i]) ** ex
+            head = (b[: sizes[i]] / b[: sizes[i]].max()) ** r
             out[i, : sizes[i]], sums[i] = head, head.sum()
         return out / sums[:, None], sizes
 
@@ -306,8 +290,8 @@ def riesz_matrix(
 ) -> SummabilityMatrix:
     """Rows a[n, k] = p_k / (p_0 + ... + p_n) for user weights p.
 
-    Either an explicit weight list or the power rule p_k = (k+1)**exponent
-    with a finite exponent.
+    Either an explicit list of finite weights or the power rule
+    p_k = (k+1)**exponent with a finite exponent.
     """
     if (weights is None) == (exponent is None):
         raise MatrixError("riesz needs exactly one of weights= or exponent=")
@@ -315,18 +299,11 @@ def riesz_matrix(
         ex = float(exponent)
         if not math.isfinite(ex):
             raise MatrixError(f"riesz exponent must be finite, got {ex}")
-        return SummabilityMatrix("riesz", _riesz_power_table(ex), {"exponent": ex})
+        return SummabilityMatrix("riesz", _riesz_table(None, ex), {"exponent": ex})
     p = np.asarray(list(weights), dtype=float)
-    if p.size == 0 or np.any(p < 0.0) or p[0] <= 0.0:
-        raise MatrixError("riesz weights must be nonnegative with p_0 > 0")
-
-    def row_fn(n: int) -> np.ndarray:
-        if n >= p.size:
-            raise MatrixError(f"riesz weight list of length {p.size} cannot build row {n}")
-        head = p[: n + 1]
-        return head / head.sum()
-
-    return SummabilityMatrix("riesz", by_rows(row_fn), {"weights": [float(v) for v in p]})
+    if p.size == 0 or not np.all((0.0 <= p) & (p < math.inf)) or p[0] <= 0.0:
+        raise MatrixError("riesz weights must be finite and nonnegative with p_0 > 0")
+    return SummabilityMatrix("riesz", _riesz_table(p, 1.0), {"weights": [float(v) for v in p]})
 
 
 def _osc_gm2_table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,10 +327,9 @@ OSC_GM2_CHECK_ROWS = (1, 2, 4, 8, 16, 32, 64, 128, 192, 256)
 def osc_gm2_matrix(c: float = GM2_C) -> SummabilityMatrix:
     """Oscillating non-monotone family, class-checked at construction.
 
-    Raises MatrixError if any check row exceeds the claimed gm2 constant or
-    if the family fails to break monotonicity where it should.  Every c in
-    (1, 2) fails: the gm2 window [1, floor(c)] of row 2, (1/2, 0, 1/2),
-    holds only its zero a_1, so that row's constant is inf.
+    Raises MatrixError if any check row exceeds the claimed gm2 constant.
+    Every c in (1, 2) fails: the gm2 window [1, floor(c)] of row 2,
+    (1/2, 0, 1/2), holds only its zero a_1, so that row's constant is inf.
     """
     m = SummabilityMatrix("osc-gm2", _osc_gm2_table, {"c": c})
     report = class_membership(m, "gm2", OSC_GM2_THRESHOLD, OSC_GM2_CHECK_ROWS, c)
@@ -362,23 +338,25 @@ def osc_gm2_matrix(c: float = GM2_C) -> SummabilityMatrix:
             raise MatrixError(
                 f"osc-gm2 row {n} has gm2 constant {k:.3g} > {OSC_GM2_THRESHOLD}"
             )
-    row4 = m.table(OSC_GM2_CHECK_ROWS)[0][OSC_GM2_CHECK_ROWS.index(4), :5]
-    if np.all(np.diff(row4) <= 0.0):
-        raise MatrixError("osc-gm2 family unexpectedly monotone")
     return m
 
 
 def explicit_matrix(rows: Sequence[Sequence[float]]) -> SummabilityMatrix:
+    """The stored rows; a table reads only the rows asked for, so a
+    malformed row outside the sweep is never read."""
     stored = [np.asarray(r, dtype=float) for r in rows]
     if not stored:
         raise MatrixError("explicit matrix needs at least one row")
 
-    def row_fn(n: int) -> np.ndarray:
-        if n >= len(stored):
-            raise MatrixError(f"explicit matrix has {len(stored)} rows, asked for {n}")
-        return stored[n]
+    def table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        for n in ns.tolist():
+            if n >= len(stored):
+                raise MatrixError(f"explicit matrix has {len(stored)} rows, asked for {n}")
+            if stored[n].ndim != 1 or stored[n].size == 0:
+                raise MatrixError(f"row {n} must be a nonempty vector")
+        return row_table([stored[n] for n in ns.tolist()])
 
-    return SummabilityMatrix("explicit", by_rows(row_fn), {"rows": len(stored)})
+    return SummabilityMatrix("explicit", table, {"rows": len(stored)})
 
 
 # Per matrix type: its builder and the reader of each key of its params.

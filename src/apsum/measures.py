@@ -459,9 +459,10 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
 
         ((1/delta) int_0^delta |phi_x(t) - phi_x(t + s)|^p dt)^(1/p)
 
-    for every shift s, shape (D, M), at each delta > 0, for p >= 1; at
-    p = inf both are sups over [0, delta].  A minus shift is s < 0, folded
-    back by the evenness of phi_x.
+    for every finite shift s, shape (D, M), at each finite delta > 0 (both
+    1-D lists, else ValueError), for p >= 1; at p = inf both are sups over
+    [0, delta].  A minus shift is s < 0, folded back by the evenness of
+    phi_x.
 
     At p = 2 both are exact quadratic forms in a = 2 g(x), g = term values:
     phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
@@ -476,8 +477,10 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
     """
     deltas = np.asarray(deltas, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
-    if not np.all(deltas > 0.0):
-        raise ValueError(f"delta must be > 0, got {deltas!r}")
+    if deltas.ndim != 1 or not np.all((deltas > 0.0) & (deltas < math.inf)):
+        raise ValueError(f"deltas must be a 1-D list of finite numbers > 0, got {deltas!r}")
+    if shifts.ndim != 1 or not np.all(np.isfinite(shifts)):
+        raise ValueError(f"shifts must be a 1-D list of finite numbers, got {shifts!r}")
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1 (or inf), got {p}")
     if p == 2.0:

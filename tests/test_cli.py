@@ -10,6 +10,7 @@ import pytest
 
 from apsum import strong_means
 from apsum.cli import main
+from apsum.experiment import ExperimentConfig, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -368,17 +369,32 @@ def test_infinite_osc_gm2_c_exit_2(tmp_path, capsys, command):
     assert one_error_object(capsys)["field"] == "matrix"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", ['{"exponent": "inf"}', '{"weights": [1.0, "inf", 1.0]}'])
 @pytest.mark.parametrize("command", COMMANDS)
-def test_infinite_riesz_exponent_exit_2(tmp_path, capsys, command):
-    # row 1 summed to nan
+def test_infinite_riesz_exponent_exit_2(tmp_path, capsys, command, params):
+    # row 1 summed to nan, and with weights printed a RuntimeWarning
     path = tmp_path / "bad.json"
     path.write_text(
         '{"spectrum": {"builtin": "smooth"}, "theorem": "thm6", '
-        '"matrix": {"builtin": "riesz", "params": {"exponent": "inf"}}, "n_range": [1, 8]}'
+        f'"matrix": {{"builtin": "riesz", "params": {params}}}, "n_range": [1, 8]}}'
     )
     assert main([command, str(path)]) == 2
     out = one_error_object(capsys)
-    assert out["field"] == "matrix" and "exponent" in out["error"]
+    assert out["field"] == "matrix" and f"{next(iter(json.loads(params)))} must be finite" in out["error"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_riesz_weights_give_cesaro_rows(tmp_path, capsys):
+    # the prefix sums of 1e308 overflowed: row 1 summed to 0.0, exit 2
+    # with a RuntimeWarning; each row now divides by its largest weight first
+    outs = []
+    for name, matrix in (("big", {"type": "riesz", "params": {"weights": [1e308] * 40}}), ("ces", {"builtin": "cesaro"})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": matrix, "n_range": [1, 32]}))
+        assert main(["verify", str(path)]) == 0
+        outs.append((json.loads(capsys.readouterr().out), run(ExperimentConfig.from_file(path)).records))
+    assert outs[0] == outs[1] and outs[0][0]["records"] == 32
 
 
 def test_large_riesz_exponent_runs(tmp_path, capsys):
@@ -397,6 +413,8 @@ def test_large_riesz_exponent_runs(tmp_path, capsys):
     [
         ["--class", "gm2", "--c", "inf"],
         ["--c", "inf"],
+        ["--class", "gm2", "--c", "1"],
+        ["--c", "nan"],
         ["--threshold", "nan"],
         ["--class", "ms", "--threshold", "nan"],
         ["--threshold", "inf"],
@@ -404,10 +422,11 @@ def test_large_riesz_exponent_runs(tmp_path, capsys):
     ],
 )
 def test_classes_bad_c_or_threshold_exit_2(cesaro_file, capsys, argv):
-    # each ran and exited 0; a NaN threshold printed "threshold": NaN, and
-    # an infinite one "threshold": Infinity, making every class a member
+    # each threshold ran and exited 0; a NaN threshold printed "threshold":
+    # NaN, and an infinite one "threshold": Infinity, making every class a
+    # member; a c outside (1, inf) exited 2 with "field": null
     assert main(["classes", str(cesaro_file), *argv]) == 2
-    field = "threshold" if any(a.startswith("--threshold") for a in argv) else None
+    field = "threshold" if any(a.startswith("--threshold") for a in argv) else "c"
     assert one_error_object(capsys)["field"] == field
 
 
@@ -418,6 +437,16 @@ def test_classes_c_that_no_constant_reads_exit_2(cesaro_file, capsys, cls):
     assert one_error_object(capsys)["field"] == "c"
     for argv in (["--class", cls, "--c", "2"], ["--class", "gm2", "--c", "5"], ["--c", "5"]):
         assert main(["classes", str(cesaro_file), *argv]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_classes_huge_gm2_c_warns_nothing(tmp_path, capsys):
+    # floor(c m) overflowed in the gm2 window and printed a RuntimeWarning
+    path = tmp_path / "mat.json"
+    path.write_text('{"type": "osc-gm2", "params": {"c": 1e308}}')
+    assert main(["classes", str(path), "--class", "gm2", "--c", "1e308"]) == 0
+    out = json.loads(capsys.readouterr().out)["classes"]["gm2"]
+    assert out["c"] == 1e308 and out["member"] is True
 
 
 def test_classes_infinite_osc_gm2_c_exit_2(tmp_path, capsys):
@@ -570,6 +599,7 @@ from pathlib import Path
 
 import apsum
 from apsum.cli import main
+from apsum.experiment import ExperimentConfig, run
 from apsum.experiment import ExperimentConfig
 
 

@@ -85,13 +85,14 @@ class TestBuiltinSpectra:
 class TestBuiltinMatrices:
     def test_cesaro_row(self):
         m = builtin_matrices("cesaro")
-        np.testing.assert_allclose(m.row(2), [1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(m.table([2])[0][0], [1 / 3, 1 / 3, 1 / 3, 0.0])
 
     def test_osc_gm2_verified(self):
         m = builtin_matrices("osc-gm2")
-        ms, gm2 = class_constants("ms", [m.row(8)]), class_constants("gm2", [m.row(32)])
+        table, sizes = m.table([8, 32, 10])
+        ms, gm2 = class_constants("ms", [table[0, :9]]), class_constants("gm2", [table[1, :33]])
         assert ms[0] > 1.0 and gm2[0] < 8.0
-        assert m.row(10).sum() == pytest.approx(1.0, abs=1e-15)
+        assert table[2].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
@@ -690,10 +691,12 @@ class TestOutputs:
         f = cfg.resolve_function()
         matrix = cfg.resolve_matrix()
         lines = ["x,q,n,strong_mean"]
+        ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
+        table, sizes = matrix.table(ns)
         for x in cfg.x:
             for q in cfg.q:
-                for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-                    row = matrix.row(n)[None]
+                for i, n in enumerate(ns):
+                    row = table[i, : sizes[i]][None]
                     mean = strong_mean_rows(f, [x], row, [q]).item()
                     lines.append(f"{x!r},{q!r},{n},{mean!r}")
         return "\n".join(lines) + "\n"

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from apsum import matrices
 from apsum.matrices import (
     CLASS_NAMES,
+    ROW_SUM_TOL,
     ClassReport,
     MatrixError,
     SummabilityMatrix,
-    by_rows,
     cesaro_matrix,
     class_constants,
     class_membership,
@@ -44,6 +44,12 @@ def osc_gm2_row(n):
 def riesz_row(n, exponent):
     head = (np.arange(n + 1) + 1.0) ** exponent
     return head / head.sum()
+
+
+def row_of(matrix, n):
+    """Row n of a matrix, read from its one-row table."""
+    table, sizes = matrix.table([n])
+    return table[0, : sizes[0]]
 
 
 def brute_rbvs(row):
@@ -132,13 +138,13 @@ def random_rows(rng, count, kind="mixed"):
 
 class TestCesaroRow:
     def test_n0(self):
-        np.testing.assert_array_equal(cesaro_matrix().row(0), [1.0])
+        np.testing.assert_array_equal(row_of(cesaro_matrix(), 0), [1.0])
 
     def test_n2(self):
-        np.testing.assert_allclose(cesaro_matrix().row(2), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_allclose(row_of(cesaro_matrix(), 2), [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
 
     def test_row_sum(self):
-        assert cesaro_matrix().row(10).sum() == pytest.approx(1.0, abs=1e-15)
+        assert row_of(cesaro_matrix(), 10).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestMS:
@@ -227,9 +233,7 @@ class TestClassMembership:
         assert rep.side_condition_ok
 
     def test_fixed_first_weight_flagged(self):
-        m = SummabilityMatrix(
-            "sticky", by_rows(lambda n: np.concatenate([[1.0], np.zeros(n)]))
-        )
+        m = explicit_matrix([np.concatenate([[1.0], np.zeros(n)]) for n in range(16)])
         rep = class_membership(m, "ms", 1.0, range(0, 16))
         assert rep.member  # still monotone rows
         assert rep.side_condition_ok is False
@@ -251,22 +255,22 @@ class TestClassMembership:
 
 class TestMatrices:
     def test_row_sum_enforced(self):
-        m = SummabilityMatrix("broken", by_rows(lambda n: np.ones(n + 1)))
+        m = explicit_matrix([np.ones(n + 1) for n in range(4)])
         with pytest.raises(MatrixError):
-            m.row(3)
+            m.table([3])
 
     def test_negative_rejected(self):
-        m = SummabilityMatrix("neg", by_rows(lambda n: np.array([1.5, -0.5])))
+        m = explicit_matrix([[1.5, -0.5]])
         with pytest.raises(MatrixError):
-            m.row(0)
+            m.table([0])
 
     def test_riesz_weights(self):
         m = riesz_matrix(weights=[1.0, 2.0, 3.0])
-        np.testing.assert_allclose(m.row(2), [1 / 6, 2 / 6, 3 / 6], rtol=1e-15)
+        np.testing.assert_allclose(row_of(m, 2), [1 / 6, 2 / 6, 3 / 6], rtol=1e-15)
 
     def test_riesz_exponent(self):
         m = riesz_matrix(exponent=1.0)
-        np.testing.assert_allclose(m.row(2), [1 / 6, 2 / 6, 3 / 6], rtol=1e-15)
+        np.testing.assert_allclose(row_of(m, 2), [1 / 6, 2 / 6, 3 / 6], rtol=1e-15)
 
     def test_riesz_needs_one_source(self):
         with pytest.raises(MatrixError):
@@ -275,7 +279,7 @@ class TestMatrices:
             riesz_matrix(weights=[1.0], exponent=2.0)
 
     def test_osc_gm2_rows(self):
-        row = osc_gm2_matrix().row(8)
+        row = row_of(osc_gm2_matrix(), 8)
         assert row[0] > 0.0
         assert row[1] == 0.0 and row[3] == 0.0 and row[7] == 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
@@ -292,9 +296,9 @@ class TestMatrices:
         path = tmp_path / "mat.json"
         path.write_text(json.dumps({"type": "explicit", "rows": rows}))
         m = load_matrix(path)
-        np.testing.assert_allclose(m.row(2), rows[2])
+        np.testing.assert_allclose(row_of(m, 2), rows[2])
         with pytest.raises(MatrixError):
-            m.row(3)
+            m.table([3])
 
     def test_from_dict_kinds(self):
         assert matrix_from_dict({"type": "cesaro"}).name == "cesaro"
@@ -334,9 +338,9 @@ class TestMatrices:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, bad):
         m = matrix_from_dict({"type": "explicit", "rows": [[1.0], [bad, 1.0]]})
-        assert m.row(0).tolist() == [1.0]
+        assert row_of(m, 0).tolist() == [1.0]
         with pytest.raises(MatrixError, match=f"row 1 sums to {bad!r}"):
-            m.row(1)
+            m.table([1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,12 +437,12 @@ def test_class_membership_equals_per_row_loop(matrix, c):
     rows = range(0, 129)
     for name in CLASS_NAMES:
         got = class_membership(matrix, name, 1.0, rows, c=c).constants
-        assert got == tuple(constant(name, matrix.row(n), c) for n in rows)
+        assert got == tuple(constant(name, row_of(matrix, n), c) for n in rows)
 
 
 def test_class_membership_makes_no_per_row_calls(monkeypatch):
-    # the four class checks of one n range share one table build, and so
-    # do the constructor's gm2 check and its monotone check
+    # the four class checks of one n range share one table build, and the
+    # constructor's gm2 check builds one more
     builds = []
     osc = matrices._osc_gm2_table
     monkeypatch.setattr(matrices, "_osc_gm2_table", lambda ns: builds.append(ns.tolist()) or osc(ns))
@@ -451,10 +455,10 @@ def test_class_membership_makes_no_per_row_calls(monkeypatch):
 
 @pytest.mark.parametrize("c", [1.0, 0.5, float("nan")])
 def test_class_membership_checks_c_before_reading_rows(c):
-    def no_rows(n):
+    def no_rows(ns):
         raise AssertionError("row read before the class check")
 
-    m = SummabilityMatrix("unread", by_rows(no_rows))
+    m = SummabilityMatrix("unread", no_rows)
     with pytest.raises(MatrixError, match="c must be > 1"):
         class_membership(m, "gm2", 1.0, range(4), c=c)
     with pytest.raises(MatrixError, match="unknown class"):
@@ -486,15 +490,15 @@ def test_family_tables_equal_one_row_formulas(ns, exponent):
         for row, size, n in zip(table, sizes, ns):
             assert row[:size].tolist() == formula(n).tolist(), (name, n)
             assert not row[size:].any()
-        assert matrix.row(ns[0]).tolist() == formula(ns[0]).tolist()
+        assert row_of(matrix, ns[0]).tolist() == formula(ns[0]).tolist()
 
 
 def test_table_is_kept_once_and_read_only():
     m = cesaro_matrix()
     table, sizes = m.table(range(3, 9))
-    assert not table.flags.writeable and not m.row(5).flags.writeable
-    assert m.row(5).tolist() == cesaro_row(5).tolist()
-    # row() leaves the kept table; any sequence of the same n finds it
+    assert not table.flags.writeable and not sizes.flags.writeable
+    assert table[2, :6].tolist() == cesaro_row(5).tolist()
+    # any sequence of the same n finds the kept table
     assert m.table(range(3, 9))[0] is table
     assert m.table([3, 4, 5, 6, 7, 8])[0] is table
     m.table(range(4))
@@ -503,9 +507,9 @@ def test_table_is_kept_once_and_read_only():
 
 def test_table_reads_only_its_rows():
     read = []
-    m = SummabilityMatrix("logged", by_rows(lambda n: read.append(n) or cesaro_row(n)))
+    m = SummabilityMatrix("logged", lambda ns: read.append(ns.tolist()) or matrices._cesaro_table(ns))
     m.table([5, 2, 2, 7])
-    assert read == [5, 2, 2, 7]
+    assert read == [[5, 2, 2, 7]]
     # a bad row outside the sweep is never read
     m = explicit_matrix([[1.0], [0.5, 0.5], [1.5, -0.5]])
     assert m.table(range(2))[1].tolist() == [1, 2]
@@ -531,7 +535,7 @@ def test_table_reads_only_its_rows():
 )
 def test_table_errors_name_the_first_bad_row(rows, ns, bad, message):
     m = explicit_matrix(rows)
-    for call in (lambda: m.table(ns), lambda: m.row(bad)):
+    for call in (lambda: m.table(ns), lambda: m.table([bad])):
         with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -566,3 +570,39 @@ def test_constants_of_subnormal_weights_warn_nothing():
         warnings.simplefilter("error")
         constants = [class_membership(m, name, 8.0, range(129)).sup_constant for name in CLASS_NAMES]
     assert constants[0] == math.inf
+
+
+@st.composite
+def riesz_weights(draw):
+    """Weight lists of magnitudes 1e-300 to 1e308, or of 1e307 to 1e308,
+    whose prefix sums overflow, with zeros after p_0."""
+    size = draw(st.integers(1, 40))
+    low = draw(st.sampled_from([1e-300, 1e307]))
+    p = np.array(draw(st.lists(st.floats(low, 1e308), min_size=size, max_size=size)))
+    p[[k for k in draw(st.lists(st.integers(0, size - 1), max_size=size)) if k > 0]] = 0.0
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=riesz_weights(), r=st.floats(-6.0, 6.0))
+def test_riesz_weight_table_is_the_plain_formula(p, r):
+    # weights and exponents share one table: where a prefix sum is finite
+    # the row is p[:n+1] / sum, and the powers of an exponent r as a weight
+    # list give the exponent-r rows bit for bit
+    table, sizes = riesz_matrix(weights=p).table(range(p.size))
+    assert np.all(np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
+    for n in range(p.size):
+        with np.errstate(over="ignore"):
+            total = p[: n + 1].sum()
+        if math.isfinite(total):
+            assert table[n, : n + 1].tolist() == (p[: n + 1] / total).tolist()
+    powers = (np.arange(p.size) + 1.0) ** r
+    got = riesz_matrix(weights=powers).table(range(p.size))[0]
+    assert got.tolist() == riesz_matrix(exponent=r).table(range(p.size))[0].tolist()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_riesz_non_finite_weight_rejected(bad):
+    # row 1 summed to nan when the table was built
+    with pytest.raises(MatrixError, match="riesz weights must be finite"):
+        riesz_matrix(weights=[1.0, bad, 1.0])

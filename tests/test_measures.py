@@ -979,3 +979,28 @@ class TestLargeP:
         w, report = fit_class_majorant(SMOOTH, 0.6, 600.0, SamplePlan.default(count=6))
         assert all(math.isfinite(v) for _, v in w.knots) and w(1.0) > 0.0
         assert report.constant <= 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize(
+    "deltas, shifts, name",
+    [
+        (0.5, [0.5], "deltas"),
+        ([[0.5, 1.0]], [0.5], "deltas"),
+        ([math.inf], [0.5], "deltas"),
+        ([math.nan], [0.5], "deltas"),
+        ([0.0], [0.5], "deltas"),
+        ([-1.0], [0.5], "deltas"),
+        ([0.5], 0.5, "shifts"),
+        ([0.5], [[0.5]], "shifts"),
+        ([0.5], [math.nan], "shifts"),
+        ([0.5], [math.inf], "shifts"),
+        ([0.5], [-math.inf], "shifts"),
+    ],
+)
+def test_moduli_one_input_rule_at_every_p(p, deltas, shifts, name):
+    # a scalar or 2-D delta ran at p = 2 and raised a TypeError elsewhere;
+    # an infinite delta gave NaN, an OverflowError or a math domain error,
+    # and a non-finite shift a silent NaN entry
+    with pytest.raises(ValueError, match=f"^{name} must be a 1-D list"):
+        moduli(SMOOTH, 0.0, deltas, shifts, p)

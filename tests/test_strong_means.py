@@ -56,6 +56,11 @@ def plain_strong_mean(f, x, weights, q, alpha):
     return total ** (1.0 / q)
 
 
+def cesaro_row(n):
+    """Row n of the Cesaro family, read from its one-row table."""
+    return cesaro_matrix().table([n])[0][0, : n + 1]
+
+
 def row_mean(f, x, row, q):
     """H of one weight row at one x: a one-row table of strong_mean_rows."""
     return strong_mean_rows(f, [x], np.asarray(row)[None], [q]).item()
@@ -207,7 +212,7 @@ class TestStrongMean:
         assert row_mean(SMOOTH, 0.7, row, 1.0) == 0.0
 
     def test_cesaro_enumeration_oracle(self):
-        got = row_mean(SMOOTH, 0.0, cesaro_matrix().row(4), 2.0)
+        got = row_mean(SMOOTH, 0.0, cesaro_row(4), 2.0)
         want = plain_strong_mean(SMOOTH, 0.0, [0.2] * 5, 2.0, 1.0)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -255,7 +260,7 @@ class TestCutoffLadder:
         assert rec.lhs == pytest.approx(
             plain_strong_mean(f, x, dyadic, q, alpha), rel=1e-12, abs=atol
         )
-        row = cesaro_matrix().row(n)
+        row = cesaro_row(n)
         for theorem, divisor in (("thm6", 2.0), ("thm5", 8.0)):
             (rec,) = ratio_sweep(f, theorem, [n], [q], [(x, w)], cesaro_matrix())
             assert rec.rhs == pytest.approx(
@@ -344,7 +349,7 @@ class TestBoundExpressions:
         # k in [8, 11] puts the first frequency between alpha*k/2^(1+floor(c))
         # and alpha*k/2^(1+c), so the two conventions give different tails
         w = PowerModulus(1.0, 1.0)
-        row = cesaro_matrix().row(10)
+        row = cesaro_row(10)
         a = rhs_values(SMOOTH, "thm5", [10], 1.0, cesaro_matrix(), w, c=2.5)
         b = rhs_values(
             SMOOTH, "thm5", [10], 1.0, cesaro_matrix(), w, c=2.5, thm5_literal_exponent=True
@@ -359,7 +364,7 @@ class TestBoundExpressions:
     def test_gm2_huge_c_cuts_at_zero(self, c, literal):
         # 2^(1+c) overflowed; 2^-(1+c) is 0 (or below every alpha k / freq)
         w = PowerModulus(1.0, 1.0)
-        row = cesaro_matrix().row(10)
+        row = cesaro_row(10)
         got = rhs_values(
             SMOOTH, "thm5", [10], 1.0, cesaro_matrix(), w, c=c, thm5_literal_exponent=literal
         )
