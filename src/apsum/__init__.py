@@ -5,20 +5,17 @@ from .spectra import (
     SpectrumEntry,
     SpectrumError,
     QuasiPeriodicFunction,
-    fourier_coefficient,
     load_spectrum,
     power_mean,
     validate_spectrum,
 )
 from .kernels import (
     QuadratureToleranceError,
-    gap_free,
     kernel_mass,
     partial_sum_direct,
     partial_sum_kernel_table,
     psi,
     psi_k,
-    tail_bound,
 )
 from .matrices import (
     ClassReport,
@@ -39,7 +36,6 @@ from .measures import (
     SamplePlan,
     TableModulus,
     WindowGrid,
-    best_approx_tail,
     check_eq7,
     fit_class_majorant,
     fit_majorant,

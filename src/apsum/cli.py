@@ -1,12 +1,13 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 validation failure (bad config, bad input file),
-3 bound-regression failure, which includes a run whose every record is
-0/0 and so checked nothing.  Every command reports a validation failure
-the same way: one JSON object {"ok": false, "field": ..., "error": ...}
-on stdout, ``field`` naming the offending config entry (null when the
-error has no config field).  ``classes`` writes an infinite class
-constant, the sentinel for growth out of a zero weight, as null.
+Exit codes: 0 success, 2 validation failure (bad config, bad input file,
+a path that cannot be read or written), 3 bound-regression failure, which
+includes a run whose every record is 0/0 and so checked nothing.  Every
+command reports a validation failure the same way: one JSON object
+{"ok": false, "field": ..., "error": ...} on stdout, ``field`` naming the
+offending config entry (null when the error has no config field).
+``classes`` writes an infinite class constant, the sentinel for growth out
+of a zero weight, as null.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 
-VALIDATION_ERRORS = (ConfigError, SpectrumError, MatrixError, FileNotFoundError)
+VALIDATION_ERRORS = (ConfigError, SpectrumError, MatrixError, OSError)
 
 
 def cmd_validate(args) -> int:
@@ -98,7 +99,12 @@ def cmd_report(args) -> int:
     if out is None:
         print(json.dumps(report_to_dict(report), sort_keys=True, allow_nan=False))
     else:
-        paths = write_report(report, out)
+        try:
+            paths = write_report(report, out)
+        except OSError as exc:
+            if args.out:
+                raise
+            raise ConfigError("output", f"cannot write: {exc}") from None
         print(json.dumps({"written": [str(p) for p in paths]}, sort_keys=True))
     return EXIT_OK if report.summary["regression_ok"] else EXIT_TOLERANCE
 

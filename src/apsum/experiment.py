@@ -103,8 +103,9 @@ class _naming:
     def __exit__(self, kind, exc, tb):
         if kind is None or issubclass(kind, ConfigError):
             return
-        if issubclass(kind, FileNotFoundError):
-            raise ConfigError(self.field, f"file not found: {exc}") from None
+        if issubclass(kind, OSError):
+            what = "file not found" if issubclass(kind, FileNotFoundError) else "unusable path"
+            raise ConfigError(self.field, f"{what}: {exc}") from None
         if issubclass(kind, json.JSONDecodeError):
             raise ConfigError(self.field, f"not valid JSON: {exc}") from None
         if issubclass(kind, (KeyError, TypeError, ValueError, OverflowError)):
@@ -158,12 +159,15 @@ def _real(value, field: str, kind=float, ok=None, rule=""):
 
 
 def _numbers(value, field: str, ok, rule: str) -> tuple[float, ...]:
-    """A number or list of numbers as a nonempty tuple, each as ``_real``
-    reads it, else ConfigError: an empty list would check nothing."""
+    """A number or list of numbers as a nonempty tuple of distinct values,
+    each as ``_real`` reads it, else ConfigError: an empty list would check
+    nothing and a repeated value would repeat its records."""
     values = value if isinstance(value, (list, tuple)) else [value]
     out = tuple(_real(v, field, ok=ok, rule=rule) for v in values)
     if not out:
         raise ConfigError(field, "must not be empty")
+    if len(set(out)) < len(out):  # 0.0 == -0.0, so they count as one
+        raise ConfigError(field, f"must not repeat a value, got {value!r}")
     return out
 
 

@@ -33,10 +33,8 @@ __all__ = [
     "psi",
     "psi_k",
     "partial_sum_direct",
-    "gap_free",
     "partial_sum_kernel_table",
     "kernel_mass",
-    "tail_bound",
 ]
 
 
@@ -111,13 +109,6 @@ def _band_hits(f: QuasiPeriodicFunction, ks) -> np.ndarray:
     return above & (spec.freqs < hi - _slack(hi))
 
 
-def gap_free(f: QuasiPeriodicFunction, k: int) -> bool:
-    """True iff the open band (alpha k/2, alpha (k+1)/2) holds no frequency."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return not _band_hits(f, [k]).any()
-
-
 def _cos_tail(mu: np.ndarray, T: float) -> np.ndarray:
     """Exact int_T^inf cos(mu t) / t^2 dt, elementwise in mu >= 0."""
     # imported here, so that only the kernel route loads scipy.special
@@ -126,11 +117,6 @@ def _cos_tail(mu: np.ndarray, T: float) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     si, _ = sici(mu * T)
     return np.cos(mu * T) / T - mu * (0.5 * math.pi - si)
-
-
-def tail_bound(f: QuasiPeriodicFunction, T: float) -> float:
-    """Conservative bound 8 sup|f| / (alpha pi T) on the dropped kernel tail."""
-    return 8.0 * f.spectrum.amplitude_mass() / (f.spectrum.alpha * math.pi * T)
 
 
 # Peano-kernel constant of the m-node Gauss-Legendre error term,

@@ -20,13 +20,9 @@ the pointwise second-difference modulus
     m_x(delta) = ( (1/delta) int_0^delta |phi_x(t)|^p dt )^{1/p},
     phi_x(t) = f(x+t) + f(x-t) - 2 f(x),
 
-the windowed average
+and the windowed average
 
-    Phi_x(delta, nu) = (1/delta) int_nu^{nu+delta} phi_x(u) du,
-
-and the spectral-tail surrogate for the best band-limited approximation
-error (sum of amplitude mass above the cutoff; an upper bound, exact zero
-once the cutoff clears the spectrum).
+    Phi_x(delta, nu) = (1/delta) int_nu^{nu+delta} phi_x(u) du.
 
 Majorants are modulus-of-continuity-type functions w (w(0)=0,
 nondecreasing, subadditive) used to dominate the pointwise moduli;
@@ -72,7 +68,6 @@ __all__ = [
     "modulus_omega",
     "moduli",
     "phi_average",
-    "best_approx_tail",
     "OmegaClassReport",
     "omega_class_check",
     "check_eq7",
@@ -540,12 +535,6 @@ def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> 
     s = np.sin(0.5 * lams * (nu + 0.5 * delta))
     d = _one_minus_sinc(0.5 * delta * lams)
     return float(np.dot(2.0 * f.term_values(x), -2.0 * s * s * (1.0 - d) - d))
-
-
-def best_approx_tail(f: QuasiPeriodicFunction, sigma: float) -> float:
-    """Amplitude mass above the cutoff: an upper surrogate for the distance
-    to band-limited approximants; exactly 0 once sigma clears the spectrum."""
-    return float(f.spectrum.tail_mass(sigma))
 
 
 # The default sample plan: ``PLAN_COUNT`` equal steps up to ``PLAN_TOP``.

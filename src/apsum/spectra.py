@@ -10,9 +10,9 @@ them (the constant term ``a_0`` is the cos coefficient at frequency 0).
 Consecutive frequencies must be separated by at least the declared gap
 ``alpha``.
 
-Evaluation, cutoff sums and tails, symmetric second differences, and
-finite-span mean Fourier coefficients are all pure functions of immutable
-inputs, as is ``power_mean``, which the strong means and the measures share.
+Evaluation, cutoff sums and tails, and symmetric second differences are
+all pure functions of immutable inputs, as is ``power_mean``, which the
+strong means and the measures share.
 ``_number`` and ``_keys`` read every number and object of the package's
 JSON inputs: spectrum, matrix, majorant, window grid and config.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "validate_spectrum",
-    "fourier_coefficient",
     "power_mean",
     "spectrum_from_dict",
     "spectrum_to_dict",
@@ -84,26 +83,21 @@ class SpectrumEntry:
     cos_coef: float
     sin_coef: float
 
-    @property
-    def pair_weight(self) -> float:
-        """Total two-sided amplitude mass carried by this entry: libm's
-        hypot, which math.hypot does not match in every last bit."""
-        return float(np.hypot(self.cos_coef, self.sin_coef))
-
 
 @dataclass(frozen=True)
 class Spectrum:
     """Finite frequency content of one test function plus its gap ``alpha``.
     ``entries`` is the public form; the read-only arrays built from it once
     are ``freqs`` (N,), cos/sin rows ``coefs`` (N, 2) and ``tails`` (N + 1,),
-    tails[i] the pair-weight mass of the entries from i on."""
+    tails[i] the amplitude mass of the entries from i on (each entry weighs
+    libm's hypot of its coefficients); tails[0] bounds |f|."""
 
     alpha: float
     entries: tuple[SpectrumEntry, ...]
 
     def __post_init__(self):
         coefs = np.array([(e.cos_coef, e.sin_coef) for e in self.entries], float).reshape(-1, 2)
-        weights = np.hypot(coefs[:, 0], coefs[:, 1])  # each entry's pair_weight
+        weights = np.hypot(coefs[:, 0], coefs[:, 1])
         for name, arr in (
             ("freqs", np.array([e.freq for e in self.entries], dtype=float)),
             ("coefs", coefs),
@@ -127,10 +121,6 @@ class Spectrum:
 
     def max_frequency(self) -> float:
         return self.entries[-1].freq if self.entries else 0.0
-
-    def amplitude_mass(self) -> float:
-        """Sum of pair weights; a pointwise bound on |f|."""
-        return sum(e.pair_weight for e in self.entries)
 
     def cutoff_count(self, gammas) -> np.ndarray:
         """Number of entries with frequency <= gamma, elementwise in ``gammas``.
@@ -233,13 +223,6 @@ class QuasiPeriodicFunction:
                 out += -4.0 * g * (s * s)
         return float(out) if out.ndim == 0 else out
 
-    def symmetric_translate(self, x: float, t):
-        """f(x+t) + f(x-t) as sum_nu 2 g_nu(x) cos(l_nu t)."""
-        g = 2.0 * self.term_values(x)
-        rows = np.stack([g, np.zeros_like(g)], axis=-1)
-        out = _trig_sum(self.spectrum.freqs, rows, np.asarray(t, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
     def translate_difference(self, a: float) -> "QuasiPeriodicFunction":
         """The difference x -> f(x + a) - f(x); the constant term drops."""
         lams, rows = _difference_rows(self.spectrum, a)
@@ -323,23 +306,6 @@ def power_mean(weights, values, q: float):
     total = np.cumsum(terms, axis=-1)[..., -1] if v.shape[-1] else np.zeros(v.shape[:-1])
     means = top[..., 0] * total ** (1.0 / q)
     return float(means) if means.ndim == 0 else means
-
-
-def fourier_coefficient(f: QuasiPeriodicFunction, freq: float, span: float) -> complex:
-    """Finite-span mean coefficient (1/L) int_0^L f(t) exp(-i freq t) dt.
-
-    Converges to the amplitude at ``freq`` with O(1/L) error for separated
-    spectra.  Composite Gauss-Legendre panels, each at most half a period
-    of the fastest oscillation present and at most 1 wide.
-    """
-    if not (math.isfinite(freq) and math.isfinite(span)) or span <= 0.0:
-        raise ValueError(f"freq={freq!r}, span={span!r} must be finite with span > 0")
-    top = max(abs(freq), f.spectrum.max_frequency(), 1e-9)
-    width = min(math.pi / top, 1.0)
-    n_panels = max(1, int(math.ceil(span / width)))
-    t, w = _gl_panels(0.0, span, n_panels)
-    vals = f(t) * np.exp(-1j * freq * t)
-    return complex(np.dot(w, vals) / span)
 
 
 def spectrum_from_dict(data: dict) -> Spectrum:

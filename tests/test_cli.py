@@ -590,6 +590,33 @@ def test_every_exit_2_is_one_json_object(tmp_path, capsys, argv, field):
     assert one_error_object(capsys)["field"] == field
 
 
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["report", "{cfg}", "--out", "{file}"], {}, None),
+        (["report", "{cfg}"], {"output": "{file}"}, "output"),
+        (["strong-mean", "{cfg}", "--out", "{file}/means.csv"], {}, None),
+        (["verify", "{dir}"], {}, None),
+        (["classes", "{dir}"], {}, None),
+        (["verify", "{cfg}"], {"spectrum": {"file": "."}}, "spectrum"),
+        (["verify", "{cfg}"], {"matrix": {"file": "."}}, "matrix"),
+    ],
+    ids=["report-out-file", "output-file", "out-below-file", "verify-dir", "classes-dir", "spectrum-dir", "matrix-dir"],
+)
+def test_unusable_path_exit_2(tmp_path, capsys, argv, config, field):
+    # an existing file where a directory goes, or a directory where a file
+    # goes, exits 2 like a missing file; only a config field names itself
+    paths = {"file": str(tmp_path / "taken"), "dir": str(tmp_path / "dir"), "cfg": str(tmp_path / "cfg.json")}
+    Path(paths["file"]).write_text("")
+    Path(paths["dir"]).mkdir()
+    cfg = {"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": {"builtin": "cesaro"}, "n_range": [1, 8]}
+    cfg.update({k: v.format(**paths) if isinstance(v, str) else v for k, v in config.items()})
+    Path(paths["cfg"]).write_text(json.dumps(cfg))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert one_error_object(capsys)["field"] == field
+    assert Path(paths["file"]).read_text() == ""
+
+
 # Runs in a fresh interpreter: every CLI call of the configs, then the
 # scipy and numpy.fft modules loaded, then one kernel-route call and the
 # modules again.

@@ -126,6 +126,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
+        [("x", [0.7, 0.7]), ("q", [1.0, 1.0]), ("x", [0.0, -0.0]), ("q", [2, 1.0, 2.0])],
+    )
+    def test_repeated_value_names_field(self, field, value):
+        # a repeated x or q would repeat its records in the report
+        with pytest.raises(ConfigError, match="must not repeat a value") as err:
+            make_config(**{field: value})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
         [
             ("c", "x"),
             ("p", "x"),
@@ -253,11 +263,19 @@ class TestConfigValidation:
         assert err.value.field == "quadrature"
 
     def test_spectrum_file_missing(self, tmp_path):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ConfigError, match="file not found") as err:
             ExperimentConfig.from_dict(
                 {"spectrum": {"file": "nope.json"}}, base_dir=tmp_path
             )
         assert err.value.field == "spectrum"
+
+    @pytest.mark.parametrize("field", ["spectrum", "matrix"])
+    def test_source_file_that_is_a_directory_names_field(self, tmp_path, field):
+        data = {"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": {"builtin": "cesaro"}}
+        data[field] = {"file": "."}
+        with pytest.raises(ConfigError, match="unusable path") as err:
+            ExperimentConfig.from_dict(data, base_dir=tmp_path)
+        assert err.value.field == field
 
     @pytest.mark.parametrize(
         "field, value",
@@ -676,6 +694,17 @@ class TestOutputs:
         assert data["summary"]["records"] == 8
         again = ExperimentConfig.from_dict(data["config"])
         assert again.n_range == (1, 4)
+
+    def test_each_records_csv_holds_its_own_series(self, tmp_path):
+        report = run(make_config(x=[0.0, 0.7], q=[1.0, 2.0], n_range=[1, 4], blowup_head=4))
+        paths = [p for p in write_report(report, tmp_path / "out") if p.suffix == ".csv"]
+        assert len(paths) == 4
+        for path in paths:
+            x, q = (float(part[1:]) for part in path.stem.removeprefix("records_").split("_"))
+            series = [r for r in report.records if (r.x, r.q) == (x, q)]
+            lines = path.read_text().splitlines()[1:]
+            assert [int(line.split(",")[0]) for line in lines] == [1, 2, 3, 4]
+            assert lines == [f"{r.n},{r.lhs!r},{r.rhs!r},{r.ratio!r},{';'.join(r.flags)}" for r in series]
 
     def test_write_report_failure_leaves_no_file(self, tmp_path):
         # a summary value strict JSON cannot hold fails before report.json opens

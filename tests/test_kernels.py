@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from apsum.kernels import (
     QuadratureToleranceError,
-    gap_free,
     kernel_mass,
     partial_sum_direct,
     partial_sum_kernel_table,
     psi,
     psi_k,
-    tail_bound,
 )
 from apsum import kernels
 from apsum.spectra import GL_NODES, Spectrum, SpectrumError, QuasiPeriodicFunction, _gl_panels
@@ -107,6 +105,12 @@ class TestPartialSumDirect:
         assert partial_sum_direct(SMOOTH, 0.0, 1.7) == 0.0
 
 
+def gap_free(f, k):
+    """True iff the kernel table's band mask finds no frequency in the open
+    band (alpha k/2, alpha (k+1)/2)."""
+    return not kernels._band_hits(f, [k]).any()
+
+
 class TestGapFree:
     def test_integer_ladder(self):
         f = QuasiPeriodicFunction(
@@ -153,7 +157,7 @@ def reference_table(f, ks, xs):
     t, w = _gl_panels(0.0, T, table_panels(alpha, numax))
     envelope = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / (t * t)
     terms = [f.term_values(x) for x in xs]
-    wbase = [w * f.symmetric_translate(x, t) * envelope for x in xs]
+    wbase = [w * (f(x + t) + f(x - t)) * envelope for x in xs]
     value = {}
     for b in bands:
         osc = np.sin(0.25 * alpha * (2 * b + 1) * t)
@@ -285,7 +289,7 @@ class TestKernelRoute:
             n_panels = table_panels(1.0, numax)
             h = T / n_panels
             t, _ = _gl_panels(0.0, T, n_panels)
-            base = f.symmetric_translate(x, t) * (4.0 / math.pi) * np.sin(0.25 * t) / t**2
+            base = (f(x + t) + f(x - t)) * (4.0 / math.pi) * np.sin(0.25 * t) / t**2
             env = np.abs(base).reshape(n_panels, m).max(axis=1).sum()
             budget = kernels._gl_error_constant(m) * h * (0.5 * h * numax) ** (2 * m) * env * 16.0
             budget += 1e-13 * (1.0 + np.abs(f.term_values(x)).sum())
@@ -313,7 +317,7 @@ class TestKernelTableOracle:
         xs = [0.0, 0.7, 2.9]
         got = partial_sum_kernel_table(f, ks, xs)
         want = reference_table(f, ks, xs)
-        bound = 1e-12 * (1.0 + f.spectrum.amplitude_mass())
+        bound = 1e-12 * (1.0 + f.spectrum.tails[0])
         assert np.abs(got - want).max() <= bound
 
     def test_bins_wrap_past_fold_length(self, monkeypatch):
@@ -330,7 +334,7 @@ class TestKernelTableOracle:
         xs = [0.0, 0.7]
         got = partial_sum_kernel_table(COS, ks, xs)
         want = reference_table(COS, ks, xs)
-        assert np.abs(got - want).max() <= 1e-12 * (1.0 + COS.spectrum.amplitude_mass())
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + COS.spectrum.tails[0])
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -357,7 +361,7 @@ class TestKernelTableOracle:
         xs = [0.0, 1.3]
         got = partial_sum_kernel_table(f, ks, xs)
         want = reference_table(f, ks, xs)
-        assert np.abs(got - want).max() <= 1e-12 * (1.0 + f.spectrum.amplitude_mass())
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + f.spectrum.tails[0])
 
     def test_chunks_do_not_move_the_table(self, monkeypatch):
         # one block a chunk, all 50 in one, and 7, which leaves a short last
@@ -369,7 +373,7 @@ class TestKernelTableOracle:
         for blocks in (1, 50, 7):
             monkeypatch.setattr(kernels, "_CHUNK_BLOCKS", blocks)
             tables.append(partial_sum_kernel_table(IRRATIONAL, ks, xs))
-        bound = 1e-14 * (1.0 + IRRATIONAL.spectrum.amplitude_mass())
+        bound = 1e-14 * (1.0 + IRRATIONAL.spectrum.tails[0])
         for table in tables[1:]:
             assert np.abs(table - tables[0]).max() <= bound
 
@@ -414,10 +418,3 @@ class TestKernelMass:
             kernel_mass(0.0, 3)
         with pytest.raises(ValueError):
             kernel_mass(1.0, 0)
-
-    def test_tail_bound_scale(self):
-        # dropped-tail bound for the default truncation stays conservative
-        T = truncation(1.0)
-        assert tail_bound(SMOOTH, T) == pytest.approx(
-            8.0 * 1.1 / (math.pi * T), rel=1e-12
-        )

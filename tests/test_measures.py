@@ -14,7 +14,6 @@ from apsum.measures import (
     TableModulus,
     T_LATTICE,
     WindowGrid,
-    best_approx_tail,
     check_eq7,
     fit_class_majorant,
     fit_majorant,
@@ -602,23 +601,23 @@ class TestPhiAverage:
         assert got == pytest.approx(SMOOTH.second_difference(0.4, nu), abs=1e-6)
 
 
-class TestBestApproxTail:
+class TestTailMass:
     def test_beyond_spectrum_zero(self):
-        assert best_approx_tail(SMOOTH, 10.0) == 0.0
-        assert best_approx_tail(SMOOTH, 12.0) == 0.0
+        assert SMOOTH.spectrum.tail_mass(10.0) == 0.0
+        assert SMOOTH.spectrum.tail_mass(12.0) == 0.0
 
     def test_partial_tail(self):
-        assert best_approx_tail(SMOOTH, 5.0) == pytest.approx(0.1)
+        assert SMOOTH.spectrum.tail_mass(5.0) == pytest.approx(0.1)
 
     def test_full_tail(self):
-        assert best_approx_tail(SMOOTH, 0.5) == pytest.approx(1.1)
+        assert SMOOTH.spectrum.tail_mass(0.5) == pytest.approx(1.1)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), s1=st.floats(0, 20), s2=st.floats(0, 20))
     def test_nonincreasing_in_cutoff(self, seed, s1, s2):
-        f = random_function(seed)
+        spec = random_function(seed).spectrum
         lo, hi = min(s1, s2), max(s1, s2)
-        assert best_approx_tail(f, hi) <= best_approx_tail(f, lo) + 1e-15
+        assert spec.tail_mass(hi) <= spec.tail_mass(lo) + 1e-15
 
 
 class TestOmegaClass:
@@ -768,7 +767,7 @@ def unit_scaled(f):
     own squares and weighted sums would round on the subnormal grid.
     Power-of-two scaling is exact, so at ordinary amplitudes the comparison
     is the unscaled one."""
-    e = math.frexp(f.spectrum.amplitude_mass())[1]
+    e = math.frexp(f.spectrum.tails[0])[1]
     return scaled(f, 2.0**-e), e
 
 
@@ -789,7 +788,7 @@ class TestClosedFormsAgainstQuadrature:
     @given(f=normal_spectra, x=points, delta=log_deltas, gamma=shifts)
     def test_pointwise_and_shifted_means(self, f, x, delta, gamma):
         g, e = unit_scaled(f)
-        mass = g.spectrum.amplitude_mass()
+        mass = g.spectrum.tails[0]
         phi = lambda t: g.second_difference(x, t)
         point, shifted = moduli(f, x, [delta], [gamma], 2.0)
         want = fine_mean(lambda t: phi(t) ** 2, 0.0, delta)
@@ -810,7 +809,7 @@ class TestClosedFormsAgainstQuadrature:
         g, e = unit_scaled(f)
         got = math.ldexp(stepanov_norm(translate(f, u), 2.0, grid), -e) ** 2
         want = fine_mean(lambda t: g(t) ** 2, u, u + length)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * g.spectrum.amplitude_mass() ** 2)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * g.spectrum.tails[0] ** 2)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -823,7 +822,7 @@ class TestClosedFormsAgainstQuadrature:
         g, e = unit_scaled(f)
         want = fine_mean(lambda t: g.second_difference(x, t), nu, nu + delta)
         got = math.ldexp(phi_average(f, x, delta, nu), -e)
-        assert abs(got - want) <= 1e-12 * g.spectrum.amplitude_mass()
+        assert abs(got - want) <= 1e-12 * g.spectrum.tails[0]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -854,7 +853,7 @@ class TestClosedFormsAgainstQuadrature:
             mean = (mpmath.sin(lam * (nu + delta)) - mpmath.sin(lam * nu)) / (lam * delta)
             want += 2 * g * (mean - 1)
         got = phi_average(f, float(x), float(delta), float(nu))
-        assert abs(got - want) <= 1e-12 * f.spectrum.amplitude_mass()
+        assert abs(got - want) <= 1e-12 * f.spectrum.tails[0]
 
     @pytest.mark.parametrize("a", [3.95e-160, 1e-170, 2.0**-1000, 1.0, 1e200])
     def test_p2_forms_at_extreme_amplitudes(self, a):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from apsum.measures import PowerModulus, moduli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -41,3 +43,20 @@ def test_report_digests_repeat(capsys):
         "irrational",
     ]
     assert all(len(line.split()[2]) == 64 for line in first)
+
+
+def test_api_surface(capsys):
+    script = load_script("api_surface")
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    lines_count, rows = script.surface()
+    assert lines[0] == f"src lines {lines_count}"
+    assert [line.split()[0] for line in lines[2:-1]] == list(script.MODULES)
+    total = lines[-1].split()
+    assert total[0] == "total"
+    assert int(total[1]) == sum(row[1] for row in rows)
+    assert int(total[2]) == sum(row[2] for row in rows)
+    # a dataclass counts its fields, a function its parameters
+    assert script.settable_values(PowerModulus) == 3
+    assert script.settable_values(moduli) == 5
+    assert script.settable_values(3.0) == 0

@@ -12,7 +12,6 @@ from apsum.spectra import (
     SpectrumEntry,
     SpectrumError,
     QuasiPeriodicFunction,
-    fourier_coefficient,
     load_spectrum,
     spectrum_from_dict,
     spectrum_to_dict,
@@ -143,7 +142,6 @@ class TestComplexAmplitudeOracle:
         spec = Spectrum.from_cos_sin(1.0, terms)
         amps = [(lam, old_amp(lam, c, s)) for lam, c, s in sorted(terms, key=lambda t: t[0])]
         weights = [abs(a) if lam == 0.0 else 2.0 * abs(a) for lam, a in amps]
-        assert [e.pair_weight for e in spec.entries] == weights
         assert spec.coefs.tolist() == [
             [a.real, 0.0] if lam == 0.0 else [2.0 * a.real, -2.0 * a.imag] for lam, a in amps
         ]
@@ -188,63 +186,12 @@ class TestSecondDifference:
         assert f.second_difference(x, t) == f.second_difference(x, -t)
 
 
-class TestFourierCoefficient:
+class TestGaussLegendreRule:
     def test_gl_rule_is_numpys(self):
         # the written-out rule is numpy's Gauss-Legendre rule, float for float
         xi, wt = np.polynomial.legendre.leggauss(spectra.GL_NODES)
         assert spectra._GL_XI.tolist() == xi.tolist()
         assert spectra._GL_WT.tolist() == wt.tolist()
-
-    def test_constant_exact(self):
-        got = fourier_coefficient(CONST3, 0.0, 37.0)
-        assert got == pytest.approx(3.0, abs=1e-12)
-
-    def test_cos_at_its_frequency(self):
-        L = 1e4
-        got = fourier_coefficient(COS, 1.0, L)
-        # closed form: (1/L) int_0^L cos(t) e^{-it} dt
-        exact = complex(0.5 + math.sin(2 * L) / (4 * L), -math.sin(L) ** 2 / (2 * L))
-        assert abs(got - exact) < 1e-9
-        assert abs(got - 0.5) < 1e-3
-
-    def test_off_spectrum_small(self):
-        got = fourier_coefficient(COS, 3.7, 1e4)
-        assert abs(got) < 1e-3
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            fourier_coefficient(COS, math.nan, 10.0)
-        with pytest.raises(ValueError):
-            fourier_coefficient(COS, 1.0, -5.0)
-
-    def test_error_envelope_halves_with_span(self):
-        # The pointwise error D(L)/L oscillates in L, so the O(1/L) law is
-        # checked on the envelope: max error over one period of the slowest
-        # beat frequency.  Ratios concentrate near 1/2.
-        rng = np.random.default_rng(42)
-        for _ in range(6):
-            n = int(rng.integers(2, 5))
-            lams = np.cumsum(rng.uniform(1.0, 2.5, n)) + rng.uniform(0.2, 1.0)
-            terms = [
-                (float(l), float(rng.uniform(0.3, 1.0)), float(rng.uniform(-0.5, 0.5)))
-                for l in lams
-            ]
-            f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, terms))
-            i = int(rng.integers(0, n))
-            lam, c, s = terms[i]
-            amp = complex(0.5 * c, -0.5 * s)
-            beats = [abs(t[0] - lam) for t in terms if t[0] != lam] + [2.0 * lam]
-            period = 2.0 * math.pi / min(beats)
-            offs = np.linspace(0.0, period, 8, endpoint=False)
-            L = 1234.5
-
-            def envelope(span):
-                return max(
-                    abs(fourier_coefficient(f, lam, span + o) - amp) for o in offs
-                )
-
-            ratio = envelope(2 * L) / envelope(L)
-            assert 0.25 <= ratio <= 1.0
 
 
 class TestValidation:

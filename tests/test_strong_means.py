@@ -12,7 +12,6 @@ from apsum.measures import (
     T_LATTICE,
     PowerModulus,
     WindowGrid,
-    best_approx_tail,
     modulus_omega,
 )
 from apsum.spectra import Spectrum, QuasiPeriodicFunction, power_mean
@@ -41,8 +40,10 @@ def plain_cutoff_sum(f, x, gamma):
 
 
 def plain_tail(f, sigma):
-    """Independent enumeration oracle for the pair-weight mass above sigma."""
-    return sum(e.pair_weight for e in f.spectrum.entries if e.freq > sigma * (1 + 1e-12))
+    """Independent enumeration oracle for the amplitude mass above sigma."""
+    return sum(
+        math.hypot(e.cos_coef, e.sin_coef) for e in f.spectrum.entries if e.freq > sigma * (1 + 1e-12)
+    )
 
 
 def plain_strong_mean(f, x, weights, q, alpha):
@@ -230,7 +231,7 @@ class TestCutoffLadder:
     @given(seed=st.integers(0, 100_000))
     def test_ladder_against_enumeration(self, seed):
         f, _, x, _, cutoffs = random_case(seed)
-        atol = 1e-12 * f.spectrum.amplitude_mass()
+        atol = 1e-12 * f.spectrum.tails[0]
         np.testing.assert_allclose(
             f.partial_sums(x, cutoffs),
             [plain_cutoff_sum(f, x, g) for g in cutoffs],
@@ -252,7 +253,7 @@ class TestCutoffLadder:
     )
     def test_means_against_scalar_loops(self, seed, n, q):
         f, _, x, alpha, _ = random_case(seed)
-        atol = 1e-12 * f.spectrum.amplitude_mass()
+        atol = 1e-12 * f.spectrum.tails[0]
         dyadic = np.zeros(2 * n + 1)
         dyadic[n:] = 1.0 / (n + 1)
         w = PowerModulus(1.0, 0.5)
@@ -335,7 +336,7 @@ class TestBoundExpressions:
         w = PowerModulus(1.0, 1.0)
         row = np.zeros(4)
         row[3] = 1.0
-        want = w(math.pi / 4) + best_approx_tail(SMOOTH, 1.5)
+        want = w(math.pi / 4) + plain_tail(SMOOTH, 1.5)
         (got,) = rhs_values(SMOOTH, "thm6", [0], 2.0, explicit_matrix([row]), w)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -378,9 +379,7 @@ class TestBoundExpressions:
         for theorem, divisor in (("thm6", 2.0), ("thm5", 8.0)):
             total = 0.0
             for k in range(n + 1):
-                bracket = w(math.pi / (k + 1)) + best_approx_tail(
-                    SMOOTH, 1.0 * k / divisor
-                )
+                bracket = w(math.pi / (k + 1)) + plain_tail(SMOOTH, 1.0 * k / divisor)
                 total += (1.0 / (n + 1)) * bracket**2
             (got,) = rhs_values(SMOOTH, theorem, [n], 2.0, cesaro_matrix(), w)
             assert got == pytest.approx(math.sqrt(total), rel=1e-13)
@@ -429,7 +428,7 @@ class TestRatioSeries:
             dev = abs(
                 plain_strong_mean(SMOOTH, 0.4, np.eye(6)[k], 2.0, 1.0)
             )
-            bracket = w(math.pi / (k + 1)) + best_approx_tail(SMOOTH, k / 2.0)
+            bracket = w(math.pi / (k + 1)) + plain_tail(SMOOTH, k / 2.0)
             assert rec.lhs == pytest.approx(dev, rel=1e-12)
             assert rec.rhs == pytest.approx(bracket, rel=1e-12)
 
@@ -530,7 +529,7 @@ class TestRatioSeries:
         xg = (x, x + 0.5)
         grid = WindowGrid(u_samples=4, refine=False)
         oms = [modulus_omega(f, math.pi / (k + 1), 2.0, grid) for k in range(11)]
-        atol = 1e-12 * f.spectrum.amplitude_mass()
+        atol = 1e-12 * f.spectrum.tails[0]
         for theorem in THEOREMS:
             for rec in ratio_sweep(f, theorem, range(8), [q], [(x, w)], m, xg, 2.0, grid):
                 n = rec.n
