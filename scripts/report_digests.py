@@ -5,7 +5,8 @@ where the config has a matrix.  Then print one sha256 per matrix family
 (Cesaro, riesz at exponents 1 and 0.5 and with weights, osc-gm2 at c = 2
 and 4) over the reprs of its rows 0..256 and of their four class constants,
 and one sha256 per builtin spectrum (smooth, lacunary, irrational) over the
-repr of its kernel-route cutoff table at k = 1..128 and three x.
+repr of its kernel-route cutoff table at k = 1..128 and three x, and one
+over the repr of its p = 2 translate moduli omega(pi/(k+1)), k = 0..63.
 
 Run it on two commits and diff the output to check that a change keeps
 every output byte-identical:
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +28,7 @@ from apsum.cli import main as apsum
 from apsum.experiment import ExperimentConfig, builtin_matrices, builtin_spectra
 from apsum.kernels import partial_sum_kernel_table
 from apsum.matrices import class_membership
+from apsum.measures import modulus_omega
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,6 +45,7 @@ MATRIX_ROWS = range(257)
 KERNEL_SPECTRA = ("smooth", "lacunary", "irrational")
 KERNEL_KS = range(1, 129)
 KERNEL_XS = (0.0, 0.7, 2.9)
+OMEGA_DELTAS = [math.pi / (k + 1) for k in range(64)]
 
 
 def _sha256(path: Path) -> str:
@@ -84,6 +88,12 @@ def kernel_digest(builtin: str) -> str:
     return f"kernels {builtin} {hashlib.sha256(repr(table.tolist()).encode()).hexdigest()}"
 
 
+def omega_digest(builtin: str) -> str:
+    """'omega <builtin> <sha256>' over the p = 2 translate moduli."""
+    omega = modulus_omega(builtin_spectra(builtin), OMEGA_DELTAS, 2.0)
+    return f"omega {builtin} {hashlib.sha256(repr(omega.tolist()).encode()).hexdigest()}"
+
+
 def main() -> int:
     for config in sorted(CONFIGS.glob("*.json")):
         print("\n".join(digests(config)))
@@ -91,6 +101,8 @@ def main() -> int:
         print(matrix_digest(*family))
     for builtin in KERNEL_SPECTRA:
         print(kernel_digest(builtin))
+    for builtin in KERNEL_SPECTRA:
+        print(omega_digest(builtin))
     return 0
 
 

@@ -13,6 +13,7 @@ of a zero weight, as null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -92,19 +93,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.summary["regression_ok"] else EXIT_TOLERANCE
 
 
+@contextlib.contextmanager
+def _writing(args):
+    """An OSError on the report's output path: raised as it is for ``--out``
+    (field null), as a ConfigError naming ``output`` for the config field."""
+    try:
+        yield
+    except OSError as exc:
+        if args.out:
+            raise
+        raise ConfigError("output", f"cannot write: {exc}") from None
+
+
 def cmd_report(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    report = run(cfg)
     out = args.out or cfg.output
+    if out is not None:
+        with _writing(args):  # an unusable path is refused before the sweep runs
+            Path(out).mkdir(parents=True, exist_ok=True)
+    report = run(cfg)
     if out is None:
         print(json.dumps(report_to_dict(report), sort_keys=True, allow_nan=False))
     else:
-        try:
+        with _writing(args):
             paths = write_report(report, out)
-        except OSError as exc:
-            if args.out:
-                raise
-            raise ConfigError("output", f"cannot write: {exc}") from None
         print(json.dumps({"written": [str(p) for p in paths]}, sort_keys=True))
     return EXIT_OK if report.summary["regression_ok"] else EXIT_TOLERANCE
 

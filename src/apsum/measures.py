@@ -358,24 +358,27 @@ def _window_norm(
 
     One window setup serves every row: the u grid over ``span`` plus the
     window Gram (p = 2), the Gauss-Legendre window rule (other finite p)
-    or nothing more than a dense u grid (p = inf).  The rows are the lanes
-    of one sampled-sup search; at finite p other than 2 each lane is
-    evaluated on its own, which keeps the node arrays one lane in size, and
-    the search runs on its rooted ``power_mean`` window means."""
+    or nothing more than a dense u grid (p = inf).  At p = 2 the window
+    mean at u is k^T G k for the 2N cos/sin coefficients k(u) of the
+    window; k is built as (L, 2N, n) with the n sample points u last and
+    contiguous, and the means are ``((G @ k) * k).sum(axis=1)``.  The rows
+    are the lanes of one sampled-sup search; at finite p other than 2 each
+    lane is evaluated on its own, which keeps the node arrays one lane in
+    size, and the search runs on its rooted ``power_mean`` window means."""
     if not p > 1.0:
         raise ValueError(f"p must be > 1 (or inf), got {p}")
     inf = math.isinf(p)
     if p == 2.0:
         gram = _trig_gram(lams, grid.window_length)
         scale = _unit_exponents(coefs)
-        coefs = np.ldexp(coefs, -scale[:, None, None])
+        scaled = np.ldexp(coefs, -scale[:, None, None])
+        cc, sc = scaled[:, :, 0, None], scaled[:, :, 1, None]
 
         def means(u):
-            lu = np.multiply.outer(u, lams)
+            lu = lams[:, None] * u[:, None, :]
             c, s = np.cos(lu), np.sin(lu)
-            cc, sc = coefs[:, None, :, 0], coefs[:, None, :, 1]
-            k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=-1)
-            return ((k @ gram) * k).sum(axis=-1)
+            k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=1)
+            return ((gram @ k) * k).sum(axis=1)
 
     elif inf:
 

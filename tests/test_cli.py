@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apsum import strong_means
+from apsum import cli, strong_means
 from apsum.cli import main
 from apsum.experiment import ExperimentConfig, run
 
@@ -595,17 +595,27 @@ def test_every_exit_2_is_one_json_object(tmp_path, capsys, argv, field):
     [
         (["report", "{cfg}", "--out", "{file}"], {}, None),
         (["report", "{cfg}"], {"output": "{file}"}, "output"),
+        (["report", "{cfg}", "--out", "{file}/report"], {}, None),
+        (["report", "{cfg}"], {"output": "{file}/report"}, "output"),
         (["strong-mean", "{cfg}", "--out", "{file}/means.csv"], {}, None),
         (["verify", "{dir}"], {}, None),
         (["classes", "{dir}"], {}, None),
         (["verify", "{cfg}"], {"spectrum": {"file": "."}}, "spectrum"),
         (["verify", "{cfg}"], {"matrix": {"file": "."}}, "matrix"),
     ],
-    ids=["report-out-file", "output-file", "out-below-file", "verify-dir", "classes-dir", "spectrum-dir", "matrix-dir"],
+    ids=[
+        "report-out-file", "output-file", "report-out-below-file", "output-below-file",
+        "out-below-file", "verify-dir", "classes-dir", "spectrum-dir", "matrix-dir",
+    ],
 )
-def test_unusable_path_exit_2(tmp_path, capsys, argv, config, field):
+def test_unusable_path_exit_2(tmp_path, capsys, monkeypatch, argv, config, field):
     # an existing file where a directory goes, or a directory where a file
-    # goes, exits 2 like a missing file; only a config field names itself
+    # goes, exits 2 like a missing file; only a config field names itself.
+    # Each is refused before a sweep runs.
+    def no_run(cfg):
+        raise AssertionError("run() called before an unusable path was refused")
+
+    monkeypatch.setattr(cli, "run", no_run)
     paths = {"file": str(tmp_path / "taken"), "dir": str(tmp_path / "dir"), "cfg": str(tmp_path / "cfg.json")}
     Path(paths["file"]).write_text("")
     Path(paths["dir"]).mkdir()

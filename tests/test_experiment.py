@@ -394,13 +394,17 @@ class TestGridFields:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("u_samples", 256), ("window_length", 2.0), ("u_span", 3.0), ("refine", False)],
+        [("u_samples", 64), ("window_length", 2.0), ("u_span", 3.0), ("refine", False)],
     )
     def test_every_grid_field_moves_the_rhs(self, field, value):
+        # a move beyond rounding: at u_samples 256 the refined search finds
+        # the same sup as at the default 512, so the rhs moves by 0 or by
+        # one rounding; the four fields here move it by 8e-5, 0.19, 8e-4
+        # and 7e-6 relative
         base = run(shipped("thm2_cesaro_smooth")).records
         moved = run(shipped("thm2_cesaro_smooth", grid={field: value})).records
         assert [r.n for r in moved] == [r.n for r in base]
-        assert [r.rhs for r in moved] != [r.rhs for r in base]
+        assert max(abs(a.rhs - b.rhs) / abs(b.rhs) for a, b in zip(moved, base)) > 1e-9
 
 
 SPECTRUM = {"alpha": 1.0, "entries": [{"lambda": 1.0, "cos": 1.0}, {"lambda": 3.0, "sin": 0.5}]}

@@ -241,6 +241,17 @@ class TestModulusOmega:
             assert a <= b + 1e-12
 
 
+def old_layout_means(lams, cos_c, sin_c, gram, u):
+    """p = 2 window means in the former layout, the 2N cos/sin coefficient
+    axis last: k shaped (..., 2N), ``((k @ gram) * k).sum(axis=-1)``.  The
+    oracle of the window norm's u-last form; cos_c and sin_c broadcast
+    against u's shape plus (N,)."""
+    lu = np.multiply.outer(u, lams)
+    c, s = np.cos(lu), np.sin(lu)
+    k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
+    return ((k @ gram) * k).sum(axis=-1)
+
+
 def refine_block_norm(f, p, grid):
     """The windowed norm with its own grid, window rule and refine block per
     p, as before the shared sampled-sup routine: the oracle for it."""
@@ -268,10 +279,7 @@ def refine_block_norm(f, p, grid):
         gram = measures._trig_gram(lams, grid.window_length)
 
         def window_means(u):
-            lu = np.multiply.outer(u, lams)
-            c, s = np.cos(lu), np.sin(lu)
-            k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
-            return ((k @ gram) * k).sum(axis=-1)
+            return old_layout_means(lams, cos_c, sin_c, gram, u)
 
     else:
         offs, wts = _gl_panels(0.0, grid.window_length, measures.WINDOW_PANELS)
@@ -470,6 +478,89 @@ class TestSampledSup:
         got = moduli(COS, 0.0, [1.0], [-1.0], math.inf)[1][0, 0]
         assert got == refine_block_sup(diff, 1.0)
         assert got == pytest.approx(2.0 - 2.0 * math.cos(1.0), abs=1e-12)
+
+
+@st.composite
+def window_rows(draw):
+    """Frequencies of N = 1..40 terms with gaps in [0.25, 8], and L = 1..64
+    cos/sin coefficient rows shaped (L, N, 2): uniform in [-1, 1], each row
+    scaled by 2**e, e in {-300, 0, 300}."""
+    n, lanes = draw(st.integers(1, 40)), draw(st.integers(1, 64))
+    lams = np.cumsum(draw(st.lists(st.floats(0.25, 8.0), min_size=n, max_size=n)))
+    exps = draw(st.lists(st.sampled_from([-300, 0, 300]), min_size=lanes, max_size=lanes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return lams, np.ldexp(rng.uniform(-1.0, 1.0, (lanes, n, 2)), np.array(exps)[:, None, None])
+
+
+def window_search(lams, coefs, grid, span, means=None):
+    """The p = 2 window norms of the rows, and the window-mean function
+    their sampled-sup search ran on; with ``means`` given, the search runs
+    on it in place of the code's own."""
+    seen = []
+    sup = measures._sampled_sup
+
+    def spy(g, *args, **kwargs):
+        seen.append(g)
+        return sup(means or g, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_sampled_sup", spy)
+        norms = measures._window_norm(lams, coefs, 2.0, grid, span)
+    return norms, seen[0]
+
+
+class TestWindowLayout:
+    """The p = 2 window means take k as (L, 2N, n) with the sample points
+    last; the former (..., 2N)-last form is their oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=window_rows(),
+        u_samples=st.integers(1, 256),
+        span=st.floats(0.5, 60.0),
+        points=st.integers(0, 2**32 - 1),
+    )
+    def test_u_last_matches_old_layout(self, rows, u_samples, span, points):
+        lams, coefs = rows
+        grid = WindowGrid(u_samples=u_samples)
+        gram = measures._trig_gram(lams, grid.window_length)
+        scale = measures._unit_exponents(coefs)
+        unit = np.ldexp(coefs, -scale[:, None, None])  # as the code scales them
+        u = np.linspace(0.0, span, u_samples, endpoint=False)[None, :]
+        lane_u = np.random.default_rng(points).uniform(-1.0, span + 1.0, (len(coefs), 1))
+
+        def old(u):
+            return old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, u)
+
+        norms, means = window_search(lams, coefs, grid, span)
+        got, want = means(u), old(u)
+        got_lanes, want_lanes = means(lane_u), old(lane_u)
+        assert got.shape == want.shape == (len(coefs), u_samples)
+        assert got_lanes.shape == want_lanes.shape == (len(coefs), 1)
+        # 1e-14 of each lane's largest mean
+        top = np.maximum(want.max(axis=1), want_lanes[:, 0])
+        assert np.all(np.abs(got - want) <= 1e-14 * top[:, None])
+        assert np.all(np.abs(got_lanes - want_lanes) <= 1e-14 * top[:, None])
+        # the norms, as squared unit-scaled means: the grid peaks to the
+        # same 1e-14; a refined search stops anywhere within its final
+        # bracket, xatol = 1e-9 wide, where two searches on means that
+        # differ by rounding can part, so the refined sups may differ by
+        # (1/2) max|f''| xatol^2 more, where |f''| <= 16 l_max^2 (sum r)^2
+        # for the amplitudes r of the rows
+        r = np.hypot(unit[..., 0], unit[..., 1]).sum(axis=1)
+        slack = 8.0 * lams[-1] ** 2 * r**2 * 1e-18
+        for refine, extra in ((False, 0.0), (True, slack)):
+            gr = replace(grid, refine=refine)
+            new_sq, old_sq = (
+                np.ldexp(window_search(lams, coefs, gr, span, m)[0], -scale) ** 2 for m in (None, old)
+            )
+            assert np.all(np.abs(new_sq - old_sq) <= 1e-14 * np.maximum(top, old_sq) + extra)
+        # each lane of the L-lane call is its one-lane call, bit for bit
+        for i in range(len(coefs)):
+            one_norm, one = window_search(lams, coefs[i : i + 1], grid, span)
+            assert one_norm[0] == norms[i]
+            assert np.array_equal(one(u)[0], got[i])
+            assert one(lane_u[i : i + 1])[0, 0] == got_lanes[i, 0]
 
 
 def trig_lanes(coefs, lams):

@@ -37,11 +37,12 @@ def test_report_digests_repeat(capsys):
     names = {line.split()[1] for line in first}
     assert {"report.json", "strong-mean.csv"} <= names
     assert sum(line.startswith("matrices ") for line in first) == 6
-    assert [line.split()[1] for line in first if line.startswith("kernels ")] == [
-        "smooth",
-        "lacunary",
-        "irrational",
-    ]
+    for layer in ("kernels", "omega"):
+        assert [line.split()[1] for line in first if line.startswith(layer + " ")] == [
+            "smooth",
+            "lacunary",
+            "irrational",
+        ]
     assert all(len(line.split()[2]) == 64 for line in first)
 
 
