@@ -14,8 +14,6 @@ from .kernels import (
     kernel_mass,
     partial_sum_direct,
     partial_sum_kernel_table,
-    psi,
-    psi_k,
 )
 from .matrices import (
     ClassReport,
@@ -38,10 +36,8 @@ from .measures import (
     WindowGrid,
     check_eq7,
     fit_class_majorant,
-    fit_majorant,
     moduli,
     modulus_omega,
-    omega_class_check,
     phi_average,
     stepanov_norm,
 )

@@ -75,7 +75,13 @@ def cmd_classes(args) -> int:
 
 
 def cmd_strong_mean(args) -> int:
-    table = strong_mean_table(ExperimentConfig.from_file(args.config))
+    cfg = ExperimentConfig.from_file(args.config)
+    if args.out:  # the write's OSError before the sweep; append keeps a file as it is
+        made = not Path(args.out).exists()
+        Path(args.out).open("a").close()
+        if made:
+            Path(args.out).unlink()
+    table = strong_mean_table(cfg)
     if args.out:
         Path(args.out).write_text(table)
     else:

@@ -13,6 +13,7 @@ ladder l = alpha*k/2, e = alpha*(k+1)/2, the kernel takes the closed form
              = 2 [cos(alpha k t/2) - cos(alpha (k+1) t/2)] / (alpha pi t^2).
 
 ``partial_sum_direct`` truncates the spectrum; ``partial_sum_kernel_table``
+folds Psi_k into its node grid (no function evaluates the kernel alone),
 evaluates the kernel integral numerically (plus the exact oscillatory tail
 beyond the truncation point) and is cross-validated against the direct
 route.  When a frequency falls inside the open band, the cutoff sum is
@@ -30,8 +31,6 @@ from .spectra import _GL_WT, _GL_XI, GL_NODES, QuasiPeriodicFunction, Spectrum, 
 
 __all__ = [
     "QuadratureToleranceError",
-    "psi",
-    "psi_k",
     "partial_sum_direct",
     "partial_sum_kernel_table",
     "kernel_mass",
@@ -63,30 +62,6 @@ class QuadratureToleranceError(RuntimeError):
             f"kernel quadrature error estimate {error_estimate:.3e} exceeds "
             f"tolerance {tolerance:.3e} (value {value:.6g})"
         )
-
-
-def psi(lam: float, eta: float, t):
-    """Band kernel Psi_{lam,eta}(t); the t=0 limit (eta+lam)/(2 pi) is built in."""
-    if not (0.0 < lam < eta):
-        raise ValueError(f"need 0 < lam < eta, got lam={lam}, eta={eta}")
-    a = 0.5 * (eta - lam)
-    b = 0.5 * (eta + lam)
-    t = np.asarray(t, dtype=float)
-    out = ((eta + lam) / (2.0 * math.pi)) * np.sinc(a * t / math.pi) * np.sinc(
-        b * t / math.pi
-    )
-    return float(out) if out.ndim == 0 else out
-
-
-def psi_k(alpha: float, k: int, t):
-    """Gap-ladder kernel Psi_k = Psi_{alpha k/2, alpha(k+1)/2}; requires k >= 1."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if k < 1:
-        raise ValueError(
-            f"k must be >= 1, got {k}; the k = 0 cutoff is served by the direct path"
-        )
-    return psi(*_band_edges(alpha, k), t)
 
 
 def partial_sum_direct(f: QuasiPeriodicFunction, gamma: float, x: float) -> float:

@@ -25,16 +25,16 @@ and the windowed average
     Phi_x(delta, nu) = (1/delta) int_nu^{nu+delta} phi_x(u) du.
 
 Majorants are modulus-of-continuity-type functions w (w(0)=0,
-nondecreasing, subadditive) used to dominate the pointwise moduli;
-``fit_majorant`` builds one as the concave upper envelope of sampled
-values, and ``omega_class_check`` estimates the smallest constants making
+nondecreasing, subadditive) used to dominate the pointwise moduli.
+``fit_class_majorant`` builds one as the concave upper envelope of sampled
+m_x, estimates the smallest constants making
 
     ((1/delta) int_0^delta |phi_x(t) - phi_x(t +- gamma)|^p dt)^{1/p} <= C1 w(gamma)
     m_x(delta) <= C2 w(delta)
 
-hold on a sample grid; ``moduli`` gives both lhs at every delta and
-shift of the grid in one call.  With both constants scaled to <= 1, the
+hold on a sample grid, and rescales w so that both are <= 1; then the
 window average obeys |Phi_x(d1, d2)| <= w(d1) + w(d2) (``check_eq7``).
+``moduli`` gives both lhs at every delta and shift of the grid in one call.
 
 At p = 2 every window mean above (the u-windows of N_2, m_x and the
 shifted-difference means) is an exact quadratic form in the amplitudes,
@@ -69,9 +69,7 @@ __all__ = [
     "moduli",
     "phi_average",
     "OmegaClassReport",
-    "omega_class_check",
     "check_eq7",
-    "fit_majorant",
     "fit_class_majorant",
 ]
 
@@ -559,26 +557,20 @@ class SamplePlan:
         return cls(tuple(top * i / count for i in range(1, count + 1)))
 
 
-# The widths at which ``fit_majorant`` samples the pointwise modulus.
+# The widths at which ``_fit_envelope`` samples the pointwise modulus.
 FIT_DELTAS = SamplePlan.default(count=40).points
 
 
 @dataclass(frozen=True)
 class OmegaClassReport:
-    """Class constants C1 and C2 of a majorant, a member when both are <= 1."""
+    """Class constants C1 and C2 of a majorant."""
 
     c1: float
     c2: float
-    worst_gamma: float
-    worst_delta: float
 
     @property
     def constant(self) -> float:
         return max(self.c1, self.c2)
-
-    @property
-    def member(self) -> bool:
-        return self.constant <= 1.0
 
 
 def _class_lhs(
@@ -593,40 +585,21 @@ def _class_lhs(
     return shifted.transpose(1, 0, 2), point
 
 
-def _worst(lhs: np.ndarray, wv: np.ndarray, keys) -> tuple[float, float]:
+def _worst(lhs: np.ndarray, wv: np.ndarray) -> float:
     """Largest lhs / w over the samples with lhs > 1e-14 (inf where w does
-    not exceed 0) and the key of its first occurrence along axis 0;
-    (0, 0) when no sample counts."""
+    not exceed 0); 0 when no sample counts."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(lhs > 1e-14, np.where(wv > 0.0, lhs / wv, math.inf), 0.0)
-    if not ratio.size or not ratio.max() > 0.0:
-        return 0.0, 0.0
-    best = np.unravel_index(np.argmax(ratio), ratio.shape)
-    return float(ratio[best]), float(keys[best[0]])
+    top = float(ratio.max(initial=0.0))
+    return top if top > 0.0 else 0.0
 
 
 def _class_report(
     shifted: np.ndarray, point: np.ndarray, plan: SamplePlan, w: ModulusMajorant
 ) -> OmegaClassReport:
+    """C1 and C2 of w: the largest lhs / w of each table on the plan's points."""
     wv = w(np.array(plan.points))  # one majorant call on every point
-    c1, worst_g = _worst(shifted, wv[:, None, None], plan.points)
-    c2, worst_d = _worst(point, wv, plan.points)
-    return OmegaClassReport(c1, c2, worst_g, worst_d)
-
-
-def omega_class_check(
-    f: QuasiPeriodicFunction,
-    x: float,
-    w: ModulusMajorant,
-    p: float,
-    plan: SamplePlan | None = None,
-) -> OmegaClassReport:
-    """Estimate the smallest constants making the majorant dominate both the
-    shifted-difference means (C1) and the pointwise modulus (C2) on the
-    sample grid.  phi_x is even, so the minus shift is scanned as t - gamma
-    with t - gamma < 0 folded back by evenness."""
-    plan = plan or SamplePlan.default()
-    return _class_report(*_class_lhs(f, x, p, plan), plan, w)
+    return OmegaClassReport(_worst(shifted, wv[:, None, None]), _worst(point, wv))
 
 
 def check_eq7(
@@ -638,8 +611,8 @@ def check_eq7(
 ) -> bool:
     """|Phi_x(delta1, delta2)| <= w(delta1) + w(delta2), with float slack.
 
-    Meaningful when (f, x, w) passed ``omega_class_check`` with constant
-    <= 1 after rescaling.
+    Meaningful when w is the majorant ``fit_class_majorant`` returns for
+    (f, x), whose class constants are <= 1.
     """
     return abs(phi_average(f, x, delta1, delta2)) <= float(w(delta1)) + float(
         w(delta2)
@@ -662,7 +635,7 @@ def _concave_envelope(points: list[tuple[float, float]]) -> list[tuple[float, fl
     return hull[: peak + 1]
 
 
-def fit_majorant(f: QuasiPeriodicFunction, x: float, p: float) -> TableModulus:
+def _fit_envelope(f: QuasiPeriodicFunction, x: float, p: float) -> TableModulus:
     """Concave nondecreasing table majorant dominating the pointwise modulus
     sampled at ``FIT_DELTAS``; constant beyond the peak."""
     point, _ = moduli(f, x, FIT_DELTAS, (), p)
@@ -682,7 +655,7 @@ def fit_class_majorant(
     The lhs table is computed once; both reports divide it by a majorant.
     """
     plan = plan or SamplePlan.default()
-    base = fit_majorant(f, x, p)
+    base = _fit_envelope(f, x, p)
     lhs = _class_lhs(f, x, p, plan)
     rep = _class_report(*lhs, plan, base)
     scale = max(rep.constant, 1.0) * (1.0 + 1e-9)

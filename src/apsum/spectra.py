@@ -37,7 +37,6 @@ __all__ = [
     "validate_spectrum",
     "power_mean",
     "spectrum_from_dict",
-    "spectrum_to_dict",
     "load_spectrum",
 ]
 
@@ -223,12 +222,6 @@ class QuasiPeriodicFunction:
                 out += -4.0 * g * (s * s)
         return float(out) if out.ndim == 0 else out
 
-    def translate_difference(self, a: float) -> "QuasiPeriodicFunction":
-        """The difference x -> f(x + a) - f(x); the constant term drops."""
-        lams, rows = _difference_rows(self.spectrum, a)
-        terms = zip(lams.tolist(), *rows.T.tolist())
-        return QuasiPeriodicFunction(Spectrum.from_cos_sin(self.spectrum.alpha, terms))
-
 
 def validate_spectrum(obj) -> ValidationReport:
     """Report ordering, gap, and amplitude violations; never raises."""
@@ -320,16 +313,6 @@ def spectrum_from_dict(data: dict) -> Spectrum:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpectrumError(f"malformed spectrum data: {exc}") from exc
     return Spectrum.from_cos_sin(alpha, terms)
-
-
-def spectrum_to_dict(spec: Spectrum) -> dict:
-    return {
-        "alpha": spec.alpha,
-        "entries": [
-            {"lambda": e.freq, "cos": e.cos_coef, "sin": e.sin_coef}
-            for e in spec.entries
-        ],
-    }
 
 
 def load_spectrum(path, allow_invalid: bool = False) -> QuasiPeriodicFunction:

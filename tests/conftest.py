@@ -1,4 +1,4 @@
-from apsum.spectra import QuasiPeriodicFunction, Spectrum
+from apsum.spectra import QuasiPeriodicFunction, Spectrum, _difference_rows
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -23,3 +23,11 @@ def scaled(f, s: float):
     spec = f.spectrum
     terms = zip(spec.freqs.tolist(), *(s * spec.coefs).T.tolist())
     return QuasiPeriodicFunction(Spectrum.from_cos_sin(spec.alpha, terms))
+
+
+def translate_difference(f, t: float):
+    """The function x -> f(x + t) - f(x), built from the difference rows that
+    ``measures.modulus_omega`` norms; the constant term drops."""
+    lams, rows = _difference_rows(f.spectrum, t)
+    terms = zip(lams.tolist(), *rows.T.tolist())
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(f.spectrum.alpha, terms))

@@ -264,9 +264,15 @@ def test_strong_mean_table(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["strong-mean", str(path)]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    table = capsys.readouterr().out
+    lines = table.strip().splitlines()
     assert lines[0] == "x,q,n,strong_mean"
     assert len(lines) == 6
+    # --out holds the same table, over a longer file already there
+    out = tmp_path / "means.csv"
+    out.write_text("x" * (2 * len(table)))
+    assert main(["strong-mean", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == table and capsys.readouterr().out == ""
 
 
 def test_verify_ok_and_override(smooth_config, capsys):
@@ -299,6 +305,10 @@ def test_report_writes_files(smooth_config, tmp_path, capsys):
     assert any(p.endswith(".csv") for p in written)
     report = json.loads((out_dir / "report.json").read_text())
     assert report["summary"]["regression_ok"] is True
+
+
+def no_sweep(cfg):
+    raise AssertionError("a sweep ran before an unusable path was refused")
 
 
 def one_error_object(capsys) -> dict:
@@ -551,7 +561,9 @@ def test_each_command_opens_the_spectrum_once(tmp_path, capsys, monkeypatch, com
     assert len(loads) == 1
 
 
-def test_strong_mean_out_missing_dir_exit_2(tmp_path, capsys):
+def test_strong_mean_out_missing_dir_exit_2(tmp_path, capsys, monkeypatch):
+    # refused before the table is built
+    monkeypatch.setattr(cli, "strong_mean_table", no_sweep)
     path = tmp_path / "cfg.json"
     path.write_text(
         json.dumps(
@@ -562,6 +574,22 @@ def test_strong_mean_out_missing_dir_exit_2(tmp_path, capsys):
     assert main(["strong-mean", str(path), "--out", str(out)]) == 2
     assert one_error_object(capsys)["field"] is None
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("config, field", [({"alpha": 3.0}, "alpha"), ({"matrix": None}, "matrix")])
+def test_strong_mean_bad_config_leaves_out(tmp_path, capsys, config, field):
+    # a config refused on load (alpha) or by the table (no matrix) names its
+    # field; an existing --out keeps its content and a new one is not made
+    cfg = tmp_path / "cfg.json"
+    data = {"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": {"builtin": "cesaro"}}
+    data.update(config)
+    cfg.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("keep")
+    for out in (old, new):
+        assert main(["strong-mean", str(cfg), "--out", str(out)]) == 2
+        assert one_error_object(capsys)["field"] == field
+    assert old.read_text() == "keep" and not new.exists()
 
 
 @pytest.mark.parametrize(
@@ -598,6 +626,7 @@ def test_every_exit_2_is_one_json_object(tmp_path, capsys, argv, field):
         (["report", "{cfg}", "--out", "{file}/report"], {}, None),
         (["report", "{cfg}"], {"output": "{file}/report"}, "output"),
         (["strong-mean", "{cfg}", "--out", "{file}/means.csv"], {}, None),
+        (["strong-mean", "{cfg}", "--out", "{dir}"], {}, None),
         (["verify", "{dir}"], {}, None),
         (["classes", "{dir}"], {}, None),
         (["verify", "{cfg}"], {"spectrum": {"file": "."}}, "spectrum"),
@@ -605,17 +634,15 @@ def test_every_exit_2_is_one_json_object(tmp_path, capsys, argv, field):
     ],
     ids=[
         "report-out-file", "output-file", "report-out-below-file", "output-below-file",
-        "out-below-file", "verify-dir", "classes-dir", "spectrum-dir", "matrix-dir",
+        "out-below-file", "out-dir", "verify-dir", "classes-dir", "spectrum-dir", "matrix-dir",
     ],
 )
 def test_unusable_path_exit_2(tmp_path, capsys, monkeypatch, argv, config, field):
     # an existing file where a directory goes, or a directory where a file
     # goes, exits 2 like a missing file; only a config field names itself.
     # Each is refused before a sweep runs.
-    def no_run(cfg):
-        raise AssertionError("run() called before an unusable path was refused")
-
-    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "run", no_sweep)
+    monkeypatch.setattr(cli, "strong_mean_table", no_sweep)
     paths = {"file": str(tmp_path / "taken"), "dir": str(tmp_path / "dir"), "cfg": str(tmp_path / "cfg.json")}
     Path(paths["file"]).write_text("")
     Path(paths["dir"]).mkdir()

@@ -9,8 +9,6 @@ from apsum.kernels import (
     kernel_mass,
     partial_sum_direct,
     partial_sum_kernel_table,
-    psi,
-    psi_k,
 )
 from apsum import kernels
 from apsum.spectra import GL_NODES, Spectrum, SpectrumError, QuasiPeriodicFunction, _gl_panels
@@ -24,70 +22,6 @@ CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
 IRRATIONAL = QuasiPeriodicFunction(
     Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (math.sqrt(2) * math.pi, 0.5, 0.0)])
 )
-
-
-class TestPsi:
-    def test_zero_limit(self):
-        assert psi(1.0, 3.0, 0.0) == pytest.approx(2.0 / math.pi, abs=1e-15)
-
-    def test_second_sine_zero(self):
-        # (eta+lam)t/2 = pi at t = pi/2
-        assert psi(1.0, 3.0, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_closed_form_value(self):
-        # independent evaluation of the defining formula
-        lam, eta, t = 1.0, 3.0, 1.0
-        expected = (
-            2.0
-            * math.sin(0.5 * (eta - lam) * t)
-            * math.sin(0.5 * (eta + lam) * t)
-            / (math.pi * (eta - lam) * t * t)
-        )
-        assert psi(lam, eta, t) == pytest.approx(expected, rel=1e-14)
-        assert expected == pytest.approx(math.sin(1) * math.sin(2) / math.pi, rel=1e-15)
-
-    def test_rejects_bad_band(self):
-        with pytest.raises(ValueError):
-            psi(3.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            psi(0.0, 1.0, 0.5)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        lam=st.floats(0.05, 20.0),
-        width=st.floats(0.05, 10.0),
-        t=st.floats(-30.0, 30.0),
-    )
-    def test_even_in_t(self, lam, width, t):
-        assert psi(lam, lam + width, t) == psi(lam, lam + width, -t)
-
-
-class TestPsiK:
-    def test_zero_limit(self):
-        alpha, k = 1.3, 7
-        assert psi_k(alpha, k, 0.0) == pytest.approx(
-            alpha * (2 * k + 1) / (4 * math.pi), rel=1e-15
-        )
-
-    def test_first_sine_zero(self):
-        alpha = 0.7
-        t = 4.0 * math.pi / alpha
-        assert psi_k(alpha, 3, t) == pytest.approx(0.0, abs=1e-15)
-
-    def test_rejects_k_zero(self):
-        with pytest.raises(ValueError):
-            psi_k(1.0, 0, 0.5)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        alpha=st.floats(0.1, 5.0),
-        k=st.integers(1, 80),
-        t=st.floats(-50.0, 50.0),
-    )
-    def test_matches_general_kernel(self, alpha, k, t):
-        a = psi_k(alpha, k, t)
-        b = psi(0.5 * alpha * k, 0.5 * alpha * (k + 1), t)
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestPartialSumDirect:
@@ -376,6 +310,14 @@ class TestKernelTableOracle:
         bound = 1e-14 * (1.0 + IRRATIONAL.spectrum.tails[0])
         for table in tables[1:]:
             assert np.abs(table - tables[0]).max() <= bound
+
+
+def psi_k(alpha, k, t):
+    """The gap-ladder band kernel Psi_k(t) of the module docstring, as the
+    product of two sincs."""
+    lam, eta = 0.5 * alpha * k, 0.5 * alpha * (k + 1)
+    a, b = 0.5 * (eta - lam), 0.5 * (eta + lam)
+    return ((eta + lam) / (2.0 * math.pi)) * np.sinc(a * t / math.pi) * np.sinc(b * t / math.pi)
 
 
 def reference_mass(alpha, k):

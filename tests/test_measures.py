@@ -16,11 +16,9 @@ from apsum.measures import (
     WindowGrid,
     check_eq7,
     fit_class_majorant,
-    fit_majorant,
     majorant_from_dict,
     majorant_to_dict,
     modulus_omega,
-    omega_class_check,
     moduli,
     phi_average,
     resolve_span,
@@ -30,7 +28,7 @@ from apsum import measures
 from apsum.experiment import builtin_spectra
 from apsum.spectra import QuasiPeriodicFunction, Spectrum, SpectrumEntry, _gl_panels, power_mean
 
-from conftest import scaled
+from conftest import scaled, translate_difference
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
@@ -188,7 +186,7 @@ def per_delta_omega(f, delta, p, grid=None):
     ts = [i * T_LATTICE for i in range(1, steps + 1)]
     if not ts or ts[-1] < delta:
         ts.append(delta)
-    return max(stepanov_norm(f.translate_difference(t), p, grid) for t in ts)
+    return max(stepanov_norm(translate_difference(f, t), p, grid) for t in ts)
 
 
 class TestModulusOmega:
@@ -381,11 +379,14 @@ def within_sup(got, fs, p, grid):
     over the starts they can reach, so they differ by at most that spread.
     The sup is ``resolved_sup``, trusted to 1e-4 relative (its own sampling
     error) plus, at finite p other than 2, ``RIPPLE_RTOL`` (its search may
-    stop at a lower micro-maximum)."""
+    stop at a lower micro-maximum).  The code and the oracle sum each window
+    mean in another order, so where the search cannot raise the grid peak
+    the code's sup may read an ulp below the oracle's peak: 1e-15 relative
+    covers it."""
     oracle, peak = oracle_norms(fs, p, grid)
     slack = 1e-4 if p in (2.0, math.inf) else 1e-4 + RIPPLE_RTOL
     top = resolved_sup(fs, p, grid) * (1.0 + slack)
-    return peak <= min(got, oracle) and max(got, oracle) <= top
+    return peak * (1.0 - 1e-15) <= min(got, oracle) and max(got, oracle) <= top
 
 
 def agrees(got, fs, p, grid, periodic):
@@ -405,7 +406,7 @@ class TestSampledSup:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
     def test_default_grid_matches_refine_blocks(self, p):
-        for f in (SMOOTH, CONST, SMOOTH.translate_difference(0.4)):
+        for f in (SMOOTH, CONST, translate_difference(SMOOTH, 0.4)):
             assert near_oracle(stepanov_norm(f, p), *oracle_norms([f], p, WindowGrid()), p)
 
     @settings(max_examples=20, deadline=None)
@@ -419,7 +420,7 @@ class TestSampledSup:
         grid = WindowGrid(u_samples=40)
         for periodic in (True, False):
             f = (periodic_function if periodic else random_function)(seed)
-            for g in (f, with_constant(f, const), f.translate_difference(t)):
+            for g in (f, with_constant(f, const), translate_difference(f, t)):
                 assert agrees(stepanov_norm(g, p, grid), [g], p, grid, periodic)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
@@ -436,7 +437,7 @@ class TestSampledSup:
             for d, value in zip(deltas, got):
                 ts = [i * T_LATTICE for i in range(1, int(d / T_LATTICE) + 1)]
                 ts += [] if ts and ts[-1] >= d else [d]
-                diffs = [f.translate_difference(t) for t in ts]
+                diffs = [translate_difference(f, t) for t in ts]
                 assert agrees(value, diffs, p, grid, periodic)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
@@ -445,7 +446,7 @@ class TestSampledSup:
         # frequency, and at these shifts a step holds several maxima of the
         # window mean, where the two searches stop at different ones
         f = builtin_spectra("irrational")
-        for g in (f, f.translate_difference(0.3), f.translate_difference(0.6)):
+        for g in (f, translate_difference(f, 0.3), translate_difference(f, 0.6)):
             assert within_sup(stepanov_norm(g, p), [g], p, WindowGrid())
 
     @settings(max_examples=20, deadline=None)
@@ -622,7 +623,7 @@ class TestBoundedMin:
         # one-lane call computes it
         f = random_function(5)
         grid = WindowGrid(u_samples=24)
-        fs = [f.translate_difference(t) for t in np.linspace(0.05, 3.0, 40)]
+        fs = [translate_difference(f, t) for t in np.linspace(0.05, 3.0, 40)]
         coefs = np.array([[(e.cos_coef, e.sin_coef) for e in g.spectrum.entries] for g in fs])
         span = resolve_span(f, grid)
         lams = f.spectrum.freqs
@@ -711,22 +712,28 @@ class TestTailMass:
         assert spec.tail_mass(hi) <= spec.tail_mass(lo) + 1e-15
 
 
+def class_report(f, x, w, p, plan=None):
+    """The class constants of w on the plan's samples, from the lhs table
+    that ``fit_class_majorant`` builds."""
+    plan = plan or SamplePlan.default()
+    return measures._class_report(*measures._class_lhs(f, x, p, plan), plan, w)
+
+
 class TestOmegaClass:
     def test_constant_function_zero_constants(self):
-        rep = omega_class_check(CONST, 0.0, PowerModulus(1.0), 2.0)
+        rep = class_report(CONST, 0.0, PowerModulus(1.0), 2.0)
         assert rep.c1 == 0.0 and rep.c2 == 0.0
-        assert rep.member
+        assert rep.constant == 0.0
 
     def test_cos_with_capped_linear(self):
         w = PowerModulus(1.0, 1.0, cap=2.0)
-        rep = omega_class_check(COS, 0.0, w, 2.0)
+        rep = class_report(COS, 0.0, w, 2.0)
         assert math.isfinite(rep.c1) and math.isfinite(rep.c2)
         assert rep.c1 > 0.0 and rep.c2 > 0.0
 
     def test_zero_majorant_fails(self):
-        rep = omega_class_check(COS, 0.0, PowerModulus(0.0), 2.0)
+        rep = class_report(COS, 0.0, PowerModulus(0.0), 2.0)
         assert rep.constant == math.inf
-        assert not rep.member
 
 
 class TestEq7:
@@ -792,16 +799,16 @@ class TestShiftedDifferenceMean:
 
 class TestFitMajorant:
     def test_envelope_dominates_samples(self):
-        w = fit_majorant(SMOOTH, 0.7, 2.0)
+        w = measures._fit_envelope(SMOOTH, 0.7, 2.0)
         for d, m in zip(FIT_DELTAS, moduli(SMOOTH, 0.7, FIT_DELTAS, (), 2.0)[0].tolist()):
             assert w(d) >= m - 1e-12
 
     def test_constant_function_fits_zero(self):
-        w = fit_majorant(CONST, 0.0, 2.0)
+        w = measures._fit_envelope(CONST, 0.0, 2.0)
         assert w(1.0) == 0.0
 
     def test_subadditive_on_pairs(self):
-        w = fit_majorant(SMOOTH, 0.0, 2.0)
+        w = measures._fit_envelope(SMOOTH, 0.0, 2.0)
         ds = [d for d, _ in w.knots]
         for a in ds:
             for b in ds:
@@ -821,7 +828,7 @@ class TestFitMajorant:
         gram = measures._trig_gram
         monkeypatch.setattr(measures, "_trig_gram", lambda *a: grams.append(a) or gram(*a))
         got = [
-            (fit_majorant(f, x, 2.0).knots, moduli(f, x, [FIT_DELTAS[3]], (), 2.0)[0][0])
+            (measures._fit_envelope(f, x, 2.0).knots, moduli(f, x, [FIT_DELTAS[3]], (), 2.0)[0][0])
             for f, x in cases
         ]
         assert grams == [] and got == want
@@ -1000,28 +1007,27 @@ class TestClosedFormsAgainstQuadrature:
 
 
 def loop_class_check(f, x, w, p, plan):
-    """omega_class_check as one moduli call per sample, the reference for
+    """The class constants as one moduli call per sample, the reference for
     the batched lhs table."""
-    c1 = c2 = worst_g = worst_d = 0.0
+    c1 = c2 = 0.0
     for g in plan.points:
         for d in plan.points:
             for s in (1.0, -1.0):
                 lhs = moduli(f, x, [d], [s * g], p)[1][0, 0]
                 ratio = lhs / w(g) if w(g) > 0.0 else math.inf
                 if lhs > 1e-14 and ratio > c1:
-                    c1, worst_g = ratio, g
+                    c1 = ratio
     for d in plan.points:
         lhs = moduli(f, x, [d], (), p)[0][0]
         ratio = lhs / w(d) if w(d) > 0.0 else math.inf
         if lhs > 1e-14 and ratio > c2:
-            c2, worst_d = ratio, d
-    return OmegaClassReport(c1, c2, worst_g, worst_d)
+            c2 = ratio
+    return OmegaClassReport(c1, c2)
 
 
 def same_report(got, want, rel):
     assert got.c1 == pytest.approx(want.c1, rel=rel, abs=0.0)
     assert got.c2 == pytest.approx(want.c2, rel=rel, abs=0.0)
-    assert (got.worst_gamma, got.worst_delta) == (want.worst_gamma, want.worst_delta)
 
 
 class TestClassTable:
@@ -1030,7 +1036,7 @@ class TestClassTable:
     def test_fit_report_matches_fresh_check(self, f, x, count):
         plan = SamplePlan.default(count=count)
         w, rep = fit_class_majorant(f, x, 2.0, plan)
-        same_report(rep, omega_class_check(f, x, w, 2.0, plan), 1e-12)
+        same_report(rep, class_report(f, x, w, 2.0, plan), 1e-12)
         assert rep.constant <= 1.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -1039,7 +1045,7 @@ class TestClassTable:
         f = random_function(7)
         plan = SamplePlan((0.3, 1.1, 2.5))
         w = PowerModulus(coef, 0.5)
-        got = omega_class_check(f, 0.6, w, p, plan)
+        got = class_report(f, 0.6, w, p, plan)
         # quadrature (p != 2) runs the same arithmetic in both; the p = 2
         # einsum may sum in another order
         same_report(got, loop_class_check(f, 0.6, w, p, plan), 0.0 if p != 2.0 else 1e-12)

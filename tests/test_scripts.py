@@ -1,5 +1,7 @@
 """Smoke tests for the command-line scripts, loaded by path."""
 
+import ast
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -61,3 +63,44 @@ def test_api_surface(capsys):
     assert script.settable_values(PowerModulus) == 3
     assert script.settable_values(moduli) == 5
     assert script.settable_values(3.0) == 0
+
+
+def used_names(root):
+    """Every ast.Name id and ast.Attribute attr in the package modules (not
+    ``__init__.py``), the scripts, perfbench and the acceptance criteria;
+    strings and docstrings name nothing."""
+    files = [p for p in sorted((root / "src" / "apsum").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    files.append(root / "tests" / "test_acceptance.py")
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def public_names():
+    """The names in each module's ``__all__`` and, per public class, the
+    public callables it defines, as "name" and "Class.method"."""
+    out = []
+    for name in load_script("api_surface").MODULES:
+        module = importlib.import_module(f"apsum.{name}")
+        for attr in module.__all__:
+            out.append(attr)
+            obj = getattr(module, attr)
+            if isinstance(obj, type):
+                for member in vars(obj):
+                    if not member.startswith("_") and callable(getattr(obj, member)):
+                        out.append(f"{attr}.{member}")
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only the unit tests reach is a second way in to be
+    # deleted, or a test oracle to be kept in the tests
+    used = used_names(SCRIPTS.parent)
+    unused = [name for name in public_names() if name.rsplit(".", 1)[-1] not in used]
+    assert unused == []

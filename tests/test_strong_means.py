@@ -22,7 +22,7 @@ from apsum.strong_means import (
     strong_mean_rows,
 )
 
-from conftest import scaled
+from conftest import scaled, translate_difference
 
 SMOOTH = QuasiPeriodicFunction(
     Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (10.0, 0.1, 0.0)])
@@ -517,7 +517,7 @@ class TestRatioSeries:
             return tuple((e.cos_coef, e.sin_coef) for e in g.spectrum.entries)
 
         got = sorted(tuple(map(tuple, r.tolist())) for r in rows[0])
-        assert got == sorted(row(SMOOTH.translate_difference(t)) for t in want)
+        assert got == sorted(row(translate_difference(SMOOTH, t)) for t in want)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100_000), q=st.sampled_from([0.5, 1.3, 2.0]))
