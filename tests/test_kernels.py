@@ -320,6 +320,58 @@ def psi_k(alpha, k, t):
     return ((eta + lam) / (2.0 * math.pi)) * np.sinc(a * t / math.pi) * np.sinc(b * t / math.pi)
 
 
+class TestPsiKOracle:
+    """The local ``psi_k`` that ``reference_mass`` integrates, checked
+    against the closed forms of the ``kernels`` module docstring."""
+
+    def test_zero_limit(self):
+        alpha, k = 1.3, 7
+        assert psi_k(alpha, k, 0.0) == pytest.approx(alpha * (2 * k + 1) / (4 * math.pi), rel=1e-15)
+
+    def test_first_sine_zero(self):
+        # sin(alpha t/4) = 0 at t = 4 pi/alpha
+        alpha = 0.7
+        assert psi_k(alpha, 3, 4.0 * math.pi / alpha) == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.1, 5.0), k=st.integers(1, 80), t=st.floats(1e-3, 50.0))
+    def test_matches_band_kernel(self, alpha, k, t):
+        # Psi_{l,e} with l = alpha k/2, e = alpha (k+1)/2
+        lam, eta = 0.5 * alpha * k, 0.5 * alpha * (k + 1)
+        want = (
+            2.0 * math.sin(0.5 * (eta - lam) * t) * math.sin(0.5 * (eta + lam) * t)
+            / (math.pi * (eta - lam) * t * t)
+        )
+        assert psi_k(alpha, k, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.1, 5.0), k=st.integers(1, 80), t=st.floats(1e-3, 50.0))
+    def test_matches_folded_product(self, alpha, k, t):
+        # the factorization partial_sum_kernel_table folds: a band-free
+        # envelope sin(alpha t/4)/t^2 times the band wave sin(alpha(2k+1)t/4)
+        want = (
+            4.0 * math.sin(0.25 * alpha * t) * math.sin(0.25 * alpha * (2 * k + 1) * t)
+            / (alpha * math.pi * t * t)
+        )
+        assert psi_k(alpha, k, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.1, 5.0), k=st.integers(1, 80), t=st.floats(0.5, 50.0))
+    def test_matches_cosine_difference(self, alpha, k, t):
+        # the beat form behind _exact_band_tail; t >= 0.5 keeps the
+        # cancellation of the two cosines small
+        want = (
+            2.0 * (math.cos(0.5 * alpha * k * t) - math.cos(0.5 * alpha * (k + 1) * t))
+            / (alpha * math.pi * t * t)
+        )
+        assert psi_k(alpha, k, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.1, 5.0), k=st.integers(1, 80), t=st.floats(-50.0, 50.0))
+    def test_even_in_t(self, alpha, k, t):
+        assert psi_k(alpha, k, t) == psi_k(alpha, k, -t)
+
+
 def reference_mass(alpha, k):
     """Per-k quadrature oracle: Psi_k on a grid sized for band k alone, plus
     the exact tail past the truncation point."""
