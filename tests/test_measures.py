@@ -379,14 +379,11 @@ def within_sup(got, fs, p, grid):
     over the starts they can reach, so they differ by at most that spread.
     The sup is ``resolved_sup``, trusted to 1e-4 relative (its own sampling
     error) plus, at finite p other than 2, ``RIPPLE_RTOL`` (its search may
-    stop at a lower micro-maximum).  The code and the oracle sum each window
-    mean in another order, so where the search cannot raise the grid peak
-    the code's sup may read an ulp below the oracle's peak: 1e-15 relative
-    covers it."""
+    stop at a lower micro-maximum)."""
     oracle, peak = oracle_norms(fs, p, grid)
     slack = 1e-4 if p in (2.0, math.inf) else 1e-4 + RIPPLE_RTOL
     top = resolved_sup(fs, p, grid) * (1.0 + slack)
-    return peak * (1.0 - 1e-15) <= min(got, oracle) and max(got, oracle) <= top
+    return peak <= min(got, oracle) and max(got, oracle) <= top
 
 
 def agrees(got, fs, p, grid, periodic):

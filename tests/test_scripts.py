@@ -66,20 +66,34 @@ def test_api_surface(capsys):
 
 
 def used_names(root):
-    """Every ast.Name id and ast.Attribute attr in the package modules (not
-    ``__init__.py``), the scripts, perfbench and the acceptance criteria;
-    strings and docstrings name nothing."""
+    """Every ast.Name id and ast.Attribute attr read (Load context) in the
+    package modules (not ``__init__.py``), the scripts, perfbench and the
+    acceptance criteria; an assignment or a def does not use the name it
+    binds, and strings and docstrings name nothing."""
     files = [p for p in sorted((root / "src" / "apsum").glob("*.py")) if p.name != "__init__.py"]
     files += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     files.append(root / "tests" / "test_acceptance.py")
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+def test_used_names_counts_only_reads(tmp_path):
+    # a name a module binds but nothing reads is reported unused
+    for sub in ("src/apsum", "scripts", "perfbench", "tests"):
+        (tmp_path / sub).mkdir(parents=True)
+    (tmp_path / "src/apsum/mod.py").write_text(
+        'BOUND = 1\nobj.field = 2\n\n\ndef fit():\n    """READ_IN_DOC"""\n    return obj.method()\n'
+    )
+    (tmp_path / "tests/test_acceptance.py").write_text("print(READ)\n")
+    assert used_names(tmp_path) == {"obj", "method", "print", "READ"}
 
 
 def public_names():
