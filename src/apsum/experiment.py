@@ -44,7 +44,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import THEOREMS, RatioRecord, ratio_sweep, strong_mean_rows
+from .strong_means import THEOREMS, RatioRecord, ratio_sweep, strong_mean_rows, sweep_rows
 
 __all__ = [
     "ConfigError",
@@ -192,11 +192,11 @@ def _majorant_source(src: dict | None) -> SamplePlan | ModulusMajorant:
 class ExperimentConfig:
     """One run's config.  ``from_dict`` checks the fields, then resolves
     the inputs once: the function (relative files are read from
-    ``base_dir``), the matrix with the table of the rows of ``n_range``
-    built, and the majorant source.  They live on the instance outside the
-    fields, so ``to_dict`` echoes the config only.  ``allow_invalid`` lets
-    in a spectrum that fails validation; ``run`` and ``strong_mean_table``
-    still refuse it."""
+    ``base_dir``), the matrix with the rows of ``n_range`` checked (its
+    weights, or its table), and the majorant source.  They live on the
+    instance outside the fields, so ``to_dict`` echoes the config only.
+    ``allow_invalid`` lets in a spectrum that fails validation; ``run`` and
+    ``strong_mean_table`` still refuse it."""
 
     spectrum: dict
     theorem: str = "prop4"
@@ -323,13 +323,16 @@ class ExperimentConfig:
         return f, refusal
 
     def _load_matrix(self, base_dir: Path) -> SummabilityMatrix | None:
-        """The matrix with the validated table of the rows of ``n_range``
-        built, which the matrix keeps for ``run`` and ``strong_mean_table``."""
+        """The matrix with the rows of ``n_range`` checked: the weights of a
+        Riesz-type matrix, else the table, which the matrix keeps for
+        ``run`` and ``strong_mean_table``."""
         if self.matrix is None:
             return None
         matrix = _resolve("matrix", self.matrix, base_dir)
+        ns = range(self.n_range[0], self.n_range[1] + 1)
         with _naming("matrix"):
-            matrix.table(range(self.n_range[0], self.n_range[1] + 1))
+            if matrix.weights(ns) is None:
+                matrix.table(ns)
         return matrix
 
     def resolve_function(self) -> QuasiPeriodicFunction:
@@ -435,8 +438,7 @@ def strong_mean_table(cfg: ExperimentConfig) -> str:
     if matrix is None:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range
-    table, _ = matrix.table(range(lo, hi + 1))
-    means = strong_mean_rows(f, cfg.x, table, cfg.q).tolist()
+    means = strong_mean_rows(f, cfg.x, sweep_rows(matrix, range(lo, hi + 1)), cfg.q).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "q", "n", "strong_mean"])

@@ -22,6 +22,11 @@ constant from that table and reads the sup-over-rows verdict from them;
 ``class_constants`` does the same for a list of rows.  Nonincreasing rows
 telescope: their MS and RBVS constants are exactly 1 and their GM constant
 is at most 1.
+
+The builtin families are Riesz-type, a[n, k] = p_k [k <= n] / P_n with
+P_n = p_0 + ... + p_n: Cesaro has p = 1, osc-gm2 a 0/1 mask and riesz
+p_k = b_k^r.  ``SummabilityMatrix.weights`` gives p and P, so a strong
+mean or the side condition needs no table.
 """
 
 from __future__ import annotations
@@ -62,31 +67,81 @@ class MatrixError(ValueError):
     """Raised for malformed rows or failed construction-time class checks."""
 
 
+def _row_indices(n_values) -> np.ndarray:
+    """The row indices n as an integer array; MatrixError naming the first
+    negative one."""
+    ns = np.asarray(n_values, dtype=int)
+    if np.any(ns < 0):
+        raise MatrixError(f"row index must be >= 0, got {ns[ns < 0][0]}")
+    return ns
+
+
 class SummabilityMatrix:
     """Nonnegative row-stochastic weight family with finite rows.
 
     ``table_fn`` maps an integer array of n to the zero-padded (len(n), S)
     table of those rows, S the longest row plus its trailing zero, and the
     row sizes; ``table`` validates it once.  The matrix keeps its last
-    table, so every reader of one sweep shares one build."""
+    table, so every reader of one sweep shares one build.  A Riesz-type
+    family has ``weights_fn``, which maps the same array to the weights
+    p_0..p_N of its rows a[n, k] = p_k [k <= n] / P_n, N the largest n;
+    ``weights`` checks and keeps them, and with no ``table_fn`` the table
+    is built from them."""
 
-    def __init__(self, name: str, table_fn: Callable, params: dict | None = None):
+    def __init__(
+        self, name: str, table_fn: Callable | None = None, params: dict | None = None,
+        weights_fn: Callable | None = None,
+    ):
+        if table_fn is None and weights_fn is None:
+            raise MatrixError(f"{name} needs a table or a weight function")
         self.name = name
         self.params = dict(params or {})
         self._table_fn = table_fn
+        self._weights_fn = weights_fn
         self._last: tuple | None = None
+        self._last_weights: tuple | None = None
+
+    def weights(self, n_values) -> tuple[np.ndarray, np.ndarray] | None:
+        """The read-only weights p_0..p_N of the rows of ``n_values``, N the
+        largest n, and their prefix sums P_0..P_N, checked once (p >= 0 and
+        p_0 > 0, else MatrixError) and kept until a longer or shorter p is
+        asked for.  None for a matrix with no weight sequence and for one
+        whose weights or sums overflow: the table gives those rows."""
+        if self._weights_fn is None:
+            return None
+        ns = _row_indices(n_values)
+        size = int(ns.max(initial=0)) + 1
+        if self._last_weights is not None and self._last_weights[0] == size:
+            return self._last_weights[1]
+        p = self._weights_fn(ns)
+        if not (p[0] > 0.0 and np.all(p >= 0.0)):
+            raise MatrixError(f"{self.name} weights must be >= 0 with p_0 > 0")
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(p)
+        out = None
+        if math.isfinite(sums[-1]):
+            p.setflags(write=False)
+            sums.setflags(write=False)
+            out = p, sums
+        self._last_weights = (size, out)
+        return out
+
+    def _weights_table(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows p_k [k <= n] / P_n of ``weights_fn``, for ``table`` to
+        validate."""
+        k, live, sizes = _support(ns)
+        p = self._weights_fn(ns)
+        return np.where(live, np.append(p, 0.0)[: k.size], 0.0) / np.cumsum(p)[ns][:, None], sizes
 
     def table(self, n_values) -> tuple[np.ndarray, np.ndarray]:
         """The read-only weight table of the rows of ``n_values`` and their
         sizes, built and validated once and kept until another n range is
         asked for; MatrixError naming the first bad row."""
-        ns = np.asarray(n_values, dtype=int)
+        ns = _row_indices(n_values)
         key = ns.tobytes()
         if self._last is not None and self._last[0] == key:
             return self._last[1:]
-        if np.any(ns < 0):
-            raise MatrixError(f"row index must be >= 0, got {ns[ns < 0][0]}")
-        table, sizes = self._table_fn(ns)
+        table, sizes = (self._table_fn or self._weights_table)(ns)
         negative = np.any(table < 0.0, axis=1)
         # a NaN or infinite weight fails the sum test too
         bad = negative | ~(np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
@@ -199,13 +254,19 @@ class ClassReport:
 def side_condition(
     matrix: SummabilityMatrix, n_values: Sequence[int], tol: float = SIDE_TOL
 ) -> tuple[bool, tuple[float, ...]]:
-    """Check that a[n, 0] is heading to zero across the sweep: column 0 of
-    the sweep's row table.
+    """Check that a[n, 0] is heading to zero across the sweep: p_0 / P_n
+    from the matrix's weights, else column 0 of the sweep's row table.
 
     Verdict: every a[n, 0] over the last quarter of the sweep is <= tol.
     A finite sweep can only witness the trend, not the limit.
     """
-    firsts = tuple(matrix.table(n_values)[0][:, 0].tolist())
+    weights = matrix.weights(n_values)
+    if weights is None:
+        firsts = matrix.table(n_values)[0][:, 0]
+    else:
+        p, sums = weights
+        firsts = p[0] / sums[np.asarray(n_values, dtype=int)]
+    firsts = tuple(firsts.tolist())
     tail = firsts[3 * len(firsts) // 4 :] or firsts[-1:]
     return all(v <= tol for v in tail), firsts
 
@@ -249,14 +310,25 @@ def _support(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, k <= ns[:, None], sizes
 
 
-def _cesaro_table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform weights 1/(n+1) on k <= n."""
-    _, live, sizes = _support(ns)
-    return np.where(live, 1.0 / (ns[:, None] + 1.0), 0.0), sizes
+def _cesaro_weights(ns: np.ndarray) -> np.ndarray:
+    """p_k = 1, so a[n, k] = 1/(n+1) on k <= n."""
+    return np.ones(ns.max(initial=0) + 1)
 
 
 def cesaro_matrix() -> SummabilityMatrix:
-    return SummabilityMatrix("cesaro", _cesaro_table)
+    return SummabilityMatrix("cesaro", weights_fn=_cesaro_weights)
+
+
+def _riesz_bases(bases: np.ndarray | None, ns: np.ndarray) -> np.ndarray:
+    """b_0..b_N, N the largest n: the weight list's head, or b_k = k + 1
+    if None; a list too short for a row names the first such n asked for."""
+    size = ns.max(initial=0) + 1
+    if bases is None:
+        return np.arange(size) + 1.0
+    if bases.size < size:
+        n = ns[ns >= bases.size][0]
+        raise MatrixError(f"riesz weight list of length {bases.size} cannot build row {n}")
+    return bases[:size]
 
 
 def _riesz_table(bases: np.ndarray | None, r: float) -> Callable:
@@ -264,15 +336,11 @@ def _riesz_table(bases: np.ndarray | None, r: float) -> Callable:
     list (r = 1) or, if None, b_k = k + 1: the powers once for the longest
     row, each row divided by its own prefix's sum.  A row whose powers or
     sum overflow (only at r > 0) divides by its largest power first, so its
-    weights are (b_k / max b)^r over their sum.  A weight list too short
-    for a row names the first such n asked for."""
+    weights are (b_k / max b)^r over their sum."""
 
     def table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k, live, sizes = _support(ns)
-        b = k[:-1] + 1.0 if bases is None else bases[: k.size - 1]
-        if b.size < k.size - 1:
-            n = ns[ns >= b.size][0]
-            raise MatrixError(f"riesz weight list of length {b.size} cannot build row {n}")
+        b = _riesz_bases(bases, ns)[: k.size - 1]  # none for no rows
         with np.errstate(over="ignore"):
             powers = b**r
             sums = np.array([powers[:size].sum() for size in sizes.tolist()])
@@ -296,27 +364,33 @@ def riesz_matrix(
     if (weights is None) == (exponent is None):
         raise MatrixError("riesz needs exactly one of weights= or exponent=")
     if exponent is not None:
-        ex = float(exponent)
-        if not math.isfinite(ex):
-            raise MatrixError(f"riesz exponent must be finite, got {ex}")
-        return SummabilityMatrix("riesz", _riesz_table(None, ex), {"exponent": ex})
-    p = np.asarray(list(weights), dtype=float)
-    if p.size == 0 or not np.all((0.0 <= p) & (p < math.inf)) or p[0] <= 0.0:
-        raise MatrixError("riesz weights must be finite and nonnegative with p_0 > 0")
-    return SummabilityMatrix("riesz", _riesz_table(p, 1.0), {"weights": [float(v) for v in p]})
+        bases, r = None, float(exponent)
+        if not math.isfinite(r):
+            raise MatrixError(f"riesz exponent must be finite, got {r}")
+        params = {"exponent": r}
+    else:
+        bases, r = np.asarray(list(weights), dtype=float), 1.0
+        if bases.size == 0 or not np.all((0.0 <= bases) & (bases < math.inf)) or bases[0] <= 0.0:
+            raise MatrixError("riesz weights must be finite and nonnegative with p_0 > 0")
+        params = {"weights": [float(v) for v in bases]}
+
+    def weights_fn(ns: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return _riesz_bases(bases, ns) ** r
+
+    return SummabilityMatrix("riesz", _riesz_table(bases, r), params, weights_fn)
 
 
-def _osc_gm2_table(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat weights on k <= n with zeros at the dyadic indices k >= 1 with
-    k+1 a power of two (1, 3, 7, 15, ...), normalized.
+def _osc_gm2_weights(ns: np.ndarray) -> np.ndarray:
+    """p_k = 1 but 0 at the dyadic indices k >= 1 with k+1 a power of two
+    (1, 3, 7, 15, ...), for k up to the largest n.
 
     The sudden drops to zero break monotonicity (and the leading-entry
     variation bounds), while the averaged-neighbourhood bound absorbs them
     with a uniformly bounded constant at c = 2.
     """
-    k, live, sizes = _support(ns)
-    ones = live & ((k == 0) | ((k & (k + 1)) != 0))
-    return ones / ones.sum(axis=1, keepdims=True), sizes
+    k = np.arange(ns.max(initial=0) + 1)
+    return ((k == 0) | ((k & (k + 1)) != 0)).astype(float)
 
 
 # The gm2 constant every osc-gm2 check row must stay within, and those rows.
@@ -331,7 +405,7 @@ def osc_gm2_matrix(c: float = GM2_C) -> SummabilityMatrix:
     Every c in (1, 2) fails: the gm2 window [1, floor(c)] of row 2,
     (1/2, 0, 1/2), holds only its zero a_1, so that row's constant is inf.
     """
-    m = SummabilityMatrix("osc-gm2", _osc_gm2_table, {"c": c})
+    m = SummabilityMatrix("osc-gm2", params={"c": c}, weights_fn=_osc_gm2_weights)
     report = class_membership(m, "gm2", OSC_GM2_THRESHOLD, OSC_GM2_CHECK_ROWS, c)
     for n, k in zip(report.n_values, report.constants):
         if not k <= OSC_GM2_THRESHOLD:

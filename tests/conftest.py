@@ -2,6 +2,10 @@ from apsum.spectra import QuasiPeriodicFunction, Spectrum, _difference_rows
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
+# The stated agreement of the prefix route of Riesz-type row means with
+# power_mean of their dense table (strong_means module docstring).
+PREFIX_RTOL = 1e-12
+
 
 def record_criterion(name: str, ok: bool, detail: str) -> bool:
     """Collect one acceptance verdict; echoed in the terminal summary."""

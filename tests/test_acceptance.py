@@ -15,7 +15,7 @@ import pytest
 
 from apsum.experiment import builtin_matrices, builtin_spectra
 from apsum.kernels import kernel_mass, partial_sum_direct, partial_sum_kernel_table
-from apsum.matrices import class_constants, class_membership, side_condition
+from apsum.matrices import class_constants, class_membership, explicit_matrix, side_condition
 from apsum.measures import (
     SamplePlan,
     WindowGrid,
@@ -27,7 +27,7 @@ from apsum.measures import (
     stepanov_norm,
 )
 from apsum.spectra import Spectrum, QuasiPeriodicFunction
-from apsum.strong_means import ratio_sweep, strong_mean_rows
+from apsum.strong_means import ratio_sweep, strong_mean_rows, sweep_rows
 
 from conftest import record_criterion, scaled
 
@@ -248,14 +248,14 @@ def test_criterion_8_power_mean_properties():
             for l in lams
         ]
         f = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
-        table = rng.dirichlet(np.ones(int(rng.integers(1, 9))))[None]
+        rows = sweep_rows(explicit_matrix(rng.dirichlet(np.ones(int(rng.integers(1, 9))))[None]), [0])
         x = float(rng.uniform(-3, 3))
-        means = strong_mean_rows(f, [x], table, qs).ravel().tolist()
+        means = strong_mean_rows(f, [x], rows, qs).ravel().tolist()
         for a, b in zip(means, means[1:]):
             worst_mono = max(worst_mono, (a - b) / max(b, 1e-300) if b else a)
         s = float(rng.uniform(-3, 3))
         base = means[2]
-        mean_s = strong_mean_rows(scaled(f, s), [x], table, [2.0]).item()
+        mean_s = strong_mean_rows(scaled(f, s), [x], rows, [2.0]).item()
         denom = max(abs(s) * base, 1e-300)
         worst_homo = max(worst_homo, abs(mean_s - abs(s) * base) / denom)
     ok = worst_mono <= 1e-12 and worst_homo <= 1e-12

@@ -12,6 +12,8 @@ from apsum import cli, strong_means
 from apsum.cli import main
 from apsum.experiment import ExperimentConfig, run
 
+from conftest import PREFIX_RTOL
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -397,14 +399,20 @@ def test_infinite_riesz_exponent_exit_2(tmp_path, capsys, command, params):
 @pytest.mark.filterwarnings("error")
 def test_overflowing_riesz_weights_give_cesaro_rows(tmp_path, capsys):
     # the prefix sums of 1e308 overflowed: row 1 summed to 0.0, exit 2
-    # with a RuntimeWarning; each row now divides by its largest weight first
+    # with a RuntimeWarning; each row now divides by its largest weight
+    # first, on the dense table, and the Cesaro rows take the prefix route
     outs = []
     for name, matrix in (("big", {"type": "riesz", "params": {"weights": [1e308] * 40}}), ("ces", {"builtin": "cesaro"})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": matrix, "n_range": [1, 32]}))
         assert main(["verify", str(path)]) == 0
         outs.append((json.loads(capsys.readouterr().out), run(ExperimentConfig.from_file(path)).records))
-    assert outs[0] == outs[1] and outs[0][0]["records"] == 32
+    (big, big_records), (ces, ces_records) = outs
+    assert big["records"] == 32 and big == dict(ces, max_ratio=pytest.approx(ces["max_ratio"], rel=PREFIX_RTOL))
+    assert [(r.x, r.q, r.n, r.flags) for r in big_records] == [(r.x, r.q, r.n, r.flags) for r in ces_records]
+    for side in ("lhs", "rhs", "ratio"):
+        got, want = ([getattr(r, side) for r in records] for records in (big_records, ces_records))
+        assert got == pytest.approx(want, rel=PREFIX_RTOL, abs=0.0)
 
 
 def test_large_riesz_exponent_runs(tmp_path, capsys):

@@ -17,9 +17,11 @@ from apsum.experiment import (
     write_report,
 )
 from apsum import experiment, matrices, measures, strong_means
-from apsum.matrices import MatrixError, class_constants
+from apsum.matrices import MatrixError, class_constants, explicit_matrix
 from apsum.spectra import QuasiPeriodicFunction, validate_spectrum
-from apsum.strong_means import strong_mean_rows
+from apsum.strong_means import strong_mean_rows, sweep_rows
+
+from conftest import PREFIX_RTOL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -440,18 +442,43 @@ class TestResolveOnce:
         )
         data = dict(BASE, theorem="thm6", spectrum={"file": "spec.json"}, matrix={"builtin": "cesaro"})
         builds = []
-        cesaro = matrices._cesaro_table
-        monkeypatch.setattr(
-            matrices, "_cesaro_table", lambda ns: builds.append(ns.tolist()) or cesaro(ns)
-        )
+        build = matrices._cesaro_weights
+        monkeypatch.setattr(matrices, "_cesaro_weights", lambda ns: builds.append(ns.tolist()) or build(ns))
         cfg = ExperimentConfig.from_dict(data, base_dir=tmp_path)
         f, matrix = cfg.resolve_function(), cfg.resolve_matrix()
         run(cfg)
         strong_mean_table(cfg)
         assert len(loads) == 1
         assert cfg.resolve_function() is f and cfg.resolve_matrix() is matrix
-        # one table, built at load, read by run() and strong_mean_table()
+        # one weight sequence, built at load, read by run() and
+        # strong_mean_table(); a table would build another
         assert builds == [list(range(1, 17))]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"builtin": "cesaro"},
+            {"builtin": "riesz", "params": {"exponent": 2.0}},
+            {"builtin": "riesz", "params": {"weights": [1.0 / (k + 1) for k in range(17)]}},
+            {"builtin": "osc-gm2"},
+        ],
+        ids=["cesaro", "riesz-exponent", "riesz-weights", "osc-gm2"],
+    )
+    @pytest.mark.parametrize("theorem", ["thm2", "thm5", "thm6"])
+    def test_riesz_type_rows_build_no_table(self, monkeypatch, matrix, theorem):
+        # config load checks the weights; run() and strong_mean_table read
+        # them, and the side condition reads p_0 / P_n
+        cfg = make_config(
+            theorem=theorem, matrix=matrix, q=[0.5, 2.0, math.inf], **({"x_samples": 4} if theorem == "thm2" else {})
+        )
+
+        def no_table(self, n_values):
+            raise AssertionError(f"{self.name} table built for {list(n_values)}")
+
+        monkeypatch.setattr(matrices.SummabilityMatrix, "table", no_table)
+        report = run(cfg)
+        assert len(report.records) == 3 * 16 and report.summary["side_condition_ok"] is not None
+        assert len(strong_mean_table(cfg).splitlines()) == 1 + 3 * 16
 
     @pytest.mark.parametrize("source", ["file", "inline"])
     def test_run_refuses_spectrum_let_in_by_allow_invalid(self, tmp_path, source):
@@ -507,11 +534,11 @@ class TestBlowUpVerdict:
     )
     def test_growing_ratio_fails(self, monkeypatch, name, power):
         # an rhs divided by (n+1)^power makes the ratios grow with n
-        record = strong_means._record
+        records = strong_means._records
         monkeypatch.setattr(
             strong_means,
-            "_record",
-            lambda x, q, n, lhs, rhs: record(x, q, n, lhs, rhs / (n + 1) ** power),
+            "_records",
+            lambda xs, qs, ns, lhs, rhs: records(xs, qs, ns, lhs, rhs / (np.array(ns) + 1.0) ** power),
         )
         assert not run(shipped(name)).summary["regression_ok"]
 
@@ -626,8 +653,8 @@ class TestRun:
         assert ladders == {"partial_sums": 1}  # one cutoff ladder serves all 16 x
 
     @pytest.mark.parametrize("theorem", ["prop4", "thm2", "thm5", "thm6"])
-    def test_one_power_mean_per_q_and_side(self, monkeypatch, theorem):
-        calls = count_calls(monkeypatch, "power_mean", "strong_mean_rows")
+    def test_one_row_mean_per_q_and_side(self, monkeypatch, theorem):
+        calls = count_calls(monkeypatch, "power_mean", "_prefix_means", "strong_mean_rows")
         cfg = make_config(
             theorem=theorem,
             matrix={"builtin": "cesaro"},
@@ -637,11 +664,14 @@ class TestRun:
             **({"x_samples": 4} if theorem == "thm2" else {}),
         )
         run(cfg)
-        # every lhs comes from one strong_mean_rows call (one power_mean per
-        # q); each rhs bracket or omega mean from one more power_mean per q,
-        # and prop4's rhs reads its bracket table with no mean at all
-        sides = 1 if theorem == "prop4" else 2
-        assert calls == {"power_mean": 3 * sides, "strong_mean_rows": 1}
+        # every lhs comes from one strong_mean_rows call (one row mean per
+        # q); each rhs bracket or omega mean from one more per q, and
+        # prop4's rhs reads its bracket table with no mean at all.  The
+        # Cesaro rows go the prefix route, prop4's dyadic table power_mean
+        if theorem == "prop4":
+            assert calls == {"power_mean": 3, "_prefix_means": 0, "strong_mean_rows": 1}
+        else:
+            assert calls == {"power_mean": 0, "_prefix_means": 6, "strong_mean_rows": 1}
 
     def test_thm2_config_builds_one_window_setup(self, monkeypatch):
         grams = []
@@ -729,7 +759,7 @@ class TestOutputs:
         for x in cfg.x:
             for q in cfg.q:
                 for i, n in enumerate(ns):
-                    row = table[i, : sizes[i]][None]
+                    row = sweep_rows(explicit_matrix([table[i, : sizes[i]]]), [0])
                     mean = strong_mean_rows(f, [x], row, [q]).item()
                     lines.append(f"{x!r},{q!r},{n},{mean!r}")
         return "\n".join(lines) + "\n"
@@ -751,8 +781,18 @@ class TestOutputs:
             )
         )
         assert len(cfgs) == 4
-        for cfg in cfgs:
-            assert strong_mean_table(cfg) == self.per_row_table(cfg)
+        for cfg in cfgs[:-1]:
+            # Cesaro and osc-gm2 rows: the prefix route against one-row tables
+            got, want = (
+                [line.split(",") for line in table.splitlines()]
+                for table in (strong_mean_table(cfg), self.per_row_table(cfg))
+            )
+            assert [row[:3] for row in got] == [row[:3] for row in want]
+            assert [float(row[3]) for row in got[1:]] == pytest.approx(
+                [float(row[3]) for row in want[1:]], rel=PREFIX_RTOL, abs=0.0
+            )
+        # explicit rows keep the dense table, bit for bit
+        assert strong_mean_table(cfgs[-1]) == self.per_row_table(cfgs[-1])
 
     def test_strong_mean_table_one_ladder(self, monkeypatch):
         calls = count_calls(monkeypatch, "partial_sums", owner=QuasiPeriodicFunction)

@@ -444,8 +444,10 @@ def test_class_membership_makes_no_per_row_calls(monkeypatch):
     # the four class checks of one n range share one table build, and the
     # constructor's gm2 check builds one more
     builds = []
-    osc = matrices._osc_gm2_table
-    monkeypatch.setattr(matrices, "_osc_gm2_table", lambda ns: builds.append(ns.tolist()) or osc(ns))
+    osc = SummabilityMatrix._weights_table
+    monkeypatch.setattr(
+        SummabilityMatrix, "_weights_table", lambda self, ns: builds.append(ns.tolist()) or osc(self, ns)
+    )
     m = osc_gm2_matrix()
     for rows in (range(0, 65), range(0, 65), range(3, 9)):
         for name in CLASS_NAMES:
@@ -507,7 +509,8 @@ def test_table_is_kept_once_and_read_only():
 
 def test_table_reads_only_its_rows():
     read = []
-    m = SummabilityMatrix("logged", lambda ns: read.append(ns.tolist()) or matrices._cesaro_table(ns))
+    cesaro = cesaro_matrix()
+    m = SummabilityMatrix("logged", lambda ns: read.append(ns.tolist()) or cesaro._weights_table(ns))
     m.table([5, 2, 2, 7])
     assert read == [[5, 2, 2, 7]]
     # a bad row outside the sweep is never read
@@ -606,3 +609,53 @@ def test_riesz_non_finite_weight_rejected(bad):
     # row 1 summed to nan when the table was built
     with pytest.raises(MatrixError, match="riesz weights must be finite"):
         riesz_matrix(weights=[1.0, bad, 1.0])
+
+
+WEIGHT_FAMILIES = {
+    "cesaro": cesaro_matrix(),
+    "osc-gm2": osc_gm2_matrix(),
+    "riesz-exponent": riesz_matrix(exponent=2.5),
+    "riesz-weights": riesz_matrix(weights=[1.0 / (k + 1) for k in range(301)]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ns=sweeps())
+def test_weights_give_the_table_rows(ns):
+    # p[:n+1] / P_n is each table row: to the bit where the row sums are
+    # exact (Cesaro, osc-gm2), else to rounding, as the table sums each
+    # row on its own and P is one running sum; the side condition reads
+    # a[n, 0] = p_0 / P_n
+    for name, matrix in WEIGHT_FAMILIES.items():
+        p, sums = matrix.weights(ns)
+        assert p.size == sums.size == max(ns) + 1 and not p.flags.writeable
+        table, sizes = matrix.table(ns)
+        rows = np.where(np.arange(p.size + 1) <= np.array(ns)[:, None], np.append(p, 0.0), 0.0) / sums[ns][:, None]
+        firsts = side_condition(matrix, ns)[1]
+        if name.startswith("riesz"):
+            np.testing.assert_allclose(rows, table, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(firsts, table[:, 0], rtol=1e-14, atol=0.0)
+        else:
+            assert rows.tolist() == table.tolist()
+            assert list(firsts) == table[:, 0].tolist()
+
+
+def test_weights_are_kept_and_checked():
+    m = cesaro_matrix()
+    p, sums = m.weights(range(3, 9))
+    assert m.weights([8, 0])[0] is p
+    assert m.weights(range(4))[0] is not p
+    with pytest.raises(MatrixError, match="^row index must be >= 0, got -1$"):
+        m.weights([2, -1])
+    with pytest.raises(MatrixError, match="^riesz weight list of length 2 cannot build row 2$"):
+        riesz_matrix(weights=[1.0, 2.0]).weights(range(1, 5))
+    for bad in ([0.0, 1.0], [1.0, -1.0]):
+        m = SummabilityMatrix("bad", weights_fn=lambda ns, b=bad: np.array(b))
+        with pytest.raises(MatrixError, match="^bad weights must be >= 0 with p_0 > 0$"):
+            m.weights([1])
+    with pytest.raises(MatrixError, match="^bare needs a table or a weight function$"):
+        SummabilityMatrix("bare")
+    # no weight sequence, or one whose sum overflows: the table's rows
+    assert explicit_matrix([[1.0]]).weights([0]) is None
+    assert riesz_matrix(weights=[1e308] * 3).weights([1]) is None
+    assert riesz_matrix(weights=[1e308] * 3).weights([0]) is not None

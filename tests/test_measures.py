@@ -250,6 +250,15 @@ def old_layout_means(lams, cos_c, sin_c, gram, u):
     return ((k @ gram) * k).sum(axis=-1)
 
 
+def u_last_means(lams, cos_c, sin_c, gram, u):
+    """p = 2 window means in the window norm's own layout and order: k
+    shaped (2N, n), the n sample points u last, ``((G @ k) * k).sum(axis=0)``."""
+    lu = np.multiply.outer(lams, u)
+    c, s = np.cos(lu), np.sin(lu)
+    k = np.concatenate([cos_c[:, None] * c + sin_c[:, None] * s, sin_c[:, None] * c - cos_c[:, None] * s])
+    return ((gram @ k) * k).sum(axis=0)
+
+
 def refine_block_norm(f, p, grid):
     """The windowed norm with its own grid, window rule and refine block per
     p, as before the shared sampled-sup routine: the oracle for it."""
@@ -277,7 +286,9 @@ def refine_block_norm(f, p, grid):
         gram = measures._trig_gram(lams, grid.window_length)
 
         def window_means(u):
-            return old_layout_means(lams, cos_c, sin_c, gram, u)
+            # summed as the code sums: a grid peak one ulp above the code's
+            # sup would fail within_sup's exact lower bound
+            return u_last_means(lams, cos_c, sin_c, gram, u)
 
     else:
         offs, wts = _gl_panels(0.0, grid.window_length, measures.WINDOW_PANELS)
@@ -292,7 +303,7 @@ def refine_block_norm(f, p, grid):
     if grid.refine:
         h = span / grid.u_samples
         res = minimize_scalar(
-            lambda s: -float(window_means(s)),
+            lambda s: -float(window_means(np.array([s]))[0]),
             bounds=(u[best] - h, u[best] + h),
             method="bounded",
             options={"xatol": 1e-9},
@@ -413,6 +424,9 @@ class TestSampledSup:
         t=st.floats(0.01, 3.0),
         const=st.floats(-1.0, 1.0),
     )
+    # the oracle's p = 2 grid peak sat one ulp above the code's sup while it
+    # summed each window mean in the former layout's order
+    @example(seed=0, p=2.0, t=1.4746880921955017, const=0.0)
     def test_stepanov_norm_matches_refine_blocks(self, seed, p, t, const):
         grid = WindowGrid(u_samples=40)
         for periodic in (True, False):
@@ -553,6 +567,9 @@ class TestWindowLayout:
                 np.ldexp(window_search(lams, coefs, gr, span, m)[0], -scale) ** 2 for m in (None, old)
             )
             assert np.all(np.abs(new_sq - old_sq) <= 1e-14 * np.maximum(top, old_sq) + extra)
+        # refine_block_norm's p = 2 means sum each lane as the code does
+        for i in range(len(coefs)):
+            assert np.array_equal(u_last_means(lams, unit[i, :, 0], unit[i, :, 1], gram, u[0]), got[i])
         # each lane of the L-lane call is its one-lane call, bit for bit
         for i in range(len(coefs)):
             one_norm, one = window_search(lams, coefs[i : i + 1], grid, span)

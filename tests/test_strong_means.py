@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from apsum import measures, strong_means
 from apsum.experiment import ExperimentConfig, head_tail_bounded, run
-from apsum.matrices import cesaro_matrix, explicit_matrix, row_table
+from apsum.matrices import cesaro_matrix, explicit_matrix, osc_gm2_matrix, riesz_matrix, row_table
 from apsum.measures import (
     T_LATTICE,
     PowerModulus,
@@ -20,9 +20,10 @@ from apsum.strong_means import (
     RatioRecord,
     ratio_sweep,
     strong_mean_rows,
+    sweep_rows,
 )
 
-from conftest import scaled, translate_difference
+from conftest import PREFIX_RTOL, scaled, translate_difference
 
 SMOOTH = QuasiPeriodicFunction(
     Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (10.0, 0.1, 0.0)])
@@ -63,8 +64,9 @@ def cesaro_row(n):
 
 
 def row_mean(f, x, row, q):
-    """H of one weight row at one x: a one-row table of strong_mean_rows."""
-    return strong_mean_rows(f, [x], np.asarray(row)[None], [q]).item()
+    """H of one weight row at one x: strong_mean_rows of a one-row explicit
+    matrix, read with power_mean."""
+    return strong_mean_rows(f, [x], sweep_rows(explicit_matrix([row]), [0]), [q]).item()
 
 
 def plain_bracket_mean(f, w, weights, q, alpha, divisor):
@@ -598,3 +600,164 @@ class TestRatioSeries:
         for qs, c in (([1.0, 0.0], 2.0), ([-1.0], 2.0), ([1.0], 1.0), ([1.0], math.nan)):
             with pytest.raises(ValueError):
                 ratio_sweep(SMOOTH, "prop4", [1], qs, [(0.0, PowerModulus(1.0))], c=c)
+
+
+def dense_weight_rows(p, ns):
+    """The table of the rows a[n, k] = p_k [k <= n] / P_n, P the prefix
+    sums of p: the dense oracle of the prefix route."""
+    sums = np.cumsum(p)
+    ns = np.asarray(ns)
+    return np.where(np.arange(p.size) <= ns[:, None], p, 0.0) / sums[ns][:, None]
+
+
+@st.composite
+def weight_sweeps(draw):
+    """Weights p with zeros after p_0 > 0, rows n in any order with
+    repeats, and 1 to 3 lanes of values that rise or fall across hundreds
+    of decades, with zeros, each lane with its own span and direction; at
+    times an inf or NaN at one k of one lane."""
+    size = draw(st.integers(1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(0.01, 1.0, size) * (rng.uniform(size=size) < draw(st.floats(0.2, 1.0)))
+    p[0] = rng.uniform(0.01, 1.0)
+    lanes = draw(st.integers(1, 3))
+    decades = draw(st.lists(st.floats(0.0, 300.0), min_size=lanes, max_size=lanes))
+    exps = np.array([np.linspace(-d, 0.0, size) for d in decades]) + rng.uniform(-2.0, 2.0, (lanes, size))
+    exps[rng.uniform(size=lanes) < 0.5] *= -1.0  # rising from 10^-d, or falling
+    exps -= exps.max(axis=1, keepdims=True)
+    values = 10.0**exps * (rng.uniform(size=(lanes, size)) < 0.9)
+    bad = draw(st.sampled_from([None, None, math.inf, math.nan]))
+    if bad is not None:
+        values[rng.integers(lanes), rng.integers(size)] = bad
+    ns = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=20))
+    return p, np.array(ns), values
+
+
+class TestPrefixRoute:
+    """The row means of Riesz-type rows from prefix sums of the weight
+    sequence, against power_mean of their dense table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=weight_sweeps(), q=st.one_of(st.floats(0.05, 8.0), st.just(math.inf)))
+    def test_matches_dense_power_mean(self, case, q):
+        p, ns, values = case
+        got = strong_means._prefix_means(p, np.cumsum(p), ns, values, q)
+        with np.errstate(invalid="ignore"):  # an inf top: inf / inf
+            want = power_mean(dense_weight_rows(p, ns), values[:, None, :], q)
+            close = np.abs(got - want) <= PREFIX_RTOL * want
+        assert got.shape == want.shape == (len(values), len(ns))
+        # an inf or NaN top gives NaN at finite q, inf or NaN at q = inf
+        assert np.all(close | (got == want) | (np.isnan(got) & np.isnan(want)))
+        # the largest row is the last of its block: power_mean's terms, bit for bit
+        last = ns == ns.max()
+        assert np.array_equal(got[:, last], want[:, last], equal_nan=True)
+
+    @pytest.mark.parametrize("q", [2.0, 7.0])
+    def test_rising_sweep_keeps_every_row(self, q):
+        # values rising from 1e-200 to 1 over Cesaro rows n < 200: one scale
+        # for every row read 0 on the first 44 rows at q = 2 and 155 at q = 7
+        ns = np.arange(200)
+        p = np.ones(200)
+        values = np.logspace(-200.0, 0.0, 200)[None]
+        got = strong_means._prefix_means(p, np.cumsum(p), ns, values, q)[0]
+        want = [mp_power_mean(np.full(n + 1, 1.0 / (n + 1)), values[0, : n + 1], q) for n in ns]
+        assert got.tolist() == pytest.approx(want, rel=PREFIX_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [cesaro_matrix(), osc_gm2_matrix(), riesz_matrix(exponent=3.0), riesz_matrix(exponent=-1.5)],
+        ids=["cesaro", "osc-gm2", "riesz-3", "riesz--1.5"],
+    )
+    def test_family_rows_against_mpmath(self, matrix):
+        ns = np.array([0, 1, 5, 37, 120])
+        p, sums = matrix.weights(ns)
+        rng = np.random.default_rng(5)
+        values = 10.0 ** rng.uniform(-150.0, 0.0, (2, p.size))
+        table, sizes = matrix.table(ns)
+        for q in (0.3, 1.0, 7.0):
+            got = strong_means._prefix_means(p, sums, ns, values, q)
+            for i, v in enumerate(values):
+                want = [mp_power_mean(row[:size], v[:size], q) for row, size in zip(table, sizes)]
+                assert got[i].tolist() == pytest.approx(want, rel=PREFIX_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("q", [0.5, 2.0, math.inf])
+    def test_non_finite_top_is_power_means(self, bad, q):
+        # rows from k = 3 on see the inf or NaN; the rows before keep
+        # their means, and every row is done in finite time
+        ns = np.array([5, 0, 2, 3, 9])
+        p = np.ones(10)
+        values = np.vstack([np.linspace(0.1, 1.0, 10), np.linspace(1e-300, 1.0, 10)])
+        values[0, 3] = bad
+        got = strong_means._prefix_means(p, np.cumsum(p), ns, values, q)
+        with np.errstate(invalid="ignore"):
+            want = power_mean(dense_weight_rows(p, ns), values[:, None, :], q)
+        assert np.isnan(got[0, [0, 3, 4]]).tolist() == [q < math.inf or math.isnan(bad)] * 3
+        np.testing.assert_allclose(got, want, rtol=PREFIX_RTOL, atol=0.0)  # NaN where NaN
+
+    def test_overflowing_bracket_ends_the_run(self):
+        # w(pi) = 1e308 pi overflows to inf: every rhs is NaN, as the dense
+        # table gave it, so every record is flagged infinite-ratio
+        cfg = ExperimentConfig.from_dict({
+            "spectrum": {"builtin": "smooth"}, "theorem": "thm6", "matrix": {"builtin": "cesaro"},
+            "majorant": {"type": "power", "C": 1e308}, "q": [1.0, 2.0], "x": [0.0, 0.7],
+            "n_range": [1, 8], "blowup_head": 8,
+        })
+        with np.errstate(over="ignore"):
+            report = run(cfg)
+        assert len(report.records) == 32
+        for r in report.records:
+            assert math.isnan(r.rhs) and r.ratio == math.inf and r.flags == ("infinite-ratio",)
+            assert 0.0 < r.lhs < math.inf
+        assert report.summary["max_ratio"] == math.inf and report.summary["regression_ok"] is False
+
+    def test_overflowing_riesz_rows_keep_the_table(self):
+        # 35^200 overflows: the weights are refused and the table divides
+        # each row by its largest power first
+        m = riesz_matrix(exponent=200.0)
+        assert m.weights(range(34)) is not None and m.weights(range(35)) is None
+        assert isinstance(strong_means.sweep_rows(m, range(35)), strong_means._TableRows)
+        assert isinstance(strong_means.sweep_rows(explicit_matrix([[1.0]]), [0]), strong_means._TableRows)
+
+
+def _record(x, q, n, lhs, rhs):
+    """One record of lhs and rhs, the per-record rule records are built by."""
+    if rhs > 0.0:
+        return RatioRecord(x, q, n, lhs, rhs, lhs / rhs, ())
+    if lhs == 0.0:
+        return RatioRecord(x, q, n, lhs, rhs, 0.0, ("zero-over-zero",))
+    return RatioRecord(x, q, n, lhs, rhs, math.inf, ("infinite-ratio",))
+
+
+SIDE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e308, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4)),
+    data=st.data(),
+)
+def test_records_match_per_record_rule(shape, data):
+    # repr tells NaN, -0.0 and the flags apart: bit for bit
+    nq, nx, nn = shape
+    qs = [0.5 * (j + 1) for j in range(nq)]
+    xs = [None] if nx == 0 else [0.25 * i for i in range(nx)]
+    ns = list(range(3, 3 + nn))
+    size = nq * len(xs) * nn
+    lhs, rhs = (
+        np.array(data.draw(st.lists(SIDE_VALUES, min_size=size, max_size=size))).reshape(nq, len(xs), nn)
+        for _ in range(2)
+    )
+    # a thm2 lhs, one x lane, broadcasts against the rhs of every x
+    for left in (lhs, lhs[:, :1]):
+        got = strong_means._records(xs, qs, ns, left, rhs)
+        want = [
+            _record(x, q, n, left[j, min(i, left.shape[1] - 1), k].item(), rhs[j, i, k].item())
+            for i, x in enumerate(xs)
+            for j, q in enumerate(qs)
+            for k, n in enumerate(ns)
+        ]
+        assert repr(got) == repr(want)
