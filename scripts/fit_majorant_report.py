@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Fit a rescaled class majorant for a spectrum at chosen points and print
-its knots, the estimated constants, and a window-average bound spot check.
+"""Fit a rescaled class majorant for a spectrum at chosen points (one fit
+call for every point) and print its knots, the estimated constants, and a
+window-average bound spot check.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ def main(argv=None) -> int:
 
     plan = SamplePlan.default(count=args.grid)
     all_ok = True
-    for x in args.x:
-        w, report = fit_class_majorant(f, x, args.p, plan)
+    for x, (w, report) in zip(args.x, fit_class_majorant(f, args.x, args.p, plan)):
         violations = sum(
             (not check_eq7(f, x, w, d1, d2)) for d1 in plan.points for d2 in plan.points
         )

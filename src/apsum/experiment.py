@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -44,7 +42,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import THEOREMS, RatioRecord, ratio_sweep, strong_mean_rows, sweep_rows
+from .strong_means import _FLAGS, THEOREMS, RatioRecord, _sweep, _Sweep, strong_mean_rows, sweep_rows
 
 __all__ = [
     "ConfigError",
@@ -53,7 +51,6 @@ __all__ = [
     "builtin_spectra",
     "builtin_matrices",
     "run",
-    "head_tail_bounded",
     "records_csv",
     "report_to_dict",
     "write_report",
@@ -341,12 +338,6 @@ class ExperimentConfig:
     def resolve_matrix(self) -> SummabilityMatrix | None:
         return self._matrix
 
-    def resolve_majorant(self, x: float) -> ModulusMajorant | None:
-        """None for thm2; the fitted majorant at x, or the configured one."""
-        if isinstance(self._majorant, SamplePlan):
-            return fit_class_majorant(self._function, x, self.p, self._majorant)[0]
-        return self._majorant
-
     def _run_inputs(self) -> tuple[QuasiPeriodicFunction, SummabilityMatrix | None]:
         """Function and matrix of a run, unless only allow_invalid let the spectrum in."""
         if self._refusal is not None:
@@ -376,27 +367,37 @@ class ExperimentReport:
     summary: dict
 
 
-def head_tail_bounded(records, head_end: int, factor: float) -> bool:
-    """No blow-up in the records of one (x, q): the max ratio past
-    ``head_end`` stays within ``factor`` times the max ratio up to
-    ``head_end`` (boundary in both parts), or the ratios stopped rising:
-    their max over n in (N/2, N] is at most their max over (N/4, N/2], N the
-    largest n.  With either block empty the head/tail test decides alone."""
-    ratios = [(r.n, r.ratio) for r in records if not math.isnan(r.ratio)]
-    head = [v for n, v in ratios if n <= head_end]
-    tail = [v for n, v in ratios if n >= head_end]
-    if not head or not tail or max(tail) <= factor * max(head) + 1e-12:
-        return True
-    top = max(r.n for r in records)
-    last = [v for n, v in ratios if top / 2 < n <= top]
-    before = [v for n, v in ratios if top / 4 < n <= top / 2]
-    return bool(last and before) and max(last) <= max(before)
+def _first_largest(ratio: np.ndarray) -> int:
+    """The flat index of the first of the largest ratios, as Python's
+    ``max`` picks it: a NaN is never larger, so it wins only in front."""
+    flat = ratio.ravel()
+    nan = np.isnan(flat)
+    return 0 if nan[0] else int(np.argmax(np.where(nan, -math.inf, flat)))
+
+
+def _head_tail_bounded(ratio: np.ndarray, n_values, head_end: int, factor: float) -> bool:
+    """No blow-up in any series, a row of ``ratio`` over ``n_values``: its
+    max ratio past ``head_end`` stays within ``factor`` times its max ratio
+    up to ``head_end`` (boundary in both parts), or its ratios stopped
+    rising: their max over n in (N/2, N] is at most their max over
+    (N/4, N/2], N the largest n.  NaN ratios are dropped; with either block
+    empty the head/tail test decides alone."""
+    n = np.asarray(n_values)
+    big = n.max()
+    blocks = np.array([n <= head_end, n >= head_end, big / 2 < n, (big / 4 < n) & (n <= big / 2)])
+    # per block and series the max ratio, NaN where the block holds none
+    tops = np.where(blocks[:, None, :], ratio.reshape(-1, n.size), math.nan)
+    head, tail, last, before = np.fmax.reduce(tops, axis=-1)
+    bounded = np.isnan(head) | np.isnan(tail) | (tail <= factor * head + 1e-12)
+    return bool((bounded | (last <= before)).all())  # False where either is NaN
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run one ``ratio_sweep`` for every (x, q) of the config and judge it:
-    the ratio cap on every record, the blow-up test on each (x, q), and the
-    side condition on the matrix rows (None for prop4, which reads none)."""
+    """Run one sweep for every (x, q) of the config, the records of
+    ``ratio_sweep``, and judge it: the ratio cap on every record, the
+    blow-up test on each (x, q), and the side condition on the matrix rows
+    (None for prop4, which reads none).  The fitted majorants of every x
+    come from one fit call, and the verdicts from the sweep's arrays."""
     f, matrix = cfg._run_inputs()
     ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
 
@@ -406,30 +407,43 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         points = [(None, None)]
     else:
         x_grid = None
-        majorants = {x: cfg.resolve_majorant(x) for x in set(cfg.x)}
-        points = [(x, majorants[x]) for x in cfg.x]
-    records = ratio_sweep(
-        f, cfg.theorem, ns, cfg.q, points, matrix=matrix, x_grid=x_grid, p=cfg.p,
-        grid=cfg.grid, c=cfg.c, thm5_literal_exponent=cfg.thm5_literal_exponent,
+        majorants = [cfg._majorant] * len(cfg.x)
+        if isinstance(cfg._majorant, SamplePlan):
+            majorants = [w for w, _ in fit_class_majorant(f, cfg.x, cfg.p, cfg._majorant)]
+        points = list(zip(cfg.x, majorants))
+    sweep = _sweep(
+        f, cfg.theorem, ns, cfg.q, points, matrix, x_grid, cfg.p, cfg.grid, cfg.c,
+        cfg.thm5_literal_exponent,
     )
+    records = sweep.records()
     side_ok = None if cfg.theorem == "prop4" else side_condition(matrix, ns, cfg.side_tol)[0]
-    worst = max(records, key=lambda r: r.ratio)  # first of the largest
     summary = {
         "theorem": cfg.theorem,
         "records": len(records),
+        **_verdicts(sweep, records, cfg.max_ratio, cfg.blowup_head, cfg.blowup_factor),
+        "side_condition_ok": side_ok,
+    }
+    return ExperimentReport(config=cfg.to_dict(), records=records, summary=summary)
+
+
+def _verdicts(sweep: _Sweep, records, max_ratio: float, head_end: int, factor: float) -> dict:
+    """The summary's verdicts on a sweep, from its arrays: the first of its
+    largest ratios and its record, the regression verdict (not every record
+    0/0, no ratio above ``max_ratio``, no blow-up in any (x, q)) and the
+    records per flag, in the order the flags first appear."""
+    worst = records[_first_largest(sweep.ratio)]
+    codes = sweep.code.ravel()
+    counts = np.bincount(codes, minlength=len(_FLAGS)).tolist()
+    flagged = sorted((int(np.argmax(codes == c)), c) for c in range(1, len(_FLAGS)) if counts[c])
+    return {
         "max_ratio": worst.ratio,
         "argmax": {"x": worst.x, "q": worst.q, "n": worst.n},
         # a run whose every record is 0/0 checked nothing, so it fails
-        "regression_ok": any("zero-over-zero" not in r.flags for r in records)
-        and not any(r.ratio > cfg.max_ratio for r in records)  # a NaN ratio passes the cap
-        and all(
-            head_tail_bounded(list(series), cfg.blowup_head, cfg.blowup_factor)
-            for _, series in itertools.groupby(records, key=lambda r: (r.x, r.q))
-        ),
-        "side_condition_ok": side_ok,
-        "flag_counts": dict(Counter(fl for r in records for fl in r.flags)),
+        "regression_ok": bool((sweep.code != 1).any())
+        and not (sweep.ratio > max_ratio).any()  # a NaN ratio passes the cap
+        and _head_tail_bounded(sweep.ratio, sweep.n_values, head_end, factor),
+        "flag_counts": {_FLAGS[c][0]: counts[c] for _, c in flagged},
     }
-    return ExperimentReport(config=cfg.to_dict(), records=records, summary=summary)
 
 
 def strong_mean_table(cfg: ExperimentConfig) -> str:

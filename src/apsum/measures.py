@@ -34,7 +34,9 @@ m_x, estimates the smallest constants making
 
 hold on a sample grid, and rescales w so that both are <= 1; then the
 window average obeys |Phi_x(d1, d2)| <= w(d1) + w(d2) (``check_eq7``).
-``moduli`` gives both lhs at every delta and shift of the grid in one call.
+``moduli`` gives both lhs at every delta and shift of the grid in one call;
+the fit takes every x of a run in one call, and at p = 2 builds the x-free
+Grams of those lhs once for all of them.
 
 At p = 2 every window mean above (the u-windows of N_2, m_x and the
 shifted-difference means) is an exact quadratic form in the amplitudes,
@@ -450,6 +452,54 @@ def _phi_panels(f: QuasiPeriodicFunction, delta: float) -> int:
     return max(64, need)
 
 
+def _check_moduli_args(deltas, shifts, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """deltas and shifts as arrays, else ValueError naming the argument (or p)."""
+    deltas = np.asarray(deltas, dtype=float)
+    shifts = np.asarray(shifts, dtype=float)
+    if deltas.ndim != 1 or not np.all((deltas > 0.0) & (deltas < math.inf)):
+        raise ValueError(f"deltas must be a 1-D list of finite numbers > 0, got {deltas!r}")
+    if shifts.ndim != 1 or not np.all(np.isfinite(shifts)):
+        raise ValueError(f"shifts must be a 1-D list of finite numbers, got {shifts!r}")
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1 (or inf), got {p}")
+    return deltas, shifts
+
+
+def _amplitudes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = 2 g(x) of the term values g(x), scaled by a power of two 2**-e
+    where its squares would underflow or overflow, and e."""
+    amps = 2.0 * values
+    scale = _unit_exponents(amps[None])
+    return np.ldexp(amps, -scale), scale
+
+
+def _point_moduli(amps: np.ndarray, scale: np.ndarray, phi_gram: np.ndarray) -> np.ndarray:
+    """m_x at each delta of ``phi_gram``, shape (D,): the quadratic forms
+    a^T G a of the scaled amplitudes (``_amplitudes``), scaled back."""
+    return np.ldexp(np.sqrt(np.maximum(((amps @ phi_gram) * amps).sum(axis=-1), 0.0)), scale)
+
+
+def _shift_factors(lams: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x-free factors 2 sin^2(l s / 2) and sin(l s) of each shift s,
+    each shaped (M, N)."""
+    ls = np.multiply.outer(shifts, lams)
+    h = np.sin(0.5 * ls)
+    return 2.0 * h * h, np.sin(ls)
+
+
+def _shifted_means(amps: np.ndarray, scale: np.ndarray, factors, trig_gram: np.ndarray) -> np.ndarray:
+    """The shifted-difference means at each delta of ``trig_gram`` and each
+    shift of ``factors`` (``_shift_factors``), shape (D, M): k^T G k for the
+    cos/sin coefficient row k of each shift, each row scaled by a power of
+    two where its squares would underflow or overflow."""
+    cos_part, sin_part = factors
+    k = np.concatenate([cos_part * amps, sin_part * amps], axis=-1)
+    k_scale = _unit_exponents(k)
+    k = np.ldexp(k, -k_scale[:, None])
+    shifted = ((k @ trig_gram) * k).sum(axis=-1)
+    return np.ldexp(np.sqrt(np.maximum(shifted, 0.0)), scale + k_scale)
+
+
 def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise moduli m_x(delta), shape (D,), and shifted-difference means
 
@@ -464,39 +514,21 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
     phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
     phi_x(t) - phi_x(t + s) = sum_nu a_nu [(1 - cos(l_nu s)) cos(l_nu t)
     + sin(l_nu s) sin(l_nu t)], with one Gram matrix per delta and one
-    matrix product over all shifts; a and each shift's coefficient row are
-    scaled by powers of two where their squares would underflow or overflow.
-    At finite p each of the 1 + M integrands of a delta is a ``power_mean``
-    over the quadrature nodes (scaled by its max, so a large p does not
-    overflow); at p = inf all of them are the lanes of one refined grid
-    sup over [0, delta].
+    matrix product over all shifts (the private helpers the majorant fit
+    shares).  At finite p each of the 1 + M integrands of a delta is a
+    ``power_mean`` over the quadrature nodes (scaled by its max, so a large
+    p does not overflow); at p = inf all of them are the lanes of one
+    refined grid sup over [0, delta].
     """
-    deltas = np.asarray(deltas, dtype=float)
-    shifts = np.asarray(shifts, dtype=float)
-    if deltas.ndim != 1 or not np.all((deltas > 0.0) & (deltas < math.inf)):
-        raise ValueError(f"deltas must be a 1-D list of finite numbers > 0, got {deltas!r}")
-    if shifts.ndim != 1 or not np.all(np.isfinite(shifts)):
-        raise ValueError(f"shifts must be a 1-D list of finite numbers, got {shifts!r}")
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1 (or inf), got {p}")
+    deltas, shifts = _check_moduli_args(deltas, shifts, p)
     if p == 2.0:
         lams = f.spectrum.freqs
-        amps = 2.0 * f.term_values(x)
-        scale = _unit_exponents(amps[None])
-        amps = np.ldexp(amps, -scale)
-        ls = np.multiply.outer(shifts, lams)
-        h = np.sin(0.5 * ls)
-        k = np.concatenate([2.0 * h * h * amps, np.sin(ls) * amps], axis=-1)
-        k_scale = _unit_exponents(k)
-        k = np.ldexp(k, -k_scale[:, None])
-        point = ((amps @ _phi_gram(lams, deltas)) * amps).sum(axis=-1)
-        shifted = np.zeros((deltas.size, 0))
-        if shifts.size:  # the fit takes no shifts
-            shifted = ((k @ _trig_gram(lams, deltas)) * k).sum(axis=-1)
-        return (
-            np.ldexp(np.sqrt(np.maximum(point, 0.0)), scale),
-            np.ldexp(np.sqrt(np.maximum(shifted, 0.0)), scale + k_scale),
-        )
+        amps, scale = _amplitudes(f.term_values(x))
+        point = _point_moduli(amps, scale, _phi_gram(lams, deltas))
+        if not shifts.size:  # no shifted means, so no trig Gram
+            return point, np.zeros((deltas.size, 0))
+        factors = _shift_factors(lams, shifts)
+        return point, _shifted_means(amps, scale, factors, _trig_gram(lams, deltas))
     # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|
     def lanes(t):
         t = np.broadcast_to(t, (1 + shifts.size, t.shape[1]))
@@ -557,7 +589,7 @@ class SamplePlan:
         return cls(tuple(top * i / count for i in range(1, count + 1)))
 
 
-# The widths at which ``_fit_envelope`` samples the pointwise modulus.
+# The widths at which the fit samples the pointwise modulus for its envelope.
 FIT_DELTAS = SamplePlan.default(count=40).points
 
 
@@ -573,16 +605,9 @@ class OmegaClassReport:
         return max(self.c1, self.c2)
 
 
-def _class_lhs(
-    f: QuasiPeriodicFunction, x: float, p: float, plan: SamplePlan
-) -> tuple[np.ndarray, np.ndarray]:
-    """The lhs of both class constants: shifted-difference means shaped
-    (gammas, deltas, signs) and pointwise moduli shaped (deltas,), the
-    plan's points as both gammas and deltas."""
-    shifts = [s * g for g in plan.points for s in (1.0, -1.0)]
-    point, shifted = moduli(f, x, plan.points, shifts, p)
-    shifted = shifted.reshape(len(plan.points), len(plan.points), 2)
-    return shifted.transpose(1, 0, 2), point
+def _class_shifts(plan: SamplePlan) -> list[float]:
+    """The shifts of the class table: +gamma and -gamma for each point gamma."""
+    return [s * g for g in plan.points for s in (1.0, -1.0)]
 
 
 def _worst(lhs: np.ndarray, wv: np.ndarray) -> float:
@@ -595,11 +620,15 @@ def _worst(lhs: np.ndarray, wv: np.ndarray) -> float:
 
 
 def _class_report(
-    shifted: np.ndarray, point: np.ndarray, plan: SamplePlan, w: ModulusMajorant
+    point: np.ndarray, shifted: np.ndarray, plan: SamplePlan, w: ModulusMajorant
 ) -> OmegaClassReport:
-    """C1 and C2 of w: the largest lhs / w of each table on the plan's points."""
+    """C1 and C2 of w: the largest lhs / w of each table on the plan's
+    points, from the ``moduli`` of the plan's points as deltas and of
+    ``_class_shifts`` (shaped (deltas, gammas x signs)); C1 divides by w at
+    the shift gamma, C2 by w at delta."""
     wv = w(np.array(plan.points))  # one majorant call on every point
-    return OmegaClassReport(_worst(shifted, wv[:, None, None]), _worst(point, wv))
+    gammas = shifted.reshape(len(wv), len(wv), 2)
+    return OmegaClassReport(_worst(gammas, wv[:, None]), _worst(point, wv))
 
 
 def check_eq7(
@@ -635,28 +664,19 @@ def _concave_envelope(points: list[tuple[float, float]]) -> list[tuple[float, fl
     return hull[: peak + 1]
 
 
-def _fit_envelope(f: QuasiPeriodicFunction, x: float, p: float) -> TableModulus:
-    """Concave nondecreasing table majorant dominating the pointwise modulus
-    sampled at ``FIT_DELTAS``; constant beyond the peak."""
-    point, _ = moduli(f, x, FIT_DELTAS, (), p)
+def _fit_envelope(point: np.ndarray) -> TableModulus:
+    """Concave nondecreasing table majorant dominating the pointwise moduli
+    ``point`` sampled at ``FIT_DELTAS``; constant beyond the peak."""
     samples = [(0.0, 0.0)] + list(zip(FIT_DELTAS, point.tolist()))
     return TableModulus(tuple(_concave_envelope(samples)))
 
 
-def fit_class_majorant(
-    f: QuasiPeriodicFunction,
-    x: float,
-    p: float,
-    plan: SamplePlan | None = None,
-) -> tuple[ModulusMajorant, OmegaClassReport]:
-    """Fit a majorant and rescale it so the class constants drop to <= 1.
-
-    Returns the rescaled majorant together with the post-rescale report.
-    The lhs table is computed once; both reports divide it by a majorant.
-    """
-    plan = plan or SamplePlan.default()
-    base = _fit_envelope(f, x, p)
-    lhs = _class_lhs(f, x, p, plan)
+def _rescaled(fit_point: np.ndarray, lhs, plan: SamplePlan) -> tuple[ModulusMajorant, OmegaClassReport]:
+    """The envelope of the pointwise moduli ``fit_point`` at ``FIT_DELTAS``,
+    scaled so that the class constants of the class table ``lhs`` (point,
+    shifted) drop to <= 1, and its report; both reports divide the one
+    table."""
+    base = _fit_envelope(fit_point)
     rep = _class_report(*lhs, plan, base)
     scale = max(rep.constant, 1.0) * (1.0 + 1e-9)
     if not math.isfinite(scale):
@@ -665,3 +685,42 @@ def fit_class_majorant(
         )
     w = base.scaled(scale)
     return w, _class_report(*lhs, plan, w)
+
+
+def fit_class_majorant(
+    f: QuasiPeriodicFunction,
+    xs,
+    p: float,
+    plan: SamplePlan | None = None,
+) -> list[tuple[ModulusMajorant, OmegaClassReport]]:
+    """Fit a majorant at each x of ``xs`` and rescale it so the class
+    constants drop to <= 1.
+
+    Returns one (rescaled majorant, post-rescale report) pair per x.  Each
+    x's class table is computed once; both its reports divide it by a
+    majorant.  At p = 2 the moduli are quadratic forms in 2 g(x) whose
+    Grams depend on the frequencies and the widths only, so one call builds
+    them once for every x: one phi Gram over ``FIT_DELTAS`` and the plan's
+    points, one trig Gram over the plan's points, and the shift factors.
+    Other p take each x's moduli on their own.
+    """
+    plan = plan or SamplePlan.default()
+    shifts = _class_shifts(plan)
+    if p != 2.0:
+        return [
+            _rescaled(moduli(f, x, FIT_DELTAS, (), p)[0], moduli(f, x, plan.points, shifts, p), plan)
+            for x in xs
+        ]
+    widths, shifts = _check_moduli_args(plan.points, shifts, p)
+    lams = f.spectrum.freqs
+    deltas, at = np.unique(np.concatenate([FIT_DELTAS, widths]), return_inverse=True)
+    amps = [_amplitudes(f.term_values(x)) for x in xs]
+    phi_gram = _phi_gram(lams, deltas)
+    pointwise = [_point_moduli(a, scale, phi_gram) for a, scale in amps]
+    del phi_gram  # not held while the larger trig Gram is built
+    factors, trig_gram = _shift_factors(lams, shifts), _trig_gram(lams, widths)
+    fit_at, plan_at = at[: len(FIT_DELTAS)], at[len(FIT_DELTAS) :]
+    return [
+        _rescaled(m[fit_at], (m[plan_at], _shifted_means(a, scale, factors, trig_gram)), plan)
+        for m, (a, scale) in zip(pointwise, amps)
+    ]

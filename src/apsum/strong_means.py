@@ -18,8 +18,10 @@ expressions mirror three estimate shapes:
 alpha is the gap of ``f.spectrum``.  ``ratio_sweep`` reads the rows of a run
 once (``sweep_rows``), takes each side's means with one call per q, and
 returns one ``RatioRecord`` per (x, q, n): lhs, rhs and lhs/rhs, 0/0 as
-ratio 0 (flagged) and finite/0 as inf, all from arrays.  The verdicts on
-them are ``experiment.run``'s; ``strong_mean_rows`` gives lhs means alone.
+ratio 0 (flagged) and finite/0 as inf, all from arrays.  The verdicts are
+``experiment.run``'s, read from those arrays (``_sweep``, which
+``ratio_sweep`` turns into records); ``strong_mean_rows`` gives lhs means
+alone.
 
 Rows of a Riesz-type matrix, a[n, k] = p_k [k <= n] / P_n (Cesaro,
 riesz, osc-gm2), need no table: sum_k a[n, k] v_k^q is a prefix sum of
@@ -183,27 +185,45 @@ THEOREMS = ("prop4", "thm2", "thm5", "thm6")
 _FLAGS = ((), ("zero-over-zero",), ("infinite-ratio",))
 
 
-def _records(xs, qs, n_values, lhs: np.ndarray, rhs: np.ndarray) -> list[RatioRecord]:
-    """The records of lhs and rhs arrays that broadcast to (q, x, n), ordered
-    by x, then q, then n: lhs/rhs where rhs > 0, else 0/0 as ratio 0 and
-    any other lhs (NaN too) as inf, each flagged."""
+class _Sweep(NamedTuple):
+    """A sweep as arrays: its x labels, q and n, and lhs, rhs, ratio and
+    flag code (an index into ``_FLAGS``), each shaped (x, q, n), the order
+    of its records."""
+
+    xs: list
+    qs: list[float]
+    n_values: list[int]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
+    code: np.ndarray
+
+    def records(self) -> list[RatioRecord]:
+        """One ``RatioRecord`` per (x, q, n), in that order."""
+        size = len(self.n_values)
+        columns = (
+            [x for x in self.xs for _ in range(len(self.qs) * size)],
+            [q for _ in self.xs for q in self.qs for _ in range(size)],
+            self.n_values * (len(self.xs) * len(self.qs)),
+            self.lhs.ravel().tolist(),
+            self.rhs.ravel().tolist(),
+            self.ratio.ravel().tolist(),
+            [_FLAGS[c] for c in self.code.ravel().tolist()],
+        )
+        return list(map(RatioRecord._make, zip(*columns)))
+
+
+def _sweep_of(xs, qs, n_values, lhs: np.ndarray, rhs: np.ndarray) -> _Sweep:
+    """The sweep of lhs and rhs arrays that broadcast to (q, x, n): lhs/rhs
+    where rhs > 0, else 0/0 as ratio 0 and any other lhs (NaN too) as inf,
+    each flagged."""
     shape = (len(qs), len(xs), len(n_values))
-    lhs, rhs = (np.broadcast_to(a, shape).transpose(1, 0, 2).ravel() for a in (lhs, rhs))
+    lhs, rhs = (np.broadcast_to(a, shape).transpose(1, 0, 2).copy() for a in (lhs, rhs))
     positive = rhs > 0.0
     code = np.where(positive, 0, np.where(lhs == 0.0, 1, 2))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(positive, lhs / rhs, np.where(code == 1, 0.0, math.inf))
-    size = len(n_values)
-    columns = (
-        [x for x in xs for _ in range(len(qs) * size)],
-        [q for _ in xs for q in qs for _ in range(size)],
-        list(n_values) * (len(xs) * len(qs)),
-        lhs.tolist(),
-        rhs.tolist(),
-        ratio.tolist(),
-        [_FLAGS[c] for c in code.tolist()],
-    )
-    return list(map(RatioRecord._make, zip(*columns)))
+    return _Sweep(list(xs), qs, n_values, lhs, rhs, ratio, code)
 
 
 def ratio_sweep(
@@ -233,6 +253,25 @@ def ratio_sweep(
     thm2: sup of the strong mean over ``x_grid`` (every grid point in the
     one ladder call) against the omega mean; x only labels the records.
     """
+    return _sweep(
+        f, theorem, n_values, qs, points, matrix, x_grid, p, grid, c, thm5_literal_exponent
+    ).records()
+
+
+def _sweep(
+    f: QuasiPeriodicFunction,
+    theorem: str,
+    n_values,
+    qs,
+    points,
+    matrix: SummabilityMatrix | None,
+    x_grid,
+    p: float | None,
+    grid: WindowGrid | None,
+    c: float,
+    thm5_literal_exponent: bool,
+) -> _Sweep:
+    """``ratio_sweep``'s records as one ``_Sweep`` of arrays."""
     if theorem not in THEOREMS:
         raise ValueError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
     qs, n_values = [float(q) for q in qs], [int(n) for n in n_values]
@@ -253,7 +292,8 @@ def ratio_sweep(
         if p is None:
             raise ValueError("thm2 needs the window exponent p")
     if not qs or not points:
-        return []
+        empty = np.zeros((len(qs), len(points), len(n_values)))
+        return _sweep_of([x for x, _ in points], qs, n_values, empty, empty)
 
     rows = _TableRows(_dyadic_table(n_values)) if theorem == "prop4" else sweep_rows(matrix, n_values)
     if theorem == "thm2":
@@ -269,4 +309,4 @@ def ratio_sweep(
         rhs = bounds[:, n_values]
     else:
         rhs = np.array([rows.means(bounds, q) for q in qs])
-    return _records([x for x, _ in points], qs, n_values, lhs, rhs)
+    return _sweep_of([x for x, _ in points], qs, n_values, lhs, rhs)

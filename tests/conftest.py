@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 from apsum.spectra import QuasiPeriodicFunction, Spectrum, _difference_rows
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
@@ -35,3 +39,39 @@ def translate_difference(f, t: float):
     lams, rows = _difference_rows(f.spectrum, t)
     terms = zip(lams.tolist(), *rows.T.tolist())
     return QuasiPeriodicFunction(Spectrum.from_cos_sin(f.spectrum.alpha, terms))
+
+
+def head_tail_bounded(records, head_end: int, factor: float) -> bool:
+    """The per-record blow-up test of one (x, q), the oracle for the array
+    verdicts of ``experiment.run``: the max ratio past ``head_end`` stays
+    within ``factor`` times the max ratio up to ``head_end`` (boundary in
+    both parts), or the ratios stopped rising: their max over n in
+    (N/2, N] is at most their max over (N/4, N/2], N the largest n.  NaN
+    ratios are dropped; with either block empty the head/tail test decides
+    alone."""
+    ratios = [(r.n, r.ratio) for r in records if not math.isnan(r.ratio)]
+    head = [v for n, v in ratios if n <= head_end]
+    tail = [v for n, v in ratios if n >= head_end]
+    if not head or not tail or max(tail) <= factor * max(head) + 1e-12:
+        return True
+    top = max(r.n for r in records)
+    last = [v for n, v in ratios if top / 2 < n <= top]
+    before = [v for n, v in ratios if top / 4 < n <= top / 2]
+    return bool(last and before) and max(last) <= max(before)
+
+
+def record_verdicts(records, max_ratio: float, head_end: int, factor: float) -> dict:
+    """The summary verdicts of ``experiment.run`` by passes over the
+    records, the oracle for its array verdicts."""
+    worst = max(records, key=lambda r: r.ratio)  # first of the largest
+    return {
+        "max_ratio": worst.ratio,
+        "argmax": {"x": worst.x, "q": worst.q, "n": worst.n},
+        "regression_ok": any("zero-over-zero" not in r.flags for r in records)
+        and not any(r.ratio > max_ratio for r in records)
+        and all(
+            head_tail_bounded(list(series), head_end, factor)
+            for _, series in itertools.groupby(records, key=lambda r: (r.x, r.q))
+        ),
+        "flag_counts": dict(Counter(fl for r in records for fl in r.flags)),
+    }

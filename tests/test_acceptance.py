@@ -46,13 +46,16 @@ def spectra():
 
 @pytest.fixture(scope="module")
 def fitted_majorants(spectra):
-    """Rescaled class majorants per (spectrum, x); elapsed seconds recorded."""
+    """Rescaled class majorants per (spectrum, x), one fit call per
+    spectrum; its elapsed seconds are shared equally among its x."""
     fits = {}
+    xs = (0.0, 0.7)
     for name, f in spectra.items():
-        for x in (0.0, 0.7):
-            t0 = time.perf_counter()
-            w, report = fit_class_majorant(f, x, 2.0, SamplePlan.default())
-            fits[(name, x)] = (w, report, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        pairs = fit_class_majorant(f, xs, 2.0, SamplePlan.default())
+        share = (time.perf_counter() - t0) / len(xs)
+        for x, (w, report) in zip(xs, pairs):
+            fits[(name, x)] = (w, report, share)
     return fits
 
 
@@ -113,8 +116,8 @@ def test_criterion_3_window_average_bound(spectra):
     grid_pts = [2.0 * math.pi * i / 20 for i in range(1, 21)]
     violations = 0
     constants = []
-    for x in (0.0, 0.7, 2.1):
-        w, report = fit_class_majorant(f, x, 2.0, SamplePlan.default())
+    xs = (0.0, 0.7, 2.1)
+    for x, (w, report) in zip(xs, fit_class_majorant(f, xs, 2.0, SamplePlan.default())):
         constants.append(report.constant)
         for d1 in grid_pts:
             for d2 in grid_pts:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apsum.experiment import (
     ConfigError,
@@ -21,7 +22,7 @@ from apsum.matrices import MatrixError, class_constants, explicit_matrix
 from apsum.spectra import QuasiPeriodicFunction, validate_spectrum
 from apsum.strong_means import strong_mean_rows, sweep_rows
 
-from conftest import PREFIX_RTOL
+from conftest import PREFIX_RTOL, record_verdicts
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -534,13 +535,58 @@ class TestBlowUpVerdict:
     )
     def test_growing_ratio_fails(self, monkeypatch, name, power):
         # an rhs divided by (n+1)^power makes the ratios grow with n
-        records = strong_means._records
+        sweep_of = strong_means._sweep_of
         monkeypatch.setattr(
             strong_means,
-            "_records",
-            lambda xs, qs, ns, lhs, rhs: records(xs, qs, ns, lhs, rhs / (np.array(ns) + 1.0) ** power),
+            "_sweep_of",
+            lambda xs, qs, ns, lhs, rhs: sweep_of(xs, qs, ns, lhs, rhs / (np.array(ns) + 1.0) ** power),
         )
         assert not run(shipped(name)).summary["regression_ok"]
+
+
+# Ratios of these lhs and rhs values tie often (0.0 with -0.0 too) and take
+# every case of ``strong_means._sweep_of``: NaN lhs, 0/0, finite/0, inf/inf.
+SWEEP_VALUES = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf, math.nan])
+
+
+@st.composite
+def sweeps(draw):
+    """A sweep's arrays: 1-2 x, 1-2 q, n over [lo, hi], and its verdict
+    bounds (a head end in [lo, hi], a factor, a ratio cap)."""
+    xs = draw(st.lists(st.sampled_from([0.0, 0.7, 1.4]), min_size=1, max_size=2, unique=True))
+    qs = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=2, unique=True))
+    lo = draw(st.integers(0, 3))
+    ns = list(range(lo, draw(st.integers(lo, lo + 16)) + 1))
+    shape = (len(qs), len(xs), len(ns))
+    size = len(qs) * len(xs) * len(ns)
+    lhs, rhs = (
+        np.array(draw(st.lists(SWEEP_VALUES, min_size=size, max_size=size))).reshape(shape)
+        for _ in range(2)
+    )
+    head_end = draw(st.integers(lo, ns[-1]))
+    bounds = head_end, draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([1.0, 2.5, math.inf]))
+    return strong_means._sweep_of(xs, qs, ns, lhs, rhs), bounds
+
+
+class TestArrayVerdicts:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweeps())
+    def test_match_per_record_verdicts(self, case):
+        # the first of the largest ratios as Python's max picks it (a NaN in
+        # front wins), a NaN ratio passing the cap, the blow-up test's slack
+        # and dropped NaNs, and the flag counts in first-appearance order;
+        # repr compares NaN and the Python types too
+        sweep, (head_end, factor, cap) = case
+        records = sweep.records()
+        got = experiment._verdicts(sweep, records, cap, head_end, factor)
+        assert repr(got) == repr(record_verdicts(records, cap, head_end, factor))
+
+    @pytest.mark.parametrize(
+        "ratios, index",
+        [([math.nan, 1.0], 0), ([1.0, math.nan], 0), ([0.0, math.nan, 2.0, 2.0], 2), ([math.inf, math.inf], 0)],
+    )
+    def test_first_largest(self, ratios, index):
+        assert experiment._first_largest(np.array(ratios)) == index
 
 
 class TestRun:
@@ -672,6 +718,25 @@ class TestRun:
             assert calls == {"power_mean": 3, "_prefix_means": 0, "strong_mean_rows": 1}
         else:
             assert calls == {"power_mean": 0, "_prefix_means": 6, "strong_mean_rows": 1}
+
+    def test_thm5_config_builds_each_gram_once_per_run(self, monkeypatch):
+        # one fit call for both x: one phi Gram and one trig Gram per run,
+        # and no cache outlives the run
+        calls = {"_phi_gram": 0, "_trig_gram": 0}
+        for name in calls:
+            gram = getattr(measures, name)
+
+            def counted(*args, name=name, gram=gram):
+                calls[name] += 1
+                return gram(*args)
+
+            monkeypatch.setattr(measures, name, counted)
+        cfg = ExperimentConfig.from_file(CONFIGS / "thm5_oscgm2_smooth.json")
+        assert cfg.p == 2.0 and len(cfg.x) == 2
+        run(cfg)
+        assert calls == {"_phi_gram": 1, "_trig_gram": 1}
+        run(cfg)
+        assert calls == {"_phi_gram": 2, "_trig_gram": 2}
 
     def test_thm2_config_builds_one_window_setup(self, monkeypatch):
         grams = []

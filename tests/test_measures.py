@@ -730,7 +730,20 @@ def class_report(f, x, w, p, plan=None):
     """The class constants of w on the plan's samples, from the lhs table
     that ``fit_class_majorant`` builds."""
     plan = plan or SamplePlan.default()
-    return measures._class_report(*measures._class_lhs(f, x, p, plan), plan, w)
+    return measures._class_report(*moduli(f, x, plan.points, measures._class_shifts(plan), p), plan, w)
+
+
+def fit_one(f, x, p, plan=None):
+    """The majorant fit of one x from two ``moduli`` calls (its envelope
+    and its class table), each building its own Grams."""
+    plan = plan or SamplePlan.default()
+    lhs = moduli(f, x, plan.points, measures._class_shifts(plan), p)
+    return measures._rescaled(moduli(f, x, FIT_DELTAS, (), p)[0], lhs, plan)
+
+
+def envelope(f, x):
+    """The unscaled p = 2 envelope of the fit at x."""
+    return measures._fit_envelope(moduli(f, x, FIT_DELTAS, (), 2.0)[0])
 
 
 class TestOmegaClass:
@@ -756,13 +769,13 @@ class TestEq7:
         assert check_eq7(CONST, 0.3, w, 1.0, 2.0)
 
     def test_cos_rescaled_grid(self):
-        w, rep = fit_class_majorant(COS, 0.0, 2.0)
+        [(w, rep)] = fit_class_majorant(COS, [0.0], 2.0)
         assert rep.constant <= 1.0
         pts = [2.0 * math.pi * i / 20 for i in range(1, 21)]
         assert all(check_eq7(COS, 0.0, w, d1, d2) for d1 in pts for d2 in pts)
 
     def test_symmetric_samples(self):
-        w, _ = fit_class_majorant(COS, 0.0, 2.0)
+        [(w, _)] = fit_class_majorant(COS, [0.0], 2.0)
         for d in (0.3, 1.0, 2.0, 3.1):
             assert check_eq7(COS, 0.0, w, d, d)
 
@@ -813,23 +826,23 @@ class TestShiftedDifferenceMean:
 
 class TestFitMajorant:
     def test_envelope_dominates_samples(self):
-        w = measures._fit_envelope(SMOOTH, 0.7, 2.0)
+        w = envelope(SMOOTH, 0.7)
         for d, m in zip(FIT_DELTAS, moduli(SMOOTH, 0.7, FIT_DELTAS, (), 2.0)[0].tolist()):
             assert w(d) >= m - 1e-12
 
     def test_constant_function_fits_zero(self):
-        w = measures._fit_envelope(CONST, 0.0, 2.0)
+        w = envelope(CONST, 0.0)
         assert w(1.0) == 0.0
 
     def test_subadditive_on_pairs(self):
-        w = measures._fit_envelope(SMOOTH, 0.0, 2.0)
+        w = envelope(SMOOTH, 0.0)
         ds = [d for d, _ in w.knots]
         for a in ds:
             for b in ds:
                 assert w(a + b) <= w(a) + w(b) + 1e-12
 
-    def test_fit_builds_no_shift_gram(self, monkeypatch):
-        # the fit and a moduli call without shifts build no
+    def test_envelope_builds_no_shift_gram(self, monkeypatch):
+        # the fit's envelope and a moduli call without shifts build no
         # shifted-difference Gram; the point moduli, and so the fitted
         # knots, are those of a call that builds one
         cases = [(SMOOTH, 0.7), (random_function(3), 1.1), (random_function(8), -2.0)]
@@ -842,7 +855,7 @@ class TestFitMajorant:
         gram = measures._trig_gram
         monkeypatch.setattr(measures, "_trig_gram", lambda *a: grams.append(a) or gram(*a))
         got = [
-            (measures._fit_envelope(f, x, 2.0).knots, moduli(f, x, [FIT_DELTAS[3]], (), 2.0)[0][0])
+            (envelope(f, x).knots, moduli(f, x, [FIT_DELTAS[3]], (), 2.0)[0][0])
             for f, x in cases
         ]
         assert grams == [] and got == want
@@ -1044,12 +1057,15 @@ def same_report(got, want, rel):
     assert got.c2 == pytest.approx(want.c2, rel=rel, abs=0.0)
 
 
+many_x = st.lists(points, min_size=2, max_size=3, unique=True)
+
+
 class TestClassTable:
     @settings(max_examples=40, deadline=None)
     @given(f=separated_spectra(), x=points, count=st.integers(1, 8))
     def test_fit_report_matches_fresh_check(self, f, x, count):
         plan = SamplePlan.default(count=count)
-        w, rep = fit_class_majorant(f, x, 2.0, plan)
+        [(w, rep)] = fit_class_majorant(f, [x], 2.0, plan)
         same_report(rep, class_report(f, x, w, 2.0, plan), 1e-12)
         assert rep.constant <= 1.0
 
@@ -1063,6 +1079,31 @@ class TestClassTable:
         # quadrature (p != 2) runs the same arithmetic in both; the p = 2
         # einsum may sum in another order
         same_report(got, loop_class_check(f, 0.6, w, p, plan), 0.0 if p != 2.0 else 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=separated_spectra(), xs=many_x, count=st.integers(1, 8))
+    def test_fit_over_many_x_matches_one_x_fits(self, f, xs, count):
+        # the call shares one phi Gram over FIT_DELTAS and the plan's points
+        # (some float-equal to a FIT_DELTAS entry, some not) and one trig
+        # Gram among every x; two moduli calls that build their own give
+        # the same bits
+        plan = SamplePlan.default(count=count)
+        same_fits(f, xs, 2.0, plan, lambda x: [fit_one(f, x, 2.0, plan)])
+
+    @pytest.mark.parametrize("p", [1.5, math.inf])
+    @settings(max_examples=4, deadline=None)
+    @given(f=separated_spectra(), xs=many_x, count=st.integers(1, 8))
+    def test_fit_over_many_x_off_p2_matches_one_x_fits(self, p, f, xs, count):
+        same_fits(f, xs, p, SamplePlan.default(count=count))
+
+
+def same_fits(f, xs, p, plan, more=lambda x: []):
+    """One fit call over every x gives each x the knots and constants of its
+    one-x fit and of each fit ``more(x)`` lists, bit for bit."""
+    for x, (w, rep) in zip(xs, fit_class_majorant(f, xs, p, plan)):
+        for want_w, want_rep in fit_class_majorant(f, [x], p, plan) + more(x):
+            assert w.knots == want_w.knots
+            assert (rep.c1, rep.c2) == (want_rep.c1, want_rep.c2)
 
 
 class TestLargeP:
@@ -1086,7 +1127,7 @@ class TestLargeP:
         assert all(np.all((0.0 < a) & (a < b * (1.0 + 1e-9))) for a, b in zip(rows, rows[1:]))
 
     def test_fit_at_large_p(self):
-        w, report = fit_class_majorant(SMOOTH, 0.6, 600.0, SamplePlan.default(count=6))
+        [(w, report)] = fit_class_majorant(SMOOTH, [0.6], 600.0, SamplePlan.default(count=6))
         assert all(math.isfinite(v) for _, v in w.knots) and w(1.0) > 0.0
         assert report.constant <= 1.0
 

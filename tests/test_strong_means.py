@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apsum import measures, strong_means
-from apsum.experiment import ExperimentConfig, head_tail_bounded, run
+from apsum import experiment
+from apsum.experiment import ExperimentConfig, run
 from apsum.matrices import cesaro_matrix, explicit_matrix, osc_gm2_matrix, riesz_matrix, row_table
 from apsum.measures import (
     T_LATTICE,
@@ -23,7 +24,7 @@ from apsum.strong_means import (
     sweep_rows,
 )
 
-from conftest import PREFIX_RTOL, scaled, translate_difference
+from conftest import PREFIX_RTOL, head_tail_bounded, scaled, translate_difference
 
 SMOOTH = QuasiPeriodicFunction(
     Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (10.0, 0.1, 0.0)])
@@ -459,17 +460,26 @@ class TestRatioSeries:
         assert head_tail_bounded(records, 4, 2.0)
 
     def test_head_tail_flags_only_rising_ratios(self):
-        def series(ratios):
-            return [RatioRecord(0.0, 1.0, n, r, 1.0, r, ()) for n, r in enumerate(ratios, 1)]
+        def bounded(ratios, head_end, factor):
+            # the verdict of run() on one (x, q) series, which its
+            # per-record oracle shares
+            records = [RatioRecord(0.0, 1.0, n, r, 1.0, r, ()) for n, r in enumerate(ratios, 1)]
+            got = experiment._head_tail_bounded(
+                np.array(ratios), range(1, len(ratios) + 1), head_end, factor
+            )
+            assert got == head_tail_bounded(records, head_end, factor)
+            return got
 
         # N = 16: the blocks are n in (4, 8] and (8, 16]; every tail below
         # passes twice the head max 1 (n <= 4)
-        assert head_tail_bounded(series([1.0] * 4 + [3.0] * 4 + [2.0] * 8), 4, 2.0)
-        assert head_tail_bounded(series([1.0] * 4 + [3.0] * 4 + [3.0] * 8), 4, 2.0)
-        assert not head_tail_bounded(series([1.0] * 4 + [2.5] * 4 + [3.0] * 8), 4, 2.0)
+        assert bounded([1.0] * 4 + [3.0] * 4 + [2.0] * 8, 4, 2.0)
+        assert bounded([1.0] * 4 + [3.0] * 4 + [3.0] * 8, 4, 2.0)
+        assert not bounded([1.0] * 4 + [2.5] * 4 + [3.0] * 8, 4, 2.0)
+        # a rising tail within the 1e-12 slack of twice the head passes
+        assert bounded([1.0] * 4 + [1.5] * 4 + [2.0 + 5e-13] * 8, 4, 2.0)
         # a block without ratios leaves the head/tail test to decide alone
-        assert not head_tail_bounded(series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8), 4, 2.0)
-        assert head_tail_bounded(series([1.0] * 4 + [math.nan] * 4 + [3.0] * 8), 4, 3.0)
+        assert not bounded([1.0] * 4 + [math.nan] * 4 + [3.0] * 8, 4, 2.0)
+        assert bounded([1.0] * 4 + [math.nan] * 4 + [3.0] * 8, 4, 3.0)
 
     def test_thm2_norms_each_shift_once(self, monkeypatch):
         rows, setups, omega_calls = [], [], []
@@ -753,7 +763,7 @@ def test_records_match_per_record_rule(shape, data):
     )
     # a thm2 lhs, one x lane, broadcasts against the rhs of every x
     for left in (lhs, lhs[:, :1]):
-        got = strong_means._records(xs, qs, ns, left, rhs)
+        got = strong_means._sweep_of(xs, qs, ns, left, rhs).records()
         want = [
             _record(x, q, n, left[j, min(i, left.shape[1] - 1), k].item(), rhs[j, i, k].item())
             for i, x in enumerate(xs)
