@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +185,18 @@ def _majorant_source(src: dict | None) -> SamplePlan | ModulusMajorant:
     return SamplePlan.default(top=top, count=count)
 
 
+def _copied(value):
+    """A JSON-shaped value with its dicts, lists and tuples copied and its
+    scalars shared; a ``WindowGrid`` as the dict of its fields."""
+    if isinstance(value, dict):
+        return {k: _copied(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copied(v) for v in value)
+    if isinstance(value, WindowGrid):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's config.  ``from_dict`` checks the fields, then resolves
@@ -296,7 +308,9 @@ class ExperimentConfig:
         return cls.from_dict(data, base_dir=path.parent, allow_invalid=allow_invalid)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, the grid as a dict of its fields, each dict, list and
+        tuple copied: a later change to the input dicts does not reach it."""
+        return {f.name: _copied(getattr(self, f.name)) for f in fields(self)}
 
     def _load_function(
         self, base_dir: Path, allow_invalid: bool

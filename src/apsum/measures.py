@@ -41,11 +41,12 @@ Grams of those lhs once for all of them.
 At p = 2 every window mean above (the u-windows of N_2, m_x and the
 shifted-difference means) is an exact quadratic form in the amplitudes,
 built from the means of products of cos(l tau) and sin(l tau) over the
-window; only the sup over u stays a from-below sample.  Amplitudes whose
-squares would underflow or overflow enter these forms scaled by a power
-of two (exact), and the result is scaled back.  Other finite p
-use composite Gauss-Legendre quadrature, and Phi_x has a closed form for
-any p.
+window (for N_2 of a spectrum whose pair lags collide, the same form as a
+trigonometric polynomial in u over the lags); only the sup over u stays
+a from-below sample.  Amplitudes whose squares would underflow or
+overflow enter these forms scaled by a power of two (exact), and the
+result is scaled back.  Other finite p use composite Gauss-Legendre
+quadrature, and Phi_x has a closed form for any p.
 """
 
 from __future__ import annotations
@@ -195,7 +196,11 @@ class WindowGrid:
     ``u_span = None`` spans one common period of the spectrum when the
     frequencies lock onto a rational grid, else 64 periods of the slowest
     positive frequency (a pragmatic almost-period).  Window means are exact
-    at p = 2; other finite p use the fixed ``WINDOW_PANELS`` x 8-node rule.
+    at p = 2, on one of two routes chosen from the spectrum: with K distinct
+    pair lags l_j + l_k and |l_j - l_k| among its N frequencies, a
+    trigonometric polynomial in u over the lags when K <= 4N (lattice
+    spectra), else a quadratic form in the window Gram.  Other finite p use
+    the fixed ``WINDOW_PANELS`` x 8-node rule.
     """
 
     u_samples: int = 512
@@ -350,6 +355,93 @@ def _sampled_sup(g, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
     return np.where(top > peak, top, peak)
 
 
+# The p = 2 window means take the lag route when the N frequencies have at
+# most this many distinct pair lags per frequency, else the Gram route.
+_LAGS_PER_TERM = 4
+
+
+def _gram_means(lams: np.ndarray, unit: np.ndarray, length: float):
+    """The Gram route to the p = 2 window means of the unit-scaled rows
+    ``unit`` (L, N, 2): the mean at u is k^T G k for the 2N cos/sin
+    coefficients k(u) of the window and the window Gram G.  k is built as
+    (L, 2N, n) with the n sample points u last and contiguous, and the
+    means are ``((G @ k) * k).sum(axis=1)``.  Returns the means function
+    of ``_sampled_sup``."""
+    gram = _trig_gram(lams, length)
+    cc, sc = unit[:, :, 0, None], unit[:, :, 1, None]
+
+    def means(u):
+        lu = lams[:, None] * u[:, None, :]
+        c, s = np.cos(lu), np.sin(lu)
+        k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=1)
+        return ((gram @ k) * k).sum(axis=1)
+
+    return means
+
+
+def _pair_lags(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K distinct pair lags of the frequencies, sorted (K,), merged on
+    exact float equality only, and the lag of each of the 2P pair entries:
+    the sums l_j + l_k, then the differences l_k - l_j, of the P pairs
+    j <= k in ``np.triu_indices`` order."""
+    j, k = np.triu_indices(lams.size)
+    entries = np.concatenate([lams[j] + lams[k], lams[k] - lams[j]])
+    return np.unique(entries), entries
+
+
+def _lag_means(pairs: tuple[np.ndarray, np.ndarray], unit: np.ndarray, length: float):
+    """The lag route to the p = 2 window means of the unit-scaled rows
+    ``unit`` (L, N, 2), with the lags ``pairs`` of their frequencies
+    (``_pair_lags``).  With z = c - i s per term, f = Re sum z e^{i l x}
+    and each lane's mean is a trigonometric polynomial in u,
+
+        M(u) = (1/2) Re sum_w A_w e^{i w u},
+        A_w = E(w) (sum of z_j z_k at sum lags w + sum of z_k conj(z_j)
+              at difference lags w, pairs j < k counted twice),
+
+    with the window mean E(w) = (1/L) int_0^L e^{i w tau} dtau.  The
+    (L, 2K) lag table holds (Re A, -Im A) / 2, and the means at u are that
+    row times the cos/sin basis of the lags at u, shaped (2K, n) with the
+    points last; the basis is built once for points the lanes share.
+    Returns the means function of ``_sampled_sup``."""
+    lags, entries = pairs
+    at = np.searchsorted(lags, entries)  # exact: each entry is one of the lags
+    lanes = len(unit)
+    j, k = np.triu_indices(unit.shape[1])
+    twice = np.where(j == k, 1.0, 2.0)
+    cj, sj = twice * unit[:, j, 0], twice * unit[:, j, 1]
+    cc, ss, cs, sc = cj * unit[:, k, 0], sj * unit[:, k, 1], cj * unit[:, k, 1], sj * unit[:, k, 0]
+    # Re and Im of z_j z_k, then of z_k conj(z_j), in real arithmetic: numpy's
+    # complex products may round an element by where it falls in the array,
+    # so a lane would depend on the others
+    re = np.concatenate([cc - ss, cc + ss], axis=1)
+    im = np.concatenate([-(cs + sc), sc - cs], axis=1)
+    # one bin per (lane, lag), each filled in entry order
+    bins = (at + lags.size * np.arange(lanes)[:, None]).ravel()
+    size = lanes * lags.size
+    sr, si = (np.bincount(bins, part.ravel(), size).reshape(lanes, lags.size) for part in (re, im))
+    wl = lags * length
+    er, ei = 1.0 - _one_minus_sinc(wl), _sin_mean(wl)
+    rows = 0.5 * np.concatenate([sr * er - si * ei, -(sr * ei + si * er)], axis=1)[:, None, :]
+
+    def means(u):
+        wu = lags[:, None] * u[:, None, :]
+        return np.matmul(rows, np.concatenate([np.cos(wu), np.sin(wu)], axis=1))[:, 0, :]
+
+    return means
+
+
+def _window_means(lams: np.ndarray, unit: np.ndarray, length: float):
+    """The p = 2 window-mean function of the unit-scaled rows ``unit``
+    (L, N, 2): the lag route when the frequencies have at most
+    ``_LAGS_PER_TERM`` distinct pair lags per frequency (lattice spectra,
+    where lags collide), else the Gram route (spectra whose lags do not)."""
+    pairs = _pair_lags(lams)
+    if pairs[0].size <= _LAGS_PER_TERM * lams.size:
+        return _lag_means(pairs, unit, length)
+    return _gram_means(lams, unit, length)
+
+
 def _window_norm(
     lams: np.ndarray, coefs: np.ndarray, p: float, grid: WindowGrid, span: float
 ) -> np.ndarray:
@@ -357,28 +449,22 @@ def _window_norm(
     ``lams`` and cos/sin coefficient rows ``coefs`` shaped (L, N, 2).
 
     One window setup serves every row: the u grid over ``span`` plus the
-    window Gram (p = 2), the Gauss-Legendre window rule (other finite p)
-    or nothing more than a dense u grid (p = inf).  At p = 2 the window
-    mean at u is k^T G k for the 2N cos/sin coefficients k(u) of the
-    window; k is built as (L, 2N, n) with the n sample points u last and
-    contiguous, and the means are ``((G @ k) * k).sum(axis=1)``.  The rows
-    are the lanes of one sampled-sup search; at finite p other than 2 each
-    lane is evaluated on its own, which keeps the node arrays one lane in
-    size, and the search runs on its rooted ``power_mean`` window means."""
+    p = 2 window means (``_window_means``), the Gauss-Legendre window rule
+    (other finite p) or nothing more than a dense u grid (p = inf).  At
+    p = 2 the means take one of two exact routes: with K distinct pair
+    lags l_j + l_k and |l_j - l_k|, the lag route when K <= 4N (one (L, 2K)
+    lag table and one cos/sin basis of the lags per point set), else the
+    Gram route (k^T G k for the (L, 2N, n) window coefficients k).  The rows
+    are the lanes of one sampled-sup search, each returning what its
+    one-lane call does; at finite p other than 2 each lane is evaluated on
+    its own, which keeps the node arrays one lane in size, and the search
+    runs on its rooted ``power_mean`` window means."""
     if not p > 1.0:
         raise ValueError(f"p must be > 1 (or inf), got {p}")
     inf = math.isinf(p)
     if p == 2.0:
-        gram = _trig_gram(lams, grid.window_length)
         scale = _unit_exponents(coefs)
-        scaled = np.ldexp(coefs, -scale[:, None, None])
-        cc, sc = scaled[:, :, 0, None], scaled[:, :, 1, None]
-
-        def means(u):
-            lu = lams[:, None] * u[:, None, :]
-            c, s = np.cos(lu), np.sin(lu)
-            k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=1)
-            return ((gram @ k) * k).sum(axis=1)
+        means = _window_means(lams, np.ldexp(coefs, -scale[:, None, None]), grid.window_length)
 
     elif inf:
 
@@ -410,10 +496,12 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     Rejects p <= 1; p = inf takes the grid sup of |f| instead of window
     integrals.  At p = 2 each window mean is exact: writing
     f(u + tau) = sum_nu C_nu(u) cos(l_nu tau) + S_nu(u) sin(l_nu tau), it is
-    a quadratic form of (C, S) in the window Gram matrix.  Other p use
-    ``WINDOW_PANELS`` Gauss-Legendre panels of ``GL_NODES`` nodes.  With
-    ``grid.refine`` a bracketed scalar maximization sharpens the best
-    sample.
+    a quadratic form of (C, S) in the window Gram matrix (the Gram route),
+    or, summed over the K distinct pair lags w of the N frequencies, a
+    trigonometric polynomial sum_w a_w cos(w u) + b_w sin(w u) (the lag
+    route, taken when K <= 4N).  Other p use ``WINDOW_PANELS``
+    Gauss-Legendre panels of ``GL_NODES`` nodes.  With ``grid.refine`` a
+    bracketed scalar maximization sharpens the best sample.
     """
     grid = grid or WindowGrid()
     spec = f.spectrum

@@ -739,16 +739,19 @@ class TestRun:
         assert calls == {"_phi_gram": 2, "_trig_gram": 2}
 
     def test_thm2_config_builds_one_window_setup(self, monkeypatch):
-        grams = []
-        gram = measures._trig_gram
+        # one set of p = 2 window means per run, on either route (the smooth
+        # spectrum's lags collide, so the lag route)
+        setups = []
+        for name in ("_lag_means", "_gram_means"):
+            build = getattr(measures, name)
 
-        def counted(*args):
-            grams.append(args[1])
-            return gram(*args)
+            def counted(*args, name=name, build=build):
+                setups.append(name)
+                return build(*args)
 
-        monkeypatch.setattr(measures, "_trig_gram", counted)
+            monkeypatch.setattr(measures, name, counted)
         run(ExperimentConfig.from_file(CONFIGS / "thm2_cesaro_smooth.json"))
-        assert len(grams) == 1
+        assert setups == ["_lag_means"]
 
     def test_thm2_config_runs_one_search(self, monkeypatch):
         # every translate-modulus shift is a lane of one golden-section search
@@ -770,6 +773,28 @@ class TestRun:
         report2 = run(again)
         assert records_csv(report) == records_csv(report2)
         assert report.config == report2.config
+
+    def test_config_echo_is_a_copy(self):
+        # the echo shares no dict or list with the input: changing the input
+        # after run() leaves report.config as it was
+        data = dict(
+            BASE,
+            theorem="thm6",
+            spectrum={"alpha": 1.0, "entries": [{"lambda": 1.0, "cos": 1.0}, {"lambda": 3.0, "sin": 0.5}]},
+            matrix={"builtin": "riesz", "params": {"weights": [1.0] * 17}},
+            majorant={"type": "table", "knots": [[0.0, 0.0], [1.0, 2.0]]},
+            q=[1.0],
+        )
+        report = run(ExperimentConfig.from_dict(data))
+        before = json.dumps(report_to_dict(report)["config"], sort_keys=True)
+        data["spectrum"]["entries"][0]["cos"] = 7.0
+        data["spectrum"]["entries"].append({"lambda": 9.0, "cos": 1.0})
+        data["matrix"]["params"]["weights"][0] = 5.0
+        data["majorant"]["knots"][1][1] = 3.0
+        data["q"].append(2.0)
+        assert json.dumps(report_to_dict(report)["config"], sort_keys=True) == before
+        assert report.config["spectrum"]["entries"][0] == {"lambda": 1.0, "cos": 1.0}
+        assert type(report.config["q"]) is tuple and type(report.config["n_range"]) is tuple
 
 
 class TestOutputs:

@@ -250,15 +250,6 @@ def old_layout_means(lams, cos_c, sin_c, gram, u):
     return ((k @ gram) * k).sum(axis=-1)
 
 
-def u_last_means(lams, cos_c, sin_c, gram, u):
-    """p = 2 window means in the window norm's own layout and order: k
-    shaped (2N, n), the n sample points u last, ``((G @ k) * k).sum(axis=0)``."""
-    lu = np.multiply.outer(lams, u)
-    c, s = np.cos(lu), np.sin(lu)
-    k = np.concatenate([cos_c[:, None] * c + sin_c[:, None] * s, sin_c[:, None] * c - cos_c[:, None] * s])
-    return ((gram @ k) * k).sum(axis=0)
-
-
 def refine_block_norm(f, p, grid):
     """The windowed norm with its own grid, window rule and refine block per
     p, as before the shared sampled-sup routine: the oracle for it."""
@@ -280,15 +271,13 @@ def refine_block_norm(f, p, grid):
             peak = max(peak, float(-res.fun))
         return peak
     if p == 2.0:
-        lams = f.spectrum.freqs
-        cos_c = np.array([e.cos_coef for e in f.spectrum.entries], dtype=float)
-        sin_c = np.array([e.sin_coef for e in f.spectrum.entries], dtype=float)
-        gram = measures._trig_gram(lams, grid.window_length)
+        # the code's own means on the route it takes, summed as the code sums
+        # them: a grid peak one ulp above the code's sup would fail
+        # within_sup's exact lower bound
+        lanes = measures._window_means(f.spectrum.freqs, f.spectrum.coefs[None], grid.window_length)
 
         def window_means(u):
-            # summed as the code sums: a grid peak one ulp above the code's
-            # sup would fail within_sup's exact lower bound
-            return u_last_means(lams, cos_c, sin_c, gram, u)
+            return lanes(u[None, :])[0]
 
     else:
         offs, wts = _gl_panels(0.0, grid.window_length, measures.WINDOW_PANELS)
@@ -494,14 +483,42 @@ class TestSampledSup:
 
 @st.composite
 def window_rows(draw):
-    """Frequencies of N = 1..40 terms with gaps in [0.25, 8], and L = 1..64
-    cos/sin coefficient rows shaped (L, N, 2): uniform in [-1, 1], each row
-    scaled by 2**e, e in {-300, 0, 300}."""
+    """Frequencies of N = 1..40 terms, and L = 1..64 cos/sin coefficient
+    rows shaped (L, N, 2): uniform in [-1, 1], each row scaled by 2**e,
+    e in {-300, 0, 300}.  The frequencies have gaps in [0.25, 8] (the Gram
+    route from N = 4 on) or lie on a lattice (a + j) g with integers a in
+    [0, 8] and g in [1, 3] (the lag route)."""
     n, lanes = draw(st.integers(1, 40)), draw(st.integers(1, 64))
-    lams = np.cumsum(draw(st.lists(st.floats(0.25, 8.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        lams = (draw(st.integers(0, 8)) + np.arange(n)) * float(draw(st.integers(1, 3)))
+    else:
+        lams = np.cumsum(draw(st.lists(st.floats(0.25, 8.0), min_size=n, max_size=n)))
     exps = draw(st.lists(st.sampled_from([-300, 0, 300]), min_size=lanes, max_size=lanes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return lams, np.ldexp(rng.uniform(-1.0, 1.0, (lanes, n, 2)), np.array(exps)[:, None, None])
+
+
+def lag_route(lams):
+    """Whether the p = 2 window means of these frequencies take the lag route."""
+    return measures._pair_lags(lams)[0].size <= measures._LAGS_PER_TERM * lams.size
+
+
+def window_points(lanes, u_samples, span, points):
+    """A shared grid of u_samples points over [0, span), shaped (1, n), and
+    one point per lane in [-1, span + 1], shaped (L, 1)."""
+    u = np.linspace(0.0, span, u_samples, endpoint=False)[None, :]
+    return u, np.random.default_rng(points).uniform(-1.0, span + 1.0, (lanes, 1))
+
+
+def phase_slack(lams, span):
+    """Share of a lane's largest mean by which the two routes may part at
+    points |u| <= span + 1.  The Gram route takes cos and sin at the rounded
+    phases l u of the frequencies, the lag route at w u of the lags, and a
+    phase off by eps l |u| moves a mean by about that share of its size:
+    over window_rows draws the routes parted by up to 1.2e-13 (l = 320,
+    u = 60), where the lag route stayed within 5e-15 of an mpmath mean and
+    the Gram route did not.  2 eps l_max (span + 1) bounds it tenfold."""
+    return 2.0 * np.finfo(float).eps * lams.max(initial=0.0) * (span + 1.0)
 
 
 def window_search(lams, coefs, grid, span, means=None):
@@ -521,9 +538,20 @@ def window_search(lams, coefs, grid, span, means=None):
     return norms, seen[0]
 
 
+def lanes_equal_one_lane_calls(build, coefs, u, lane_u):
+    """Each lane of the means ``build`` makes of the rows ``coefs`` is the
+    means of its one-lane call, bit for bit, at shared and at lane points."""
+    got, got_lanes = build(coefs)(u), build(coefs)(lane_u)
+    for i in range(len(coefs)):
+        one = build(coefs[i : i + 1])
+        assert np.array_equal(one(u)[0], got[i])
+        assert one(lane_u[i : i + 1])[0, 0] == got_lanes[i, 0]
+
+
 class TestWindowLayout:
-    """The p = 2 window means take k as (L, 2N, n) with the sample points
-    last; the former (..., 2N)-last form is their oracle."""
+    """The p = 2 window means on both routes.  The Gram route takes k as
+    (L, 2N, n) with the sample points last, and the former (..., 2N)-last
+    form is its oracle; the lag route agrees with the Gram route."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -534,31 +562,63 @@ class TestWindowLayout:
     )
     def test_u_last_matches_old_layout(self, rows, u_samples, span, points):
         lams, coefs = rows
-        grid = WindowGrid(u_samples=u_samples)
-        gram = measures._trig_gram(lams, grid.window_length)
+        length = WindowGrid().window_length
+        gram = measures._trig_gram(lams, length)
         scale = measures._unit_exponents(coefs)
         unit = np.ldexp(coefs, -scale[:, None, None])  # as the code scales them
-        u = np.linspace(0.0, span, u_samples, endpoint=False)[None, :]
-        lane_u = np.random.default_rng(points).uniform(-1.0, span + 1.0, (len(coefs), 1))
-
-        def old(u):
-            return old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, u)
-
-        norms, means = window_search(lams, coefs, grid, span)
-        got, want = means(u), old(u)
-        got_lanes, want_lanes = means(lane_u), old(lane_u)
+        u, lane_u = window_points(len(coefs), u_samples, span, points)
+        means = measures._gram_means(lams, unit, length)
+        got, want = means(u), old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, u)
+        got_lanes = means(lane_u)
+        want_lanes = old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, lane_u)
         assert got.shape == want.shape == (len(coefs), u_samples)
         assert got_lanes.shape == want_lanes.shape == (len(coefs), 1)
         # 1e-14 of each lane's largest mean
         top = np.maximum(want.max(axis=1), want_lanes[:, 0])
         assert np.all(np.abs(got - want) <= 1e-14 * top[:, None])
         assert np.all(np.abs(got_lanes - want_lanes) <= 1e-14 * top[:, None])
-        # the norms, as squared unit-scaled means: the grid peaks to the
-        # same 1e-14; a refined search stops anywhere within its final
-        # bracket, xatol = 1e-9 wide, where two searches on means that
-        # differ by rounding can part, so the refined sups may differ by
-        # (1/2) max|f''| xatol^2 more, where |f''| <= 16 l_max^2 (sum r)^2
-        # for the amplitudes r of the rows
+        lanes_equal_one_lane_calls(lambda c: measures._gram_means(lams, c, length), unit, u, lane_u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=window_rows(),
+        u_samples=st.integers(1, 256),
+        span=st.floats(0.5, 60.0),
+        points=st.integers(0, 2**32 - 1),
+    )
+    def test_routes_agree(self, rows, u_samples, span, points):
+        # both builders on the same rows, whichever route the code would take
+        lams, coefs = rows
+        grid = WindowGrid(u_samples=u_samples)
+        length = grid.window_length
+        gram = measures._trig_gram(lams, length)
+        scale = measures._unit_exponents(coefs)
+        unit = np.ldexp(coefs, -scale[:, None, None])
+        u, lane_u = window_points(len(coefs), u_samples, span, points)
+        pairs = measures._pair_lags(lams)
+        lag, via_gram = measures._lag_means(pairs, unit, length), measures._gram_means(lams, unit, length)
+        got, want = lag(u), via_gram(u)
+        got_lanes, want_lanes = lag(lane_u), via_gram(lane_u)
+        assert got.shape == want.shape and got_lanes.shape == want_lanes.shape
+        # 1e-14 of each lane's largest mean, plus the phase rounding
+        top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
+        tol = (1e-14 + phase_slack(lams, span)) * top
+        assert np.all(np.abs(got - want) <= tol)
+        assert np.all(np.abs(got_lanes - want_lanes) <= tol)
+        lanes_equal_one_lane_calls(lambda c: measures._lag_means(pairs, c, length), unit, u, lane_u)
+
+        def old(u):
+            return old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, u)
+
+        # the norms, as squared unit-scaled means, on the code's route against
+        # a search on the former layout: the grid peaks to the same tolerance
+        # (no phase slack on the Gram route); a refined search stops anywhere
+        # within its final bracket, xatol = 1e-9 wide, where two searches on
+        # means that differ by rounding can part, so the refined sups may
+        # differ by (1/2) max|f''| xatol^2 more, where
+        # |f''| <= 16 l_max^2 (sum r)^2 for the amplitudes r of the rows
+        top = top[:, 0]
+        rtol = 1e-14 + (phase_slack(lams, span) if lag_route(lams) else 0.0)
         r = np.hypot(unit[..., 0], unit[..., 1]).sum(axis=1)
         slack = 8.0 * lams[-1] ** 2 * r**2 * 1e-18
         for refine, extra in ((False, 0.0), (True, slack)):
@@ -566,16 +626,11 @@ class TestWindowLayout:
             new_sq, old_sq = (
                 np.ldexp(window_search(lams, coefs, gr, span, m)[0], -scale) ** 2 for m in (None, old)
             )
-            assert np.all(np.abs(new_sq - old_sq) <= 1e-14 * np.maximum(top, old_sq) + extra)
-        # refine_block_norm's p = 2 means sum each lane as the code does
-        for i in range(len(coefs)):
-            assert np.array_equal(u_last_means(lams, unit[i, :, 0], unit[i, :, 1], gram, u[0]), got[i])
+            assert np.all(np.abs(new_sq - old_sq) <= rtol * np.maximum(top, old_sq) + extra)
         # each lane of the L-lane call is its one-lane call, bit for bit
+        norms = measures._window_norm(lams, coefs, 2.0, grid, span)
         for i in range(len(coefs)):
-            one_norm, one = window_search(lams, coefs[i : i + 1], grid, span)
-            assert one_norm[0] == norms[i]
-            assert np.array_equal(one(u)[0], got[i])
-            assert one(lane_u[i : i + 1])[0, 0] == got_lanes[i, 0]
+            assert measures._window_norm(lams, coefs[i : i + 1], 2.0, grid, span)[0] == norms[i]
 
 
 def trig_lanes(coefs, lams):
@@ -632,10 +687,13 @@ class TestBoundedMin:
             assert abs(got[lane] - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, math.inf])
-    def test_lanes_equal_one_function_norms(self, p):
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_lanes_equal_one_function_norms(self, p, lattice):
         # one search over 40 lanes returns each function's own norm, as a
-        # one-lane call computes it
-        f = random_function(5)
+        # one-lane call computes it; at p = 2 the lattice function takes the
+        # lag route and the other the Gram route
+        f = periodic_function(3, max_terms=8) if lattice else random_function(5, max_terms=8)
+        assert lag_route(f.spectrum.freqs) == lattice and f.spectrum.freqs.size >= 4
         grid = WindowGrid(u_samples=24)
         fs = [translate_difference(f, t) for t in np.linspace(0.05, 3.0, 40)]
         coefs = np.array([[(e.cos_coef, e.sin_coef) for e in g.spectrum.entries] for g in fs])
@@ -664,12 +722,27 @@ class TestBoundedMin:
             [moduli(f, x, [d], [s], math.inf)[1][0, 0] for s in shifts] for d in deltas
         ]
 
-    def test_no_lanes(self):
-        # modulus_omega at delta = 0 norms no shift: an empty search
-        lams = SMOOTH.spectrum.freqs
-        for p in (1.5, 2.0, math.inf):
-            norms = measures._window_norm(lams, np.zeros((0, 2, 2)), p, WindowGrid(), 2.0 * math.pi)
-            assert norms.shape == (0,)
+    @pytest.mark.parametrize("lams", [[1.0, 10.0], [1.0, 2.5, 4.25, 7.0, 9.5], []])
+    def test_no_lanes_or_no_terms(self, lams):
+        # modulus_omega at delta = 0 norms no shift: an empty search; the
+        # translate differences of a constant have no terms and norm 0.  At
+        # p = 2 the first spectrum takes the lag route, the second the Gram
+        # route, and both builders take both empty shapes
+        lams = np.array(lams)
+        for lanes in (0, 3):
+            coefs = np.ones((lanes, lams.size, 2))
+            for p in (1.5, 2.0, math.inf):
+                norms = measures._window_norm(lams, coefs, p, WindowGrid(), 2.0 * math.pi)
+                assert norms.shape == (lanes,)
+                assert np.all(norms > 0.0) if lams.size else norms.tolist() == [0.0] * lanes
+            u = np.linspace(0.0, 1.0, 5)[None, :]
+            for means in (
+                measures._gram_means(lams, coefs, math.pi),
+                measures._lag_means(measures._pair_lags(lams), coefs, math.pi),
+            ):
+                assert means(u).shape == (lanes, 5) and means(np.ones((lanes, 1))).shape == (lanes, 1)
+                assert lams.size or not means(u).any()
+        assert lag_route(np.array([1.0, 10.0])) and not lag_route(np.array([1.0, 2.5, 4.25, 7.0, 9.5]))
 
 
 class TestPointwiseModulus:

@@ -484,7 +484,6 @@ class TestRatioSeries:
     def test_thm2_norms_each_shift_once(self, monkeypatch):
         rows, setups, omega_calls = [], [], []
         window_norm = measures._window_norm
-        gram = measures._trig_gram
         omega = strong_means.modulus_omega
 
         def counted_window_norm(lams, coefs, *args):
@@ -495,12 +494,15 @@ class TestRatioSeries:
             omega_calls.append(args[1])
             return omega(*args, **kwargs)
 
-        def counted_gram(*args):
-            setups.append(args[1])
-            return gram(*args)
+        for name in ("_lag_means", "_gram_means"):
+            build = getattr(measures, name)
 
+            def counted_build(*args, name=name, build=build):
+                setups.append(name)
+                return build(*args)
+
+            monkeypatch.setattr(measures, name, counted_build)
         monkeypatch.setattr(measures, "_window_norm", counted_window_norm)
-        monkeypatch.setattr(measures, "_trig_gram", counted_gram)
         monkeypatch.setattr(strong_means, "modulus_omega", counted_omega)
         ratio_sweep(
             SMOOTH,
@@ -520,8 +522,9 @@ class TestRatioSeries:
             ts = [i * T_LATTICE for i in range(1, int(delta / T_LATTICE) + 1)]
             want.update(ts if ts and ts[-1] >= delta else ts + [delta])
         assert len(omega_calls) == 1
-        # one window-norm call, with one window setup (one window Gram),
-        # norms one coefficient row per shift: the row of f(. + t) - f
+        # one window-norm call, with one window setup (one set of p = 2
+        # window means, on either route), norms one coefficient row per
+        # shift: the row of f(. + t) - f
         assert len(rows) == 1 and len(setups) == 1
         assert rows[0].shape[0] == len(want)
 
