@@ -198,9 +198,10 @@ class WindowGrid:
     positive frequency (a pragmatic almost-period).  Window means are exact
     at p = 2, on one of two routes chosen from the spectrum: with K distinct
     pair lags l_j + l_k and |l_j - l_k| among its N frequencies, a
-    trigonometric polynomial in u over the lags when K <= 4N (lattice
-    spectra), else a quadratic form in the window Gram.  Other finite p use
-    the fixed ``WINDOW_PANELS`` x 8-node rule.
+    trigonometric polynomial in u over the lags when K <= 5N (lattice
+    spectra and every spectrum of at most four terms), else a quadratic
+    form in the window Gram.  Other finite p use the fixed
+    ``WINDOW_PANELS`` x 8-node rule.
     """
 
     u_samples: int = 512
@@ -356,8 +357,12 @@ def _sampled_sup(g, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
 
 
 # The p = 2 window means take the lag route when the N frequencies have at
-# most this many distinct pair lags per frequency, else the Gram route.
-_LAGS_PER_TERM = 4
+# most this many distinct pair lags per frequency, else the Gram route.  On
+# 33 translate-difference rows the lag route took 0.32-0.85 of the Gram
+# route's time up to 5 lags per term, 0.72-0.97 between 5 and 6, and
+# 0.78-26 beyond 6, above 1 on every non-lattice spectrum there
+# (BENCH_window_lags.json "route_threshold").
+_LAGS_PER_TERM = 5
 
 
 def _gram_means(lams: np.ndarray, unit: np.ndarray, length: float):
@@ -431,13 +436,20 @@ def _lag_means(pairs: tuple[np.ndarray, np.ndarray], unit: np.ndarray, length: f
     return means
 
 
+def _lag_route(lams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the p = 2 window means of the frequencies ``lams``, with pair
+    lags ``pairs`` (``_pair_lags``), take the lag route: at most
+    ``_LAGS_PER_TERM`` distinct lags per frequency."""
+    return pairs[0].size <= _LAGS_PER_TERM * lams.size
+
+
 def _window_means(lams: np.ndarray, unit: np.ndarray, length: float):
     """The p = 2 window-mean function of the unit-scaled rows ``unit``
-    (L, N, 2): the lag route when the frequencies have at most
-    ``_LAGS_PER_TERM`` distinct pair lags per frequency (lattice spectra,
-    where lags collide), else the Gram route (spectra whose lags do not)."""
+    (L, N, 2): the lag route when ``_lag_route`` holds (lattice spectra,
+    where lags collide, and every spectrum of a few terms), else the Gram
+    route (spectra whose lags do not collide)."""
     pairs = _pair_lags(lams)
-    if pairs[0].size <= _LAGS_PER_TERM * lams.size:
+    if _lag_route(lams, pairs):
         return _lag_means(pairs, unit, length)
     return _gram_means(lams, unit, length)
 
@@ -452,7 +464,7 @@ def _window_norm(
     p = 2 window means (``_window_means``), the Gauss-Legendre window rule
     (other finite p) or nothing more than a dense u grid (p = inf).  At
     p = 2 the means take one of two exact routes: with K distinct pair
-    lags l_j + l_k and |l_j - l_k|, the lag route when K <= 4N (one (L, 2K)
+    lags l_j + l_k and |l_j - l_k|, the lag route when K <= 5N (one (L, 2K)
     lag table and one cos/sin basis of the lags per point set), else the
     Gram route (k^T G k for the (L, 2N, n) window coefficients k).  The rows
     are the lanes of one sampled-sup search, each returning what its
@@ -499,7 +511,7 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     a quadratic form of (C, S) in the window Gram matrix (the Gram route),
     or, summed over the K distinct pair lags w of the N frequencies, a
     trigonometric polynomial sum_w a_w cos(w u) + b_w sin(w u) (the lag
-    route, taken when K <= 4N).  Other p use ``WINDOW_PANELS``
+    route, taken when K <= 5N).  Other p use ``WINDOW_PANELS``
     Gauss-Legendre panels of ``GL_NODES`` nodes.  With ``grid.refine`` a
     bracketed scalar maximization sharpens the best sample.
     """

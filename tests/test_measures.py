@@ -250,6 +250,38 @@ def old_layout_means(lams, cos_c, sin_c, gram, u):
     return ((k @ gram) * k).sum(axis=-1)
 
 
+def two_product(a, b):
+    """a b as hi + lo with hi = fl(a b) and lo its rounding error, exactly
+    (Dekker's product; the factors split into 26-bit halves)."""
+    hi = a * b
+
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        top = c - (c - x)
+        return top, x - top
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def exact_means(lams, unit, length, u):
+    """p = 2 window means of the unit-scaled rows (L, N, 2) at points u shaped
+    (L, n), or (1, n) for shared points, in the former layout with every
+    phase l u taken exactly: cos and sin of fl(l u) turned by its rounding
+    error.  Within 4e-15 of each lane's largest mean of an mpmath
+    evaluation at 40 digits, at the lag route's worst points of 1100 random
+    draws like window_rows' (frequencies to 320, |u| to 61); the two routes,
+    which round their phases, parted from it by up to 1.1e-14 (lag) and
+    1.8e-13 (Gram) over 2400 such draws."""
+    lu = np.broadcast_to(u[..., None], u.shape + lams.shape)
+    hi, lo = two_product(lu, np.broadcast_to(lams, lu.shape))
+    ch, sh = np.cos(hi), np.sin(hi)
+    c, s = ch - lo * sh, sh + lo * ch
+    cc, sc = unit[:, None, :, 0], unit[:, None, :, 1]
+    k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=-1)
+    return ((k @ measures._trig_gram(lams, length)) * k).sum(axis=-1)
+
+
 def refine_block_norm(f, p, grid):
     """The windowed norm with its own grid, window rule and refine block per
     p, as before the shared sampled-sup routine: the oracle for it."""
@@ -485,9 +517,10 @@ class TestSampledSup:
 def window_rows(draw):
     """Frequencies of N = 1..40 terms, and L = 1..64 cos/sin coefficient
     rows shaped (L, N, 2): uniform in [-1, 1], each row scaled by 2**e,
-    e in {-300, 0, 300}.  The frequencies have gaps in [0.25, 8] (the Gram
-    route from N = 4 on) or lie on a lattice (a + j) g with integers a in
-    [0, 8] and g in [1, 3] (the lag route)."""
+    e in {-300, 0, 300}, and no sine coefficient at frequency 0, as in a
+    spectrum.  The frequencies have gaps in [0.25, 8] (the Gram route from
+    N = 5 on) or lie on a lattice (a + j) g with integers a in [0, 8] and g
+    in [1, 3] (the lag route)."""
     n, lanes = draw(st.integers(1, 40)), draw(st.integers(1, 64))
     if draw(st.booleans()):
         lams = (draw(st.integers(0, 8)) + np.arange(n)) * float(draw(st.integers(1, 3)))
@@ -495,12 +528,14 @@ def window_rows(draw):
         lams = np.cumsum(draw(st.lists(st.floats(0.25, 8.0), min_size=n, max_size=n)))
     exps = draw(st.lists(st.sampled_from([-300, 0, 300]), min_size=lanes, max_size=lanes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return lams, np.ldexp(rng.uniform(-1.0, 1.0, (lanes, n, 2)), np.array(exps)[:, None, None])
+    coefs = np.ldexp(rng.uniform(-1.0, 1.0, (lanes, n, 2)), np.array(exps)[:, None, None])
+    coefs[:, lams == 0.0, 1] = 0.0
+    return lams, coefs
 
 
 def lag_route(lams):
     """Whether the p = 2 window means of these frequencies take the lag route."""
-    return measures._pair_lags(lams)[0].size <= measures._LAGS_PER_TERM * lams.size
+    return measures._lag_route(lams, measures._pair_lags(lams))
 
 
 def window_points(lanes, u_samples, span, points):
@@ -510,15 +545,14 @@ def window_points(lanes, u_samples, span, points):
     return u, np.random.default_rng(points).uniform(-1.0, span + 1.0, (lanes, 1))
 
 
-def phase_slack(lams, span):
-    """Share of a lane's largest mean by which the two routes may part at
-    points |u| <= span + 1.  The Gram route takes cos and sin at the rounded
-    phases l u of the frequencies, the lag route at w u of the lags, and a
-    phase off by eps l |u| moves a mean by about that share of its size:
-    over window_rows draws the routes parted by up to 1.2e-13 (l = 320,
-    u = 60), where the lag route stayed within 5e-15 of an mpmath mean and
-    the Gram route did not.  2 eps l_max (span + 1) bounds it tenfold."""
-    return 2.0 * np.finfo(float).eps * lams.max(initial=0.0) * (span + 1.0)
+def lag_phase_slack(u, length):
+    """Share of a lane's largest mean by which the lag route may part from
+    ``exact_means`` at points u beyond 1e-14: each lag phase w u rounds by up
+    to eps |w u| / 2 and the window mean damps lag w by
+    |E(w)| <= 2 / (|w| L), so a unit pair product moves by up to
+    eps |u| / L.  Over 4500 random draws like window_rows' that take the
+    lag route (spans to 60) the largest move beyond 1e-14 was 0.36 of this."""
+    return np.finfo(float).eps * np.abs(u) / length
 
 
 def window_search(lams, coefs, grid, span, means=None):
@@ -551,7 +585,9 @@ def lanes_equal_one_lane_calls(build, coefs, u, lane_u):
 class TestWindowLayout:
     """The p = 2 window means on both routes.  The Gram route takes k as
     (L, 2N, n) with the sample points last, and the former (..., 2N)-last
-    form is its oracle; the lag route agrees with the Gram route."""
+    form, which rounds the same phases l u, is its oracle; the lag route
+    agrees with the Gram route where both take exact phases, and with
+    ``exact_means`` everywhere."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -587,44 +623,75 @@ class TestWindowLayout:
         points=st.integers(0, 2**32 - 1),
     )
     def test_routes_agree(self, rows, u_samples, span, points):
-        # both builders on the same rows, whichever route the code would take
+        # both builders on the same rows, at frequencies on multiples of 2^-8
+        # and points on multiples of 2^-20, where every phase l u and w u is
+        # exact: on spectra that take the lag route the two agree to 1e-14 of
+        # each lane's largest mean (on the others the lag route sums
+        # thousands of lags and is not used)
         lams, coefs = rows
-        grid = WindowGrid(u_samples=u_samples)
-        length = grid.window_length
-        gram = measures._trig_gram(lams, length)
-        scale = measures._unit_exponents(coefs)
-        unit = np.ldexp(coefs, -scale[:, None, None])
-        u, lane_u = window_points(len(coefs), u_samples, span, points)
+        lams = np.round(lams * 256.0) / 256.0
+        length = WindowGrid().window_length
+        unit = np.ldexp(coefs, -measures._unit_exponents(coefs)[:, None, None])
+        u, lane_u = (np.round(v * 2.0**20) / 2.0**20 for v in window_points(len(coefs), u_samples, span, points))
         pairs = measures._pair_lags(lams)
         lag, via_gram = measures._lag_means(pairs, unit, length), measures._gram_means(lams, unit, length)
         got, want = lag(u), via_gram(u)
         got_lanes, want_lanes = lag(lane_u), via_gram(lane_u)
         assert got.shape == want.shape and got_lanes.shape == want_lanes.shape
-        # 1e-14 of each lane's largest mean, plus the phase rounding
-        top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
-        tol = (1e-14 + phase_slack(lams, span)) * top
-        assert np.all(np.abs(got - want) <= tol)
-        assert np.all(np.abs(got_lanes - want_lanes) <= tol)
+        if measures._lag_route(lams, pairs):
+            top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
+            assert np.all(np.abs(got - want) <= 1e-14 * top)
+            assert np.all(np.abs(got_lanes - want_lanes) <= 1e-14 * top)
         lanes_equal_one_lane_calls(lambda c: measures._lag_means(pairs, c, length), unit, u, lane_u)
 
-        def old(u):
-            return old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, u)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=window_rows(),
+        u_samples=st.integers(1, 256),
+        span=st.floats(0.5, 60.0),
+        points=st.integers(0, 2**32 - 1),
+    )
+    def test_code_route_matches_oracle(self, rows, u_samples, span, points):
+        # the means and norms on the route the code takes, against the Gram
+        # route's oracle (the former layout, 1e-14) or the lag route's
+        # (exact_means, 1e-14 plus the lag phases' rounding)
+        lams, coefs = rows
+        grid = WindowGrid(u_samples=u_samples)
+        length = grid.window_length
+        scale = measures._unit_exponents(coefs)
+        unit = np.ldexp(coefs, -scale[:, None, None])
+        lagged = lag_route(lams)
+        if lagged:
 
-        # the norms, as squared unit-scaled means, on the code's route against
-        # a search on the former layout: the grid peaks to the same tolerance
-        # (no phase slack on the Gram route); a refined search stops anywhere
-        # within its final bracket, xatol = 1e-9 wide, where two searches on
-        # means that differ by rounding can part, so the refined sups may
-        # differ by (1/2) max|f''| xatol^2 more, where
+            def oracle(v):
+                return exact_means(lams, unit, length, v)
+
+            u, lane_u = window_points(len(coefs), u_samples, span, points)
+            means = measures._lag_means(measures._pair_lags(lams), unit, length)
+            want, want_lanes = oracle(u), oracle(lane_u)
+            top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
+            for v, w in ((u, want), (lane_u, want_lanes)):
+                assert np.all(np.abs(means(v) - w) <= (1e-14 + lag_phase_slack(v, length)) * top)
+        else:
+            gram = measures._trig_gram(lams, length)
+
+            def oracle(v):
+                return old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, v)
+
+        # the norms, as squared unit-scaled means, against a search on the
+        # oracle: the grid peaks to the bound above; a refined search stops
+        # anywhere within its final bracket, xatol = 1e-9 wide, where two
+        # searches on means that differ by rounding can part, so the refined
+        # sups may differ by (1/2) max|f''| xatol^2 more, where
         # |f''| <= 16 l_max^2 (sum r)^2 for the amplitudes r of the rows
-        top = top[:, 0]
-        rtol = 1e-14 + (phase_slack(lams, span) if lag_route(lams) else 0.0)
+        top = oracle(np.linspace(0.0, span, u_samples, endpoint=False)[None, :]).max(axis=1)
+        rtol = 1e-14 + (lag_phase_slack(span + 1.0, length) if lagged else 0.0)
         r = np.hypot(unit[..., 0], unit[..., 1]).sum(axis=1)
         slack = 8.0 * lams[-1] ** 2 * r**2 * 1e-18
         for refine, extra in ((False, 0.0), (True, slack)):
             gr = replace(grid, refine=refine)
             new_sq, old_sq = (
-                np.ldexp(window_search(lams, coefs, gr, span, m)[0], -scale) ** 2 for m in (None, old)
+                np.ldexp(window_search(lams, coefs, gr, span, m)[0], -scale) ** 2 for m in (None, oracle)
             )
             assert np.all(np.abs(new_sq - old_sq) <= rtol * np.maximum(top, old_sq) + extra)
         # each lane of the L-lane call is its one-lane call, bit for bit
@@ -693,7 +760,7 @@ class TestBoundedMin:
         # one-lane call computes it; at p = 2 the lattice function takes the
         # lag route and the other the Gram route
         f = periodic_function(3, max_terms=8) if lattice else random_function(5, max_terms=8)
-        assert lag_route(f.spectrum.freqs) == lattice and f.spectrum.freqs.size >= 4
+        assert lag_route(f.spectrum.freqs) == lattice and f.spectrum.freqs.size >= 5
         grid = WindowGrid(u_samples=24)
         fs = [translate_difference(f, t) for t in np.linspace(0.05, 3.0, 40)]
         coefs = np.array([[(e.cos_coef, e.sin_coef) for e in g.spectrum.entries] for g in fs])
@@ -722,7 +789,7 @@ class TestBoundedMin:
             [moduli(f, x, [d], [s], math.inf)[1][0, 0] for s in shifts] for d in deltas
         ]
 
-    @pytest.mark.parametrize("lams", [[1.0, 10.0], [1.0, 2.5, 4.25, 7.0, 9.5], []])
+    @pytest.mark.parametrize("lams", [[1.0, 10.0], [1.0, 2.3, 4.1, 6.7, 9.2, 12.9], []])
     def test_no_lanes_or_no_terms(self, lams):
         # modulus_omega at delta = 0 norms no shift: an empty search; the
         # translate differences of a constant have no terms and norm 0.  At
@@ -742,7 +809,7 @@ class TestBoundedMin:
             ):
                 assert means(u).shape == (lanes, 5) and means(np.ones((lanes, 1))).shape == (lanes, 1)
                 assert lams.size or not means(u).any()
-        assert lag_route(np.array([1.0, 10.0])) and not lag_route(np.array([1.0, 2.5, 4.25, 7.0, 9.5]))
+        assert lag_route(np.array([1.0, 10.0])) and not lag_route(np.array([1.0, 2.3, 4.1, 6.7, 9.2, 12.9]))
 
 
 class TestPointwiseModulus:
