@@ -41,12 +41,12 @@ Grams of those lhs once for all of them.
 At p = 2 every window mean above (the u-windows of N_2, m_x and the
 shifted-difference means) is an exact quadratic form in the amplitudes,
 built from the means of products of cos(l tau) and sin(l tau) over the
-window (for N_2 of a spectrum whose pair lags collide, the same form as a
-trigonometric polynomial in u over the lags); only the sup over u stays
-a from-below sample.  Amplitudes whose squares would underflow or
-overflow enter these forms scaled by a power of two (exact), and the
-result is scaled back.  Other finite p use composite Gauss-Legendre
-quadrature, and Phi_x has a closed form for any p.
+window (for N_2 of a spectrum whose pair lags collide in lattice units,
+the same form as a trigonometric polynomial in u over the lags); only the
+sup over u, over ``resolve_span``, stays a from-below sample.  Amplitudes
+whose squares would underflow or overflow enter these forms scaled by a
+power of two (exact), and the result is scaled back.  Other finite p use
+composite Gauss-Legendre quadrature, and Phi_x has a closed form for any p.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _keys, _number, _trig_sum, power_mean
+from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _keys, _lattice, _number, _trig_sum, power_mean
 
 __all__ = [
     "ModulusMajorant",
@@ -149,7 +149,15 @@ class TableModulus:
         return float(out) if np.ndim(out) == 0 else out
 
     def scaled(self, factor: float) -> "TableModulus":
-        return TableModulus(tuple((d, w * factor) for d, w in self.knots))
+        """The table times a finite ``factor`` >= 0 (else ValueError), which
+        keeps it nondecreasing and subadditive: a copy with no second check."""
+        if not 0.0 <= factor < math.inf:
+            raise ValueError(f"factor must be finite and >= 0, got {factor!r}")
+        out = object.__new__(TableModulus)
+        object.__setattr__(out, "knots", tuple((d, w * factor) for d, w in self.knots))
+        object.__setattr__(out, "_ds", self._ds)
+        object.__setattr__(out, "_ws", self._ws * factor)
+        return out
 
 
 # A majorant: callable on delta >= 0, scalable by ``scaled``, serializable.
@@ -193,15 +201,15 @@ class WindowGrid:
     best when ``refine`` (a bool), each window ``window_length`` long; both
     lengths finite and > 0; TypeError for a non-number, else ValueError.
 
-    ``u_span = None`` spans one common period of the spectrum when the
-    frequencies lock onto a rational grid, else 64 periods of the slowest
-    positive frequency (a pragmatic almost-period).  Window means are exact
-    at p = 2, on one of two routes chosen from the spectrum: with K distinct
-    pair lags l_j + l_k and |l_j - l_k| among its N frequencies, a
-    trigonometric polynomial in u over the lags when K <= 5N (lattice
-    spectra and every spectrum of at most four terms), else a quadratic
-    form in the window Gram.  Other finite p use the fixed
-    ``WINDOW_PANELS`` x 8-node rule.
+    ``u_span = None`` spans the period 2 pi / g of the spectrum's lattice
+    (``Spectrum.lattice``), else 64 periods of the slowest positive
+    frequency (a pragmatic almost-period), which also caps 2 pi / g.  Window
+    means are exact at p = 2, on one of two routes chosen from the spectrum:
+    with K distinct pair lags l_j + l_k and |l_j - l_k| among its N
+    frequencies, in lattice units, a trigonometric polynomial in u over the
+    lags when K <= 5N (dense lattices, K = 2N + 1 for l_j = j g, and every
+    spectrum of at most four terms), else a quadratic form in the window
+    Gram.  Other finite p use the fixed ``WINDOW_PANELS`` x 8-node rule.
     """
 
     u_samples: int = 512
@@ -222,26 +230,18 @@ class WindowGrid:
             raise ValueError(f"refine must be true or false, got {self.refine!r}")
 
 
-def _float_gcd(a: float, b: float, tol: float) -> float:
-    while b > tol:
-        a, b = b, math.fmod(a, b)
-    return a
-
-
 def resolve_span(f: QuasiPeriodicFunction, grid: WindowGrid) -> float:
+    """``grid.u_span``, else pi without a positive frequency, else 2 pi / g of
+    ``Spectrum.lattice`` capped at 64 periods of the slowest (the cap alone
+    without a lattice)."""
     if grid.u_span is not None:
         return grid.u_span
-    pos = [lam for lam in f.spectrum.freqs.tolist() if lam > 0.0]
-    if not pos:
+    spec = f.spectrum
+    pos = spec.freqs[spec.freqs > 0.0]
+    if not pos.size:
         return math.pi
-    cap = 64.0 * 2.0 * math.pi / min(pos)
-    tol = 1e-9 * max(pos)
-    g = pos[0]
-    for lam in pos[1:]:
-        g = _float_gcd(g, lam, tol)
-        if g <= tol:
-            return cap
-    return min(2.0 * math.pi / g, cap)
+    cap = 64.0 * 2.0 * math.pi / float(pos.min())
+    return min(2.0 * math.pi / spec.lattice[0], cap) if spec.lattice else cap
 
 
 def _one_minus_sinc(z: np.ndarray) -> np.ndarray:
@@ -385,20 +385,24 @@ def _gram_means(lams: np.ndarray, unit: np.ndarray, length: float):
 
 
 def _pair_lags(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The K distinct pair lags of the frequencies, sorted (K,), merged on
-    exact float equality only, and the lag of each of the 2P pair entries:
-    the sums l_j + l_k, then the differences l_k - l_j, of the P pairs
-    j <= k in ``np.triu_indices`` order."""
+    """The K distinct pair lags of the frequencies, sorted (K,), and the
+    index into them of each of the 2P pair entries: the sums l_j + l_k, then
+    the differences l_k - l_j, of the P pairs j <= k in ``np.triu_indices``
+    order.  Both are formed and merged as the integers m_j +- m_k of the
+    lattice (g, m) (``_lattice``), each lag g (m_j +- m_k), l_j +- l_k to
+    the bit on integer frequencies; without one, as exact floats."""
+    lattice = _lattice(lams)
+    step, units = lattice if lattice else (1.0, lams)
     j, k = np.triu_indices(lams.size)
-    entries = np.concatenate([lams[j] + lams[k], lams[k] - lams[j]])
-    return np.unique(entries), entries
+    keys, at = np.unique(np.concatenate([units[j] + units[k], units[k] - units[j]]), return_inverse=True)
+    return step * keys, at
 
 
 def _lag_means(pairs: tuple[np.ndarray, np.ndarray], unit: np.ndarray, length: float):
     """The lag route to the p = 2 window means of the unit-scaled rows
-    ``unit`` (L, N, 2), with the lags ``pairs`` of their frequencies
-    (``_pair_lags``).  With z = c - i s per term, f = Re sum z e^{i l x}
-    and each lane's mean is a trigonometric polynomial in u,
+    ``unit`` (L, N, 2), with the lags ``pairs`` of their frequencies and of
+    their pair entries (``_pair_lags``).  With z = c - i s per term,
+    f = Re sum z e^{i l x} and each lane's mean is a trigonometric polynomial in u,
 
         M(u) = (1/2) Re sum_w A_w e^{i w u},
         A_w = E(w) (sum of z_j z_k at sum lags w + sum of z_k conj(z_j)
@@ -409,8 +413,7 @@ def _lag_means(pairs: tuple[np.ndarray, np.ndarray], unit: np.ndarray, length: f
     row times the cos/sin basis of the lags at u, shaped (2K, n) with the
     points last; the basis is built once for points the lanes share.
     Returns the means function of ``_sampled_sup``."""
-    lags, entries = pairs
-    at = np.searchsorted(lags, entries)  # exact: each entry is one of the lags
+    lags, at = pairs
     lanes = len(unit)
     j, k = np.triu_indices(unit.shape[1])
     twice = np.where(j == k, 1.0, 2.0)
@@ -445,9 +448,9 @@ def _lag_route(lams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> bool:
 
 def _window_means(lams: np.ndarray, unit: np.ndarray, length: float):
     """The p = 2 window-mean function of the unit-scaled rows ``unit``
-    (L, N, 2): the lag route when ``_lag_route`` holds (lattice spectra,
-    where lags collide, and every spectrum of a few terms), else the Gram
-    route (spectra whose lags do not collide)."""
+    (L, N, 2): the lag route when ``_lag_route`` holds (dense lattices, whose
+    lags collide in lattice units, and every spectrum of a few terms), else
+    the Gram route (spectra whose lags do not collide)."""
     pairs = _pair_lags(lams)
     if _lag_route(lams, pairs):
         return _lag_means(pairs, unit, length)
@@ -464,8 +467,8 @@ def _window_norm(
     p = 2 window means (``_window_means``), the Gauss-Legendre window rule
     (other finite p) or nothing more than a dense u grid (p = inf).  At
     p = 2 the means take one of two exact routes: with K distinct pair
-    lags l_j + l_k and |l_j - l_k|, the lag route when K <= 5N (one (L, 2K)
-    lag table and one cos/sin basis of the lags per point set), else the
+    lags l_j + l_k and |l_j - l_k| (``_pair_lags``), the lag route when
+    K <= 5N (one (L, 2K) lag table and one cos/sin basis of the lags per point set), else the
     Gram route (k^T G k for the (L, 2N, n) window coefficients k).  The rows
     are the lanes of one sampled-sup search, each returning what its
     one-lane call does; at finite p other than 2 each lane is evaluated on

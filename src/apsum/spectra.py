@@ -74,6 +74,32 @@ def _keys(obj, allowed, what: str):
     return obj
 
 
+def _lattice(freqs: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(g, m), the step g and read-only integers m (N,) with each m_j g
+    within 2 ulps of freqs_j, else None.  m rounds freqs over the step of a
+    Euclid loop on the positive frequencies in order (remainders up to 1e-9
+    of the largest count as 0), and g is refit as the largest frequency over
+    its m: integer frequencies below 1e9 get their exact gcd, m g = freqs to the
+    bit; a spectrum with no positive frequency gets g = 1 and m = 0."""
+    pos = [lam for lam in freqs.tolist() if lam > 0.0]
+    g = pos[0] if pos else 1.0
+    tol = 1e-9 * max(pos, default=0.0)
+    for b in pos[1:]:
+        a = g
+        while b > tol:
+            a, b = b, math.fmod(a, b)
+        if a <= tol:
+            return None
+        g = a
+    m = np.rint(freqs / g)
+    g = max(pos, default=1.0) / float(m.max(initial=1.0))  # the top m is the top frequency's
+    if not (np.abs(m * g - freqs) <= 2.0 * np.spacing(freqs)).all():
+        return None
+    m = m.astype(np.int64)
+    m.setflags(write=False)
+    return g, m
+
+
 @dataclass(frozen=True)
 class SpectrumEntry:
     """One nonnegative frequency with its cos and sin coefficients."""
@@ -89,7 +115,8 @@ class Spectrum:
     ``entries`` is the public form; the read-only arrays built from it once
     are ``freqs`` (N,), cos/sin rows ``coefs`` (N, 2) and ``tails`` (N + 1,),
     tails[i] the amplitude mass of the entries from i on (each entry weighs
-    libm's hypot of its coefficients); tails[0] bounds |f|."""
+    libm's hypot of its coefficients); tails[0] bounds |f|; ``lattice`` is
+    (g, m), every frequency m_j g for one step g, or None (``_lattice``)."""
 
     alpha: float
     entries: tuple[SpectrumEntry, ...]
@@ -104,6 +131,7 @@ class Spectrum:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "lattice", _lattice(self.freqs))
 
     @classmethod
     def from_cos_sin(

@@ -26,7 +26,7 @@ from apsum.measures import (
 )
 from apsum import measures
 from apsum.experiment import builtin_spectra
-from apsum.spectra import QuasiPeriodicFunction, Spectrum, SpectrumEntry, _gl_panels, power_mean
+from apsum.spectra import QuasiPeriodicFunction, Spectrum, SpectrumEntry, _gl_panels, _lattice, power_mean
 
 from conftest import scaled, translate_difference
 
@@ -35,6 +35,30 @@ CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
 SMOOTH = QuasiPeriodicFunction(
     Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0), (10.0, 0.1, 0.0)])
 )
+
+
+def float_gcd_span(f, grid):
+    """The window span by the former rule, the oracle of ``resolve_span`` on
+    integer frequencies: a float Euclid loop over the positive frequencies
+    at tolerance 1e-9 of the largest, then 2 pi over its step, capped at 64
+    periods of the slowest (the cap too when the step falls below the
+    tolerance)."""
+    if grid.u_span is not None:
+        return grid.u_span
+    pos = [lam for lam in f.spectrum.freqs.tolist() if lam > 0.0]
+    if not pos:
+        return math.pi
+    cap = 64.0 * 2.0 * math.pi / min(pos)
+    tol = 1e-9 * max(pos)
+    g = pos[0]
+    for b in pos[1:]:
+        a = g
+        while b > tol:
+            a, b = b, math.fmod(a, b)
+        g = a
+        if g <= tol:
+            return cap
+    return min(2.0 * math.pi / g, cap)
 
 
 def random_function(seed, max_terms=4):
@@ -119,6 +143,29 @@ class TestMajorants:
                 TableModulus(knots)
             assert str(err.value) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=12),
+        slopes=st.lists(st.floats(0.0, 10.0), min_size=12, max_size=12),
+        factor=st.one_of(st.just(0.0), st.floats(1e-6, 100.0)),
+    )
+    def test_scaled_equals_table_of_scaled_knots(self, steps, slopes, factor):
+        # a concave table (slopes sorted down) is subadditive; the unchecked
+        # copy equals the table built, and checked, from the scaled knots
+        ds = np.cumsum([0.0] + steps)
+        ws = np.cumsum([0.0] + (np.diff(ds) * sorted(slopes, reverse=True)[: len(steps)]).tolist())
+        table = TableModulus(tuple(zip(ds.tolist(), ws.tolist())))
+        got = table.scaled(factor)
+        want = TableModulus(tuple((d, w * factor) for d, w in table.knots))
+        assert got.knots == want.knots
+        at = np.linspace(0.0, ds[-1] + 1.0, 64)
+        assert got(at).tolist() == want(at).tolist()
+
+    @pytest.mark.parametrize("factor", [-1.0, -1e-300, math.nan, math.inf])
+    def test_scaled_rejects_bad_factor(self, factor):
+        with pytest.raises(ValueError, match="factor"):
+            TableModulus(((0.0, 0.0), (1.0, 1.0))).scaled(factor)
+
     def test_table_must_start_at_origin(self):
         with pytest.raises(ValueError):
             TableModulus(((0.5, 0.1), (1.0, 0.2)))
@@ -150,6 +197,32 @@ class TestStepanovNorm:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             stepanov_norm(COS, 1.0)
+
+    def test_span_of_a_near_lattice_is_the_cap(self):
+        # Euclid's step 1 misses 3.0000000001 by 1e-10, below its tolerance,
+        # but the refit step misses 1 by 3e-11 (over 2 ulps): no lattice, so
+        # the cap, where the former rule gave 2 pi
+        terms = [(lam, 1.0, 0.0) for lam in (1.0, 3.0000000001)]
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, terms))
+        assert float_gcd_span(f, WindowGrid()) == 2.0 * math.pi
+        assert resolve_span(f, WindowGrid()) == 64.0 * 2.0 * math.pi
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.lists(st.integers(1, 5000), min_size=1, max_size=30, unique=True),
+        gcd=st.integers(1, 1000),
+        dc=st.booleans(),
+    )
+    def test_span_is_the_former_rule_on_integer_frequencies(self, k, gcd, dc):
+        terms = [(float(gcd * j), 1.0, 0.0) for j in [0] * dc + k]
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, terms))
+        assert resolve_span(f, WindowGrid()) == float_gcd_span(f, WindowGrid())
+
+    @pytest.mark.parametrize("name", ["smooth", "lacunary", "irrational", "constant"])
+    def test_span_of_builtins_is_the_former_rule(self, name):
+        f = builtin_spectra(name)
+        for grid in (WindowGrid(), WindowGrid(u_span=3.5)):
+            assert resolve_span(f, grid) == float_gcd_span(f, grid)
 
     def test_span_cap_when_slow_frequencies_have_no_common_step(self):
         # both slowest frequencies lie below 1e-9 of the fastest, so their gcd
@@ -239,14 +312,17 @@ class TestModulusOmega:
             assert a <= b + 1e-12
 
 
-def old_layout_means(lams, cos_c, sin_c, gram, u):
+def old_layout_means(lams, cos_c, sin_c, gram, u, absolute=False):
     """p = 2 window means in the former layout, the 2N cos/sin coefficient
     axis last: k shaped (..., 2N), ``((k @ gram) * k).sum(axis=-1)``.  The
     oracle of the window norm's u-last form; cos_c and sin_c broadcast
-    against u's shape plus (N,)."""
+    against u's shape plus (N,).  With ``absolute``, the form of |k| in
+    |gram|, the scale of the rounding of any order of its sums."""
     lu = np.multiply.outer(u, lams)
     c, s = np.cos(lu), np.sin(lu)
     k = np.concatenate([cos_c * c + sin_c * s, sin_c * c - cos_c * s], axis=-1)
+    if absolute:
+        k, gram = np.abs(k), np.abs(gram)
     return ((k @ gram) * k).sum(axis=-1)
 
 
@@ -519,11 +595,11 @@ def window_rows(draw):
     rows shaped (L, N, 2): uniform in [-1, 1], each row scaled by 2**e,
     e in {-300, 0, 300}, and no sine coefficient at frequency 0, as in a
     spectrum.  The frequencies have gaps in [0.25, 8] (the Gram route from
-    N = 5 on) or lie on a lattice (a + j) g with integers a in [0, 8] and g
-    in [1, 3] (the lag route)."""
+    N = 5 on) or lie on a lattice fl((a + j) g) with integers a in [0, 8] and
+    g in 1, 2, 3 or the non-dyadic 0.1, 0.3, 0.7 (the lag route)."""
     n, lanes = draw(st.integers(1, 40)), draw(st.integers(1, 64))
     if draw(st.booleans()):
-        lams = (draw(st.integers(0, 8)) + np.arange(n)) * float(draw(st.integers(1, 3)))
+        lams = (draw(st.integers(0, 8)) + np.arange(n)) * draw(st.sampled_from([1.0, 2.0, 3.0, 0.1, 0.3, 0.7]))
     else:
         lams = np.cumsum(draw(st.lists(st.floats(0.25, 8.0), min_size=n, max_size=n)))
     exps = draw(st.lists(st.sampled_from([-300, 0, 300]), min_size=lanes, max_size=lanes))
@@ -553,6 +629,32 @@ def lag_phase_slack(u, length):
     eps |u| / L.  Over 4500 random draws like window_rows' that take the
     lag route (spans to 60) the largest move beyond 1e-14 was 0.36 of this."""
     return np.finfo(float).eps * np.abs(u) / length
+
+
+def lattice_slack(lams, unit, length, u):
+    """How far the lag route's means of the unit-scaled rows (L, N, 2) may
+    part from ``exact_means`` at points u, absolute, beyond
+    ``lag_phase_slack``: in lattice units each pair lag l_j +- l_k sits at
+    g (m_j +- m_k), off by at most d_j + d_k, d = |l - m g| (at most 2 ulps
+    of l by the lattice's rule, exactly 0 on integer frequencies and
+    without a lattice).  A pair's terms, z_j z_k E(w) e^{iwu} / 2 at both
+    lags and twice for j < k, then move by at most
+    |z_j z_k| (d_j + d_k) (|E(w)| |u| + L / 2) each, with
+    |E(w)| <= 2 / max(|w| L, 2).  Over 3000 draws like window_rows' on the
+    lattices of steps 0.1, 0.3 and 0.7, the lag route parted from
+    exact_means by up to 3.0 times the bound without this term, and beyond
+    that bound by at most 0.12 of this term."""
+    lattice = _lattice(lams)
+    if lattice is None:
+        return np.zeros(np.broadcast_shapes(np.shape(u), (len(unit), 1)))
+    g, m = lattice
+    hi, lo = two_product(m.astype(float), np.full(m.shape, g))
+    d = np.abs((lams - hi) - lo)
+    j, k = np.triu_indices(lams.size)
+    z = np.hypot(unit[..., 0], unit[..., 1])
+    moved = np.where(j == k, 0.5, 1.0) * z[:, j] * z[:, k] * (d[j] + d[k])
+    damp = sum(2.0 / np.maximum(np.abs(w) * length, 2.0) for w in (lams[j] + lams[k], lams[k] - lams[j]))
+    return (moved @ damp)[:, None] * np.abs(u) + (moved.sum(axis=1) * length)[:, None]
 
 
 def window_search(lams, coefs, grid, span, means=None):
@@ -609,10 +711,14 @@ class TestWindowLayout:
         want_lanes = old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, lane_u)
         assert got.shape == want.shape == (len(coefs), u_samples)
         assert got_lanes.shape == want_lanes.shape == (len(coefs), 1)
-        # 1e-14 of each lane's largest mean
-        top = np.maximum(want.max(axis=1), want_lanes[:, 0])
-        assert np.all(np.abs(got - want) <= 1e-14 * top[:, None])
-        assert np.all(np.abs(got_lanes - want_lanes) <= 1e-14 * top[:, None])
+        # 1e-14 of each lane's largest mean, or of the absolute form at the
+        # point where that is larger: at close low frequencies (lattice steps
+        # of 0.1) the Gram is near singular, and a mean of 0.005 can be the
+        # sum of terms of size 5 that the two layouts add in other orders
+        top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
+        for v, g, w in ((u, got, want), (lane_u, got_lanes, want_lanes)):
+            scale = old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, v, absolute=True)
+            assert np.all(np.abs(g - w) <= 1e-14 * np.maximum(top, scale))
         lanes_equal_one_lane_calls(lambda c: measures._gram_means(lams, c, length), unit, u, lane_u)
 
     @settings(max_examples=40, deadline=None)
@@ -654,7 +760,8 @@ class TestWindowLayout:
     def test_code_route_matches_oracle(self, rows, u_samples, span, points):
         # the means and norms on the route the code takes, against the Gram
         # route's oracle (the former layout, 1e-14) or the lag route's
-        # (exact_means, 1e-14 plus the lag phases' rounding)
+        # (exact_means, 1e-14 plus the lag phases' rounding and the lattice's
+        # lag offsets)
         lams, coefs = rows
         grid = WindowGrid(u_samples=u_samples)
         length = grid.window_length
@@ -671,7 +778,8 @@ class TestWindowLayout:
             want, want_lanes = oracle(u), oracle(lane_u)
             top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
             for v, w in ((u, want), (lane_u, want_lanes)):
-                assert np.all(np.abs(means(v) - w) <= (1e-14 + lag_phase_slack(v, length)) * top)
+                bound = (1e-14 + lag_phase_slack(v, length)) * top + lattice_slack(lams, unit, length, v)
+                assert np.all(np.abs(means(v) - w) <= bound)
         else:
             gram = measures._trig_gram(lams, length)
 
@@ -688,7 +796,8 @@ class TestWindowLayout:
         rtol = 1e-14 + (lag_phase_slack(span + 1.0, length) if lagged else 0.0)
         r = np.hypot(unit[..., 0], unit[..., 1]).sum(axis=1)
         slack = 8.0 * lams[-1] ** 2 * r**2 * 1e-18
-        for refine, extra in ((False, 0.0), (True, slack)):
+        moved = lattice_slack(lams, unit, length, span + 1.0)[:, 0] if lagged else 0.0
+        for refine, extra in ((False, moved), (True, moved + slack)):
             gr = replace(grid, refine=refine)
             new_sq, old_sq = (
                 np.ldexp(window_search(lams, coefs, gr, span, m)[0], -scale) ** 2 for m in (None, oracle)
@@ -698,6 +807,44 @@ class TestWindowLayout:
         norms = measures._window_norm(lams, coefs, 2.0, grid, span)
         for i in range(len(coefs)):
             assert measures._window_norm(lams, coefs[i : i + 1], 2.0, grid, span)[0] == norms[i]
+
+
+class TestLatticeRoute:
+    """Pair lags merged in the units of the frequencies' lattice."""
+
+    def test_non_dyadic_lattice_takes_the_lag_route(self):
+        # l_j = fl(0.3 j), j = 1..128: the pair lags are the 2N + 1 multiples
+        # of 0.3 up to 76.8 (their sums and differences as floats take 691
+        # distinct values), and the lag-route means match the exact oracle
+        n, lanes = 128, 3
+        lams = 0.3 * np.arange(1, n + 1)
+        lags, at = measures._pair_lags(lams)
+        assert lags.tolist() == (0.3 * np.arange(2 * n + 1)).tolist() and lag_route(lams)
+        j, k = np.triu_indices(n)
+        assert np.unique(np.concatenate([lams[j] + lams[k], lams[k] - lams[j]])).size == 691
+        rng = np.random.default_rng(31)
+        unit = rng.uniform(-1.0, 1.0, (lanes, n, 2)) * np.arange(1, n + 1)[:, None] ** -1.5
+        length = WindowGrid().window_length
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(0.3, [(l, 1.0, 0.0) for l in lams]))
+        span = resolve_span(f, WindowGrid())
+        assert span == 2.0 * math.pi / 0.3
+        u, lane_u = window_points(lanes, 64, span, 7)
+        means = measures._lag_means((lags, at), unit, length)
+        want, want_lanes = exact_means(lams, unit, length, u), exact_means(lams, unit, length, lane_u)
+        top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
+        for v, w in ((u, want), (lane_u, want_lanes)):
+            assert np.all(np.abs(means(v) - w) <= (1e-14 + lag_phase_slack(v, length)) * top)
+
+    @pytest.mark.parametrize("lams", [[1.0, 10.0], [0.0, 1.0, 2.0, 5.0], [1.0, 2.0**0.5, 3.0], []])
+    def test_integer_lags_are_the_float_sums(self, lams):
+        # on integer frequencies lattice units give the same lags, bit for
+        # bit, as the float sums and differences merged on exact equality;
+        # a spectrum with no lattice merges those floats
+        lams = np.array(lams)
+        j, k = np.triu_indices(lams.size)
+        entries = np.concatenate([lams[j] + lams[k], lams[k] - lams[j]])
+        lags, at = measures._pair_lags(lams)
+        assert lags.tolist() == np.unique(entries).tolist() and lags[at].tolist() == entries.tolist()
 
 
 def trig_lanes(coefs, lams):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from apsum import spectra
+from apsum.experiment import builtin_spectra
 from apsum.spectra import (
     Spectrum,
     SpectrumEntry,
@@ -188,6 +189,106 @@ class TestGaussLegendreRule:
         xi, wt = np.polynomial.legendre.leggauss(spectra.GL_NODES)
         assert spectra._GL_XI.tolist() == xi.tolist()
         assert spectra._GL_WT.tolist() == wt.tolist()
+
+
+def lattice_of(freqs):
+    """The lattice of a spectrum on these frequencies, unit cos amplitudes."""
+    return Spectrum.from_cos_sin(1.0, [(float(l), 1.0, 0.0) for l in freqs]).lattice
+
+
+def assert_lattice_of_multiples(freqs, k, lattice):
+    """A lattice (g, m) of the frequencies freqs_j ~ k_j g0: m is
+    proportional to k, and each m_j g lies within 2 ulps of freqs_j."""
+    g, m = lattice
+    assert m.dtype == np.int64 and not m.flags.writeable
+    assert np.array_equal(m * k[-1], k * m[-1])
+    assert np.all(np.abs(m * g - freqs) <= 2.0 * np.spacing(freqs))
+
+
+index_sets = st.lists(st.integers(1, 2000), min_size=1, max_size=40, unique=True).map(sorted)
+
+
+class TestLattice:
+    """``Spectrum.lattice``: (g, m) with freqs = m g, or None."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=index_sets, gcd=st.integers(1, 10_000), dc=st.booleans())
+    def test_integer_spectra_exact_gcd(self, k, gcd, dc):
+        freqs = [0] * dc + [gcd * j for j in k]
+        g, m = lattice_of(freqs)
+        want = math.gcd(*freqs)
+        assert g == want and m.tolist() == [f // want for f in freqs]
+        assert (m * g).tolist() == freqs
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=index_sets,
+        step=st.floats(1e-3, 1e3),
+        digits=st.integers(1, 4),
+        numerator=st.integers(1, 999),
+        decimal=st.booleans(),
+    )
+    def test_float_and_decimal_lattices(self, k, step, digits, numerator, decimal):
+        # fl(k g0), or decimals as a spectrum file types them (k times
+        # numerator / 10^digits, correctly rounded): a lattice found is the
+        # right one.  Small index sets are always found; on larger ones the
+        # Euclid loop's step can drift past its 1e-9 tolerance (about 3% of
+        # seeded draws of up to 40 indices below 2000), which gives None
+        k = np.array(k)
+        if decimal:
+            freqs = np.array([float(f"{j * numerator}e-{digits}") for j in k.tolist()])
+        else:
+            freqs = k * step
+        lattice = lattice_of(freqs)
+        if lattice is not None:
+            assert_lattice_of_multiples(freqs, k, lattice)
+        else:
+            assert k.size > 8 or k[-1] > 64
+
+    @pytest.mark.parametrize("step", [0.1, 0.3, 0.7, 1.1, math.pi])
+    @pytest.mark.parametrize("n", [2, 16, 128, 512])
+    def test_consecutive_multiples(self, step, n):
+        k = np.arange(1, n + 1)
+        freqs = step * k
+        assert_lattice_of_multiples(freqs, k, lattice_of(freqs))
+        assert lattice_of(freqs)[1].tolist() == k.tolist()
+
+    def test_builtins(self):
+        lattices = {name: builtin_spectra(name).spectrum.lattice for name in ("smooth", "lacunary", "constant")}
+        assert {name: (g, m.tolist()) for name, (g, m) in lattices.items()} == {
+            "smooth": (1.0, [1, 10]),
+            "lacunary": (1.0, [2**j for j in range(11)]),
+            # no positive frequency: every step fits, and the lattice takes g = 1
+            "constant": (1.0, [0]),
+        }
+        assert builtin_spectra("irrational").spectrum.lattice is None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_irrational_ratios_have_none(self, seed):
+        # uniform random gaps: one positive frequency is its own step, and
+        # two or more have no lattice
+        spec = random_function(np.random.default_rng(seed)).spectrum
+        if np.count_nonzero(spec.freqs) > 1:
+            assert spec.lattice is None
+        else:
+            assert spec.lattice[0] == spec.freqs[-1] and spec.lattice[1][-1] == 1
+
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            (1e-12, 2e-12, 1.0),  # the slow pair's gcd is below 1e-9 of the fastest
+            (1.0, 3.0000000001),  # a near-lattice: its step misses 1 by 3e-11
+            (1.0, math.sqrt(2.0)),
+            (1.0, math.nan),
+            (1.0, math.inf),
+        ],
+    )
+    def test_no_lattice(self, freqs):
+        assert lattice_of(freqs) is None
+
+    def test_empty_spectrum(self):
+        g, m = Spectrum(1.0, ()).lattice
+        assert g == 1.0 and m.shape == (0,)
 
 
 class TestValidation:
