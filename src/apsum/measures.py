@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _keys, _lattice, _number, _trig_sum, power_mean
+from .spectra import QuasiPeriodicFunction, _difference_rows, _gl_panels, _keys, _number, _trig_sum, power_mean
 
 __all__ = [
     "ModulusMajorant",
@@ -384,14 +384,14 @@ def _gram_means(lams: np.ndarray, unit: np.ndarray, length: float):
     return means
 
 
-def _pair_lags(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_lags(lams: np.ndarray, lattice: tuple | None) -> tuple[np.ndarray, np.ndarray]:
     """The K distinct pair lags of the frequencies, sorted (K,), and the
     index into them of each of the 2P pair entries: the sums l_j + l_k, then
     the differences l_k - l_j, of the P pairs j <= k in ``np.triu_indices``
     order.  Both are formed and merged as the integers m_j +- m_k of the
-    lattice (g, m) (``_lattice``), each lag g (m_j +- m_k), l_j +- l_k to
-    the bit on integer frequencies; without one, as exact floats."""
-    lattice = _lattice(lams)
+    frequencies' ``lattice`` (g, m) (``_lattice``), each lag g (m_j +- m_k),
+    l_j +- l_k to the bit on integer frequencies; without one, as exact
+    floats."""
     step, units = lattice if lattice else (1.0, lams)
     j, k = np.triu_indices(lams.size)
     keys, at = np.unique(np.concatenate([units[j] + units[k], units[k] - units[j]]), return_inverse=True)
@@ -446,29 +446,31 @@ def _lag_route(lams: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> bool:
     return pairs[0].size <= _LAGS_PER_TERM * lams.size
 
 
-def _window_means(lams: np.ndarray, unit: np.ndarray, length: float):
+def _window_means(lams: np.ndarray, unit: np.ndarray, length: float, lattice: tuple | None):
     """The p = 2 window-mean function of the unit-scaled rows ``unit``
-    (L, N, 2): the lag route when ``_lag_route`` holds (dense lattices, whose
-    lags collide in lattice units, and every spectrum of a few terms), else
-    the Gram route (spectra whose lags do not collide)."""
-    pairs = _pair_lags(lams)
+    (L, N, 2), with the ``lattice`` of the frequencies: the lag route when
+    ``_lag_route`` holds (dense lattices, whose lags collide in lattice
+    units, and every spectrum of a few terms), else the Gram route (spectra
+    whose lags do not collide)."""
+    pairs = _pair_lags(lams, lattice)
     if _lag_route(lams, pairs):
         return _lag_means(pairs, unit, length)
     return _gram_means(lams, unit, length)
 
 
 def _window_norm(
-    lams: np.ndarray, coefs: np.ndarray, p: float, grid: WindowGrid, span: float
+    lams: np.ndarray, coefs: np.ndarray, p: float, grid: WindowGrid, span: float, lattice: tuple | None
 ) -> np.ndarray:
     """Windowed p-norms, shape (L,), of the L functions with frequencies
-    ``lams`` and cos/sin coefficient rows ``coefs`` shaped (L, N, 2).
+    ``lams``, their ``lattice`` (``Spectrum.lattice``, read at p = 2) and
+    cos/sin coefficient rows ``coefs`` shaped (L, N, 2).
 
     One window setup serves every row: the u grid over ``span`` plus the
     p = 2 window means (``_window_means``), the Gauss-Legendre window rule
     (other finite p) or nothing more than a dense u grid (p = inf).  At
     p = 2 the means take one of two exact routes: with K distinct pair
-    lags l_j + l_k and |l_j - l_k| (``_pair_lags``), the lag route when
-    K <= 5N (one (L, 2K) lag table and one cos/sin basis of the lags per point set), else the
+    lags l_j + l_k and |l_j - l_k|, the lag route when K <= 5N (one (L, 2K)
+    lag table and one cos/sin basis of the lags per point set), else the
     Gram route (k^T G k for the (L, 2N, n) window coefficients k).  The rows
     are the lanes of one sampled-sup search, each returning what its
     one-lane call does; at finite p other than 2 each lane is evaluated on
@@ -479,7 +481,7 @@ def _window_norm(
     inf = math.isinf(p)
     if p == 2.0:
         scale = _unit_exponents(coefs)
-        means = _window_means(lams, np.ldexp(coefs, -scale[:, None, None]), grid.window_length)
+        means = _window_means(lams, np.ldexp(coefs, -scale[:, None, None]), grid.window_length, lattice)
 
     elif inf:
 
@@ -520,7 +522,7 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     """
     grid = grid or WindowGrid()
     spec = f.spectrum
-    return float(_window_norm(spec.freqs, spec.coefs[None], p, grid, resolve_span(f, grid))[0])
+    return float(_window_norm(spec.freqs, spec.coefs[None], p, grid, resolve_span(f, grid), spec.lattice)[0])
 
 
 def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | None = None):
@@ -542,7 +544,10 @@ def modulus_omega(f: QuasiPeriodicFunction, delta, p: float, grid: WindowGrid | 
     ends, which = np.unique(flat[off], return_inverse=True)
     shifts = np.array([i * T_LATTICE for i in range(1, top + 1)] + ends.tolist())
     lams, coefs = _difference_rows(f.spectrum, shifts)
-    vals = _window_norm(lams, coefs, p, grid, resolve_span(f, grid))
+    lattice = f.spectrum.lattice
+    if lattice:  # that of the nonzero frequencies
+        lattice = (lattice[0], lattice[1][lattice[1] != 0])
+    vals = _window_norm(lams, coefs, p, grid, resolve_span(f, grid), lattice)
     out = np.maximum.accumulate(np.concatenate([[0.0], vals[:top]]))[steps]
     out[off] = np.maximum(out[off], vals[top:][which])
     return float(out[0]) if deltas.ndim == 0 else out.reshape(deltas.shape)

@@ -77,20 +77,22 @@ def _keys(obj, allowed, what: str):
 def _lattice(freqs: np.ndarray) -> tuple[float, np.ndarray] | None:
     """(g, m), the step g and read-only integers m (N,) with each m_j g
     within 2 ulps of freqs_j, else None.  m rounds freqs over the step of a
-    Euclid loop on the positive frequencies in order (remainders up to 1e-9
-    of the largest count as 0), and g is refit as the largest frequency over
-    its m: integer frequencies below 1e9 get their exact gcd, m g = freqs to the
+    Euclid loop on the positive finite frequencies in order (remainders up
+    to 1e-9 of the largest count as 0), the step refit after each frequency
+    as that frequency over its rounded quotient so that it does not drift,
+    and g is refit as the largest frequency over its m.  Integer frequencies
+    whose gcd exceeds 1e-9 of the largest get that gcd, m g = freqs to the
     bit; a spectrum with no positive frequency gets g = 1 and m = 0."""
-    pos = [lam for lam in freqs.tolist() if lam > 0.0]
+    pos = [lam for lam in freqs.tolist() if 0.0 < lam < math.inf]
     g = pos[0] if pos else 1.0
     tol = 1e-9 * max(pos, default=0.0)
-    for b in pos[1:]:
-        a = g
+    for lam in pos[1:]:
+        a, b = g, lam
         while b > tol:
             a, b = b, math.fmod(a, b)
         if a <= tol:
             return None
-        g = a
+        g = lam / round(lam / a)
     m = np.rint(freqs / g)
     g = max(pos, default=1.0) / float(m.max(initial=1.0))  # the top m is the top frequency's
     if not (np.abs(m * g - freqs) <= 2.0 * np.spacing(freqs)).all():

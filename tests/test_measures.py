@@ -207,6 +207,16 @@ class TestStepanovNorm:
         assert float_gcd_span(f, WindowGrid()) == 2.0 * math.pi
         assert resolve_span(f, WindowGrid()) == 64.0 * 2.0 * math.pi
 
+    def test_span_of_integers_beyond_the_tolerance_is_the_cap(self):
+        # the gcd 1 lies below 1e-9 of 2e9: Euclid ends on the step 2e9, which
+        # the former rule took (a span of 2 pi / 2e9); it rounds 1 to m = 0,
+        # so there is no lattice and the span is the cap
+        terms = [(lam, 1.0, 0.0) for lam in (1.0, 2e9)]
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, terms))
+        assert f.spectrum.lattice is None
+        assert float_gcd_span(f, WindowGrid()) == 2.0 * math.pi / 2e9
+        assert resolve_span(f, WindowGrid()) == 64.0 * 2.0 * math.pi
+
     @settings(max_examples=200, deadline=None)
     @given(
         k=st.lists(st.integers(1, 5000), min_size=1, max_size=30, unique=True),
@@ -382,7 +392,7 @@ def refine_block_norm(f, p, grid):
         # the code's own means on the route it takes, summed as the code sums
         # them: a grid peak one ulp above the code's sup would fail
         # within_sup's exact lower bound
-        lanes = measures._window_means(f.spectrum.freqs, f.spectrum.coefs[None], grid.window_length)
+        lanes = measures._window_means(f.spectrum.freqs, f.spectrum.coefs[None], grid.window_length, f.spectrum.lattice)
 
         def window_means(u):
             return lanes(u[None, :])[0]
@@ -611,7 +621,7 @@ def window_rows(draw):
 
 def lag_route(lams):
     """Whether the p = 2 window means of these frequencies take the lag route."""
-    return measures._lag_route(lams, measures._pair_lags(lams))
+    return measures._lag_route(lams, measures._pair_lags(lams, _lattice(lams)))
 
 
 def window_points(lanes, u_samples, span, points):
@@ -670,7 +680,7 @@ def window_search(lams, coefs, grid, span, means=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_sampled_sup", spy)
-        norms = measures._window_norm(lams, coefs, 2.0, grid, span)
+        norms = measures._window_norm(lams, coefs, 2.0, grid, span, _lattice(lams))
     return norms, seen[0]
 
 
@@ -711,14 +721,18 @@ class TestWindowLayout:
         want_lanes = old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, lane_u)
         assert got.shape == want.shape == (len(coefs), u_samples)
         assert got_lanes.shape == want_lanes.shape == (len(coefs), 1)
-        # 1e-14 of each lane's largest mean, or of the absolute form at the
-        # point where that is larger: at close low frequencies (lattice steps
-        # of 0.1) the Gram is near singular, and a mean of 0.005 can be the
-        # sum of terms of size 5 that the two layouts add in other orders
+        # 1e-14 of each lane's largest mean.  Frequencies closer than 0.25
+        # (only the lattice draws of step 0.1) make the Gram near singular,
+        # and a mean of 0.005 can be the sum of terms of size 5 that the two
+        # layouts add in other orders: those are held to 1e-14 of the
+        # absolute form at the point where that is larger
         top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
+        close = np.diff(lams).min(initial=math.inf) < 0.25
         for v, g, w in ((u, got, want), (lane_u, got_lanes, want_lanes)):
-            scale = old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, v, absolute=True)
-            assert np.all(np.abs(g - w) <= 1e-14 * np.maximum(top, scale))
+            bound = top
+            if close:
+                bound = np.maximum(top, old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, v, absolute=True))
+            assert np.all(np.abs(g - w) <= 1e-14 * bound)
         lanes_equal_one_lane_calls(lambda c: measures._gram_means(lams, c, length), unit, u, lane_u)
 
     @settings(max_examples=40, deadline=None)
@@ -739,7 +753,7 @@ class TestWindowLayout:
         length = WindowGrid().window_length
         unit = np.ldexp(coefs, -measures._unit_exponents(coefs)[:, None, None])
         u, lane_u = (np.round(v * 2.0**20) / 2.0**20 for v in window_points(len(coefs), u_samples, span, points))
-        pairs = measures._pair_lags(lams)
+        pairs = measures._pair_lags(lams, _lattice(lams))
         lag, via_gram = measures._lag_means(pairs, unit, length), measures._gram_means(lams, unit, length)
         got, want = lag(u), via_gram(u)
         got_lanes, want_lanes = lag(lane_u), via_gram(lane_u)
@@ -774,7 +788,7 @@ class TestWindowLayout:
                 return exact_means(lams, unit, length, v)
 
             u, lane_u = window_points(len(coefs), u_samples, span, points)
-            means = measures._lag_means(measures._pair_lags(lams), unit, length)
+            means = measures._lag_means(measures._pair_lags(lams, _lattice(lams)), unit, length)
             want, want_lanes = oracle(u), oracle(lane_u)
             top = np.maximum(want.max(axis=1), want_lanes[:, 0])[:, None]
             for v, w in ((u, want), (lane_u, want_lanes)):
@@ -804,9 +818,9 @@ class TestWindowLayout:
             )
             assert np.all(np.abs(new_sq - old_sq) <= rtol * np.maximum(top, old_sq) + extra)
         # each lane of the L-lane call is its one-lane call, bit for bit
-        norms = measures._window_norm(lams, coefs, 2.0, grid, span)
+        norms = measures._window_norm(lams, coefs, 2.0, grid, span, _lattice(lams))
         for i in range(len(coefs)):
-            assert measures._window_norm(lams, coefs[i : i + 1], 2.0, grid, span)[0] == norms[i]
+            assert measures._window_norm(lams, coefs[i : i + 1], 2.0, grid, span, _lattice(lams))[0] == norms[i]
 
 
 class TestLatticeRoute:
@@ -818,7 +832,7 @@ class TestLatticeRoute:
         # distinct values), and the lag-route means match the exact oracle
         n, lanes = 128, 3
         lams = 0.3 * np.arange(1, n + 1)
-        lags, at = measures._pair_lags(lams)
+        lags, at = measures._pair_lags(lams, _lattice(lams))
         assert lags.tolist() == (0.3 * np.arange(2 * n + 1)).tolist() and lag_route(lams)
         j, k = np.triu_indices(n)
         assert np.unique(np.concatenate([lams[j] + lams[k], lams[k] - lams[j]])).size == 691
@@ -843,8 +857,31 @@ class TestLatticeRoute:
         lams = np.array(lams)
         j, k = np.triu_indices(lams.size)
         entries = np.concatenate([lams[j] + lams[k], lams[k] - lams[j]])
-        lags, at = measures._pair_lags(lams)
+        lags, at = measures._pair_lags(lams, _lattice(lams))
         assert lags.tolist() == np.unique(entries).tolist() and lags[at].tolist() == entries.tolist()
+
+    @pytest.mark.parametrize("freqs", [(0.0, 0.3, 0.6, 1.5), (0.3, 0.6, 1.5), (0.0, 1.0, 2.0**0.5)])
+    def test_norms_read_the_spectrum_lattice(self, monkeypatch, freqs):
+        # stepanov_norm and modulus_omega pass Spectrum.lattice on, and
+        # modulus_omega its part on the nonzero frequencies of the
+        # differences; neither finds a lattice again
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(0.3, [(l, 1.0, 0.5 * (l > 0)) for l in freqs]))
+        seen, pair_lags = [], measures._pair_lags
+
+        def spy(lams, lattice):
+            seen.append((lams, lattice))
+            return pair_lags(lams, lattice)
+
+        monkeypatch.setattr(measures, "_pair_lags", spy)
+        monkeypatch.setattr(measures, "_lattice", None, raising=False)
+        stepanov_norm(f, 2.0)
+        modulus_omega(f, 0.3, 2.0)
+        assert len(seen) == 2 and seen[0][1] is f.spectrum.lattice
+        for lams, lattice in seen:
+            want = _lattice(lams)
+            assert (lattice is None) == (want is None)
+            if want is not None:
+                assert lattice[0] == want[0] and lattice[1].tolist() == want[1].tolist()
 
 
 def trig_lanes(coefs, lams):
@@ -913,8 +950,8 @@ class TestBoundedMin:
         coefs = np.array([[(e.cos_coef, e.sin_coef) for e in g.spectrum.entries] for g in fs])
         span = resolve_span(f, grid)
         lams = f.spectrum.freqs
-        norms = measures._window_norm(lams, coefs, p, grid, span)
-        one = [measures._window_norm(lams, coefs[i : i + 1], p, grid, span)[0] for i in range(40)]
+        norms = measures._window_norm(lams, coefs, p, grid, span, _lattice(lams))
+        one = [measures._window_norm(lams, coefs[i : i + 1], p, grid, span, _lattice(lams))[0] for i in range(40)]
         assert norms.tolist() == one
         for value, g in zip(norms.tolist(), fs):
             assert value >= refine_block_norm(g, p, replace(grid, refine=False))
@@ -946,13 +983,13 @@ class TestBoundedMin:
         for lanes in (0, 3):
             coefs = np.ones((lanes, lams.size, 2))
             for p in (1.5, 2.0, math.inf):
-                norms = measures._window_norm(lams, coefs, p, WindowGrid(), 2.0 * math.pi)
+                norms = measures._window_norm(lams, coefs, p, WindowGrid(), 2.0 * math.pi, _lattice(lams))
                 assert norms.shape == (lanes,)
                 assert np.all(norms > 0.0) if lams.size else norms.tolist() == [0.0] * lanes
             u = np.linspace(0.0, 1.0, 5)[None, :]
             for means in (
                 measures._gram_means(lams, coefs, math.pi),
-                measures._lag_means(measures._pair_lags(lams), coefs, math.pi),
+                measures._lag_means(measures._pair_lags(lams, _lattice(lams)), coefs, math.pi),
             ):
                 assert means(u).shape == (lanes, 5) and means(np.ones((lanes, 1))).shape == (lanes, 1)
                 assert lams.size or not means(u).any()
