@@ -198,23 +198,22 @@ class TestStepanovNorm:
         with pytest.raises(ValueError):
             stepanov_norm(COS, 1.0)
 
-    def test_span_of_a_near_lattice_is_the_cap(self):
-        # Euclid's step 1 misses 3.0000000001 by 1e-10, below its tolerance,
-        # but the refit step misses 1 by 3e-11 (over 2 ulps): no lattice, so
-        # the cap, where the former rule gave 2 pi
-        terms = [(lam, 1.0, 0.0) for lam in (1.0, 3.0000000001)]
-        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, terms))
-        assert float_gcd_span(f, WindowGrid()) == 2.0 * math.pi
-        assert resolve_span(f, WindowGrid()) == 64.0 * 2.0 * math.pi
-
-    def test_span_of_integers_beyond_the_tolerance_is_the_cap(self):
-        # the gcd 1 lies below 1e-9 of 2e9: Euclid ends on the step 2e9, which
-        # the former rule took (a span of 2 pi / 2e9); it rounds 1 to m = 0,
-        # so there is no lattice and the span is the cap
-        terms = [(lam, 1.0, 0.0) for lam in (1.0, 2e9)]
-        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, terms))
+    @pytest.mark.parametrize(
+        "freqs, former",
+        [
+            # a near-lattice: Euclid's step 1 misses 3.0000000001 by 1e-10,
+            # below its tolerance, but the refit step misses 1 by 3e-11
+            ((1.0, 3.0000000001), 2.0 * math.pi),
+            # integers whose gcd 1 lies below 1e-9 of 2e9: Euclid ends on the
+            # step 2e9, which rounds 1 to m = 0
+            ((1.0, 2e9), 2.0 * math.pi / 2e9),
+        ],
+    )
+    def test_span_without_a_lattice_is_the_cap(self, freqs, former):
+        # no lattice, so the cap, where the former rule took Euclid's step
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(lam, 1.0, 0.0) for lam in freqs]))
         assert f.spectrum.lattice is None
-        assert float_gcd_span(f, WindowGrid()) == 2.0 * math.pi / 2e9
+        assert float_gcd_span(f, WindowGrid()) == former
         assert resolve_span(f, WindowGrid()) == 64.0 * 2.0 * math.pi
 
     @settings(max_examples=200, deadline=None)

@@ -221,6 +221,10 @@ class TestLattice:
         assert (m * g).tolist() == freqs
 
     @settings(max_examples=200, deadline=None)
+    # two draws whose Euclid step drifts past its tolerance without the
+    # refit after each frequency
+    @example(k=[554, 576, 699, 812], step=0.020783507547225254, digits=1, numerator=509, decimal=False)
+    @example(k=[554, 576, 699, 812], step=1.0, digits=1, numerator=509, decimal=True)
     @given(
         k=index_sets,
         step=st.floats(1e-3, 1e3),
