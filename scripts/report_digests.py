@@ -5,8 +5,12 @@ where the config has a matrix.  Then print one sha256 per matrix family
 (Cesaro, riesz at exponents 1 and 0.5 and with weights, osc-gm2 at c = 2
 and 4) over the reprs of its rows 0..256 and of their four class constants,
 and one sha256 per builtin spectrum (smooth, lacunary, irrational) over the
-repr of its kernel-route cutoff table at k = 1..128 and three x, and one
-over the repr of its p = 2 translate moduli omega(pi/(k+1)), k = 0..63.
+repr of its kernel-route cutoff table at k = 1..128 and three x, one
+over the repr of its p = 2 translate moduli omega(pi/(k+1)), k = 0..63, one
+each over those moduli at p = 1.5 and p = inf (the refined sups at finite
+p other than 2 and at inf), and one over its p = inf pointwise and
+shifted-difference ``moduli`` at x = 0.7 on the default sample plan, the
+plan's points as widths and +- each point as shifts.
 
 Run it on two commits and diff the output to check that a change keeps
 every output byte-identical:
@@ -28,7 +32,7 @@ from apsum.cli import main as apsum
 from apsum.experiment import ExperimentConfig, builtin_matrices, builtin_spectra
 from apsum.kernels import partial_sum_kernel_table
 from apsum.matrices import class_membership
-from apsum.measures import modulus_omega
+from apsum.measures import SamplePlan, modulus_omega, moduli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -46,6 +50,10 @@ KERNEL_SPECTRA = ("smooth", "lacunary", "irrational")
 KERNEL_KS = range(1, 129)
 KERNEL_XS = (0.0, 0.7, 2.9)
 OMEGA_DELTAS = [math.pi / (k + 1) for k in range(64)]
+# The p of the omega lines: '<label> <builtin> <sha256>'.
+OMEGA_PS = (("omega", 2.0), ("omega-p1.5", 1.5), ("omega-pinf", math.inf))
+MODULI_X = 0.7
+MODULI_PLAN = SamplePlan.default()
 
 
 def _sha256(path: Path) -> str:
@@ -88,10 +96,18 @@ def kernel_digest(builtin: str) -> str:
     return f"kernels {builtin} {hashlib.sha256(repr(table.tolist()).encode()).hexdigest()}"
 
 
-def omega_digest(builtin: str) -> str:
-    """'omega <builtin> <sha256>' over the p = 2 translate moduli."""
-    omega = modulus_omega(builtin_spectra(builtin), OMEGA_DELTAS, 2.0)
-    return f"omega {builtin} {hashlib.sha256(repr(omega.tolist()).encode()).hexdigest()}"
+def omega_digest(label: str, p: float, builtin: str) -> str:
+    """'<label> <builtin> <sha256>' over the translate moduli at p."""
+    omega = modulus_omega(builtin_spectra(builtin), OMEGA_DELTAS, p)
+    return f"{label} {builtin} {hashlib.sha256(repr(omega.tolist()).encode()).hexdigest()}"
+
+
+def moduli_digest(builtin: str) -> str:
+    """'moduli-pinf <builtin> <sha256>' over the p = inf moduli."""
+    shifts = [s * g for g in MODULI_PLAN.points for s in (1.0, -1.0)]
+    point, shifted = moduli(builtin_spectra(builtin), MODULI_X, MODULI_PLAN.points, shifts, math.inf)
+    text = repr((point.tolist(), shifted.tolist()))
+    return f"moduli-pinf {builtin} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
 def main() -> int:
@@ -101,8 +117,11 @@ def main() -> int:
         print(matrix_digest(*family))
     for builtin in KERNEL_SPECTRA:
         print(kernel_digest(builtin))
+    for label, p in OMEGA_PS:
+        for builtin in KERNEL_SPECTRA:
+            print(omega_digest(label, p, builtin))
     for builtin in KERNEL_SPECTRA:
-        print(omega_digest(builtin))
+        print(moduli_digest(builtin))
     return 0
 
 

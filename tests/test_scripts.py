@@ -39,7 +39,8 @@ def test_report_digests_repeat(capsys):
     names = {line.split()[1] for line in first}
     assert {"report.json", "strong-mean.csv"} <= names
     assert sum(line.startswith("matrices ") for line in first) == 6
-    for layer in ("kernels", "omega"):
+    assert len(first) == 43
+    for layer in ("kernels", "omega", "omega-p1.5", "omega-pinf", "moduli-pinf"):
         assert [line.split()[1] for line in first if line.startswith(layer + " ")] == [
             "smooth",
             "lacunary",
