@@ -7,10 +7,14 @@ The windowed p-norm of a bounded quasi-periodic function is
 
 a sup over sampled u, so an approximation from below.  Every refined sup
 here (N_p and the p = inf moduli) comes from one routine: the largest grid
-sample, raised by a golden-section search within a grid step of it.  Many
-sups (the shifts of a translate modulus, the integrands of one pointwise
-delta) are lanes of one lockstep search with one step count, so each lane
-returns what it would alone.  On top of N_p sits the translate modulus,
+sample, raised by a safeguarded Newton search on the derivative within a
+grid step of it, which each means function gives with its values (a jet:
+M, M', M'').  A step of width 2h around the sample is split into
+S = ceil(8 h W / pi) parts for the top frequency W of the means, one
+search each.  Many sups (the shifts of a translate modulus, the integrands
+of one pointwise delta) are lanes of one lockstep search in which each
+lane takes its own steps and stops on its own, so each lane returns what
+it would alone.  On top of N_p sits the translate modulus,
 whose shifts share one window setup
 
     omega(delta) = sup_{|t| <= delta} N_p(f(.+t) - f),
@@ -210,6 +214,8 @@ class WindowGrid:
     lags when K <= 5N (dense lattices, K = 2N + 1 for l_j = j g, and every
     spectrum of at most four terms), else a quadratic form in the window
     Gram.  Other finite p use the fixed ``WINDOW_PANELS`` x 8-node rule.
+    With ``refine`` the best start is raised by a Newton search on the
+    means' u-derivative within one sample step (``_sampled_sup``).
     """
 
     u_samples: int = 512
@@ -311,49 +317,86 @@ def _unit_exponents(rows: np.ndarray) -> np.ndarray:
     return np.where(np.abs(e) > 255, e, 0)
 
 
-# 1/phi = (sqrt 5 - 1)/2: the share of its bracket a golden-section step keeps.
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# |M'| at or below this share of W sum |A_w|, the largest slope of a mean M
+# of top frequency W and coefficient mass sum |A_w|, is rounding, and so is
+# M'' at or below this share of W^2 sum |A_w|: a lane there that is not at
+# a minimum is flat or at its maximum, and stops.
+_FLAT_SLOPE = 1e-13
+# At most this many sub-brackets per lane: a wider bracket holds more than
+# one top period 2 pi / W, on a grid too coarse for the lanes' top frequency
+# (non-lattice many-term spectra on the default grid), and S sub-brackets
+# cost S lanes of points per call (thm2 on 128 non-lattice terms, S = 384
+# uncapped: 0.19-0.23 s at the former golden-section search, 0.23-0.25 s
+# at 8 sub-brackets, 0.39 s at 16).
+_MAX_SUBS = 8
 
 
-def _golden_max(func, a, b, steps):
-    """Largest value found by ``steps`` golden-section steps on each lane
-    bracket [a, b], shaped (L,), run in lockstep.  func maps points shaped
-    (L,), one per lane, to values shaped (L,).  Every lane takes the same
-    steps within its own bracket, so it returns what its one-lane call does."""
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = func(c), func(d)
-    for _ in range(steps):
-        left = fc >= fd  # a maximum lies in [a, d], else in [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
-        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        fx = func(x)
-        c, fc = np.where(left, x, kept), np.where(left, fx, fkept)
-        d, fd = np.where(left, kept, x), np.where(left, fkept, fx)
-    return np.maximum(fc, fd)
-
-
-def _sampled_sup(g, t, h, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
+def _sampled_sup(g, t, h, freq, mass, lo=-math.inf, hi=math.inf, xatol=1e-10, refine=True):
     """Sampled sup of each lane of g, shape (L,).  g maps points shaped
-    (L, n), or (1, n) for points the lanes share, to values shaped (L, n).
+    (L, n), or (1, n) for points the lanes share, to values shaped (L, n);
+    ``g(s, jet=True)`` gives the values, first and second derivatives at
+    points s shaped (L, m), each (L, m).  ``freq`` is the top frequency W of
+    the lanes and ``mass`` (L,) each lane's coefficient mass, which scale
+    the slope at which a lane counts as flat (``_FLAT_SLOPE``).
+
     A lane's sup is the largest of its grid values g(t), raised by a
-    golden-section search within one grid step h of its argument, clipped
-    to [lo, hi]; without ``refine`` the largest grid value alone.  The step
-    count shrinks a bracket of width 2h to ``xatol``; a clipped bracket is
-    only narrower."""
+    safeguarded Newton search on g' within one grid step h of its argument,
+    clipped to [lo, hi]; without ``refine`` the largest grid value alone.
+    The bracket is split into S = ceil(8 h W / pi) sub-brackets, each at
+    most an eighth of the top period 2 pi / W wide (S at most
+    ``_MAX_SUBS``), and each is searched
+    from its midpoint (from the grid argument when S = 1): a Newton step
+    while g'' < 0 and the step stays inside the part of the sub-bracket
+    left by the signs of g' seen so far, else a jump to the sub-bracket's
+    end when g' has kept its sign towards it (the end is read), else a
+    bisection.  A lane stops once its step falls below ``xatol``, or once
+    g' is flat and it is not at a minimum; every lane takes its own steps,
+    so it returns what its one-lane call does."""
     vals = g(t[None, :])
     best = np.argmax(vals, axis=-1)
     peak = np.take_along_axis(vals, best[:, None], axis=-1)[:, 0]
     if not refine:
         return peak
-    steps = max(0, math.ceil(math.log(xatol / (2.0 * h)) / math.log(_INV_PHI)))
-    top = _golden_max(
-        lambda s: g(s[:, None])[:, 0],
-        np.maximum(lo, t[best] - h),
-        np.minimum(hi, t[best] + h),
-        steps,
-    )
+    start = t[best][:, None]
+    a, b = np.maximum(lo, start - h), np.minimum(hi, start + h)
+    subs = min(_MAX_SUBS, max(1, math.ceil(8.0 * h * freq / math.pi)))
+    edges = np.concatenate([a + (b - a) * (np.arange(subs) / subs), b], axis=1)
+    a0, b0 = edges[:, :-1], edges[:, 1:]
+    x = start if subs == 1 else 0.5 * (a0 + b0)
+    flat = _FLAT_SLOPE * freq * np.reshape(mass, (-1, 1))
+    left, right = a0, b0
+    open_lo = open_hi = np.ones(x.shape, dtype=bool)  # the end is not yet read
+    live = np.ones(x.shape, dtype=bool)
+    # bisection alone shrinks a sub-bracket to xatol in ``steps``
+    steps = max(1, math.ceil(math.log2(2.0 * h / (subs * xatol))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on flat or empty lanes
+        m, d1, d2 = g(x, jet=True)
+        found = np.where(x == start, -math.inf, m)  # the grid argument's value is the peak
+        for _ in range(2 * steps):
+            live &= (np.abs(d1) > flat) | (d2 > freq * flat)
+            up = d1 > 0.0  # the maximum lies to the right of x
+            left, right = np.where(up, x, left), np.where(up, right, x)
+            open_lo, open_hi = open_lo & ~up & (x != a0), open_hi & up & (x != b0)
+            newton = x - d1 / d2
+            inside = (d2 < 0.0) & (left < newton) & (newton < right)
+            jump = ~inside & np.where(up, open_hi, open_lo)
+            nx = np.where(inside, newton, np.where(jump, np.where(up, right, left), 0.5 * (left + right)))
+            live &= jump | (np.abs(nx - x) >= xatol)
+            if not live.any():
+                break
+            x = np.where(live, nx, x)
+            m, d1, d2 = g(x, jet=True)
+            found = np.where(live, np.maximum(found, m), found)
+    top = found.max(axis=1)
     return np.where(top > peak, top, peak)
+
+
+def _jet_rows(lams: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """The cos/sin rows (3, ..., N, 2) of f, f' and f'' for the rows
+    ``coefs`` (..., N, 2) of f at the frequencies ``lams``: each term's
+    (c, s), l (s, -c) and -l^2 (c, s), to sum with ``_trig_sum``."""
+    c, s = coefs[..., 0], coefs[..., 1]
+    return np.stack([coefs, lams[:, None] * np.stack([s, -c], axis=-1), -(lams**2)[:, None] * coefs])
 
 
 # The p = 2 window means take the lag route when the N frequencies have at
@@ -370,16 +413,23 @@ def _gram_means(lams: np.ndarray, unit: np.ndarray, length: float):
     ``unit`` (L, N, 2): the mean at u is k^T G k for the 2N cos/sin
     coefficients k(u) of the window and the window Gram G.  k is built as
     (L, 2N, n) with the n sample points u last and contiguous, and the
-    means are ``((G @ k) * k).sum(axis=1)``.  Returns the means function
-    of ``_sampled_sup``."""
+    means are ``((G @ k) * k).sum(axis=1)``; k' = l (k_sin, -k_cos) and
+    k'' = -l^2 k give M' = 2 k'^T G k and M'' = 2 (k''^T G k + k'^T G k').
+    Returns the means function of ``_sampled_sup``."""
     gram = _trig_gram(lams, length)
     cc, sc = unit[:, :, 0, None], unit[:, :, 1, None]
+    both = np.concatenate([lams, lams])[:, None]
 
-    def means(u):
+    def means(u, jet=False):
         lu = lams[:, None] * u[:, None, :]
         c, s = np.cos(lu), np.sin(lu)
         k = np.concatenate([cc * c + sc * s, sc * c - cc * s], axis=1)
-        return ((gram @ k) * k).sum(axis=1)
+        if not jet:
+            return ((gram @ k) * k).sum(axis=1)  # numpy reuses the unnamed product
+        gk = gram @ k
+        dk = both * np.concatenate([k[:, lams.size :], -k[:, : lams.size]], axis=1)
+        second = ((gram @ dk) * dk).sum(axis=1) - (both**2 * gk * k).sum(axis=1)
+        return (gk * k).sum(axis=1), 2.0 * (gk * dk).sum(axis=1), 2.0 * second
 
     return means
 
@@ -409,10 +459,12 @@ def _lag_means(pairs: tuple[np.ndarray, np.ndarray], unit: np.ndarray, length: f
               at difference lags w, pairs j < k counted twice),
 
     with the window mean E(w) = (1/L) int_0^L e^{i w tau} dtau.  The
-    (L, 2K) lag table holds (Re A, -Im A) / 2, and the means at u are that
-    row times the cos/sin basis of the lags at u, shaped (2K, n) with the
-    points last; the basis is built once for points the lanes share.
-    Returns the means function of ``_sampled_sup``."""
+    (L, 2K) lag table holds (a, b) = (Re A, -Im A) / 2, and the means at u
+    are that row times the cos/sin basis of the lags at u, shaped (2K, n)
+    with the points last; the basis is built once for points the lanes
+    share.  The rows w (b, -a) and -w^2 (a, b) of the same table give M'
+    and M'' on the same basis.  Returns the means function of
+    ``_sampled_sup``."""
     lags, at = pairs
     lanes = len(unit)
     j, k = np.triu_indices(unit.shape[1])
@@ -430,11 +482,16 @@ def _lag_means(pairs: tuple[np.ndarray, np.ndarray], unit: np.ndarray, length: f
     sr, si = (np.bincount(bins, part.ravel(), size).reshape(lanes, lags.size) for part in (re, im))
     wl = lags * length
     er, ei = 1.0 - _one_minus_sinc(wl), _sin_mean(wl)
-    rows = 0.5 * np.concatenate([sr * er - si * ei, -(sr * ei + si * er)], axis=1)[:, None, :]
+    a, b = 0.5 * (sr * er - si * ei), -0.5 * (sr * ei + si * er)
+    rows = np.concatenate([a, b], axis=1)[:, None, :]
+    jets = np.stack([rows[:, 0], np.concatenate([lags * b, -lags * a], axis=1), -np.tile(lags**2, 2) * rows[:, 0]], axis=1)
 
-    def means(u):
+    def means(u, jet=False):
         wu = lags[:, None] * u[:, None, :]
-        return np.matmul(rows, np.concatenate([np.cos(wu), np.sin(wu)], axis=1))[:, 0, :]
+        basis = np.concatenate([np.cos(wu), np.sin(wu)], axis=1)
+        if jet:
+            return tuple(np.matmul(jets, basis).swapaxes(0, 1))
+        return np.matmul(rows, basis)[:, 0, :]
 
     return means
 
@@ -456,6 +513,23 @@ def _window_means(lams: np.ndarray, unit: np.ndarray, length: float, lattice: tu
     if _lag_route(lams, pairs):
         return _lag_means(pairs, unit, length)
     return _gram_means(lams, unit, length)
+
+
+def _power_jet(wts: np.ndarray, fs: np.ndarray, p: float) -> tuple:
+    """The window mean M = (sum w |f|^p)^(1/p) over the last axis of
+    f = fs[0] (``power_mean``), and M' and M'' from f' = fs[1] and
+    f'' = fs[2]: with v = |f| / max |f|, S0 = sum w v^p,
+    S1 = sum w v^(p-1) sgn(f) f' and
+    S2 = sum w ((p - 1) v^(p-2) f'^2 / max |f| + v^(p-1) sgn(f) f''),
+    M' = S0^(1/p - 1) S1 and M'' = S0^(1/p - 1) (S2 - (p - 1) S1^2 / (S0 max |f|))."""
+    f, d1, d2 = fs
+    top = np.max(np.abs(f), axis=-1, keepdims=True)
+    v, sign = np.abs(f) / top, np.sign(f)
+    vp = v ** (p - 1.0)
+    s0, s1 = (wts * vp * v).sum(axis=-1), (wts * vp * sign * d1).sum(axis=-1)
+    s2 = (wts * ((p - 1.0) * v ** (p - 2.0) * d1**2 / top + vp * sign * d2)).sum(axis=-1)
+    k = s0 ** (1.0 / p - 1.0)
+    return power_mean(wts, f, p), k * s1, k * (s2 - (p - 1.0) * s1**2 / (s0 * top[..., 0]))
 
 
 def _window_norm(
@@ -481,27 +555,44 @@ def _window_norm(
     inf = math.isinf(p)
     if p == 2.0:
         scale = _unit_exponents(coefs)
-        means = _window_means(lams, np.ldexp(coefs, -scale[:, None, None]), grid.window_length, lattice)
-
-    elif inf:
-
-        def means(u):
-            return np.abs(_trig_sum(lams, coefs[:, None], u))
-
+        unit = np.ldexp(coefs, -scale[:, None, None])
+        means = _window_means(lams, unit, grid.window_length, lattice)
+        mass = np.hypot(unit[..., 0], unit[..., 1]).sum(axis=-1) ** 2
     else:
+        mass = np.hypot(coefs[..., 0], coefs[..., 1]).sum(axis=-1)
+        rows = _jet_rows(lams, coefs)
+
+    if inf:
+
+        def means(u, jet=False):
+            if not jet:
+                return np.abs(_trig_sum(lams, coefs[:, None], u))
+            f, d1, d2 = _trig_sum(lams, rows[:, :, None], u)
+            sign = np.sign(f)
+            return np.abs(f), sign * d1, sign * d2
+
+    elif p != 2.0:
         offs, wts = _gl_panels(0.0, grid.window_length, WINDOW_PANELS)
         wts = wts / grid.window_length
 
-        def means(u):
+        def means(u, jet=False):
             u = np.broadcast_to(u, (len(coefs),) + u.shape[1:])
-            return np.array([
-                power_mean(wts, _trig_sum(lams, c, np.add.outer(v, offs)), p)
-                for c, v in zip(coefs, u)
-            ]).reshape(u.shape)
+            if not jet:
+                return np.array([
+                    power_mean(wts, _trig_sum(lams, c, np.add.outer(v, offs)), p)
+                    for c, v in zip(coefs, u)
+                ]).reshape(u.shape)
+            out = np.array([
+                _power_jet(wts, _trig_sum(lams, r[:, None, None], np.add.outer(v, offs)), p)
+                for r, v in zip(rows.swapaxes(0, 1), u)
+            ])
+            return tuple(out.reshape((len(coefs), 3) + u.shape[1:]).swapaxes(0, 1))
 
     n = max(8 * grid.u_samples, 2048) if inf else grid.u_samples
     u = np.linspace(0.0, span, n, endpoint=False)
-    top = _sampled_sup(means, u, span / n, xatol=1e-10 if inf else 1e-9, refine=grid.refine)
+    # |f|^p, |f|^2 and |f| oscillate at up to twice the top frequency of f
+    freq = 2.0 * float(lams.max(initial=0.0))
+    top = _sampled_sup(means, u, span / n, freq, mass, xatol=1e-10 if inf else 1e-9, refine=grid.refine)
     if p != 2.0:
         return top
     return np.ldexp(np.maximum(top, 0.0) ** 0.5, scale)
@@ -518,7 +609,8 @@ def stepanov_norm(f: QuasiPeriodicFunction, p: float, grid: WindowGrid | None = 
     trigonometric polynomial sum_w a_w cos(w u) + b_w sin(w u) (the lag
     route, taken when K <= 5N).  Other p use ``WINDOW_PANELS``
     Gauss-Legendre panels of ``GL_NODES`` nodes.  With ``grid.refine`` a
-    bracketed scalar maximization sharpens the best sample.
+    safeguarded Newton search on the window mean's u-derivative, which each
+    route gives in closed form, sharpens the best sample.
     """
     grid = grid or WindowGrid()
     spec = f.spectrum
@@ -637,19 +729,32 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
             return point, np.zeros((deltas.size, 0))
         factors = _shift_factors(lams, shifts)
         return point, _shifted_means(amps, scale, factors, _trig_gram(lams, deltas))
-    # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|
-    def lanes(t):
+    # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|, with
+    # phi_x(t) = sum 2 g(x) (cos(l t) - 1): the rows (2 g, 0) give its
+    # derivatives
+    lams, twice = f.spectrum.freqs, 2.0 * f.term_values(x)
+    rows = _jet_rows(lams, np.stack([twice, np.zeros_like(twice)], axis=-1))[1:, None, None]
+    # |phi_x| oscillates at up to twice the top frequency, and each lane's
+    # coefficient mass is at most twice sum 2 |g(x)|
+    freq, mass = 2.0 * float(lams.max(initial=0.0)), 2.0 * float(np.abs(twice).sum())
+
+    def lanes(t, jet=False):
         t = np.broadcast_to(t, (1 + shifts.size, t.shape[1]))
         vals = f.second_difference(x, t)
         vals[1:] -= f.second_difference(x, t[1:] + shifts[:, None])
-        return np.abs(vals)
+        if not jet:
+            return np.abs(vals)
+        d = _trig_sum(lams, rows, t)
+        d[:, 1:] -= _trig_sum(lams, rows, t[1:] + shifts[:, None])
+        sign = np.sign(vals)
+        return np.abs(vals), sign * d[0], sign * d[1]
 
     point = np.empty(deltas.size)
     shifted = np.empty((deltas.size, shifts.size))
     for j, d in enumerate(deltas.tolist()):
         if math.isinf(p):
             ts = np.linspace(0.0, d, 512)
-            means = _sampled_sup(lanes, ts, d / 511, 0.0, d)
+            means = _sampled_sup(lanes, ts, d / 511, freq, mass, 0.0, d)
         else:
             # phi_x once, then one lane at a time, so that no (1 + M, nodes)
             # table and its temporaries are held at once

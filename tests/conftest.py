@@ -2,6 +2,9 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
+
+from apsum import measures
 from apsum.spectra import QuasiPeriodicFunction, Spectrum, _difference_rows
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
@@ -39,6 +42,29 @@ def translate_difference(f, t: float):
     lams, rows = _difference_rows(f.spectrum, t)
     terms = zip(lams.tolist(), *rows.T.tolist())
     return QuasiPeriodicFunction(Spectrum.from_cos_sin(f.spectrum.alpha, terms))
+
+
+def spy_searches(monkeypatch) -> list[dict]:
+    """Record each ``measures._sampled_sup`` search made while ``monkeypatch``
+    holds: one dict per search with its means ``g``, its arguments, the
+    points of each of its jet calls (``jets``) and its result (``sup``)."""
+    searches = []
+    search = measures._sampled_sup
+
+    def spy(g, t, h, freq, mass, *args, **kwargs):
+        jets = []
+
+        def counted(u, jet=False):
+            if jet:
+                jets.append(np.array(u))
+            return g(u, jet=jet)
+
+        out = search(counted, t, h, freq, mass, *args, **kwargs)
+        searches.append(dict(g=g, t=t, h=h, freq=freq, mass=mass, args=args, kwargs=kwargs, jets=jets, sup=out))
+        return out
+
+    monkeypatch.setattr(measures, "_sampled_sup", spy)
+    return searches
 
 
 def head_tail_bounded(records, head_end: int, factor: float) -> bool:

@@ -22,7 +22,7 @@ from apsum.matrices import MatrixError, class_constants, explicit_matrix
 from apsum.spectra import QuasiPeriodicFunction, validate_spectrum
 from apsum.strong_means import strong_mean_rows, sweep_rows
 
-from conftest import PREFIX_RTOL, record_verdicts
+from conftest import PREFIX_RTOL, record_verdicts, spy_searches
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -754,17 +754,13 @@ class TestRun:
         assert setups == ["_lag_means"]
 
     def test_thm2_config_runs_one_search(self, monkeypatch):
-        # every translate-modulus shift is a lane of one golden-section search
-        lanes = []
-        search = measures._golden_max
-
-        def counted(func, a, b, *args):
-            lanes.append(len(a))
-            return search(func, a, b, *args)
-
-        monkeypatch.setattr(measures, "_golden_max", counted)
+        # every translate-modulus shift is a lane of one Newton search, which
+        # starts each lane once, at its grid argument, and ends within 4 jet
+        # calls (a fall-back to bisection would take about 25)
+        searches = spy_searches(monkeypatch)
         run(ExperimentConfig.from_file(CONFIGS / "thm2_cesaro_smooth.json"))
-        assert lanes == [52]
+        assert [s["jets"][0].shape for s in searches] == [(52, 1)]
+        assert len(searches[0]["jets"]) <= 4
 
     def test_config_echo_round_trips(self):
         cfg = make_config(q=[1.0], n_range=[1, 6], blowup_head=6)

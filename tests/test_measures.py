@@ -25,10 +25,10 @@ from apsum.measures import (
     stepanov_norm,
 )
 from apsum import measures
-from apsum.experiment import builtin_spectra
+from apsum.experiment import ExperimentConfig, builtin_spectra, run
 from apsum.spectra import QuasiPeriodicFunction, Spectrum, SpectrumEntry, _gl_panels, _lattice, power_mean
 
-from conftest import scaled, translate_difference
+from conftest import scaled, spy_searches, translate_difference
 
 COS = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, 1.0, 0.0)]))
 CONST = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(0.0, 1.0, 0.0)]))
@@ -668,14 +668,19 @@ def lattice_slack(lams, unit, length, u):
 
 def window_search(lams, coefs, grid, span, means=None):
     """The p = 2 window norms of the rows, and the window-mean function
-    their sampled-sup search ran on; with ``means`` given, the search runs
-    on it in place of the code's own."""
+    their sampled-sup search ran on; with ``means`` given, the search reads
+    its values in place of the code's own, and takes its steps from the
+    code's derivatives, so that the two searches part by rounding only."""
     seen = []
     sup = measures._sampled_sup
 
     def spy(g, *args, **kwargs):
         seen.append(g)
-        return sup(means or g, *args, **kwargs)
+
+        def borrowed(u, jet=False):
+            return (means(u), *g(u, jet=True)[1:]) if jet else means(u)
+
+        return sup(borrowed if means else g, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_sampled_sup", spy)
@@ -800,11 +805,11 @@ class TestWindowLayout:
                 return old_layout_means(lams, unit[:, None, :, 0], unit[:, None, :, 1], gram, v)
 
         # the norms, as squared unit-scaled means, against a search on the
-        # oracle: the grid peaks to the bound above; a refined search stops
-        # anywhere within its final bracket, xatol = 1e-9 wide, where two
-        # searches on means that differ by rounding can part, so the refined
-        # sups may differ by (1/2) max|f''| xatol^2 more, where
-        # |f''| <= 16 l_max^2 (sum r)^2 for the amplitudes r of the rows
+        # oracle's values: the grid peaks to the bound above; a refined
+        # search stops within xatol = 1e-9 of where the other does, as their
+        # values differ by rounding, so the refined sups may differ by
+        # (1/2) max|f''| xatol^2 more, where |f''| <= 16 l_max^2 (sum r)^2
+        # for the amplitudes r of the rows
         top = oracle(np.linspace(0.0, span, u_samples, endpoint=False)[None, :]).max(axis=1)
         rtol = 1e-14 + (lag_phase_slack(span + 1.0, length) if lagged else 0.0)
         r = np.hypot(unit[..., 0], unit[..., 1]).sum(axis=1)
@@ -886,22 +891,155 @@ class TestLatticeRoute:
 def trig_lanes(coefs, lams):
     """One trig polynomial per lane: points s shaped (L, n), or (1, n) for
     points the lanes share, -> sum_k a cos(l s) + b sin(l s) of each lane,
-    summed term by term, so a lane's value does not depend on the others."""
+    summed term by term, so a lane's value does not depend on the others;
+    with ``jet``, its first and second derivatives too."""
 
-    def values(s):
-        out = np.zeros(np.broadcast_shapes(s.shape, (len(lams), 1)))
+    def values(s, jet=False):
+        out = np.zeros((3,) + np.broadcast_shapes(s.shape, (len(lams), 1)))
         for k in range(lams.shape[1]):
             a, b, l = coefs[:, k, 0, None], coefs[:, k, 1, None], lams[:, k, None]
-            out += a * np.cos(l * s) + b * np.sin(l * s)
-        return out
+            c, si = np.cos(l * s), np.sin(l * s)
+            out[0] += a * c + b * si
+            out[1] += l * (b * c - a * si)
+            out[2] -= l * l * (a * c + b * si)
+        return tuple(out) if jet else out[0]
 
     return values
 
 
+# 1/phi = (sqrt 5 - 1)/2: the share of its bracket a golden-section step keeps.
+INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def golden_max(func, a, b, steps):
+    """Largest value found by ``steps`` golden-section steps on each lane
+    bracket [a, b], shaped (L,), run in lockstep.  func maps points shaped
+    (L,), one per lane, to values shaped (L,)."""
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = func(c), func(d)
+    for _ in range(steps):
+        left = fc >= fd  # a maximum lies in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - INV_PHI * (b - a), a + INV_PHI * (b - a))
+        fx = func(x)
+        c, fc = np.where(left, x, kept), np.where(left, fx, fkept)
+        d, fd = np.where(left, kept, x), np.where(left, fkept, fx)
+    return np.maximum(fc, fd)
+
+
+def golden_sup(search):
+    """The former refine of ``_sampled_sup`` on a search recorded by
+    ``spy_searches``, the oracle of its Newton refine: each lane's grid
+    peak, raised by golden-section steps within one grid step h of its
+    argument, clipped to [lo, hi], the step count shrinking 2h to
+    ``xatol``; and the grid peak."""
+    g, t, h = search["g"], search["t"], search["h"]
+    lo, hi = (search["args"] + (-math.inf, math.inf))[:2]
+    xatol = search["kwargs"].get("xatol", 1e-10)
+    vals = g(t[None, :])
+    best = np.argmax(vals, axis=-1)
+    peak = np.take_along_axis(vals, best[:, None], axis=-1)[:, 0]
+    steps = max(0, math.ceil(math.log(xatol / (2.0 * h)) / math.log(INV_PHI)))
+    top = golden_max(lambda s: g(s[:, None])[:, 0], np.maximum(lo, t[best] - h), np.minimum(hi, t[best] + h), steps)
+    return np.where(top > peak, top, peak), peak
+
+
+# smooth-thm2's spectrum at seed 7, sample 0 (the benchmark workload's
+# phases) and its thm2 run
+def thm2_workload_config():
+    phases = np.random.default_rng([7, 0]).uniform(0.0, 2.0 * math.pi, 2)
+    entries = [
+        {"lambda": lam, "cos": m * math.cos(ph), "sin": -m * math.sin(ph)}
+        for lam, m, ph in zip([1.0, 10.0], [1.0, 0.1], phases.tolist())
+    ]
+    return ExperimentConfig.from_dict({
+        "spectrum": {"alpha": 1.0, "entries": entries},
+        "theorem": "thm2",
+        "matrix": {"builtin": "cesaro"},
+        "p": 2.0,
+        "q": [2.0],
+        "n_range": [1, 24],
+        "x_samples": 16,
+    })
+
+
+class TestNewtonRefine:
+    """The Newton refine of ``_sampled_sup`` against the golden-section
+    search it replaced (``golden_sup``), which it must not read below."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        periodic=st.booleans(),
+        p=st.sampled_from([1.5, 2.0, math.inf]),
+        u_samples=st.sampled_from([40, 512]),
+        deltas=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=2),
+    )
+    def test_at_least_golden(self, seed, periodic, p, u_samples, deltas):
+        # the translate differences of modulus_omega, one lane each: the
+        # sup is at least the grid peak, exactly, and at least the golden
+        # result less 1e-13 relative at p = 2 and inf.  At other finite p
+        # the window rule's error ripples in u, and the two searches may
+        # stop at different micro-maxima: ``RIPPLE_RTOL`` there.  Each grid
+        # step holds at most ``_MAX_SUBS`` eighths of the top period: 40 or
+        # 512 samples over the period of a periodic_function, 2048 over the
+        # 64 periods of the slowest frequency that a random_function spans.
+        # On coarser grids a bracket holds several maxima, and either search
+        # may stop at a lower one
+        f = (periodic_function if periodic else random_function)(seed)
+        grid = WindowGrid(u_samples=u_samples if periodic else 2048)
+        with pytest.MonkeyPatch.context() as mp:
+            searches = spy_searches(mp)
+            modulus_omega(f, deltas, p, grid)
+        (search,) = searches
+        assert 8.0 * search["h"] * search["freq"] / math.pi <= measures._MAX_SUBS
+        golden, peak = golden_sup(search)
+        got = search["sup"]
+        assert np.all(got >= peak)
+        rtol = 1e-13 if p in (2.0, math.inf) else RIPPLE_RTOL
+        assert np.all(got >= golden - rtol * np.abs(golden))
+
+    def test_flat_lanes_stop_at_their_grid_peak(self, monkeypatch):
+        # at shifts that are multiples of pi / 5 the term at frequency 10
+        # drops out of the translate difference, and the window mean of the
+        # rest over a window of length pi is constant in u: lanes 31 and 50
+        # of the run's one search.  They stop at their first jet call, on
+        # their grid argument, and return their grid peak
+        searches = spy_searches(monkeypatch)
+        run(thm2_workload_config())
+        (search,) = searches
+        g, t = search["g"], search["t"]
+        vals = g(t[None, :])
+        start = t[np.argmax(vals, axis=-1)][:, None]
+        _, d1, _ = g(start, jet=True)
+        flat = np.abs(d1[:, 0]) <= measures._FLAT_SLOPE * search["freq"] * search["mass"]
+        assert np.flatnonzero(flat).tolist() == [31, 50]
+        assert len(search["jets"]) <= 4
+        assert all(np.array_equal(u[flat], start[flat]) for u in search["jets"])
+        assert search["sup"][flat].tolist() == vals.max(axis=-1)[flat].tolist()
+
+    def test_bracket_end_is_read(self, monkeypatch):
+        # f = cos(x / 2 - c) and one grid sample at u = 0: the window mean
+        # is (1 - (2 / pi) sin(u - 2c)) / 2 on the bracket [-1, 1], with its
+        # maximum at 2c - pi / 2 = 2.5 beyond the end u = 1; the search
+        # reads that end, where the golden-section search stops short of it
+        lams, c = np.array([0.5]), 0.5 * (2.5 + 0.5 * math.pi)
+        coefs = np.array([[[math.cos(c), math.sin(c)]]])
+        searches = spy_searches(monkeypatch)
+        measures._window_norm(lams, coefs, 2.0, WindowGrid(u_samples=1), 1.0, _lattice(lams))
+        (search,) = searches
+        end = search["g"](np.array([[1.0]]))[0, 0]
+        golden, _ = golden_sup(search)
+        assert search["sup"][0] == pytest.approx(end, rel=1e-15, abs=0.0)
+        assert search["sup"][0] > golden[0] and any((u == 1.0).any() for u in search["jets"])
+
+
 class TestBoundedMin:
-    """The bracketed search of ``_sampled_sup`` (a lockstep golden-section
-    search): lanes equal their one-lane calls, and each agrees with scipy's
-    bounded search where its bracket holds one maximum."""
+    """The bracketed search of ``_sampled_sup`` (a lockstep, safeguarded
+    Newton search on each lane's derivative): lanes equal their one-lane
+    calls, and each agrees with scipy's bounded search where its bracket
+    holds one maximum."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -922,7 +1060,7 @@ class TestBoundedMin:
         # scales with |x|, is tightest
         t = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         h = t[1] - t[0]
-        got = measures._sampled_sup(values, t, h, xatol=1e-12)
+        got = measures._sampled_sup(values, t, h, lams.max(), np.abs(coefs).sum(axis=(1, 2)), xatol=1e-12)
         assert got.shape == (lanes,)
         for lane, row in enumerate(values(t[None, :])):
             one = trig_lanes(coefs[lane : lane + 1], lams[lane : lane + 1])
