@@ -367,7 +367,8 @@ def _sampled_sup(g, t, h, freq, mass, lo=-math.inf, hi=math.inf, xatol=1e-10, re
     left, right = a0, b0
     open_lo = open_hi = np.ones(x.shape, dtype=bool)  # the end is not yet read
     live = np.ones(x.shape, dtype=bool)
-    # bisection alone shrinks a sub-bracket to xatol in ``steps``
+    # bisection alone shrinks a sub-bracket to xatol in ``steps``; the Newton
+    # steps and end reads get as many again
     steps = max(1, math.ceil(math.log2(2.0 * h / (subs * xatol))))
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on flat or empty lanes
         m, d1, d2 = g(x, jet=True)
