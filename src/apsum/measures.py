@@ -10,11 +10,11 @@ here (N_p and the p = inf moduli) comes from one routine: the largest grid
 sample, raised by a safeguarded Newton search on the derivative within a
 grid step of it, which each means function gives with its values (a jet:
 M, M', M'').  A step of width 2h around the sample is split into
-S = ceil(8 h W / pi) parts for the top frequency W of the means, one
-search each.  Many sups (the shifts of a translate modulus, the integrands
-of one pointwise delta) are lanes of one lockstep search in which each
-lane takes its own steps and stops on its own, so each lane returns what
-it would alone.  On top of N_p sits the translate modulus,
+S = min(8, ceil(8 h W / pi)) parts for the top frequency W of the means,
+one search each.  Many sups (the shifts of a translate modulus, the
+integrands of one pointwise delta) are lanes of one lockstep search in
+which each lane takes its own steps and stops on its own, so each lane
+returns what it would alone.  On top of N_p sits the translate modulus,
 whose shifts share one window setup
 
     omega(delta) = sup_{|t| <= delta} N_p(f(.+t) - f),
@@ -484,8 +484,9 @@ def _lag_means(pairs: tuple[np.ndarray, np.ndarray], unit: np.ndarray, length: f
     wl = lags * length
     er, ei = 1.0 - _one_minus_sinc(wl), _sin_mean(wl)
     a, b = 0.5 * (sr * er - si * ei), -0.5 * (sr * ei + si * er)
-    rows = np.concatenate([a, b], axis=1)[:, None, :]
-    jets = np.stack([rows[:, 0], np.concatenate([lags * b, -lags * a], axis=1), -np.tile(lags**2, 2) * rows[:, 0]], axis=1)
+    ab = np.concatenate([a, b], axis=1)
+    rows = ab[:, None, :]
+    jets = np.stack([ab, np.concatenate([lags * b, -lags * a], axis=1), -np.tile(lags**2, 2) * ab], axis=1)
 
     def means(u, jet=False):
         wu = lags[:, None] * u[:, None, :]
