@@ -22,6 +22,7 @@ from pathlib import Path
 from .experiment import (
     ConfigError,
     ExperimentConfig,
+    _strict_summary,
     report_to_dict,
     run,
     strong_mean_table,
@@ -95,7 +96,7 @@ def cmd_verify(args) -> int:
         data = dict(cfg.to_dict(), theorem=args.theorem)
         cfg = ExperimentConfig.from_dict(data, Path(args.config).parent)
     report = run(cfg)
-    print(json.dumps(report_to_dict(report)["summary"], sort_keys=True, allow_nan=False))
+    print(json.dumps(_strict_summary(report.summary), sort_keys=True, allow_nan=False))
     return EXIT_OK if report.summary["regression_ok"] else EXIT_TOLERANCE
 
 

@@ -513,15 +513,17 @@ def _echo(value):
     return value
 
 
+def _strict_summary(summary: dict) -> dict:
+    """The run summary as strict JSON, as ``report_to_dict`` writes it."""
+    return dict(summary, max_ratio=_finite(summary["max_ratio"]), argmax=_echo(summary["argmax"]))
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     """The report as strict JSON: no NaN or Infinity anywhere; q = inf is
     echoed as the config writes it."""
-    summary = report.summary
     return {
         "config": _echo(report.config),
-        "summary": dict(
-            summary, max_ratio=_finite(summary["max_ratio"]), argmax=_echo(summary["argmax"])
-        ),
+        "summary": _strict_summary(report.summary),
         "records": [
             {
                 "x": r.x,

@@ -38,9 +38,8 @@ m_x, estimates the smallest constants making
 
 hold on a sample grid, and rescales w so that both are <= 1; then the
 window average obeys |Phi_x(d1, d2)| <= w(d1) + w(d2) (``check_eq7``).
-``moduli`` gives both lhs at every delta and shift of the grid in one call;
-the fit takes every x of a run in one call, and at p = 2 builds the x-free
-Grams of those lhs once for all of them.
+``moduli`` (one x) and the fit (every x of a run) take both lhs from one
+builder, which at p = 2 forms their x-free Grams once for every x.
 
 At p = 2 every window mean above (the u-windows of N_2, m_x and the
 shifted-difference means) is an exact quadratic form in the amplitudes,
@@ -55,6 +54,7 @@ composite Gauss-Legendre quadrature, and Phi_x has a closed form for any p.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -716,21 +716,37 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
     phi_x(t) = sum_nu a_nu (cos(l_nu t) - 1) and
     phi_x(t) - phi_x(t + s) = sum_nu a_nu [(1 - cos(l_nu s)) cos(l_nu t)
     + sin(l_nu s) sin(l_nu t)], with one Gram matrix per delta and one
-    matrix product over all shifts (the private helpers the majorant fit
-    shares).  At finite p each of the 1 + M integrands of a delta is a
-    ``power_mean`` over the quadrature nodes (scaled by its max, so a large
-    p does not overflow); at p = inf all of them are the lanes of one
-    refined grid sup over [0, delta].
+    matrix product over all shifts (the builder the majorant fit shares,
+    ``_moduli_tables``).  At finite p each of the 1 + M integrands of a
+    delta is a ``power_mean`` over the quadrature nodes (scaled by its max,
+    so a large p does not overflow); at p = inf all of them are the lanes
+    of one refined grid sup over [0, delta].
     """
     deltas, shifts = _check_moduli_args(deltas, shifts, p)
+    return _moduli_tables(f, [x], deltas, np.arange(deltas.size), shifts, p)[0]
+
+
+def _moduli_tables(f: QuasiPeriodicFunction, xs, deltas: np.ndarray, at, shifts: np.ndarray, p: float):
+    """Per x of ``xs``: m_x at each of the checked ``deltas`` (D,), and the
+    shifted-difference means of the checked ``shifts`` at each width
+    ``deltas[at]`` (len(at), M).  At p = 2 one phi Gram over ``deltas``
+    serves every x and is dropped before the one trig Gram over
+    ``deltas[at]`` is built; other p take each x on its own."""
     if p == 2.0:
         lams = f.spectrum.freqs
-        amps, scale = _amplitudes(f.term_values(x))
-        point = _point_moduli(amps, scale, _phi_gram(lams, deltas))
+        amps = [_amplitudes(f.term_values(x)) for x in xs]
+        phi_gram = _phi_gram(lams, deltas)
+        point = [_point_moduli(a, scale, phi_gram) for a, scale in amps]
+        del phi_gram  # not held while the larger trig Gram is built
         if not shifts.size:  # no shifted means, so no trig Gram
-            return point, np.zeros((deltas.size, 0))
-        factors = _shift_factors(lams, shifts)
-        return point, _shifted_means(amps, scale, factors, _trig_gram(lams, deltas))
+            return [(m, np.zeros((at.size, 0))) for m in point]
+        factors, trig_gram = _shift_factors(lams, shifts), _trig_gram(lams, deltas[at])
+        return [(m, _shifted_means(a, scale, factors, trig_gram)) for m, (a, scale) in zip(point, amps)]
+    return [_lane_moduli(f, x, deltas, at, shifts, p) for x in xs]
+
+
+def _lane_moduli(f: QuasiPeriodicFunction, x: float, deltas, at, shifts, p: float):
+    """``_moduli_tables`` of one x at p other than 2."""
     # lane 0 is |phi_x(t)|, lane 1 + m is |phi_x(t) - phi_x(t + s_m)|, with
     # phi_x(t) = sum 2 g(x) (cos(l t) - 1): the rows (2 g, 0) give its
     # derivatives
@@ -740,7 +756,7 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
     # coefficient mass is at most twice sum 2 |g(x)|
     freq, mass = 2.0 * float(lams.max(initial=0.0)), 2.0 * float(np.abs(twice).sum())
 
-    def lanes(t, jet=False):
+    def lanes(t, jet=False, shifts=shifts):
         t = np.broadcast_to(t, (1 + shifts.size, t.shape[1]))
         vals = f.second_difference(x, t)
         vals[1:] -= f.second_difference(x, t[1:] + shifts[:, None])
@@ -751,21 +767,21 @@ def moduli(f: QuasiPeriodicFunction, x: float, deltas, shifts, p: float) -> tupl
         sign = np.sign(vals)
         return np.abs(vals), sign * d[0], sign * d[1]
 
-    point = np.empty(deltas.size)
-    shifted = np.empty((deltas.size, shifts.size))
+    point, shifted = np.empty(deltas.size), np.zeros((deltas.size, shifts.size))
     for j, d in enumerate(deltas.tolist()):
+        lane_shifts = shifts if j in at else shifts[:0]  # shift lanes only at the widths of at
         if math.isinf(p):
             ts = np.linspace(0.0, d, 512)
-            means = _sampled_sup(lanes, ts, d / 511, freq, mass, 0.0, d)
+            means = _sampled_sup(functools.partial(lanes, shifts=lane_shifts), ts, d / 511, freq, mass, 0.0, d)
         else:
             # phi_x once, then one lane at a time, so that no (1 + M, nodes)
             # table and its temporaries are held at once
             t, w = _gl_panels(0.0, d, _phi_panels(f, d))
             phi = f.second_difference(x, t)
-            lane_means = (power_mean(w / d, phi - f.second_difference(x, t + s), p) for s in shifts)
+            lane_means = (power_mean(w / d, phi - f.second_difference(x, t + s), p) for s in lane_shifts)
             means = [power_mean(w / d, phi, p), *lane_means]
-        point[j], shifted[j] = means[0], means[1:]
-    return point, shifted
+        point[j], shifted[j, : lane_shifts.size] = means[0], means[1:]
+    return point, shifted[at]
 
 
 def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> float:
@@ -911,31 +927,17 @@ def fit_class_majorant(
     """Fit a majorant at each x of ``xs`` and rescale it so the class
     constants drop to <= 1.
 
-    Returns one (rescaled majorant, post-rescale report) pair per x.  Each
-    x's class table is computed once; both its reports divide it by a
-    majorant.  At p = 2 the moduli are quadratic forms in 2 g(x) whose
-    Grams depend on the frequencies and the widths only, so one call builds
-    them once for every x: one phi Gram over ``FIT_DELTAS`` and the plan's
-    points, one trig Gram over the plan's points, and the shift factors.
-    Other p take each x's moduli on their own.
+    Returns one (rescaled majorant, post-rescale report) pair per x.  One
+    ``_moduli_tables`` call gives every x its pointwise moduli over
+    ``FIT_DELTAS`` and the plan's points, and its class table at the plan's
+    points (at p = 2 from one phi Gram and one trig Gram for every x); both
+    reports of an x divide its one class table by a majorant.
     """
     plan = plan or SamplePlan.default()
-    shifts = _class_shifts(plan)
-    if p != 2.0:
-        return [
-            _rescaled(moduli(f, x, FIT_DELTAS, (), p)[0], moduli(f, x, plan.points, shifts, p), plan)
-            for x in xs
-        ]
-    widths, shifts = _check_moduli_args(plan.points, shifts, p)
-    lams = f.spectrum.freqs
+    widths, shifts = _check_moduli_args(plan.points, _class_shifts(plan), p)
     deltas, at = np.unique(np.concatenate([FIT_DELTAS, widths]), return_inverse=True)
-    amps = [_amplitudes(f.term_values(x)) for x in xs]
-    phi_gram = _phi_gram(lams, deltas)
-    pointwise = [_point_moduli(a, scale, phi_gram) for a, scale in amps]
-    del phi_gram  # not held while the larger trig Gram is built
-    factors, trig_gram = _shift_factors(lams, shifts), _trig_gram(lams, widths)
     fit_at, plan_at = at[: len(FIT_DELTAS)], at[len(FIT_DELTAS) :]
     return [
-        _rescaled(m[fit_at], (m[plan_at], _shifted_means(a, scale, factors, trig_gram)), plan)
-        for m, (a, scale) in zip(pointwise, amps)
+        _rescaled(point[fit_at], (point[plan_at], shifted), plan)
+        for point, shifted in _moduli_tables(f, xs, deltas, plan_at, shifts, p)
     ]

@@ -284,6 +284,26 @@ def test_verify_ok_and_override(smooth_config, capsys):
     assert summary["regression_ok"] is True
 
 
+@pytest.mark.parametrize("q", [[1.0, 2.0], ["inf"]])
+def test_verify_prints_the_summary_without_record_dicts(tmp_path, capsys, monkeypatch, q):
+    # verify prints report_to_dict's summary line, byte for byte, without
+    # building the per-record dicts it never prints
+    cfg = {
+        "spectrum": {"builtin": "lacunary"},
+        "theorem": "thm6",
+        "matrix": {"builtin": "cesaro"},
+        "q": q,
+        "x": [0.0, 0.7],
+        "n_range": [1, 64],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    summary = cli.report_to_dict(run(ExperimentConfig.from_file(path)))["summary"]
+    monkeypatch.setattr(cli, "report_to_dict", lambda report: pytest.fail("built every record's dict"))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps(summary, sort_keys=True, allow_nan=False) + "\n"
+
+
 def test_verify_regression_failure_exit_3(tmp_path, capsys):
     # an absurdly tight ratio cap forces the bound regression to fail
     cfg = {

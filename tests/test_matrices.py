@@ -288,8 +288,39 @@ class TestMatrices:
     @pytest.mark.parametrize("c", [1.01, 1.5, 1.99])
     def test_osc_gm2_constructor_check_fails_below_c_2(self, c):
         # the gm2 window [1, floor(c)] of row 2, (1/2, 0, 1/2), holds only its zero
-        with pytest.raises(MatrixError, match="row 2 has gm2 constant inf"):
+        with pytest.raises(MatrixError, match="in class gm2 only for finite c >= 2"):
             osc_gm2_matrix(c=c)
+
+    def test_osc_gm2_rule_matches_ten_row_check(self):
+        # the oracle: in class when the gm2 constants of ten rows up to 256,
+        # from the tests' own row formula, are all at most 8 (a c that
+        # class_membership refuses is out)
+        rows = explicit_matrix([osc_gm2_row(n) for n in range(257)])
+
+        def checked(c):
+            try:
+                return class_membership(rows, "gm2", 8.0, (1, 2, 4, 8, 16, 32, 64, 128, 192, 256), c).member
+            except MatrixError:
+                return False
+
+        def by_rule(c):
+            try:
+                return osc_gm2_matrix(c).params == {"c": c}
+            except MatrixError:
+                return False
+
+        cs = [math.nan, math.inf, -math.inf, 0.5, 1.0, 1.0 + 1e-7, 1.99, 2.0 - 1e-10, 2.0, 2.0 + 1e-10, 1e300]
+        cs += np.exp(np.random.default_rng(33).uniform(0.0, math.log(1001.0), 300)).tolist()
+        assert [by_rule(c) for c in cs] == [checked(c) for c in cs]
+        assert sum(map(by_rule, cs)) > 100
+
+    def test_osc_gm2_builds_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("class check at construction")
+
+        for name in ("class_membership", "_table_constants"):
+            monkeypatch.setattr(matrices, name, refuse)
+        assert [osc_gm2_matrix(c).params for c in (2.0, 4.0)] == [{"c": 2.0}, {"c": 4.0}]
 
     def test_explicit_and_file_round_trip(self, tmp_path):
         rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5]]
@@ -441,8 +472,7 @@ def test_class_membership_equals_per_row_loop(matrix, c):
 
 
 def test_class_membership_makes_no_per_row_calls(monkeypatch):
-    # the four class checks of one n range share one table build, and the
-    # constructor's gm2 check builds one more
+    # the four class checks of one n range share one table build
     builds = []
     osc = SummabilityMatrix._weights_table
     monkeypatch.setattr(
@@ -452,7 +482,7 @@ def test_class_membership_makes_no_per_row_calls(monkeypatch):
     for rows in (range(0, 65), range(0, 65), range(3, 9)):
         for name in CLASS_NAMES:
             assert len(class_membership(m, name, 1.0, rows).constants) == len(rows)
-    assert builds == [list(matrices.OSC_GM2_CHECK_ROWS), list(range(0, 65)), list(range(3, 9))]
+    assert builds == [list(range(0, 65)), list(range(3, 9))]
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5, float("nan")])

@@ -281,6 +281,7 @@ class TestLattice:
             (1.0, math.inf),
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a non-finite frequency returns before any lattice arithmetic
     def test_no_lattice(self, freqs):
         assert lattice_of(freqs) is None
 
@@ -327,6 +328,7 @@ class TestValidation:
             (1.0, [(0.0, 1.0, 0.5)], [("dc-amplitude", 0)]),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_issue_codes(self, alpha, entries, want):
         # built directly: from_cos_sin sorts the entries and rejects a sine at 0
         spec = Spectrum(alpha, tuple(SpectrumEntry(*e) for e in entries))
