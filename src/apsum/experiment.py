@@ -5,10 +5,10 @@ sources, majorant, exponents, sweep range, grids, thresholds), read with
 the number rule and key check of ``spectra``, each absent field at its
 declared default.  The runner resolves the inputs, makes one
 ``ratio_sweep`` of the requested bound shape over n for every (x, q), and
-assembles a deterministic report: the sweep's records, ordered by
-(x, q, n), a summary with the worst ratio and every verdict on the run,
-and the normalized config echoed back so the exact run can be reproduced
-from its own report.
+assembles a deterministic report: the sweep's (x, q, n) arrays, which the
+verdicts and writers read, a summary with the worst ratio and every verdict
+on the run, and the normalized config echoed back so the exact run can be
+reproduced from its own report.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import _FLAGS, THEOREMS, RatioRecord, _sweep, _Sweep, strong_mean_rows, sweep_rows
+from .strong_means import _FLAGS, THEOREMS, RatioRecord, _Sweep, ratio_sweep, strong_mean_rows, sweep_rows
 
 __all__ = [
     "ConfigError",
@@ -376,9 +376,16 @@ _READERS = {
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A run's config echo, its sweep of (x, q, n) arrays and its summary."""
+
     config: dict
-    records: list[RatioRecord]
+    sweep: _Sweep
     summary: dict
+
+    @property
+    def records(self) -> list[RatioRecord]:
+        """One ``RatioRecord`` per (x, q, n), built on each read."""
+        return self.sweep.records()
 
 
 def _first_largest(ratio: np.ndarray) -> int:
@@ -407,11 +414,11 @@ def _head_tail_bounded(ratio: np.ndarray, n_values, head_end: int, factor: float
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run one sweep for every (x, q) of the config, the records of
-    ``ratio_sweep``, and judge it: the ratio cap on every record, the
-    blow-up test on each (x, q), and the side condition on the matrix rows
-    (None for prop4, which reads none).  The fitted majorants of every x
-    come from one fit call, and the verdicts from the sweep's arrays."""
+    """Run one ``ratio_sweep`` for every (x, q) of the config and judge it:
+    the ratio cap on every (x, q, n), the blow-up test on each (x, q), and
+    the side condition on the matrix rows (None for prop4, which reads
+    none).  The fitted majorants of every x come from one fit call, and the
+    verdicts from the sweep's arrays."""
     f, matrix = cfg._run_inputs()
     ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
 
@@ -425,33 +432,33 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         if isinstance(cfg._majorant, SamplePlan):
             majorants = [w for w, _ in fit_class_majorant(f, cfg.x, cfg.p, cfg._majorant)]
         points = list(zip(cfg.x, majorants))
-    sweep = _sweep(
+    sweep = ratio_sweep(
         f, cfg.theorem, ns, cfg.q, points, matrix, x_grid, cfg.p, cfg.grid, cfg.c,
         cfg.thm5_literal_exponent,
     )
-    records = sweep.records()
     side_ok = None if cfg.theorem == "prop4" else side_condition(matrix, ns, cfg.side_tol)[0]
     summary = {
         "theorem": cfg.theorem,
-        "records": len(records),
-        **_verdicts(sweep, records, cfg.max_ratio, cfg.blowup_head, cfg.blowup_factor),
+        "records": sweep.ratio.size,
+        **_verdicts(sweep, cfg.max_ratio, cfg.blowup_head, cfg.blowup_factor),
         "side_condition_ok": side_ok,
     }
-    return ExperimentReport(config=cfg.to_dict(), records=records, summary=summary)
+    return ExperimentReport(config=cfg.to_dict(), sweep=sweep, summary=summary)
 
 
-def _verdicts(sweep: _Sweep, records, max_ratio: float, head_end: int, factor: float) -> dict:
+def _verdicts(sweep: _Sweep, max_ratio: float, head_end: int, factor: float) -> dict:
     """The summary's verdicts on a sweep, from its arrays: the first of its
-    largest ratios and its record, the regression verdict (not every record
-    0/0, no ratio above ``max_ratio``, no blow-up in any (x, q)) and the
-    records per flag, in the order the flags first appear."""
-    worst = records[_first_largest(sweep.ratio)]
+    largest ratios and its (x, q, n), the regression verdict (not every
+    record 0/0, no ratio above ``max_ratio``, no blow-up in any (x, q)) and
+    the records per flag, in the order the flags first appear."""
+    worst = _first_largest(sweep.ratio)
+    i, j, k = np.unravel_index(worst, sweep.ratio.shape)
     codes = sweep.code.ravel()
     counts = np.bincount(codes, minlength=len(_FLAGS)).tolist()
     flagged = sorted((int(np.argmax(codes == c)), c) for c in range(1, len(_FLAGS)) if counts[c])
     return {
-        "max_ratio": worst.ratio,
-        "argmax": {"x": worst.x, "q": worst.q, "n": worst.n},
+        "max_ratio": sweep.ratio.ravel()[worst].item(),
+        "argmax": {"x": sweep.xs[i], "q": sweep.qs[j], "n": sweep.n_values[k]},
         # a run whose every record is 0/0 checked nothing, so it fails
         "regression_ok": bool((sweep.code != 1).any())
         and not (sweep.ratio > max_ratio).any()  # a NaN ratio passes the cap
@@ -478,19 +485,18 @@ def strong_mean_table(cfg: ExperimentConfig) -> str:
 
 
 def records_csv(report: ExperimentReport, x: float | None = None, q: float | None = None) -> str:
-    """CSV for the (x, q) slice (or everything when unfiltered): columns
+    """CSV for the (x, q) lanes of the sweep (or all when unfiltered): columns
     n,lhs,rhs,ratio,flags with deterministic shortest-roundtrip floats."""
+    sweep = report.sweep
+    flags = [";".join(names) for names in _FLAGS]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "lhs", "rhs", "ratio", "flags"])
-    for row in report.records:
-        if x is not None and row.x != x:
-            continue
-        if q is not None and row.q != q:
-            continue
-        writer.writerow(
-            [row.n, repr(row.lhs), repr(row.rhs), repr(row.ratio), ";".join(row.flags)]
-        )
+    for i, xi in enumerate(sweep.xs):
+        for j, qj in enumerate(sweep.qs):
+            if (x is None or xi == x) and (q is None or qj == q):
+                values = (map(repr, a[i, j].tolist()) for a in (sweep.lhs, sweep.rhs, sweep.ratio))
+                writer.writerows(zip(sweep.n_values, *values, [flags[c] for c in sweep.code[i, j].tolist()]))
     return buf.getvalue()
 
 
@@ -519,22 +525,22 @@ def _strict_summary(summary: dict) -> dict:
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    """The report as strict JSON: no NaN or Infinity anywhere; q = inf is
-    echoed as the config writes it."""
+    """The report as strict JSON, a record per (x, q, n) of the sweep: no NaN
+    or Infinity anywhere; q = inf is echoed as the config writes it."""
     return {
         "config": _echo(report.config),
         "summary": _strict_summary(report.summary),
         "records": [
             {
-                "x": r.x,
-                "q": _echo(r.q),
-                "n": r.n,
-                "lhs": _finite(r.lhs),
-                "rhs": _finite(r.rhs),
-                "ratio": _finite(r.ratio),
-                "flags": list(r.flags),
+                "x": x,
+                "q": _echo(q),
+                "n": n,
+                "lhs": _finite(lhs),
+                "rhs": _finite(rhs),
+                "ratio": _finite(ratio),
+                "flags": list(flags),
             }
-            for r in report.records
+            for x, q, n, lhs, rhs, ratio, flags in zip(*report.sweep.columns())
         ],
     }
 
@@ -554,7 +560,8 @@ def write_report(report: ExperimentReport, out_dir) -> list[Path]:
     text = json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
     jpath.write_text(text + "\n")
     paths.append(jpath)
-    combos = sorted({(r.x, r.q) for r in report.records}, key=lambda t: (repr(t[0]), t[1]))
+    s = report.sweep
+    combos = sorted({(x, q) for x in s.xs for q in s.qs if s.n_values}, key=lambda t: (repr(t[0]), t[1]))
     for x, q in combos:
         cpath = out / f"records_{_slice_tag(x, q)}.csv"
         with open(cpath, "w") as fh:

@@ -144,6 +144,9 @@ def partial_sum_kernel_table(f: QuasiPeriodicFunction, ks, xs) -> np.ndarray:
     QuadratureToleranceError when the error budget of any entry exceeds
     max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|).
     """
+    bad = [k for k in ks if not float(k).is_integer()]
+    if bad:
+        raise ValueError(f"band index k must be an integer, got {bad[0]!r}")
     ks = [int(k) for k in ks]
     xs = [float(x) for x in xs]
     if any(k < 1 for k in ks):
@@ -241,8 +244,8 @@ def kernel_mass(alpha: float, k):
     the kernel table of the constant spectrum with gap alpha at x = 0.  The
     exact value is 1/2 for every alpha > 0, k >= 1.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     half = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, [(0.0, 0.5, 0.0)]))
     masses = partial_sum_kernel_table(half, np.ravel(k), [0.0])[0]
     return float(masses[0]) if np.ndim(k) == 0 else masses.reshape(np.shape(k))

@@ -791,10 +791,10 @@ def phi_average(f: QuasiPeriodicFunction, x: float, delta: float, nu: float) -> 
 
     with each bracket written as -2 sin^2(A/2) sinc(h) - (1 - sinc(h)) so
     that small arguments do not cancel."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     lams = f.spectrum.freqs
     s = np.sin(0.5 * lams * (nu + 0.5 * delta))
     d = _one_minus_sinc(0.5 * delta * lams)

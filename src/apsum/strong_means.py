@@ -17,11 +17,11 @@ expressions mirror three estimate shapes:
 
 alpha is the gap of ``f.spectrum``.  ``ratio_sweep`` reads the rows of a run
 once (``sweep_rows``), takes each side's means with one call per q, and
-returns one ``RatioRecord`` per (x, q, n): lhs, rhs and lhs/rhs, 0/0 as
-ratio 0 (flagged) and finite/0 as inf, all from arrays.  The verdicts are
-``experiment.run``'s, read from those arrays (``_sweep``, which
-``ratio_sweep`` turns into records); ``strong_mean_rows`` gives lhs means
-alone.
+returns the sweep: lhs, rhs and lhs/rhs as (x, q, n) arrays, 0/0 as ratio
+0 (flagged) and finite/0 as inf.  ``experiment.run``'s verdicts and
+writers read those arrays; the sweep's ``records()`` gives one
+``RatioRecord`` per (x, q, n) to a caller that asks.  ``strong_mean_rows``
+gives lhs means alone.
 
 Rows of a Riesz-type matrix, a[n, k] = p_k [k <= n] / P_n (Cesaro,
 riesz, osc-gm2), need no table: sum_k a[n, k] v_k^q is a prefix sum of
@@ -169,8 +169,9 @@ def _dyadic_table(n_values) -> np.ndarray:
 
 class RatioRecord(NamedTuple):
     """One (x, q, n) of a sweep; x is None for thm2, whose lhs sups over x.
-    A named tuple rather than a frozen dataclass: it builds in under half
-    the time, and a long sweep holds 2^18 records."""
+    Built only on request (``records()``): 2^18 records of a long sweep took
+    over half its ``run()``.  A named tuple rather than a frozen dataclass:
+    it builds in under half the time."""
 
     x: float | None
     q: float
@@ -198,10 +199,10 @@ class _Sweep(NamedTuple):
     ratio: np.ndarray
     code: np.ndarray
 
-    def records(self) -> list[RatioRecord]:
-        """One ``RatioRecord`` per (x, q, n), in that order."""
+    def columns(self) -> tuple[list, ...]:
+        """``RatioRecord``'s seven columns of Python values, in record order."""
         size = len(self.n_values)
-        columns = (
+        return (
             [x for x in self.xs for _ in range(len(self.qs) * size)],
             [q for _ in self.xs for q in self.qs for _ in range(size)],
             self.n_values * (len(self.xs) * len(self.qs)),
@@ -210,7 +211,10 @@ class _Sweep(NamedTuple):
             self.ratio.ravel().tolist(),
             [_FLAGS[c] for c in self.code.ravel().tolist()],
         )
-        return list(map(RatioRecord._make, zip(*columns)))
+
+    def records(self) -> list[RatioRecord]:
+        """One ``RatioRecord`` per (x, q, n), in that order."""
+        return list(map(RatioRecord._make, zip(*self.columns())))
 
 
 def _sweep_of(xs, qs, n_values, lhs: np.ndarray, rhs: np.ndarray) -> _Sweep:
@@ -238,40 +242,22 @@ def ratio_sweep(
     grid: WindowGrid | None = None,
     c: float = GM2_C,
     thm5_literal_exponent: bool = False,
-) -> list[RatioRecord]:
-    """Per-n lhs/rhs/ratio records of one bound shape for every (x, q).
+) -> _Sweep:
+    """Per-n lhs, rhs and ratio of one bound shape for every (x, q), as one
+    sweep of (x, q, n) arrays; its ``records()`` are the ``RatioRecord``s.
 
     ``qs`` holds the exponents q > 0; ``points`` holds one (x, w) pair per
     evaluation point; ``c`` > 1 and ``thm5_literal_exponent`` set the thm5
     tail cutoffs.  The weight table, the omega table and the deviations of
     every point (one ladder call) are read or built once, the bracket table
-    once per point, and each side takes one row-mean call per q.  Records
-    come ordered by x (in the order of ``points``), then q, then n.
+    once per point, and each side takes one row-mean call per q.  The x
+    axis follows the order of ``points``.
 
     prop4: dyadic mean at x against w + tail.
     thm5/thm6: matrix strong mean at x against the bracket means.
     thm2: sup of the strong mean over ``x_grid`` (every grid point in the
-    one ladder call) against the omega mean; x only labels the records.
+    one ladder call) against the omega mean; x only labels the sweep.
     """
-    return _sweep(
-        f, theorem, n_values, qs, points, matrix, x_grid, p, grid, c, thm5_literal_exponent
-    ).records()
-
-
-def _sweep(
-    f: QuasiPeriodicFunction,
-    theorem: str,
-    n_values,
-    qs,
-    points,
-    matrix: SummabilityMatrix | None,
-    x_grid,
-    p: float | None,
-    grid: WindowGrid | None,
-    c: float,
-    thm5_literal_exponent: bool,
-) -> _Sweep:
-    """``ratio_sweep``'s records as one ``_Sweep`` of arrays."""
     if theorem not in THEOREMS:
         raise ValueError(f"theorem must be one of {THEOREMS}, got {theorem!r}")
     qs, n_values = [float(q) for q in qs], [int(n) for n in n_values]

@@ -141,7 +141,8 @@ def test_criterion_4_dyadic_ratio_boundedness(spectra, fitted_majorants):
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            for rs in _series(ratio_sweep(f, "prop4", N_SWEEP, (0.5, 1.0, 2.0), [(x, w)])):
+            sweep = ratio_sweep(f, "prop4", N_SWEEP, (0.5, 1.0, 2.0), [(x, w)])
+            for rs in _series(sweep.records()):
                 worst = max(worst, _max_ratio(rs))
                 blowup_ok = blowup_ok and _blowup_ok(rs)
     elapsed = time.perf_counter() - t0 + fit_time
@@ -163,7 +164,8 @@ def test_criterion_5_cesaro_ratio_boundedness(spectra, fitted_majorants):
     for name, f in spectra.items():
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
-            for rs in _series(ratio_sweep(f, "thm6", N_SWEEP, (1.0, 2.0), [(x, w)], matrix=ces)):
+            sweep = ratio_sweep(f, "thm6", N_SWEEP, (1.0, 2.0), [(x, w)], matrix=ces)
+            for rs in _series(sweep.records()):
                 worst = max(worst, _max_ratio(rs))
                 blowup_ok = blowup_ok and _blowup_ok(rs)
     ok = worst <= RATIO_CAP and blowup_ok and side_ok
@@ -184,7 +186,7 @@ def test_criterion_6_gm2_ratio_boundedness(spectra, fitted_majorants):
         for x in (0.0, 0.7):
             w = fitted_majorants[(name, x)][0]
             sweep = ratio_sweep(f, "thm5", N_SWEEP, (1.0, 2.0), [(x, w)], matrix=matrix, c=2.0)
-            for rs in _series(sweep):
+            for rs in _series(sweep.records()):
                 worst = max(worst, _max_ratio(rs))
                 blowup_ok = blowup_ok and _blowup_ok(rs)
     ok = (

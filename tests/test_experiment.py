@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from apsum.experiment import (
     strong_mean_table,
     write_report,
 )
-from apsum import experiment, matrices, measures, strong_means
+from apsum import cli, experiment, matrices, measures, strong_means
 from apsum.matrices import MatrixError, class_constants, explicit_matrix
 from apsum.spectra import QuasiPeriodicFunction, validate_spectrum
 from apsum.strong_means import strong_mean_rows, sweep_rows
@@ -549,12 +552,16 @@ class TestBlowUpVerdict:
 SWEEP_VALUES = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf, math.nan])
 
 
+X_LABELS = st.lists(st.sampled_from([0.0, 0.7, 1.4]), min_size=1, max_size=2, unique=True)
+Q_LABELS = st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=2, unique=True)
+
+
 @st.composite
-def sweeps(draw):
-    """A sweep's arrays: 1-2 x, 1-2 q, n over [lo, hi], and its verdict
-    bounds (a head end in [lo, hi], a factor, a ratio cap)."""
-    xs = draw(st.lists(st.sampled_from([0.0, 0.7, 1.4]), min_size=1, max_size=2, unique=True))
-    qs = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=2, unique=True))
+def sweeps(draw, x_labels=X_LABELS, q_labels=Q_LABELS):
+    """A sweep's arrays: the x and q labels (1-2 each by default), n over
+    [lo, hi], and its verdict bounds (a head end in [lo, hi], a factor, a
+    ratio cap)."""
+    xs, qs = draw(x_labels), draw(q_labels)
     lo = draw(st.integers(0, 3))
     ns = list(range(lo, draw(st.integers(lo, lo + 16)) + 1))
     shape = (len(qs), len(xs), len(ns))
@@ -578,7 +585,7 @@ class TestArrayVerdicts:
         # repr compares NaN and the Python types too
         sweep, (head_end, factor, cap) = case
         records = sweep.records()
-        got = experiment._verdicts(sweep, records, cap, head_end, factor)
+        got = experiment._verdicts(sweep, cap, head_end, factor)
         assert repr(got) == repr(record_verdicts(records, cap, head_end, factor))
 
     @pytest.mark.parametrize(
@@ -587,6 +594,110 @@ class TestArrayVerdicts:
     )
     def test_first_largest(self, ratios, index):
         assert experiment._first_largest(np.array(ratios)) == index
+
+
+def per_record_csv(records, x=None, q=None) -> str:
+    """``records_csv`` by one pass over the records, its oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "lhs", "rhs", "ratio", "flags"])
+    for row in records:
+        if x is not None and row.x != x:
+            continue
+        if q is not None and row.q != q:
+            continue
+        writer.writerow([row.n, repr(row.lhs), repr(row.rhs), repr(row.ratio), ";".join(row.flags)])
+    return buf.getvalue()
+
+
+def per_record_dict(report, records) -> dict:
+    """``report_to_dict`` with one dict per record, its oracle."""
+    return {
+        "config": experiment._echo(report.config),
+        "summary": experiment._strict_summary(report.summary),
+        "records": [
+            {
+                "x": r.x,
+                "q": experiment._echo(r.q),
+                "n": r.n,
+                "lhs": experiment._finite(r.lhs),
+                "rhs": experiment._finite(r.rhs),
+                "ratio": experiment._finite(r.ratio),
+                "flags": list(r.flags),
+            }
+            for r in records
+        ],
+    }
+
+
+def per_record_files(report, records) -> list[tuple[str, bytes]]:
+    """The (name, bytes) of each file ``write_report`` writes, in its order,
+    from the records: its oracle.  The slices are the records' (x, q) pairs
+    sorted by (repr(x), q)."""
+    text = json.dumps(per_record_dict(report, records), indent=2, sort_keys=True, allow_nan=False)
+    files = [("report.json", (text + "\n").encode())]
+    combos = sorted({(r.x, r.q) for r in records}, key=lambda t: (repr(t[0]), t[1]))
+    for x, q in combos:
+        files.append((f"records_{experiment._slice_tag(x, q)}.csv", per_record_csv(records, x, q).encode()))
+    return files
+
+
+class TestArrayWriters:
+    # thm2's one x label None, -0.0 (whose repr sorts before 0.7) and
+    # q = inf beside the values of SWEEP_VALUES: NaN, +-inf, -0.0 and the
+    # 0/0 and infinite-ratio flags
+    LABELS = dict(
+        x_labels=st.one_of(
+            st.just([None]),
+            st.lists(st.sampled_from([-0.0, 0.7, 1.4, -2.5]), min_size=1, max_size=3, unique=True),
+        ),
+        q_labels=st.lists(st.sampled_from([0.5, 1.0, 2.0, math.inf]), min_size=1, max_size=3, unique=True),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweeps(**LABELS))
+    def test_match_per_record_writers(self, case):
+        # repr and bytes tell NaN, -0.0 and the Python types apart
+        sweep, (head_end, factor, cap) = case
+        summary = {
+            "theorem": "thm6",
+            "records": sweep.ratio.size,
+            **experiment._verdicts(sweep, cap, head_end, factor),
+            "side_condition_ok": None,
+        }
+        report = experiment.ExperimentReport({"q": list(sweep.qs)}, sweep, summary)
+        records = sweep.records()
+        for x in (None, *sweep.xs, 0.0, 9.0):  # 0.0 == -0.0 takes the -0.0 slice
+            for q in (None, *sweep.qs, 3.0):
+                assert records_csv(report, x, q) == per_record_csv(records, x, q)
+        assert repr(report_to_dict(report)) == repr(per_record_dict(report, records))
+        with tempfile.TemporaryDirectory() as tmp:
+            got = [(path.name, path.read_bytes()) for path in write_report(report, tmp)]
+        assert got == per_record_files(report, records)
+
+    def test_no_record_built(self, monkeypatch, tmp_path):
+        # run(), apsum verify and write_report read the sweep's arrays;
+        # only a read of report.records builds RatioRecords
+        built = []
+        make, new = strong_means.RatioRecord._make, strong_means.RatioRecord.__new__
+
+        def counted_make(cls, iterable):
+            built.append(1)
+            return make(iterable)
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(strong_means.RatioRecord, "_make", classmethod(counted_make))
+        monkeypatch.setattr(strong_means.RatioRecord, "__new__", counted_new)
+        for path in sorted(CONFIGS.glob("*.json")):
+            report = run(shipped(path.stem))
+            write_report(report, tmp_path / path.stem)
+            assert cli.main(["verify", str(path)]) == 0
+            assert built == []
+            assert len(report.records) == len(built) == report.summary["records"]
+            built.clear()
 
 
 class TestRun:

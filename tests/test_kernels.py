@@ -412,3 +412,22 @@ class TestKernelMass:
             kernel_mass(0.0, 3)
         with pytest.raises(ValueError):
             kernel_mass(1.0, 0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        # inf divided by zero in the panel count, NaN passed alpha <= 0
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            kernel_mass(alpha, 3)
+
+    @pytest.mark.parametrize("k", [2.5, np.array([1.0, 2.5]), math.inf, math.nan])
+    def test_non_integral_k_refused(self, k):
+        # int() read k = 2.5 as band 2
+        with pytest.raises(ValueError, match="must be an integer"):
+            kernel_mass(1.0, k)
+
+    def test_table_refuses_non_integral_k(self):
+        # k = 2.7 gave band 2's cutoff sum; an integral float is that integer
+        with pytest.raises(ValueError, match="must be an integer, got 2.7"):
+            partial_sum_kernel_table(SMOOTH, [1, 2.7], [0.3])
+        got = partial_sum_kernel_table(SMOOTH, [1.0, 2.0], [0.3])
+        assert got.tolist() == partial_sum_kernel_table(SMOOTH, [1, 2], [0.3]).tolist()

@@ -1179,6 +1179,22 @@ class TestPhiAverage:
         got = phi_average(SMOOTH, 0.4, 1e-7, nu)
         assert got == pytest.approx(SMOOTH.second_difference(0.4, nu), abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "delta, nu, match",
+        [
+            (math.nan, 1.0, "delta"),
+            (math.inf, 1.0, "delta"),
+            (0.0, 1.0, "delta"),
+            (0.5, math.nan, "nu"),
+            (0.5, math.inf, "nu"),
+            (0.5, -0.1, "nu"),
+        ],
+    )
+    def test_bad_widths_refused(self, delta, nu, match):
+        # a NaN or inf width averaged to NaN after RuntimeWarnings
+        with pytest.raises(ValueError, match=match):
+            phi_average(SMOOTH, 0.4, delta, nu)
+
 
 class TestTailMass:
     def test_beyond_spectrum_zero(self):
@@ -1251,6 +1267,12 @@ class TestEq7:
         [(w, _)] = fit_class_majorant(COS, [0.0], 2.0)
         for d in (0.3, 1.0, 2.0, 3.1):
             assert check_eq7(COS, 0.0, w, d, d)
+
+    @pytest.mark.parametrize("delta1, delta2", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_width_refused(self, delta1, delta2):
+        # a NaN width failed the comparison and returned False silently
+        with pytest.raises(ValueError):
+            check_eq7(COS, 0.0, PowerModulus(1.0), delta1, delta2)
 
 
 class TestShiftedDifferenceMean:

