@@ -16,9 +16,12 @@ ladder l = alpha*k/2, e = alpha*(k+1)/2, the kernel takes the closed form
 folds Psi_k into its node grid (no function evaluates the kernel alone),
 evaluates the kernel integral numerically (plus the exact oscillatory tail
 beyond the truncation point) and is cross-validated against the direct
-route.  When a frequency falls inside the open band, the cutoff sum is
-recovered from the next band up minus the offending term (single-step
-index shift; the gap condition guarantees the next band is clean).
+route; it contracts its grid once per spectral term and Gauss node, not
+once per x, and bounds the integrand by 2 sum_j |term_j(x)| times the x-free
+weight in its error budget.  When a frequency falls inside the open band,
+the cutoff sum is recovered from the next band up minus the offending term
+(single-step index shift; the gap condition guarantees the next band is
+clean).
 """
 
 from __future__ import annotations
@@ -42,11 +45,9 @@ __all__ = [
 # PANELS_PER_OSCILLATION of them to a period of the fastest oscillation.
 TRUNCATION_PERIODS = 200
 PANELS_PER_OSCILLATION = 4
-# Blocks of L panels (a fold block, 1/50 of the grid) the kernel table
-# evaluates at once: the working set is GL_NODES * len(xs) * L per block.
-_CHUNK_BLOCKS = 5
 # The error budget of the kernel integral: an entry fails when its error
-# estimate exceeds max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|).
+# estimate is not within max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|), a NaN
+# estimate included.
 QUAD_REL_TOL = 1e-6
 QUAD_ABS_TOL = 1e-6
 
@@ -135,20 +136,27 @@ def partial_sum_kernel_table(f: QuasiPeriodicFunction, ks, xs) -> np.ndarray:
     evaluation point.  Its panel count is rounded up to a multiple of
     TRUNCATION_PERIODS / 4, so that the band oscillation sin(alpha(2b+1)t/4)
     advances by the same root of unity from panel to panel and repeats
-    every L panels.  The grid is walked in chunks of _CHUNK_BLOCKS blocks of
-    L panels; per block the integrand (all x, all Gauss nodes) is one
-    (entry, L) cos/sin table rotated by the block's start phase, times one
-    periodic (node, L) envelope table over t^2.  Each node's integrand is
-    summed over the blocks, and after the walk one FFT of length L per node
-    gives every band at once, read at bin (2b+1) mod L.  Raises
-    QuadratureToleranceError when the error budget of any entry exceeds
-    max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|).
+    every L panels.  The integrand is linear in the term values and its
+    weight, the envelope over t^2, depends on neither x nor the spectrum, so
+    per Gauss node one GEMM contracts the grid's blocks of L panels: the
+    (block, entry) cos/sin table of each block's start phase against the
+    node's (block, L) weight.  Only then do the x come in, through one
+    (x, entry) by (entry, L) product with the rotated (entry, L) cos/sin
+    table; one FFT of length L per node then gives every band at once, read
+    at bin (2b+1) mod L.  The error budget takes 2 sum_j |term_j(x)|, a bound
+    on |f(x+t) + f(x-t)|, times the weight's largest node value on each
+    panel; the table raises QuadratureToleranceError when the budget of any
+    entry is not within max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|), and
+    ValueError on a non-finite x.
     """
     bad = [k for k in ks if not float(k).is_integer()]
     if bad:
         raise ValueError(f"band index k must be an integer, got {bad[0]!r}")
     ks = [int(k) for k in ks]
     xs = [float(x) for x in xs]
+    bad = [x for x in xs if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"x must be finite, got {bad[0]!r}")
     if any(k < 1 for k in ks):
         raise ValueError("kernel route requires k >= 1; use partial_sum_direct for k = 0")
     if not ks:
@@ -202,18 +210,19 @@ def partial_sum_kernel_table(f: QuasiPeriodicFunction, ks, xs) -> np.ndarray:
     wave = np.concatenate([np.cos(wave), np.sin(wave)])  # (2 entries, L)
     envelope = (4.0 / (alpha * math.pi)) * np.sin((0.25 * alpha * h) * np.add.outer(c, q))
     amplitudes = np.tile(2.0 * terms, 2)  # (x, 2 entries)
-    folded = np.zeros((GL_NODES, len(xs), L))
-    panel_env = np.zeros(len(xs))
-    for first in range(0, fold, _CHUNK_BLOCKS):
-        blocks = np.arange(first, min(first + _CHUNK_BLOCKS, fold))
-        starts = np.add.outer(blocks * L, c) * h  # (block, node)
-        phase = np.multiply.outer(starts, freqs)[:, :, None, :]
-        rotated = np.concatenate([np.cos(phase), -np.sin(phase)], axis=3) * amplitudes
-        base = rotated @ wave  # (block, node, x, L)
-        t = starts[:, :, None] + q * h
-        base *= (envelope / (t * t))[:, :, None, :]
-        panel_env += np.abs(base).max(axis=1).sum(axis=(0, 2))
-        folded += base.sum(axis=0)
+    blocks = np.arange(fold) * L
+    folded = np.empty((GL_NODES, len(xs), L))
+    weight_max = np.zeros((fold, L))
+    for n in range(GL_NODES):
+        starts = (blocks + c[n]) * h
+        t = starts[:, None] + q * h
+        weight = envelope[n] / (t * t)  # (block, L)
+        np.maximum(weight_max, np.abs(weight), out=weight_max)
+        phase = np.outer(starts, freqs)
+        rotation = np.concatenate([np.cos(phase), -np.sin(phase)], axis=1)  # (block, 2 entries)
+        folded[n] = amplitudes @ ((rotation.T @ weight) * wave)
+    # 2 sum_j |term_j(x)| >= |f(x+t) + f(x-t)|: the budget's amplitude bound
+    panel_env = 2.0 * np.abs(terms).sum(axis=1) * weight_max.sum()
     folded *= (0.5 * h * _GL_WT)[:, None, None]
     odd = 2 * np.array(bands) + 1
     bins = np.conj(np.fft.fft(folded, axis=2)[:, :, odd % L])
@@ -227,7 +236,7 @@ def partial_sum_kernel_table(f: QuasiPeriodicFunction, ks, xs) -> np.ndarray:
     err = err_quad * _QUAD_SAFETY + 1e-13 * (1.0 + np.abs(terms).sum(axis=1))[:, None]
     tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(values))
     # first failure in band-major order
-    failed = np.argwhere((err > tol).T)
+    failed = np.argwhere(~(err <= tol).T)
     if failed.size:
         j, i = failed[0]
         raise QuadratureToleranceError(float(values[i, j]), float(err[i, j]), float(tol[i, j]))

@@ -75,16 +75,25 @@ def table_panels(alpha, numax):
     return fold * math.ceil(math.ceil(truncation(alpha) / width) / fold)
 
 
-def reference_table(f, ks, xs):
-    """The kernel table as one np.sin band array and one dot product per
-    (band, x), with the beat tail summed term by term: the slow route the
-    folded FFT must reproduce."""
+def band_plan(f, ks):
+    """(band, index of the term in band k or None) for each k: a k whose open
+    band holds a frequency reads band k + 1 less that term."""
     alpha = f.spectrum.alpha
     freqs = f.spectrum.freqs
     plans = []
     for k in ks:
         hit = np.flatnonzero((freqs > 0.5 * alpha * k) & (freqs < 0.5 * alpha * (k + 1)))
         plans.append((k, None) if hit.size == 0 else (k + 1, int(hit[0])))
+    return plans
+
+
+def reference_table(f, ks, xs):
+    """The kernel table as one np.sin band array and one dot product per
+    (band, x), with the beat tail summed term by term: the slow route the
+    folded FFT must reproduce."""
+    alpha = f.spectrum.alpha
+    freqs = f.spectrum.freqs
+    plans = band_plan(f, ks)
     bands = sorted({b for b, _ in plans})
     T = truncation(alpha)
     numax = freqs[-1] + 0.5 * alpha * (bands[-1] + 1)
@@ -109,6 +118,54 @@ def reference_table(f, ks, xs):
         for m, (b, idx) in enumerate(plans):
             out[i, m] = value[i, b] - (g[idx] if idx is not None else 0.0)
     return out
+
+
+def error_budgets(f, ks, x):
+    """The kernel table's error estimate at x for its lowest band, as a
+    whole-grid pass forms it: the Gauss-Legendre term over the panel maxima
+    of the weight envelope / t^2 times 2 sum_j |term_j(x)|, plus the
+    rounding floor.  Returns (estimate, floor, sampled), sampled being the
+    same budget over the panel maxima of the integrand itself, the estimate
+    the amplitude bound replaced, kept as the oracle it must not undercut."""
+    alpha = f.spectrum.alpha
+    bands = [b for b, _ in band_plan(f, ks)]
+    top = f.spectrum.max_frequency()
+    n_panels = table_panels(alpha, top + 0.5 * alpha * (max(bands) + 1))
+    T = truncation(alpha)
+    h = T / n_panels
+    t, _ = _gl_panels(0.0, T, n_panels)
+    weight = (4.0 / (alpha * math.pi)) * np.sin(0.25 * alpha * t) / t**2
+    nu = top + 0.5 * alpha * (min(bands) + 1)
+    gl = kernels._gl_error_constant(GL_NODES) * h * (0.5 * h * nu) ** (2 * GL_NODES) * 16.0
+    terms = f.term_values(x)
+    floor = 1e-13 * (1.0 + np.abs(terms).sum())
+
+    def panel_max(v):
+        return np.abs(v).reshape(n_panels, GL_NODES).max(axis=1).sum()
+
+    estimate = gl * 2.0 * np.abs(terms).sum() * panel_max(weight) + floor
+    sampled = gl * panel_max((f(x + t) + f(x - t)) * weight) + floor
+    return estimate, floor, sampled
+
+
+@st.composite
+def random_spectra(draw):
+    """(f, sorted ks): frequencies alpha (m/2 + d), m stepping by at least 3
+    half-gaps and d 0 (a band edge) or well inside a band, so every gap is
+    over alpha and no frequency sits within rounding of an edge."""
+    alpha = draw(st.floats(0.3, 3.0))
+    steps = draw(st.lists(st.integers(3, 8), min_size=1, max_size=5))
+    offsets = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]), min_size=5, max_size=5))
+    coefs = draw(st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
+    ks = draw(st.sets(st.integers(1, 30), min_size=1, max_size=8))
+    m = np.cumsum(steps)
+    terms = [
+        (alpha * (0.5 * mi + d), c, s)
+        for mi, d, c, s in zip(m, offsets, coefs[::2], coefs[1::2])
+    ]
+    if draw(st.booleans()):
+        terms.insert(0, (0.0, coefs[-1], 0.0))
+    return QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms)), sorted(ks)
 
 
 LACUNARY = QuasiPeriodicFunction(
@@ -207,30 +264,55 @@ class TestKernelRoute:
 
     def test_tolerance_error_carries_estimate(self, monkeypatch):
         # SMOOTH's grid is a multiple of the fold already; IRRATIONAL's
-        # top frequency makes the table round its panel count up
+        # top frequency makes the table round its panel count up.  One panel
+        # to an oscillation lifts the Gauss-Legendre term far over the
+        # rounding floor, so that the pin sees the envelope
+        monkeypatch.setattr(kernels, "PANELS_PER_OSCILLATION", 1)
         monkeypatch.setattr(kernels, "QUAD_ABS_TOL", 1e-18)
         monkeypatch.setattr(kernels, "QUAD_REL_TOL", 1e-18)
         for f, x in [(SMOOTH, 0.1), (IRRATIONAL, 0.4)]:
             with pytest.raises(QuadratureToleranceError) as err:
                 partial_sum_kernel_table(f, [3], [x])
-            assert err.value.error_estimate > 1e-18
             assert math.isfinite(err.value.value)
-            # the budget as a whole-grid pass forms it: GL term over the
-            # panel maxima of the integrand plus the rounding floor
-            m = GL_NODES
-            T = truncation(1.0)
-            numax = f.spectrum.max_frequency() + 0.5 * 4
-            n_panels = table_panels(1.0, numax)
-            h = T / n_panels
-            t, _ = _gl_panels(0.0, T, n_panels)
-            base = (f(x + t) + f(x - t)) * (4.0 / math.pi) * np.sin(0.25 * t) / t**2
-            env = np.abs(base).reshape(n_panels, m).max(axis=1).sum()
-            budget = kernels._gl_error_constant(m) * h * (0.5 * h * numax) ** (2 * m) * env * 16.0
-            budget += 1e-13 * (1.0 + np.abs(f.term_values(x)).sum())
+            budget, floor, sampled = error_budgets(f, [3], x)
+            assert budget > 1e3 * floor
             assert err.value.error_estimate == pytest.approx(budget, rel=1e-12)
+            assert budget > sampled
             assert err.value.value == pytest.approx(
                 reference_table(f, [3], [x])[0, 0], abs=1e-12
             )
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_refused(self, x):
+        # a NaN row passed the guard, as NaN > tol is False
+        with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+            partial_sum_kernel_table(SMOOTH, [1, 2], [0.3, x])
+
+    def test_nan_budget_fails(self):
+        # a NaN coefficient (built directly: validation refuses it) makes
+        # every value and error estimate NaN, which the guard must not pass
+        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(1.0, [(1.0, math.nan, 0.0)]))
+        with pytest.raises(QuadratureToleranceError) as err:
+            partial_sum_kernel_table(f, [2], [0.3])
+        assert math.isnan(err.value.error_estimate)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=random_spectra())
+    def test_estimate_never_below_sampled_budget(self, case):
+        # the amplitude bound 2 sum_j |term_j(x)| >= |f(x+t) + f(x-t)| can
+        # only raise the budget over the sampled integrand's; one panel to an
+        # oscillation puts the Gauss-Legendre term over the rounding floor
+        f, ks = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "PANELS_PER_OSCILLATION", 1)
+            mp.setattr(kernels, "QUAD_ABS_TOL", 0.0)
+            mp.setattr(kernels, "QUAD_REL_TOL", 0.0)
+            for x in (0.0, 1.3):
+                with pytest.raises(QuadratureToleranceError) as err:
+                    partial_sum_kernel_table(f, ks, [x])
+                budget, _, sampled = error_budgets(f, ks, x)
+                assert err.value.error_estimate == pytest.approx(budget, rel=1e-12)
+                assert err.value.error_estimate >= sampled * (1.0 - 1e-12)
 
 
 class TestKernelTableOracle:
@@ -271,45 +353,28 @@ class TestKernelTableOracle:
         assert np.abs(got - want).max() <= 1e-12 * (1.0 + COS.spectrum.tails[0])
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        alpha=st.floats(0.3, 3.0),
-        # frequencies alpha (m/2 + d): m steps by at least 3 half-gaps and
-        # d is 0 (a band edge) or well inside a band, so every gap is over
-        # alpha and no frequency sits within rounding of an edge
-        steps=st.lists(st.integers(3, 8), min_size=1, max_size=5),
-        offsets=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]), min_size=5, max_size=5),
-        coefs=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
-        ks=st.sets(st.integers(1, 30), min_size=1, max_size=8),
-        dc=st.booleans(),
-    )
-    def test_random_spectra_match_reference(self, alpha, steps, offsets, coefs, ks, dc):
-        m = np.cumsum(steps)
-        terms = [
-            (alpha * (0.5 * mi + d), c, s)
-            for mi, d, c, s in zip(m, offsets, coefs[::2], coefs[1::2])
-        ]
-        if dc:
-            terms.insert(0, (0.0, coefs[-1], 0.0))
-        f = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
-        ks = sorted(ks)
+    @given(case=random_spectra())
+    def test_random_spectra_match_reference(self, case):
+        f, ks = case
         xs = [0.0, 1.3]
         got = partial_sum_kernel_table(f, ks, xs)
         want = reference_table(f, ks, xs)
         assert np.abs(got - want).max() <= 1e-12 * (1.0 + f.spectrum.tails[0])
 
-    def test_chunks_do_not_move_the_table(self, monkeypatch):
-        # one block a chunk, all 50 in one, and 7, which leaves a short last
-        # chunk: only the order of the block sums changes
-        assert kernels.TRUNCATION_PERIODS // 4 == 50
+    @pytest.mark.parametrize("f", [IRRATIONAL, MANY_TERM], ids=["irrational", "many-term"])
+    def test_rows_do_not_depend_on_other_x(self, f):
+        # the blocks are contracted once for all x, and each x enters only
+        # through its own row of term values: a row is that x's one-x table,
+        # and permuting xs permutes the rows
         ks = list(range(1, 65))
-        xs = [0.0, 0.7, 2.9]
-        tables = []
-        for blocks in (1, 50, 7):
-            monkeypatch.setattr(kernels, "_CHUNK_BLOCKS", blocks)
-            tables.append(partial_sum_kernel_table(IRRATIONAL, ks, xs))
-        bound = 1e-14 * (1.0 + IRRATIONAL.spectrum.tails[0])
-        for table in tables[1:]:
-            assert np.abs(table - tables[0]).max() <= bound
+        xs = [0.0, 0.7, 2.9, -1.3]
+        table = partial_sum_kernel_table(f, ks, xs)
+        bound = 1e-14 * (1.0 + f.spectrum.tails[0])
+        for x, row in zip(xs, table):
+            assert np.abs(row - partial_sum_kernel_table(f, ks, [x])[0]).max() <= bound
+        order = [2, 0, 3, 1]
+        permuted = partial_sum_kernel_table(f, ks, [xs[i] for i in order])
+        assert np.abs(permuted - table[order]).max() <= bound
 
 
 def psi_k(alpha, k, t):
