@@ -225,7 +225,11 @@ def partial_sum_kernel_table(f: QuasiPeriodicFunction, ks, xs) -> np.ndarray:
     panel_env = 2.0 * np.abs(terms).sum(axis=1) * weight_max.sum()
     folded *= (0.5 * h * _GL_WT)[:, None, None]
     odd = 2 * np.array(bands) + 1
-    bins = np.conj(np.fft.fft(folded, axis=2)[:, :, odd % L])
+    # the fold is real: a bin j above L/2 of its FFT is the conjugate of
+    # bin L - j, which rfft gives
+    j = odd % L
+    bins = np.fft.rfft(folded, axis=2)[:, :, np.minimum(j, L - j)]
+    bins = np.where(j > L // 2, bins, np.conj(bins))
     shift = np.exp(1j * np.outer(c, odd) * (0.25 * alpha * h))
     quad = (bins * shift[:, None, :]).imag.sum(axis=0)
 

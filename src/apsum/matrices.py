@@ -17,16 +17,17 @@ A class constant is the smallest admissible K over every m, with
 ``math.inf`` as the sentinel for a vacuous denominator against positive
 variation.  Each family maps an array of n to the zero-padded table of
 those rows in one call; ``SummabilityMatrix.table`` validates it once and
-keeps the last one.  ``class_membership`` gives every row of a sweep its
-constant from that table and reads the sup-over-rows verdict from them;
-``class_constants`` does the same for a list of rows.  Nonincreasing rows
-telescope: their MS and RBVS constants are exactly 1 and their GM constant
-is at most 1.
+keeps the last one.  ``class_constants`` gives every row of a list its
+constant from one such table.  Nonincreasing rows telescope: their MS and
+RBVS constants are exactly 1 and their GM constant is at most 1.
 
 The builtin families are Riesz-type, a[n, k] = p_k [k <= n] / P_n with
 P_n = p_0 + ... + p_n: Cesaro has p = 1, osc-gm2 a 0/1 mask and riesz
 p_k = b_k^r.  ``SummabilityMatrix.weights`` gives p and P, so a strong
-mean or the side condition needs no table.
+mean, the side condition or a class constant needs no table:
+``class_membership`` reads the constants of a sweep's rows from p alone,
+as P_n cancels in every class ratio, and takes the table only for
+explicit rows and for riesz rows whose sums overflow.
 """
 
 from __future__ import annotations
@@ -186,14 +187,17 @@ def _window_sums(table: np.ndarray, mask: np.ndarray, lo, hi) -> np.ndarray:
     return out
 
 
+def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den, 0 where num == 0 and inf where num != 0 == den or where the
+    ratio is beyond the float range (a subnormal den)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(num != 0.0, num / den, 0.0)
+
+
 def _sup_ratio(num: np.ndarray, den: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Per row, the sup of num/den over the entries with num != 0 (``floor``
-    if it is larger), or inf where such an entry has den == 0; a ratio
-    beyond the float range (a subnormal den) is inf too."""
-    live = num != 0.0
-    with np.errstate(over="ignore"):
-        ratio = np.divide(num, den, out=np.zeros_like(num), where=live & (den != 0.0))
-    return np.where(np.any(live & (den == 0.0), axis=1), math.inf, ratio.max(axis=1, initial=floor))
+    if it is larger), or inf where such an entry has den == 0."""
+    return _ratios(num, den).max(axis=1, initial=floor)
 
 
 def _check_class(class_name: str, c: float) -> None:
@@ -239,6 +243,103 @@ def _table_constants(class_name: str, a: np.ndarray, sizes: np.ndarray, c: float
     return _sup_ratio(var, _window_sums(a[:, 1:] / m, var != 0.0, lo - 1, hi))
 
 
+# The most (row, m) pairs that one block of the weight route sums at once.
+_PAIR_BUDGET = 1 << 18
+
+
+def _suffix_rows(t: np.ndarray, last: np.ndarray, ns: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """S[i, a] = t[j] + ... + t[n_i - 1] + last[n_i] at j = js[a] <= n_i,
+    else 0, for ascending ns and js with js[0] <= ns[0] = b.  A sum from
+    j < b is the one-row sum t[j] + ... + t[b - 1] plus the row's own sum
+    from b on: two sums of nonnegative terms, never a difference of prefix
+    sums, which cancels where t decays."""
+    b, top = int(ns[0]), int(ns[-1]) + 1
+    x = np.where(np.arange(b, top) < ns[:, None], t[b:top], 0.0)
+    x[np.arange(ns.size), ns - b] = last[ns]
+    tail = np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
+    head = np.cumsum(t[js[0] : b][::-1])[::-1]
+    k = int(np.searchsorted(js, b))
+    out = np.empty((ns.size, js.size))
+    np.add(head[js[:k] - js[0]], tail[:, :1], out=out[:, :k])
+    out[:, k:] = tail[:, js[k:] - b]
+    return out
+
+
+def _weight_constants(class_name: str, p: np.ndarray, n_values, c: float) -> np.ndarray:
+    """``class_constants`` of the rows a[n, k] = p_k [k <= n] / P_n of
+    ``n_values``, from the weights p_0..p_N alone: each class ratio divides
+    two sums over one row, so P_n cancels, and no row table is built.
+
+    ms is a running max of p_{k+1} / p_k.  A gm or gm2 block [m, 2m) with
+    2m <= n, whose gm2 mass window [floor(m/c) v 1, floor(c m)] ends by n,
+    is inner: its ratio does not depend on n, so a row reads the running
+    max of those ratios at its last inner m.  The other pairs (m, n), and
+    every m of rbvs, read the row's end: the rest variation V(m, n) + p_n
+    over the row and its trailing zero, and the clipped mass
+    sum_{k=lo}^{n} p_k / k.  Monotone weights telescope, V(m, n) + p_n
+    being 2 p_n - p_m (nondecreasing) or p_m (nonincreasing), so rbvs and
+    gm take closed forms.  Otherwise each end pair's sums are taken in
+    blocks of rows (``_suffix_rows``), but not for a row whose inner
+    blocks already give inf, or, for rbvs, that holds a rise from a zero
+    weight (p_{k-1} = 0 < p_k makes its constant inf).  A constant equals
+    the table route's up to rounding; the infinities are the same."""
+    ns, rows = np.unique(n_values, return_inverse=True)
+    steps = np.diff(p)
+    if class_name == "ms":
+        return np.maximum.accumulate(np.append(1.0, _ratios(p[1:], p[:-1])))[ns][rows]
+    N = p.size - 1
+    m = np.arange(N + 1)
+    d = np.append(np.abs(steps), 0.0)
+    if class_name == "rbvs":
+        rise = np.logical_or.accumulate(np.append(False, (p[:-1] == 0.0) & (p[1:] > 0.0)))
+        out, first = np.where(rise[ns], math.inf, 0.0), np.zeros_like(ns)
+    else:
+        blocks = _window_sums(d[None], ((m >= 1) & (2 * m <= N))[None], m, 2 * m)[0]
+        den, last_inner = p, ns // 2
+        if class_name == "gm2":
+            # c is clamped as in the table route, which moves no window top
+            lo = np.maximum(1, np.floor(m / c)).astype(int)
+            hi = np.floor(min(c, N + 2) * m).astype(int)
+            q = np.divide(p, m, out=np.zeros_like(p), where=m > 0)
+            den = _window_sums(q[None], ((m >= 1) & (hi <= N))[None], lo, hi + 1)[0]
+            last_inner = np.minimum(last_inner, np.searchsorted(hi, ns, side="right") - 1)
+        out = np.maximum.accumulate(_ratios(blocks, den))[last_inner]
+        first = last_inner + 1
+    if class_name != "gm2" and (np.all(steps >= 0.0) or np.all(steps <= 0.0)):
+        at = p[np.minimum(first, ns)]
+        with np.errstate(over="ignore"):
+            end = 2.0 * (p[ns] / at) - 1.0 if np.all(steps >= 0.0) else (at > 0.0) * 1.0
+        return np.maximum(out, np.where(first <= ns, end, 0.0))[rows]
+    todo = np.flatnonzero(np.isfinite(out) & (first <= ns))
+    while todo.size:
+        # a block of h rows spans h x (its last n - its first m + 1) pairs:
+        # h is sized by the first row's span, then by the span of the last
+        # row of that guess, which is no shorter
+        h = max(1, _PAIR_BUDGET // (ns[todo[0]] - first[todo[0]] + 1))
+        h = max(1, _PAIR_BUDGET // (ns[todo[: h][-1]] - first[todo[0]] + 1))
+        block, todo = todo[:h], todo[h:]
+        n, f = ns[block], first[block]
+        ms = np.arange(f[0], n[-1] + 1)
+        num = _suffix_rows(d, p, n, ms)
+        if class_name == "gm2":
+            mass = _suffix_rows(q, q, n, lo[ms])
+            # a block [m, 2m) within the row (c > 2), or a mass window
+            # ending by n (c < 2), is whole
+            if c > 2.0:
+                num = np.where(2 * ms <= n[:, None], blocks[ms], num)
+            elif c < 2.0:
+                mass = np.where(hi[ms] <= n[:, None], den[ms], mass)
+        else:
+            mass = p[ms]
+        k = f[-1] - f[0]  # pairs before a row's first end pair are inner
+        num[:, :k][ms[:k] < f[:, None]] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # 0/0, a pair with no variation, is NaN, which fmax skips
+            np.divide(num, mass, out=num)
+        out[block] = np.fmax(out[block], np.fmax.reduce(num, axis=1))
+    return out[rows]
+
+
 @dataclass(frozen=True)
 class ClassReport:
     class_name: str
@@ -279,15 +380,23 @@ def class_membership(
     c: float = GM2_C,
 ) -> ClassReport:
     """Class constants of the rows of ``n_range`` and the side condition,
-    all from the matrix's one table of those rows, and the sup-over-rows
-    verdict; a bad class or c raises before any row is read."""
+    and the sup-over-rows verdict; a bad class or c raises before any row
+    is read.  A Riesz-type matrix's constants come from its weights alone
+    (``_weight_constants``), equal to the table's up to rounding with the
+    same infinities; explicit rows, and riesz rows whose sums overflow, are
+    read from the matrix's one table of those rows."""
     _check_class(class_name, c)
     if math.isnan(threshold):
         raise MatrixError("threshold must be a number, got nan")
     n_values = tuple(int(n) for n in n_range)
     constants, side_ok = (), None
     if n_values:
-        constants = tuple(_table_constants(class_name, *matrix.table(n_values), c).tolist())
+        weights = matrix.weights(n_values)
+        if weights is None:
+            constants = _table_constants(class_name, *matrix.table(n_values), c)
+        else:
+            constants = _weight_constants(class_name, weights[0], n_values, c)
+        constants = tuple(constants.tolist())
         side_ok = side_condition(matrix, n_values)[0]
     sup_c = max(constants) if constants else 0.0
     return ClassReport(

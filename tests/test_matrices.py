@@ -459,30 +459,131 @@ def test_row_table_matches_one_row_calls(rows, c):
             same_constant(k, BRUTE[name](row, c))
 
 
+# perfbench's tolerance on a class constant against its oracle
+CLASS_RTOL = 1e-12
+
+
 @pytest.mark.parametrize(
     "matrix, c",
-    [(cesaro_matrix(), 2.0), (riesz_matrix(exponent=1.0), 2.0), (osc_gm2_matrix(c=2.0), 2.0)],
-    ids=["cesaro", "riesz", "osc-gm2"],
+    [
+        (cesaro_matrix(), 2.0),
+        (riesz_matrix(exponent=1.0), 2.0),
+        (osc_gm2_matrix(c=2.0), 2.0),
+        (explicit_matrix([osc_gm2_row(n) for n in range(129)]), 2.0),
+    ],
+    ids=["cesaro", "riesz", "osc-gm2", "explicit"],
 )
 def test_class_membership_equals_per_row_loop(matrix, c):
+    # explicit rows take the row table, bit for bit; the Riesz-type
+    # families take their weights, which sum in another order
     rows = range(0, 129)
     for name in CLASS_NAMES:
         got = class_membership(matrix, name, 1.0, rows, c=c).constants
-        assert got == tuple(constant(name, row_of(matrix, n), c) for n in rows)
+        want = tuple(constant(name, row_of(matrix, n), c) for n in rows)
+        if matrix.name == "explicit":
+            assert got == want
+        else:
+            assert [math.isinf(k) for k in got] == [math.isinf(k) for k in want]
+            np.testing.assert_allclose(got, want, rtol=CLASS_RTOL, atol=0.0)
 
 
 def test_class_membership_makes_no_per_row_calls(monkeypatch):
-    # the four class checks of one n range share one table build
+    # rows with no weight sequence: the four class checks of one n range
+    # share one table build
     builds = []
-    osc = SummabilityMatrix._weights_table
-    monkeypatch.setattr(
-        SummabilityMatrix, "_weights_table", lambda self, ns: builds.append(ns.tolist()) or osc(self, ns)
+    m = SummabilityMatrix(
+        "logged", lambda ns: builds.append(ns.tolist()) or matrices.row_table([osc_gm2_row(n) for n in ns.tolist()])
     )
-    m = osc_gm2_matrix()
     for rows in (range(0, 65), range(0, 65), range(3, 9)):
         for name in CLASS_NAMES:
             assert len(class_membership(m, name, 1.0, rows).constants) == len(rows)
     assert builds == [list(range(0, 65)), list(range(3, 9))]
+
+    # Riesz-type rows: their weights alone, no table
+    def refuse(*args):
+        raise AssertionError("row table built")
+
+    monkeypatch.setattr(SummabilityMatrix, "table", refuse)
+    monkeypatch.setattr(matrices, "_table_constants", refuse)
+    weights = [1.0 / (k + 1) for k in range(65)]
+    for m in (cesaro_matrix(), riesz_matrix(exponent=1.0), riesz_matrix(weights=weights), osc_gm2_matrix()):
+        for rows in (range(0, 65), range(3, 9)):
+            for name in CLASS_NAMES:
+                assert len(class_membership(m, name, 1.0, rows).constants) == len(rows)
+            assert len(side_condition(m, rows)[1]) == len(rows)
+
+
+@st.composite
+def weight_cases(draw):
+    """(kind, matrix, n values, gm2 c): a weight list with zeros after p_0,
+    geometric weights r^k, decaying weights r^k u_k with u_k in 1..4, a
+    riesz exponent in [-3, 3] or osc-gm2 at c = 2, 3 or 4; n unsorted,
+    repeated and with 0.  The listed weights are integers times powers of
+    two, so no two of them round to one table entry, which would erase a
+    variation the weights have.  Their sums are nearly exact, so the
+    decaying rows, whose largest block ratio lies deep in the decay, are
+    the ones on which a window taken as a prefix-sum difference would
+    cancel."""
+    kind = draw(st.sampled_from(["weights", "geometric", "decaying", "exponent", "osc-gm2"]))
+    if kind == "weights":
+        size = draw(st.integers(1, 60))
+        listed = st.builds(math.ldexp, st.integers(1, 1000), st.integers(-20, 20))
+        p = np.array(draw(st.lists(listed, min_size=size, max_size=size)))
+        p[[k for k in draw(st.lists(st.integers(0, size - 1), max_size=size)) if k > 0]] = 0.0
+        matrix = riesz_matrix(weights=p)
+    elif kind == "geometric":
+        size = draw(st.integers(40, 120))
+        r = draw(st.sampled_from([0.5, 1.0 / 3.0, 0.7]))
+        matrix = riesz_matrix(weights=r ** np.arange(size))
+    elif kind == "decaying":
+        # r u_{k+1} / u_k never 1, so no two weights are one ulp apart
+        size = draw(st.integers(40, 120))
+        u = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+        matrix = riesz_matrix(weights=draw(st.sampled_from([0.6, 0.7])) ** np.arange(size) * u)
+    else:
+        size = 301
+        if kind == "exponent":
+            matrix = riesz_matrix(exponent=draw(st.floats(-3.0, 3.0)))
+        else:
+            matrix = osc_gm2_matrix(draw(st.sampled_from([2.0, 3.0, 4.0])))
+    ns = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=10))
+    ns = draw(st.permutations([*ns, 0, ns[0]]))
+    return kind, matrix, ns, draw(st.floats(1.0, 8.0, exclude_min=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=weight_cases())
+def test_weight_route_matches_table_route(case):
+    # the constants from the weights alone against those of the row table,
+    # within CLASS_RTOL and with the same infinities
+    kind, matrix, ns, c = case
+    table = matrix.table(ns)
+    for name in CLASS_NAMES:
+        got = class_membership(matrix, name, 1.0, ns, c=c).constants
+        want = matrices._table_constants(name, *table, c).tolist()
+        assert [math.isinf(k) for k in got] == [math.isinf(k) for k in want], name
+        np.testing.assert_allclose(got, want, rtol=CLASS_RTOL, atol=0.0, err_msg=name)
+        if name == "gm" and kind == "geometric":
+            # decaying rows: each block telescopes, so gm is 1 past row 0
+            np.testing.assert_allclose([k for k, n in zip(got, ns) if n], 1.0, rtol=1e-14, atol=0.0)
+
+
+def test_long_cesaro_sweep_constants():
+    # rows 0..16384, whose table alone would take 2 GB: ms = rbvs = 1, gm = 1
+    # past row 0, and gm2 = 1 / sum_{k = floor(n/2) v 1}^{n} 1/k, read at
+    # m = n
+    rows = range(16385)
+    m = cesaro_matrix()
+    inv = [0.0] + [1.0 / k for k in rows[1:]]
+    want = {
+        "ms": [1.0] * len(rows),
+        "rbvs": [1.0] * len(rows),
+        "gm": [0.0] + [1.0] * (len(rows) - 1),
+        "gm2": [0.0] + [1.0 / math.fsum(inv[max(n // 2, 1) : n + 1]) for n in rows[1:]],
+    }
+    for name in CLASS_NAMES:
+        got = class_membership(m, name, 1.0, rows).constants
+        np.testing.assert_allclose(got, want[name], rtol=1e-12, atol=0.0, err_msg=name)
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5, float("nan")])
