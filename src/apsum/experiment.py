@@ -42,7 +42,7 @@ from .spectra import (
     spectrum_from_dict,
     validate_spectrum,
 )
-from .strong_means import _FLAGS, THEOREMS, RatioRecord, _Sweep, ratio_sweep, strong_mean_rows, sweep_rows
+from .strong_means import _FLAGS, THEOREMS, RatioRecord, _Sweep, ratio_sweep, strong_mean_rows
 
 __all__ = [
     "ConfigError",
@@ -201,8 +201,9 @@ def _copied(value):
 class ExperimentConfig:
     """One run's config.  ``from_dict`` checks the fields, then resolves
     the inputs once: the function (relative files are read from
-    ``base_dir``), the matrix with the rows of ``n_range`` checked (its
-    weights, or its table), and the majorant source.  They live on the
+    ``base_dir``), the matrix with the rows of ``n_range`` read once
+    through ``SummabilityMatrix.rows``, which every later reader of those
+    rows shares, and the majorant source.  They live on the
     instance outside the fields, so ``to_dict`` echoes the config only.
     ``allow_invalid`` lets in a spectrum that fails validation; ``run`` and
     ``strong_mean_table`` still refuse it."""
@@ -334,16 +335,16 @@ class ExperimentConfig:
         return f, refusal
 
     def _load_matrix(self, base_dir: Path) -> SummabilityMatrix | None:
-        """The matrix with the rows of ``n_range`` checked: the weights of a
-        Riesz-type matrix, else the table, which the matrix keeps for
-        ``run`` and ``strong_mean_table``."""
+        """The matrix with the rows of ``n_range`` checked once
+        (``SummabilityMatrix.rows``): the weights of a Riesz-type matrix,
+        else the table, which the matrix keeps for ``run`` and
+        ``strong_mean_table``."""
         if self.matrix is None:
             return None
         matrix = _resolve("matrix", self.matrix, base_dir)
         ns = range(self.n_range[0], self.n_range[1] + 1)
         with _naming("matrix"):
-            if matrix.weights(ns) is None:
-                matrix.table(ns)
+            matrix.rows(ns)
         return matrix
 
     def resolve_function(self) -> QuasiPeriodicFunction:
@@ -473,7 +474,7 @@ def strong_mean_table(cfg: ExperimentConfig) -> str:
     if matrix is None:
         raise ConfigError("matrix", "strong-mean table needs a matrix")
     lo, hi = cfg.n_range
-    means = strong_mean_rows(f, cfg.x, sweep_rows(matrix, range(lo, hi + 1)), cfg.q).tolist()
+    means = strong_mean_rows(f, cfg.x, matrix.rows(range(lo, hi + 1)), cfg.q).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "q", "n", "strong_mean"])

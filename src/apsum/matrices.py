@@ -23,11 +23,27 @@ RBVS constants are exactly 1 and their GM constant is at most 1.
 
 The builtin families are Riesz-type, a[n, k] = p_k [k <= n] / P_n with
 P_n = p_0 + ... + p_n: Cesaro has p = 1, osc-gm2 a 0/1 mask and riesz
-p_k = b_k^r.  ``SummabilityMatrix.weights`` gives p and P, so a strong
-mean, the side condition or a class constant needs no table:
-``class_membership`` reads the constants of a sweep's rows from p alone,
-as P_n cancels in every class ratio, and takes the table only for
-explicit rows and for riesz rows whose sums overflow.
+p_k = b_k^r.  ``SummabilityMatrix.rows`` is the one reader of a sweep's
+rows, and the one place that picks how to read them: from p and P for a
+Riesz-type family (``_WeightRows``), else from the table (``_TableRows``),
+as for explicit rows and for riesz rows whose sums overflow.  Both give
+the strong means, the side condition's a[n, 0] and the class constants;
+the weight rows build no table, as P_n cancels in every class ratio.
+
+The weight rows' strong means: sum_k a[n, k] v_k^q is a prefix sum of
+p_k v_k^q read at n over P_n, one cumsum per (x, q) over k <= max n, and
+at q = inf the mean is a running max.  ``power_mean`` scales each row by
+its own top, max v_k over its live k; one scale for every row would
+underflow the terms of the early rows of a rising sweep.  So the prefix
+route takes its rows in blocks, each scaled by the top s and the sum P of
+its last row: that row's terms are ``power_mean``'s, and an earlier row
+n's are its own times (P_n / P)(top_n / s)^q <= 1.  A row whose largest
+term falls below ``TERM_FLOOR`` (and below the last row's) goes to the
+next block.  The largest term of a row does not fall as n grows, so those
+rows form a head of the rows left.  The means agree with ``power_mean``
+of the table to a relative 1e-12, the last row of each block of a Cesaro
+or osc-gm2 sweep to the bit.  A row whose top is inf or NaN has
+``power_mean``'s NaN mean at finite q (inf / inf is NaN).
 """
 
 from __future__ import annotations
@@ -39,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectra import _keys, _number
+from .spectra import _keys, _number, power_mean
 
 __all__ = [
     "MatrixError",
@@ -86,8 +102,8 @@ class SummabilityMatrix:
     table, so every reader of one sweep shares one build.  A Riesz-type
     family has ``weights_fn``, which maps the same array to the weights
     p_0..p_N of its rows a[n, k] = p_k [k <= n] / P_n, N the largest n;
-    ``weights`` checks and keeps them, and with no ``table_fn`` the table
-    is built from them."""
+    ``rows`` checks and keeps them, and with no ``table_fn`` the table is
+    built from them."""
 
     def __init__(
         self, name: str, table_fn: Callable | None = None, params: dict | None = None,
@@ -100,32 +116,30 @@ class SummabilityMatrix:
         self._table_fn = table_fn
         self._weights_fn = weights_fn
         self._last: tuple | None = None
-        self._last_weights: tuple | None = None
+        self._last_weights: tuple = (0, None)  # (N + 1, (p, P) or None)
 
-    def weights(self, n_values) -> tuple[np.ndarray, np.ndarray] | None:
-        """The read-only weights p_0..p_N of the rows of ``n_values``, N the
-        largest n, and their prefix sums P_0..P_N, checked once (p >= 0 and
-        p_0 > 0, else MatrixError) and kept until a longer or shorter p is
-        asked for.  None for a matrix with no weight sequence and for one
-        whose weights or sums overflow: the table gives those rows."""
-        if self._weights_fn is None:
-            return None
+    def rows(self, n_values) -> _WeightRows | _TableRows:
+        """The rows of ``n_values`` as every reader of a sweep takes them.
+        A Riesz-type family gives its weights p_0..p_N, N the largest n,
+        and their prefix sums P_0..P_N, checked once (N + 1 weights, p >= 0
+        and p_0 > 0, else MatrixError) and kept until a longer or shorter p
+        is asked for.  A matrix with no weight sequence, or one whose
+        weights or sums overflow, gives its table (``table``)."""
         ns = _row_indices(n_values)
         size = int(ns.max(initial=0)) + 1
-        if self._last_weights is not None and self._last_weights[0] == size:
-            return self._last_weights[1]
-        p = self._weights_fn(ns)
-        if not (p[0] > 0.0 and np.all(p >= 0.0)):
-            raise MatrixError(f"{self.name} weights must be >= 0 with p_0 > 0")
-        with np.errstate(over="ignore"):
-            sums = np.cumsum(p)
-        out = None
-        if math.isfinite(sums[-1]):
+        if self._weights_fn is not None and self._last_weights[0] != size:
+            p = self._weights_fn(ns)
+            if np.shape(p) != (size,):
+                raise MatrixError(f"{self.name} needs weights p_0..p_{size - 1}, got shape {np.shape(p)}")
+            if not (p[0] > 0.0 and np.all(p >= 0.0)):
+                raise MatrixError(f"{self.name} weights must be >= 0 with p_0 > 0")
+            with np.errstate(over="ignore"):
+                sums = np.cumsum(p)
             p.setflags(write=False)
             sums.setflags(write=False)
-            out = p, sums
-        self._last_weights = (size, out)
-        return out
+            self._last_weights = (size, (p, sums) if math.isfinite(sums[-1]) else None)
+        weights = self._last_weights[1]
+        return _TableRows(*self.table(ns)) if weights is None else _WeightRows(*weights, ns)
 
     def _weights_table(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows p_k [k <= n] / P_n of ``weights_fn``, for ``table`` to
@@ -340,6 +354,88 @@ def _weight_constants(class_name: str, p: np.ndarray, n_values, c: float) -> np.
     return out[rows]
 
 
+# A row's prefix sum in a block is good to rounding where its largest term
+# is at least this (2^-960: the subnormal terms below it move a sum of up
+# to 2^20 of them by at most 2^-95 relative).
+TERM_FLOOR = 2.0**-960
+
+
+def _prefix_means(p: np.ndarray, sums: np.ndarray, ns: np.ndarray, values: np.ndarray, q: float):
+    """power_mean of each row a[n, k] = p_k [k <= n] / P_n of ``ns`` against
+    ``values`` (X, N + 1), as (X, len(ns)); ``sums`` holds P_0..P_N.  Blocks
+    of rows as the module docstring states them: one cumsum per block.  At
+    finite q a row with an inf or NaN top is NaN and joins no block."""
+    v = np.where(p > 0.0, np.abs(values), 0.0)
+    top = np.maximum.accumulate(v, axis=-1)  # a NaN carries to every later k
+    if math.isinf(q):
+        return top[:, ns]
+    rows, back = np.unique(ns, return_inverse=True)
+    tops, totals = top[:, rows], sums[rows]
+    finite = np.isfinite(tops)
+    out = np.where(finite, 0.0, math.nan)
+    todo = finite & (tops > 0.0)
+    lanes = np.arange(len(v))
+    while todo.any():
+        live = todo.any(axis=1)
+        last = rows.size - 1 - np.argmax(todo[:, ::-1], axis=1)
+        s = np.where(live, tops[lanes, last], 1.0)[:, None]
+        total = np.where(live, totals[last], 1.0)[:, None]
+        width = rows[last[live]].max() + 1
+        at = np.minimum(rows, width - 1)
+        # past a lane's last row v / s may exceed 1: those terms are not read
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = p[:width] / total * (v[:, :width] / s) ** q
+            largest = np.maximum.accumulate(terms, axis=-1)[:, at]
+            take = todo & (largest >= np.minimum(TERM_FLOOR, largest[lanes, last])[:, None])
+            mean = s * (np.cumsum(terms, axis=-1)[:, at] * (total / totals)) ** (1.0 / q)
+        out = np.where(take, mean, out)
+        todo &= ~take
+    return out[:, back]
+
+
+class _TableRows:
+    """Rows read from a dense weight table and its row sizes: ``width``
+    columns, ``used`` marks the k some row weighs, ``means`` gives each
+    row's ``power_mean`` of every lane of values (X, width) as (X, rows),
+    ``firsts`` each a[n, 0] and ``constants`` the ``_table_constants``."""
+
+    def __init__(self, table: np.ndarray, sizes: np.ndarray):
+        self.table, self.sizes, self.width = table, sizes, table.shape[1]
+
+    def used(self) -> np.ndarray:
+        return np.any(self.table > 0.0, axis=0)
+
+    def means(self, values: np.ndarray, q: float) -> np.ndarray:
+        return power_mean(self.table, values[:, None, :], q)
+
+    def firsts(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    def constants(self, class_name: str, c: float) -> np.ndarray:
+        return _table_constants(class_name, self.table, self.sizes, c)
+
+
+class _WeightRows:
+    """Rows a[n, k] = p_k [k <= n] / P_n of the n of a sweep, read as
+    ``_TableRows`` are but from p and P: means with ``_prefix_means``,
+    a[n, 0] as p_0 / P_n and constants with ``_weight_constants``."""
+
+    def __init__(self, p: np.ndarray, sums: np.ndarray, ns: np.ndarray):
+        self.p, self.sums, self.ns, self.width = p, sums, ns, p.size
+
+    def used(self) -> np.ndarray:
+        return self.p > 0.0
+
+    def means(self, values: np.ndarray, q: float) -> np.ndarray:
+        return _prefix_means(self.p, self.sums, self.ns, values, q)
+
+    def firsts(self) -> np.ndarray:
+        return self.p[0] / self.sums[self.ns]
+
+    def constants(self, class_name: str, c: float) -> np.ndarray:
+        return _weight_constants(class_name, self.p, self.ns, c)
+
+
 @dataclass(frozen=True)
 class ClassReport:
     class_name: str
@@ -355,19 +451,13 @@ class ClassReport:
 def side_condition(
     matrix: SummabilityMatrix, n_values: Sequence[int], tol: float = SIDE_TOL
 ) -> tuple[bool, tuple[float, ...]]:
-    """Check that a[n, 0] is heading to zero across the sweep: p_0 / P_n
-    from the matrix's weights, else column 0 of the sweep's row table.
+    """Check that a[n, 0] is heading to zero across the sweep, read from
+    the sweep's rows (``SummabilityMatrix.rows``).
 
     Verdict: every a[n, 0] over the last quarter of the sweep is <= tol.
     A finite sweep can only witness the trend, not the limit.
     """
-    weights = matrix.weights(n_values)
-    if weights is None:
-        firsts = matrix.table(n_values)[0][:, 0]
-    else:
-        p, sums = weights
-        firsts = p[0] / sums[np.asarray(n_values, dtype=int)]
-    firsts = tuple(firsts.tolist())
+    firsts = tuple(matrix.rows(n_values).firsts().tolist())
     tail = firsts[3 * len(firsts) // 4 :] or firsts[-1:]
     return all(v <= tol for v in tail), firsts
 
@@ -381,22 +471,18 @@ def class_membership(
 ) -> ClassReport:
     """Class constants of the rows of ``n_range`` and the side condition,
     and the sup-over-rows verdict; a bad class or c raises before any row
-    is read.  A Riesz-type matrix's constants come from its weights alone
-    (``_weight_constants``), equal to the table's up to rounding with the
-    same infinities; explicit rows, and riesz rows whose sums overflow, are
-    read from the matrix's one table of those rows."""
+    is read.  The rows come from ``SummabilityMatrix.rows``: a Riesz-type
+    matrix's constants from its weights alone (``_weight_constants``),
+    equal to the table's up to rounding with the same infinities; explicit
+    rows, and riesz rows whose sums overflow, from the matrix's one table
+    of those rows."""
     _check_class(class_name, c)
     if math.isnan(threshold):
         raise MatrixError("threshold must be a number, got nan")
     n_values = tuple(int(n) for n in n_range)
     constants, side_ok = (), None
     if n_values:
-        weights = matrix.weights(n_values)
-        if weights is None:
-            constants = _table_constants(class_name, *matrix.table(n_values), c)
-        else:
-            constants = _weight_constants(class_name, weights[0], n_values, c)
-        constants = tuple(constants.tolist())
+        constants = tuple(matrix.rows(n_values).constants(class_name, c).tolist())
         side_ok = side_condition(matrix, n_values)[0]
     sup_c = max(constants) if constants else 0.0
     return ClassReport(

@@ -16,31 +16,14 @@ expressions mirror three estimate shapes:
     omega:    ( sum_k a[n,k] omega(pi/(k+1))^q )^(1/q)
 
 alpha is the gap of ``f.spectrum``.  ``ratio_sweep`` reads the rows of a run
-once (``sweep_rows``), takes each side's means with one call per q, and
-returns the sweep: lhs, rhs and lhs/rhs as (x, q, n) arrays, 0/0 as ratio
-0 (flagged) and finite/0 as inf.  ``experiment.run``'s verdicts and
-writers read those arrays; the sweep's ``records()`` gives one
-``RatioRecord`` per (x, q, n) to a caller that asks.  ``strong_mean_rows``
-gives lhs means alone.
-
-Rows of a Riesz-type matrix, a[n, k] = p_k [k <= n] / P_n (Cesaro,
-riesz, osc-gm2), need no table: sum_k a[n, k] v_k^q is a prefix sum of
-p_k v_k^q read at n over P_n, one cumsum per (x, q) over k <= max n, and
-at q = inf the mean is a running max.  ``power_mean`` scales each row by
-its own top, max v_k over its live k; one scale for every row would
-underflow the terms of the early rows of a rising sweep.  So the prefix
-route takes its rows in blocks, each scaled by the top s and the sum P of
-its last row: that row's terms are ``power_mean``'s, and an earlier row
-n's are its own times (P_n / P)(top_n / s)^q <= 1.  A row whose largest
-term falls below ``TERM_FLOOR`` (and below the last row's) goes to the
-next block.  The largest term of a row does not fall as n grows, so those
-rows form a head of the rows left.  The means agree with ``power_mean``
-of the table to a relative 1e-12, the last row of each block of a Cesaro
-or osc-gm2 sweep to the bit.  A row whose top is inf or NaN has
-``power_mean``'s NaN mean at finite q (inf / inf is NaN).  Explicit rows,
-Riesz rows whose powers or sums overflow and prop4's dyadic blocks (whose
-window sums prefix differences would cancel) keep the dense table and
-``power_mean``.
+once (``SummabilityMatrix.rows``), takes each side's means with one call
+per q, and returns the sweep: lhs, rhs and lhs/rhs as (x, q, n) arrays,
+0/0 as ratio 0 (flagged) and finite/0 as inf.  ``experiment.run``'s
+verdicts and writers read those arrays; the sweep's ``records()`` gives
+one ``RatioRecord`` per (x, q, n) to a caller that asks.
+``strong_mean_rows`` gives lhs means alone.  The rows pick their own
+route (``matrices`` states both); prop4's dyadic blocks, whose window
+sums prefix differences would cancel, keep a dense table.
 """
 
 from __future__ import annotations
@@ -50,93 +33,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrices import GM2_C, SummabilityMatrix
+from .matrices import GM2_C, SummabilityMatrix, _TableRows
 from .measures import WindowGrid, modulus_omega
-from .spectra import QuasiPeriodicFunction, power_mean
+from .spectra import QuasiPeriodicFunction
 
-__all__ = ["THEOREMS", "RatioRecord", "ratio_sweep", "strong_mean_rows", "sweep_rows"]
-
-# A row's prefix sum in a block is good to rounding where its largest term
-# is at least this (2^-960: the subnormal terms below it move a sum of up
-# to 2^20 of them by at most 2^-95 relative).
-TERM_FLOOR = 2.0**-960
-
-
-def _prefix_means(p: np.ndarray, sums: np.ndarray, ns: np.ndarray, values: np.ndarray, q: float):
-    """power_mean of each row a[n, k] = p_k [k <= n] / P_n of ``ns`` against
-    ``values`` (X, N + 1), as (X, len(ns)); ``sums`` holds P_0..P_N.  Blocks
-    of rows as the module docstring states them: one cumsum per block.  At
-    finite q a row with an inf or NaN top is NaN and joins no block."""
-    v = np.where(p > 0.0, np.abs(values), 0.0)
-    top = np.maximum.accumulate(v, axis=-1)  # a NaN carries to every later k
-    if math.isinf(q):
-        return top[:, ns]
-    rows, back = np.unique(ns, return_inverse=True)
-    tops, totals = top[:, rows], sums[rows]
-    finite = np.isfinite(tops)
-    out = np.where(finite, 0.0, math.nan)
-    todo = finite & (tops > 0.0)
-    lanes = np.arange(len(v))
-    while todo.any():
-        live = todo.any(axis=1)
-        last = rows.size - 1 - np.argmax(todo[:, ::-1], axis=1)
-        s = np.where(live, tops[lanes, last], 1.0)[:, None]
-        total = np.where(live, totals[last], 1.0)[:, None]
-        width = rows[last[live]].max() + 1
-        at = np.minimum(rows, width - 1)
-        # past a lane's last row v / s may exceed 1: those terms are not read
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = p[:width] / total * (v[:, :width] / s) ** q
-            largest = np.maximum.accumulate(terms, axis=-1)[:, at]
-            take = todo & (largest >= np.minimum(TERM_FLOOR, largest[lanes, last])[:, None])
-            mean = s * (np.cumsum(terms, axis=-1)[:, at] * (total / totals)) ** (1.0 / q)
-        out = np.where(take, mean, out)
-        todo &= ~take
-    return out[:, back]
-
-
-class _TableRows:
-    """Rows read from a dense weight table with ``power_mean``; ``used``
-    marks the k some row weighs, ``means`` gives each row's mean of every
-    lane of values (X, width) as (X, rows)."""
-
-    def __init__(self, table: np.ndarray):
-        self.table, self.width = table, table.shape[1]
-
-    def used(self) -> np.ndarray:
-        return np.any(self.table > 0.0, axis=0)
-
-    def means(self, values: np.ndarray, q: float) -> np.ndarray:
-        return power_mean(self.table, values[:, None, :], q)
-
-
-class _WeightRows:
-    """Rows a[n, k] = p_k [k <= n] / P_n of the n of a sweep, read with
-    ``_prefix_means``; ``used`` and ``means`` as ``_TableRows``'s."""
-
-    def __init__(self, p: np.ndarray, sums: np.ndarray, ns: np.ndarray):
-        self.p, self.sums, self.ns, self.width = p, sums, ns, p.size
-
-    def used(self) -> np.ndarray:
-        return self.p > 0.0
-
-    def means(self, values: np.ndarray, q: float) -> np.ndarray:
-        return _prefix_means(self.p, self.sums, self.ns, values, q)
-
-
-def sweep_rows(matrix: SummabilityMatrix, n_values):
-    """The rows of ``n_values`` as the strong means read them: a Riesz-type
-    matrix's weights (``SummabilityMatrix.weights``), else its table."""
-    weights = matrix.weights(n_values)
-    if weights is None:
-        return _TableRows(matrix.table(n_values)[0])
-    return _WeightRows(*weights, np.asarray(n_values, dtype=int))
+__all__ = ["THEOREMS", "RatioRecord", "ratio_sweep", "strong_mean_rows"]
 
 
 def strong_mean_rows(f: QuasiPeriodicFunction, xs, rows, qs):
     """H_n(x) of each row as one (q, x, row) array: the deviations
     |S_{alpha k/2} f(x) - f(x)| of every x and k from one ladder call, and
-    one row-mean call per q; ``rows`` comes from ``sweep_rows``."""
+    one row-mean call per q; ``rows`` comes from ``SummabilityMatrix.rows``."""
     xs = np.asarray(xs, dtype=float)
     ladder = f.partial_sums(xs, 0.5 * f.spectrum.alpha * np.arange(rows.width))
     devs = np.abs(ladder - f(xs)[:, None])
@@ -281,7 +188,10 @@ def ratio_sweep(
         empty = np.zeros((len(qs), len(points), len(n_values)))
         return _sweep_of([x for x, _ in points], qs, n_values, empty, empty)
 
-    rows = _TableRows(_dyadic_table(n_values)) if theorem == "prop4" else sweep_rows(matrix, n_values)
+    if theorem == "prop4":  # dyadic row n has size 2n + 1
+        rows = _TableRows(_dyadic_table(n_values), 2 * np.array(n_values) + 1)
+    else:
+        rows = matrix.rows(n_values)
     if theorem == "thm2":
         lhs = strong_mean_rows(f, x_grid, rows, qs).max(axis=1, keepdims=True)
         bounds = _omegas(f, rows.used(), p, grid)[None]

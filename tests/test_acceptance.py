@@ -27,7 +27,7 @@ from apsum.measures import (
     stepanov_norm,
 )
 from apsum.spectra import Spectrum, QuasiPeriodicFunction
-from apsum.strong_means import ratio_sweep, strong_mean_rows, sweep_rows
+from apsum.strong_means import ratio_sweep, strong_mean_rows
 
 from conftest import record_criterion, scaled
 
@@ -253,7 +253,7 @@ def test_criterion_8_power_mean_properties():
             for l in lams
         ]
         f = QuasiPeriodicFunction(Spectrum.from_cos_sin(alpha, terms))
-        rows = sweep_rows(explicit_matrix(rng.dirichlet(np.ones(int(rng.integers(1, 9))))[None]), [0])
+        rows = explicit_matrix(rng.dirichlet(np.ones(int(rng.integers(1, 9))))[None]).rows([0])
         x = float(rng.uniform(-3, 3))
         means = strong_mean_rows(f, [x], rows, qs).ravel().tolist()
         for a, b in zip(means, means[1:]):

@@ -23,7 +23,7 @@ from apsum.experiment import (
 from apsum import cli, experiment, matrices, measures, strong_means
 from apsum.matrices import MatrixError, class_constants, explicit_matrix
 from apsum.spectra import QuasiPeriodicFunction, validate_spectrum
-from apsum.strong_means import strong_mean_rows, sweep_rows
+from apsum.strong_means import strong_mean_rows
 
 from conftest import PREFIX_RTOL, record_verdicts, spy_searches
 
@@ -811,7 +811,8 @@ class TestRun:
 
     @pytest.mark.parametrize("theorem", ["prop4", "thm2", "thm5", "thm6"])
     def test_one_row_mean_per_q_and_side(self, monkeypatch, theorem):
-        calls = count_calls(monkeypatch, "power_mean", "_prefix_means", "strong_mean_rows")
+        means = count_calls(monkeypatch, "power_mean", "_prefix_means", owner=matrices)
+        lhs = count_calls(monkeypatch, "strong_mean_rows")
         cfg = make_config(
             theorem=theorem,
             matrix={"builtin": "cesaro"},
@@ -826,9 +827,9 @@ class TestRun:
         # prop4's rhs reads its bracket table with no mean at all.  The
         # Cesaro rows go the prefix route, prop4's dyadic table power_mean
         if theorem == "prop4":
-            assert calls == {"power_mean": 3, "_prefix_means": 0, "strong_mean_rows": 1}
+            assert {**means, **lhs} == {"power_mean": 3, "_prefix_means": 0, "strong_mean_rows": 1}
         else:
-            assert calls == {"power_mean": 0, "_prefix_means": 6, "strong_mean_rows": 1}
+            assert {**means, **lhs} == {"power_mean": 0, "_prefix_means": 6, "strong_mean_rows": 1}
 
     def test_thm5_config_builds_each_gram_once_per_run(self, monkeypatch):
         # one fit call for both x: one phi Gram and one trig Gram per run,
@@ -956,7 +957,7 @@ class TestOutputs:
         for x in cfg.x:
             for q in cfg.q:
                 for i, n in enumerate(ns):
-                    row = sweep_rows(explicit_matrix([table[i, : sizes[i]]]), [0])
+                    row = explicit_matrix([table[i, : sizes[i]]]).rows([0])
                     mean = strong_mean_rows(f, [x], row, [q]).item()
                     lines.append(f"{x!r},{q!r},{n},{mean!r}")
         return "\n".join(lines) + "\n"

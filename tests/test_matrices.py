@@ -25,6 +25,7 @@ from apsum.matrices import (
     riesz_matrix,
     side_condition,
 )
+from apsum.spectra import power_mean
 
 
 # The one-row formulas of the families: the oracle of their tables.
@@ -758,7 +759,8 @@ def test_weights_give_the_table_rows(ns):
     # row on its own and P is one running sum; the side condition reads
     # a[n, 0] = p_0 / P_n
     for name, matrix in WEIGHT_FAMILIES.items():
-        p, sums = matrix.weights(ns)
+        rows = matrix.rows(ns)
+        p, sums = rows.p, rows.sums
         assert p.size == sums.size == max(ns) + 1 and not p.flags.writeable
         table, sizes = matrix.table(ns)
         rows = np.where(np.arange(p.size + 1) <= np.array(ns)[:, None], np.append(p, 0.0), 0.0) / sums[ns][:, None]
@@ -773,20 +775,81 @@ def test_weights_give_the_table_rows(ns):
 
 def test_weights_are_kept_and_checked():
     m = cesaro_matrix()
-    p, sums = m.weights(range(3, 9))
-    assert m.weights([8, 0])[0] is p
-    assert m.weights(range(4))[0] is not p
+    p = m.rows(range(3, 9)).p
+    assert m.rows([8, 0]).p is p
+    assert m.rows(range(4)).p is not p
     with pytest.raises(MatrixError, match="^row index must be >= 0, got -1$"):
-        m.weights([2, -1])
+        m.rows([2, -1])
     with pytest.raises(MatrixError, match="^riesz weight list of length 2 cannot build row 2$"):
-        riesz_matrix(weights=[1.0, 2.0]).weights(range(1, 5))
+        riesz_matrix(weights=[1.0, 2.0]).rows(range(1, 5))
     for bad in ([0.0, 1.0], [1.0, -1.0]):
         m = SummabilityMatrix("bad", weights_fn=lambda ns, b=bad: np.array(b))
         with pytest.raises(MatrixError, match="^bad weights must be >= 0 with p_0 > 0$"):
-            m.weights([1])
+            m.rows([1])
     with pytest.raises(MatrixError, match="^bare needs a table or a weight function$"):
         SummabilityMatrix("bare")
     # no weight sequence, or one whose sum overflows: the table's rows
-    assert explicit_matrix([[1.0]]).weights([0]) is None
-    assert riesz_matrix(weights=[1e308] * 3).weights([1]) is None
-    assert riesz_matrix(weights=[1e308] * 3).weights([0]) is not None
+    assert isinstance(explicit_matrix([[1.0]]).rows([0]), matrices._TableRows)
+    assert isinstance(riesz_matrix(weights=[1e308] * 3).rows([1]), matrices._TableRows)
+    assert isinstance(riesz_matrix(weights=[1e308] * 3).rows([0]), matrices._WeightRows)
+
+
+@pytest.mark.parametrize("weights", [np.ones(2), np.ones(5), np.ones((4, 1))], ids=["short", "long", "2-d"])
+def test_weights_of_the_wrong_length_are_refused(weights):
+    # rows 0..3 read p_0..p_3: two weights once ended in an IndexError
+    m = SummabilityMatrix("short", weights_fn=lambda ns: weights)
+    message = f"^{re.escape(f'short needs weights p_0..p_3, got shape {weights.shape}')}$"
+    for call in (lambda: class_membership(m, "ms", 1.0, range(4)), lambda: side_condition(m, range(4))):
+        with pytest.raises(MatrixError, match=message):
+            call()
+
+
+def test_rows_read_weights_or_the_table():
+    weighted = [*WEIGHT_FAMILIES.values(), riesz_matrix(weights=[1.0, 0.0, 2.0, 0.5])]
+    for m in weighted:
+        assert isinstance(m.rows(range(4)), matrices._WeightRows), m.name
+    # explicit rows, and riesz rows past 34^200, whose sums overflow
+    for m, ns in ((explicit_matrix([[1.0], [0.5, 0.5]]), range(2)), (riesz_matrix(exponent=200.0), range(35))):
+        assert isinstance(m.rows(ns), matrices._TableRows), m.name
+
+
+def assert_reads_are_the_routes(matrix, ns, c, seed):
+    """Each read of ``matrix.rows(ns)`` equals, bit for bit, its route on
+    the weights p of ``weights_fn`` and their cumsum, or on the table: p_0 /
+    P_n or column 0, the weight or table constants, and the prefix means
+    or power_mean of the table."""
+    rows, at = matrix.rows(ns), np.array(ns)
+    values = np.random.default_rng(seed).uniform(0.0, 2.0, (2, rows.width))
+    if isinstance(rows, matrices._WeightRows):
+        p = matrix._weights_fn(at)
+        sums = np.cumsum(p)
+        firsts = p[0] / sums[at]
+        constants = lambda name: matrices._weight_constants(name, p, at, c)
+        means = lambda q: matrices._prefix_means(p, sums, at, values, q)
+    else:
+        table, sizes = matrix.table(ns)
+        firsts = table[:, 0]
+        constants = lambda name: matrices._table_constants(name, table, sizes, c)
+        means = lambda q: power_mean(table, values[:, None, :], q)
+    assert rows.firsts().tolist() == firsts.tolist()
+    for name in CLASS_NAMES:
+        assert rows.constants(name, c).tolist() == constants(name).tolist(), name
+    for q in (0.5, 2.0, math.inf):
+        assert np.array_equal(rows.means(values, q), means(q), equal_nan=True), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=weight_cases(), seed=st.integers(0, 2**32 - 1))
+def test_weight_case_reads_are_the_routes(case, seed):
+    kind, matrix, ns, c = case
+    assert_reads_are_the_routes(matrix, ns, c, seed)
+
+
+EXPLICIT_OSC = explicit_matrix([osc_gm2_row(n) for n in range(301)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(ns=sweeps(), c=st.floats(1.0, 8.0, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+def test_sweep_reads_are_the_routes(ns, c, seed):
+    for matrix in (*WEIGHT_FAMILIES.values(), EXPLICIT_OSC, riesz_matrix(exponent=200.0)):
+        assert_reads_are_the_routes(matrix, ns, c, seed)

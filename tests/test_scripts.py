@@ -6,6 +6,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from apsum.matrices import SummabilityMatrix
 from apsum.measures import PowerModulus, moduli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -60,10 +61,15 @@ def test_api_surface(capsys):
     assert total[0] == "total"
     assert int(total[1]) == sum(row[1] for row in rows)
     assert int(total[2]) == sum(row[2] for row in rows)
+    assert int(total[3]) == sum(row[3] for row in rows)
     # a dataclass counts its fields, a function its parameters
     assert script.settable_values(PowerModulus) == 3
     assert script.settable_values(moduli) == 5
     assert script.settable_values(3.0) == 0
+    # the methods are the "Class.method" names of public_names
+    assert int(total[3]) == sum("." in name for name in public_names())
+    assert script.public_methods(SummabilityMatrix) == 3  # rows, table, describe
+    assert script.public_methods(moduli) == 0
 
 
 def used_names(root):
@@ -111,6 +117,20 @@ def public_names():
                     if not member.startswith("_") and callable(getattr(obj, member)):
                         out.append(f"{attr}.{member}")
     return out
+
+
+def test_only_matrices_reads_weights_or_table():
+    # SummabilityMatrix.rows is the one place that picks between a matrix's
+    # weights and its table; every other module reads the rows it gives
+    readers = []
+    for path in sorted((SCRIPTS.parent / "src" / "apsum").glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if node.attr in ("weights", "table"):
+                    readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []
 
 
 def test_every_public_name_has_a_caller():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apsum import measures, strong_means
+from apsum import matrices, measures, strong_means
 from apsum import experiment
 from apsum.experiment import ExperimentConfig, run
 from apsum.matrices import cesaro_matrix, explicit_matrix, osc_gm2_matrix, riesz_matrix, row_table
@@ -21,7 +21,6 @@ from apsum.strong_means import (
     RatioRecord,
     ratio_sweep,
     strong_mean_rows,
-    sweep_rows,
 )
 
 from conftest import PREFIX_RTOL, head_tail_bounded, scaled, translate_difference
@@ -67,7 +66,7 @@ def cesaro_row(n):
 def row_mean(f, x, row, q):
     """H of one weight row at one x: strong_mean_rows of a one-row explicit
     matrix, read with power_mean."""
-    return strong_mean_rows(f, [x], sweep_rows(explicit_matrix([row]), [0]), [q]).item()
+    return strong_mean_rows(f, [x], explicit_matrix([row]).rows([0]), [q]).item()
 
 
 def plain_bracket_mean(f, w, weights, q, alpha, divisor):
@@ -654,7 +653,7 @@ class TestPrefixRoute:
     @given(case=weight_sweeps(), q=st.one_of(st.floats(0.05, 8.0), st.just(math.inf)))
     def test_matches_dense_power_mean(self, case, q):
         p, ns, values = case
-        got = strong_means._prefix_means(p, np.cumsum(p), ns, values, q)
+        got = matrices._prefix_means(p, np.cumsum(p), ns, values, q)
         with np.errstate(invalid="ignore"):  # an inf top: inf / inf
             want = power_mean(dense_weight_rows(p, ns), values[:, None, :], q)
             close = np.abs(got - want) <= PREFIX_RTOL * want
@@ -672,7 +671,7 @@ class TestPrefixRoute:
         ns = np.arange(200)
         p = np.ones(200)
         values = np.logspace(-200.0, 0.0, 200)[None]
-        got = strong_means._prefix_means(p, np.cumsum(p), ns, values, q)[0]
+        got = matrices._prefix_means(p, np.cumsum(p), ns, values, q)[0]
         want = [mp_power_mean(np.full(n + 1, 1.0 / (n + 1)), values[0, : n + 1], q) for n in ns]
         assert got.tolist() == pytest.approx(want, rel=PREFIX_RTOL, abs=0.0)
 
@@ -683,12 +682,13 @@ class TestPrefixRoute:
     )
     def test_family_rows_against_mpmath(self, matrix):
         ns = np.array([0, 1, 5, 37, 120])
-        p, sums = matrix.weights(ns)
+        rows = matrix.rows(ns)
+        p, sums = rows.p, rows.sums
         rng = np.random.default_rng(5)
         values = 10.0 ** rng.uniform(-150.0, 0.0, (2, p.size))
         table, sizes = matrix.table(ns)
         for q in (0.3, 1.0, 7.0):
-            got = strong_means._prefix_means(p, sums, ns, values, q)
+            got = matrices._prefix_means(p, sums, ns, values, q)
             for i, v in enumerate(values):
                 want = [mp_power_mean(row[:size], v[:size], q) for row, size in zip(table, sizes)]
                 assert got[i].tolist() == pytest.approx(want, rel=PREFIX_RTOL, abs=0.0)
@@ -702,7 +702,7 @@ class TestPrefixRoute:
         p = np.ones(10)
         values = np.vstack([np.linspace(0.1, 1.0, 10), np.linspace(1e-300, 1.0, 10)])
         values[0, 3] = bad
-        got = strong_means._prefix_means(p, np.cumsum(p), ns, values, q)
+        got = matrices._prefix_means(p, np.cumsum(p), ns, values, q)
         with np.errstate(invalid="ignore"):
             want = power_mean(dense_weight_rows(p, ns), values[:, None, :], q)
         assert np.isnan(got[0, [0, 3, 4]]).tolist() == [q < math.inf or math.isnan(bad)] * 3
@@ -728,9 +728,9 @@ class TestPrefixRoute:
         # 35^200 overflows: the weights are refused and the table divides
         # each row by its largest power first
         m = riesz_matrix(exponent=200.0)
-        assert m.weights(range(34)) is not None and m.weights(range(35)) is None
-        assert isinstance(strong_means.sweep_rows(m, range(35)), strong_means._TableRows)
-        assert isinstance(strong_means.sweep_rows(explicit_matrix([[1.0]]), [0]), strong_means._TableRows)
+        assert isinstance(m.rows(range(34)), matrices._WeightRows)
+        assert isinstance(m.rows(range(35)), matrices._TableRows)
+        assert isinstance(explicit_matrix([[1.0]]).rows([0]), matrices._TableRows)
 
 
 def _record(x, q, n, lhs, rhs):
